@@ -1,6 +1,6 @@
 //! Recording-synthesis throughput: the spectral-domain hot path against
-//! the time-domain reference, plus scratch-reuse and parallel dataset
-//! builds.
+//! the time-domain reference, plus scratch reuse and a dataset build
+//! (fanned out over the host's cores by `Dataset::build` itself).
 //!
 //! Run with `cargo bench -p earsonar-bench --bench sim_throughput`; pass
 //! `--smoke` or set `EARSONAR_BENCH_SMOKE` for a fast pass.
@@ -56,16 +56,5 @@ fn main() {
     println!("\n== dataset build (6 patients) ==");
     let cohort = Cohort::generate(6, 3);
     let spec = DatasetSpec::default();
-    let seq = b.report("dataset/sequential", || {
-        Dataset::build(&cohort, &spec).len()
-    });
-    for workers in [2usize, 4] {
-        let par = b.report(&format!("dataset/parallel_x{workers}"), || {
-            Dataset::build_parallel(&cohort, &spec, workers).len()
-        });
-        println!(
-            "  {workers} workers: {:.2}x vs sequential",
-            seq.ns_per_iter / par.ns_per_iter
-        );
-    }
+    b.report("dataset/build", || Dataset::build(&cohort, &spec).len());
 }

@@ -1,6 +1,6 @@
 //! Unified performance report: every scalar-vs-vectorized kernel pair
 //! from the SIMD pass, the planned-FFT comparison, the end-to-end
-//! throughput story (chirps/sec, screenings/sec, worker sweep), and the
+//! throughput story (chirps/sec, screenings/sec), and the
 //! session-engine load sweep (sessions/sec, p50/p99 latency), plus the
 //! A/B backend comparison (candidate backends vs the MFCC+k-means
 //! baseline on identical cohort seeds), written as one versioned JSON
@@ -10,19 +10,19 @@
 //! `bit_identical` rows are `assert_eq!`-checked, `ulp_bounded` rows are
 //! checked against the documented `1e-12 × Σ|terms|` reassociation bound
 //! (see `earsonar_dsp::simd` and `tests/kernel_equivalence.rs`). The
-//! parallel sweeps likewise prove batch == sequential first, and the
-//! report carries an explicit low-core flag: on a one- or two-core host
-//! a ~1.0x parallel "speedup" reflects the hardware, not the
-//! implementation — single-core kernel speedups are the portable story.
+//! engine worker sweep likewise proves engine == sequential screening
+//! first, and the report carries an explicit low-core flag: on a one- or
+//! two-core host a ~1.0x parallel "speedup" reflects the hardware, not
+//! the implementation — single-core kernel speedups are the portable
+//! story.
 //!
-//! The JSON schema (`schema_version` 4) is documented in DESIGN.md and
+//! The JSON schema (`schema_version` 5) is documented in DESIGN.md and
 //! validated by `cargo run -p xtask -- bench-schema`; CI runs the
 //! `--smoke` mode (or set `EARSONAR_BENCH_SMOKE`), which performs all
 //! equivalence checks with reduced timing budgets.
 //!
 //! Run with `cargo run --release -p earsonar-bench --bin perf_report`.
 
-use earsonar::batch::default_workers;
 use earsonar::pipeline::{EarSonar, FrontEnd};
 use earsonar::quality::{measure_window, measure_window_scalar, NoiseFloor};
 use earsonar::EarSonarConfig;
@@ -40,8 +40,6 @@ use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::wav::{parse_wav, parse_wav_f32_into, write_wav, WavAudio, WavFormat};
 use earsonar_dsp::window::{apply_precomputed, Window};
-use earsonar_sim::cohort::Cohort;
-use earsonar_sim::dataset::{Dataset, DatasetSpec};
 use earsonar_sim::ear::EarCanal;
 use earsonar_sim::recorder::{
     spectral_ffts_per_recording, synthesize_recording_legacy, synthesize_recording_with,
@@ -86,12 +84,6 @@ impl FftRow {
     fn speedup(&self) -> f64 {
         self.one_shot.ns_per_iter / self.planned.ns_per_iter
     }
-}
-
-/// One timing at one worker count in a parallel sweep.
-struct WorkerRow {
-    workers: usize,
-    m: Measurement,
 }
 
 fn random_signal(n: usize, seed: u64) -> Vec<f64> {
@@ -371,33 +363,15 @@ fn bench_real_fft(b: &Bencher, n: usize) -> FftRow {
     }
 }
 
-/// Renders a worker sweep as a JSON array of `{workers, ns, speedup}`
-/// objects (speedup is relative to `baseline_ns`).
-fn sweep_json(sweep: &[WorkerRow], baseline_ns: f64, indent: &str) -> String {
-    let mut out = String::from("[\n");
-    for (i, row) in sweep.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{indent}  {{\"workers\": {}, \"ns\": {}, \"speedup\": {}}}{}",
-            row.workers,
-            json_num(row.m.ns_per_iter),
-            json_num(baseline_ns / row.m.ns_per_iter),
-            if i + 1 < sweep.len() { "," } else { "" }
-        );
-    }
-    let _ = write!(out, "{indent}]");
-    out
-}
-
 fn warn_if_low_core(cores: usize) -> bool {
     let low = cores < 4;
     if low {
         println!(
-            "WARNING: host reports {cores} core(s); worker sweeps below are \
-             hardware-limited and ~1.0x parallel speedups reflect the host, \
-             not the implementation. Single-core kernel speedups are the \
-             portable numbers; re-run on a multi-core machine for \
-             meaningful batch figures."
+            "WARNING: host reports {cores} core(s); the engine worker sweep \
+             below is hardware-limited and ~1.0x parallel speedups reflect \
+             the host, not the implementation. Single-core kernel speedups \
+             are the portable numbers; re-run on a multi-core machine for \
+             meaningful engine figures."
         );
     }
     low
@@ -454,27 +428,9 @@ fn main() {
         .take(8)
         .map(|s| s.recording.clone())
         .collect();
-    assert_eq!(recordings.len(), 8, "dataset too small for the batch bench");
+    assert_eq!(recordings.len(), 8, "dataset too small for the throughput bench");
     let chirps_total: usize = recordings.iter().map(|r| r.n_chirps).sum();
     let front_end = FrontEnd::new(&EarSonarConfig::default()).expect("front end");
-
-    // Bit-identity before timing: batched == sequential, exactly, at
-    // several worker counts.
-    let sequential: Vec<_> = recordings.iter().map(|r| front_end.process(r)).collect();
-    for workers in [1usize, 2, 4] {
-        let batched = front_end.process_batch_with_workers(&recordings, workers);
-        for (s, p) in sequential.iter().zip(&batched) {
-            match (s, p) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.features, b.features, "workers = {workers}");
-                    assert_eq!(a.chirps_used, b.chirps_used, "workers = {workers}");
-                }
-                (Err(_), Err(_)) => {}
-                _ => panic!("batch/sequential outcome mismatch at {workers} workers"),
-            }
-        }
-    }
-    println!("bit-identity: batch == sequential at 1/2/4 workers");
 
     let seq = bencher.report("front_end_sequential/8", || {
         recordings
@@ -496,31 +452,6 @@ fn main() {
         "headline: {chirps_per_sec:.0} chirps/sec, \
          {screenings_per_sec:.1} screenings/sec (single worker, {cores} core host)"
     );
-
-    let default_w = default_workers(recordings.len());
-    let mut batch_workers = vec![1usize, 2, 4];
-    if !batch_workers.contains(&default_w) {
-        batch_workers.push(default_w);
-        batch_workers.sort_unstable();
-    }
-    let mut batch_sweep = Vec::new();
-    for &workers in &batch_workers {
-        let m = bencher.report(&format!("front_end_batch/8x{workers}"), || {
-            front_end
-                .process_batch_with_workers(&recordings, workers)
-                .len()
-        });
-        println!(
-            "  {workers} worker(s): {:.2}x vs sequential",
-            seq.ns_per_iter / m.ns_per_iter
-        );
-        batch_sweep.push(WorkerRow { workers, m });
-    }
-    let batch_best = batch_sweep
-        .iter()
-        .map(|r| seq.ns_per_iter / r.m.ns_per_iter)
-        .fold(0.0f64, f64::max);
-    println!("batch speedup: best {batch_best:.2}x on {cores} core(s)");
 
     // ---- spectral-domain recording synthesis (carried from PR 2) ----
 
@@ -564,44 +495,6 @@ fn main() {
         1e9 / legacy.ns_per_iter,
         1e9 / warm.ns_per_iter,
     );
-
-    println!("\n== dataset build: worker sweep ==");
-    let cohort = Cohort::generate(6, 3);
-    let spec = DatasetSpec::default();
-    let reference = Dataset::build(&cohort, &spec);
-    let mut sweep_counts = vec![1usize, 2, 4];
-    if !sweep_counts.contains(&cores) && cores <= 16 {
-        sweep_counts.push(cores);
-        sweep_counts.sort_unstable();
-    }
-    for &workers in &sweep_counts {
-        let parallel = Dataset::build_parallel(&cohort, &spec, workers);
-        assert_eq!(
-            reference.sessions, parallel.sessions,
-            "parallel build diverged at {workers} workers"
-        );
-    }
-    println!(
-        "bit-identity: parallel == sequential at {:?} workers",
-        sweep_counts
-    );
-    let ds_seq = bencher.report("dataset_sequential/6", || {
-        Dataset::build(&cohort, &spec).len()
-    });
-    let mut ds_sweep = Vec::new();
-    for &workers in &sweep_counts {
-        let m = bencher.report(&format!("dataset_parallel/6x{workers}"), || {
-            Dataset::build_parallel(&cohort, &spec, workers).len()
-        });
-        println!(
-            "  {workers} worker(s): {:.2}x vs sequential",
-            ds_seq.ns_per_iter / m.ns_per_iter
-        );
-        ds_sweep.push(WorkerRow { workers, m });
-    }
-    if low_core {
-        println!("note: dataset sweep ran on {cores} core(s); see warning above.");
-    }
 
     // ---- quality-gate overhead on clean input (carried from PR 5) ----
 
@@ -682,7 +575,7 @@ fn main() {
     // ---- the unified report (hand-rolled JSON: no serde in budget) ----
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"schema_version\": 4,");
+    let _ = writeln!(json, "  \"schema_version\": 5,");
     let _ = writeln!(json, "  \"report\": \"BENCH_pr9\",");
     let _ = writeln!(json, "  \"mode\": \"{mode}\",");
     let _ = writeln!(json, "  \"cores\": {cores},");
@@ -733,16 +626,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"screenings_per_sec\": {},",
+        "    \"screenings_per_sec\": {}",
         json_num(screenings_per_sec)
     );
-    let _ = writeln!(
-        json,
-        "    \"worker_sweep\": {},",
-        sweep_json(&batch_sweep, seq.ns_per_iter, "    ")
-    );
-    let _ = writeln!(json, "    \"best_batch_speedup\": {},", json_num(batch_best));
-    let _ = writeln!(json, "    \"bit_identical\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"synthesis\": {{");
     let _ = writeln!(json, "    \"n_chirps\": {},", cfg.n_chirps);
@@ -761,20 +647,6 @@ fn main() {
     let _ = writeln!(json, "    \"ffts_per_recording_after\": {ffts_after},");
     // Exponent form: the error is ~1e-11, far below json_num's precision.
     let _ = writeln!(json, "    \"equivalence_max_rel_error\": {max_rel:e}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"dataset_build\": {{");
-    let _ = writeln!(json, "    \"patients\": 6,");
-    let _ = writeln!(
-        json,
-        "    \"sequential_ns\": {},",
-        json_num(ds_seq.ns_per_iter)
-    );
-    let _ = writeln!(
-        json,
-        "    \"sweep\": {},",
-        sweep_json(&ds_sweep, ds_seq.ns_per_iter, "    ")
-    );
-    let _ = writeln!(json, "    \"bit_identical\": true");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"quality_gate\": {{");
     let _ = writeln!(json, "    \"recordings\": {},", recordings.len());
@@ -805,5 +677,5 @@ fn main() {
     json.push_str("}\n");
     std::fs::write("BENCH_pr9.json", &json).expect("write BENCH_pr9.json");
 
-    println!("\nwrote BENCH_pr9.json (schema_version 4)");
+    println!("\nwrote BENCH_pr9.json (schema_version 5)");
 }

@@ -388,7 +388,7 @@ fn screen_streaming(
         Err(e) => return Err(e.to_string()),
     };
     let confidence = processed.quality.confidence();
-    if confidence < policy.min_confidence {
+    if confidence.is_nan() || confidence < policy.min_confidence {
         return Ok(inconclusive(InconclusiveReason::LowConfidence));
     }
     let state = system.classify(&processed).map_err(|e| e.to_string())?;

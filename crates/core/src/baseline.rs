@@ -14,6 +14,7 @@ use crate::channel::{average_irs, pipeline_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::preprocess::Preprocessor;
+use earsonar_dsp::fanout;
 use earsonar_dsp::fft::fft_real_padded;
 use earsonar_dsp::stats::Summary;
 use earsonar_ml::kmeans::{KMeans, KMeansConfig};
@@ -94,10 +95,13 @@ impl ChanBaseline {
         config.validate()?;
         let preprocessor = Preprocessor::new(config)?;
         let estimator = Self::build_estimator(&preprocessor, config)?;
+        let per_session = fanout::map_indexed(sessions.len(), || (), |_, i| {
+            Self::features(&preprocessor, &estimator, config, &sessions[i].recording).ok()
+        });
         let mut feats = Vec::new();
         let mut labels = Vec::new();
-        for s in sessions {
-            if let Ok(f) = Self::features(&preprocessor, &estimator, config, &s.recording) {
+        for (s, f) in sessions.iter().zip(per_session) {
+            if let Some(f) = f {
                 feats.push(f);
                 labels.push(s.ground_truth.index());
             }

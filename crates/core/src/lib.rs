@@ -28,8 +28,6 @@
 //! * [`pipeline`] — the end-to-end [`pipeline::EarSonar`] system,
 //! * [`streaming`] — the same front end fed chirp by chirp as samples
 //!   arrive, bit-identical to batch processing,
-//! * [`batch`] — scoped-thread batch processing with per-worker DSP
-//!   scratch (bit-identical to sequential processing),
 //! * [`baseline`] — a Chan-et-al-style comparator without fine-grained
 //!   segmentation (§VII),
 //! * [`eval`] — leave-one-participant-out evaluation (§VI-A),
@@ -71,7 +69,6 @@
 pub mod absorption;
 pub mod backend;
 pub mod baseline;
-pub mod batch;
 pub mod cancel;
 pub mod channel;
 pub mod config;

@@ -26,6 +26,7 @@ use crate::preprocess::Preprocessor;
 use std::sync::Arc;
 use crate::quality::{self, NoiseFloor, QualityCause, SessionQuality};
 use crate::segment::{segment_with_anchor, EardrumEcho};
+use earsonar_dsp::fanout;
 use earsonar_dsp::plan::DspScratch;
 use earsonar_signal::effusion::MeeState;
 use earsonar_signal::recording::Recording;
@@ -225,9 +226,10 @@ impl FrontEnd {
     ///
     /// A recording runs dozens of chirp deconvolutions, envelope and MFCC
     /// transforms over the same few FFT sizes; with a warm scratch those
-    /// kernels stop allocating and reuse precomputed plans. Batch callers
-    /// (see [`crate::batch`]) keep one scratch per worker thread across
-    /// recordings. Results are bit-identical to [`FrontEnd::process`].
+    /// kernels stop allocating and reuse precomputed plans. Fan-out callers
+    /// ([`EarSonar::fit`], [`crate::eval::ExtractedDataset`]) keep one
+    /// scratch per worker thread across recordings. Results are
+    /// bit-identical to [`FrontEnd::process`].
     ///
     /// Internally this is the same per-chirp staged computation the
     /// streaming path runs ([`crate::streaming::StreamingFrontEnd`]): each
@@ -280,6 +282,17 @@ impl FrontEnd {
         window: &[f64],
     ) -> ChirpOutcome {
         acc.diagnostics.chirps_pushed += 1;
+        if !window.iter().all(|x| x.is_finite()) {
+            // Checked first, gate or no gate: a NaN would pass every gate
+            // comparison and poison the noise floor, the correlation
+            // reference and the filter context, so the window touches
+            // none of them.
+            acc.diagnostics.quality_rejections.record(QualityCause::NonFinite);
+            acc.prev_tail.clear();
+            return ChirpOutcome::QualityRejected {
+                cause: QualityCause::NonFinite,
+            };
+        }
         let gate = &self.config.quality;
         if gate.enabled {
             let measured = quality::measure_window(
@@ -443,8 +456,10 @@ pub struct EarSonar {
 
 impl EarSonar {
     /// Fits the system on labelled training sessions: runs the front end
-    /// over every recording and trains the paper's reference
-    /// MFCC+k-means backend on the feature vectors.
+    /// over every recording (fanned out across the host's cores, one warm
+    /// [`DspScratch`] per worker; bit-identical to a sequential loop) and
+    /// trains the paper's reference MFCC+k-means backend on the feature
+    /// vectors.
     ///
     /// Sessions whose recordings yield no echo are skipped (they would be
     /// rejected on hardware too).
@@ -471,11 +486,14 @@ impl EarSonar {
     ) -> Result<Self, EarSonarError> {
         let spec = backend::lookup(backend_name)?;
         let front_end = FrontEnd::for_backend(config, spec)?;
+        let per_session = fanout::map_indexed(sessions.len(), DspScratch::new, |scratch, i| {
+            front_end.process_with(scratch, &sessions[i].recording).ok().map(|p| p.features)
+        });
         let mut features = Vec::with_capacity(sessions.len());
         let mut labels = Vec::with_capacity(sessions.len());
-        for s in sessions {
-            if let Ok(p) = front_end.process(&s.recording) {
-                features.push(p.features);
+        for (s, f) in sessions.iter().zip(per_session) {
+            if let Some(f) = f {
+                features.push(f);
                 labels.push(s.ground_truth);
             }
         }

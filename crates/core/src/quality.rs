@@ -169,6 +169,10 @@ pub enum QualityCause {
     LowCorrelation,
     /// The window is dominated by a constant offset.
     DcOffset,
+    /// The window holds a NaN or an infinity — a broken capture path, not
+    /// an acoustic condition. Every gate comparison is false for NaN, so
+    /// this is checked before anything else measures the window.
+    NonFinite,
 }
 
 impl QualityCause {
@@ -180,6 +184,7 @@ impl QualityCause {
             QualityCause::LowSnr => "low-snr",
             QualityCause::LowCorrelation => "low-correlation",
             QualityCause::DcOffset => "dc-offset",
+            QualityCause::NonFinite => "non-finite",
         }
     }
 }
@@ -197,12 +202,19 @@ pub struct QualityRejections {
     pub low_correlation: usize,
     /// Windows rejected for DC dominance.
     pub dc_offset: usize,
+    /// Windows rejected for holding a NaN or an infinity.
+    pub non_finite: usize,
 }
 
 impl QualityRejections {
     /// Total rejected windows across all causes.
     pub fn total(&self) -> usize {
-        self.clipping + self.dropout + self.low_snr + self.low_correlation + self.dc_offset
+        self.clipping
+            + self.dropout
+            + self.low_snr
+            + self.low_correlation
+            + self.dc_offset
+            + self.non_finite
     }
 
     /// Returns `true` when nothing was rejected.
@@ -218,6 +230,7 @@ impl QualityRejections {
         self.low_snr += other.low_snr;
         self.low_correlation += other.low_correlation;
         self.dc_offset += other.dc_offset;
+        self.non_finite += other.non_finite;
     }
 
     /// Compact per-cause listing for reports, e.g. `2 clipping, 1 low-snr`;
@@ -230,6 +243,7 @@ impl QualityRejections {
             (self.low_snr, "low-snr"),
             (self.low_correlation, "low-correlation"),
             (self.dc_offset, "dc-offset"),
+            (self.non_finite, "non-finite"),
         ] {
             if count > 0 {
                 if !out.is_empty() {
@@ -249,6 +263,7 @@ impl QualityRejections {
             QualityCause::LowSnr => self.low_snr += 1,
             QualityCause::LowCorrelation => self.low_correlation += 1,
             QualityCause::DcOffset => self.dc_offset += 1,
+            QualityCause::NonFinite => self.non_finite += 1,
         }
     }
 }
@@ -608,8 +623,16 @@ impl SessionQuality {
     /// Screening confidence in `[0, 1]`: the accepted fraction weighted
     /// by the mean chirp quality. Both factors fall (never rise) under
     /// added corruption, so confidence is monotone too.
+    ///
+    /// Zero when any window held a non-finite sample: that capture came
+    /// through a broken path, so none of it is trusted, and a screening
+    /// ends `Inconclusive` rather than in a class. Never NaN.
     pub fn confidence(&self) -> f64 {
-        clamp01(self.accepted_fraction() * self.mean_quality)
+        let c = self.accepted_fraction() * self.mean_quality;
+        if self.rejections.non_finite > 0 || c.is_nan() {
+            return 0.0;
+        }
+        clamp01(c)
     }
 }
 

@@ -238,7 +238,8 @@ pub fn resolve_stream(
         Err(e) => return Err(e),
     };
     let confidence = processed.quality.confidence();
-    if confidence < policy.min_confidence {
+    // Written so that a NaN confidence (or floor) fails the check.
+    if !(confidence >= policy.min_confidence) {
         return Ok(ScreeningOutcome::Inconclusive(InconclusiveReport {
             reason: InconclusiveReason::LowConfidence,
             attempts: 1,

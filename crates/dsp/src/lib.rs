@@ -18,6 +18,8 @@
 //! * [`simd`] — four-lane vectorized reduction kernels with pinned
 //!   scalar twins (the hot-path building blocks),
 //! * [`stats`] — the statistical feature primitives (skewness, kurtosis, …),
+//! * [`fanout`] — the one scoped-thread, index-ordered parallel map the
+//!   simulator, the detection core and the engine share,
 //! * [`peak`], [`interp`], [`dct`], [`goertzel`], [`spectrum`], [`decibel`].
 //!
 //! # Example
@@ -56,6 +58,7 @@ pub mod correlation;
 pub mod dct;
 pub mod decibel;
 pub mod error;
+pub mod fanout;
 pub mod fft;
 pub mod filter;
 pub mod goertzel;

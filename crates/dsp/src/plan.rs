@@ -16,8 +16,7 @@
 //!   heap allocation per call once warm**.
 //!
 //! Plans are immutable after construction; a [`DspScratch`] is `!Sync` by
-//! design — batch processing gives each worker thread its own (see
-//! `earsonar::batch`).
+//! design — a [`crate::fanout`] worker owns one for its whole lifetime.
 //!
 //! # Example
 //!

@@ -9,6 +9,7 @@ use earsonar::screening::{
     resolve_stream, InconclusiveReason, InconclusiveReport, ScreeningOutcome,
 };
 use earsonar::streaming::ChirpStream;
+use earsonar_dsp::fanout;
 use earsonar_dsp::plan::DspScratch;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -324,11 +325,13 @@ impl<'a> ScreeningEngine<'a> {
         ids
     }
 
-    /// Drains every ready session across `workers` scoped threads: queued
-    /// chunks are pushed through the front end, and sessions that are
-    /// closed with nothing left queued are resolved into completed
+    /// Drains every ready session across `workers` workers of
+    /// [`fanout::map_indexed_on`] (the calling thread is one of them):
+    /// queued chunks are pushed through the front end, and sessions that
+    /// are closed with nothing left queued are resolved into completed
     /// results. Each worker owns one warm [`DspScratch`] for its whole
-    /// pass. Returns how many sessions resolved during this drain.
+    /// pass, and a worker's panic resumes on the caller. Returns how many
+    /// sessions resolved during this drain.
     ///
     /// Safe to call concurrently with pushes; a chunk that arrives while
     /// its session is being serviced is picked up before the worker moves
@@ -339,38 +342,9 @@ impl<'a> ScreeningEngine<'a> {
             return 0;
         }
         let resolved_before = lock(&self.ledger).resolved;
-        let workers = workers.max(1).min(ready.len());
-        if workers == 1 {
-            let mut scratch = DspScratch::new();
-            for &id in &ready {
-                self.service(id, &mut scratch);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut scratch = DspScratch::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= ready.len() {
-                                    break;
-                                }
-                                self.service(ready[i], &mut scratch);
-                            }
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    if let Err(payload) = h.join() {
-                        // A panicked worker must propagate — swallowing it
-                        // would silently abandon the sessions it claimed.
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-        }
+        fanout::map_indexed_on(workers, ready.len(), DspScratch::new, |scratch, i| {
+            self.service(ready[i], scratch)
+        });
         lock(&self.ledger).resolved - resolved_before
     }
 

@@ -6,57 +6,6 @@
 
 use crate::patient::{Patient, Sex};
 use crate::rng::{mix, SimRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Maps `f(state, index)` over `0..n` across `workers` scoped threads,
-/// returning results in index order.
-///
-/// Work is distributed by an atomic counter, so the thread→index assignment
-/// is nondeterministic — but each result depends only on its index and the
-/// worker-local state produced by `init` (a fresh RNG-free workspace), so
-/// the output is bit-identical to a sequential map at any worker count.
-/// Shared by [`Cohort::generate_parallel`] and `Dataset::build_parallel`.
-///
-/// # Panics
-///
-/// Propagates panics from worker threads.
-pub(crate) fn parallel_map_indexed<T, S, G, F>(n: usize, workers: usize, init: G, f: F) -> Vec<T>
-where
-    T: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let id = next.fetch_add(1, Ordering::Relaxed);
-                        if id >= n {
-                            break;
-                        }
-                        local.push((id, f(&mut state, id)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (id, v) in h.join().expect("parallel map worker panicked") {
-                slots[id] = Some(v);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was mapped exactly once"))
-        .collect()
-}
-
 /// A generated set of virtual study participants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cohort {
@@ -68,8 +17,9 @@ impl Cohort {
     /// Generates a cohort of `n` patients from a seed.
     ///
     /// Each patient draws from an independent stream derived as
-    /// `mix(seed, id)`, so patient `id` is the same whether the cohort is
-    /// built sequentially or in parallel, and regardless of cohort size.
+    /// `mix(seed, id)`, so patient `id` is the same regardless of cohort
+    /// size. Generation takes microseconds per patient, so it stays on
+    /// the calling thread.
     ///
     /// # Example
     ///
@@ -80,19 +30,6 @@ impl Cohort {
     /// ```
     pub fn generate(n: usize, seed: u64) -> Cohort {
         let patients = (0..n).map(|id| Self::patient(seed, id)).collect();
-        Cohort { patients, seed }
-    }
-
-    /// [`Cohort::generate`] fanned out over `workers` scoped threads.
-    ///
-    /// Because every patient owns a seed-derived stream, the result is
-    /// **bit-identical** to the sequential builder at any worker count.
-    pub fn generate_parallel(n: usize, seed: u64, workers: usize) -> Cohort {
-        let workers = workers.max(1).min(n.max(1));
-        if workers <= 1 {
-            return Cohort::generate(n, seed);
-        }
-        let patients = parallel_map_indexed(n, workers, || (), |_, id| Self::patient(seed, id));
         Cohort { patients, seed }
     }
 
@@ -171,15 +108,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Cohort::generate(20, 4);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn parallel_generation_matches_sequential() {
-        let sequential = Cohort::generate(23, 7);
-        for workers in [1usize, 2, 3, 8] {
-            let parallel = Cohort::generate_parallel(23, 7, workers);
-            assert_eq!(sequential, parallel, "workers = {workers}");
-        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! balanced per-state snapshots for classification experiments, and full
 //! longitudinal trajectories for the recovery figures (Fig. 10).
 
-use crate::cohort::{parallel_map_indexed, Cohort};
+use crate::cohort::Cohort;
 use crate::effusion::MeeState;
 use crate::patient::Patient;
 use crate::scratch::SimScratch;
 use crate::session::{RecordSession, Session, SessionConfig};
+use earsonar_dsp::fanout;
 
 /// How sessions are drawn from each patient's trajectory.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,31 +102,16 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Records the full dataset for `cohort` under `spec`, reusing one
-    /// synthesis workspace across every patient.
-    pub fn build(cohort: &Cohort, spec: &DatasetSpec) -> Dataset {
-        let mut scratch = SimScratch::new();
-        let sessions = cohort
-            .patients()
-            .iter()
-            .flat_map(|p| patient_sessions_with(p, spec, &mut scratch))
-            .collect();
-        Dataset { sessions }
-    }
-
-    /// [`Dataset::build`] fanned out over `workers` scoped threads, one
-    /// patient per work item and one warm [`SimScratch`] per worker.
+    /// Records the full dataset for `cohort` under `spec`, one patient
+    /// per [`fanout::map_indexed`] item and one warm [`SimScratch`] per
+    /// worker.
     ///
     /// Every session's samples depend only on `(patient, spec)` — never on
     /// the scratch or on which worker rendered it — so the result is
-    /// **bit-identical** to the sequential builder at any worker count.
-    pub fn build_parallel(cohort: &Cohort, spec: &DatasetSpec, workers: usize) -> Dataset {
-        let n = cohort.len();
-        let workers = workers.max(1).min(n.max(1));
-        if workers <= 1 {
-            return Dataset::build(cohort, spec);
-        }
-        let per_patient = parallel_map_indexed(n, workers, SimScratch::new, |scratch, id| {
+    /// **bit-identical** to recording the patients one after another with
+    /// [`patient_sessions`].
+    pub fn build(cohort: &Cohort, spec: &DatasetSpec) -> Dataset {
+        let per_patient = fanout::map_indexed(cohort.len(), SimScratch::new, |scratch, id| {
             patient_sessions_with(&cohort.patients()[id], spec, scratch)
         });
         Dataset {
@@ -225,17 +211,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential_bitwise() {
+    fn build_matches_per_patient_recording_bitwise() {
         let cohort = Cohort::generate(5, 12);
         let spec = DatasetSpec::default();
-        let sequential = Dataset::build(&cohort, &spec);
-        for workers in [1usize, 2, 3, 8] {
-            let parallel = Dataset::build_parallel(&cohort, &spec, workers);
-            assert_eq!(
-                sequential.sessions, parallel.sessions,
-                "workers = {workers}"
-            );
-        }
+        let sequential: Vec<Session> = cohort
+            .patients()
+            .iter()
+            .flat_map(|p| patient_sessions(p, &spec))
+            .collect();
+        assert_eq!(Dataset::build(&cohort, &spec).sessions, sequential);
     }
 
     #[test]

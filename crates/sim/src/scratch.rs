@@ -7,7 +7,7 @@
 //!
 //! Create one per worker thread (the plan cache is `!Sync` by design) and
 //! reuse it across every recording, session, and patient that worker
-//! touches — `Dataset::build_parallel` does exactly this.
+//! touches — `Dataset::build` does exactly this, one per fan-out worker.
 
 use earsonar_acoustics::propagation::SpectralDelayLine;
 use earsonar_dsp::complex::Complex64;

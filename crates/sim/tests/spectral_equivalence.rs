@@ -6,12 +6,12 @@
 //! algorithm, one FFT pair per path per chirp. Both consume the RNG
 //! identically, so for a fixed seed they must agree within 1e-9 relative
 //! error across motion states, devices, wearing angles, and effusion
-//! states — and the parallel dataset builder must be bit-identical to the
-//! sequential one at every worker count.
+//! states — and the fanned-out dataset builder must be bit-identical to
+//! recording the patients one after another.
 
 use earsonar_dsp::rng::DetRng;
 use earsonar_sim::cohort::Cohort;
-use earsonar_sim::dataset::{Dataset, DatasetSpec};
+use earsonar_sim::dataset::{patient_sessions, Dataset, DatasetSpec};
 use earsonar_sim::device::EarphoneModel;
 use earsonar_sim::ear::EarCanal;
 use earsonar_sim::motion::Motion;
@@ -134,16 +134,17 @@ fn spectral_path_is_deterministic_run_to_run() {
 }
 
 #[test]
-fn dataset_bit_identical_across_worker_counts() {
+fn dataset_build_is_bit_identical_to_per_patient_recording() {
     let cohort = Cohort::generate(6, 41);
     let spec = DatasetSpec::default();
-    let sequential = Dataset::build(&cohort, &spec);
-    for workers in [1usize, 2, 4, 6, 16] {
-        let parallel = Dataset::build_parallel(&cohort, &spec, workers);
-        assert_eq!(sequential.sessions.len(), parallel.sessions.len());
-        for (a, b) in sequential.sessions.iter().zip(&parallel.sessions) {
-            assert_eq!(a, b, "workers = {workers}");
-        }
+    let built = Dataset::build(&cohort, &spec);
+    let mut sequential = Vec::new();
+    for p in cohort.patients() {
+        sequential.extend(patient_sessions(p, &spec));
+    }
+    assert_eq!(built.sessions.len(), sequential.len());
+    for (a, b) in built.sessions.iter().zip(&sequential) {
+        assert_eq!(a, b, "patient {}", a.patient_id);
     }
 }
 

@@ -3,7 +3,7 @@
 //! `cargo run -p xtask -- bench-schema` parses the report with a
 //! std-only JSON reader and checks the versioned shape that downstream
 //! consumers (the README table, CI artifacts) rely on: `schema_version`
-//! 4, the named kernel sections with their equivalence labels, the
+//! 5, the named kernel sections with their equivalence labels, the
 //! end-to-end throughput block, the session-engine load section
 //! (sessions/sec plus p50/p99 latency per worker count), the A/B
 //! `backends` section (baseline vs candidate backends with per-class
@@ -289,22 +289,6 @@ fn want_bool(obj: &Value, path: &str, key: &str, errors: &mut Vec<SchemaError>) 
     }
 }
 
-fn check_sweep(v: &Value, path: &str, errors: &mut Vec<SchemaError>) {
-    let Value::Arr(rows) = v else {
-        errors.push(err(path, format!("expected array, found {}", v.type_name())));
-        return;
-    };
-    if rows.is_empty() {
-        errors.push(err(path, "worker sweep must not be empty"));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let p = format!("{path}[{i}]");
-        want_num(row, &p, "workers", errors);
-        want_num(row, &p, "ns", errors);
-        want_num(row, &p, "speedup", errors);
-    }
-}
-
 /// Validates the session-engine load section: the run's shape knobs and
 /// a non-empty worker sweep with throughput and tail-latency columns.
 fn check_engine(v: &Value, errors: &mut Vec<SchemaError>) {
@@ -487,7 +471,7 @@ fn check_lint(v: &Value, errors: &mut Vec<SchemaError>) {
     }
 }
 
-/// Validates a `BENCH_pr9.json` document against schema version 4.
+/// Validates a `BENCH_pr9.json` document against schema version 5.
 ///
 /// Checks shape and enumerations only — never timing magnitudes, which
 /// CI runners cannot reproduce. Returns every violation found, empty for
@@ -500,10 +484,10 @@ pub fn validate(root: &Value) -> Vec<SchemaError> {
     }
 
     match want(root, "$", "schema_version", &mut errors) {
-        Some(Value::Num(v)) if *v == 4.0 => {}
+        Some(Value::Num(v)) if *v == 5.0 => {}
         Some(other) => errors.push(err(
             "$.schema_version",
-            format!("expected 4, found {other:?}"),
+            format!("expected 5, found {other:?}"),
         )),
         None => {}
     }
@@ -574,11 +558,6 @@ pub fn validate(root: &Value) -> Vec<SchemaError> {
         want_num(e2e, p, "chirps_per_sec", &mut errors);
         want_num(e2e, p, "screening_ns", &mut errors);
         want_num(e2e, p, "screenings_per_sec", &mut errors);
-        want_num(e2e, p, "best_batch_speedup", &mut errors);
-        want_bool(e2e, p, "bit_identical", &mut errors);
-        if let Some(sweep) = want(e2e, p, "worker_sweep", &mut errors) {
-            check_sweep(sweep, "$.end_to_end.worker_sweep", &mut errors);
-        }
     }
 
     if let Some(synth) = want(root, "$", "synthesis", &mut errors) {
@@ -587,15 +566,6 @@ pub fn validate(root: &Value) -> Vec<SchemaError> {
         want_num(synth, p, "spectral_warm_ns", &mut errors);
         want_num(synth, p, "speedup", &mut errors);
         want_num(synth, p, "equivalence_max_rel_error", &mut errors);
-    }
-
-    if let Some(ds) = want(root, "$", "dataset_build", &mut errors) {
-        let p = "$.dataset_build";
-        want_num(ds, p, "sequential_ns", &mut errors);
-        want_bool(ds, p, "bit_identical", &mut errors);
-        if let Some(sweep) = want(ds, p, "sweep", &mut errors) {
-            check_sweep(sweep, "$.dataset_build.sweep", &mut errors);
-        }
     }
 
     if let Some(qg) = want(root, "$", "quality_gate", &mut errors) {
@@ -675,7 +645,7 @@ mod tests {
         );
         format!(
             r#"{{
-  "schema_version": 4,
+  "schema_version": 5,
   "report": "BENCH_pr9",
   "mode": "smoke",
   "cores": 1,
@@ -684,14 +654,10 @@ mod tests {
   "fft": [{{"size": 1024, "kind": "real", "one_shot_ns": 2.0, "planned_ns": 1.0, "speedup": 2.0}}],
   "end_to_end": {{
     "recordings": 8, "chirps_total": 1536, "front_end_ns": 10.0,
-    "chirps_per_sec": 100.0, "screening_ns": 12.0, "screenings_per_sec": 50.0,
-    "worker_sweep": [{{"workers": 1, "ns": 10.0, "speedup": 1.0}}],
-    "best_batch_speedup": 1.0, "bit_identical": true
+    "chirps_per_sec": 100.0, "screening_ns": 12.0, "screenings_per_sec": 50.0
   }},
   "synthesis": {{"legacy_pre_pr_ns": 2.0, "spectral_warm_ns": 1.0, "speedup": 2.0,
     "equivalence_max_rel_error": 3e-15}},
-  "dataset_build": {{"sequential_ns": 5.0,
-    "sweep": [{{"workers": 1, "ns": 5.0, "speedup": 1.0}}], "bit_identical": true}},
   "quality_gate": {{"gated_ns": 2.0, "ungated_ns": 1.9, "overhead_pct": 5.3,
     "bit_identical": true}},
   "backends": {backends},
@@ -738,7 +704,9 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_is_reported() {
-        let doc = conforming().replace("\"schema_version\": 4", "\"schema_version\": 3");
+        // A version-4 report (with the batch and dataset-build sweeps the
+        // single fan-out retired) no longer conforms.
+        let doc = conforming().replace("\"schema_version\": 5", "\"schema_version\": 4");
         let errors = check_report(&doc).unwrap_err();
         assert!(
             errors.iter().any(|e| e.path == "$.schema_version"),
@@ -923,20 +891,5 @@ mod tests {
         let errors = check_report("{\"schema_version\": 1,,}").unwrap_err();
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].path, "parse");
-    }
-
-    #[test]
-    fn empty_worker_sweep_is_rejected() {
-        let doc = conforming().replace(
-            "\"worker_sweep\": [{\"workers\": 1, \"ns\": 10.0, \"speedup\": 1.0}]",
-            "\"worker_sweep\": []",
-        );
-        let errors = check_report(&doc).unwrap_err();
-        assert!(
-            errors
-                .iter()
-                .any(|e| e.path == "$.end_to_end.worker_sweep"),
-            "{errors:?}"
-        );
     }
 }

@@ -124,7 +124,7 @@ fn run_bench_schema(root: &Path, file: Option<&str>) -> ExitCode {
     match xtask::bench_schema::check_report(&text) {
         Ok(()) => {
             println!(
-                "xtask bench-schema OK: {} conforms to schema_version 4 \
+                "xtask bench-schema OK: {} conforms to schema_version 5 \
                  ({} kernel sections)",
                 path.display(),
                 xtask::bench_schema::REQUIRED_KERNELS.len()

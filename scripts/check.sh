@@ -41,6 +41,20 @@ cargo test -q -p earsonar-engine --test schedule_exploration
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> benchmark: unit tests and clippy (its own package, outside the workspace)"
+# benchmark/ declares an empty [workspace], so the --workspace commands
+# above never see it; BENCHMARK.json at the root names it as the repo's
+# benchmark.
+cargo test --release --manifest-path benchmark/Cargo.toml
+cargo clippy --release --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
+echo "==> benchmark smoke run: four workloads, pinned input and outcome digests"
+# Exits nonzero when a workload's input or outcome digest at seed 7
+# differs from benchmark/pins.txt, when any op fails, or when the stage
+# replay diverges — so a change that moves a simulated input or a
+# verdict fails here. Timings are printed, never asserted.
+cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "==> perf_report smoke run"
 # Asserts every scalar-vs-vectorized equivalence contract (bit-identity
 # or the documented ulp bound) before timing anything; timings themselves
@@ -62,7 +76,7 @@ cargo run --release -p earsonar-bench --bin ab-bench -- --smoke
 echo "==> lint section: splice rule/waiver counts into the report"
 cargo run -p xtask -- lint --report BENCH_pr9.json
 
-echo "==> bench-schema: BENCH_pr9.json conforms to schema_version 4"
+echo "==> bench-schema: BENCH_pr9.json conforms to schema_version 5"
 cargo run -p xtask -- bench-schema
 
 echo "All checks passed."

@@ -9,7 +9,9 @@
 //! controlled rather than ad hoc.
 
 use earsonar::pipeline::FrontEnd;
-use earsonar::screening::{screen_with_retry, RetryPolicy, ScreeningOutcome};
+use earsonar::screening::{
+    screen_recording_quality, screen_with_retry, RetryPolicy, ScreeningOutcome,
+};
 use earsonar::streaming::StreamingFrontEnd;
 use earsonar::EarSonar;
 use earsonar_signal::source::QueueSource;
@@ -209,4 +211,32 @@ fn polarity_inversion_changes_nothing() {
         system.screen(&rec).unwrap(),
         system.screen(&flipped).unwrap()
     );
+}
+
+#[test]
+fn a_single_non_finite_sample_ends_inconclusive() {
+    // A NaN or infinity compares false against every gate threshold, so
+    // it must be caught explicitly: one such sample anywhere in a capture
+    // is a broken capture path, and the screening declines to answer
+    // instead of returning a class with a NaN confidence.
+    let data = small_dataset(6);
+    let system = EarSonar::fit(&data.sessions, &config()).expect("training");
+    let fe = system.front_end();
+    let rec = clean_recording();
+    let last = rec.samples.len() - 1;
+    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for at in [0, last / 2, last] {
+            let mut bad = rec.clone();
+            bad.samples[at] = value;
+            let outcome = screen_recording_quality(&system, &bad, &RetryPolicy::default())
+                .expect("a non-finite sample is a policy outcome, not an error");
+            let ScreeningOutcome::Inconclusive(report) = outcome else {
+                panic!("{value} at sample {at}: conclusive {outcome:?}");
+            };
+            let quality = report.quality.expect("the capture decoded");
+            assert_eq!(quality.rejections.non_finite, 1, "{value} at sample {at}");
+            assert_eq!(quality.confidence(), 0.0, "{value} at sample {at}");
+            assert_finite_or_typed_error(fe, &bad);
+        }
+    }
 }
