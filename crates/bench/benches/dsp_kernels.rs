@@ -1,25 +1,184 @@
 //! Micro-benchmarks of the DSP substrate kernels the pipeline leans on:
 //! FFT, Butterworth filtering, Wiener channel estimation, MFCC, and the
-//! parity-decomposition auto-convolution.
+//! parity-decomposition auto-convolution; then every scalar-vs-vectorized
+//! kernel pair and planned-vs-one-shot FFT at the sizes the pipeline uses.
+//!
+//! Only timings are printed. The pairs' equivalence contracts (bit-identical
+//! or ulp-bounded) are asserted by `tests/kernel_equivalence.rs` and
+//! `earsonar_dsp::wav`'s unit tests, not here.
 //!
 //! Runs on the dependency-free [`earsonar_bench::timing`] harness
 //! (`cargo bench -p earsonar-bench --bench dsp_kernels`; pass `--smoke`
 //! for a fast CI run).
 
 use earsonar::channel::ChannelEstimator;
+use earsonar::quality::{measure_window, measure_window_scalar, NoiseFloor};
+use earsonar::EarSonarConfig;
 use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_bench::timing::Bencher;
+use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::convolution::autoconvolve;
-use earsonar_dsp::fft::fft_real;
-use earsonar_dsp::filter::{butter_bandpass, filtfilt};
+use earsonar_dsp::correlation::{pearson, pearson_scalar};
+use earsonar_dsp::fft::{fft, fft_real};
+use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with};
+use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
+use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::psd::periodogram;
-use earsonar_dsp::window::Window;
+use earsonar_dsp::rng::DetRng;
+use earsonar_dsp::wav::{parse_wav, parse_wav_f32_into, write_wav, WavAudio, WavFormat};
+use earsonar_dsp::window::{apply_precomputed, Window};
+use std::hint::black_box;
 
 fn signal(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| (2.0 * std::f64::consts::PI * 18_000.0 * i as f64 / 48_000.0).sin())
         .collect()
+}
+
+fn random_signal(n: usize, seed: u64) -> Vec<f64> {
+    let mut rng = DetRng::seed_from_u64(seed);
+    (0..n).map(|_| rng.uniform(-1.0, 1.0)).collect()
+}
+
+/// Each scalar reference against its vectorized form, at the input size
+/// the pipeline runs it on.
+fn kernel_pairs(b: &Bencher) {
+    let cfg = EarSonarConfig::default();
+
+    // One chirp hop plus the preprocessor's reflection pad.
+    let filter = butter_bandpass(
+        cfg.noise_filter_order,
+        cfg.band_low_hz,
+        cfg.band_high_hz,
+        cfg.sample_rate,
+    )
+    .unwrap();
+    let pad = 3 * cfg.chirp_len;
+    let n = pad + cfg.chirp_hop;
+    let x = random_signal(n, 101);
+    let (mut ext, mut out) = (Vec::new(), Vec::new());
+    b.report(&format!("filtfilt/scalar/{n}"), || {
+        filtfilt(&filter, &x, pad).unwrap().len()
+    });
+    b.report(&format!("filtfilt/vectorized/{n}"), || {
+        filtfilt_with(&filter, &x, pad, &mut ext, &mut out).unwrap();
+        black_box(out[0])
+    });
+
+    let n = 512; // the MFCC frame size
+    let win = Window::Hann;
+    let x = random_signal(n, 102);
+    let mut taps = Vec::new();
+    win.coefficients_into(n, &mut taps);
+    let mut buf = x.clone();
+    b.report(&format!("window_multiply/scalar/{n}"), || {
+        buf.copy_from_slice(&x);
+        win.apply_in_place(&mut buf);
+        black_box(buf[0])
+    });
+    b.report(&format!("window_multiply/vectorized/{n}"), || {
+        buf.copy_from_slice(&x);
+        apply_precomputed(&taps, &mut buf);
+        black_box(buf[0])
+    });
+
+    let n = 2048;
+    let (x, y) = (random_signal(n, 103), random_signal(n, 104));
+    b.report(&format!("correlation/scalar/{n}"), || {
+        pearson_scalar(&x, &y).unwrap()
+    });
+    b.report(&format!("correlation/vectorized/{n}"), || pearson(&x, &y).unwrap());
+
+    let n_fft = 1024;
+    let bank = MelFilterBank::new(26, n_fft, 48_000.0, 16_000.0, 20_000.0).unwrap();
+    let ps: Vec<f64> = random_signal(n_fft / 2 + 1, 105)
+        .iter()
+        .map(|x| x * x)
+        .collect();
+    let mut mel = Vec::new();
+    b.report(&format!("mel_projection/scalar/{n_fft}"), || {
+        bank.apply_into_scalar(&ps, &mut mel).unwrap();
+        black_box(mel[0])
+    });
+    b.report(&format!("mel_projection/vectorized/{n_fft}"), || {
+        bank.apply_into(&ps, &mut mel).unwrap();
+        black_box(mel[0])
+    });
+
+    let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+    let mut scratch = DspScratch::new();
+    let n = 512;
+    let x = random_signal(n, 106);
+    let mut coeffs = Vec::new();
+    b.report(&format!("mfcc/scalar/{n}"), || {
+        ex.extract_into_scalar(&mut scratch, &x, &mut coeffs).unwrap();
+        black_box(coeffs[0])
+    });
+    b.report(&format!("mfcc/vectorized/{n}"), || {
+        ex.extract_into(&mut scratch, &x, &mut coeffs).unwrap();
+        black_box(coeffs[0])
+    });
+
+    // The quality gate's per-chirp window measurement.
+    let n = cfg.chirp_hop;
+    let active = cfg.chirp_len + 32;
+    let (w, prev) = (random_signal(n, 107), random_signal(n, 108));
+    let mut floor = NoiseFloor::default();
+    b.report(&format!("quality_scan/scalar/{n}"), || {
+        measure_window_scalar(&w, &prev, &mut floor, active).snr_db
+    });
+    let mut floor = NoiseFloor::default();
+    b.report(&format!("quality_scan/vectorized/{n}"), || {
+        measure_window(&w, &prev, &mut floor, active).snr_db
+    });
+
+    // One second of PCM16 capture: all-f64 parse vs fused i16->f32 decode.
+    let n = 48_000;
+    let path =
+        std::env::temp_dir().join(format!("earsonar_dsp_kernels_{}.wav", std::process::id()));
+    let audio = WavAudio {
+        samples: random_signal(n, 109),
+        sample_rate: 48_000,
+    };
+    write_wav(&path, &audio, WavFormat::Pcm16).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let mut pcm = Vec::new();
+    b.report(&format!("wav_decode/scalar/{n}"), || {
+        parse_wav(&bytes).unwrap().samples.len()
+    });
+    b.report(&format!("wav_decode/vectorized/{n}"), || {
+        parse_wav_f32_into(&bytes, &mut pcm).unwrap();
+        black_box(pcm[0])
+    });
+}
+
+/// One-shot transforms (plan built per call) against reused plans.
+fn planned_ffts(b: &Bencher) {
+    for n in [1024usize, 2048, 4096] {
+        let signal: Vec<Complex64> = random_signal(n, 17 + n as u64)
+            .into_iter()
+            .map(Complex64::from_real)
+            .collect();
+        b.report(&format!("fft_one_shot/{n}"), || fft(&signal));
+        let plan = FftPlan::new(n).unwrap();
+        let mut buf = signal.clone();
+        b.report(&format!("fft_planned/{n}"), || {
+            buf.copy_from_slice(&signal);
+            plan.forward(&mut buf).unwrap();
+            black_box(buf[0])
+        });
+
+        let signal = random_signal(n, 29 + n as u64);
+        b.report(&format!("fft_real_one_shot/{n}"), || fft_real(&signal));
+        let plan = RealFftPlan::new(n).unwrap();
+        let (mut work, mut out) = (Vec::new(), Vec::new());
+        b.report(&format!("fft_real_planned/{n}"), || {
+            plan.forward_into(&signal, &mut work, &mut out).unwrap();
+            black_box(out[0])
+        });
+    }
 }
 
 fn main() {
@@ -51,4 +210,10 @@ fn main() {
     b.report("periodogram_4096", || {
         periodogram(&x, 48_000.0, Window::Hann).unwrap()
     });
+
+    println!("\n== scalar vs vectorized kernels ==");
+    kernel_pairs(&b);
+
+    println!("\n== planned vs one-shot transforms ==");
+    planned_ffts(&b);
 }

@@ -10,8 +10,8 @@ use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
 use earsonar_sim::ear::EarCanal;
 use earsonar_sim::recorder::{
-    synthesize_recording, synthesize_recording_legacy, synthesize_recording_time_domain,
-    synthesize_recording_with, RecorderConfig,
+    synthesize_recording, synthesize_recording_time_domain, synthesize_recording_with,
+    RecorderConfig,
 };
 use earsonar_sim::rng::SimRng;
 use earsonar_sim::scratch::SimScratch;
@@ -28,30 +28,19 @@ fn main() {
     let cfg = RecorderConfig::default();
 
     println!("== synthesize_recording (default 24-chirp config) ==");
-    let legacy = b.report("synthesize/legacy_pre_pr", || {
-        let mut rng = SimRng::seed_from_u64(42);
-        synthesize_recording_legacy(&ear, &resp, &cfg, &mut rng).samples[0]
-    });
     b.report("synthesize/time_domain_ref", || {
         let mut rng = SimRng::seed_from_u64(42);
         synthesize_recording_time_domain(&ear, &resp, &cfg, &mut rng).samples[0]
     });
-    let one_shot = b.report("synthesize/spectral_cold", || {
+    b.report("synthesize/spectral_cold", || {
         let mut rng = SimRng::seed_from_u64(42);
         synthesize_recording(&ear, &resp, &cfg, &mut rng).samples[0]
     });
     let mut scratch = SimScratch::new();
-    let warm = b.report("synthesize/spectral_warm", || {
+    b.report("synthesize/spectral_warm", || {
         let mut rng = SimRng::seed_from_u64(42);
         synthesize_recording_with(&ear, &resp, &cfg, &mut rng, &mut scratch).samples[0]
     });
-    println!(
-        "speedup: cold {:.2}x, warm {:.2}x ({:.0} -> {:.0} recordings/sec)",
-        legacy.ns_per_iter / one_shot.ns_per_iter,
-        legacy.ns_per_iter / warm.ns_per_iter,
-        1e9 / legacy.ns_per_iter,
-        1e9 / warm.ns_per_iter,
-    );
 
     println!("\n== dataset build (6 patients) ==");
     let cohort = Cohort::generate(6, 3);

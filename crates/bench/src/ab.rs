@@ -4,15 +4,13 @@
 //! [`earsonar::backend`] registry against the paper's reference
 //! MFCC+k-means baseline on the *same* deterministic cohort and the
 //! *same* leave-one-participant-out folds, then renders the comparison as
-//! an ASCII table and as the `backends` section of the unified BENCH
-//! report (`BENCH_pr9.json`, validated by `cargo xtask bench-schema`).
+//! an ASCII table.
 
-use crate::{standard_dataset, EXPERIMENT_SEED};
-use earsonar::eval::{ab_compare, AbComparison, BackendScore};
+use crate::standard_dataset;
+use earsonar::eval::{ab_compare, AbComparison};
 use earsonar::report::Table;
 use earsonar::EarSonarConfig;
 use earsonar_sim::session::SessionConfig;
-use std::fmt::Write as _;
 
 /// The candidate backends every A/B run measures against the baseline.
 pub const AB_CANDIDATES: [&str; 2] = ["absorbance-logistic", "absorbance-knn"];
@@ -23,92 +21,9 @@ pub const AB_CANDIDATES: [&str; 2] = ["absorbance-logistic", "absorbance-knn"];
 ///
 /// Panics if extraction or evaluation fails — experiment binaries treat
 /// that as fatal.
-pub fn run_ab(patients: usize, config: &EarSonarConfig) -> (AbComparison, usize) {
+pub fn run_ab(patients: usize, config: &EarSonarConfig) -> AbComparison {
     let dataset = standard_dataset(patients, SessionConfig::default());
-    let cmp = ab_compare(&dataset.sessions, config, &AB_CANDIDATES).expect("A/B comparison");
-    (cmp, dataset.sessions.len())
-}
-
-/// Fraction formatter for the JSON section: four decimals, `null` for
-/// non-finite values.
-fn json_frac(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn frac_array(v: &[f64]) -> String {
-    let body = v.iter().map(|&x| json_frac(x)).collect::<Vec<_>>().join(", ");
-    format!("[{body}]")
-}
-
-fn confusion_rows(score: &BackendScore) -> String {
-    let n = score.report.confusion.n_classes();
-    let rows: Vec<String> = (0..n)
-        .map(|a| {
-            let row: Vec<String> = (0..n)
-                .map(|p| score.report.confusion.count(a, p).to_string())
-                .collect();
-            format!("[{}]", row.join(", "))
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
-}
-
-fn score_json(out: &mut String, indent: &str, score: &BackendScore, delta: Option<&AbComparison>) {
-    let _ = writeln!(out, "{indent}\"name\": \"{}\",", score.backend);
-    let _ = writeln!(out, "{indent}\"version\": {},", score.version);
-    let _ = writeln!(out, "{indent}\"accuracy\": {},", json_frac(score.report.accuracy));
-    let _ = writeln!(
-        out,
-        "{indent}\"mean_confidence\": {},",
-        json_frac(score.mean_confidence)
-    );
-    let _ = writeln!(out, "{indent}\"dropped\": {},", score.dropped);
-    let _ = writeln!(
-        out,
-        "{indent}\"precision\": {},",
-        frac_array(&score.report.precision)
-    );
-    if let Some(cmp) = delta {
-        let _ = writeln!(
-            out,
-            "{indent}\"precision_delta\": {},",
-            frac_array(&cmp.precision_delta(score))
-        );
-        let _ = writeln!(
-            out,
-            "{indent}\"accuracy_delta\": {},",
-            json_frac(score.report.accuracy - cmp.baseline.report.accuracy)
-        );
-    }
-    let _ = writeln!(out, "{indent}\"confusion\": {}", confusion_rows(score));
-}
-
-/// Renders the `backends` section of the BENCH report from one A/B run.
-pub fn backends_section_json(cmp: &AbComparison, patients: usize, sessions: usize) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "    \"patients\": {patients},");
-    let _ = writeln!(out, "    \"sessions\": {sessions},");
-    let _ = writeln!(out, "    \"seed\": {EXPERIMENT_SEED},");
-    let _ = writeln!(out, "    \"baseline\": {{");
-    score_json(&mut out, "      ", &cmp.baseline, None);
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"candidates\": [");
-    for (i, c) in cmp.candidates.iter().enumerate() {
-        let _ = writeln!(out, "      {{");
-        score_json(&mut out, "        ", c, Some(cmp));
-        let _ = writeln!(
-            out,
-            "      }}{}",
-            if i + 1 < cmp.candidates.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "    ]");
-    out.push_str("  }");
-    out
+    ab_compare(&dataset.sessions, config, &AB_CANDIDATES).expect("A/B comparison")
 }
 
 /// Prints the comparison as an ASCII table: one row per backend with
@@ -138,27 +53,4 @@ pub fn print_ab_table(cmp: &AbComparison) {
         ]);
     }
     print!("{}", t.render());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn section_json_is_balanced_and_complete() {
-        let (cmp, sessions) = run_ab(4, &EarSonarConfig::default());
-        let section = backends_section_json(&cmp, 4, sessions);
-        assert_eq!(
-            section.matches('{').count(),
-            section.matches('}').count()
-        );
-        assert!(section.contains("\"baseline\""));
-        assert!(section.contains("\"mfcc-kmeans\""));
-        for name in AB_CANDIDATES {
-            assert!(section.contains(&format!("\"{name}\"")), "{name} missing");
-        }
-        assert!(section.contains("\"precision_delta\""));
-        assert!(section.contains("\"accuracy_delta\""));
-        print_ab_table(&cmp);
-    }
 }

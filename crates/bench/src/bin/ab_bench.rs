@@ -1,19 +1,14 @@
 //! A/B backend evaluation: runs the candidate feature/classifier
 //! backends against the reference MFCC+k-means baseline on the same
 //! deterministic cohort seeds and leave-one-participant-out folds, and
-//! reports per-class precision deltas.
-//!
-//! The resulting `backends` section is spliced into `BENCH_pr9.json`
-//! when the report exists (run `perf_report` first to produce the full
-//! document); without it the section is still printed for inspection.
+//! prints per-class precision deltas as a table.
 //!
 //! Usage: `cargo run --release -p earsonar-bench --bin ab-bench --
 //! [PATIENTS] [--smoke]`. `--smoke` (or `EARSONAR_BENCH_SMOKE`) pins the
 //! CI shape: 8 patients, the shared experiment seed.
 
-use earsonar_bench::ab::{backends_section_json, print_ab_table, run_ab, AB_CANDIDATES};
-use earsonar_bench::engine_load::splice_section;
 use earsonar::EarSonarConfig;
+use earsonar_bench::ab::{print_ab_table, run_ab, AB_CANDIDATES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,24 +23,6 @@ fn main() {
         "== A/B backends: {} candidate(s) vs mfcc-kmeans baseline, {patients} patients ==",
         AB_CANDIDATES.len()
     );
-    let (cmp, sessions) = run_ab(patients, &EarSonarConfig::default());
+    let cmp = run_ab(patients, &EarSonarConfig::default());
     print_ab_table(&cmp);
-
-    let section = backends_section_json(&cmp, patients, sessions);
-    match std::fs::read_to_string("BENCH_pr9.json") {
-        Ok(doc) => match splice_section(&doc, "backends", &section) {
-            Some(updated) => {
-                std::fs::write("BENCH_pr9.json", updated).expect("write BENCH_pr9.json");
-                println!("\nspliced backends section into BENCH_pr9.json");
-            }
-            None => {
-                println!("\nBENCH_pr9.json has no backends section to splice; run perf_report");
-                println!("backends section:\n\"backends\": {section}");
-            }
-        },
-        Err(_) => {
-            println!("\nBENCH_pr9.json not found; run perf_report to produce the full report");
-            println!("backends section:\n\"backends\": {section}");
-        }
-    }
 }

@@ -4,17 +4,15 @@
 //! per worker count.
 //!
 //! Every run proves its verdicts equal sequential screening before the
-//! numbers mean anything (`equivalent_to_sequential` in the output). The
-//! resulting `engine` section is spliced into `BENCH_pr9.json` when the
-//! report exists (run `perf_report` first to produce the full document);
-//! without it the section is still printed for inspection.
+//! numbers mean anything (`equivalent` in the output; a divergence
+//! panics).
 //!
 //! Usage: `cargo run --release -p earsonar-bench --bin engine-bench --
 //! [SESSIONS] [--smoke]`. `--smoke` (or `EARSONAR_BENCH_SMOKE`) pins the
 //! CI shape: 64 sessions, seed 7, workers {1, 2, 4}.
 
 use earsonar::{EarSonar, EarSonarConfig};
-use earsonar_bench::engine_load::{engine_section_json, run_load, splice_engine_section, LoadSpec};
+use earsonar_bench::engine_load::{run_load, LoadSpec};
 use earsonar_bench::standard_dataset;
 use earsonar_engine::EngineConfig;
 use earsonar_sim::recorder::Recording;
@@ -54,7 +52,6 @@ fn main() {
          {} shards, queue {}) ==",
         spec.seed, spec.chunk_len, spec.config.shards, spec.config.queue_capacity
     );
-    let mut reports = Vec::new();
     for workers in [1usize, 2, 4] {
         let r = run_load(&system, &recordings, &LoadSpec { workers, ..spec });
         println!(
@@ -71,24 +68,5 @@ fn main() {
             r.equivalent_to_sequential,
             "engine verdicts diverged from sequential screening at {workers} workers"
         );
-        reports.push(r);
-    }
-
-    let section = engine_section_json(&spec, &reports);
-    match std::fs::read_to_string("BENCH_pr9.json") {
-        Ok(doc) => match splice_engine_section(&doc, &section) {
-            Some(updated) => {
-                std::fs::write("BENCH_pr9.json", updated).expect("write BENCH_pr9.json");
-                println!("\nspliced engine section into BENCH_pr9.json");
-            }
-            None => {
-                println!("\nBENCH_pr9.json has no engine section to splice; run perf_report");
-                println!("engine section:\n\"engine\": {section}");
-            }
-        },
-        Err(_) => {
-            println!("\nBENCH_pr9.json not found; run perf_report to produce the full report");
-            println!("engine section:\n\"engine\": {section}");
-        }
     }
 }

@@ -56,12 +56,6 @@ impl Default for LoadSpec {
 /// What one [`run_load`] call observed.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadReport {
-    /// Sessions resolved (always equals the spec's count on success).
-    pub sessions: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// End-to-end wall time for the whole run, nanoseconds.
-    pub elapsed_ns: f64,
     /// Resolved sessions per second of wall time.
     pub sessions_per_sec: f64,
     /// Median open→verdict latency, milliseconds.
@@ -195,9 +189,6 @@ pub fn run_load(system: &EarSonar, recordings: &[Recording], spec: &LoadSpec) ->
 
     let stats = engine.stats();
     LoadReport {
-        sessions: n,
-        workers: spec.workers,
-        elapsed_ns,
         sessions_per_sec: n as f64 * 1e9 / elapsed_ns,
         p50_ms: percentile(&latency_ms, 50.0),
         p99_ms: percentile(&latency_ms, 99.0),
@@ -205,91 +196,6 @@ pub fn run_load(system: &EarSonar, recordings: &[Recording], spec: &LoadSpec) ->
         rejected_pushes: stats.rejected_pushes,
         equivalent_to_sequential: equivalent,
     }
-}
-
-/// Renders the `engine` section of `BENCH_pr9.json` from one sweep.
-///
-/// `reports` must share a session count and engine shape (one spec, many
-/// worker counts); the section carries the shape once plus one
-/// `worker_sweep` row per report.
-pub fn engine_section_json(spec: &LoadSpec, reports: &[LoadReport]) -> String {
-    use crate::timing::json_num;
-    use std::fmt::Write as _;
-
-    let best = reports
-        .iter()
-        .map(|r| r.sessions_per_sec)
-        .fold(0.0f64, f64::max);
-    let all_equivalent = reports.iter().all(|r| r.equivalent_to_sequential);
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "    \"sessions\": {},", spec.sessions);
-    let _ = writeln!(out, "    \"shards\": {},", spec.config.shards);
-    let _ = writeln!(out, "    \"queue_capacity\": {},", spec.config.queue_capacity);
-    let _ = writeln!(out, "    \"chunk_len\": {},", spec.chunk_len);
-    let _ = writeln!(out, "    \"seed\": {},", spec.seed);
-    let _ = writeln!(out, "    \"worker_sweep\": [");
-    for (i, r) in reports.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "      {{\"workers\": {}, \"sessions_per_sec\": {}, \"p50_ms\": {}, \
-             \"p99_ms\": {}, \"peak_in_flight\": {}, \"rejected_pushes\": {}}}{}",
-            r.workers,
-            json_num(r.sessions_per_sec),
-            json_num(r.p50_ms),
-            json_num(r.p99_ms),
-            r.peak_in_flight,
-            r.rejected_pushes,
-            if i + 1 < reports.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "    ],");
-    let _ = writeln!(out, "    \"best_sessions_per_sec\": {},", json_num(best));
-    let _ = writeln!(
-        out,
-        "    \"equivalent_to_sequential\": {all_equivalent}"
-    );
-    out.push_str("  }");
-    out
-}
-
-/// Replaces the top-level `"engine"` object of an existing report
-/// document with `section` (which must be a balanced JSON object, as
-/// [`engine_section_json`] produces). Returns `None` when the document
-/// has no `"engine"` key or the braces don't balance — the caller then
-/// knows the report needs regenerating rather than splicing.
-pub fn splice_engine_section(doc: &str, section: &str) -> Option<String> {
-    splice_section(doc, "engine", section)
-}
-
-/// Replaces the object value of the named top-level key of an existing
-/// report document with `section` (a balanced JSON object). Returns
-/// `None` when the document has no such key or the braces don't balance.
-/// Shared by the engine-load and A/B benchmark binaries, which each
-/// rewrite their own section of the unified BENCH report in place.
-pub fn splice_section(doc: &str, key_name: &str, section: &str) -> Option<String> {
-    let key = doc.find(&format!("\"{key_name}\""))?;
-    let open = key + doc[key..].find('{')?;
-    let mut depth = 0usize;
-    let mut close = None;
-    for (i, c) in doc[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(open + i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let close = close?;
-    let mut out = String::with_capacity(doc.len() + section.len());
-    out.push_str(&doc[..open]);
-    out.push_str(section);
-    out.push_str(&doc[close + 1..]);
-    Some(out)
 }
 
 #[cfg(test)]
@@ -303,25 +209,5 @@ mod tests {
         assert_eq!(percentile(&v, 99.0), 4.0);
         assert_eq!(percentile(&v, 100.0), 4.0);
         assert!(percentile(&[], 50.0).is_nan());
-    }
-
-    #[test]
-    fn splice_replaces_only_the_engine_object() {
-        let doc = "{\n  \"schema_version\": 2,\n  \"engine\": {\n    \"old\": {\"x\": 1}\n  },\n  \"tail\": true\n}";
-        let out = splice_engine_section(doc, "{\n    \"new\": 1\n  }").unwrap();
-        assert!(out.contains("\"new\": 1"));
-        assert!(!out.contains("\"old\""));
-        assert!(out.contains("\"tail\": true"));
-        assert!(splice_engine_section("{\"no_engine\": 1}", "{}").is_none());
-    }
-
-    #[test]
-    fn splice_section_targets_the_named_key() {
-        let doc = "{\n  \"backends\": {\n    \"old\": 1\n  },\n  \"engine\": {\"keep\": 2}\n}";
-        let out = splice_section(doc, "backends", "{\n    \"fresh\": 3\n  }").unwrap();
-        assert!(out.contains("\"fresh\": 3"));
-        assert!(!out.contains("\"old\""));
-        assert!(out.contains("\"keep\": 2"));
-        assert!(splice_section(doc, "missing", "{}").is_none());
     }
 }

@@ -4,7 +4,7 @@
 //! dependency budget; this module provides the small subset the harness
 //! needs — warm-up, iteration-count calibration, best-of-R batch timing —
 //! on `std::time::Instant` alone. The `benches/` targets (with
-//! `harness = false`) and the `perf_report` binary are built on it.
+//! `harness = false`) are built on it.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -115,16 +115,6 @@ impl Bencher {
     }
 }
 
-/// Formats a float without trailing noise for JSON output (plain `{:.1}`,
-/// which is valid JSON and stable across runs).
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,11 +141,5 @@ mod tests {
         let b = Bencher::from_env(&[]);
         // Either default or smoke if the env var leaks in; both valid.
         assert!(b.target_ms == 60 || b.target_ms == 5);
-    }
-
-    #[test]
-    fn json_num_formats() {
-        assert_eq!(json_num(1.25), "1.2");
-        assert_eq!(json_num(f64::NAN), "null");
     }
 }

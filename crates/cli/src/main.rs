@@ -15,12 +15,9 @@ use earsonar::eval::{loocv, ExtractedDataset};
 use earsonar::model_io::{load_model, load_model_as, save_model};
 use earsonar::quality::SessionQuality;
 use earsonar::report::{pct, Table};
-use earsonar::screening::{
-    InconclusiveReason, InconclusiveReport, RetryPolicy, ScreeningOutcome, ScreeningReport,
-    ScreeningVerdict,
-};
+use earsonar::screening::{resolve_stream, InconclusiveReason, RetryPolicy, ScreeningOutcome};
 use earsonar::streaming::StreamingFrontEnd;
-use earsonar::{EarSonar, EarSonarConfig, EarSonarError, MeeState};
+use earsonar::{EarSonar, EarSonarConfig, MeeState};
 use earsonar_dsp::wav::{write_wav, WavAudio, WavFormat};
 use earsonar_signal::recording::{ChirpLayout, Recording};
 use earsonar_signal::source::SignalSource;
@@ -329,8 +326,8 @@ fn outcome_line(outcome: &ScreeningOutcome) -> String {
 /// Pushes one recording chirp by chirp through a streaming front end,
 /// printing progress, and returns the quality-gated screening outcome.
 /// With `min_chirps`, stops pushing as soon as that many chirps yielded
-/// usable echoes. Mirrors `earsonar::screening::screen_recording_quality`,
-/// adding progress output and the early-stop option.
+/// usable echoes. The decision itself is `earsonar::screening::resolve_stream`,
+/// the same one `screen_recording_quality` and the engine end in.
 fn screen_streaming(
     system: &EarSonar,
     rec: &Recording,
@@ -358,48 +355,15 @@ fn screen_streaming(
         }
     }
     let quality = stream.quality();
-    let usable = stream.chirps_used();
     eprintln!(
-        "\r  {} chirps pushed, {usable} usable{}",
+        "\r  {} chirps pushed, {} usable{}",
         quality.chirps_pushed,
+        stream.chirps_used(),
         if early { " (stopped early)" } else { "" }
     );
     eprintln!("  quality: {}", quality_line(&quality));
-    let inconclusive = |reason| {
-        ScreeningOutcome::Inconclusive(InconclusiveReport {
-            reason,
-            attempts: 1,
-            quality: Some(quality),
-            captures: CaptureDiagnostics::default(),
-        })
-    };
-    let quorum = policy.min_accepted_chirps.max(1);
-    if usable < quorum {
-        return Ok(inconclusive(InconclusiveReason::QuorumNotMet {
-            needed: quorum,
-            best_usable: usable,
-        }));
-    }
-    let processed = match stream.finish() {
-        Ok(p) => p,
-        Err(EarSonarError::NoEchoDetected) => {
-            return Ok(inconclusive(InconclusiveReason::NoUsableEcho))
-        }
-        Err(e) => return Err(e.to_string()),
-    };
-    let confidence = processed.quality.confidence();
-    if confidence.is_nan() || confidence < policy.min_confidence {
-        return Ok(inconclusive(InconclusiveReason::LowConfidence));
-    }
-    let state = system.classify(&processed).map_err(|e| e.to_string())?;
-    Ok(ScreeningOutcome::Conclusive(ScreeningReport {
-        state,
-        verdict: ScreeningVerdict::from_state(state),
-        confidence,
-        quality: processed.quality,
-        attempts: 1,
-        captures: CaptureDiagnostics::default(),
-    }))
+    let (stream, mut scratch) = stream.into_parts();
+    resolve_stream(system, &mut scratch, stream, policy).map_err(|e| e.to_string())
 }
 
 fn cmd_screen(args: &Args) -> Result<bool, String> {
@@ -662,5 +626,41 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use earsonar::screening::screen_recording_quality;
+    use earsonar_sim::faults::Fault;
+
+    #[test]
+    fn screen_streaming_decides_like_screen_recording_quality() {
+        // Without an early stop, the chirp-by-chirp CLI path must reach the
+        // library's decision bit for bit: the same verdict, confidence and
+        // quality on a clean capture, and the same `Inconclusive` reason
+        // under every standard fault.
+        let data = build_dataset(6, 2023);
+        let system = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).expect("fit");
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let clean = data.sessions[0].recording.clone();
+        let mut cases = vec![("clean", clean.clone())];
+        for fault in Fault::standard_suite(0.9) {
+            let mut rec = clean.clone();
+            fault.apply(&mut rec, 31);
+            cases.push((fault.name(), rec));
+        }
+        let mut inconclusive = 0;
+        for (name, rec) in &cases {
+            let cli = screen_streaming(&system, rec, None, &policy).expect("cli screening");
+            let lib = screen_recording_quality(&system, rec, &policy).expect("library screening");
+            assert_eq!(cli, lib, "{name}");
+            inconclusive += usize::from(!lib.is_conclusive());
+        }
+        assert!(inconclusive > 0, "the fault suite must exercise refusals");
     }
 }

@@ -1,20 +1,8 @@
 //! `xtask` — the workspace invariant checker.
 //!
-//! Subcommands:
-//!
-//! * `cargo run -p xtask -- lint` enforces source/manifest invariants
-//!   (table below). `--waivers` switches to the audit mode: print every
-//!   registered waiver with rule, location, and reason, and fail on
-//!   stale or reason-less ones. `--report FILE` splices a versioned
-//!   `lint` section (rule/waiver counts) into the unified benchmark
-//!   report after a clean run.
-//! * `cargo run -p xtask -- bench-schema [FILE]` validates the unified
-//!   benchmark report (`BENCH_pr9.json`) against its versioned schema —
-//!   shape and enumerations only, never timing magnitudes.
-//!
-//! `lint` enforces, on every source file and manifest of the workspace,
-//! the invariants the compiler cannot see but the reproduction's claims
-//! depend on:
+//! `cargo run -p xtask -- lint` enforces, on every source file and
+//! manifest of the workspace, the invariants the compiler cannot see but
+//! the reproduction's claims depend on:
 //!
 //! | rule                    | invariant |
 //! |-------------------------|-----------|
@@ -33,13 +21,14 @@
 //! Violations print one per line as `file:line rule message` and the
 //! process exits non-zero. A violation that is genuinely sound is waived
 //! in place with `// lint: allow(<rule>) <reason>` — the reason is
-//! mandatory. The tool is std-only so it builds and runs before anything
-//! else in CI.
+//! mandatory. `lint --waivers` switches to the audit mode: print every
+//! registered waiver with rule, location, and reason, and fail on stale
+//! or reason-less ones. The tool is std-only so it builds and runs before
+//! anything else in CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_schema;
 pub mod lexer;
 pub mod lint;
 pub mod locks;

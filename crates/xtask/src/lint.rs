@@ -22,9 +22,6 @@ pub struct Report {
     /// Every registered waiver with its reason, in (file, line) order —
     /// the `--waivers` audit inventory.
     pub waivers: Vec<WaiverRecord>,
-    /// Lock-acquisition ordering edges observed across the workspace
-    /// (post test-region filtering), for diagnostics.
-    pub lock_edges: usize,
 }
 
 impl Report {
@@ -32,67 +29,6 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
-
-    /// Renders the versioned `lint` section of the unified benchmark
-    /// report: coverage counts plus the per-rule waiver inventory, in
-    /// the shape `bench_schema::check_lint` validates.
-    pub fn section_json(&self) -> String {
-        let mut rule_waivers = String::new();
-        for rule in rules::WAIVABLE_RULES {
-            let n = self.waivers.iter().filter(|w| w.rule == *rule).count();
-            if n == 0 {
-                continue;
-            }
-            if !rule_waivers.is_empty() {
-                rule_waivers.push_str(", ");
-            }
-            rule_waivers.push_str(&format!("\"{rule}\": {n}"));
-        }
-        format!(
-            "{{\n    \"version\": 1,\n    \"files_scanned\": {},\n    \
-             \"crates_scanned\": {},\n    \"hot_functions\": {},\n    \
-             \"findings\": {},\n    \"waivers\": {},\n    \
-             \"lock_edges\": {},\n    \"rule_waivers\": {{{rule_waivers}}}\n  }}",
-            self.files_scanned,
-            self.crates_scanned,
-            self.hot_functions,
-            self.findings.len(),
-            self.waivers_used,
-            self.lock_edges,
-        )
-    }
-}
-
-/// Inserts or replaces the top-level `"lint"` section of an existing
-/// report document. The bench binaries never emit the key, so unlike the
-/// bench crate's `splice_section` this must handle the insert case: the
-/// section is appended before the document's closing brace.
-pub fn splice_lint_section(doc: &str, section: &str) -> Option<String> {
-    if let Some(key) = doc.find("\"lint\"") {
-        // Replace: balance braces from the key's object opening.
-        let open = key + doc[key..].find('{')?;
-        let mut depth = 0usize;
-        let mut close = None;
-        for (i, c) in doc[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = Some(open + i);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let close = close?;
-        return Some(format!("{}{section}{}", &doc[..open], &doc[close + 1..]));
-    }
-    // Insert: before the final closing brace of the root object.
-    let end = doc.rfind('}')?;
-    let body = doc[..end].trim_end();
-    Some(format!("{body},\n  \"lint\": {section}\n}}\n"))
 }
 
 /// The rule families that apply to a crate, by package name.
@@ -202,7 +138,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
             });
         }
     }
-    report.lock_edges = edges.len();
 
     report.findings.sort_by(|a, b| {
         a.file
@@ -259,72 +194,4 @@ fn scan_member(
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_report() -> Report {
-        Report {
-            files_scanned: 3,
-            crates_scanned: 2,
-            hot_functions: 1,
-            waivers_used: 2,
-            waivers: vec![
-                WaiverRecord {
-                    file: "a.rs".into(),
-                    line: 4,
-                    rule: rules::RULE_PANIC.into(),
-                    reason: "checked above".into(),
-                },
-                WaiverRecord {
-                    file: "b.rs".into(),
-                    line: 9,
-                    rule: rules::RULE_PANIC.into(),
-                    reason: "startup only".into(),
-                },
-            ],
-            ..Report::default()
-        }
-    }
-
-    #[test]
-    fn section_json_validates_against_the_bench_schema() {
-        let section = sample_report().section_json();
-        let doc = format!(
-            "{{\"schema_version\": 4, \"lint\": {section}}}"
-        );
-        let v = crate::bench_schema::parse_json(&doc).expect("section parses");
-        let lint = v.get("lint").expect("lint key");
-        assert!(matches!(
-            lint.get("rule_waivers").and_then(|r| r.get("panic")),
-            Some(crate::bench_schema::Value::Num(n)) if *n == 2.0
-        ));
-        assert!(matches!(
-            lint.get("findings"),
-            Some(crate::bench_schema::Value::Num(n)) if *n == 0.0
-        ));
-    }
-
-    #[test]
-    fn splice_replaces_an_existing_lint_section() {
-        let doc = "{\n  \"schema_version\": 4,\n  \"lint\": {\n    \"old\": {\"x\": 1}\n  },\n  \"tail\": true\n}\n";
-        let out = splice_lint_section(doc, "{\"fresh\": 1}").unwrap();
-        assert!(out.contains("\"fresh\": 1"));
-        assert!(!out.contains("\"old\""));
-        assert!(out.contains("\"tail\": true"));
-    }
-
-    #[test]
-    fn splice_inserts_when_the_section_is_missing() {
-        let doc = "{\n  \"schema_version\": 4,\n  \"engine\": {\"keep\": 2}\n}\n";
-        let out = splice_lint_section(doc, "{\"version\": 1}").unwrap();
-        assert!(out.contains("\"lint\": {\"version\": 1}"));
-        assert!(out.contains("\"keep\": 2"));
-        assert!(
-            crate::bench_schema::parse_json(&out).is_ok(),
-            "spliced document must stay valid JSON: {out}"
-        );
-    }
 }

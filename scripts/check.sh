@@ -55,28 +55,15 @@ echo "==> benchmark smoke run: four workloads, pinned input and outcome digests"
 # verdict fails here. Timings are printed, never asserted.
 cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
 
-echo "==> perf_report smoke run"
-# Asserts every scalar-vs-vectorized equivalence contract (bit-identity
-# or the documented ulp bound) before timing anything; timings themselves
-# are never asserted — CI runners can't reproduce them.
-cargo run --release -p earsonar-bench --bin perf_report -- --smoke
-
 echo "==> engine smoke run: 64 interleaved sessions, fixed seed"
 # Proves engine verdicts equal sequential screening under a seeded
-# interleaving at 1/2/4 workers, then splices the engine section into
-# BENCH_pr9.json. Throughput numbers are informational only.
+# interleaving at 1/2/4 workers. Throughput numbers are informational only.
 cargo run --release -p earsonar-bench --bin engine-bench -- --smoke
 
 echo "==> A/B backend smoke run: candidates vs mfcc-kmeans baseline"
 # Scores the candidate feature/classifier backends against the reference
-# on the same deterministic cohort and folds, then splices the backends
-# section (per-class precision deltas) into BENCH_pr9.json.
+# on the same deterministic cohort and folds and prints per-class
+# precision deltas.
 cargo run --release -p earsonar-bench --bin ab-bench -- --smoke
-
-echo "==> lint section: splice rule/waiver counts into the report"
-cargo run -p xtask -- lint --report BENCH_pr9.json
-
-echo "==> bench-schema: BENCH_pr9.json conforms to schema_version 5"
-cargo run -p xtask -- bench-schema
 
 echo "All checks passed."

@@ -17,6 +17,9 @@
 //! 3. Severity zero is a no-op, and a fully clean session is processed
 //!    bit-identically whether the gate is enabled or disabled: the gate
 //!    observes raw windows and must never perturb accepted ones.
+//! 4. A non-finite sample (NaN or ±Inf) costs exactly the window it sits
+//!    in: each poisoned window removes one accepted chirp, its neighbours
+//!    stay accepted, and any poisoned window zeroes session confidence.
 
 use earsonar::pipeline::FrontEnd;
 use earsonar::streaming::StreamingFrontEnd;
@@ -125,5 +128,40 @@ fn clean_sessions_are_bit_identical_with_the_gate_on_or_off() {
         assert_eq!(gated.features, ungated.features, "features must be bit-identical");
         assert_eq!(gated.diagnostics, ungated.diagnostics);
         assert_eq!(gated.chirps_used, ungated.chirps_used);
+    }
+}
+
+#[test]
+fn each_non_finite_window_costs_exactly_one_accepted_chirp() {
+    let fe = FrontEnd::new(&config()).expect("front end");
+    let rec = clean_recording();
+    let (clean_conf, clean_accepted) = gate_outcome(&fe, &rec);
+    assert_eq!(clean_accepted, rec.n_chirps, "the clean session must pass the gate untouched");
+    assert!(clean_conf > 0.0);
+
+    // One bad sample mid-window, in windows spread over the session.
+    let n = rec.n_chirps;
+    let windows = [n / 8, 3 * n / 8, 5 * n / 8, 7 * n / 8];
+    let values = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let mut prev = clean_accepted;
+    for poisoned in [0usize, 1, 2, 4] {
+        let mut bad = rec.clone();
+        for (&c, &v) in windows[..poisoned].iter().zip(&values) {
+            bad.samples[c * rec.chirp_hop + rec.chirp_hop / 2] = v;
+        }
+        let (conf, accepted) = gate_outcome(&fe, &bad);
+        assert!(
+            accepted <= prev,
+            "{poisoned} poisoned window(s): accepted chirps rose from {prev} to {accepted}"
+        );
+        assert_eq!(
+            accepted,
+            clean_accepted - poisoned,
+            "{poisoned} poisoned window(s) must cost exactly {poisoned} accepted chirp(s)"
+        );
+        if poisoned > 0 {
+            assert_eq!(conf, 0.0, "{poisoned} poisoned window(s) must zero confidence");
+        }
+        prev = accepted;
     }
 }
