@@ -6,21 +6,18 @@
 //! a delayed, attenuated — and for the eardrum, spectrally shaped — copy of
 //! the transmitted signal.
 //!
-//! Two execution styles are offered for every spectral operation:
-//!
-//! * **one-shot free functions** ([`delay_fractional_allpass`],
-//!   [`apply_frequency_response`]) that allocate their own buffers and build
-//!   a throwaway FFT plan — convenient for tests and doc examples,
-//! * **planned `_with` variants** drawing plans and buffers from a
-//!   [`DspScratch`], plus [`SpectralDelayLine`] for accumulating many
-//!   delayed copies of one signal with a *single* inverse transform — the
-//!   hot path of the recording simulator.
+//! Every spectral operation runs on the process-wide FFT plan of its size
+//! and draws its intermediate buffers from a caller-owned [`DspScratch`]:
+//! [`delay_fractional_allpass_with`] and [`apply_frequency_response_with`]
+//! for one copy, [`SpectralDelayLine`] for accumulating many delayed copies
+//! of one signal with a *single* inverse transform — the hot path of the
+//! recording simulator.
 
 use crate::constants::SPEED_OF_SOUND_AIR;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::error::DspError;
 use earsonar_dsp::fft::next_pow2;
-use earsonar_dsp::plan::{DspScratch, RealFftPlan};
+use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use std::f64::consts::PI;
 
 /// One propagation path: a delay and a broadband gain.
@@ -117,27 +114,16 @@ pub fn delay_fractional(x: &[f64], delay_samples: f64, out_len: usize) -> Vec<f6
 /// interpolation, the magnitude response is exactly flat, which matters
 /// when the delayed signal's in-band spectrum is the measurand.
 ///
-/// One-shot wrapper over [`delay_fractional_allpass_with`]; repeated
-/// callers should hold a [`DspScratch`] and use the planned variant.
-pub fn delay_fractional_allpass(x: &[f64], delay_samples: f64, out_len: usize) -> Vec<f64> {
-    let mut scratch = DspScratch::new();
-    let mut out = Vec::new();
-    delay_fractional_allpass_with(x, delay_samples, out_len, &mut scratch, &mut out)
-        .expect("internally chosen power-of-two FFT sizes are always valid");
-    out
-}
-
-/// [`delay_fractional_allpass`] with the FFT plan and intermediate buffer
-/// drawn from a caller-owned [`DspScratch`]: with a warm scratch the call
-/// performs no allocation beyond growing `out` to `out_len`.
-///
-/// The transform size is `next_pow2(x.len() + ⌈delay⌉ + 1)`, exactly as the
-/// one-shot function chooses it, so results are identical.
+/// The result is written to `out` (`out_len` samples; a negative delay
+/// gives silence). The transform size is `next_pow2(x.len() + ⌈delay⌉ + 1)`
+/// and the intermediate buffer comes from `scratch`: with a warm scratch
+/// the call performs no allocation beyond growing `out` to `out_len`. The
+/// FFT plan of that size stays resident for the life of the process
+/// ([`FftPlan::shared`]).
 ///
 /// # Errors
 ///
-/// Propagates plan-construction errors from the scratch (not reachable for
-/// the sizes chosen here).
+/// Propagates plan errors (not reachable for the sizes chosen here).
 pub fn delay_fractional_allpass_with(
     x: &[f64],
     delay_samples: f64,
@@ -152,13 +138,9 @@ pub fn delay_fractional_allpass_with(
     }
     let span = x.len() + delay_samples.ceil() as usize + 1;
     let n = next_pow2(span);
-    let plan = scratch.plan(n)?;
+    let plan = FftPlan::shared(n)?;
     let mut buf = scratch.take_complex();
-    buf.resize(n, Complex64::ZERO);
-    for (dst, &src) in buf.iter_mut().zip(x) {
-        *dst = Complex64::from_real(src);
-    }
-    plan.forward(&mut buf)?;
+    plan.forward_from_real(x, &mut buf);
     for (k, z) in buf.iter_mut().enumerate() {
         *z *= delay_phase_multiplier(k, n, delay_samples);
     }
@@ -174,27 +156,15 @@ pub fn delay_fractional_allpass_with(
 /// via FFT multiplication (zero-phase). Used to imprint the eardrum's
 /// reflectance spectrum onto the echo waveform.
 ///
-/// One-shot wrapper over [`apply_frequency_response_with`].
-pub fn apply_frequency_response<F>(x: &[f64], fs: f64, gain: F) -> Vec<f64>
-where
-    F: Fn(f64) -> f64,
-{
-    let mut scratch = DspScratch::new();
-    let mut out = Vec::new();
-    apply_frequency_response_with(x, fs, gain, &mut scratch, &mut out)
-        .expect("internally chosen power-of-two FFT sizes are always valid");
-    out
-}
-
-/// [`apply_frequency_response`] with the FFT plan and intermediate buffer
-/// drawn from a caller-owned [`DspScratch`]. The output keeps `x.len()`
-/// samples (the filter's circular tail beyond that is discarded, which is
-/// why callers pad their input with tail room for ringing).
+/// The intermediate buffer comes from a caller-owned [`DspScratch`]. The
+/// output keeps `x.len()` samples (the filter's circular tail beyond that
+/// is discarded, which is why callers pad their input with tail room for
+/// ringing). The FFT plan is sized from the input length and stays
+/// resident for the life of the process ([`FftPlan::shared`]).
 ///
 /// # Errors
 ///
-/// Propagates plan-construction errors from the scratch (not reachable for
-/// the sizes chosen here).
+/// Propagates plan errors (not reachable for the sizes chosen here).
 pub fn apply_frequency_response_with<F>(
     x: &[f64],
     fs: f64,
@@ -210,13 +180,9 @@ where
         return Ok(());
     }
     let n = next_pow2(x.len() * 2);
-    let plan = scratch.plan(n)?;
+    let plan = FftPlan::shared(n)?;
     let mut buf = scratch.take_complex();
-    buf.resize(n, Complex64::ZERO);
-    for (dst, &src) in buf.iter_mut().zip(x) {
-        *dst = Complex64::from_real(src);
-    }
-    plan.forward(&mut buf)?;
+    plan.forward_from_real(x, &mut buf);
     for (k, z) in buf.iter_mut().enumerate() {
         let f_hz = signed_bin_frequency(k, n).abs() * fs;
         *z = z.scale(gain(f_hz));
@@ -251,7 +217,7 @@ where
 /// use earsonar_dsp::plan::RealFftPlan;
 /// use earsonar_dsp::Complex64;
 ///
-/// let plan = RealFftPlan::new(16).unwrap();
+/// let plan = RealFftPlan::shared(16).unwrap();
 /// let mut line = SpectralDelayLine::new();
 /// let mut work = Vec::new();
 /// line.load(&[1.0, 2.0], &plan, &mut work).unwrap();
@@ -320,7 +286,7 @@ impl SpectralDelayLine {
     /// equivalence budget.
     ///
     /// A negative delay contributes silence (the convention of
-    /// [`delay_fractional_allpass`]), as does a zero gain.
+    /// [`delay_fractional_allpass_with`]), as does a zero gain.
     ///
     /// # Panics
     ///
@@ -406,12 +372,14 @@ impl MultipathChannel {
         self.apply_with(x, fs, &mut scratch)
     }
 
-    /// [`MultipathChannel::apply`] with plans and buffers drawn from a
-    /// caller-owned [`DspScratch`].
+    /// [`MultipathChannel::apply`] with buffers drawn from a caller-owned
+    /// [`DspScratch`].
     ///
     /// All paths are superposed in the frequency domain on a single
     /// [`SpectralDelayLine`]: one forward and one inverse transform total,
-    /// independent of the number of paths.
+    /// independent of the number of paths. The FFT plan is sized from the
+    /// input length and the longest delay, and stays resident for the life
+    /// of the process ([`RealFftPlan::shared`]).
     pub fn apply_with(&self, x: &[f64], fs: f64, scratch: &mut DspScratch) -> Vec<f64> {
         if x.is_empty() || self.paths.is_empty() {
             return Vec::new();
@@ -423,12 +391,10 @@ impl MultipathChannel {
             .fold(0.0f64, f64::max);
         let out_len = x.len() + (max_delay * fs).ceil() as usize + 1;
         let n = next_pow2(out_len);
-        let plan = scratch
-            .real_plan(n)
-            .expect("next_pow2 sizes are always valid");
+        let plan = RealFftPlan::shared(n).expect("next_pow2 sizes are always valid");
         let mut work = scratch.take_complex();
         let mut line = SpectralDelayLine::new();
-        line.load(x, &plan, &mut work)
+        line.load(x, plan, &mut work)
             .expect("transform size covers the input");
         let mut acc = scratch.take_complex();
         acc.resize(n, Complex64::ZERO);
@@ -452,6 +418,15 @@ impl MultipathChannel {
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// Runs one `_with` spectral operation on a cold scratch.
+    fn cold(
+        op: impl FnOnce(&mut DspScratch, &mut Vec<f64>) -> Result<(), DspError>,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        op(&mut DspScratch::new(), &mut out).unwrap();
+        out
+    }
 
     #[test]
     fn delay_helpers_are_consistent() {
@@ -487,7 +462,7 @@ mod tests {
             .map(|i| (2.0 * PI * 18_000.0 * i as f64 / fs).sin())
             .collect();
         for d in [0.0, 0.25, 0.5, 0.75, 3.3] {
-            let y = delay_fractional_allpass(&x, d, 512);
+            let y = cold(|s, o| delay_fractional_allpass_with(&x, d, 512, s, o));
             let mag_x =
                 earsonar_dsp::goertzel::goertzel_magnitude(&x, 18_000.0, fs).unwrap();
             let mag_y = earsonar_dsp::goertzel::goertzel_magnitude(
@@ -506,7 +481,7 @@ mod tests {
     #[test]
     fn allpass_integer_delay_matches_shift() {
         let x = [1.0, -2.0, 3.0, 0.5];
-        let y = delay_fractional_allpass(&x, 3.0, 10);
+        let y = cold(|s, o| delay_fractional_allpass_with(&x, 3.0, 10, s, o));
         for (i, &v) in x.iter().enumerate() {
             assert!((y[i + 3] - v).abs() < 1e-9, "index {i}");
         }
@@ -515,32 +490,36 @@ mod tests {
 
     #[test]
     fn allpass_degenerate_inputs() {
-        assert_eq!(delay_fractional_allpass(&[], 1.0, 4), vec![0.0; 4]);
-        assert_eq!(delay_fractional_allpass(&[1.0], -1.0, 2), vec![0.0; 2]);
-        assert!(delay_fractional_allpass(&[1.0], 0.5, 0).is_empty());
+        let delayed =
+            |x: &[f64], d, len| cold(|s, o| delay_fractional_allpass_with(x, d, len, s, o));
+        assert_eq!(delayed(&[], 1.0, 4), vec![0.0; 4]);
+        assert_eq!(delayed(&[1.0], -1.0, 2), vec![0.0; 2]);
+        assert!(delayed(&[1.0], 0.5, 0).is_empty());
     }
 
     #[test]
-    fn planned_allpass_matches_one_shot_bitwise() {
+    fn warm_scratch_allpass_matches_cold_bitwise() {
         let x: Vec<f64> = (0..37).map(|i| (i as f64 * 0.61).sin()).collect();
         let mut scratch = DspScratch::new();
         let mut out = Vec::new();
         for d in [0.0, 0.4, 1.0, 2.5, 7.9] {
-            let one_shot = delay_fractional_allpass(&x, d, 64);
+            let expect = cold(|s, o| delay_fractional_allpass_with(&x, d, 64, s, o));
             delay_fractional_allpass_with(&x, d, 64, &mut scratch, &mut out).unwrap();
-            assert_eq!(one_shot, out, "delay {d}");
+            assert_eq!(expect, out, "delay {d}");
         }
     }
 
     #[test]
-    fn planned_response_matches_one_shot_bitwise() {
+    fn warm_scratch_response_matches_cold_bitwise() {
         let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.37).sin()).collect();
         let gain = |f: f64| 1.0 / (1.0 + f / 10_000.0);
-        let one_shot = apply_frequency_response(&x, 48_000.0, gain);
         let mut scratch = DspScratch::new();
         let mut out = Vec::new();
-        apply_frequency_response_with(&x, 48_000.0, gain, &mut scratch, &mut out).unwrap();
-        assert_eq!(one_shot, out);
+        for _ in 0..2 {
+            let expect = cold(|s, o| apply_frequency_response_with(&x, 48_000.0, gain, s, o));
+            apply_frequency_response_with(&x, 48_000.0, gain, &mut scratch, &mut out).unwrap();
+            assert_eq!(expect, out);
+        }
     }
 
     #[test]
@@ -603,7 +582,7 @@ mod tests {
         // summed in the time domain.
         let mut expect = vec![0.0; n];
         for &(d, g) in &paths {
-            let y = delay_fractional_allpass(&x, d, n);
+            let y = cold(|s, o| delay_fractional_allpass_with(&x, d, n, s, o));
             for (e, v) in expect.iter_mut().zip(&y) {
                 *e += g * v;
             }
@@ -726,7 +705,8 @@ mod tests {
                     + (2.0 * PI * 19_000.0 * i as f64 / fs).sin()
             })
             .collect();
-        let y = apply_frequency_response(&x, fs, |f| if f > 18_000.0 { 0.0 } else { 1.0 });
+        let low_pass = |f: f64| if f > 18_000.0 { 0.0 } else { 1.0 };
+        let y = cold(|s, o| apply_frequency_response_with(&x, fs, low_pass, s, o));
         let mag17 = earsonar_dsp::goertzel::goertzel_magnitude(&y, 17_000.0, fs).unwrap();
         let mag19 = earsonar_dsp::goertzel::goertzel_magnitude(&y, 19_000.0, fs).unwrap();
         assert!(mag17 > 20.0 * mag19, "17k {mag17}, 19k {mag19}");
@@ -735,7 +715,7 @@ mod tests {
     #[test]
     fn unit_response_is_identity() {
         let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin()).collect();
-        let y = apply_frequency_response(&x, 48_000.0, |_| 1.0);
+        let y = cold(|s, o| apply_frequency_response_with(&x, 48_000.0, |_| 1.0, s, o));
         for (a, b) in x.iter().zip(&y) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -743,6 +723,7 @@ mod tests {
 
     #[test]
     fn empty_frequency_response_input() {
-        assert!(apply_frequency_response(&[], 48_000.0, |_| 1.0).is_empty());
+        let y = cold(|s, o| apply_frequency_response_with(&[], 48_000.0, |_| 1.0, s, o));
+        assert!(y.is_empty());
     }
 }

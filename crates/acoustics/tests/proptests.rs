@@ -8,9 +8,8 @@ use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_acoustics::impedance::layer_impedance;
 use earsonar_acoustics::medium::Medium;
 use earsonar_acoustics::propagation::{
-    apply_frequency_response, apply_frequency_response_with, delay_fractional,
-    delay_fractional_allpass, delay_fractional_allpass_with, delay_phase_multiplier,
-    round_trip_delay_samples, MultipathChannel, Path, SpectralDelayLine,
+    apply_frequency_response_with, delay_fractional, delay_fractional_allpass_with,
+    delay_phase_multiplier, round_trip_delay_samples, MultipathChannel, Path, SpectralDelayLine,
 };
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::fft::next_pow2;
@@ -161,9 +160,13 @@ fn allpass_delay_preserves_energy_circularly() {
         // (kept real by attenuation); bound the loss by that bin's power.
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();
         let frame = earsonar_dsp::fft::next_pow2(n + delay.ceil() as usize + 1);
-        let spec = earsonar_dsp::fft::fft_real_padded(&x, frame);
+        let mut spec = Vec::new();
+        FftPlan::shared(frame)
+            .unwrap()
+            .forward_from_real(&x, &mut spec);
         let nyq_power = spec[frame / 2].norm_sqr() / frame as f64;
-        let y = delay_fractional_allpass(&x, delay, frame);
+        let mut y = Vec::new();
+        delay_fractional_allpass_with(&x, delay, frame, &mut DspScratch::new(), &mut y).unwrap();
         let ex: f64 = x.iter().map(|v| v * v).sum();
         let ey: f64 = y.iter().map(|v| v * v).sum();
         assert!(ey <= ex + 1e-9, "seed {seed}: gained energy: {ex} vs {ey}");
@@ -193,7 +196,7 @@ fn linear_delay_never_gains_energy() {
 /// Reference for the spectral accumulator: delays each path independently
 /// with a full-size complex FFT (different code path from the half-size
 /// real transform) and superposes the results in the **time domain**.
-/// Negative-delay paths contribute silence, matching the one-shot
+/// Negative-delay paths contribute silence, matching the allpass
 /// convention.
 fn time_domain_superposition(x: &[f64], paths: &[(f64, f64)], n: usize) -> Vec<f64> {
     let plan = FftPlan::new(n).unwrap();
@@ -259,8 +262,8 @@ fn spectral_accumulation_matches_time_domain_superposition() {
 
 #[test]
 fn spectral_accumulation_handles_degenerate_inputs() {
-    // Empty signal → silence; all-negative delays → silence; the planned
-    // one-shot wrapper with zero out_len → empty output.
+    // Empty signal → silence; all-negative delays → silence; the allpass
+    // delay with zero out_len → empty output.
     let plan = RealFftPlan::new(16).unwrap();
     let mut work = Vec::new();
     let mut line = SpectralDelayLine::new();
@@ -289,9 +292,9 @@ fn spectral_accumulation_handles_degenerate_inputs() {
 }
 
 #[test]
-fn planned_spectral_ops_match_one_shot_for_random_inputs() {
-    // The `_with` variants share one scratch across all cases and sizes;
-    // they must still be bit-identical to the one-shot free functions.
+fn warm_scratch_spectral_ops_match_cold_for_random_inputs() {
+    // One scratch shared across all cases and sizes must give the same
+    // bits as a fresh scratch per call.
     let mut scratch = DspScratch::new();
     let mut out = Vec::new();
     for seed in 0..CASES {
@@ -300,13 +303,16 @@ fn planned_spectral_ops_match_one_shot_for_random_inputs() {
         let delay = rng.uniform(-1.0, 25.0);
         let out_len = rng.range_usize(0, 2 * len + 32);
         let x: Vec<f64> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let expect = delay_fractional_allpass(&x, delay, out_len);
+        let mut expect = Vec::new();
+        delay_fractional_allpass_with(&x, delay, out_len, &mut DspScratch::new(), &mut expect)
+            .unwrap();
         delay_fractional_allpass_with(&x, delay, out_len, &mut scratch, &mut out).unwrap();
         assert_eq!(expect, out, "seed {seed} (delay)");
 
         let knee = rng.uniform(1_000.0, 20_000.0);
         let gain = |f: f64| 1.0 / (1.0 + (f / knee).powi(2));
-        let expect = apply_frequency_response(&x, 48_000.0, gain);
+        apply_frequency_response_with(&x, 48_000.0, gain, &mut DspScratch::new(), &mut expect)
+            .unwrap();
         apply_frequency_response_with(&x, 48_000.0, gain, &mut scratch, &mut out).unwrap();
         assert_eq!(expect, out, "seed {seed} (response)");
     }

@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the DSP substrate kernels the pipeline leans on:
 //! FFT, Butterworth filtering, Wiener channel estimation, MFCC, and the
 //! parity-decomposition auto-convolution; then every scalar-vs-vectorized
-//! kernel pair and planned-vs-one-shot FFT at the sizes the pipeline uses.
+//! kernel pair and the shared complex and real-input FFT plans at the sizes
+//! the pipeline uses.
 //!
 //! Only timings are printed. The pairs' equivalence contracts (bit-identical
 //! or ulp-bounded) are asserted by `tests/kernel_equivalence.rs` and
@@ -17,9 +18,8 @@ use earsonar::EarSonarConfig;
 use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_bench::timing::Bencher;
 use earsonar_dsp::complex::Complex64;
-use earsonar_dsp::convolution::autoconvolve;
+use earsonar_dsp::convolution::autoconvolve_with;
 use earsonar_dsp::correlation::{pearson, pearson_scalar};
-use earsonar_dsp::fft::{fft, fft_real};
 use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with};
 use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
@@ -154,15 +154,14 @@ fn kernel_pairs(b: &Bencher) {
     });
 }
 
-/// One-shot transforms (plan built per call) against reused plans.
+/// The shared complex plan against the half-size real-input plan.
 fn planned_ffts(b: &Bencher) {
-    for n in [1024usize, 2048, 4096] {
+    for n in [256usize, 1024, 2048, 4096] {
         let signal: Vec<Complex64> = random_signal(n, 17 + n as u64)
             .into_iter()
             .map(Complex64::from_real)
             .collect();
-        b.report(&format!("fft_one_shot/{n}"), || fft(&signal));
-        let plan = FftPlan::new(n).unwrap();
+        let plan = FftPlan::shared(n).unwrap();
         let mut buf = signal.clone();
         b.report(&format!("fft_planned/{n}"), || {
             buf.copy_from_slice(&signal);
@@ -171,8 +170,7 @@ fn planned_ffts(b: &Bencher) {
         });
 
         let signal = random_signal(n, 29 + n as u64);
-        b.report(&format!("fft_real_one_shot/{n}"), || fft_real(&signal));
-        let plan = RealFftPlan::new(n).unwrap();
+        let plan = RealFftPlan::shared(n).unwrap();
         let (mut work, mut out) = (Vec::new(), Vec::new());
         b.report(&format!("fft_real_planned/{n}"), || {
             plan.forward_into(&signal, &mut work, &mut out).unwrap();
@@ -184,11 +182,6 @@ fn planned_ffts(b: &Bencher) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let b = Bencher::from_env(&args);
-
-    for n in [256usize, 1024, 4096] {
-        let x = signal(n);
-        b.report(&format!("fft_real/{n}"), || fft_real(&x));
-    }
 
     let f = butter_bandpass(4, 16_000.0, 20_000.0, 48_000.0).unwrap();
     let x = signal(5_760); // one default recording
@@ -204,7 +197,12 @@ fn main() {
     b.report("mfcc_extract_frame", || ex.extract(&x).unwrap());
 
     let x = signal(96);
-    b.report("autoconvolve_ir", || autoconvolve(&x));
+    let mut scratch = DspScratch::new();
+    let mut ac = Vec::new();
+    b.report("autoconvolve_ir", || {
+        autoconvolve_with(&mut scratch, &x, &mut ac);
+        black_box(ac[0])
+    });
 
     let x = signal(4096);
     b.report("periodogram_4096", || {
@@ -214,6 +212,6 @@ fn main() {
     println!("\n== scalar vs vectorized kernels ==");
     kernel_pairs(&b);
 
-    println!("\n== planned vs one-shot transforms ==");
+    println!("\n== complex vs real-input planned transforms ==");
     planned_ffts(&b);
 }

@@ -9,8 +9,18 @@
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::segment::EardrumEcho;
-use earsonar_dsp::fft::fft_real_padded;
+use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::interp::resample_uniform;
+use earsonar_dsp::plan::FftPlan;
+use earsonar_dsp::Complex64;
+
+/// The `n_fft`-point (power-of-two rounded) spectrum of `x`, truncated or
+/// zero-padded to fit.
+pub(crate) fn padded_spectrum(x: &[f64], n_fft: usize) -> Result<Vec<Complex64>, EarSonarError> {
+    let mut spec = Vec::new();
+    FftPlan::shared(next_pow2(n_fft))?.forward_from_real(x, &mut spec);
+    Ok(spec)
+}
 
 /// The absorption signature of one (or an average of many) eardrum echoes.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,11 +69,18 @@ pub struct ReferenceSpectrum {
 /// flattens the chirp's spectral hump, turning profile bins into direct
 /// estimates of the eardrum reflectance — the quantity the absorption
 /// model actually varies.
-pub fn reference_spectrum(template: &[f64], config: &EarSonarConfig) -> ReferenceSpectrum {
-    let spec = fft_real_padded(template, config.n_fft);
+///
+/// # Errors
+///
+/// Propagates FFT plan errors for an `n_fft` too large to plan.
+pub fn reference_spectrum(
+    template: &[f64],
+    config: &EarSonarConfig,
+) -> Result<ReferenceSpectrum, EarSonarError> {
+    let spec = padded_spectrum(template, config.n_fft)?;
     let n_fft = spec.len();
     let power: Vec<f64> = spec.iter().map(|z| z.norm_sqr() / n_fft as f64).collect();
-    ReferenceSpectrum { power, n_fft }
+    Ok(ReferenceSpectrum { power, n_fft })
 }
 
 /// Extracts the echo power-spectrum profile from one chirp window given the
@@ -113,7 +130,7 @@ pub fn echo_spectrum(
         .collect();
     config.window.apply_in_place(&mut windowed);
 
-    let spec = fft_real_padded(&windowed, config.n_fft);
+    let spec = padded_spectrum(&windowed, config.n_fft)?;
     let n_fft = spec.len();
     if let Some(r) = reference {
         if r.n_fft != n_fft {
@@ -211,7 +228,7 @@ pub fn echo_ir_spectrum(
         *v *= w;
     }
 
-    let spec = fft_real_padded(&section, config.n_fft);
+    let spec = padded_spectrum(&section, config.n_fft)?;
     let n_fft = spec.len();
     let df = config.sample_rate / n_fft as f64;
     let (p_lo, p_hi) = config.profile_band_hz;
@@ -273,6 +290,25 @@ pub fn average_spectra(spectra: &[EchoSpectrum]) -> Result<EchoSpectrum, EarSona
     })
 }
 
+/// Test fixture: `x` through a Gaussian notch of relative `depth` and
+/// width `width_hz` at 18 kHz — an effusion-like eardrum dip.
+#[cfg(test)]
+pub(crate) fn notched(x: &[f64], fs: f64, depth: f64, width_hz: f64) -> Vec<f64> {
+    let mut out = Vec::new();
+    earsonar_acoustics::propagation::apply_frequency_response_with(
+        x,
+        fs,
+        |f| {
+            let z = (f - 18_000.0) / width_hz;
+            1.0 - depth * (-0.5 * z * z).exp()
+        },
+        &mut earsonar_dsp::plan::DspScratch::new(),
+        &mut out,
+    )
+    .unwrap();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,18 +325,9 @@ mod tests {
         let chirp = earsonar_acoustics::chirp::FmcwChirp::earsonar().samples();
         let fs = 48_000.0;
         // Shape the echo with a notch at 18 kHz.
-        let shaped = earsonar_acoustics::propagation::apply_frequency_response(
-            &{
-                let mut p = chirp.clone();
-                p.extend(std::iter::repeat_n(0.0, 40));
-                p
-            },
-            fs,
-            |f| {
-                let x = (f - 18_000.0) / 500.0;
-                1.0 - depth * (-0.5 * x * x).exp()
-            },
-        );
+        let mut padded = chirp.clone();
+        padded.extend(std::iter::repeat_n(0.0, 40));
+        let shaped = notched(&padded, fs, depth, 500.0);
         let mut window = vec![0.0; 240];
         for (i, &c) in chirp.iter().enumerate() {
             window[i + 1] += 0.06 * c;
@@ -394,10 +421,7 @@ mod tests {
                 (2.0 * PI * (f0 * t + 0.5 * rate * t * t)).sin()
             })
             .collect();
-        let notched = earsonar_acoustics::propagation::apply_frequency_response(&sweep, fs, |f| {
-            let x = (f - 18_000.0) / 400.0;
-            1.0 - 0.8 * (-0.5 * x * x).exp()
-        });
+        let notched = notched(&sweep, fs, 0.8, 400.0);
         let echo = EardrumEcho {
             center: 256,
             direct_center: 200,

@@ -15,7 +15,6 @@ use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::preprocess::Preprocessor;
 use earsonar_dsp::fanout;
-use earsonar_dsp::fft::fft_real_padded;
 use earsonar_dsp::stats::Summary;
 use earsonar_ml::kmeans::{KMeans, KMeansConfig};
 use earsonar_ml::labeling::ClusterLabeling;
@@ -72,7 +71,7 @@ impl ChanBaseline {
         let avg_ir = average_irs(&irs)?;
         // Whole-response spectrum: no segmentation, so the direct leak and
         // wall reflections interfere with the eardrum return.
-        let spec = fft_real_padded(&avg_ir, config.n_fft);
+        let spec = crate::absorption::padded_spectrum(&avg_ir, config.n_fft)?;
         let n_fft = spec.len();
         let df = config.sample_rate / n_fft as f64;
         let (p_lo, p_hi) = config.profile_band_hz;

@@ -13,8 +13,8 @@
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use earsonar_dsp::complex::Complex64;
-use earsonar_dsp::fft::{fft_in_place, next_pow2};
-use earsonar_dsp::plan::DspScratch;
+use earsonar_dsp::fft::next_pow2;
+use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 
 /// A prepared Wiener deconvolution operator for a fixed chirp template and
 /// window length.
@@ -66,11 +66,8 @@ impl ChannelEstimator {
         // Transform the template in place: `buf` *is* the spectrum buffer,
         // then gets overwritten with the Wiener inverse — one allocation
         // total instead of three.
-        let mut buf = vec![Complex64::ZERO; n_fft];
-        for (dst, &src) in buf.iter_mut().zip(template) {
-            *dst = Complex64::from_real(src);
-        }
-        fft_in_place(&mut buf)?;
+        let mut buf = Vec::with_capacity(n_fft);
+        FftPlan::shared(n_fft)?.forward_from_real(template, &mut buf);
         let peak = buf.iter().map(|z| z.norm_sqr()).fold(0.0, f64::max);
         let eps = regularization * peak;
         for t in buf.iter_mut() {
@@ -102,7 +99,7 @@ impl ChannelEstimator {
     }
 
     /// [`ChannelEstimator::estimate`] writing into a caller-owned buffer,
-    /// with the FFT plan and intermediates drawn from `scratch`.
+    /// with intermediates drawn from `scratch`.
     ///
     /// This is the pipeline's per-chirp hot path: with a warm scratch the
     /// deconvolution runs allocation-free, and the forward transform uses
@@ -122,7 +119,7 @@ impl ChannelEstimator {
                 reason: "window length incompatible with channel estimator",
             });
         }
-        let plan = scratch.real_plan(self.n_fft).map_err(EarSonarError::from)?;
+        let plan = RealFftPlan::shared(self.n_fft)?;
         let mut work = scratch.take_complex();
         let mut spec = scratch.take_complex();
         let mut ir = scratch.take_real();

@@ -5,6 +5,13 @@ use crate::quality::QualityGateConfig;
 use earsonar_dsp::mfcc::MfccConfig;
 use earsonar_dsp::window::Window;
 
+/// The largest chirp hop (samples), FFT length (points) or mel filter count
+/// a configuration may set. Buffers are sized from these fields, so a model
+/// file that sets one to billions must be refused at load, not die in an
+/// allocation at the first screening. The paper's values are 240 samples,
+/// 256 points and 26 filters; 65 536 leaves ample room.
+pub const MAX_CONFIG_SIZE: usize = 1 << 16;
+
 /// Full configuration of the EarSonar pipeline, with the paper's defaults.
 ///
 /// Use [`EarSonarConfig::builder`] for fluent construction:
@@ -140,6 +147,19 @@ impl EarSonarConfig {
     ///
     /// Returns [`EarSonarError::BadConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), EarSonarError> {
+        for (name, size) in [
+            ("chirp_hop", self.chirp_hop),
+            ("n_fft", self.n_fft),
+            ("mfcc.n_fft", self.mfcc.n_fft),
+            ("mfcc.n_filters", self.mfcc.n_filters),
+        ] {
+            if size > MAX_CONFIG_SIZE {
+                return Err(EarSonarError::BadConfig {
+                    name,
+                    constraint: "must not exceed MAX_CONFIG_SIZE (65536)",
+                });
+            }
+        }
         if !(self.sample_rate > 0.0) {
             return Err(EarSonarError::BadConfig {
                 name: "sample_rate",
@@ -206,9 +226,8 @@ impl EarSonarConfig {
                 constraint: "must be positive",
             });
         }
-        if self.echo_ir_pre + self.echo_ir_tail == 0
-            || self.echo_ir_pre + self.echo_ir_tail > self.n_fft
-        {
+        let ir_len = self.echo_ir_pre.checked_add(self.echo_ir_tail);
+        if !matches!(ir_len, Some(len) if len > 0 && len <= self.n_fft) {
             return Err(EarSonarError::BadConfig {
                 name: "echo_ir_pre/echo_ir_tail",
                 constraint: "IR section must be non-empty and fit the FFT",

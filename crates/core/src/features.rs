@@ -253,18 +253,9 @@ mod tests {
 
     fn test_window(depth: f64) -> Vec<f64> {
         let chirp = earsonar_acoustics::chirp::FmcwChirp::earsonar().samples();
-        let shaped = earsonar_acoustics::propagation::apply_frequency_response(
-            &{
-                let mut p = chirp.clone();
-                p.extend(std::iter::repeat_n(0.0, 40));
-                p
-            },
-            48_000.0,
-            |f| {
-                let x = (f - 18_000.0) / 500.0;
-                1.0 - depth * (-0.5 * x * x).exp()
-            },
-        );
+        let mut padded = chirp.clone();
+        padded.extend(std::iter::repeat_n(0.0, 40));
+        let shaped = crate::absorption::notched(&padded, 48_000.0, depth, 500.0);
         let mut window = vec![0.0; 240];
         for (i, &c) in chirp.iter().enumerate() {
             window[i + 1] += c;

@@ -338,6 +338,7 @@ pub fn load_model_as(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MAX_CONFIG_SIZE;
     use earsonar_sim::cohort::Cohort;
     use earsonar_sim::dataset::{Dataset, DatasetSpec};
 
@@ -515,6 +516,44 @@ mod tests {
             .join("\n");
         assert!(model_from_string(&dropped).is_err());
         assert!(load_model("/nonexistent/model/file").is_err());
+    }
+
+    #[test]
+    fn hostile_sizes_are_refused_at_load() {
+        // Each of these once aborted the process in an allocation (or, in
+        // debug builds, panicked on `next_pow2` or `echo_ir` add overflow).
+        let (system, _) = trained();
+        let text = model_to_string(&system);
+        let line = |key: &str| text.lines().find(|l| l.starts_with(key)).unwrap();
+        let mfcc: Vec<&str> = line("mfcc:").split_whitespace().collect();
+        let set_mfcc = |i: usize, value: &str| {
+            let mut fields = mfcc.clone();
+            fields[i] = value;
+            fields.join(" ")
+        };
+        let cases = [
+            ("chirp_hop", line("chirp:"), "chirp: 24 4294967296".into()),
+            ("mfcc.n_filters", line("mfcc:"), set_mfcc(3, "1e9")),
+            ("n_fft", line("n_fft:"), "n_fft: 4294967296".into()),
+            ("mfcc.n_fft", line("mfcc:"), set_mfcc(2, "1e30")),
+            (
+                "echo_ir_pre/echo_ir_tail",
+                line("echo_ir:"),
+                "echo_ir: 18446744073709551615 1".into(),
+            ),
+        ];
+        for (field, old, new) in &cases {
+            match model_from_string(&text.replace(old, new)) {
+                Err(EarSonarError::BadConfig { name, .. }) => assert_eq!(name, *field),
+                other => panic!("{field}: expected BadConfig, got {:?}", other.err()),
+            }
+        }
+        // The bound itself passes the size check.
+        let at_bound = text.replace(line("n_fft:"), &format!("n_fft: {MAX_CONFIG_SIZE}"));
+        assert!(!matches!(
+            model_from_string(&at_bound),
+            Err(EarSonarError::BadConfig { name: "n_fft", .. })
+        ));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
-use earsonar_dsp::convolution::autoconvolve;
+use earsonar_dsp::convolution::autoconvolve_with;
 use earsonar_dsp::peak::envelope_peak;
+use earsonar_dsp::plan::DspScratch;
 
 /// Splits `x` into its even and odd parts about fold position `m/2`
 /// (paper Eq. 8, with `m = 2n₀`; odd `m` folds between samples).
@@ -71,7 +72,8 @@ pub fn find_symmetry_candidates(x: &[f64], config: &EarSonarConfig) -> Vec<EchoC
     if x.len() < config.min_symmetry_support {
         return Vec::new();
     }
-    let ac = autoconvolve(x);
+    let mut ac = Vec::new();
+    autoconvolve_with(&mut DspScratch::new(), x, &mut ac);
     let mag: Vec<f64> = ac.iter().map(|v| v.abs()).collect();
     let top = mag.iter().copied().fold(0.0f64, f64::max);
     if top == 0.0 {
@@ -293,7 +295,8 @@ mod tests {
     fn energy_difference_matches_autoconvolution() {
         // Eq. 10: Ee - Eo = (x*x)[m] (within the folded support).
         let x: Vec<f64> = (0..24).map(|i| ((i * 5 % 11) as f64) / 5.0 - 1.0).collect();
-        let ac = autoconvolve(&x);
+        let mut ac = Vec::new();
+        autoconvolve_with(&mut DspScratch::new(), &x, &mut ac);
         for m in [6usize, 14, 23, 30] {
             let (ee, eo) = parity_energies(&x, m);
             assert!(

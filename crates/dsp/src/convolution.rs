@@ -7,12 +7,12 @@
 //! FFT-based `O(N log N)` routine are provided; they agree to rounding.
 
 use crate::fft::next_pow2;
-use crate::plan::DspScratch;
+use crate::plan::{DspScratch, RealFftPlan};
 
 /// Full linear convolution of two real sequences, computed directly.
 ///
 /// The output has length `a.len() + b.len() - 1` (empty if either input is
-/// empty). Prefer [`convolve_fft`] for long inputs.
+/// empty). Prefer [`convolve_fft_with`] for long inputs.
 ///
 /// # Example
 ///
@@ -36,20 +36,13 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Full linear convolution of two real sequences via the FFT.
+/// Full linear convolution of two real sequences via the FFT, written into
+/// a caller-owned buffer with intermediates drawn from `scratch` —
+/// allocation-free once the workspace is warm for this problem size.
 ///
 /// Matches [`convolve`] up to floating-point rounding but runs in
-/// `O(N log N)`.
-pub fn convolve_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut scratch = DspScratch::new();
-    let mut out = Vec::new();
-    convolve_fft_with(&mut scratch, a, b, &mut out);
-    out
-}
-
-/// [`convolve_fft`] writing into a caller-owned buffer, with plans and
-/// intermediates drawn from `scratch` — allocation-free once the workspace
-/// is warm for this problem size.
+/// `O(N log N)`. The FFT plan is sized from the input lengths and stays
+/// resident for the life of the process ([`RealFftPlan::shared`]).
 // lint: hot-path
 pub fn convolve_fft_with(scratch: &mut DspScratch, a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     out.clear();
@@ -59,7 +52,7 @@ pub fn convolve_fft_with(scratch: &mut DspScratch, a: &[f64], b: &[f64], out: &m
     let out_len = a.len() + b.len() - 1;
     let n = next_pow2(out_len);
     // lint: allow(panic) next_pow2 always yields a nonzero power of two, the only sizes a plan rejects
-    let plan = scratch.real_plan(n).expect("valid plan size");
+    let plan = RealFftPlan::shared(n).expect("valid plan size");
     let mut work = scratch.take_complex();
     let mut fa = scratch.take_complex();
     let mut fb = scratch.take_complex();
@@ -79,19 +72,11 @@ pub fn convolve_fft_with(scratch: &mut DspScratch, a: &[f64], b: &[f64], out: &m
 }
 
 /// Auto-convolution `(x * x)[m]`, the quantity maximized to find the parity
-/// symmetry centre in the paper's echo segmentation (Eq. 10).
+/// symmetry centre in the paper's echo segmentation (Eq. 10), written into
+/// a caller-owned buffer via `scratch`.
 ///
 /// Output length is `2 * x.len() - 1`. Index `m` of the output corresponds
 /// to a candidate symmetry point at `m / 2` (half-sample resolution).
-pub fn autoconvolve(x: &[f64]) -> Vec<f64> {
-    if x.len() < 64 {
-        convolve(x, x)
-    } else {
-        convolve_fft(x, x)
-    }
-}
-
-/// [`autoconvolve`] writing into a caller-owned buffer via `scratch`.
 /// Short inputs use the direct algorithm (still allocation-free: the output
 /// buffer is reused).
 // lint: hot-path
@@ -115,7 +100,9 @@ pub fn autoconvolve_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<f64>
     }
 }
 
-/// [`autoconvolve_argmax`] with intermediates drawn from `scratch`.
+/// Index of the maximum-magnitude entry of the auto-convolution, i.e. the
+/// `2 n0` of Eq. 10 in the paper, with intermediates drawn from `scratch`.
+/// Returns `None` for an empty input.
 // lint: hot-path
 pub fn autoconvolve_argmax_with(scratch: &mut DspScratch, x: &[f64]) -> Option<usize> {
     let mut ac = scratch.take_real();
@@ -123,13 +110,6 @@ pub fn autoconvolve_argmax_with(scratch: &mut DspScratch, x: &[f64]) -> Option<u
     let best = (0..ac.len()).max_by(|&i, &j| ac[i].abs().total_cmp(&ac[j].abs()));
     scratch.put_real(ac);
     best
-}
-
-/// Index of the maximum-magnitude entry of the auto-convolution, i.e. the
-/// `2 n0` of Eq. 10 in the paper. Returns `None` for an empty input.
-pub fn autoconvolve_argmax(x: &[f64]) -> Option<usize> {
-    let ac = autoconvolve(x);
-    (0..ac.len()).max_by(|&i, &j| ac[i].abs().total_cmp(&ac[j].abs()))
 }
 
 #[cfg(test)]
@@ -140,7 +120,9 @@ mod tests {
     fn empty_inputs_give_empty_output() {
         assert!(convolve(&[], &[1.0]).is_empty());
         assert!(convolve(&[1.0], &[]).is_empty());
-        assert!(convolve_fft(&[], &[1.0]).is_empty());
+        let mut out = vec![1.0];
+        convolve_fft_with(&mut DspScratch::new(), &[], &[1.0], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -167,7 +149,8 @@ mod tests {
         let a: Vec<f64> = (0..137).map(|i| ((i * 13 % 31) as f64) - 15.0).collect();
         let b: Vec<f64> = (0..83).map(|i| ((i * 7 % 17) as f64) * 0.1).collect();
         let direct = convolve(&a, &b);
-        let fast = convolve_fft(&a, &b);
+        let mut fast = Vec::new();
+        convolve_fft_with(&mut DspScratch::new(), &a, &b, &mut fast);
         assert_eq!(direct.len(), fast.len());
         for (d, f) in direct.iter().zip(&fast) {
             assert!((d - f).abs() < 1e-8, "{d} vs {f}");
@@ -184,7 +167,7 @@ mod tests {
                 (-t * t).exp()
             })
             .collect();
-        assert_eq!(autoconvolve_argmax(&x), Some(16));
+        assert_eq!(autoconvolve_argmax_with(&mut DspScratch::new(), &x), Some(16));
     }
 
     #[test]
@@ -197,20 +180,23 @@ mod tests {
                 t * (-t * t).exp()
             })
             .collect();
-        assert_eq!(autoconvolve_argmax(&x), Some(20));
+        assert_eq!(autoconvolve_argmax_with(&mut DspScratch::new(), &x), Some(20));
     }
 
     #[test]
     fn autoconvolve_length() {
         let x = vec![1.0; 10];
-        assert_eq!(autoconvolve(&x).len(), 19);
-        assert_eq!(autoconvolve_argmax::<>(&[]), None);
+        let mut ac = Vec::new();
+        autoconvolve_with(&mut DspScratch::new(), &x, &mut ac);
+        assert_eq!(ac.len(), 19);
+        assert_eq!(autoconvolve_argmax_with(&mut DspScratch::new(), &[]), None);
     }
 
     #[test]
     fn long_autoconvolution_uses_fft_and_matches_direct() {
         let x: Vec<f64> = (0..200).map(|i| ((i * 31 % 101) as f64) / 50.0 - 1.0).collect();
-        let fast = autoconvolve(&x);
+        let mut fast = Vec::new();
+        autoconvolve_with(&mut DspScratch::new(), &x, &mut fast);
         let direct = convolve(&x, &x);
         for (f, d) in fast.iter().zip(&direct) {
             assert!((f - d).abs() < 1e-7);

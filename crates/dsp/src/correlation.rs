@@ -5,6 +5,7 @@
 //! and cross-correlation with the transmitted chirp locates echo arrivals.
 
 use crate::error::DspError;
+use crate::plan::DspScratch;
 
 /// Pearson correlation coefficient between two equal-length sequences.
 ///
@@ -78,10 +79,14 @@ pub fn pearson_scalar(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
 /// lags, i.e. `convolve(a, reverse(b))`.
 ///
 /// Output length is `a.len() + b.len() - 1`; the zero-lag term sits at index
-/// `b.len() - 1`. Empty inputs yield an empty output.
+/// `b.len() - 1`. Empty inputs yield an empty output. The FFT plan is sized
+/// from the input lengths and stays resident for the life of the process
+/// ([`crate::plan::FftPlan::shared`]).
 pub fn cross_correlate(a: &[f64], b: &[f64]) -> Vec<f64> {
     let reversed: Vec<f64> = b.iter().rev().copied().collect();
-    crate::convolution::convolve_fft(a, &reversed)
+    let mut out = Vec::new();
+    crate::convolution::convolve_fft_with(&mut DspScratch::new(), a, &reversed, &mut out);
+    out
 }
 
 /// Lag (in samples) at which `b` best aligns inside `a`, found by maximizing

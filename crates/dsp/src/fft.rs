@@ -1,15 +1,10 @@
-//! Fast Fourier transform.
+//! FFT sizing and bin arithmetic.
 //!
-//! An iterative, in-place radix-2 Cooley–Tukey FFT with convenience wrappers
-//! for real-valued signals and arbitrary-length inputs (via zero-padding).
 //! EarSonar uses the FFT for echo power spectra (paper §IV-C-1), MFCC
-//! extraction, and fast auto-convolution in the segmentation stage.
-
-use crate::complex::Complex64;
-use crate::error::DspError;
-use crate::plan::FftPlan;
-#[cfg(test)]
-use std::f64::consts::PI;
+//! extraction, and fast auto-convolution in the segmentation stage. The
+//! transforms themselves are the planned ones in [`crate::plan`]; this
+//! module holds the helpers every caller shares: power-of-two padding and
+//! the bin ↔ frequency mapping.
 
 /// Returns the smallest power of two that is `>= n` (and at least 1).
 ///
@@ -31,124 +26,6 @@ pub fn next_pow2(n: usize) -> usize {
 /// Returns `true` if `n` is a power of two (and non-zero).
 pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
-}
-
-/// One-shot transform: builds a throwaway [`FftPlan`] and executes it.
-/// Callers that transform the same size repeatedly should keep a plan (or
-/// a [`crate::plan::DspScratch`]) instead — that is where the planning
-/// cost amortizes away.
-// lint: hot-path
-fn fft_in_place_dir(data: &mut [Complex64], inverse: bool) {
-    debug_assert!(is_pow2(data.len()));
-    // lint: allow(panic) every caller validates or pads to a power of two; a non-pow2 length is a bug worth failing loudly on
-    let plan = FftPlan::new(data.len()).expect("power-of-two FFT length");
-    // lint: allow(panic) the plan was built for data.len() two lines up, so the sizes cannot disagree
-    plan.execute_in_place(data, inverse).expect("planned size");
-}
-
-/// Computes the in-place forward FFT of a power-of-two-length buffer.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidLength`] if the length is not a power of two,
-/// and [`DspError::EmptyInput`] on an empty buffer.
-// lint: hot-path
-pub fn fft_in_place(data: &mut [Complex64]) -> Result<(), DspError> {
-    if data.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if !is_pow2(data.len()) {
-        return Err(DspError::InvalidLength {
-            expected: "a power of two",
-            actual: data.len(),
-        });
-    }
-    fft_in_place_dir(data, false);
-    Ok(())
-}
-
-/// Computes the in-place inverse FFT of a power-of-two-length buffer.
-///
-/// The result is normalized by `1/N`, so `ifft(fft(x)) == x`.
-///
-/// # Errors
-///
-/// Same conditions as [`fft_in_place`].
-// lint: hot-path
-pub fn ifft_in_place(data: &mut [Complex64]) -> Result<(), DspError> {
-    if data.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if !is_pow2(data.len()) {
-        return Err(DspError::InvalidLength {
-            expected: "a power of two",
-            actual: data.len(),
-        });
-    }
-    fft_in_place_dir(data, true);
-    Ok(())
-}
-
-/// Computes the FFT of a complex signal, zero-padding to the next power of
-/// two if necessary.
-///
-/// The returned buffer has power-of-two length `>= input.len()`.
-pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
-    let n = next_pow2(input.len().max(1));
-    let mut buf = vec![Complex64::ZERO; n];
-    buf[..input.len()].copy_from_slice(input);
-    fft_in_place_dir(&mut buf, false);
-    buf
-}
-
-/// Computes the inverse FFT of a complex spectrum, zero-padding to the next
-/// power of two if necessary.
-pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
-    let n = next_pow2(input.len().max(1));
-    let mut buf = vec![Complex64::ZERO; n];
-    buf[..input.len()].copy_from_slice(input);
-    fft_in_place_dir(&mut buf, true);
-    buf
-}
-
-/// Computes the FFT of a real signal, zero-padding to the next power of two.
-///
-/// # Example
-///
-/// ```
-/// use earsonar_dsp::fft::fft_real;
-/// // The DC bin of a constant signal carries the sum of the samples.
-/// let spec = fft_real(&[1.0; 8]);
-/// assert!((spec[0].re - 8.0).abs() < 1e-12);
-/// assert!(spec[1].norm() < 1e-12);
-/// ```
-pub fn fft_real(input: &[f64]) -> Vec<Complex64> {
-    let n = next_pow2(input.len().max(1));
-    let mut buf = vec![Complex64::ZERO; n];
-    for (dst, &src) in buf.iter_mut().zip(input.iter()) {
-        *dst = Complex64::from_real(src);
-    }
-    fft_in_place_dir(&mut buf, false);
-    buf
-}
-
-/// Computes the FFT of a real signal zero-padded (or truncated) to `n_fft`
-/// points. `n_fft` is rounded up to the next power of two.
-pub fn fft_real_padded(input: &[f64], n_fft: usize) -> Vec<Complex64> {
-    let n = next_pow2(n_fft.max(1));
-    let m = input.len().min(n);
-    let mut buf = vec![Complex64::ZERO; n];
-    for (dst, &src) in buf.iter_mut().zip(input[..m].iter()) {
-        *dst = Complex64::from_real(src);
-    }
-    fft_in_place_dir(&mut buf, false);
-    buf
-}
-
-/// Recovers a real signal from its spectrum (the imaginary residue of the
-/// inverse transform is discarded).
-pub fn ifft_real(input: &[Complex64]) -> Vec<f64> {
-    ifft(input).into_iter().map(|z| z.re).collect()
 }
 
 /// Returns the frequency in hertz of FFT bin `k` for an `n`-point transform
@@ -185,6 +62,8 @@ pub fn frequency_bin(f_hz: f64, n: usize, fs: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::FftPlan;
+    use std::f64::consts::PI;
 
     fn assert_close(a: f64, b: f64, eps: f64) {
         assert!((a - b).abs() < eps, "{a} != {b} (eps {eps})");
@@ -202,53 +81,11 @@ mod tests {
     }
 
     #[test]
-    fn fft_rejects_non_pow2() {
-        let mut buf = vec![Complex64::ZERO; 3];
-        assert!(matches!(
-            fft_in_place(&mut buf),
-            Err(DspError::InvalidLength { .. })
-        ));
-        let mut empty: Vec<Complex64> = vec![];
-        assert!(matches!(fft_in_place(&mut empty), Err(DspError::EmptyInput)));
-    }
-
-    #[test]
-    fn fft_of_impulse_is_flat() {
-        let mut x = vec![Complex64::ZERO; 16];
-        x[0] = Complex64::ONE;
-        fft_in_place(&mut x).unwrap();
-        for z in &x {
-            assert_close(z.re, 1.0, 1e-12);
-            assert_close(z.im, 0.0, 1e-12);
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // textbook DFT definition
-    fn fft_matches_naive_dft() {
-        let n = 32;
-        let x: Vec<Complex64> = (0..n)
-            .map(|i| Complex64::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
-            .collect();
-        let fast = fft(&x);
-        for k in 0..n {
-            let mut acc = Complex64::ZERO;
-            for (i, &xi) in x.iter().enumerate() {
-                acc += xi * Complex64::cis(-2.0 * PI * (k * i) as f64 / n as f64);
-            }
-            assert!((fast[k] - acc).norm() < 1e-9, "bin {k} mismatch");
-        }
-    }
-
-    #[test]
-    fn round_trip_recovers_signal() {
-        let x: Vec<Complex64> = (0..64)
-            .map(|i| Complex64::new((i as f64).sin(), (i as f64 * 2.0).cos()))
-            .collect();
-        let y = ifft(&fft(&x));
-        for (a, b) in x.iter().zip(y.iter()) {
-            assert!((*a - *b).norm() < 1e-10);
-        }
+    fn is_pow2_edge_cases() {
+        assert!(!is_pow2(0));
+        assert!(is_pow2(1));
+        assert!(!is_pow2(3));
+        assert!(is_pow2(1 << 40));
     }
 
     #[test]
@@ -259,7 +96,8 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| (2.0 * PI * f * i as f64 / fs).sin())
             .collect();
-        let spec = fft_real(&x);
+        let mut spec = Vec::new();
+        FftPlan::shared(n).unwrap().forward_from_real(&x, &mut spec);
         let k = frequency_bin(f, n, fs);
         let mag_k = spec[k].norm();
         // Energy concentrated at bin k: magnitude ~ n/2 for unit sine.
@@ -270,22 +108,11 @@ mod tests {
     fn parseval_energy_is_preserved() {
         let x: Vec<f64> = (0..128).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let n = x.len();
-        let spec = fft_real(&x);
+        let mut spec = Vec::new();
+        FftPlan::shared(n).unwrap().forward_from_real(&x, &mut spec);
         let time_energy: f64 = x.iter().map(|v| v * v).sum();
         let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert_close(time_energy, freq_energy, 1e-8);
-    }
-
-    #[test]
-    fn hermitian_symmetry_for_real_input() {
-        let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.11).cos()).collect();
-        let spec = fft_real(&x);
-        let n = spec.len();
-        for k in 1..n / 2 {
-            let a = spec[k];
-            let b = spec[n - k].conj();
-            assert!((a - b).norm() < 1e-10);
-        }
     }
 
     #[test]
@@ -301,32 +128,6 @@ mod tests {
         for f in [0.0, 1000.0, 16_000.0, 18_000.0, 20_000.0] {
             let k = frequency_bin(f, n, fs);
             assert!((bin_frequency(k, n, fs) - f).abs() <= fs / n as f64 / 2.0 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn padded_fft_truncates_and_pads() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let spec = fft_real_padded(&x, 4);
-        assert_eq!(spec.len(), 4);
-        assert_close(spec[0].re, 10.0, 1e-12); // 1+2+3+4
-        let spec2 = fft_real_padded(&x, 8);
-        assert_eq!(spec2.len(), 8);
-        assert_close(spec2[0].re, 15.0, 1e-12);
-    }
-
-    #[test]
-    fn linearity_of_fft() {
-        let a: Vec<Complex64> = (0..32).map(|i| Complex64::new(i as f64, 0.0)).collect();
-        let b: Vec<Complex64> = (0..32)
-            .map(|i| Complex64::new(0.0, (i as f64).sin()))
-            .collect();
-        let sum: Vec<Complex64> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();
-        let fa = fft(&a);
-        let fb = fft(&b);
-        let fsum = fft(&sum);
-        for k in 0..32 {
-            assert!((fsum[k] - (fa[k] + fb[k])).norm() < 1e-9);
         }
     }
 }

@@ -88,7 +88,8 @@ pub fn goertzel_magnitude(signal: &[f64], f_hz: f64, fs: f64) -> Result<f64, Dsp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::{fft_real, frequency_bin};
+    use crate::fft::frequency_bin;
+    use crate::plan::FftPlan;
 
     #[test]
     fn magnitude_matches_fft_bin() {
@@ -100,7 +101,8 @@ mod tests {
                     + 0.5 * (2.0 * PI * 9_000.0 * i as f64 / fs).cos()
             })
             .collect();
-        let spec = fft_real(&x);
+        let mut spec = Vec::new();
+        FftPlan::shared(n).unwrap().forward_from_real(&x, &mut spec);
         for f in [3_000.0, 9_000.0] {
             let k = frequency_bin(f, n, fs);
             let g = goertzel_magnitude(&x, f, fs).unwrap();

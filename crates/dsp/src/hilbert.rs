@@ -7,19 +7,13 @@
 
 use crate::complex::Complex64;
 use crate::fft::next_pow2;
-use crate::plan::DspScratch;
+use crate::plan::{DspScratch, FftPlan, RealFftPlan};
 
 /// Computes the analytic signal of `x` (zero-padded to a power of two;
-/// only the first `x.len()` samples are returned).
-pub fn analytic_signal(x: &[f64]) -> Vec<Complex64> {
-    let mut scratch = DspScratch::new();
-    let mut out = Vec::new();
-    analytic_signal_with(&mut scratch, x, &mut out);
-    out
-}
-
-/// [`analytic_signal`] writing into a caller-owned buffer, with plans and
-/// intermediates drawn from `scratch` — allocation-free once warm.
+/// only the first `x.len()` samples are returned) into a caller-owned
+/// buffer, with intermediates drawn from `scratch` — allocation-free once
+/// warm. The FFT plans are sized from the input length and stay resident
+/// for the life of the process ([`FftPlan::shared`]).
 // lint: hot-path
 pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<Complex64>) {
     out.clear();
@@ -28,9 +22,9 @@ pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<C
     }
     let n = next_pow2(x.len());
     // lint: allow(panic) next_pow2 always yields a nonzero power of two, which a plan never rejects
-    let rplan = scratch.real_plan(n).expect("valid plan size");
+    let rplan = RealFftPlan::shared(n).expect("valid plan size");
     // lint: allow(panic) same power-of-two n as the real plan above
-    let cplan = scratch.plan(n).expect("valid plan size");
+    let cplan = FftPlan::shared(n).expect("valid plan size");
     let mut work = scratch.take_complex();
     let mut spec = scratch.take_complex();
     // lint: allow(panic) x.len() <= n by construction of n, so the input fits the padded plan
@@ -54,24 +48,22 @@ pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<C
     scratch.put_complex(work);
 }
 
-/// The envelope `|analytic(x)|` of a signal.
+/// The envelope `|analytic(x)|` of a signal, written into a caller-owned
+/// buffer via `scratch`.
 ///
 /// # Example
 ///
 /// ```
-/// use earsonar_dsp::hilbert::envelope;
+/// use earsonar_dsp::hilbert::envelope_with;
+/// use earsonar_dsp::plan::DspScratch;
 /// // The envelope of a pure tone is (nearly) constant.
 /// let x: Vec<f64> = (0..256)
 ///     .map(|i| (2.0 * std::f64::consts::PI * 0.25 * i as f64).sin())
 ///     .collect();
-/// let env = envelope(&x);
+/// let mut env = Vec::new();
+/// envelope_with(&mut DspScratch::new(), &x, &mut env);
 /// assert!(env[64..192].iter().all(|&e| (e - 1.0).abs() < 0.05));
 /// ```
-pub fn envelope(x: &[f64]) -> Vec<f64> {
-    analytic_signal(x).into_iter().map(|z| z.norm()).collect()
-}
-
-/// [`envelope`] writing into a caller-owned buffer via `scratch`.
 // lint: hot-path
 pub fn envelope_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<f64>) {
     let mut analytic = scratch.take_complex();
@@ -117,7 +109,8 @@ mod tests {
                 (-t * t).exp() * (2.0 * PI * 0.3 * i as f64).sin()
             })
             .collect();
-        let env = envelope(&x);
+        let mut env = Vec::new();
+        envelope_with(&mut DspScratch::new(), &x, &mut env);
         // Envelope peaks near the burst centre with ~unit height.
         let peak = (0..n).max_by(|&a, &b| env[a].total_cmp(&env[b])).unwrap();
         assert!((peak as isize - 256).abs() < 4, "peak at {peak}");
@@ -127,7 +120,8 @@ mod tests {
     #[test]
     fn analytic_signal_real_part_is_input() {
         let x: Vec<f64> = (0..128).map(|i| (i as f64 * 0.37).sin()).collect();
-        let a = analytic_signal(&x);
+        let mut a = Vec::new();
+        analytic_signal_with(&mut DspScratch::new(), &x, &mut a);
         for (orig, z) in x.iter().zip(&a) {
             assert!((orig - z.re).abs() < 1e-9);
         }
@@ -135,8 +129,11 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        assert!(analytic_signal(&[]).is_empty());
-        assert!(envelope(&[]).is_empty());
+        let mut scratch = DspScratch::new();
+        let (mut a, mut env) = (vec![Complex64::ONE], vec![1.0]);
+        analytic_signal_with(&mut scratch, &[], &mut a);
+        envelope_with(&mut scratch, &[], &mut env);
+        assert!(a.is_empty() && env.is_empty());
         assert_eq!(refine_peak(&[], 0, 2), None);
     }
 

@@ -6,9 +6,10 @@
 //! inside the ear canal. Every numerical kernel the pipeline needs is
 //! implemented here, from scratch, with no external DSP dependencies:
 //!
-//! * [`fft`] — iterative radix-2 fast Fourier transform and helpers,
-//! * [`plan`] — planned FFTs (precomputed twiddles, real-input halving)
-//!   and the [`DspScratch`] buffer workspace for allocation-free reuse,
+//! * [`plan`] — planned radix-2 FFTs (precomputed twiddles, real-input
+//!   halving), one shared plan per size for the whole process, and the
+//!   [`DspScratch`] buffer pool for allocation-free reuse,
+//! * [`fft`] — power-of-two sizing and bin ↔ frequency helpers,
 //! * [`filter`] — biquad cascades and Butterworth band-pass design,
 //! * [`window`] — Hann/Hamming/Blackman tapers,
 //! * [`psd`] — periodogram and Welch power-spectral-density estimates,
@@ -25,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use earsonar_dsp::fft::fft_real;
+//! use earsonar_dsp::plan::RealFftPlan;
 //! use earsonar_dsp::window::Window;
 //!
 //! // A 1 kHz tone sampled at 48 kHz shows up in the right FFT bin.
@@ -35,7 +36,9 @@
 //!     .map(|i| (2.0 * std::f64::consts::PI * 1_000.0 * i as f64 / fs).sin())
 //!     .collect();
 //! let tapered = Window::Hann.apply(&tone);
-//! let spectrum = fft_real(&tapered);
+//! let plan = RealFftPlan::shared(n).unwrap();
+//! let (mut work, mut spectrum) = (Vec::new(), Vec::new());
+//! plan.forward_into(&tapered, &mut work, &mut spectrum).unwrap();
 //! let peak_bin = (0..n / 2)
 //!     .max_by(|&a, &b| spectrum[a].norm().total_cmp(&spectrum[b].norm()))
 //!     .unwrap();

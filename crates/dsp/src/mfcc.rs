@@ -10,7 +10,7 @@
 use crate::error::DspError;
 use crate::fft::next_pow2;
 use crate::mel::MelFilterBank;
-use crate::plan::DspScratch;
+use crate::plan::{DspScratch, RealFftPlan};
 use crate::window::Window;
 use std::f64::consts::PI;
 
@@ -154,8 +154,9 @@ impl MfccExtractor {
     }
 
     /// [`MfccExtractor::extract`] writing into a caller-owned buffer, with
-    /// the FFT plan and every intermediate (windowed frame, spectrum, power,
-    /// mel energies) drawn from `scratch` — allocation-free once warm.
+    /// the shared FFT plan and every intermediate (windowed frame, spectrum,
+    /// power, mel energies) drawn from `scratch` — allocation-free once
+    /// warm.
     ///
     /// Only the `n_coeffs` retained cepstral coefficients are computed,
     /// rather than the full DCT.
@@ -185,7 +186,7 @@ impl MfccExtractor {
             self.config.window.apply_in_place(&mut frame);
         }
 
-        let plan = scratch.real_plan(self.n_fft)?;
+        let plan = RealFftPlan::shared(self.n_fft)?;
         let mut work = scratch.take_complex();
         let mut spec = scratch.take_complex();
         plan.forward_into(&frame, &mut work, &mut spec)?;
@@ -257,7 +258,7 @@ impl MfccExtractor {
         frame.extend_from_slice(&segment[..take]);
         self.config.window.apply_in_place(&mut frame);
 
-        let plan = scratch.real_plan(self.n_fft)?;
+        let plan = RealFftPlan::shared(self.n_fft)?;
         let mut work = scratch.take_complex();
         let mut spec = scratch.take_complex();
         plan.forward_into(&frame, &mut work, &mut spec)?;

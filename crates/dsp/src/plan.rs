@@ -2,21 +2,24 @@
 //!
 //! The detection pipeline transforms the *same handful of sizes* thousands
 //! of times per recording (one Wiener deconvolution per chirp, one echo
-//! spectrum per impulse response, one MFCC frame per echo window, …). The
-//! free functions in [`crate::fft`] rebuild the twiddle factors and
-//! allocate fresh buffers on every call; this module factors that work out:
+//! spectrum per impulse response, one MFCC frame per echo window, …). This
+//! module factors the per-size work out of the transforms:
 //!
 //! * [`FftPlan`] — a radix-2 transform of one fixed power-of-two size with
 //!   the bit-reversal permutation and per-stage twiddle factors precomputed
 //!   once,
 //! * [`RealFftPlan`] — an `N`-point transform of *real* input computed via
 //!   an `N/2`-point complex FFT (half the butterflies of the generic path),
-//! * [`DspScratch`] — a per-worker workspace caching plans by size and
-//!   pooling intermediate buffers, so the planned kernels perform **zero
-//!   heap allocation per call once warm**.
+//! * [`FftPlan::shared`] / [`RealFftPlan::shared`] — the process-wide plan
+//!   of each size, built on first request and never rebuilt, so every
+//!   caller and every worker thread reads the same twiddle tables,
+//! * [`DspScratch`] — a per-worker pool of intermediate buffers, so the
+//!   planned kernels perform **zero heap allocation per call once warm**.
 //!
-//! Plans are immutable after construction; a [`DspScratch`] is `!Sync` by
-//! design — a [`crate::fanout`] worker owns one for its whole lifetime.
+//! A plan is a pure function of its size, so a shared plan computes the
+//! same bits as a freshly built one. Plans are immutable after
+//! construction; a [`DspScratch`] is owned by one [`crate::fanout`] worker
+//! for its whole lifetime.
 //!
 //! # Example
 //!
@@ -24,7 +27,7 @@
 //! use earsonar_dsp::plan::FftPlan;
 //! use earsonar_dsp::Complex64;
 //!
-//! let plan = FftPlan::new(8).unwrap();
+//! let plan = FftPlan::shared(8).unwrap();
 //! let mut buf = vec![Complex64::ZERO; 8];
 //! buf[0] = Complex64::ONE;
 //! plan.forward(&mut buf).unwrap();
@@ -35,9 +38,20 @@
 use crate::complex::Complex64;
 use crate::error::DspError;
 use crate::fft::is_pow2;
-use std::collections::BTreeMap;
 use std::f64::consts::PI;
-use std::rc::Rc;
+use std::sync::OnceLock;
+
+/// One table slot per power-of-two size, indexed by `log2 n`.
+const SLOTS: usize = usize::BITS as usize;
+static PLANS: [OnceLock<FftPlan>; SLOTS] = [const { OnceLock::new() }; SLOTS];
+static REAL_PLANS: [OnceLock<RealFftPlan>; SLOTS] = [const { OnceLock::new() }; SLOTS];
+
+/// Twiddles `cis(-2π k / n)` for `k < n/2`.
+fn twiddles(n: usize) -> Vec<Complex64> {
+    (0..n / 2)
+        .map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64))
+        .collect()
+}
 
 fn check_pow2(n: usize) -> Result<(), DspError> {
     if n == 0 {
@@ -77,15 +91,42 @@ impl FftPlan {
     /// [`DspError::InvalidLength`] if `n` is not a power of two.
     pub fn new(n: usize) -> Result<Self, DspError> {
         check_pow2(n)?;
+        Ok(Self::build(n))
+    }
+
+    /// The process-wide `n`-point plan, built on first request. Every later
+    /// call, from any thread, returns the same plan.
+    ///
+    /// A shared plan is never freed: once a size has been requested, its
+    /// bit-reversal table and twiddles (12 bytes per point) stay resident
+    /// for the life of the process. Functions that size their
+    /// transform from the input length say so in their docs.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FftPlan::new`].
+    pub fn shared(n: usize) -> Result<&'static Self, DspError> {
+        check_pow2(n)?;
+        Ok(Self::shared_checked(n))
+    }
+
+    /// [`FftPlan::shared`] for a size already checked to be a power of two.
+    fn shared_checked(n: usize) -> &'static Self {
+        PLANS[n.trailing_zeros() as usize].get_or_init(|| Self::build(n))
+    }
+
+    /// Builds the plan of a size already checked to be a power of two.
+    fn build(n: usize) -> Self {
         let log2n = n.trailing_zeros();
         let mut rev = vec![0u32; n];
         for i in 1..n {
             rev[i] = (rev[i >> 1] >> 1) | (((i & 1) as u32) << (log2n - 1));
         }
-        let tw = (0..n / 2)
-            .map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64))
-            .collect();
-        Ok(FftPlan { n, rev, tw })
+        FftPlan {
+            n,
+            rev,
+            tw: twiddles(n),
+        }
     }
 
     /// The transform size this plan was built for.
@@ -132,6 +173,20 @@ impl FftPlan {
     /// Returns [`DspError::InvalidLength`] on a size mismatch.
     pub fn inverse(&self, data: &mut [Complex64]) -> Result<(), DspError> {
         self.execute_in_place(data, true)
+    }
+
+    /// Forward transform of real input promoted to complex: `out` is
+    /// resized to the planned size and holds the first `n` samples of `x`,
+    /// zero-padded, before the full complex transform runs in place.
+    ///
+    /// This is the generic complex path, not [`RealFftPlan`]'s half-size
+    /// one; the two agree to rounding, not bit for bit.
+    // lint: hot-path
+    pub fn forward_from_real(&self, x: &[f64], out: &mut Vec<Complex64>) {
+        out.clear();
+        out.extend(x.iter().take(self.n).map(|&v| Complex64::from_real(v)));
+        out.resize(self.n, Complex64::ZERO);
+        self.run(out, false);
     }
 
     // lint: hot-path
@@ -183,8 +238,8 @@ impl FftPlan {
 #[derive(Debug, Clone)]
 pub struct RealFftPlan {
     n: usize,
-    /// Half-size complex plan (size 1 placeholder when `n == 1`).
-    half: FftPlan,
+    /// Shared half-size complex plan (size 1 placeholder when `n == 1`).
+    half: &'static FftPlan,
     /// `tw[k] = cis(-2π k / n)` for `k < n/2` (full-size twiddles used by
     /// the pack/unpack recombination).
     tw: Vec<Complex64>,
@@ -199,11 +254,30 @@ impl RealFftPlan {
     /// [`DspError::InvalidLength`] if `n` is not a power of two.
     pub fn new(n: usize) -> Result<Self, DspError> {
         check_pow2(n)?;
-        let half = FftPlan::new((n / 2).max(1))?;
-        let tw = (0..n / 2)
-            .map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64))
-            .collect();
-        Ok(RealFftPlan { n, half, tw })
+        Ok(Self::build(n))
+    }
+
+    /// The process-wide `n`-point real plan, built on first request. Every
+    /// later call, from any thread, returns the same plan.
+    ///
+    /// Like [`FftPlan::shared`], it is never freed, and neither is the
+    /// half-size complex plan it runs on.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RealFftPlan::new`].
+    pub fn shared(n: usize) -> Result<&'static Self, DspError> {
+        check_pow2(n)?;
+        Ok(REAL_PLANS[n.trailing_zeros() as usize].get_or_init(|| Self::build(n)))
+    }
+
+    /// Builds the plan of a size already checked to be a power of two.
+    fn build(n: usize) -> Self {
+        RealFftPlan {
+            n,
+            half: FftPlan::shared_checked((n / 2).max(1)),
+            tw: twiddles(n),
+        }
     }
 
     /// The transform size this plan was built for.
@@ -324,58 +398,25 @@ impl RealFftPlan {
     }
 }
 
-/// A reusable DSP workspace: plans cached by size plus pools of
-/// intermediate buffers.
+/// A reusable DSP workspace: pools of intermediate buffers.
 ///
 /// The planned kernels (`convolve_fft_with`, `envelope_with`,
 /// `MfccExtractor::extract_into`, `ChannelEstimator::estimate_with`, …)
-/// borrow everything they need from one of these, so a warm scratch makes
+/// take their plans from the shared table ([`FftPlan::shared`]) and borrow
+/// every intermediate buffer from one of these, so a warm scratch makes
 /// them allocation-free. Create one per worker thread and keep it across
-/// calls; creation itself is cheap (empty maps and pools).
+/// calls; creation itself is cheap (empty pools).
 #[derive(Debug, Default)]
 pub struct DspScratch {
-    plans: BTreeMap<usize, Rc<FftPlan>>,
-    real_plans: BTreeMap<usize, Rc<RealFftPlan>>,
     complex_pool: Vec<Vec<Complex64>>,
     real_pool: Vec<Vec<f64>>,
 }
 
 impl DspScratch {
-    /// An empty workspace. Plans and buffers are created lazily on first
-    /// use and retained for the workspace's lifetime.
+    /// An empty workspace. Buffers are created lazily on first use and
+    /// retained for the workspace's lifetime.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The cached `n`-point complex plan, building it on first request.
-    ///
-    /// The plan is handed out by cheap `Rc` clone so callers can hold it
-    /// while continuing to borrow buffers from the workspace.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FftPlan::new`] errors for invalid sizes.
-    pub fn plan(&mut self, n: usize) -> Result<Rc<FftPlan>, DspError> {
-        if let Some(p) = self.plans.get(&n) {
-            return Ok(Rc::clone(p));
-        }
-        let p = Rc::new(FftPlan::new(n)?);
-        self.plans.insert(n, Rc::clone(&p));
-        Ok(p)
-    }
-
-    /// The cached `n`-point real plan, building it on first request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RealFftPlan::new`] errors for invalid sizes.
-    pub fn real_plan(&mut self, n: usize) -> Result<Rc<RealFftPlan>, DspError> {
-        if let Some(p) = self.real_plans.get(&n) {
-            return Ok(Rc::clone(p));
-        }
-        let p = Rc::new(RealFftPlan::new(n)?);
-        self.real_plans.insert(n, Rc::clone(&p));
-        Ok(p)
     }
 
     /// Borrows a complex buffer from the pool (empty, capacity retained
@@ -450,15 +491,36 @@ mod tests {
     }
 
     #[test]
-    fn scratch_caches_plans_and_pools_buffers() {
-        let mut s = DspScratch::new();
-        let a = s.plan(16).unwrap();
-        let b = s.plan(16).unwrap();
-        assert!(Rc::ptr_eq(&a, &b));
-        let ra = s.real_plan(16).unwrap();
-        let rb = s.real_plan(16).unwrap();
-        assert!(Rc::ptr_eq(&ra, &rb));
+    fn shared_plans_are_built_once() {
+        assert!(std::ptr::eq(
+            FftPlan::shared(16).unwrap(),
+            FftPlan::shared(16).unwrap()
+        ));
+        assert!(std::ptr::eq(
+            RealFftPlan::shared(16).unwrap(),
+            RealFftPlan::shared(16).unwrap()
+        ));
+        assert!(matches!(FftPlan::shared(0), Err(DspError::EmptyInput)));
+        assert!(matches!(
+            RealFftPlan::shared(12),
+            Err(DspError::InvalidLength { .. })
+        ));
+    }
 
+    #[test]
+    fn forward_from_real_pads_and_truncates() {
+        let plan = FftPlan::shared(4).unwrap();
+        let mut spec = Vec::new();
+        plan.forward_from_real(&[1.0, 2.0, 3.0, 4.0, 5.0], &mut spec);
+        assert_eq!(spec.len(), 4);
+        assert!((spec[0].re - 10.0).abs() < 1e-12); // 1+2+3+4
+        plan.forward_from_real(&[1.0], &mut spec);
+        assert!(spec.iter().all(|z| *z == Complex64::ONE));
+    }
+
+    #[test]
+    fn scratch_pools_buffers() {
+        let mut s = DspScratch::new();
         let mut buf = s.take_complex();
         buf.resize(64, Complex64::ZERO);
         let cap = buf.capacity();

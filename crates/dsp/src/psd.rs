@@ -6,7 +6,8 @@
 //! session-level PSD curves of Figs. 9–11.
 
 use crate::error::DspError;
-use crate::fft::{fft_real_padded, next_pow2};
+use crate::fft::next_pow2;
+use crate::plan::FftPlan;
 use crate::window::Window;
 
 /// A one-sided power spectral density estimate.
@@ -61,7 +62,9 @@ impl Psd {
 ///
 /// The estimate is normalized so that the mean of the PSD times the sample
 /// rate recovers the windowed signal power (standard periodogram scaling
-/// with the window's power gain divided out).
+/// with the window's power gain divided out). The FFT plan is sized from
+/// the signal length and stays resident for the life of the process
+/// ([`crate::plan::FftPlan::shared`]).
 ///
 /// # Errors
 ///
@@ -97,7 +100,8 @@ pub fn periodogram(signal: &[f64], fs: f64, window: Window) -> Result<Psd, DspEr
     let n = signal.len();
     let n_fft = next_pow2(n);
     let tapered = window.apply(signal);
-    let spec = fft_real_padded(&tapered, n_fft);
+    let mut spec = Vec::new();
+    FftPlan::shared(n_fft)?.forward_from_real(&tapered, &mut spec);
     let n_bins = n_fft / 2 + 1;
     let power_gain = window.power_gain(n).max(f64::MIN_POSITIVE);
     let scale = 1.0 / (fs * n as f64 * power_gain);

@@ -6,7 +6,7 @@
 
 use crate::error::DspError;
 use crate::fft::next_pow2;
-use crate::plan::DspScratch;
+use crate::plan::{DspScratch, RealFftPlan};
 use crate::window::Window;
 
 /// A magnitude spectrogram: `frames × bins` with the associated axes.
@@ -43,10 +43,10 @@ impl Spectrogram {
         Self::compute_with(&mut scratch, signal, fs, frame_len, hop, n_fft, window)
     }
 
-    /// [`Spectrogram::compute`] with the FFT plan and per-frame buffers
-    /// drawn from `scratch`, so repeated calls (and the per-frame loop
-    /// itself) stop allocating intermediates. The returned spectrogram
-    /// still owns its magnitude rows.
+    /// [`Spectrogram::compute`] with the per-frame buffers drawn from
+    /// `scratch`, so repeated calls (and the per-frame loop itself) stop
+    /// allocating intermediates. The returned spectrogram still owns its
+    /// magnitude rows.
     ///
     /// # Errors
     ///
@@ -83,7 +83,7 @@ impl Spectrogram {
             });
         }
         let actual_n = next_pow2(n_fft.max(frame_len));
-        let plan = scratch.real_plan(actual_n)?;
+        let plan = RealFftPlan::shared(actual_n)?;
         let mut frame = scratch.take_real();
         let mut work = scratch.take_complex();
         let mut spec = scratch.take_complex();

@@ -5,7 +5,8 @@
 //! used throughout the absorption analysis.
 
 use crate::error::DspError;
-use crate::fft::{fft_real_padded, next_pow2};
+use crate::fft::next_pow2;
+use crate::plan::FftPlan;
 use crate::window::Window;
 
 /// A one-sided amplitude spectrum.
@@ -21,7 +22,9 @@ pub struct AmplitudeSpectrum {
 
 impl AmplitudeSpectrum {
     /// Computes the one-sided amplitude spectrum `|FFT(x)| / N` of a signal,
-    /// zero-padded to at least `n_fft` points (power-of-two rounded).
+    /// zero-padded to at least `n_fft` points (power-of-two rounded). The
+    /// FFT plan of that size stays resident for the life of the process
+    /// ([`FftPlan::shared`]).
     ///
     /// # Errors
     ///
@@ -44,7 +47,8 @@ impl AmplitudeSpectrum {
         }
         let n = next_pow2(n_fft.max(signal.len()));
         let tapered = window.apply(signal);
-        let spec = fft_real_padded(&tapered, n);
+        let mut spec = Vec::new();
+        FftPlan::shared(n)?.forward_from_real(&tapered, &mut spec);
         let n_bins = n / 2 + 1;
         let coherent = window.coherent_gain(signal.len()).max(f64::MIN_POSITIVE);
         let scale = 1.0 / (signal.len() as f64 * coherent);

@@ -171,6 +171,9 @@ fn scan_chunks(bytes: &[u8]) -> Result<(WavFmt, &[u8]), DspError> {
     if fmt.1 == 0 {
         return Err(bad_wav("zero channels"));
     }
+    if fmt.2 == 0 {
+        return Err(bad_wav("zero sample rate"));
+    }
     Ok((fmt, data))
 }
 

@@ -5,12 +5,13 @@
 //! case is reproducible from its printed seed.
 
 use earsonar_dsp::complex::Complex64;
-use earsonar_dsp::convolution::{autoconvolve, convolve, convolve_fft};
+use earsonar_dsp::convolution::{autoconvolve_with, convolve, convolve_fft_with};
 use earsonar_dsp::correlation::pearson;
 use earsonar_dsp::dct::{dct2_orthonormal, dct3_orthonormal};
-use earsonar_dsp::fft::{fft, ifft, next_pow2};
+use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::filter::{butter_bandpass, butter_lowpass};
 use earsonar_dsp::interp::interp_linear;
+use earsonar_dsp::plan::{DspScratch, FftPlan};
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::stats::{self, Summary};
 use earsonar_dsp::window::Window;
@@ -29,7 +30,10 @@ fn fft_round_trip_recovers_signal() {
         let mut rng = DetRng::seed_from_u64(seed);
         let xs = finite_signal(&mut rng, 256);
         let input: Vec<Complex64> = xs.iter().map(|&v| Complex64::from_real(v)).collect();
-        let out = ifft(&fft(&input));
+        let plan = FftPlan::shared(next_pow2(xs.len())).unwrap();
+        let mut out = Vec::new();
+        plan.forward_from_real(&xs, &mut out);
+        plan.inverse(&mut out).unwrap();
         for (a, b) in input.iter().zip(out.iter()) {
             assert!((*a - *b).norm() < 1e-6 * (1.0 + a.norm()), "seed {seed}");
         }
@@ -42,7 +46,10 @@ fn parseval_holds_for_any_signal() {
         let mut rng = DetRng::seed_from_u64(seed);
         let xs = finite_signal(&mut rng, 256);
         let n = next_pow2(xs.len());
-        let spec = earsonar_dsp::fft::fft_real(&xs);
+        let mut spec = Vec::new();
+        FftPlan::shared(n)
+            .unwrap()
+            .forward_from_real(&xs, &mut spec);
         let te: f64 = xs.iter().map(|v| v * v).sum();
         let fe: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert!((te - fe).abs() <= 1e-6 * (1.0 + te), "seed {seed}");
@@ -56,7 +63,8 @@ fn direct_and_fft_convolution_agree() {
         let a = finite_signal(&mut rng, 64);
         let b = finite_signal(&mut rng, 64);
         let d = convolve(&a, &b);
-        let f = convolve_fft(&a, &b);
+        let mut f = Vec::new();
+        convolve_fft_with(&mut DspScratch::new(), &a, &b, &mut f);
         assert_eq!(d.len(), f.len());
         let scale: f64 = 1.0 + d.iter().map(|v| v.abs()).fold(0.0, f64::max);
         for (x, y) in d.iter().zip(&f) {
@@ -71,7 +79,8 @@ fn autoconvolution_invariants() {
         let mut rng = DetRng::seed_from_u64(seed);
         let xs = finite_signal(&mut rng, 64);
         // Endpoints are the squared end samples; the total sums to (Σx)².
-        let ac = autoconvolve(&xs);
+        let mut ac = Vec::new();
+        autoconvolve_with(&mut DspScratch::new(), &xs, &mut ac);
         let l = xs.len();
         assert_eq!(ac.len(), 2 * l - 1);
         let scale: f64 = 1.0 + ac.iter().map(|v| v.abs()).fold(0.0, f64::max);

@@ -36,11 +36,11 @@ use earsonar_acoustics::absorption::EardrumResponse;
 use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_acoustics::constants::EARSONAR_CHIRP_INTERVAL;
 use earsonar_acoustics::propagation::{
-    apply_frequency_response, apply_frequency_response_with, delay_fractional_allpass,
-    round_trip_delay_samples,
+    apply_frequency_response_with, delay_fractional_allpass_with, round_trip_delay_samples,
 };
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::fft::next_pow2;
+use earsonar_dsp::plan::{DspScratch, RealFftPlan};
 
 /// Everything configurable about one recording.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,21 +188,18 @@ pub fn synthesize_recording_with(
     }
 
     // One forward transform per source waveform, at a size covering the
-    // longest delayed copy (the same size the per-path one-shot calls pick
+    // longest delayed copy (the same size the per-path reference delays pick
     // for the default geometry).
     let n = next_pow2(scratch.tx_shaped.len() + max_delay.ceil() as usize + 1);
-    let plan = scratch
-        .dsp
-        .real_plan(n)
-        .expect("next_pow2 sizes are always valid");
+    let plan = RealFftPlan::shared(n).expect("next_pow2 sizes are always valid");
     let mut work = scratch.dsp.take_complex();
     scratch
         .tx_line
-        .load(&scratch.tx_shaped, &plan, &mut work)
+        .load(&scratch.tx_shaped, plan, &mut work)
         .expect("transform size covers the shaped chirp");
     scratch
         .echo_line
-        .load(&scratch.echo_shaped, &plan, &mut work)
+        .load(&scratch.echo_shaped, plan, &mut work)
         .expect("transform size covers the echo waveform");
 
     let total_len = hop * config.n_chirps;
@@ -260,8 +257,8 @@ pub fn synthesize_recording_with(
     }
 }
 
-/// The time-domain reference synthesis: one one-shot allpass delay (FFT
-/// pair) per path per chirp, summed in the time domain, with the current
+/// The time-domain reference synthesis: one allpass delay (FFT pair) per
+/// path per chirp, summed in the time domain, with the current
 /// (polar-method) noise generators.
 ///
 /// Kept as the reference implementation for the spectral path's
@@ -281,8 +278,15 @@ pub fn synthesize_recording_time_domain(
     let mut padded = tx.clone();
     padded.extend(std::iter::repeat_n(0.0, chirp_len.max(16)));
     let device = config.device;
-    let tx_shaped = apply_frequency_response(&padded, fs, |f| device.response_gain(f));
-    let echo_shaped = apply_frequency_response(&tx_shaped, fs, |f| response.reflectance_at(f));
+    let mut dsp = DspScratch::new();
+    let mut shape = |x: &[f64], gain: &dyn Fn(f64) -> f64| {
+        let mut out = Vec::new();
+        apply_frequency_response_with(x, fs, gain, &mut dsp, &mut out)
+            .expect("internally chosen power-of-two FFT sizes are always valid");
+        out
+    };
+    let tx_shaped = shape(&padded, &|f| device.response_gain(f));
+    let echo_shaped = shape(&tx_shaped, &|f| response.reflectance_at(f));
 
     let coupling = rng.jitter(1.0 - device.coupling_quality());
     let distance_offset = config.angle.sample_distance_offset(rng);
@@ -293,13 +297,18 @@ pub fn synthesize_recording_time_domain(
     let total_len = hop * config.n_chirps;
     let mut samples = vec![0.0; total_len];
     let seg_len = hop;
+    let mut delay_allpass = |x: &[f64], delay: f64, out: &mut Vec<f64>| {
+        delay_fractional_allpass_with(x, delay, seg_len, &mut dsp, out)
+            .expect("internally chosen power-of-two FFT sizes are always valid");
+    };
+    let (mut direct, mut wall, mut echo) = (Vec::new(), Vec::new(), Vec::new());
     for c in 0..config.n_chirps {
         let (delay_jit, gain_jit, transient) = config.motion.sample_disturbance(rng);
         let extra_jit = rng.gaussian(0.0, config.angle.extra_delay_jitter());
         let mut segment = vec![0.0; seg_len];
 
         // Direct leak.
-        let direct = delay_fractional_allpass(&tx_shaped, DIRECT_DELAY_SAMPLES, seg_len);
+        delay_allpass(&tx_shaped, DIRECT_DELAY_SAMPLES, &mut direct);
         let dgain = ear.direct_gain * coupling;
         for (s, d) in segment.iter_mut().zip(&direct) {
             *s += dgain * d;
@@ -309,7 +318,7 @@ pub fn synthesize_recording_time_domain(
         for &(dist, gain) in &ear.wall_paths {
             let delay =
                 round_trip_delay_samples(dist, fs) + DIRECT_DELAY_SAMPLES + rng.gaussian(0.0, 0.08);
-            let wall = delay_fractional_allpass(&tx_shaped, delay.max(0.0), seg_len);
+            delay_allpass(&tx_shaped, delay.max(0.0), &mut wall);
             let g = gain * config.angle.wall_gain_factor() * coupling * rng.jitter(0.04);
             for (s, w) in segment.iter_mut().zip(&wall) {
                 *s += g * w;
@@ -318,7 +327,7 @@ pub fn synthesize_recording_time_domain(
 
         // Eardrum echo.
         let delay = (eardrum_delay + delay_jit + extra_jit).max(0.0);
-        let echo = delay_fractional_allpass(&echo_shaped, delay, seg_len);
+        delay_allpass(&echo_shaped, delay, &mut echo);
         let g = eardrum_gain * gain_jit;
         for (s, e) in segment.iter_mut().zip(&echo) {
             *s += g * e;
@@ -440,7 +449,7 @@ mod tests {
     #[test]
     fn spectral_matches_time_domain_reference() {
         // The tentpole equivalence: spectral accumulation with one inverse
-        // FFT per chirp vs. the per-path one-shot reference, same seeds.
+        // FFT per chirp vs. the per-path time-domain reference, same seeds.
         let resp = EardrumResponse::clear();
         let mut scratch = SimScratch::new();
         for (seed, motion) in [(2u64, Motion::Sit), (9, Motion::Walking), (21, Motion::Nodding)] {
