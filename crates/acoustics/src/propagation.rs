@@ -17,7 +17,7 @@ use crate::constants::SPEED_OF_SOUND_AIR;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::error::DspError;
 use earsonar_dsp::fft::next_pow2;
-use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, LaneFrame, RealFftPlan};
 use std::f64::consts::PI;
 
 /// One propagation path: a delay and a broadband gain.
@@ -119,7 +119,8 @@ pub fn delay_fractional(x: &[f64], delay_samples: f64, out_len: usize) -> Vec<f6
 /// and the intermediate buffer comes from `scratch`: with a warm scratch
 /// the call performs no allocation beyond growing `out` to `out_len`. The
 /// FFT plan of that size stays resident for the life of the process
-/// ([`FftPlan::shared`]).
+/// ([`FftPlan::shared`]). This is the one-lane instance of
+/// [`delay_fractional_allpass_lanes`].
 ///
 /// # Errors
 ///
@@ -131,25 +132,74 @@ pub fn delay_fractional_allpass_with(
     scratch: &mut DspScratch,
     out: &mut Vec<f64>,
 ) -> Result<(), DspError> {
-    out.clear();
-    out.resize(out_len, 0.0);
-    if x.is_empty() || delay_samples < 0.0 || out_len == 0 {
+    delay_fractional_allpass_lanes([x], delay_samples, out_len, scratch, [out])
+}
+
+/// [`delay_fractional_allpass_with`] of `L` signals by the same delay:
+/// one `L`-lane forward and inverse transform, one set of phase
+/// multipliers; `outs[l]` receives `xs[l]` delayed, bit-identical to
+/// delaying it alone.
+///
+/// The phase multipliers are evaluated for bins `0..=n/2` only. Bin
+/// `n - k`'s phase is the exact negation of bin `k`'s (both signed
+/// frequencies are exact multiples of `1/n`), so its multiplier is the
+/// conjugate of bin `k`'s, bit for bit. Lanes whose lengths call for
+/// different transform sizes, or empty lanes, run one at a time.
+///
+/// # Errors
+///
+/// Propagates plan errors (not reachable for the sizes chosen here).
+pub fn delay_fractional_allpass_lanes<const L: usize>(
+    xs: [&[f64]; L],
+    delay_samples: f64,
+    out_len: usize,
+    scratch: &mut DspScratch,
+    mut outs: [&mut Vec<f64>; L],
+) -> Result<(), DspError> {
+    for out in outs.iter_mut() {
+        out.clear();
+        out.resize(out_len, 0.0);
+    }
+    if delay_samples < 0.0 || out_len == 0 {
         return Ok(());
     }
-    let span = x.len() + delay_samples.ceil() as usize + 1;
-    let n = next_pow2(span);
+    let size = |x: &[f64]| next_pow2(x.len() + delay_samples.ceil() as usize + 1);
+    if L > 1 && xs.iter().any(|x| x.is_empty() || size(x) != size(xs[0])) {
+        for (x, out) in xs.into_iter().zip(outs) {
+            delay_fractional_allpass_lanes([x], delay_samples, out_len, scratch, [out])?;
+        }
+        return Ok(());
+    }
+    if xs[0].is_empty() {
+        return Ok(());
+    }
+    let n = size(xs[0]);
     let plan = FftPlan::shared(n)?;
-    let mut buf = scratch.take_complex();
-    plan.forward_from_real(x, &mut buf);
-    for (k, z) in buf.iter_mut().enumerate() {
-        *z *= delay_phase_multiplier(k, n, delay_samples);
+    let mut buf = scratch.take_frames();
+    let mut multipliers = scratch.take_complex();
+    plan.forward_from_real_lanes(xs, &mut buf);
+    multipliers.extend((0..=n / 2).map(|k| delay_phase_multiplier(k, n, delay_samples)));
+    let frames = split_frames_mut::<L>(&mut buf);
+    for (k, frame) in frames.iter_mut().enumerate() {
+        let m = match multipliers.get(k) {
+            Some(&m) => m,
+            None => multipliers[n - k].conj(),
+        };
+        for l in 0..L {
+            frame.set_lane(l, frame.lane(l) * m);
+        }
     }
-    plan.inverse(&mut buf)?;
-    for (dst, z) in out.iter_mut().zip(buf.iter()) {
-        *dst = z.re;
+    let inverted = plan.execute_lanes(frames, true);
+    if inverted.is_ok() {
+        for (l, out) in outs.into_iter().enumerate() {
+            for (dst, frame) in out.iter_mut().zip(frames.iter()) {
+                *dst = frame.lane(l).re;
+            }
+        }
     }
-    scratch.put_complex(buf);
-    Ok(())
+    scratch.put_complex(multipliers);
+    scratch.put_frames(buf);
+    inverted
 }
 
 /// Filters `x` through an arbitrary real frequency response `gain(f_hz)`
@@ -506,6 +556,56 @@ mod tests {
             let expect = cold(|s, o| delay_fractional_allpass_with(&x, d, 64, s, o));
             delay_fractional_allpass_with(&x, d, 64, &mut scratch, &mut out).unwrap();
             assert_eq!(expect, out, "delay {d}");
+        }
+    }
+
+    /// The allpass delay as it was written before the multipliers were
+    /// mirrored: one `delay_phase_multiplier` per bin.
+    fn allpass_per_bin(x: &[f64], d: f64, out_len: usize) -> Vec<f64> {
+        let n = earsonar_dsp::fft::next_pow2(x.len() + d.ceil() as usize + 1);
+        let mut buf = Vec::new();
+        FftPlan::new(n).unwrap().forward_from_real(x, &mut buf);
+        for (k, z) in buf.iter_mut().enumerate() {
+            *z *= delay_phase_multiplier(k, n, d);
+        }
+        FftPlan::new(n).unwrap().inverse(&mut buf).unwrap();
+        let mut out = vec![0.0; out_len];
+        for (dst, z) in out.iter_mut().zip(&buf) {
+            *dst = z.re;
+        }
+        out
+    }
+
+    #[test]
+    fn mirrored_multipliers_match_per_bin_form_bitwise() {
+        let mut rng = earsonar_dsp::rng::DetRng::seed_from_u64(0xA11_9A55);
+        let mut scratch = DspScratch::new();
+        let (mut out, mut a, mut b, mut c, mut e) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for case in 0..1_000 {
+            let len = rng.range_inclusive(1, 300);
+            let d = rng.uniform(0.0, 40.0);
+            let x: Vec<f64> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let out_len = len + 8;
+            let expect = allpass_per_bin(&x, d, out_len);
+            delay_fractional_allpass_with(&x, d, out_len, &mut scratch, &mut out).unwrap();
+            assert_eq!(out, expect, "case {case}: len {len} delay {d}");
+            // Every lane of a 4-lane pass equals the one-lane result; the
+            // last lane's length needs another transform size.
+            let y: Vec<f64> = x.iter().map(|v| -0.5 * v).collect();
+            let long = vec![0.25; 2 * len + 64];
+            delay_fractional_allpass_lanes(
+                [&x, &y, &x, &long],
+                d,
+                out_len,
+                &mut scratch,
+                [&mut a, &mut b, &mut c, &mut e],
+            )
+            .unwrap();
+            assert_eq!(a, expect, "case {case}: lane 0");
+            assert_eq!(c, expect, "case {case}: lane 2");
+            assert_eq!(b, allpass_per_bin(&y, d, out_len), "case {case}: lane 1");
+            assert_eq!(e, allpass_per_bin(&long, d, out_len), "case {case}: lane 3");
         }
     }
 

@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the DSP substrate kernels the pipeline leans on:
 //! FFT, Butterworth filtering, Wiener channel estimation, MFCC, and the
 //! parity-decomposition auto-convolution; then every scalar-vs-vectorized
-//! kernel pair and the shared complex and real-input FFT plans at the sizes
-//! the pipeline uses.
+//! kernel pair, the shared complex and real-input FFT plans at the sizes
+//! the pipeline uses, and the lane-interleaved forms of the FFT and the
+//! zero-phase filter at 1, 2 and 4 lanes.
 //!
 //! Only timings are printed. The pairs' equivalence contracts (bit-identical
 //! or ulp-bounded) are asserted by `tests/kernel_equivalence.rs` and
@@ -20,10 +21,10 @@ use earsonar_bench::timing::Bencher;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::convolution::autoconvolve_with;
 use earsonar_dsp::correlation::{pearson, pearson_scalar};
-use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with};
+use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_lanes, filtfilt_with};
 use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
-use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::psd::periodogram;
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::wav::{parse_wav, parse_wav_f32_into, write_wav, WavAudio, WavFormat};
@@ -179,6 +180,69 @@ fn planned_ffts(b: &Bencher) {
     }
 }
 
+/// Prints a lane row: the time per call and per signal, since one call
+/// transforms `lanes` signals.
+fn report_lanes<T>(b: &Bencher, name: &str, lanes: usize, f: impl FnMut() -> T) {
+    let m = b.run(name, f);
+    println!(
+        "{:<44} {:>14.1} ns/iter  {:>10.1} ns/lane  ({} iters/batch)",
+        m.name,
+        m.ns_per_iter,
+        m.ns_per_iter / lanes as f64,
+        m.iters
+    );
+}
+
+/// One radix-2 pass over `L` signals of `n` points in split frames.
+fn fft_lanes<const L: usize>(b: &Bencher, n: usize) {
+    let signal = random_signal(2 * L * n, 41 + n as u64);
+    let plan = FftPlan::shared(n).unwrap();
+    let mut buf = signal.clone();
+    report_lanes(b, &format!("fft_lanes/{L}x{n}"), L, || {
+        buf.copy_from_slice(&signal);
+        plan.execute_lanes(split_frames_mut::<L>(&mut buf), false).unwrap();
+        black_box(buf[0])
+    });
+}
+
+/// The pipeline's zero-phase band-pass over `L` chirp windows, each with
+/// the previous window's tail as filter context that is filtered but not
+/// returned.
+fn filtfilt_lanes_row<const L: usize>(b: &Bencher) {
+    let cfg = EarSonarConfig::default();
+    let filter = butter_bandpass(
+        cfg.noise_filter_order,
+        cfg.band_low_hz,
+        cfg.band_high_hz,
+        cfg.sample_rate,
+    )
+    .unwrap();
+    let pad = 3 * cfg.chirp_len;
+    let n = pad + cfg.chirp_hop;
+    let xs: Vec<Vec<f64>> = (0..L).map(|l| random_signal(n, 111 + l as u64)).collect();
+    let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
+    let mut ext = Vec::new();
+    report_lanes(b, &format!("filtfilt_lanes/{L}"), L, || {
+        let signals: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
+        filtfilt_lanes(&filter, signals, pad, [pad; L], &mut ext, outs.each_mut()).unwrap();
+        black_box(outs[0][0])
+    });
+}
+
+/// Lane-interleaved kernels: what running several signals per pass buys
+/// per signal. The pipeline's lane widths are chosen from these rows.
+fn lane_kernels(b: &Bencher) {
+    for n in [128usize, 256, 512] {
+        fft_lanes::<1>(b, n);
+        fft_lanes::<2>(b, n);
+        fft_lanes::<4>(b, n);
+    }
+    filtfilt_lanes_row::<1>(b);
+    filtfilt_lanes_row::<2>(b);
+    filtfilt_lanes_row::<4>(b);
+    filtfilt_lanes_row::<8>(b);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let b = Bencher::from_env(&args);
@@ -214,4 +278,7 @@ fn main() {
 
     println!("\n== complex vs real-input planned transforms ==");
     planned_ffts(&b);
+
+    println!("\n== lane-interleaved kernels ==");
+    lane_kernels(&b);
 }

@@ -11,7 +11,7 @@ use crate::error::EarSonarError;
 use crate::segment::EardrumEcho;
 use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::interp::resample_uniform;
-use earsonar_dsp::plan::FftPlan;
+use earsonar_dsp::plan::{split_frames, DspScratch, FftPlan, LaneFrame};
 use earsonar_dsp::Complex64;
 
 /// The `n_fft`-point (power-of-two rounded) spectrum of `x`, truncated or
@@ -182,6 +182,8 @@ pub fn echo_spectrum(
 /// eardrum reflectance power directly. A Tukey-style taper (Hann ramps at
 /// both ends) suppresses truncation leakage.
 ///
+/// This is the one-lane instance of [`echo_ir_spectra`].
+///
 /// # Errors
 ///
 /// Returns [`EarSonarError::BadRecording`] if the IR is empty or the
@@ -192,7 +194,28 @@ pub fn echo_ir_spectrum(
     calibration: f64,
     config: &EarSonarConfig,
 ) -> Result<EchoSpectrum, EarSonarError> {
-    if ir.is_empty() {
+    let mut scratch = DspScratch::new();
+    let [spectrum] = echo_ir_spectra([ir], echo_center, calibration, config, &mut scratch)?;
+    Ok(spectrum)
+}
+
+/// [`echo_ir_spectrum`] of `L` impulse responses sharing one echo centre:
+/// the taper weights are evaluated once and the `L` spectra come from one
+/// `L`-lane transform ([`FftPlan::forward_from_real_lanes`]). Lane `l`'s
+/// spectrum is bit-identical to [`echo_ir_spectrum`] of `irs[l]`.
+///
+/// # Errors
+///
+/// Returns [`EarSonarError::BadRecording`] if any IR is empty or the
+/// calibration is not positive.
+pub fn echo_ir_spectra<const L: usize>(
+    irs: [&[f64]; L],
+    echo_center: usize,
+    calibration: f64,
+    config: &EarSonarConfig,
+    scratch: &mut DspScratch,
+) -> Result<[EchoSpectrum; L], EarSonarError> {
+    if irs.iter().any(|ir| ir.is_empty()) {
         return Err(EarSonarError::BadRecording {
             reason: "empty impulse response",
         });
@@ -206,51 +229,63 @@ pub fn echo_ir_spectrum(
     let tail = config.echo_ir_tail;
     let len = pre + tail;
     let start = echo_center as isize - pre as isize;
-    let mut section: Vec<f64> = (0..len)
-        .map(|i| {
-            let idx = start + i as isize;
-            if idx >= 0 && (idx as usize) < ir.len() {
-                ir[idx as usize]
-            } else {
-                0.0
-            }
-        })
-        .collect();
+    let mut sections = irs.map(|ir| -> Vec<f64> {
+        (0..len)
+            .map(|i| {
+                let idx = start + i as isize;
+                if idx >= 0 && (idx as usize) < ir.len() {
+                    ir[idx as usize]
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    });
     // Tukey taper: short Hann ramp in, longer ramp out.
     let ramp_in = pre.clamp(1, 3);
     let ramp_out = (tail / 3).max(1);
-    for (i, v) in section.iter_mut().take(ramp_in).enumerate() {
+    for i in 0..ramp_in.min(len) {
         let w = 0.5 - 0.5 * (std::f64::consts::PI * i as f64 / ramp_in as f64).cos();
-        *v *= w;
+        for section in sections.iter_mut() {
+            section[i] *= w;
+        }
     }
-    for (i, v) in section.iter_mut().rev().take(ramp_out).enumerate() {
+    for i in 0..ramp_out.min(len) {
         let w = 0.5 - 0.5 * (std::f64::consts::PI * i as f64 / ramp_out as f64).cos();
-        *v *= w;
+        for section in sections.iter_mut() {
+            section[len - 1 - i] *= w;
+        }
     }
 
-    let spec = padded_spectrum(&section, config.n_fft)?;
-    let n_fft = spec.len();
+    let plan = FftPlan::shared(next_pow2(config.n_fft))?;
+    let mut spec = scratch.take_frames();
+    plan.forward_from_real_lanes(sections.each_ref().map(Vec::as_slice), &mut spec);
+    let n_fft = plan.size();
     let df = config.sample_rate / n_fft as f64;
     let (p_lo, p_hi) = config.profile_band_hz;
     let k_lo = (p_lo / df).floor() as usize;
     let k_hi = ((p_hi / df).ceil() as usize).min(n_fft / 2);
     let cal_sq = calibration * calibration;
-    let band: Vec<f64> = (k_lo..=k_hi)
-        .map(|k| spec[k].norm_sqr() / cal_sq)
-        .collect();
-    let band_power: f64 = band.iter().sum();
-    let profile = resample_uniform(&band, config.psd_profile_bins);
     let frequencies: Vec<f64> = (0..config.psd_profile_bins)
         .map(|i| {
             p_lo + (p_hi - p_lo) * i as f64 / (config.psd_profile_bins - 1).max(1) as f64
         })
         .collect();
-    Ok(EchoSpectrum {
-        profile,
-        frequencies,
-        band_power,
-        echo_window: section,
-    })
+    let bins = split_frames::<L>(&spec);
+    let spectra = std::array::from_fn(|l| {
+        let band: Vec<f64> = (k_lo..=k_hi)
+            .map(|k| bins[k].lane(l).norm_sqr() / cal_sq)
+            .collect();
+        let band_power: f64 = band.iter().sum();
+        EchoSpectrum {
+            profile: resample_uniform(&band, config.psd_profile_bins),
+            frequencies: frequencies.clone(),
+            band_power,
+            echo_window: std::mem::take(&mut sections[l]),
+        }
+    });
+    scratch.put_frames(spec);
+    Ok(spectra)
 }
 
 /// Averages per-chirp spectra into one recording-level spectrum. The

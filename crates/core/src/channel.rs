@@ -14,7 +14,7 @@ use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::fft::next_pow2;
-use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, LaneFrame, RealFftPlan};
 
 /// A prepared Wiener deconvolution operator for a fixed chirp template and
 /// window length.
@@ -101,9 +101,10 @@ impl ChannelEstimator {
     /// [`ChannelEstimator::estimate`] writing into a caller-owned buffer,
     /// with intermediates drawn from `scratch`.
     ///
-    /// This is the pipeline's per-chirp hot path: with a warm scratch the
-    /// deconvolution runs allocation-free, and the forward transform uses
-    /// the half-size real-input plan.
+    /// This is the pipeline's per-chirp deconvolution: with a warm scratch
+    /// it runs allocation-free, and the forward transform uses the
+    /// half-size real-input plan. It is the one-lane instance of
+    /// [`ChannelEstimator::estimate_lanes`].
     ///
     /// # Errors
     ///
@@ -114,32 +115,59 @@ impl ChannelEstimator {
         window: &[f64],
         out: &mut Vec<f64>,
     ) -> Result<(), EarSonarError> {
-        if window.is_empty() || window.len() > self.n_fft {
+        self.estimate_lanes(scratch, [window], [out])
+    }
+
+    /// [`ChannelEstimator::estimate_with`] of `L` windows through one
+    /// `L`-lane forward and inverse transform; `outs[l]` receives the IR of
+    /// `windows[l]`, bit-identical to estimating it alone.
+    ///
+    /// The Wiener product is formed only on bins `0..=n/2`: the real
+    /// inverse reads no others ([`RealFftPlan::inverse_into`]), so the
+    /// upper half would be computed for nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EarSonarError::BadRecording`] if any window is empty or
+    /// exceeds the prepared FFT size; no output is written then.
+    pub fn estimate_lanes<const L: usize>(
+        &self,
+        scratch: &mut DspScratch,
+        windows: [&[f64]; L],
+        outs: [&mut Vec<f64>; L],
+    ) -> Result<(), EarSonarError> {
+        if windows.iter().any(|w| w.is_empty() || w.len() > self.n_fft) {
             return Err(EarSonarError::BadRecording {
                 reason: "window length incompatible with channel estimator",
             });
         }
         let plan = RealFftPlan::shared(self.n_fft)?;
-        let mut work = scratch.take_complex();
-        let mut spec = scratch.take_complex();
-        let mut ir = scratch.take_real();
+        let mut work = scratch.take_frames();
+        let mut spec = scratch.take_frames();
+        let mut ir = scratch.take_frames();
         let result = (|| {
-            plan.forward_into(window, &mut work, &mut spec)?;
-            for (z, inv) in spec.iter_mut().zip(&self.inverse) {
-                *z *= *inv;
-            }
+            plan.forward_lanes(windows, &mut work, &mut spec)?;
             // The Wiener inverse is Hermitian (built from a real template),
             // so the product spectrum stays Hermitian and the real inverse
             // transform applies.
-            plan.inverse_into(&spec, &mut work, &mut ir)
+            let bins = split_frames_mut::<L>(&mut spec);
+            for (frame, &inv) in bins.iter_mut().zip(&self.inverse[..=self.n_fft / 2]) {
+                for l in 0..L {
+                    frame.set_lane(l, frame.lane(l) * inv);
+                }
+            }
+            plan.inverse_lanes::<L>(&spec, &mut work, &mut ir)
         })();
         if result.is_ok() {
-            out.clear();
-            out.extend_from_slice(&ir[..self.n_taps]);
+            let (taps, _) = ir.as_chunks::<L>();
+            for (l, out) in outs.into_iter().enumerate() {
+                out.clear();
+                out.extend(taps[..self.n_taps].iter().map(|frame| frame[l]));
+            }
         }
-        scratch.put_real(ir);
-        scratch.put_complex(spec);
-        scratch.put_complex(work);
+        for buf in [ir, spec, work] {
+            scratch.put_frames(buf);
+        }
         result.map_err(EarSonarError::from)
     }
 }
@@ -201,6 +229,28 @@ mod tests {
 
     fn make(window_len: usize) -> ChannelEstimator {
         ChannelEstimator::new(&template(), window_len, 64, 1e-3).unwrap()
+    }
+
+    #[test]
+    fn half_spectrum_product_matches_the_full_product_bitwise() {
+        // The deconvolution forms the Wiener product only on the bins the
+        // real inverse reads; forming it on all of them must give the
+        // same taps.
+        let est = make(240);
+        let plan = RealFftPlan::shared(est.n_fft).unwrap();
+        let mut rng = earsonar_dsp::rng::DetRng::seed_from_u64(0xDEC0);
+        let (mut work, mut spec, mut ir) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut scratch, mut out) = (DspScratch::new(), Vec::new());
+        for len in [1usize, 17, 120, 239, 240] {
+            let window: Vec<f64> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            plan.forward_into(&window, &mut work, &mut spec).unwrap();
+            for (z, inv) in spec.iter_mut().zip(&est.inverse) {
+                *z *= *inv;
+            }
+            plan.inverse_into(&spec, &mut work, &mut ir).unwrap();
+            est.estimate_with(&mut scratch, &window, &mut out).unwrap();
+            assert_eq!(out, ir[..est.n_taps], "window of {len}");
+        }
     }
 
     #[test]

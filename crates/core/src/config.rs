@@ -5,11 +5,13 @@ use crate::quality::QualityGateConfig;
 use earsonar_dsp::mfcc::MfccConfig;
 use earsonar_dsp::window::Window;
 
-/// The largest chirp hop (samples), FFT length (points) or mel filter count
-/// a configuration may set. Buffers are sized from these fields, so a model
+/// The largest chirp hop (samples), FFT length (points), mel filter count,
+/// profile bin count, cluster count or selected-feature count a
+/// configuration may set. Buffers are sized from these fields, so a model
 /// file that sets one to billions must be refused at load, not die in an
 /// allocation at the first screening. The paper's values are 240 samples,
-/// 256 points and 26 filters; 65 536 leaves ample room.
+/// 256 points, 26 filters, 32 profile bins, 4 clusters and 25 features;
+/// 65 536 leaves ample room.
 pub const MAX_CONFIG_SIZE: usize = 1 << 16;
 
 /// Full configuration of the EarSonar pipeline, with the paper's defaults.
@@ -152,6 +154,9 @@ impl EarSonarConfig {
             ("n_fft", self.n_fft),
             ("mfcc.n_fft", self.mfcc.n_fft),
             ("mfcc.n_filters", self.mfcc.n_filters),
+            ("psd_profile_bins", self.psd_profile_bins),
+            ("k_clusters", self.k_clusters),
+            ("top_features", self.top_features),
         ] {
             if size > MAX_CONFIG_SIZE {
                 return Err(EarSonarError::BadConfig {

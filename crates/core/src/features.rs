@@ -17,7 +17,9 @@ use crate::absorption::EchoSpectrum;
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::segment::EardrumEcho;
+use earsonar_dsp::lanes::{for_lane_groups, LaneOp};
 use earsonar_dsp::mfcc::MfccExtractor;
+use earsonar_dsp::plan::DspScratch;
 use earsonar_dsp::stats::{self, Summary};
 
 /// Total feature-vector length, matching the paper.
@@ -49,8 +51,11 @@ impl FeatureExtractor {
                 constraint: "the 105-feature layout requires 26 MFCCs and 32 profile bins",
             });
         }
+        // The MFCC frames are the echo IR sections, so precompute the
+        // window for their length rather than for a full FFT frame.
+        let frame_len = config.echo_ir_pre.saturating_add(config.echo_ir_tail);
         Ok(FeatureExtractor {
-            mfcc: MfccExtractor::new(config.mfcc.clone())?,
+            mfcc: MfccExtractor::new(config.mfcc.clone())?.with_frame_len(frame_len),
             band_low: config.band_low_hz,
             band_high: config.band_high_hz,
         })
@@ -69,7 +74,7 @@ impl FeatureExtractor {
         averaged: &EchoSpectrum,
         echoes: &[EardrumEcho],
     ) -> Result<Vec<f64>, EarSonarError> {
-        let mut scratch = earsonar_dsp::plan::DspScratch::new();
+        let mut scratch = DspScratch::new();
         self.extract_with(&mut scratch, per_chirp, averaged, echoes)
     }
 
@@ -81,7 +86,7 @@ impl FeatureExtractor {
     /// Same conditions as [`FeatureExtractor::extract`].
     pub fn extract_with(
         &self,
-        scratch: &mut earsonar_dsp::plan::DspScratch,
+        scratch: &mut DspScratch,
         per_chirp: &[EchoSpectrum],
         averaged: &EchoSpectrum,
         echoes: &[EardrumEcho],
@@ -91,13 +96,15 @@ impl FeatureExtractor {
         }
         let mut features = Vec::with_capacity(FEATURE_COUNT);
 
-        // MFCC mean and std across chirps.
-        let mut mfccs: Vec<Vec<f64>> = Vec::with_capacity(per_chirp.len());
-        for s in per_chirp {
-            let mut coeffs = Vec::with_capacity(N_MFCC);
-            self.mfcc.extract_into(scratch, &s.echo_window, &mut coeffs)?;
-            mfccs.push(coeffs);
-        }
+        // MFCC mean and std across chirps, several chirps per transform.
+        let mut mfcc = MfccLanes {
+            mfcc: &self.mfcc,
+            scratch,
+            per_chirp,
+            coeffs: Vec::with_capacity(per_chirp.len()),
+        };
+        for_lane_groups(per_chirp.len(), &mut mfcc)?;
+        let mfccs = mfcc.coeffs;
         let n = mfccs.len() as f64;
         let mut mean = vec![0.0; N_MFCC];
         for m in &mfccs {
@@ -232,6 +239,32 @@ impl FeatureExtractor {
         }
         debug_assert_eq!(names.len(), FEATURE_COUNT);
         names
+    }
+}
+
+/// The MFCCs of a batch of echo windows, one lane group at a time, in
+/// chirp order.
+struct MfccLanes<'a> {
+    mfcc: &'a MfccExtractor,
+    scratch: &'a mut DspScratch,
+    per_chirp: &'a [EchoSpectrum],
+    coeffs: Vec<Vec<f64>>,
+}
+
+impl LaneOp for MfccLanes<'_> {
+    type Error = EarSonarError;
+
+    /// A group fails exactly when a chirp-by-chirp loop would: the only
+    /// per-lane error is an empty window, and every other error is the
+    /// same for all lanes.
+    fn run<const L: usize>(&mut self, first: usize) -> Result<(), EarSonarError> {
+        let segments: [&[f64]; L] =
+            std::array::from_fn(|l| self.per_chirp[first + l].echo_window.as_slice());
+        let mut coeffs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::with_capacity(N_MFCC));
+        self.mfcc
+            .extract_lanes(self.scratch, segments, coeffs.each_mut())?;
+        self.coeffs.extend(coeffs);
+        Ok(())
     }
 }
 

@@ -537,6 +537,13 @@ mod tests {
             ("n_fft", line("n_fft:"), "n_fft: 4294967296".into()),
             ("mfcc.n_fft", line("mfcc:"), set_mfcc(2, "1e30")),
             (
+                "psd_profile_bins",
+                line("psd_profile_bins:"),
+                "psd_profile_bins: 4294967296".into(),
+            ),
+            ("k_clusters", line("k_clusters:"), "k_clusters: 4294967296".into()),
+            ("top_features", line("top_features:"), "top_features: 4294967296".into()),
+            (
                 "echo_ir_pre/echo_ir_tail",
                 line("echo_ir:"),
                 "echo_ir: 18446744073709551615 1".into(),

@@ -12,11 +12,11 @@
 //! pre-registry system), while [`EarSonar::fit_backend`] selects any
 //! registered backend by name.
 
-use crate::absorption::{average_spectra, echo_ir_spectrum, EchoSpectrum};
+use crate::absorption::{average_spectra, echo_ir_spectra, EchoSpectrum};
 use crate::backend::{self, BackendSpec, Classifier, ReferenceClassifier};
 use crate::channel::{average_irs, pipeline_estimator, ChannelEstimator};
 use crate::cancel::chirp_template;
-use earsonar_acoustics::propagation::delay_fractional_allpass_with;
+use earsonar_acoustics::propagation::delay_fractional_allpass_lanes;
 use crate::config::EarSonarConfig;
 use crate::detect::EarSonarDetector;
 use crate::diagnostics::Diagnostics;
@@ -27,7 +27,9 @@ use std::sync::Arc;
 use crate::quality::{self, NoiseFloor, QualityCause, SessionQuality};
 use crate::segment::{segment_with_anchor, EardrumEcho};
 use earsonar_dsp::fanout;
+use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
 use earsonar_dsp::plan::DspScratch;
+use std::convert::Infallible;
 use earsonar_signal::effusion::MeeState;
 use earsonar_signal::recording::Recording;
 use earsonar_signal::session::Session;
@@ -101,16 +103,63 @@ pub(crate) struct ChirpAccumulator {
     /// The previous raw window, kept for the chirp-to-chirp correlation
     /// metric (cleared and refilled in place, no per-chirp allocation).
     pub(crate) prev_window: Vec<f64>,
-    /// Reused context+window concatenation buffer for the zero-phase
-    /// filter (cleared and refilled per chirp, no per-chirp allocation).
-    pub(crate) contextual: Vec<f64>,
-    /// Reused reflected-extension scratch of the zero-phase filter.
-    pub(crate) filt_ext: Vec<f64>,
-    /// Reused filtered-output buffer.
-    pub(crate) filtered: Vec<f64>,
+    /// What became of each window of the latest batch, in push order.
+    pub(crate) outcomes: Vec<ChirpOutcome>,
+    /// Accepted chirps awaiting the band-pass, and filtered chirps with an
+    /// event awaiting deconvolution (both empty between batches; kept for
+    /// their capacity).
+    accepted: Vec<BatchChirp>,
+    events: Vec<BatchChirp>,
+}
+
+/// One window of a batch that passed the gate, on its way through the
+/// band-pass, event and deconvolution stages. Its sample buffers are
+/// borrowed from the batch's [`DspScratch`] and returned when the batch
+/// ends.
+#[derive(Debug, Clone)]
+struct BatchChirp {
+    /// Position of the window in the batch (its slot in `outcomes`).
+    slot: usize,
+    /// How many leading samples of `contextual` are filter context.
+    ctx: usize,
+    /// The previous window's raw tail followed by this window.
+    contextual: Vec<f64>,
+    /// The window band-passed (its context is filtered but not kept).
+    filtered: Vec<f64>,
+    /// The channel impulse response, once estimated.
+    ir: Vec<f64>,
+    /// The verdict of the last stage that handled the chirp.
+    outcome: ChirpOutcome,
+}
+
+impl BatchChirp {
+    /// A chirp that passed the gate, its filter output buffer borrowed
+    /// from `scratch`. The impulse response starts empty: it becomes one
+    /// of the accumulator's IRs, so it must not hold a pooled buffer.
+    fn new(slot: usize, ctx: usize, contextual: Vec<f64>, scratch: &mut DspScratch) -> Self {
+        BatchChirp {
+            slot,
+            ctx,
+            contextual,
+            filtered: scratch.take_real(),
+            ir: Vec::new(),
+            outcome: ChirpOutcome::Used,
+        }
+    }
 }
 
 impl ChirpAccumulator {
+    /// Records a chirp's final outcome — keeping its impulse response if
+    /// it has one — and returns its filtered window to the scratch.
+    fn retire(&mut self, scratch: &mut DspScratch, mut chirp: BatchChirp) {
+        if chirp.outcome == ChirpOutcome::Used {
+            self.diagnostics.irs_estimated += 1;
+            self.irs.push(std::mem::take(&mut chirp.ir));
+        }
+        self.outcomes[chirp.slot] = chirp.outcome;
+        scratch.put_real(chirp.filtered);
+    }
+
     /// Aggregates the per-chirp quality state into a session-level report.
     pub(crate) fn session_quality(&self) -> SessionQuality {
         let pushed = self.diagnostics.chirps_pushed;
@@ -232,10 +281,10 @@ impl FrontEnd {
     /// bit-identical to [`FrontEnd::process`].
     ///
     /// Internally this is the same per-chirp staged computation the
-    /// streaming path runs ([`crate::streaming::StreamingFrontEnd`]): each
-    /// chirp window goes through [`FrontEnd::push_window`] in order, and
-    /// the recording-level stages run once in [`FrontEnd::finalize`] — so
-    /// batch and streaming results are bit-identical by construction.
+    /// streaming path runs ([`crate::streaming::StreamingFrontEnd`]): the
+    /// chirp windows go through [`FrontEnd::push_windows`] as one batch,
+    /// and the recording-level stages run once in [`FrontEnd::finalize`] —
+    /// so batch and streaming results are bit-identical by construction.
     ///
     /// # Errors
     ///
@@ -250,126 +299,201 @@ impl FrontEnd {
                 reason: "empty recording",
             });
         }
-        let mut acc = ChirpAccumulator::default();
-        for c in 0..recording.n_chirps {
-            let window = recording
-                .try_chirp_window(c)
-                .ok_or(EarSonarError::BadRecording {
-                    reason: "recording claims more chirps than it has samples",
-                })?;
-            let _ = self.push_window(scratch, &mut acc, window);
+        // Windows tile the buffer in order, so the grid fits iff its last
+        // window does.
+        let n = recording.n_chirps;
+        if n > 0 && recording.try_chirp_window(n - 1).is_none() {
+            return Err(EarSonarError::BadRecording {
+                reason: "recording claims more chirps than it has samples",
+            });
         }
+        let mut acc = ChirpAccumulator::default();
+        let windows = (0..n).filter_map(|c| recording.try_chirp_window(c));
+        self.push_windows(scratch, &mut acc, windows);
         self.finalize(scratch, acc)
     }
 
-    /// Stage 1, per chirp: measure the raw window's signal quality and
-    /// gate it, then band-pass filter it, gate it on the adaptive-energy
-    /// event detector, and — when an event is present — Wiener-deconvolve
-    /// it into a channel impulse response accumulated for the finalize
-    /// stages. Failures are recorded in the accumulator's
+    /// Stage 1, per batch of chirp windows: for each window, in order,
+    /// measure its signal quality and gate it, then band-pass filter it,
+    /// gate it on the adaptive-energy event detector, and — when an event
+    /// is present — Wiener-deconvolve it into a channel impulse response
+    /// accumulated for the finalize stages. What became of each window is
+    /// left in the accumulator's `outcomes`; failures are recorded in its
     /// [`Diagnostics`], never raised: a bad chirp is data loss, not an
     /// error.
     ///
-    /// The quality gate runs before any numeric stage touches the window,
+    /// Windows move through the stages in lane groups rather than one at
+    /// a time, with the same result. The non-finite check, the quality
+    /// gate and the filter-context rule run as each window arrives: they
+    /// read only raw windows. Every [`LANES`] accepted windows are
+    /// band-passed in one pass ([`Preprocessor::run_lanes`]) and then
+    /// checked for an event in chirp order, so the event floor is summed
+    /// in chirp order; every [`LANES`] chirps with an event are
+    /// deconvolved in one pass ([`ChannelEstimator::estimate_lanes`]). The
+    /// batch's leftovers run in smaller groups at its end. Every lane is
+    /// bit-identical to its one-lane run, so no output depends on how the
+    /// windows were batched, and at most a few groups' buffers are live.
+    ///
+    /// The quality gate runs before any numeric stage touches a window,
     /// so accepted windows are processed exactly as they would be with
     /// the gate disabled: a session with zero rejections yields
     /// bit-identical features either way.
     // lint: hot-path
-    pub(crate) fn push_window(
+    pub(crate) fn push_windows<'w>(
         &self,
         scratch: &mut DspScratch,
         acc: &mut ChirpAccumulator,
-        window: &[f64],
-    ) -> ChirpOutcome {
-        acc.diagnostics.chirps_pushed += 1;
-        if !window.iter().all(|x| x.is_finite()) {
-            // Checked first, gate or no gate: a NaN would pass every gate
-            // comparison and poison the noise floor, the correlation
-            // reference and the filter context, so the window touches
-            // none of them.
-            acc.diagnostics.quality_rejections.record(QualityCause::NonFinite);
-            acc.prev_tail.clear();
-            return ChirpOutcome::QualityRejected {
-                cause: QualityCause::NonFinite,
-            };
-        }
-        let gate = &self.config.quality;
-        if gate.enabled {
-            let measured = quality::measure_window(
-                window,
-                &acc.prev_window,
-                &mut acc.noise_floor,
-                self.config.chirp_len + self.config.ir_taps,
-            );
-            acc.quality_sum += measured.score(gate);
-            // The correlation reference advances over every pushed window,
-            // accepted or not, so the measurement sequence is a pure
-            // function of the pushed windows (batch ≡ streaming).
-            acc.prev_window.clear();
-            acc.prev_window.extend_from_slice(window);
-            if let Some(cause) = measured.gate(gate) {
+        windows: impl IntoIterator<Item = &'w [f64]>,
+    ) {
+        acc.outcomes.clear();
+        let mut accepted = std::mem::take(&mut acc.accepted);
+        let mut events = std::mem::take(&mut acc.events);
+        for window in windows {
+            acc.diagnostics.chirps_pushed += 1;
+            if let Some(cause) = self.gate(acc, window) {
                 acc.diagnostics.quality_rejections.record(cause);
                 // A rejected window's samples must not leak into the next
                 // window's filter context or the event detector's power
                 // floor.
                 acc.prev_tail.clear();
-                return ChirpOutcome::QualityRejected { cause };
+                acc.outcomes.push(ChirpOutcome::QualityRejected { cause });
+                continue;
             }
-        } else {
+            // Filter the window with the previous window's raw tail as
+            // left context, then drop the context from the output: the
+            // chirp burst at the window's start is filtered against the
+            // quiet gap that really preceded it instead of its own edge
+            // reflection.
+            let mut contextual = scratch.take_real();
+            contextual.extend_from_slice(&acc.prev_tail);
+            contextual.extend_from_slice(window);
+            let ctx = acc.prev_tail.len();
+            let keep = window.len().min(self.preprocessor.context_len());
+            acc.prev_tail.clear();
+            acc.prev_tail.extend_from_slice(&window[window.len() - keep..]);
+            accepted.push(BatchChirp::new(acc.outcomes.len(), ctx, contextual, scratch));
+            acc.outcomes.push(ChirpOutcome::Used);
+            if accepted.len() == LANES {
+                self.band_pass(scratch, acc, &mut accepted, &mut events);
+            }
+            if events.len() >= LANES {
+                self.deconvolve(scratch, acc, &mut events, LANES);
+            }
+        }
+        self.band_pass(scratch, acc, &mut accepted, &mut events);
+        self.deconvolve(scratch, acc, &mut events, 1);
+        acc.accepted = accepted;
+        acc.events = events;
+    }
+
+    /// Band-passes every chirp of `accepted`, several per pass, then runs
+    /// the event detector over them in chirp order: chirps with an event
+    /// move on to `events`, the rest are retired.
+    // lint: hot-path
+    fn band_pass(
+        &self,
+        scratch: &mut DspScratch,
+        acc: &mut ChirpAccumulator,
+        accepted: &mut Vec<BatchChirp>,
+        events: &mut Vec<BatchChirp>,
+    ) {
+        let mut ext = scratch.take_frames();
+        let mut band_pass = BandPass {
+            preprocessor: &self.preprocessor,
+            ext: &mut ext,
+            batch: accepted,
+        };
+        let Ok(()) = for_lane_groups(band_pass.batch.len(), &mut band_pass);
+        scratch.put_frames(ext);
+        for mut chirp in accepted.drain(..) {
+            // The filter input is spent.
+            scratch.put_real(std::mem::take(&mut chirp.contextual));
+            if chirp.outcome == ChirpOutcome::FilterFailed {
+                acc.diagnostics.filter_failures += 1;
+                acc.retire(scratch, chirp);
+                continue;
+            }
+            let filtered = chirp.filtered.as_slice();
+            // Running mean power over every window seen so far — the
+            // causal analogue of the batch detector's whole-recording
+            // power floor. Chirp `c` sees the floor of chirps `0..=c`,
+            // identically in the batch and streaming paths.
+            acc.power_sum += earsonar_dsp::simd::sum_sq(filtered);
+            acc.power_len += filtered.len();
+            let floor = if acc.power_len == 0 {
+                0.0
+            } else {
+                acc.power_sum / acc.power_len as f64
+            };
+            let has_event = match detect_events_with_floor(filtered, floor, &self.config) {
+                Ok(events) => !events.is_empty(),
+                // A window shorter than the detection window cannot hold
+                // an event (trailing partial chirp).
+                Err(_) => false,
+            };
+            if has_event {
+                acc.diagnostics.events_detected += 1;
+                events.push(chirp);
+            } else {
+                chirp.outcome = ChirpOutcome::NoEvent;
+                acc.retire(scratch, chirp);
+            }
+        }
+    }
+
+    /// Deconvolves the leading chirps of `events`, several per pass — as
+    /// many as fill whole groups of `group` — and retires them in chirp
+    /// order.
+    // lint: hot-path
+    fn deconvolve(
+        &self,
+        scratch: &mut DspScratch,
+        acc: &mut ChirpAccumulator,
+        events: &mut Vec<BatchChirp>,
+        group: usize,
+    ) {
+        let n = events.len() - events.len() % group;
+        let mut deconvolve = Deconvolve {
+            estimator: &self.estimator,
+            scratch,
+            batch: &mut events[..n],
+        };
+        let Ok(()) = for_lane_groups(n, &mut deconvolve);
+        for chirp in events.drain(..n) {
+            acc.retire(scratch, chirp);
+        }
+    }
+
+    /// The per-window checks that read only raw samples: the non-finite
+    /// check, then (when enabled) the quality gate's measurement, which
+    /// advances the noise floor, the correlation reference and the
+    /// quality sum. Returns the rejection cause, if any.
+    fn gate(&self, acc: &mut ChirpAccumulator, window: &[f64]) -> Option<QualityCause> {
+        if !window.iter().all(|x| x.is_finite()) {
+            // Checked first, gate or no gate: a NaN would pass every gate
+            // comparison and poison the noise floor, the correlation
+            // reference and the filter context, so the window touches
+            // none of them.
+            return Some(QualityCause::NonFinite);
+        }
+        let gate = &self.config.quality;
+        if !gate.enabled {
             acc.quality_sum += 1.0;
+            return None;
         }
-        // Filter the window with the previous window's raw tail as left
-        // context, then drop the context from the output: the chirp burst
-        // at the window's start is filtered against the quiet gap that
-        // really preceded it instead of its own edge reflection. The
-        // concatenation, the filter's reflected extension, and the
-        // filtered output all live in reused accumulator buffers.
-        let ctx = acc.prev_tail.len();
-        acc.contextual.clear();
-        acc.contextual.extend_from_slice(&acc.prev_tail);
-        acc.contextual.extend_from_slice(window);
-        let keep = window.len().min(self.preprocessor.context_len());
-        acc.prev_tail.clear();
-        acc.prev_tail.extend_from_slice(&window[window.len() - keep..]);
-        if self
-            .preprocessor
-            .run_with(&acc.contextual, &mut acc.filt_ext, &mut acc.filtered)
-            .is_err()
-        {
-            acc.diagnostics.filter_failures += 1;
-            return ChirpOutcome::FilterFailed;
-        }
-        let filtered = &acc.filtered[ctx..];
-        // Running mean power over every window seen so far — the causal
-        // analogue of the batch detector's whole-recording power floor.
-        // Chirp `c` sees the floor of chirps `0..=c`, identically in the
-        // batch and streaming paths.
-        acc.power_sum += earsonar_dsp::simd::sum_sq(filtered);
-        acc.power_len += filtered.len();
-        let floor = if acc.power_len == 0 {
-            0.0
-        } else {
-            acc.power_sum / acc.power_len as f64
-        };
-        let has_event = match detect_events_with_floor(filtered, floor, &self.config) {
-            Ok(events) => !events.is_empty(),
-            // A window shorter than the detection window cannot hold an
-            // event (trailing partial chirp).
-            Err(_) => false,
-        };
-        if !has_event {
-            return ChirpOutcome::NoEvent;
-        }
-        acc.diagnostics.events_detected += 1;
-        let mut ir = Vec::with_capacity(self.estimator.n_taps());
-        match self.estimator.estimate_with(scratch, filtered, &mut ir) {
-            Ok(_) => {
-                acc.diagnostics.irs_estimated += 1;
-                acc.irs.push(ir);
-                ChirpOutcome::Used
-            }
-            Err(_) => ChirpOutcome::EstimationFailed,
-        }
+        let measured = quality::measure_window(
+            window,
+            &acc.prev_window,
+            &mut acc.noise_floor,
+            self.config.chirp_len + self.config.ir_taps,
+        );
+        acc.quality_sum += measured.score(gate);
+        // The correlation reference advances over every pushed window,
+        // accepted or not, so the measurement sequence is a pure function
+        // of the pushed windows (batch ≡ streaming).
+        acc.prev_window.clear();
+        acc.prev_window.extend_from_slice(window);
+        measured.gate(gate)
     }
 
     /// Stage 2, per recording: coherently average the accumulated impulse
@@ -415,22 +539,24 @@ impl FrontEnd {
         let aligned_center = target as usize;
         echo.center = aligned_center;
 
-        let mut spectra: Vec<EchoSpectrum> = Vec::new();
-        let mut echoes: Vec<EardrumEcho> = Vec::new();
-        let mut ir_aligned = scratch.take_real();
-        for ir in &acc.irs {
-            delay_fractional_allpass_with(ir, shift, aligned_len, scratch, &mut ir_aligned)?;
-            if let Ok(s) =
-                echo_ir_spectrum(&ir_aligned, aligned_center, calibration, &self.config)
-            {
-                spectra.push(s);
-                echoes.push(echo.clone());
-            }
-        }
-        scratch.put_real(ir_aligned);
+        // Align each IR and take its echo spectrum, several IRs per
+        // transform; a chirp whose spectrum fails is skipped.
+        let mut aligned = AlignedSpectra {
+            irs: &acc.irs,
+            shift,
+            aligned_len,
+            aligned_center,
+            calibration,
+            config: &self.config,
+            scratch,
+            spectra: Vec::with_capacity(acc.irs.len()),
+        };
+        for_lane_groups(acc.irs.len(), &mut aligned)?;
+        let spectra = aligned.spectra;
         if spectra.is_empty() {
             return Err(EarSonarError::NoEchoDetected);
         }
+        let echoes = vec![echo; spectra.len()];
         acc.diagnostics.spectra_computed = spectra.len();
         let averaged = average_spectra(&spectra)?;
         let features = self
@@ -444,6 +570,134 @@ impl FrontEnd {
             diagnostics: acc.diagnostics,
             quality,
         })
+    }
+}
+
+/// The band-pass stage over a batch, one lane group at a time.
+struct BandPass<'a> {
+    preprocessor: &'a Preprocessor,
+    ext: &'a mut Vec<f64>,
+    batch: &'a mut [BatchChirp],
+}
+
+impl LaneOp for BandPass<'_> {
+    type Error = Infallible;
+
+    // lint: hot-path
+    fn run<const L: usize>(&mut self, first: usize) -> Result<(), Infallible> {
+        let Some(group) = self.batch[first..].first_chunk_mut::<L>() else {
+            return Ok(());
+        };
+        let context = group.each_ref().map(|c| c.ctx);
+        let lanes = group
+            .each_mut()
+            .map(|c| (c.contextual.as_slice(), &mut c.filtered));
+        let inputs = lanes.each_ref().map(|(x, _)| *x);
+        let filtered = self
+            .preprocessor
+            .run_lanes(inputs, context, self.ext, lanes.map(|(_, y)| y));
+        if filtered.is_err() {
+            if L == 1 {
+                group[0].outcome = ChirpOutcome::FilterFailed;
+            } else {
+                // One bad window must fail only itself.
+                for i in first..first + L {
+                    let Ok(()) = self.run::<1>(i);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The deconvolution stage over the batch's chirps that carry an event,
+/// one lane group at a time.
+struct Deconvolve<'a> {
+    estimator: &'a ChannelEstimator,
+    scratch: &'a mut DspScratch,
+    batch: &'a mut [BatchChirp],
+}
+
+impl LaneOp for Deconvolve<'_> {
+    type Error = Infallible;
+
+    // lint: hot-path
+    fn run<const L: usize>(&mut self, first: usize) -> Result<(), Infallible> {
+        let Some(group) = self.batch[first..].first_chunk_mut::<L>() else {
+            return Ok(());
+        };
+        let lanes = group
+            .each_mut()
+            .map(|c| (c.filtered.as_slice(), &mut c.ir));
+        let windows = lanes.each_ref().map(|(x, _)| *x);
+        let estimated = self
+            .estimator
+            .estimate_lanes(self.scratch, windows, lanes.map(|(_, y)| y));
+        if estimated.is_err() {
+            if L == 1 {
+                group[0].outcome = ChirpOutcome::EstimationFailed;
+            } else {
+                // One bad window must fail only itself.
+                for i in first..first + L {
+                    let Ok(()) = self.run::<1>(i);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The finalize stage's per-chirp work: each IR delayed onto the echo grid
+/// and reduced to its echo spectrum, one lane group at a time, in chirp
+/// order.
+struct AlignedSpectra<'a> {
+    irs: &'a [Vec<f64>],
+    shift: f64,
+    aligned_len: usize,
+    aligned_center: usize,
+    calibration: f64,
+    config: &'a EarSonarConfig,
+    scratch: &'a mut DspScratch,
+    spectra: Vec<EchoSpectrum>,
+}
+
+impl LaneOp for AlignedSpectra<'_> {
+    type Error = EarSonarError;
+
+    /// A delay failure stops the batch, as it stops a chirp-by-chirp
+    /// loop; a spectrum failure skips only its own chirp.
+    fn run<const L: usize>(&mut self, first: usize) -> Result<(), EarSonarError> {
+        let irs: [&[f64]; L] = std::array::from_fn(|l| self.irs[first + l].as_slice());
+        let mut aligned: [Vec<f64>; L] = std::array::from_fn(|_| self.scratch.take_real());
+        let delayed = delay_fractional_allpass_lanes(
+            irs,
+            self.shift,
+            self.aligned_len,
+            self.scratch,
+            aligned.each_mut(),
+        );
+        let spectra = delayed.map(|()| {
+            echo_ir_spectra(
+                aligned.each_ref().map(Vec::as_slice),
+                self.aligned_center,
+                self.calibration,
+                self.config,
+                self.scratch,
+            )
+        });
+        for buf in aligned {
+            self.scratch.put_real(buf);
+        }
+        match spectra? {
+            Ok(spectra) => self.spectra.extend(spectra),
+            Err(_) if L > 1 => {
+                for i in first..first + L {
+                    self.run::<1>(i)?;
+                }
+            }
+            Err(_) => {}
+        }
+        Ok(())
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
-use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with, BiquadCascade};
+use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_lanes, BiquadCascade};
 
 /// A reusable preprocessing stage holding the designed band-pass filter.
 #[derive(Debug, Clone)]
@@ -52,7 +52,8 @@ impl Preprocessor {
     /// filter's reflected extension, `out` the filtered samples.
     /// Allocation-free once the buffers are warm, no per-call cascade
     /// clone, and **bit-identical** to [`Preprocessor::run`] (see
-    /// [`filtfilt_with`]).
+    /// [`earsonar_dsp::filter::filtfilt_with`]). This is the one-lane
+    /// instance of [`Preprocessor::run_lanes`].
     ///
     /// # Errors
     ///
@@ -64,7 +65,27 @@ impl Preprocessor {
         ext: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<(), EarSonarError> {
-        filtfilt_with(&self.filter, samples, self.pad, ext, out)?;
+        self.run_lanes([samples], [0], ext, [out])
+    }
+
+    /// [`Preprocessor::run_with`] of `L` signals in one lane-interleaved
+    /// filter pass ([`filtfilt_lanes`]). The first `context[l]` samples of
+    /// `samples[l]` are context only: `outs[l]` receives the filtered
+    /// samples after them, bit-identical to those samples of filtering the
+    /// whole signal alone. The signals may differ in length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EarSonarError::Dsp`] if any signal is empty.
+    // lint: hot-path
+    pub fn run_lanes<const L: usize>(
+        &self,
+        samples: [&[f64]; L],
+        context: [usize; L],
+        ext: &mut Vec<f64>,
+        outs: [&mut Vec<f64>; L],
+    ) -> Result<(), EarSonarError> {
+        filtfilt_lanes(&self.filter, samples, self.pad, context, ext, outs)?;
         Ok(())
     }
 

@@ -83,7 +83,9 @@ impl ChirpStream {
                 reason: "push_chirp on a stream holding a partial chirp window",
             });
         }
-        Ok(front_end.push_window(scratch, &mut self.acc, window))
+        front_end.push_windows(scratch, &mut self.acc, [window]);
+        // One window in, one outcome out.
+        Ok(self.acc.outcomes[0])
     }
 
     /// Pushes an arbitrary chunk of the sample stream, processing every
@@ -106,19 +108,14 @@ impl ChirpStream {
         chunk: &[f64],
     ) -> Result<usize, EarSonarError> {
         self.buffer.extend_from_slice(chunk);
-        let mut completed = 0;
-        let mut start = 0;
-        while self.buffer.len() - start >= self.hop {
-            // Split borrows: the window lives in `buffer` while the front
-            // end mutates only scratch and accumulator.
-            let window = &self.buffer[start..start + self.hop];
-            let _ = front_end.push_window(scratch, &mut self.acc, window);
-            start += self.hop;
-            completed += 1;
-        }
-        if start > 0 {
-            self.buffer.drain(..start);
-        }
+        let completed = self.buffer.len() / self.hop;
+        let end = completed * self.hop;
+        // Every window the chunk completes runs as one batch. Split
+        // borrows: the windows live in `buffer` while the front end
+        // mutates only scratch and accumulator.
+        let windows = self.buffer[..end].chunks_exact(self.hop);
+        front_end.push_windows(scratch, &mut self.acc, windows);
+        self.buffer.drain(..end);
         Ok(completed)
     }
 
@@ -169,7 +166,7 @@ impl ChirpStream {
     ) -> Result<ProcessedRecording, EarSonarError> {
         if !self.buffer.is_empty() {
             let tail = std::mem::take(&mut self.buffer);
-            let _ = front_end.push_window(scratch, &mut self.acc, &tail);
+            front_end.push_windows(scratch, &mut self.acc, [tail.as_slice()]);
         }
         front_end.finalize(scratch, self.acc)
     }

@@ -82,23 +82,17 @@ impl Biquad {
     }
 
     /// Filters `buf` in place from **zeroed** state, without touching
-    /// `self`'s delay line. The recurrence state lives in two locals the
-    /// whole pass, so the compiler keeps it in registers instead of
-    /// loading and storing `self.s1`/`self.s2` every sample.
+    /// `self`'s delay line. The recurrence state lives in locals the whole
+    /// pass, so the compiler keeps it in registers instead of loading and
+    /// storing `self.s1`/`self.s2` every sample.
     ///
     /// Bit-identical to [`Biquad::process`] after a [`Biquad::reset`]:
-    /// per-sample operations and their order are unchanged.
+    /// per-sample operations and their order are unchanged. This is the
+    /// one-section, one-lane instance of [`BiquadCascade::run_lanes`].
     // lint: hot-path
     #[inline]
     pub fn run_in_place(&self, buf: &mut [f64]) {
-        let (mut s1, mut s2) = (0.0f64, 0.0f64);
-        let (b0, b1, b2, a1, a2) = (self.b0, self.b1, self.b2, self.a1, self.a2);
-        for x in buf.iter_mut() {
-            let y = b0 * *x + s1;
-            s1 = b1 * *x - a1 * y + s2;
-            s2 = b2 * *x - a2 * y;
-            *x = y;
-        }
+        run_sections(std::slice::from_ref(self), buf.as_chunks_mut::<1>().0);
     }
 
     /// Evaluates the complex frequency response at normalized angular
@@ -189,32 +183,28 @@ impl BiquadCascade {
     /// [`BiquadCascade::process`] — pinned by `cascade_in_place_is_bit_identical`
     /// below and the kernel-equivalence suite. Unlike `process`, it needs
     /// no `&mut self` and therefore no per-call cascade clone.
+    ///
+    /// This is the one-lane instance of [`BiquadCascade::run_lanes`].
     // lint: hot-path
     #[inline]
     pub fn run_in_place(&self, buf: &mut [f64]) {
-        // Enough for a 16th-order filter; EarSonar's Butterworth designs
-        // use at most `order` sections.
-        const MAX_LOCAL: usize = 8;
-        if self.sections.len() > MAX_LOCAL {
-            // Fallback for very deep cascades: per-section sweeps
-            // (bit-identical, see above; slower but state still local).
-            for s in &self.sections {
-                s.run_in_place(buf);
-            }
-            return;
-        }
-        let mut state = [(0.0f64, 0.0f64); MAX_LOCAL];
-        let sections = self.sections.as_slice();
-        for x in buf.iter_mut() {
-            let mut acc = *x;
-            for (s, (s1, s2)) in sections.iter().zip(state.iter_mut()) {
-                let y = s.b0 * acc + *s1;
-                *s1 = s.b1 * acc - s.a1 * y + *s2;
-                *s2 = s.b2 * acc - s.a2 * y;
-                acc = y;
-            }
-            *x = acc;
-        }
+        self.run_lanes(buf.as_chunks_mut::<1>().0);
+    }
+
+    /// Filters `L` independent signals at once, in place from zeroed
+    /// state: `frames[t][l]` is sample `t` of signal `l`. Each lane runs
+    /// exactly [`BiquadCascade::run_in_place`]'s operation sequence on its
+    /// own values, so its output is bit-identical to filtering it alone;
+    /// the lanes' recurrences are independent, so the core overlaps them
+    /// (one cascade pass is a latency-bound chain per lane).
+    ///
+    /// The lanes share a length. A caller with shorter signals can place
+    /// each at the start of its lane and pad after it: the filter is
+    /// causal, so whatever follows a signal never reaches its samples.
+    // lint: hot-path
+    #[inline]
+    pub fn run_lanes<const L: usize>(&self, frames: &mut [[f64; L]]) {
+        run_sections(&self.sections, frames);
     }
 
     /// Evaluates the cascade frequency response at normalized angular
@@ -235,6 +225,48 @@ impl BiquadCascade {
         self.sections.iter().all(Biquad::is_stable)
     }
 }
+
+/// The one implementation of biquad filtering from zeroed state: `L`
+/// lane-interleaved signals through `sections`, sample-major over groups
+/// of up to [`GROUP`] sections whose state stays in a stack-local array.
+/// A deeper cascade runs group after group; each section still consumes
+/// its predecessor's full output sequence, so grouping moves no bit.
+// lint: hot-path
+#[inline]
+fn run_sections<const L: usize>(sections: &[Biquad], frames: &mut [[f64; L]]) {
+    const { assert!(L > 0) };
+    for group in sections.chunks(GROUP) {
+        run_group(group, frames);
+    }
+}
+
+/// One sample-major pass of at most [`GROUP`] sections.
+// lint: hot-path
+#[inline(always)]
+fn run_group<const L: usize>(group: &[Biquad], frames: &mut [[f64; L]]) {
+    // Bounding the slice here (not only through `chunks`) lets the
+    // compiler size the section loop to the state array.
+    let group = &group[..group.len().min(GROUP)];
+    let mut state = [[[0.0f64; L]; 2]; GROUP];
+    for frame in frames.iter_mut() {
+        let mut acc = *frame;
+        for (s, [s1, s2]) in group.iter().zip(state.iter_mut()) {
+            for l in 0..L {
+                let x = acc[l];
+                let y = s.b0 * x + s1[l];
+                s1[l] = s.b1 * x - s.a1 * y + s2[l];
+                s2[l] = s.b2 * x - s.a2 * y;
+                acc[l] = y;
+            }
+        }
+        *frame = acc;
+    }
+}
+
+/// Sections whose state [`run_sections`] keeps on the stack per pass:
+/// enough for a 16th-order filter; EarSonar's Butterworth designs use at
+/// most `order` sections.
+const GROUP: usize = 8;
 
 impl FromIterator<Biquad> for BiquadCascade {
     fn from_iter<T: IntoIterator<Item = Biquad>>(iter: T) -> Self {
@@ -346,6 +378,29 @@ mod tests {
         let mut buf = x.clone();
         c.run_in_place(&mut buf);
         assert_eq!(buf, expect);
+    }
+
+    #[test]
+    fn deep_cascades_and_lanes_are_bit_identical() {
+        // 11 sections: more than one stack-local group.
+        let c: BiquadCascade = (0..11)
+            .map(|k| Biquad::new(0.4 + 0.01 * k as f64, 0.1, -0.2, -0.3, 0.1))
+            .collect();
+        let a: Vec<f64> = (0..97).map(|i| ((i as f64) * 0.31).cos()).collect();
+        let b: Vec<f64> = (0..97).map(|i| ((i as f64) * 1.7).sin() * 0.5).collect();
+        let mut expect_a = a.clone();
+        for s in c.sections() {
+            s.run_in_place(&mut expect_a);
+        }
+        let mut got = a.clone();
+        c.run_in_place(&mut got);
+        assert_eq!(got, expect_a);
+        let mut expect_b = b.clone();
+        c.run_in_place(&mut expect_b);
+        let mut frames: Vec<[f64; 2]> = a.iter().zip(&b).map(|(&x, &y)| [x, y]).collect();
+        c.run_lanes(&mut frames);
+        assert!(frames.iter().zip(&expect_a).all(|(f, &e)| f[0] == e));
+        assert!(frames.iter().zip(&expect_b).all(|(f, &e)| f[1] == e));
     }
 
     #[test]

@@ -14,4 +14,4 @@ pub mod zero_phase;
 
 pub use biquad::{Biquad, BiquadCascade};
 pub use butterworth::{butter_bandpass, butter_highpass, butter_lowpass};
-pub use zero_phase::{filtfilt, filtfilt_with};
+pub use zero_phase::{filtfilt, filtfilt_lanes, filtfilt_with};

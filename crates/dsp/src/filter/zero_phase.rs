@@ -68,7 +68,7 @@ pub fn filtfilt(
 }
 
 /// [`filtfilt`] into caller-owned buffers: `ext` holds the reflected
-/// extension and is filtered **in place** (section-major, recurrence
+/// extension and is filtered **in place** (sample-major, recurrence
 /// state in registers — [`BiquadCascade::run_in_place`]); `out` receives
 /// the `signal.len()` output samples. Allocation-free once both buffers
 /// have grown to size, and no per-call cascade clone.
@@ -77,7 +77,8 @@ pub fn filtfilt(
 /// reference: the reflected extension is built in the same order, each
 /// filtering pass performs identical per-section operations, and the
 /// reversals/copies are exact. Pinned by `filtfilt_with_is_bit_identical`
-/// below and `tests/kernel_equivalence.rs`.
+/// below and `tests/kernel_equivalence.rs`. This is the one-lane instance
+/// of [`filtfilt_lanes`].
 ///
 /// # Errors
 ///
@@ -90,30 +91,95 @@ pub fn filtfilt_with(
     ext: &mut Vec<f64>,
     out: &mut Vec<f64>,
 ) -> Result<(), DspError> {
-    if signal.is_empty() {
+    filtfilt_lanes(filter, [signal], pad, [0], ext, [out])
+}
+
+/// [`filtfilt_with`] of `L` signals in one pass of the filter over
+/// lane-interleaved frames ([`BiquadCascade::run_lanes`]). `outs[l]`
+/// receives output samples `skip[l]..` of `signals[l]` (a caller that
+/// filtered leading context it does not want back skips it),
+/// bit-identical to those samples of [`filtfilt_with`] on that signal
+/// alone.
+///
+/// The signals may differ in length. Each lane's reflected extension
+/// starts at frame 0 and is zero-filled past its end; before the backward
+/// pass each lane reverses only its own extension. A lane's samples
+/// therefore see exactly the one-lane sequence, and the fill after them
+/// cannot reach them because the filter is causal. Lanes of equal length
+/// waste nothing; a shorter lane idles through the longer one's frames.
+/// The backward pass stops at the last wanted sample: the skipped ones
+/// come after it in its order.
+///
+/// # Errors
+///
+/// Returns [`DspError::EmptyInput`] if any signal is empty.
+// lint: hot-path
+pub fn filtfilt_lanes<const L: usize>(
+    filter: &BiquadCascade,
+    signals: [&[f64]; L],
+    pad: usize,
+    skip: [usize; L],
+    ext: &mut Vec<f64>,
+    outs: [&mut Vec<f64>; L],
+) -> Result<(), DspError> {
+    if signals.iter().any(|s| s.is_empty()) {
         return Err(DspError::EmptyInput);
     }
-    let n = signal.len();
-    let pad = pad.min(n - 1);
-
+    // Per lane: the clamped pad and skip, and the extension length.
+    let pads = signals.map(|s| pad.min(s.len() - 1));
+    let skip: [usize; L] = std::array::from_fn(|l| skip[l].min(signals[l].len()));
+    let lens: [usize; L] = std::array::from_fn(|l| signals[l].len() + 2 * pads[l]);
+    let n_frames = lens.iter().copied().max().unwrap_or(0);
     ext.clear();
-    ext.reserve(n + 2 * pad);
-    for i in (1..=pad).rev() {
-        ext.push(2.0 * signal[0] - signal[i]);
-    }
-    ext.extend_from_slice(signal);
-    for i in (n - 1 - pad..n - 1).rev() {
-        ext.push(2.0 * signal[n - 1] - signal[i]);
+    ext.resize(n_frames * L, 0.0);
+    let (frames, _) = ext.as_chunks_mut::<L>();
+
+    // Odd (anti-symmetric) reflection padding, as used by scipy's
+    // filtfilt, built lane by lane in `filtfilt`'s order.
+    for (l, (signal, pad)) in signals.iter().zip(pads).enumerate() {
+        let n = signal.len();
+        let (head, rest) = frames.split_at_mut(pad);
+        let (body, rest) = rest.split_at_mut(n);
+        let (first, last) = (signal[0], signal[n - 1]);
+        for (frame, &v) in head.iter_mut().zip(signal[1..=pad].iter().rev()) {
+            frame[l] = 2.0 * first - v;
+        }
+        for (frame, &v) in body.iter_mut().zip(signal.iter()) {
+            frame[l] = v;
+        }
+        for (frame, &v) in rest.iter_mut().zip(signal[n - 1 - pad..n - 1].iter().rev()) {
+            frame[l] = 2.0 * last - v;
+        }
     }
 
-    filter.run_in_place(ext); // forward pass
-    ext.reverse();
-    filter.run_in_place(ext); // backward pass
-    ext.reverse();
-
-    out.clear();
-    out.extend_from_slice(&ext[pad..pad + n]);
+    filter.run_lanes(frames); // forward pass
+    if lens.iter().all(|&len| len == n_frames) {
+        frames.reverse();
+    } else {
+        for (l, &len) in lens.iter().enumerate() {
+            reverse_lane(&mut frames[..len], l);
+        }
+    }
+    // The output is the backward pass reversed back, minus the padding:
+    // lane `l`'s samples `skip..n` are frames `pad..pad + n - skip` read
+    // backwards, so the pass needs no frame beyond the longest such range.
+    let wanted: [usize; L] = std::array::from_fn(|l| pads[l] + signals[l].len() - skip[l]);
+    let backward = wanted.iter().copied().max().unwrap_or(0);
+    filter.run_lanes(&mut frames[..backward]); // backward pass
+    for (l, out) in outs.into_iter().enumerate() {
+        out.clear();
+        out.extend(frames[pads[l]..wanted[l]].iter().rev().map(|f| f[l]));
+    }
     Ok(())
+}
+
+/// Reverses lane `l` of `frames` in place, leaving the other lanes alone.
+fn reverse_lane<const L: usize>(frames: &mut [[f64; L]], l: usize) {
+    let n = frames.len();
+    let (head, tail) = frames.split_at_mut(n / 2);
+    for (a, b) in head.iter_mut().zip(tail.iter_mut().rev()) {
+        std::mem::swap(&mut a[l], &mut b[l]);
+    }
 }
 
 #[cfg(test)]

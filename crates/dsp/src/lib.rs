@@ -11,6 +11,8 @@
 //!   [`DspScratch`] buffer pool for allocation-free reuse,
 //! * [`fft`] — power-of-two sizing and bin ↔ frequency helpers,
 //! * [`filter`] — biquad cascades and Butterworth band-pass design,
+//! * [`lanes`] — grouping a batch of signals into multi-lane kernel
+//!   passes,
 //! * [`window`] — Hann/Hamming/Blackman tapers,
 //! * [`psd`] — periodogram and Welch power-spectral-density estimates,
 //! * [`mfcc`] — mel-frequency cepstral coefficients,
@@ -67,6 +69,7 @@ pub mod filter;
 pub mod goertzel;
 pub mod hilbert;
 pub mod interp;
+pub mod lanes;
 pub mod mel;
 pub mod mfcc;
 pub mod peak;

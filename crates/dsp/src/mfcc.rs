@@ -10,7 +10,7 @@
 use crate::error::DspError;
 use crate::fft::next_pow2;
 use crate::mel::MelFilterBank;
-use crate::plan::{DspScratch, RealFftPlan};
+use crate::plan::{split_frames, DspScratch, LaneFrame, RealFftPlan};
 use crate::window::Window;
 use std::f64::consts::PI;
 
@@ -79,9 +79,11 @@ pub struct MfccExtractor {
     config: MfccConfig,
     bank: MelFilterBank,
     n_fft: usize,
-    /// Window taps for a full `n_fft`-length frame, precomputed so the hot
-    /// path multiplies instead of evaluating a cosine per sample. Shorter
-    /// (zero-padded) frames fall back to [`Window::apply_in_place`].
+    /// Window taps for frames of `window_taps.len()` samples (a full
+    /// `n_fft` frame unless [`MfccExtractor::with_frame_len`] chose
+    /// another length), precomputed so the hot path multiplies instead of
+    /// evaluating a cosine per sample. Frames of any other length fall back
+    /// to [`Window::apply_in_place`].
     window_taps: Vec<f64>,
     /// Orthonormal DCT-II cosines, row-major: row `k` holds
     /// `cos(PI/n_filters * (i + 0.5) * k)` for `i in 0..n_filters`.
@@ -130,6 +132,17 @@ impl MfccExtractor {
         })
     }
 
+    /// Precomputes the window taps for frames of `frame_len` samples
+    /// (capped at the FFT size, as frames are) instead of full `n_fft`
+    /// frames — for a caller whose frames all have one known length
+    /// shorter than the FFT. Results are unchanged: precomputed taps are
+    /// bit-identical to [`Window::apply_in_place`].
+    pub fn with_frame_len(mut self, frame_len: usize) -> Self {
+        let len = frame_len.min(self.n_fft);
+        self.config.window.coefficients_into(len, &mut self.window_taps);
+        self
+    }
+
     /// The configuration this extractor was built with.
     pub fn config(&self) -> &MfccConfig {
         &self.config
@@ -156,7 +169,8 @@ impl MfccExtractor {
     /// [`MfccExtractor::extract`] writing into a caller-owned buffer, with
     /// the shared FFT plan and every intermediate (windowed frame, spectrum,
     /// power, mel energies) drawn from `scratch` — allocation-free once
-    /// warm.
+    /// warm. This is the one-lane instance of
+    /// [`MfccExtractor::extract_lanes`].
     ///
     /// Only the `n_coeffs` retained cepstral coefficients are computed,
     /// rather than the full DCT.
@@ -171,43 +185,82 @@ impl MfccExtractor {
         segment: &[f64],
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        if segment.is_empty() {
+        self.extract_lanes(scratch, [segment], [out])
+    }
+
+    /// [`MfccExtractor::extract_into`] of `L` segments with one `L`-lane
+    /// FFT ([`RealFftPlan::forward_lanes`]); `outs[l]` receives the
+    /// coefficients of `segments[l]`, bit-identical to extracting it alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::EmptyInput`] if any segment is empty.
+    // lint: hot-path
+    pub fn extract_lanes<const L: usize>(
+        &self,
+        scratch: &mut DspScratch,
+        segments: [&[f64]; L],
+        outs: [&mut Vec<f64>; L],
+    ) -> Result<(), DspError> {
+        if segments.iter().any(|s| s.is_empty()) {
             return Err(DspError::EmptyInput);
         }
-        let take = segment.len().min(self.n_fft);
-        let mut frame = scratch.take_real();
-        frame.extend_from_slice(&segment[..take]);
-        if take == self.n_fft {
-            // Precomputed taps: bit-identical to `apply_in_place`, no
-            // per-sample cosine.
-            crate::window::apply_precomputed(&self.window_taps, &mut frame);
-        } else {
-            // Zero-padded short frame — taps depend on frame length.
-            self.config.window.apply_in_place(&mut frame);
+        let mut frames: [Vec<f64>; L] = std::array::from_fn(|_| scratch.take_real());
+        for (frame, segment) in frames.iter_mut().zip(segments) {
+            let take = segment.len().min(self.n_fft);
+            frame.extend_from_slice(&segment[..take]);
+            if take == self.window_taps.len() {
+                // Precomputed taps: bit-identical to `apply_in_place`, no
+                // per-sample cosine.
+                crate::window::apply_precomputed(&self.window_taps, frame);
+            } else {
+                // Taps depend on frame length.
+                self.config.window.apply_in_place(frame);
+            }
         }
 
         let plan = RealFftPlan::shared(self.n_fft)?;
-        let mut work = scratch.take_complex();
-        let mut spec = scratch.take_complex();
-        plan.forward_into(&frame, &mut work, &mut spec)?;
-
-        let n_bins = self.n_fft / 2 + 1;
-        let mut power = frame; // the windowed frame is spent: reuse it
-        power.clear();
-        power.extend(
-            spec[..n_bins]
-                .iter()
-                .map(|z| z.norm_sqr() / self.n_fft as f64),
-        );
-        let mut mel_energies = scratch.take_real();
-        let applied = self.bank.apply_into(&power, &mut mel_energies);
-        scratch.put_complex(spec);
-        scratch.put_complex(work);
-        scratch.put_real(power);
-        if let Err(e) = applied {
+        let mut work = scratch.take_frames();
+        let mut spec = scratch.take_frames();
+        let inputs = frames.each_ref().map(Vec::as_slice);
+        let mut result = plan.forward_lanes(inputs, &mut work, &mut spec);
+        if result.is_ok() {
+            let mut power = scratch.take_real();
+            let mut mel_energies = scratch.take_real();
+            let n_bins = self.n_fft / 2 + 1;
+            let bins = &split_frames::<L>(&spec)[..n_bins];
+            for (l, out) in outs.into_iter().enumerate() {
+                power.clear();
+                power.extend(
+                    bins.iter()
+                        .map(|frame| frame.lane(l).norm_sqr() / self.n_fft as f64),
+                );
+                result = self.cepstrum(&power, &mut mel_energies, out);
+                if result.is_err() {
+                    break;
+                }
+            }
             scratch.put_real(mel_energies);
-            return Err(e);
+            scratch.put_real(power);
         }
+        for buf in frames {
+            scratch.put_real(buf);
+        }
+        scratch.put_frames(work);
+        scratch.put_frames(spec);
+        result
+    }
+
+    /// Mel energies, log, and the retained DCT-II coefficients of one power
+    /// spectrum, written to `out`; `mel_energies` is scratch.
+    // lint: hot-path
+    fn cepstrum(
+        &self,
+        power: &[f64],
+        mel_energies: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DspError> {
+        self.bank.apply_into(power, mel_energies)?;
         for e in mel_energies.iter_mut() {
             *e = e.max(LOG_FLOOR).ln();
         }
@@ -223,7 +276,7 @@ impl MfccExtractor {
             .chunks_exact(self.config.n_filters)
             .enumerate()
         {
-            let sum = crate::simd::dot(&mel_energies, row);
+            let sum = crate::simd::dot(mel_energies, row);
             let scale = if k == 0 {
                 (1.0 / nf).sqrt()
             } else {
@@ -231,7 +284,6 @@ impl MfccExtractor {
             };
             out.push(sum * scale);
         }
-        scratch.put_real(mel_energies);
         Ok(())
     }
 
@@ -412,6 +464,27 @@ mod tests {
             for (f, s) in fast.iter().zip(&slow) {
                 assert!((f - s).abs() < 1e-9, "n={n}: {f} vs {s}");
             }
+        }
+    }
+
+    #[test]
+    fn frame_length_taps_are_bit_identical() {
+        // Precomputing the window for the frames' real length changes no
+        // coefficient, for frames of that length or any other.
+        let cfg = MfccConfig {
+            n_fft: 256,
+            n_coeffs: 26,
+            ..MfccConfig::earsonar_default()
+        };
+        let full = MfccExtractor::new(cfg.clone()).unwrap();
+        let short = MfccExtractor::new(cfg).unwrap().with_frame_len(61);
+        let mut scratch = DspScratch::new();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for n in [61usize, 60, 256, 300] {
+            let x = tone(18_000.0, 48_000.0, n);
+            full.extract_into(&mut scratch, &x, &mut a).unwrap();
+            short.extract_into(&mut scratch, &x, &mut b).unwrap();
+            assert_eq!(a, b, "n={n}");
         }
     }
 

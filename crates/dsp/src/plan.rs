@@ -16,6 +16,18 @@
 //! * [`DspScratch`] — a per-worker pool of intermediate buffers, so the
 //!   planned kernels perform **zero heap allocation per call once warm**.
 //!
+//! Every transform has one implementation, generic over a lane count `L`
+//! and a [`LaneFrame`] layout: a buffer of frames, frame `k` holding point
+//! `k` of `L` independent signals of the same size. The single-signal
+//! calls ([`FftPlan::forward`], [`RealFftPlan::forward_into`], …) are its
+//! one-lane instance over a plain `[Complex64]` buffer; the `_lanes` calls
+//! run `L` signals over [`SplitFrame`]s (all lanes' real parts, then all
+//! their imaginary parts), the layout the compiler vectorizes across
+//! lanes. Every lane performs exactly the one-lane operation sequence on
+//! its own values, so a lane's output is bit-identical to transforming it
+//! alone; several lanes per pass only overlap their independent arithmetic
+//! and share the twiddle loads and loop overhead.
+//!
 //! A plan is a pure function of its size, so a shared plan computes the
 //! same bits as a freshly built one. Plans are immutable after
 //! construction; a [`DspScratch`] is owned by one [`crate::fanout`] worker
@@ -146,13 +158,37 @@ impl FftPlan {
         data: &mut [Complex64],
         inverse: bool,
     ) -> Result<(), DspError> {
-        if data.len() != self.n {
+        self.check_frames(data.len())?;
+        self.run::<1, _>(data.as_chunks_mut::<1>().0, inverse);
+        Ok(())
+    }
+
+    /// Executes `L` transforms in place over split frames (frame `k` holds
+    /// point `k` of every lane; see [`split_frames_mut`]): forward when
+    /// `inverse` is false, normalized inverse otherwise. Each lane is
+    /// bit-identical to [`FftPlan::execute_in_place`] on that lane alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidLength`] if there is not exactly one
+    /// frame per planned point.
+    pub fn execute_lanes<const L: usize>(
+        &self,
+        frames: &mut [SplitFrame<L>],
+        inverse: bool,
+    ) -> Result<(), DspError> {
+        self.check_frames(frames.len())?;
+        self.run::<L, _>(frames, inverse);
+        Ok(())
+    }
+
+    fn check_frames(&self, len: usize) -> Result<(), DspError> {
+        if len != self.n {
             return Err(DspError::InvalidLength {
-                expected: "a buffer of exactly the planned size",
-                actual: data.len(),
+                expected: "exactly the planned size",
+                actual: len,
             });
         }
-        self.run(data, inverse);
         Ok(())
     }
 
@@ -184,43 +220,77 @@ impl FftPlan {
     // lint: hot-path
     pub fn forward_from_real(&self, x: &[f64], out: &mut Vec<Complex64>) {
         out.clear();
-        out.extend(x.iter().take(self.n).map(|&v| Complex64::from_real(v)));
         out.resize(self.n, Complex64::ZERO);
-        self.run(out, false);
+        self.forward_from_real_frames([x], out.as_chunks_mut::<1>().0);
     }
 
+    /// [`FftPlan::forward_from_real`] of `L` signals at once: `out` is
+    /// resized to the planned size in split frames and holds their spectra.
+    /// Inputs may differ in length; each is truncated or zero-padded on its
+    /// own.
     // lint: hot-path
-    fn run(&self, data: &mut [Complex64], inverse: bool) {
+    pub fn forward_from_real_lanes<const L: usize>(&self, xs: [&[f64]; L], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(2 * L * self.n, 0.0);
+        self.forward_from_real_frames(xs, split_frames_mut::<L>(out));
+    }
+
+    /// Loads `xs` into zeroed `frames` as complex values and transforms.
+    // lint: hot-path
+    fn forward_from_real_frames<const L: usize, F: LaneFrame<L>>(
+        &self,
+        xs: [&[f64]; L],
+        frames: &mut [F],
+    ) {
+        for (l, x) in xs.iter().enumerate() {
+            for (frame, &v) in frames.iter_mut().zip(x.iter()) {
+                frame.set_lane(l, Complex64::from_real(v));
+            }
+        }
+        self.run::<L, F>(frames, false);
+    }
+
+    /// The radix-2 transform of `L` lanes in place. The butterfly sequence
+    /// is the one-lane sequence with an inner loop over lanes, so every
+    /// lane sees exactly the operations it would see alone.
+    // lint: hot-path
+    fn run<const L: usize, F: LaneFrame<L>>(&self, frames: &mut [F], inverse: bool) {
+        const { assert!(L > 0) };
         let n = self.n;
-        debug_assert_eq!(data.len(), n);
+        debug_assert_eq!(frames.len(), n);
         for (i, &r) in self.rev.iter().enumerate() {
             let j = r as usize;
             if i < j {
-                data.swap(i, j);
+                frames.swap(i, j);
             }
         }
         let mut len = 2usize;
         while len <= n {
             let half = len / 2;
             let stride = n / len;
-            for chunk in data.chunks_exact_mut(len) {
-                for i in 0..half {
+            for chunk in frames.chunks_exact_mut(len) {
+                let (lo, hi) = chunk.split_at_mut(half);
+                for (i, (a, b)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
                     let mut w = self.tw[i * stride];
                     if inverse {
                         w = w.conj();
                     }
-                    let u = chunk[i];
-                    let v = chunk[i + half] * w;
-                    chunk[i] = u + v;
-                    chunk[i + half] = u - v;
+                    for l in 0..L {
+                        let u = a.lane(l);
+                        let v = b.lane(l) * w;
+                        a.set_lane(l, u + v);
+                        b.set_lane(l, u - v);
+                    }
                 }
             }
             len <<= 1;
         }
         if inverse {
             let s = 1.0 / n as f64;
-            for z in data.iter_mut() {
-                *z = z.scale(s);
+            for frame in frames.iter_mut() {
+                for l in 0..L {
+                    frame.set_lane(l, frame.lane(l).scale(s));
+                }
             }
         }
     }
@@ -302,46 +372,100 @@ impl RealFftPlan {
         work: &mut Vec<Complex64>,
         out: &mut Vec<Complex64>,
     ) -> Result<(), DspError> {
-        if input.len() > self.n {
-            return Err(DspError::InvalidLength {
-                expected: "at most the planned transform size",
-                actual: input.len(),
-            });
-        }
-        if self.n == 1 {
-            out.clear();
-            out.push(Complex64::from_real(
-                input.first().copied().unwrap_or(0.0),
-            ));
-            return Ok(());
-        }
-        let m = self.n / 2;
+        self.check_inputs(&[input])?;
         work.clear();
-        work.resize(m, Complex64::ZERO);
-        for (k, z) in work.iter_mut().enumerate() {
-            let re = input.get(2 * k).copied().unwrap_or(0.0);
-            let im = input.get(2 * k + 1).copied().unwrap_or(0.0);
-            *z = Complex64::new(re, im);
-        }
-        self.half.forward(work)?;
+        work.resize(self.n / 2, Complex64::ZERO);
         out.clear();
         out.resize(self.n, Complex64::ZERO);
-        // DC and Nyquist come straight from the packed bin 0.
-        let z0 = work[0];
-        out[0] = Complex64::from_real(z0.re + z0.im);
-        out[m] = Complex64::from_real(z0.re - z0.im);
-        for k in 1..m {
-            let a = work[k];
-            let b = work[m - k].conj();
-            // F1 = spectrum of even samples, F2 = spectrum of odd samples.
-            let f1 = (a + b).scale(0.5);
-            let d = a - b;
-            let f2 = Complex64::new(d.im * 0.5, -d.re * 0.5); // -i * d / 2
-            let xk = f1 + self.tw[k] * f2;
-            out[k] = xk;
-            out[self.n - k] = xk.conj();
-        }
+        self.forward_frames(
+            [input],
+            work.as_chunks_mut::<1>().0,
+            out.as_chunks_mut::<1>().0,
+        );
         Ok(())
+    }
+
+    /// [`RealFftPlan::forward_into`] of `L` signals at once: `out` holds
+    /// their `n`-bin spectra in split frames ([`split_frames`]), `work` the
+    /// intermediate ones. Inputs may differ in length; each is zero-padded
+    /// on its own, and each lane is bit-identical to its one-lane
+    /// transform.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidLength`] if any input is longer than the
+    /// planned size.
+    // lint: hot-path
+    pub fn forward_lanes<const L: usize>(
+        &self,
+        inputs: [&[f64]; L],
+        work: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DspError> {
+        self.check_inputs(&inputs)?;
+        work.clear();
+        work.resize(2 * L * (self.n / 2), 0.0);
+        out.clear();
+        out.resize(2 * L * self.n, 0.0);
+        self.forward_frames(inputs, split_frames_mut::<L>(work), split_frames_mut::<L>(out));
+        Ok(())
+    }
+
+    fn check_inputs(&self, inputs: &[&[f64]]) -> Result<(), DspError> {
+        match inputs.iter().find(|x| x.len() > self.n) {
+            Some(input) => Err(DspError::InvalidLength {
+                expected: "at most the planned transform size",
+                actual: input.len(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The forward transform into zeroed frames: `n/2` of `work`, `n` of
+    /// `out`.
+    // lint: hot-path
+    fn forward_frames<const L: usize, F: LaneFrame<L>>(
+        &self,
+        inputs: [&[f64]; L],
+        work: &mut [F],
+        out: &mut [F],
+    ) {
+        if self.n == 1 {
+            for (l, input) in inputs.iter().enumerate() {
+                out[0].set_lane(l, Complex64::from_real(input.first().copied().unwrap_or(0.0)));
+            }
+            return;
+        }
+        let m = self.n / 2;
+        // Even samples into the real parts, odd ones into the imaginary
+        // parts; frames past an input's end stay zero.
+        for (l, input) in inputs.iter().enumerate() {
+            for (frame, pair) in work.iter_mut().zip(input.chunks(2)) {
+                let im = pair.get(1).copied().unwrap_or(0.0);
+                frame.set_lane(l, Complex64::new(pair[0], im));
+            }
+        }
+        self.half.run::<L, F>(work, false);
+        // DC and Nyquist come straight from the packed bin 0.
+        for l in 0..L {
+            let z0 = work[0].lane(l);
+            out[0].set_lane(l, Complex64::from_real(z0.re + z0.im));
+            out[m].set_lane(l, Complex64::from_real(z0.re - z0.im));
+        }
+        for k in 1..m {
+            let tw = self.tw[k];
+            for l in 0..L {
+                let a = work[k].lane(l);
+                let b = work[m - k].lane(l).conj();
+                // F1 = spectrum of even samples, F2 = spectrum of odd samples.
+                let f1 = (a + b).scale(0.5);
+                let d = a - b;
+                let f2 = Complex64::new(d.im * 0.5, -d.re * 0.5); // -i * d / 2
+                let xk = f1 + tw * f2;
+                out[k].set_lane(l, xk);
+                out[self.n - k].set_lane(l, xk.conj());
+            }
+        }
     }
 
     /// Recovers the `n` real samples of a full Hermitian spectrum into
@@ -364,38 +488,146 @@ impl RealFftPlan {
         work: &mut Vec<Complex64>,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        if spectrum.len() != self.n {
+        self.check_spectrum(spectrum.len())?;
+        work.clear();
+        work.resize(self.n / 2, Complex64::ZERO);
+        self.inverse_frames(
+            spectrum.as_chunks::<1>().0,
+            work.as_chunks_mut::<1>().0,
+            out,
+        );
+        Ok(())
+    }
+
+    /// [`RealFftPlan::inverse_into`] of `L` spectra in split frames
+    /// ([`split_frames`]): `out` receives their samples lane-interleaved
+    /// (`out[t * L + l]` is sample `t` of lane `l`). As in the one-lane
+    /// form, only bins `0..=n/2` of each lane are read, and each lane is
+    /// bit-identical to its one-lane inverse.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidLength`] unless `spectrum` holds exactly
+    /// one split frame per planned point.
+    // lint: hot-path
+    pub fn inverse_lanes<const L: usize>(
+        &self,
+        spectrum: &[f64],
+        work: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DspError> {
+        if spectrum.len() != 2 * L * self.n {
             return Err(DspError::InvalidLength {
-                expected: "a spectrum of exactly the planned size",
+                expected: "exactly the planned size per lane",
                 actual: spectrum.len(),
             });
         }
-        if self.n == 1 {
-            out.clear();
-            out.push(spectrum[0].re);
-            return Ok(());
-        }
-        let m = self.n / 2;
         work.clear();
-        work.resize(m, Complex64::ZERO);
-        for (k, z) in work.iter_mut().enumerate() {
-            let a = spectrum[k];
-            let b = spectrum[m - k].conj();
-            let f1 = (a + b).scale(0.5);
-            let t = (a - b).scale(0.5);
-            let f2 = self.tw[k].conj() * t;
-            // Z[k] = F1[k] + i * F2[k]: the packed even/odd transform.
-            *z = Complex64::new(f1.re - f2.im, f1.im + f2.re);
-        }
-        self.half.inverse(work)?;
-        out.clear();
-        out.reserve(self.n);
-        for z in work.iter() {
-            out.push(z.re);
-            out.push(z.im);
+        work.resize(2 * L * (self.n / 2), 0.0);
+        self.inverse_frames(split_frames::<L>(spectrum), split_frames_mut::<L>(work), out);
+        Ok(())
+    }
+
+    fn check_spectrum(&self, len: usize) -> Result<(), DspError> {
+        if len != self.n {
+            return Err(DspError::InvalidLength {
+                expected: "a spectrum of exactly the planned size",
+                actual: len,
+            });
         }
         Ok(())
     }
+
+    /// The inverse transform of `n` frames of `bins` through `n/2` frames
+    /// of `work`, samples lane-interleaved into `out`.
+    // lint: hot-path
+    fn inverse_frames<const L: usize, F: LaneFrame<L>>(
+        &self,
+        bins: &[F],
+        work: &mut [F],
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        if self.n == 1 {
+            out.extend((0..L).map(|l| bins[0].lane(l).re));
+            return;
+        }
+        let m = self.n / 2;
+        for (k, frame) in work.iter_mut().enumerate() {
+            let tw = self.tw[k].conj();
+            for l in 0..L {
+                let a = bins[k].lane(l);
+                let b = bins[m - k].lane(l).conj();
+                let f1 = (a + b).scale(0.5);
+                let t = (a - b).scale(0.5);
+                let f2 = tw * t;
+                // Z[k] = F1[k] + i * F2[k]: the packed even/odd transform.
+                frame.set_lane(l, Complex64::new(f1.re - f2.im, f1.im + f2.re));
+            }
+        }
+        self.half.run::<L, F>(work, true);
+        // Packed point `k` holds samples `2k` (real part) and `2k + 1`
+        // (imaginary part): exactly a split frame of the output.
+        out.resize(self.n * L, 0.0);
+        for (frame, samples) in work.iter().zip(split_frames_mut::<L>(out)) {
+            for l in 0..L {
+                samples.set_lane(l, frame.lane(l));
+            }
+        }
+    }
+}
+
+/// One point of `L` transforms run together: how a frame stores its
+/// lanes' complex values. The transforms are written once against this
+/// trait; see the module docs.
+pub trait LaneFrame<const L: usize>: Copy {
+    /// Lane `l`'s value.
+    fn lane(&self, l: usize) -> Complex64;
+    /// Overwrites lane `l`'s value.
+    fn set_lane(&mut self, l: usize, z: Complex64);
+}
+
+/// Interleaved frames: the layout of a plain `[Complex64]` buffer, one
+/// lane per frame.
+impl<const L: usize> LaneFrame<L> for [Complex64; L] {
+    #[inline(always)]
+    fn lane(&self, l: usize) -> Complex64 {
+        self[l]
+    }
+
+    #[inline(always)]
+    fn set_lane(&mut self, l: usize, z: Complex64) {
+        self[l] = z;
+    }
+}
+
+/// A split frame: the real parts of all `L` lanes, then their imaginary
+/// parts. Lane-wise arithmetic on it is plain arithmetic on contiguous
+/// `f64` arrays, which the compiler vectorizes.
+pub type SplitFrame<const L: usize> = [[f64; L]; 2];
+
+impl<const L: usize> LaneFrame<L> for SplitFrame<L> {
+    #[inline(always)]
+    fn lane(&self, l: usize) -> Complex64 {
+        Complex64::new(self[0][l], self[1][l])
+    }
+
+    #[inline(always)]
+    fn set_lane(&mut self, l: usize, z: Complex64) {
+        self[0][l] = z.re;
+        self[1][l] = z.im;
+    }
+}
+
+/// A real buffer viewed as split frames of `L` lanes (`2 * L` values per
+/// frame; a trailing partial frame is left out).
+pub fn split_frames<const L: usize>(buf: &[f64]) -> &[SplitFrame<L>] {
+    buf.as_chunks::<L>().0.as_chunks::<2>().0
+}
+
+/// [`split_frames`] for writing.
+pub fn split_frames_mut<const L: usize>(buf: &mut [f64]) -> &mut [SplitFrame<L>] {
+    buf.as_chunks_mut::<L>().0.as_chunks_mut::<2>().0
 }
 
 /// A reusable DSP workspace: pools of intermediate buffers.
@@ -410,6 +642,7 @@ impl RealFftPlan {
 pub struct DspScratch {
     complex_pool: Vec<Vec<Complex64>>,
     real_pool: Vec<Vec<f64>>,
+    frame_pool: Vec<Vec<f64>>,
 }
 
 impl DspScratch {
@@ -441,6 +674,24 @@ impl DspScratch {
     pub fn put_real(&mut self, mut buf: Vec<f64>) {
         buf.clear();
         self.real_pool.push(buf);
+    }
+
+    /// Borrows a buffer for lane frames — a multi-lane kernel's
+    /// transform or filter work area, several signals wide — from a pool
+    /// of its own (empty, capacity retained). Return it with
+    /// [`DspScratch::put_frames`].
+    ///
+    /// Buffers drift to the largest size any taker needs. Keeping these
+    /// few wide work areas apart from the many per-signal buffers of
+    /// [`DspScratch::take_real`] keeps the latter at per-signal size.
+    pub fn take_frames(&mut self) -> Vec<f64> {
+        self.frame_pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a lane-frame buffer to its pool, keeping its capacity.
+    pub fn put_frames(&mut self, mut buf: Vec<f64>) {
+        buf.clear();
+        self.frame_pool.push(buf);
     }
 }
 

@@ -14,13 +14,31 @@
 //! The sweeps hit every remainder class (`len % 4` ∈ {0,1,2,3}), odd
 //! one-off lengths, subnormal inputs, and DetRng-randomized signals that
 //! are finite by construction.
+//!
+//! Lane ≡ one lane: every kernel that runs several signals per pass (the
+//! FFTs, the zero-phase filter, deconvolution, the allpass delay, echo
+//! spectra, MFCCs) is pinned bit for bit against its one-lane form at 2 and
+//! 4 lanes, over sizes 1–4096, lanes of unequal length, and batches whose
+//! size leaves an odd tail of lane groups.
 
+use earsonar::absorption::{echo_ir_spectra, echo_ir_spectrum};
+use earsonar::channel::pipeline_estimator;
+use earsonar::pipeline::FrontEnd;
 use earsonar::quality::{measure_window, measure_window_scalar, NoiseFloor};
+use earsonar::streaming::StreamingFrontEnd;
+use earsonar::EarSonarConfig;
+use earsonar_acoustics::propagation::{
+    delay_fractional_allpass_lanes, delay_fractional_allpass_with,
+};
 use earsonar_dsp::correlation::{pearson, pearson_scalar};
-use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_with};
+use earsonar_dsp::filter::{
+    butter_bandpass, filtfilt, filtfilt_lanes, filtfilt_with, BiquadCascade,
+};
+use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
 use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
-use earsonar_dsp::plan::DspScratch;
+use earsonar_dsp::plan::{split_frames, split_frames_mut, DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::Complex64;
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::simd;
 use earsonar_dsp::window::{apply_precomputed, Window};
@@ -248,5 +266,295 @@ fn denormal_and_extreme_inputs_stay_finite_and_close() {
             simd::sum_scalar(&big),
             n as f64 * 1e300
         ));
+    }
+}
+
+/// Lane lengths that differ from lane to lane (as after a gate rejection
+/// empties the filter context), drawn from `lengths` in rotation.
+fn unequal<const L: usize>(lengths: &[usize], offset: usize) -> [usize; L] {
+    std::array::from_fn(|l| lengths[(offset + l * 5) % lengths.len()])
+}
+
+/// Lengths from 1 to 4096: every power of two, its neighbours, and the
+/// pipeline's window sizes.
+fn spread_lengths() -> Vec<usize> {
+    let mut v: Vec<usize> = (0..=12)
+        .flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1])
+        .filter(|&n| (1..=4096).contains(&n))
+        .chain([61, 96, 99, 240, 312])
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+fn lane_fft_kernels<const L: usize>() {
+    for log2 in 0..=12 {
+        let n = 1usize << log2;
+        let seed = 20_000 + (L * 100 + log2) as u64;
+        // Complex transform, forward then inverse, against one lane.
+        let plan = FftPlan::shared(n).unwrap();
+        let signals: [Vec<Complex64>; L] = std::array::from_fn(|l| {
+            noise(2 * n, seed + l as u64)
+                .chunks(2)
+                .map(|p| Complex64::new(p[0], p[1]))
+                .collect()
+        });
+        let mut buf = vec![0.0; 2 * L * n];
+        for (l, s) in signals.iter().enumerate() {
+            for (frame, z) in split_frames_mut::<L>(&mut buf).iter_mut().zip(s) {
+                frame[0][l] = z.re;
+                frame[1][l] = z.im;
+            }
+        }
+        for inverse in [false, true] {
+            plan.execute_lanes(split_frames_mut::<L>(&mut buf), inverse)
+                .unwrap();
+            for (l, s) in signals.iter().enumerate() {
+                let mut one = s.clone();
+                plan.forward(&mut one).unwrap();
+                if inverse {
+                    plan.inverse(&mut one).unwrap();
+                }
+                let lane: Vec<Complex64> = split_frames::<L>(&buf)
+                    .iter()
+                    .map(|f| Complex64::new(f[0][l], f[1][l]))
+                    .collect();
+                assert_eq!(lane, one, "L={L} n={n} lane {l} inverse={inverse}");
+            }
+        }
+
+        // Real input of unequal lengths, complex and half-size real paths.
+        let lens = unequal::<L>(&[n, n / 2 + 1, 1, n.saturating_sub(1).max(1), 2 * n], log2);
+        let xs: [Vec<f64>; L] = std::array::from_fn(|l| noise(lens[l], seed + 50 + l as u64));
+        let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
+        let mut spec = Vec::new();
+        plan.forward_from_real_lanes(inputs, &mut spec);
+        let mut one = Vec::new();
+        for (l, x) in inputs.iter().enumerate() {
+            plan.forward_from_real(x, &mut one);
+            let lane: Vec<Complex64> = split_frames::<L>(&spec)
+                .iter()
+                .map(|f| Complex64::new(f[0][l], f[1][l]))
+                .collect();
+            assert_eq!(lane, one, "L={L} n={n} lane {l}: forward_from_real");
+        }
+
+        let real = RealFftPlan::shared(n).unwrap();
+        let fitting: [&[f64]; L] = std::array::from_fn(|l| &xs[l][..xs[l].len().min(n)]);
+        let (mut work, mut spec, mut time) = (Vec::new(), Vec::new(), Vec::new());
+        real.forward_lanes(fitting, &mut work, &mut spec).unwrap();
+        real.inverse_lanes::<L>(&spec, &mut work, &mut time)
+            .unwrap();
+        let (mut w1, mut s1, mut t1) = (Vec::new(), Vec::new(), Vec::new());
+        for (l, x) in fitting.iter().enumerate() {
+            real.forward_into(x, &mut w1, &mut s1).unwrap();
+            let lane: Vec<Complex64> = split_frames::<L>(&spec)
+                .iter()
+                .map(|f| Complex64::new(f[0][l], f[1][l]))
+                .collect();
+            assert_eq!(lane, s1, "L={L} n={n} lane {l}: real forward");
+            real.inverse_into(&s1, &mut w1, &mut t1).unwrap();
+            let lane: Vec<f64> = time.chunks(L).map(|t| t[l]).collect();
+            assert_eq!(lane, t1, "L={L} n={n} lane {l}: real inverse");
+        }
+        // An input longer than the plan fails the whole pass.
+        assert_eq!(
+            real.forward_lanes(inputs, &mut work, &mut spec).is_err(),
+            lens.iter().any(|&m| m > n)
+        );
+    }
+}
+
+fn lane_signal_kernels<const L: usize>() {
+    let lengths = spread_lengths();
+    let filter = butter_bandpass(4, 16_000.0, 20_000.0, 48_000.0).unwrap();
+    let (mut ext, mut one_ext, mut one) = (Vec::new(), Vec::new(), Vec::new());
+    for offset in 0..lengths.len() {
+        let lens = unequal::<L>(&lengths, offset);
+        let xs: [Vec<f64>; L] =
+            std::array::from_fn(|l| noise(lens[l], 30_000 + (offset * L + l) as u64));
+        let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
+        for pad in [0usize, 3, 72] {
+            let skip: [usize; L] = std::array::from_fn(|l| (lens[l] / 3).min(pad));
+            let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
+            filtfilt_lanes(&filter, inputs, pad, skip, &mut ext, outs.each_mut()).unwrap();
+            for (l, x) in inputs.iter().enumerate() {
+                filtfilt_with(&filter, x, pad, &mut one_ext, &mut one).unwrap();
+                assert_eq!(
+                    outs[l],
+                    one[skip[l]..],
+                    "L={L} lens={lens:?} pad={pad} lane {l}"
+                );
+            }
+        }
+    }
+    let mut empty_lane: [&[f64]; L] = [&[1.0]; L];
+    empty_lane[L - 1] = &[];
+    let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
+    assert!(filtfilt_lanes(&filter, empty_lane, 3, [0; L], &mut ext, outs.each_mut()).is_err());
+
+    // Deconvolution of windows of unequal length, including a partial
+    // final chirp.
+    let cfg = EarSonarConfig::default();
+    let fe = FrontEnd::new(&cfg).unwrap();
+    let est = pipeline_estimator(fe.template(), &cfg).unwrap();
+    let mut scratch = DspScratch::new();
+    let mut one_scratch = DspScratch::new();
+    for offset in 0..8 {
+        let lens = unequal::<L>(&[240, 240, 1, 17, 239, 96, 240, 128], offset);
+        let xs: [Vec<f64>; L] =
+            std::array::from_fn(|l| noise(lens[l], 40_000 + (offset * L + l) as u64));
+        let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
+        let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
+        est.estimate_lanes(&mut scratch, inputs, outs.each_mut())
+            .unwrap();
+        for (l, x) in inputs.iter().enumerate() {
+            est.estimate_with(&mut one_scratch, x, &mut one).unwrap();
+            assert_eq!(outs[l], one, "L={L} lens={lens:?} lane {l}: deconvolution");
+        }
+    }
+
+    // Allpass delay: lanes sharing a transform size, and lanes that need
+    // different sizes (run one at a time).
+    for (offset, delay) in [0.0, 0.37, 1.5, 2.0, 7.25].into_iter().enumerate() {
+        for lens_of in [[96usize, 96, 96, 96], [96, 30, 1, 200]] {
+            let lens: [usize; L] = std::array::from_fn(|l| lens_of[l]);
+            let xs: [Vec<f64>; L] =
+                std::array::from_fn(|l| noise(lens[l], 50_000 + (offset * L + l) as u64));
+            let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
+            let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
+            delay_fractional_allpass_lanes(inputs, delay, 99, &mut scratch, outs.each_mut())
+                .unwrap();
+            for (l, x) in inputs.iter().enumerate() {
+                delay_fractional_allpass_with(x, delay, 99, &mut one_scratch, &mut one).unwrap();
+                assert_eq!(
+                    outs[l], one,
+                    "L={L} lens={lens:?} delay {delay} lane {l}: allpass"
+                );
+            }
+        }
+    }
+
+    // Echo spectra of IRs of unequal length, and MFCCs of echo windows of
+    // unequal length (the pipeline's 61, a full frame, a short one).
+    let extractor = MfccExtractor::new(cfg.mfcc.clone())
+        .unwrap()
+        .with_frame_len(61);
+    for offset in 0..6 {
+        let lens = unequal::<L>(&[99, 99, 40, 1, 300, 61], offset);
+        let xs: [Vec<f64>; L] =
+            std::array::from_fn(|l| noise(lens[l], 60_000 + (offset * L + l) as u64));
+        let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
+        let spectra = echo_ir_spectra(inputs, 22, 1.0, &cfg, &mut scratch).unwrap();
+        for (l, x) in inputs.iter().enumerate() {
+            assert_eq!(
+                spectra[l],
+                echo_ir_spectrum(x, 22, 1.0, &cfg).unwrap(),
+                "L={L} lane {l}: echo spectrum"
+            );
+        }
+        let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
+        extractor
+            .extract_lanes(&mut scratch, inputs, outs.each_mut())
+            .unwrap();
+        for (l, x) in inputs.iter().enumerate() {
+            extractor
+                .extract_into(&mut one_scratch, x, &mut one)
+                .unwrap();
+            assert_eq!(outs[l], one, "L={L} lens={lens:?} lane {l}: MFCC");
+        }
+    }
+}
+
+#[test]
+fn lane_kernels_are_bit_identical_to_their_one_lane_form() {
+    lane_fft_kernels::<2>();
+    lane_fft_kernels::<4>();
+    lane_signal_kernels::<2>();
+    lane_signal_kernels::<4>();
+}
+
+/// A batch of signals band-passed through `for_lane_groups`, as the front
+/// end groups its chirps.
+struct GroupedFilter<'a> {
+    filter: &'a BiquadCascade,
+    signals: &'a [Vec<f64>],
+    ext: Vec<f64>,
+    outs: Vec<Vec<f64>>,
+}
+
+impl LaneOp for GroupedFilter<'_> {
+    type Error = earsonar_dsp::DspError;
+
+    fn run<const L: usize>(&mut self, first: usize) -> Result<(), Self::Error> {
+        let inputs: [&[f64]; L] = std::array::from_fn(|l| self.signals[first + l].as_slice());
+        let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
+        filtfilt_lanes(
+            self.filter,
+            inputs,
+            72,
+            [0; L],
+            &mut self.ext,
+            outs.each_mut(),
+        )?;
+        self.outs.extend(outs);
+        Ok(())
+    }
+}
+
+#[test]
+fn odd_batch_tails_are_bit_identical_to_one_lane() {
+    // Every batch size up to three full groups: the remainder runs as a
+    // pair and/or a single lane.
+    let filter = butter_bandpass(4, 16_000.0, 20_000.0, 48_000.0).unwrap();
+    let (mut ext, mut one) = (Vec::new(), Vec::new());
+    for n in 1..=3 * LANES + 3 {
+        let signals: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                noise(
+                    if i % 3 == 1 { 240 } else { 312 },
+                    70_000 + (n * 100 + i) as u64,
+                )
+            })
+            .collect();
+        let mut op = GroupedFilter {
+            filter: &filter,
+            signals: &signals,
+            ext: Vec::new(),
+            outs: Vec::new(),
+        };
+        for_lane_groups(n, &mut op).unwrap();
+        assert_eq!(op.outs.len(), n);
+        for (i, x) in signals.iter().enumerate() {
+            filtfilt_with(&filter, x, 72, &mut ext, &mut one).unwrap();
+            assert_eq!(op.outs[i], one, "batch {n} signal {i}");
+        }
+    }
+
+    // The front end end to end: a batch of every odd size, with a
+    // rejected window that empties the next window's filter context,
+    // against one window per push.
+    let fe = FrontEnd::new(&EarSonarConfig::default()).unwrap();
+    let data = earsonar_suite::small_dataset(1);
+    let mut rec = data.sessions[0].recording.clone();
+    rec.samples[5 * rec.chirp_hop + 17] = f64::NAN;
+    for per_push in [1usize, 3, 5, 7, 9, 23] {
+        let mut batched = StreamingFrontEnd::new(&fe);
+        let mut single = StreamingFrontEnd::new(&fe);
+        for chunk in rec.samples.chunks(per_push * rec.chirp_hop) {
+            batched.push_samples(chunk).unwrap();
+        }
+        for c in 0..rec.n_chirps {
+            single.push_chirp(rec.chirp_window(c)).unwrap();
+        }
+        assert_eq!(
+            batched.diagnostics(),
+            single.diagnostics(),
+            "{per_push} per push"
+        );
+        let (b, s) = (batched.finish().unwrap(), single.finish().unwrap());
+        assert_eq!(b.features, s.features, "{per_push} per push");
+        assert_eq!(b.spectrum, s.spectrum, "{per_push} per push");
     }
 }
