@@ -17,8 +17,7 @@
 //! * [`absorption`] — the parametric frequency-dependent absorption-dip
 //!   model that produces the ~18 kHz "acoustic dip" of paper Fig. 2,
 //! * [`chirp`] — FMCW chirp and chirp-train synthesis (paper §IV-A),
-//! * [`propagation`] — multipath delay/attenuation channel,
-//! * [`dechirp`] — matched-filter ranging of chirp echoes.
+//! * [`propagation`] — multipath delay/attenuation channel.
 //!
 //! # Example
 //!
@@ -43,7 +42,6 @@
 pub mod absorption;
 pub mod chirp;
 pub mod constants;
-pub mod dechirp;
 pub mod impedance;
 pub mod medium;
 pub mod propagation;

@@ -26,8 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ab;
-pub mod engine_load;
 pub mod power;
 pub mod timing;
 

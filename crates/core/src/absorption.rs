@@ -4,11 +4,13 @@
 //! window around it: "we take the peak sampling point of the eardrum as the
 //! centre and collect N sampling points on both sides of the fixed window",
 //! then computes the power spectral density, whose 16–20 kHz profile
-//! carries the absorption signature.
+//! carries the absorption signature. Here the fixed window is a section
+//! of the chirp's channel impulse response around the echo centre
+//! (`echo_ir_pre` samples before it, `echo_ir_tail` after), so the
+//! transmit chirp's own spectrum is already deconvolved out.
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
-use crate::segment::EardrumEcho;
 use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::interp::resample_uniform;
 use earsonar_dsp::plan::{split_frames, DspScratch, FftPlan, LaneFrame};
@@ -53,126 +55,6 @@ impl EchoSpectrum {
             ((max - min) / max).clamp(0.0, 1.0)
         }
     }
-}
-
-/// A per-FFT-bin reference power spectrum used to deconvolve the transmit
-/// chirp's own spectral shape out of echo spectra. Built once per pipeline
-/// by [`reference_spectrum`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReferenceSpectrum {
-    power: Vec<f64>,
-    n_fft: usize,
-}
-
-/// Computes the reference power spectrum of the (preprocessed) transmit
-/// chirp template on the pipeline's FFT grid. Dividing echo spectra by it
-/// flattens the chirp's spectral hump, turning profile bins into direct
-/// estimates of the eardrum reflectance — the quantity the absorption
-/// model actually varies.
-///
-/// # Errors
-///
-/// Propagates FFT plan errors for an `n_fft` too large to plan.
-pub fn reference_spectrum(
-    template: &[f64],
-    config: &EarSonarConfig,
-) -> Result<ReferenceSpectrum, EarSonarError> {
-    let spec = padded_spectrum(template, config.n_fft)?;
-    let n_fft = spec.len();
-    let power: Vec<f64> = spec.iter().map(|z| z.norm_sqr() / n_fft as f64).collect();
-    Ok(ReferenceSpectrum { power, n_fft })
-}
-
-/// Extracts the echo power-spectrum profile from one chirp window given the
-/// segmented echo position.
-///
-/// `calibration` is an amplitude reference the profile is divided by —
-/// the pipeline passes the fitted direct-path gain, which cancels
-/// session-to-session coupling variation (both the direct leak and the
-/// eardrum echo scale with how well the earbud seats). Pass `1.0` for an
-/// uncalibrated spectrum. `reference`, when given, deconvolves the transmit
-/// chirp's spectral shape (see [`reference_spectrum`]).
-///
-/// # Errors
-///
-/// Returns [`EarSonarError::BadRecording`] if the chirp window is empty,
-/// the calibration is not positive, or the reference FFT grid mismatches.
-pub fn echo_spectrum(
-    chirp_window: &[f64],
-    echo: &EardrumEcho,
-    calibration: f64,
-    reference: Option<&ReferenceSpectrum>,
-    config: &EarSonarConfig,
-) -> Result<EchoSpectrum, EarSonarError> {
-    if !(calibration > 0.0) {
-        return Err(EarSonarError::BadRecording {
-            reason: "calibration gain must be positive",
-        });
-    }
-    if chirp_window.is_empty() {
-        return Err(EarSonarError::BadRecording {
-            reason: "empty chirp window",
-        });
-    }
-    let n = chirp_window.len();
-    let half = config.echo_window_half;
-    let center = echo.center.min(n - 1) as isize;
-    // Keep the echo at the taper's peak: out-of-range samples are zero.
-    let mut windowed: Vec<f64> = (-(half as isize)..half as isize)
-        .map(|off| {
-            let idx = center + off;
-            if idx >= 0 && (idx as usize) < n {
-                chirp_window[idx as usize]
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    config.window.apply_in_place(&mut windowed);
-
-    let spec = padded_spectrum(&windowed, config.n_fft)?;
-    let n_fft = spec.len();
-    if let Some(r) = reference {
-        if r.n_fft != n_fft {
-            return Err(EarSonarError::BadRecording {
-                reason: "reference spectrum FFT grid mismatch",
-            });
-        }
-    }
-    let df = config.sample_rate / n_fft as f64;
-    let (p_lo, p_hi) = config.profile_band_hz;
-    let k_lo = (p_lo / df).floor() as usize;
-    let k_hi = ((p_hi / df).ceil() as usize).min(n_fft / 2);
-    let cal_sq = calibration * calibration;
-    let ref_floor = reference
-        .map(|r| 1e-6 * r.power.iter().cloned().fold(0.0, f64::max))
-        .unwrap_or(0.0);
-    let band: Vec<f64> = (k_lo..=k_hi)
-        .map(|k| {
-            let raw = spec[k].norm_sqr() / n_fft as f64 / cal_sq;
-            match reference {
-                Some(r) => raw / r.power[k].max(ref_floor),
-                None => raw,
-            }
-        })
-        .collect();
-    let band_power: f64 = band.iter().sum();
-
-    // Interpolate onto the uniform feature grid. The bins stay in
-    // calibrated units: their absolute level *is* the absorption signal
-    // (a fluid-loaded eardrum returns less energy at the dip).
-    let profile = resample_uniform(&band, config.psd_profile_bins);
-    let frequencies: Vec<f64> = (0..config.psd_profile_bins)
-        .map(|i| {
-            p_lo + (p_hi - p_lo) * i as f64 / (config.psd_profile_bins - 1).max(1) as f64
-        })
-        .collect();
-    Ok(EchoSpectrum {
-        profile,
-        frequencies,
-        band_power,
-        echo_window: windowed,
-    })
 }
 
 /// Extracts the absorption spectrum from a **channel impulse response**:
@@ -325,62 +207,58 @@ pub fn average_spectra(spectra: &[EchoSpectrum]) -> Result<EchoSpectrum, EarSona
     })
 }
 
-/// Test fixture: `x` through a Gaussian notch of relative `depth` and
-/// width `width_hz` at 18 kHz — an effusion-like eardrum dip.
+/// Test fixture: a `len`-tap channel IR with a small direct leak on tap 1
+/// and an eardrum reflection centred on tap `center` that went through a
+/// Gaussian notch of relative `depth` and width `width_hz` at 18 kHz — an
+/// effusion-like eardrum dip. The reflection is band-limited to the probe
+/// band, as the Wiener estimate is.
 #[cfg(test)]
-pub(crate) fn notched(x: &[f64], fs: f64, depth: f64, width_hz: f64) -> Vec<f64> {
-    let mut out = Vec::new();
+pub(crate) fn notched_ir(len: usize, center: usize, depth: f64, width_hz: f64) -> Vec<f64> {
+    let mut impulse = vec![0.0; len];
+    impulse[center] = 0.45;
+    let mut ir = Vec::new();
     earsonar_acoustics::propagation::apply_frequency_response_with(
-        x,
-        fs,
+        &impulse,
+        48_000.0,
         |f| {
+            let band = (-((f - 18_000.0) / 2_000.0).powi(8)).exp();
             let z = (f - 18_000.0) / width_hz;
-            1.0 - depth * (-0.5 * z * z).exp()
+            band * (1.0 - depth * (-0.5 * z * z).exp())
         },
-        &mut earsonar_dsp::plan::DspScratch::new(),
-        &mut out,
+        &mut DspScratch::new(),
+        &mut ir,
     )
     .unwrap();
-    out
+    ir[1] += 0.06;
+    ir
+}
+
+/// Test fixture: a [`notched_ir`] at the paper's geometry, segmented and
+/// reduced to its echo spectrum the way the pipeline's finalize stage does.
+#[cfg(test)]
+pub(crate) fn notched_ir_spectrum(
+    depth: f64,
+    config: &EarSonarConfig,
+) -> (EchoSpectrum, crate::segment::EardrumEcho) {
+    let ir = notched_ir(config.ir_taps, 9, depth, 500.0);
+    let echo = crate::segment::segment_with_anchor(&ir, 1, config).unwrap();
+    let spectrum = echo_ir_spectrum(&ir, echo.center, 1.0, config).unwrap();
+    (spectrum, echo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::segment_eardrum_echo;
-    use std::f64::consts::PI;
 
     fn config() -> EarSonarConfig {
         EarSonarConfig::paper_default()
     }
 
-    /// A chirp window whose dominant return is a notch-shaped eardrum
-    /// echo plus a small direct leak (the prototype's hardware geometry).
-    fn window_with_notch(depth: f64) -> Vec<f64> {
-        let chirp = earsonar_acoustics::chirp::FmcwChirp::earsonar().samples();
-        let fs = 48_000.0;
-        // Shape the echo with a notch at 18 kHz.
-        let mut padded = chirp.clone();
-        padded.extend(std::iter::repeat_n(0.0, 40));
-        let shaped = notched(&padded, fs, depth, 500.0);
-        let mut window = vec![0.0; 240];
-        for (i, &c) in chirp.iter().enumerate() {
-            window[i + 1] += 0.06 * c;
-        }
-        for (i, &c) in shaped.iter().enumerate() {
-            if i + 9 < 240 {
-                window[i + 9] += 0.45 * c;
-            }
-        }
-        window
-    }
-
     #[test]
     fn spectrum_shapes_are_sane() {
         let cfg = config();
-        let w = window_with_notch(0.0);
-        let echo = segment_eardrum_echo(&w, &cfg).unwrap();
-        let spec = echo_spectrum(&w, &echo, 1.0, None, &cfg).unwrap();
+        let (spec, echo) = notched_ir_spectrum(0.0, &cfg);
+        assert!(echo.from_symmetry, "{echo:?}");
         assert_eq!(spec.profile.len(), cfg.psd_profile_bins);
         assert_eq!(spec.frequencies.len(), cfg.psd_profile_bins);
         assert!((spec.frequencies[0] - cfg.profile_band_hz.0).abs() < 1.0);
@@ -389,22 +267,16 @@ mod tests {
         );
         assert!(spec.profile.iter().all(|&v| v >= 0.0));
         assert!(spec.band_power > 0.0);
-        assert!(!spec.echo_window.is_empty());
+        assert_eq!(spec.echo_window.len(), cfg.echo_ir_pre + cfg.echo_ir_tail);
     }
 
     #[test]
     fn deeper_notch_absorbs_more_band_power() {
-        // The raw-window estimator cannot sharpen the notch (a 0.5 ms
-        // chirp smears it), but the *absorbed energy* it measures is
-        // strictly monotone in the notch depth.
         let cfg = config();
-        let mut powers = Vec::new();
-        for d in [0.0, 0.3, 0.6] {
-            let w = window_with_notch(d);
-            let echo = segment_eardrum_echo(&w, &cfg).unwrap();
-            let spec = echo_spectrum(&w, &echo, 1.0, None, &cfg).unwrap();
-            powers.push(spec.band_power);
-        }
+        let powers: Vec<f64> = [0.0, 0.3, 0.6]
+            .iter()
+            .map(|&d| notched_ir_spectrum(d, &cfg).0.band_power)
+            .collect();
         assert!(
             powers[0] > powers[1] && powers[1] > powers[2],
             "band power should fall with notch depth: {powers:?}"
@@ -412,26 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn empty_window_is_rejected() {
+    fn empty_ir_is_rejected() {
         let cfg = config();
-        let echo = EardrumEcho {
-            center: 0,
-            direct_center: 0,
-            energy_ratio: 1.0,
-            from_symmetry: true,
-        };
-        assert!(echo_spectrum(&[], &echo, 1.0, None, &cfg).is_err());
-        assert!(echo_spectrum(&[1.0; 64], &echo, 0.0, None, &cfg).is_err());
+        assert!(echo_ir_spectrum(&[], 0, 1.0, &cfg).is_err());
+        assert!(echo_ir_spectrum(&[1.0; 64], 9, 0.0, &cfg).is_err());
     }
 
     #[test]
     fn averaging_preserves_bin_count_and_normalization() {
         let cfg = config();
-        let w = window_with_notch(0.4);
-        let echo = segment_eardrum_echo(&w, &cfg).unwrap();
-        let s1 = echo_spectrum(&w, &echo, 1.0, None, &cfg).unwrap();
-        let s2 = s1.clone();
-        let avg = average_spectra(&[s1.clone(), s2]).unwrap();
+        let (s1, _) = notched_ir_spectrum(0.4, &cfg);
+        let avg = average_spectra(&[s1.clone(), s1.clone()]).unwrap();
         assert_eq!(avg.profile.len(), cfg.psd_profile_bins);
         // Averaging identical spectra is the identity.
         for (a, b) in avg.profile.iter().zip(&s1.profile) {
@@ -442,34 +305,14 @@ mod tests {
 
     #[test]
     fn dip_frequency_tracks_notch_position() {
-        let cfg = config();
-        // Place the echo window directly over a pure shaped signal so the
-        // dip is clean: synthesize a long 16-20 kHz sweep with an 18 kHz
-        // notch and analyze its middle.
-        let fs = 48_000.0;
-        let n = 512;
-        let sweep: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = i as f64 / fs;
-                let f0 = 16_000.0;
-                let rate = 4_000.0 / (n as f64 / fs);
-                (2.0 * PI * (f0 * t + 0.5 * rate * t * t)).sin()
-            })
-            .collect();
-        let notched = notched(&sweep, fs, 0.8, 400.0);
-        let echo = EardrumEcho {
-            center: 256,
-            direct_center: 200,
-            energy_ratio: 0.9,
-            from_symmetry: true,
-        };
-        let mut cfg2 = cfg;
-        cfg2.echo_window_half = 256;
-        cfg2.n_fft = 512;
-        // A taper would suppress the sweep's ends (the band edges) below
-        // the notch floor; the rectangular window keeps them comparable.
-        cfg2.window = earsonar_dsp::window::Window::Rectangular;
-        let spec = echo_spectrum(&notched, &echo, 1.0, None, &cfg2).unwrap();
+        // A section long enough to hold the notch's ringing resolves the
+        // dip itself, not just the absorbed energy.
+        let mut cfg = config();
+        cfg.echo_ir_pre = 256;
+        cfg.echo_ir_tail = 256;
+        cfg.n_fft = 512;
+        let ir = notched_ir(512, 256, 0.8, 400.0);
+        let spec = echo_ir_spectrum(&ir, 256, 1.0, &cfg).unwrap();
         let dip = spec.dip_frequency().unwrap();
         assert!((dip - 18_000.0).abs() < 600.0, "dip at {dip}");
     }

@@ -52,9 +52,6 @@ pub struct EarSonarConfig {
     /// Maximum template delay (samples) for direct-path cancellation; must
     /// stay below the eardrum delay prior.
     pub cancel_max_delay: usize,
-    /// Half-width `N` of the fixed FFT window around the echo peak
-    /// (samples on each side).
-    pub echo_window_half: usize,
     /// Number of channel impulse-response taps estimated per chirp.
     pub ir_taps: usize,
     /// Wiener-deconvolution regularization relative to the template's peak
@@ -67,8 +64,6 @@ pub struct EarSonarConfig {
     pub echo_ir_tail: usize,
     /// FFT size for the echo power spectrum.
     pub n_fft: usize,
-    /// Taper applied to each echo window (paper: Hanning).
-    pub window: Window,
     /// Number of PSD profile bins in the feature vector.
     pub psd_profile_bins: usize,
     /// Frequency range of the PSD profile features. Inset from the chirp
@@ -108,13 +103,11 @@ impl EarSonarConfig {
             parity_energy_threshold: 0.7,
             eardrum_distance_range_m: (0.018, 0.042),
             cancel_max_delay: 5,
-            echo_window_half: 32,
             ir_taps: 96,
             deconvolution_epsilon: 1e-3,
             echo_ir_pre: 5,
             echo_ir_tail: 56,
             n_fft: 256,
-            window: Window::Hann,
             psd_profile_bins: 32,
             profile_band_hz: (16_500.0, 19_500.0),
             mfcc: MfccConfig {
@@ -213,12 +206,6 @@ impl EarSonarConfig {
                 constraint: "must stay below the eardrum delay prior",
             });
         }
-        if self.echo_window_half == 0 || self.n_fft < 2 * self.echo_window_half {
-            return Err(EarSonarError::BadConfig {
-                name: "echo_window_half/n_fft",
-                constraint: "FFT must cover the echo window",
-            });
-        }
         if self.ir_taps == 0 || self.ir_taps > self.chirp_hop {
             return Err(EarSonarError::BadConfig {
                 name: "ir_taps",
@@ -304,8 +291,6 @@ impl EarSonarConfigBuilder {
         eardrum_distance_range_m: (f64, f64),
         /// Sets the direct-path cancellation template depth.
         cancel_max_delay: usize,
-        /// Sets the echo FFT window half-width.
-        echo_window_half: usize,
         /// Sets the number of estimated IR taps.
         ir_taps: usize,
         /// Sets the Wiener-deconvolution regularization.
@@ -390,11 +375,7 @@ mod tests {
             .eardrum_distance_range_m((0.05, 0.01))
             .build()
             .is_err());
-        assert!(EarSonarConfig::builder()
-            .n_fft(16)
-            .echo_window_half(32)
-            .build()
-            .is_err());
+        assert!(EarSonarConfig::builder().n_fft(16).build().is_err());
         let bad_gate = QualityGateConfig {
             max_dropout_fraction: -0.5,
             ..Default::default()

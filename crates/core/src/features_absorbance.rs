@@ -167,41 +167,17 @@ impl AbsorbanceExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::absorption::echo_spectrum;
-    use crate::segment::segment_eardrum_echo;
+    use crate::absorption::notched_ir_spectrum;
 
     fn config() -> EarSonarConfig {
         EarSonarConfig::paper_default()
-    }
-
-    fn spectra_for_window(w: &[f64], cfg: &EarSonarConfig) -> (EchoSpectrum, EardrumEcho) {
-        let echo = segment_eardrum_echo(w, cfg).unwrap();
-        let spec = echo_spectrum(w, &echo, 1.0, None, cfg).unwrap();
-        (spec, echo)
-    }
-
-    fn test_window(depth: f64) -> Vec<f64> {
-        let chirp = earsonar_acoustics::chirp::FmcwChirp::earsonar().samples();
-        let mut padded = chirp.clone();
-        padded.extend(std::iter::repeat_n(0.0, 40));
-        let shaped = crate::absorption::notched(&padded, 48_000.0, depth, 500.0);
-        let mut window = vec![0.0; 240];
-        for (i, &c) in chirp.iter().enumerate() {
-            window[i + 1] += c;
-        }
-        for (i, &c) in shaped.iter().enumerate() {
-            if i + 9 < 240 {
-                window[i + 9] += 0.45 * c;
-            }
-        }
-        window
     }
 
     #[test]
     fn vector_has_45_finite_elements() {
         let cfg = config();
         let ex = AbsorbanceExtractor::new(&cfg).unwrap();
-        let (spec, echo) = spectra_for_window(&test_window(0.3), &cfg);
+        let (spec, echo) = notched_ir_spectrum(0.3, &cfg);
         let f = ex.extract(std::slice::from_ref(&spec), &spec, &[echo]).unwrap();
         assert_eq!(f.len(), ABSORBANCE_FEATURE_COUNT);
         assert!(f.iter().all(|v| v.is_finite()), "non-finite feature: {f:?}");
@@ -250,7 +226,7 @@ mod tests {
     fn template_similarities_are_bounded() {
         let cfg = config();
         let ex = AbsorbanceExtractor::new(&cfg).unwrap();
-        let (spec, echo) = spectra_for_window(&test_window(0.5), &cfg);
+        let (spec, echo) = notched_ir_spectrum(0.5, &cfg);
         let f = ex.extract(std::slice::from_ref(&spec), &spec, &[echo]).unwrap();
         for &sim in &f[40..43] {
             assert!((-1.0..=1.0).contains(&sim), "similarity {sim}");
@@ -261,7 +237,7 @@ mod tests {
     fn empty_input_is_rejected() {
         let cfg = config();
         let ex = AbsorbanceExtractor::new(&cfg).unwrap();
-        let (spec, _) = spectra_for_window(&test_window(0.2), &cfg);
+        let (spec, _) = notched_ir_spectrum(0.2, &cfg);
         assert!(matches!(
             ex.extract(&[], &spec, &[]),
             Err(EarSonarError::NoEchoDetected)

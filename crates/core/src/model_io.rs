@@ -8,7 +8,10 @@
 //! tested).
 //!
 //! Format: one `key: values…` line per field, with vectors
-//! space-separated and matrices as one line per row.
+//! space-separated and matrices as one line per row. Integer fields must
+//! be written as integers that fit their type. Lines this build does not
+//! read are ignored, so files that still carry the `echo_window_half:`
+//! and `window:` lines of older builds load unchanged.
 //!
 //! Two format versions are understood:
 //!
@@ -83,12 +86,10 @@ pub fn model_to_string(system: &EarSonar) -> String {
         cfg.eardrum_distance_range_m.0, cfg.eardrum_distance_range_m.1
     );
     let _ = writeln!(out, "cancel_max_delay: {}", cfg.cancel_max_delay);
-    let _ = writeln!(out, "echo_window_half: {}", cfg.echo_window_half);
     let _ = writeln!(out, "ir_taps: {}", cfg.ir_taps);
     let _ = writeln!(out, "deconvolution_epsilon: {}", cfg.deconvolution_epsilon);
     let _ = writeln!(out, "echo_ir: {} {}", cfg.echo_ir_pre, cfg.echo_ir_tail);
     let _ = writeln!(out, "n_fft: {}", cfg.n_fft);
-    let _ = writeln!(out, "window: {}", window_name(cfg.window));
     let _ = writeln!(out, "psd_profile_bins: {}", cfg.psd_profile_bins);
     let _ = writeln!(
         out,
@@ -163,7 +164,6 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
         fields.push((key.trim().to_string(), value.trim().to_string()));
     }
     let get = |key: &str| backend::field(&fields, key);
-    let f64s = parse_f64s;
     let usizes = parse_usizes;
     let one_usize = parse_one_usize;
     fn one_f64(s: &str) -> Result<f64, EarSonarError> {
@@ -188,10 +188,10 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
     if echo_ir.len() != 2 {
         return Err(bad("expected two echo_ir integers"));
     }
-    let mfcc_fields = f64s(get("mfcc")?)?;
-    if mfcc_fields.len() != 6 {
+    let mfcc_fields: Vec<&str> = get("mfcc")?.split_whitespace().collect();
+    let [mfcc_rate, mfcc_n_fft, n_filters, n_coeffs, f_min, f_max] = mfcc_fields[..] else {
         return Err(bad("expected six mfcc values"));
-    }
+    };
 
     let config = EarSonarConfig {
         sample_rate: one_f64(get("sample_rate")?)?,
@@ -205,22 +205,20 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
         parity_energy_threshold: one_f64(get("parity_energy_threshold")?)?,
         eardrum_distance_range_m: two_f64(get("eardrum_distance_range_m")?)?,
         cancel_max_delay: one_usize(get("cancel_max_delay")?)?,
-        echo_window_half: one_usize(get("echo_window_half")?)?,
         ir_taps: one_usize(get("ir_taps")?)?,
         deconvolution_epsilon: one_f64(get("deconvolution_epsilon")?)?,
         echo_ir_pre: echo_ir[0],
         echo_ir_tail: echo_ir[1],
         n_fft: one_usize(get("n_fft")?)?,
-        window: window_from_name(get("window")?)?,
         psd_profile_bins: one_usize(get("psd_profile_bins")?)?,
         profile_band_hz: two_f64(get("profile_band_hz")?)?,
         mfcc: earsonar_dsp::mfcc::MfccConfig {
-            sample_rate: mfcc_fields[0],
-            n_fft: mfcc_fields[1] as usize,
-            n_filters: mfcc_fields[2] as usize,
-            n_coeffs: mfcc_fields[3] as usize,
-            f_min: mfcc_fields[4],
-            f_max: mfcc_fields[5],
+            sample_rate: one_f64(mfcc_rate)?,
+            n_fft: one_usize(mfcc_n_fft)?,
+            n_filters: one_usize(n_filters)?,
+            n_coeffs: one_usize(n_coeffs)?,
+            f_min: one_f64(f_min)?,
+            f_max: one_f64(f_max)?,
             window: window_from_name(get("mfcc_window")?)?,
         },
         k_clusters: one_usize(get("k_clusters")?)?,
@@ -273,7 +271,9 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
         backend::lookup(get("backend")?)?
     };
     if !legacy_v1 {
-        let version = one_usize(get("backend_version")?)? as u32;
+        let version: u32 = get("backend_version")?
+            .parse()
+            .map_err(|_| bad("bad backend_version in model file"))?;
         if version != spec.version {
             return Err(bad(
                 "model backend version does not match this build's backend",
@@ -446,6 +446,39 @@ mod tests {
     }
 
     #[test]
+    fn files_with_the_retired_echo_window_lines_load_with_identical_verdicts() {
+        let (system, data) = trained();
+        let text = model_to_string(&system);
+        assert!(!text.contains("echo_window_half:"));
+        // The layout older builds wrote: `echo_window_half:` after
+        // `cancel_max_delay:`, `window:` after `n_fft:`.
+        let old: String = text
+            .lines()
+            .flat_map(|l| {
+                let extra = if l.starts_with("cancel_max_delay:") {
+                    Some("echo_window_half: 32")
+                } else if l.starts_with("n_fft:") {
+                    Some("window: hann")
+                } else {
+                    None
+                };
+                std::iter::once(l).chain(extra)
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert!(old.contains("\necho_window_half: 32\n") && old.contains("\nwindow: hann\n"));
+        let restored = model_from_string(&old).expect("old-format parse");
+        let fresh = model_from_string(&text).expect("parse");
+        assert_eq!(restored.front_end().config(), fresh.front_end().config());
+        for s in data.sessions.iter().take(12) {
+            assert_eq!(
+                fresh.screen(&s.recording).unwrap(),
+                restored.screen(&s.recording).unwrap()
+            );
+        }
+    }
+
+    #[test]
     fn cross_backend_load_is_a_typed_error() {
         let (system, _) = trained();
         let text = model_to_string(&system);
@@ -533,9 +566,9 @@ mod tests {
         };
         let cases = [
             ("chirp_hop", line("chirp:"), "chirp: 24 4294967296".into()),
-            ("mfcc.n_filters", line("mfcc:"), set_mfcc(3, "1e9")),
+            ("mfcc.n_filters", line("mfcc:"), set_mfcc(3, "1000000000")),
             ("n_fft", line("n_fft:"), "n_fft: 4294967296".into()),
-            ("mfcc.n_fft", line("mfcc:"), set_mfcc(2, "1e30")),
+            ("mfcc.n_fft", line("mfcc:"), set_mfcc(2, "4294967296")),
             (
                 "psd_profile_bins",
                 line("psd_profile_bins:"),
@@ -553,6 +586,23 @@ mod tests {
             match model_from_string(&text.replace(old, new)) {
                 Err(EarSonarError::BadConfig { name, .. }) => assert_eq!(name, *field),
                 other => panic!("{field}: expected BadConfig, got {:?}", other.err()),
+            }
+        }
+        // Integer fields must be integers of their type: no wrap-around
+        // of an oversized version, no truncation of a fractional size.
+        let parse_cases = [
+            (line("backend_version:"), "backend_version: 4294967297".to_string()),
+            (line("backend_version:"), "backend_version: -1".to_string()),
+            (line("mfcc:"), set_mfcc(2, "256.9")),
+            (line("mfcc:"), set_mfcc(3, "26.7")),
+            (line("mfcc:"), set_mfcc(4, "26.99")),
+            (line("mfcc:"), set_mfcc(3, "1e9")),
+            (line("mfcc:"), set_mfcc(2, "1e30")),
+        ];
+        for (old, new) in &parse_cases {
+            match model_from_string(&text.replace(old, new)) {
+                Err(EarSonarError::BadRecording { .. }) => {}
+                other => panic!("{new}: expected BadRecording, got {:?}", other.err()),
             }
         }
         // The bound itself passes the size check.

@@ -73,13 +73,6 @@ pub enum ChirpOutcome {
     },
 }
 
-impl ChirpOutcome {
-    /// Returns `true` if the chirp contributed an impulse response.
-    pub fn is_used(self) -> bool {
-        matches!(self, ChirpOutcome::Used)
-    }
-}
-
 /// Running state accumulated across pushed chirp windows: the per-chirp
 /// impulse responses awaiting the recording-level finalize stages, the
 /// power statistics behind the event detector's noise floor, and the

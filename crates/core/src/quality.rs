@@ -31,9 +31,7 @@
 //! fixed seed never raises a chirp's score (see
 //! `tests/quality_monotonicity.rs`).
 
-use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
-use earsonar_signal::recording::Recording;
 
 /// Values below this count as numerically zero in the quality metrics.
 const TINY: f64 = 1e-30;
@@ -645,44 +643,6 @@ impl Default for SessionQuality {
             rejections: QualityRejections::default(),
         }
     }
-}
-
-/// Per-chirp quality assessment of one window of a recording.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChirpAssessment {
-    /// The measured metrics.
-    pub quality: ChirpQuality,
-    /// The scalar score under the configuration's gate thresholds.
-    pub score: f64,
-    /// The gate decision (`None` = accepted).
-    pub rejected: Option<QualityCause>,
-}
-
-/// Replays the quality measurement over every chirp window of a recording
-/// without running the pipeline — exactly the sequence of measurements
-/// the front end's gate makes, for offline analysis and the monotonicity
-/// property tests.
-pub fn assess_recording(recording: &Recording, config: &EarSonarConfig) -> Vec<ChirpAssessment> {
-    let gate = &config.quality;
-    let active_len = config.chirp_len + config.ir_taps;
-    let mut floor = NoiseFloor::default();
-    let mut prev: Vec<f64> = Vec::new();
-    let mut out = Vec::with_capacity(recording.n_chirps);
-    for c in 0..recording.n_chirps {
-        let window = match recording.try_chirp_window(c) {
-            Some(w) => w,
-            None => break,
-        };
-        let quality = measure_window(window, &prev, &mut floor, active_len);
-        out.push(ChirpAssessment {
-            quality,
-            score: quality.score(gate),
-            rejected: quality.gate(gate),
-        });
-        prev.clear();
-        prev.extend_from_slice(window);
-    }
-    out
 }
 
 #[cfg(test)]

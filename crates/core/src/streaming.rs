@@ -134,11 +134,6 @@ impl ChirpStream {
         self.acc.diagnostics
     }
 
-    /// Samples buffered toward the next (incomplete) chirp window.
-    pub fn buffered_samples(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Session-level signal quality over everything pushed so far.
     pub fn quality(&self) -> SessionQuality {
         self.acc.session_quality()

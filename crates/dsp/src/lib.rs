@@ -23,7 +23,7 @@
 //! * [`stats`] — the statistical feature primitives (skewness, kurtosis, …),
 //! * [`fanout`] — the one scoped-thread, index-ordered parallel map the
 //!   simulator, the detection core and the engine share,
-//! * [`peak`], [`interp`], [`dct`], [`goertzel`], [`spectrum`], [`decibel`].
+//! * [`peak`], [`interp`], [`goertzel`], [`decibel`].
 //!
 //! # Example
 //!
@@ -60,7 +60,6 @@
 pub mod complex;
 pub mod convolution;
 pub mod correlation;
-pub mod dct;
 pub mod decibel;
 pub mod error;
 pub mod fanout;
@@ -77,10 +76,7 @@ pub mod plan;
 pub mod psd;
 pub mod rng;
 pub mod simd;
-pub mod smoothing;
-pub mod spectrogram;
 pub mod wav;
-pub mod spectrum;
 pub mod stats;
 pub mod window;
 

@@ -7,7 +7,6 @@
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::convolution::{autoconvolve_with, convolve, convolve_fft_with};
 use earsonar_dsp::correlation::pearson;
-use earsonar_dsp::dct::{dct2_orthonormal, dct3_orthonormal};
 use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::filter::{butter_bandpass, butter_lowpass};
 use earsonar_dsp::interp::interp_linear;
@@ -109,18 +108,6 @@ fn pearson_is_bounded_and_reflexive() {
             if stats::variance(&xs) > 1e-9 {
                 assert!((r - 1.0).abs() < 1e-9, "seed {seed}");
             }
-        }
-    }
-}
-
-#[test]
-fn dct_round_trip() {
-    for seed in 0..CASES {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let xs = finite_signal(&mut rng, 64);
-        let y = dct3_orthonormal(&dct2_orthonormal(&xs));
-        for (a, b) in xs.iter().zip(&y) {
-            assert!((a - b).abs() < 1e-7 * (1.0 + a.abs()), "seed {seed}");
         }
     }
 }

@@ -16,7 +16,7 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Maximum buffered sample chunks per session. A push against a full
     /// queue returns [`crate::Rejected::QueueFull`] — the producer slows
-    /// down, the engine's memory stays bounded.
+    /// down. This bounds chunks, not samples: a chunk may be any length.
     pub queue_capacity: usize,
     /// Maximum concurrently open sessions. [`crate::ScreeningEngine::open`]
     /// beyond this returns [`crate::Rejected::TableFull`].

@@ -216,7 +216,7 @@ impl<'a> ScreeningEngine<'a> {
                 capacity: self.config.queue_capacity,
             });
         }
-        // lint: allow(hot-path-alloc) the ingest queue must own its samples; the copy is bounded by queue_capacity, so memory cannot grow without limit
+        // lint: allow(hot-path-alloc) the ingest queue must own its samples; queue_capacity bounds the queued chunks, not their length, so a session holds at most queue_capacity chunks of whatever size callers push (a sample bound is ROADMAP item 5)
         entry.queue.push_back(chunk.to_vec());
         entry.last_activity = now;
         Ok(())

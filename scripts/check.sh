@@ -55,15 +55,4 @@ echo "==> benchmark smoke run: four workloads, pinned input and outcome digests"
 # verdict fails here. Timings are printed, never asserted.
 cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
 
-echo "==> engine smoke run: 64 interleaved sessions, fixed seed"
-# Proves engine verdicts equal sequential screening under a seeded
-# interleaving at 1/2/4 workers. Throughput numbers are informational only.
-cargo run --release -p earsonar-bench --bin engine-bench -- --smoke
-
-echo "==> A/B backend smoke run: candidates vs mfcc-kmeans baseline"
-# Scores the candidate feature/classifier backends against the reference
-# on the same deterministic cohort and folds and prints per-class
-# precision deltas.
-cargo run --release -p earsonar-bench --bin ab-bench -- --smoke
-
 echo "All checks passed."
