@@ -16,14 +16,17 @@ use earsonar::model_io::{load_model, load_model_as, save_model};
 use earsonar::quality::SessionQuality;
 use earsonar::report::{pct, Table};
 use earsonar::screening::{resolve_stream, InconclusiveReason, RetryPolicy, ScreeningOutcome};
-use earsonar::streaming::StreamingFrontEnd;
+use earsonar::streaming::ChirpStream;
 use earsonar::{EarSonar, EarSonarConfig, MeeState};
+use earsonar_dsp::plan::DspScratch;
 use earsonar_dsp::wav::{write_wav, WavAudio, WavFormat};
+use earsonar_engine::{EngineConfig, ScreeningEngine, SessionId};
 use earsonar_signal::recording::{ChirpLayout, Recording};
-use earsonar_signal::source::SignalSource;
+use earsonar_signal::source::{SignalError, SignalSource};
 use earsonar_signal::wav::WavSignalSource;
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -46,23 +49,27 @@ USAGE:
       --backend NAME requires the model file to use that backend and
       fails the run otherwise (a guard for scripted deployments).
   earsonar screen-wav --model FILE [--backend NAME] [--quorum N] [--workers N] WAV [WAV...]
-      Screen a WAV queue through the SignalSource capture interface (the
-      same code path a live capture backend would use), with a per-cause
-      summary of skipped captures at the end. With --workers N, all files
-      are multiplexed through the concurrent session engine and drained
-      by N worker threads; verdicts and exit codes are identical to the
-      sequential path (--min-chirps early stop does not apply there).
+      Screen a WAV queue through the concurrent session engine, drained
+      by N worker threads (default 1) with at most N recordings open at
+      once, then print a per-cause summary of skipped captures. Verdict
+      lines and exit codes are identical to `screen` at every N;
+      --min-chirps applies to `screen` only.
   earsonar eval     [--patients N] [--seed S]
       Leave-one-participant-out evaluation on a simulated cohort.
-  earsonar inspect  --model FILE WAV [WAV...]
+  earsonar inspect  --model FILE [--backend NAME] WAV [WAV...]
       Show what the pipeline sees inside recordings (IR, spectrum, dip).
 
-Defaults: --patients 16, --seed 7, --quorum 12.
+All three WAV commands read files one at a time through the same capture
+loop and print one line per file, in file order.
+
+Defaults: --patients 16, --seed 7, --quorum 12, --workers 1.
 Backends: mfcc-kmeans (reference, default), absorbance-logistic,
 absorbance-knn.
 
-Exit codes: 0 all conclusive, 1 error, 2 at least one recording was
-INCONCLUSIVE (too little usable signal for a trustworthy verdict).";
+Exit codes: 0 every file got a conclusive verdict, 1 broken invocation
+(bad flags, unreadable model), 2 at least one file got no conclusive
+verdict: it was INCONCLUSIVE (too little usable signal for a trustworthy
+verdict) or it failed to decode or to screen.";
 
 struct Args {
     patients: usize,
@@ -89,7 +96,8 @@ impl Args {
     }
 }
 
-fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), String> {
+    let mut argv = argv.into_iter();
     let _bin = argv.next();
     let command = argv.next().ok_or_else(|| USAGE.to_string())?;
     let mut args = Args {
@@ -263,21 +271,6 @@ fn load_pinned(path: &Path, backend: Option<&str>) -> Result<EarSonar, String> {
     .map_err(|e| format!("loading model: {e}{}", backend_hint()))
 }
 
-/// The chirp grid a model's configuration expects of its recordings.
-fn chirp_layout(config: &EarSonarConfig) -> ChirpLayout {
-    ChirpLayout {
-        sample_rate: config.sample_rate,
-        chirp_len: config.chirp_len,
-        chirp_hop: config.chirp_hop,
-    }
-}
-
-/// Reads a WAV file and frames it on the model's chirp grid.
-fn recording_from_wav(path: &Path, config: &EarSonarConfig) -> Result<Recording, String> {
-    earsonar_signal::wav::recording_from_wav(path, &chirp_layout(config))
-        .map_err(|e| format!("{}: {e}", path.display()))
-}
-
 fn verdict_line(state: MeeState) -> String {
     if state == MeeState::Clear {
         "clear".to_string()
@@ -334,13 +327,17 @@ fn screen_streaming(
     min_chirps: Option<usize>,
     policy: &RetryPolicy,
 ) -> Result<ScreeningOutcome, String> {
-    let mut stream = StreamingFrontEnd::new(system.front_end());
+    let fe = system.front_end();
+    let mut scratch = DspScratch::new();
+    let mut stream = ChirpStream::new(fe);
     let mut early = false;
     for c in 0..rec.n_chirps {
         let window = rec
             .try_chirp_window(c)
             .ok_or("chirp window out of recording bounds")?;
-        stream.push_chirp(window).map_err(|e| e.to_string())?;
+        stream
+            .push_chirp_with(fe, &mut scratch, window)
+            .map_err(|e| e.to_string())?;
         if c % 200 == 199 || c + 1 == rec.n_chirps {
             eprint!(
                 "\r  chirp {}/{} ({} usable)",
@@ -362,213 +359,170 @@ fn screen_streaming(
         if early { " (stopped early)" } else { "" }
     );
     eprintln!("  quality: {}", quality_line(&quality));
-    let (stream, mut scratch) = stream.into_parts();
     resolve_stream(system, &mut scratch, stream, policy).map_err(|e| e.to_string())
 }
 
-fn cmd_screen(args: &Args) -> Result<bool, String> {
-    let model_path = args.model.as_ref().ok_or("screen requires --model FILE")?;
-    if args.files.is_empty() {
-        return Err("screen requires at least one WAV file".into());
-    }
-    let system = load_pinned(model_path, args.backend.as_deref())?;
-    let config = system.front_end().config().clone();
-    let policy = args.policy();
-    let mut inconclusive = 0usize;
-    for file in &args.files {
-        eprintln!("screening {}…", file.display());
-        match recording_from_wav(file, &config)
-            .and_then(|rec| screen_streaming(&system, &rec, args.min_chirps, &policy))
-        {
-            Ok(outcome) => {
-                if !outcome.is_conclusive() {
-                    inconclusive += 1;
-                }
-                println!("{}\t{}", file.display(), outcome_line(&outcome));
-            }
-            Err(e) => println!("{}\terror: {e}", file.display()),
-        }
-    }
-    Ok(inconclusive == 0)
-}
-
-/// Routes every captured WAV through the concurrent session engine: one
-/// session per file, samples pushed round-robin in chirp-hop chunks so the
-/// streams genuinely interleave, drained by `workers` threads. Verdicts
-/// are bit-identical to the sequential path (the engine's contract), so
-/// the exit-code semantics are unchanged.
-fn screen_wav_concurrent(
-    system: &EarSonar,
-    layout: ChirpLayout,
-    policy: &RetryPolicy,
-    files: &[PathBuf],
-    workers: usize,
-) -> Result<bool, String> {
-    use earsonar_engine::{EngineConfig, Rejected, ScreeningEngine, SessionId};
-
-    // Capture the whole queue first, counting failures per cause exactly
-    // like the sequential drain loop.
-    let mut source = WavSignalSource::new(layout, files.to_vec());
-    let mut captures = CaptureDiagnostics::default();
-    let mut labeled: Vec<(String, Option<Recording>)> = Vec::new();
-    loop {
-        let label = source
-            .next_path()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| source.describe());
-        captures.attempted += 1;
-        match source.capture() {
-            Ok(None) => {
-                captures.attempted -= 1;
-                break;
-            }
-            Ok(Some(rec)) => {
-                captures.succeeded += 1;
-                labeled.push((label, Some(rec)));
-            }
-            Err(e) => {
-                captures.record_failure(&e);
-                println!("{label}\terror: {e}");
-                labeled.push((label, None));
-            }
-        }
-    }
-
-    let config = EngineConfig {
-        max_sessions: labeled.len().max(1),
-        policy: *policy,
-        ..EngineConfig::default()
-    };
-    let engine = ScreeningEngine::new(system, config);
-    let mut streaming: Vec<bool> = Vec::with_capacity(labeled.len());
-    for (i, (label, rec)) in labeled.iter().enumerate() {
-        if rec.is_some() {
-            engine
-                .open(SessionId(i as u64))
-                .map_err(|e| format!("{label}: opening engine session: {e}"))?;
-        }
-        streaming.push(rec.is_some());
-    }
-
-    // Round-robin pump: one hop-sized chunk per open session per pass; a
-    // full queue is backpressure, drained and retried on the next pass.
-    let hop = layout.chirp_hop.max(1);
-    let mut cursor = vec![0usize; labeled.len()];
-    let mut in_progress = streaming.iter().filter(|&&s| s).count();
-    while in_progress > 0 {
-        for (i, (label, rec)) in labeled.iter().enumerate() {
-            let Some(rec) = rec.as_ref().filter(|_| streaming[i]) else {
-                continue;
-            };
-            let lo = cursor[i] * hop;
-            if lo >= rec.samples.len() {
-                engine
-                    .close(SessionId(i as u64))
-                    .map_err(|e| format!("{label}: closing engine session: {e}"))?;
-                streaming[i] = false;
-                in_progress -= 1;
-                continue;
-            }
-            let hi = (lo + hop).min(rec.samples.len());
-            match engine.push(SessionId(i as u64), &rec.samples[lo..hi]) {
-                Ok(()) => cursor[i] += 1,
-                Err(Rejected::QueueFull { .. }) => {
-                    engine.drain(workers);
-                }
-                Err(e) => return Err(format!("{label}: engine push: {e}")),
-            }
-        }
-    }
-    engine.drain(workers);
-
-    // `take_completed` returns sessions sorted by id, i.e. file order.
-    let mut inconclusive = 0usize;
-    for done in engine.take_completed() {
-        let (label, _) = &labeled[done.id.0 as usize];
-        match &done.outcome {
-            Ok(outcome) => {
-                if !outcome.is_conclusive() {
-                    inconclusive += 1;
-                }
-                println!("{label}\t{}", outcome_line(outcome));
-            }
-            Err(e) => println!("{label}\terror: {e}"),
-        }
-    }
-    println!("captures: {}", captures.summary());
-    Ok(inconclusive == 0)
-}
-
-fn cmd_screen_wav(args: &Args) -> Result<bool, String> {
+/// Loads the model a WAV command runs on, after checking the command has
+/// files to read.
+fn wav_command_model(args: &Args, command: &str) -> Result<EarSonar, String> {
     let model_path = args
         .model
         .as_ref()
-        .ok_or("screen-wav requires --model FILE")?;
+        .ok_or_else(|| format!("{command} requires --model FILE"))?;
     if args.files.is_empty() {
-        return Err("screen-wav requires at least one WAV file".into());
+        return Err(format!("{command} requires at least one WAV file"));
     }
-    let system = load_pinned(model_path, args.backend.as_deref())?;
-    let layout = chirp_layout(system.front_end().config());
-    let policy = args.policy();
-    if let Some(workers) = args.workers {
-        return screen_wav_concurrent(&system, layout, &policy, &args.files, workers);
-    }
-    let mut source = WavSignalSource::new(layout, args.files.clone());
-    let mut captures = CaptureDiagnostics::default();
-    let mut inconclusive = 0usize;
-    // Drain the capture queue exactly like a live backend: one capture at
-    // a time, failures are counted per cause and skip to the next capture.
-    loop {
-        let label = source
-            .next_path()
-            .map(|p| p.display().to_string())
-            .unwrap_or_else(|| source.describe());
-        captures.attempted += 1;
-        match source.capture() {
-            Ok(None) => {
-                // Exhaustion is not an attempt.
-                captures.attempted -= 1;
-                break;
-            }
-            Ok(Some(rec)) => {
-                captures.succeeded += 1;
-                match screen_streaming(&system, &rec, args.min_chirps, &policy) {
-                    Ok(outcome) => {
-                        if !outcome.is_conclusive() {
-                            inconclusive += 1;
-                        }
-                        println!("{label}\t{}", outcome_line(&outcome));
-                    }
-                    Err(e) => println!("{label}\terror: {e}"),
-                }
-            }
-            Err(e) => {
-                captures.record_failure(&e);
-                println!("{label}\terror: {e}");
-            }
-        }
-    }
-    println!("captures: {}", captures.summary());
-    Ok(inconclusive == 0)
+    load_pinned(model_path, args.backend.as_deref())
 }
 
-fn cmd_inspect(args: &Args) -> Result<(), String> {
-    let model_path = args.model.as_ref().ok_or("inspect requires --model FILE")?;
-    if args.files.is_empty() {
-        return Err("inspect requires at least one WAV file".into());
+/// The one capture loop behind `screen`, `screen-wav` and `inspect`: drains
+/// the WAV queue through [`WavSignalSource`] on the model's chirp grid,
+/// exactly like a live capture backend, one capture at a time, handing
+/// each file's label and capture to `visit`. A failed capture is counted
+/// under its cause and the loop moves on to the next file.
+fn for_each_capture(
+    system: &EarSonar,
+    files: &[PathBuf],
+    mut visit: impl FnMut(String, Result<Recording, SignalError>) -> Result<(), String>,
+) -> Result<CaptureDiagnostics, String> {
+    let config = system.front_end().config();
+    let layout = ChirpLayout {
+        sample_rate: config.sample_rate,
+        chirp_len: config.chirp_len,
+        chirp_hop: config.chirp_hop,
+    };
+    let mut source = WavSignalSource::new(layout, files.to_vec());
+    let mut captures = CaptureDiagnostics::default();
+    while let Some(label) = source.next_path().map(|p| p.display().to_string()) {
+        let capture = match source.capture() {
+            Ok(None) => break,
+            Ok(Some(rec)) => Ok(rec),
+            Err(e) => {
+                captures.record_failure(&e);
+                Err(e)
+            }
+        };
+        captures.attempted += 1;
+        captures.succeeded += usize::from(capture.is_ok());
+        visit(label, capture)?;
     }
-    let system = load_model(model_path).map_err(|e| format!("loading model: {e}"))?;
-    let config = system.front_end().config().clone();
-    for file in &args.files {
-        println!("== {}", file.display());
-        match recording_from_wav(file, &config).and_then(|rec| {
+    Ok(captures)
+}
+
+/// Prints one file's verdict line and returns whether it was conclusive.
+/// A file that failed to decode or to screen is not.
+fn report_verdict(
+    out: &mut dyn Write,
+    label: &str,
+    result: Result<ScreeningOutcome, String>,
+) -> Result<bool, String> {
+    let (line, conclusive) = match result {
+        Ok(outcome) => (outcome_line(&outcome), outcome.is_conclusive()),
+        Err(e) => (format!("error: {e}"), false),
+    };
+    writeln!(out, "{label}\t{line}").map_err(|e| format!("writing output: {e}"))?;
+    Ok(conclusive)
+}
+
+fn cmd_screen(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
+    let system = wav_command_model(args, "screen")?;
+    let policy = args.policy();
+    let mut all_conclusive = true;
+    for_each_capture(&system, &args.files, |label, capture| {
+        eprintln!("screening {label}…");
+        let result = capture
+            .map_err(|e| e.to_string())
+            .and_then(|rec| screen_streaming(&system, &rec, args.min_chirps, &policy));
+        all_conclusive &= report_verdict(out, &label, result)?;
+        Ok(())
+    })?;
+    Ok(all_conclusive)
+}
+
+/// Resolves every session open in `engine` and prints the verdict lines of
+/// `batch` — the files read since the last drain, each with its capture
+/// error if it failed — in file order. Session ids are batch positions.
+fn drain_batch(
+    engine: &ScreeningEngine,
+    workers: usize,
+    batch: &mut Vec<(String, Option<String>)>,
+    out: &mut dyn Write,
+) -> Result<bool, String> {
+    engine.drain(workers);
+    // Sorted by session id, i.e. in batch order.
+    let mut completed = engine.take_completed().into_iter();
+    let mut all_conclusive = true;
+    for (i, (label, failure)) in batch.drain(..).enumerate() {
+        let result = match failure {
+            Some(e) => Err(e),
+            None => completed
+                .find(|done| done.id == SessionId(i as u64))
+                .ok_or_else(|| "engine session did not resolve".to_string())
+                .and_then(|done| done.outcome.map_err(|e| e.to_string())),
+        };
+        all_conclusive &= report_verdict(out, &label, result)?;
+    }
+    Ok(all_conclusive)
+}
+
+/// Screens the WAV queue through the concurrent session engine: each
+/// recording is opened as a session and pushed as one chunk (chunking never
+/// changes a verdict), and once `workers` sessions are open they are
+/// drained by `workers` threads before the next file is read. A 1-worker
+/// engine is bit-identical to sequential screening, so the verdicts match
+/// `screen` at every worker count.
+fn cmd_screen_wav(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
+    let system = wav_command_model(args, "screen-wav")?;
+    let workers = args.workers.unwrap_or(1);
+    let engine = ScreeningEngine::new(
+        &system,
+        EngineConfig {
+            max_sessions: workers,
+            policy: args.policy(),
+            ..EngineConfig::default()
+        },
+    );
+    let mut batch: Vec<(String, Option<String>)> = Vec::new();
+    let mut all_conclusive = true;
+    let captures = for_each_capture(&system, &args.files, |label, capture| {
+        let rec = match capture {
+            Ok(rec) => rec,
+            Err(e) => {
+                batch.push((label, Some(e.to_string())));
+                return Ok(());
+            }
+        };
+        if engine.in_flight() == workers {
+            all_conclusive &= drain_batch(&engine, workers, &mut batch, out)?;
+        }
+        let id = SessionId(batch.len() as u64);
+        engine
+            .open(id)
+            .and_then(|()| engine.push(id, &rec.samples))
+            .and_then(|()| engine.close(id))
+            .map_err(|e| format!("{label}: engine session: {e}"))?;
+        batch.push((label, None));
+        Ok(())
+    })?;
+    all_conclusive &= drain_batch(&engine, workers, &mut batch, out)?;
+    writeln!(out, "captures: {}", captures.summary())
+        .map_err(|e| format!("writing output: {e}"))?;
+    Ok(all_conclusive)
+}
+
+fn cmd_inspect(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let system = wav_command_model(args, "inspect")?;
+    for_each_capture(&system, &args.files, |label, capture| {
+        let report = capture.map_err(|e| e.to_string()).and_then(|rec| {
             earsonar::diagnostics::inspect_recording(system.front_end(), &rec)
                 .map_err(|e| e.to_string())
-        }) {
-            Ok(report) => print!("{report}"),
-            Err(e) => println!("error: {e}"),
+        });
+        match report {
+            Ok(report) => write!(out, "== {label}\n{report}"),
+            Err(e) => writeln!(out, "== {label}\nerror: {e}"),
         }
-    }
+        .map_err(|e| format!("writing output: {e}"))
+    })?;
     Ok(())
 }
 
@@ -599,6 +553,31 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs one command, writing the WAV commands' per-file lines to `out`,
+/// and returns the process exit status.
+fn run(command: &str, args: &Args, out: &mut dyn Write) -> u8 {
+    // Screening commands report whether every file reached a conclusive
+    // verdict; `false` maps to the distinct exit code 2 so scripts can
+    // tell "measure again" from "broken invocation".
+    let result = match command {
+        "simulate" => cmd_simulate(args).map(|()| true),
+        "train" => cmd_train(args).map(|()| true),
+        "screen" => cmd_screen(args, out),
+        "screen-wav" => cmd_screen_wav(args, out),
+        "eval" => cmd_eval(args).map(|()| true),
+        "inspect" => cmd_inspect(args, out).map(|()| true),
+        _ => Err(format!("unknown command `{command}`\n\n{USAGE}")),
+    };
+    match result {
+        Ok(true) => 0,
+        Ok(false) => 2,
+        Err(msg) => {
+            eprintln!("{msg}");
+            1
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let (command, args) = match parse_args(std::env::args()) {
         Ok(v) => v,
@@ -607,26 +586,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Screening commands report whether every recording reached a
-    // conclusive verdict; `false` maps to the distinct exit code 2 so
-    // scripts can tell "measure again" from "broken invocation".
-    let result = match command.as_str() {
-        "simulate" => cmd_simulate(&args).map(|()| true),
-        "train" => cmd_train(&args).map(|()| true),
-        "screen" => cmd_screen(&args),
-        "screen-wav" => cmd_screen_wav(&args),
-        "eval" => cmd_eval(&args).map(|()| true),
-        "inspect" => cmd_inspect(&args).map(|()| true),
-        _ => Err(format!("unknown command `{command}`\n\n{USAGE}")),
-    };
-    match result {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::from(2),
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+    ExitCode::from(run(&command, &args, &mut std::io::stdout().lock()))
 }
 
 #[cfg(test)]
@@ -634,6 +594,18 @@ mod tests {
     use super::*;
     use earsonar::screening::screen_recording_quality;
     use earsonar_sim::faults::Fault;
+    use std::sync::OnceLock;
+
+    /// A six-patient cohort and the reference system fitted on it, shared
+    /// by the tests in this module.
+    fn fitted() -> &'static (Dataset, EarSonar) {
+        static FITTED: OnceLock<(Dataset, EarSonar)> = OnceLock::new();
+        FITTED.get_or_init(|| {
+            let data = build_dataset(6, 2023);
+            let system = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).expect("fit");
+            (data, system)
+        })
+    }
 
     #[test]
     fn screen_streaming_decides_like_screen_recording_quality() {
@@ -641,8 +613,7 @@ mod tests {
         // library's decision bit for bit: the same verdict, confidence and
         // quality on a clean capture, and the same `Inconclusive` reason
         // under every standard fault.
-        let data = build_dataset(6, 2023);
-        let system = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).expect("fit");
+        let (data, system) = fitted();
         let policy = RetryPolicy {
             max_attempts: 1,
             ..RetryPolicy::default()
@@ -656,11 +627,102 @@ mod tests {
         }
         let mut inconclusive = 0;
         for (name, rec) in &cases {
-            let cli = screen_streaming(&system, rec, None, &policy).expect("cli screening");
-            let lib = screen_recording_quality(&system, rec, &policy).expect("library screening");
+            let cli = screen_streaming(system, rec, None, &policy).expect("cli screening");
+            let lib = screen_recording_quality(system, rec, &policy).expect("library screening");
             assert_eq!(cli, lib, "{name}");
             inconclusive += usize::from(!lib.is_conclusive());
         }
         assert!(inconclusive > 0, "the fault suite must exercise refusals");
+    }
+
+    /// Writes `samples` as a two-channel float32 WAV whose channels differ
+    /// (left `s`, right `s / 2`), so the decoder's mixdown does real work.
+    fn write_stereo_f32(path: &Path, samples: &[f64], rate: u32) {
+        let data_len = (samples.len() * 8) as u32;
+        let mut bytes = Vec::new();
+        for field in [
+            &b"RIFF"[..],
+            &(36 + data_len).to_le_bytes(),
+            b"WAVEfmt ",
+            &16u32.to_le_bytes(),
+            &3u16.to_le_bytes(), // IEEE float
+            &2u16.to_le_bytes(), // channels
+            &rate.to_le_bytes(),
+            &(rate * 8).to_le_bytes(),
+            &8u16.to_le_bytes(),
+            &32u16.to_le_bytes(),
+            b"data",
+            &data_len.to_le_bytes(),
+        ] {
+            bytes.extend_from_slice(field);
+        }
+        for &s in samples {
+            bytes.extend_from_slice(&(s as f32).to_le_bytes());
+            bytes.extend_from_slice(&((0.5 * s) as f32).to_le_bytes());
+        }
+        std::fs::write(path, bytes).expect("write stereo wav");
+    }
+
+    #[test]
+    fn screening_surfaces_print_the_same_verdicts_and_exit_status() {
+        // One queue — clean, shorter than one chirp hop, clean, two-channel
+        // float32 — through `screen`, `screen-wav` and `screen-wav
+        // --workers 2`: the same verdict lines in file order and the same
+        // nonzero exit status, since the short file gets no verdict.
+        let (data, system) = fitted();
+        let config = system.front_end().config();
+        let rate = config.sample_rate as u32;
+        let dir = std::env::temp_dir().join(format!("earsonar_cli_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let model = dir.join("earsonar.model");
+        save_model(&model, system).expect("save model");
+        let mono = |name: &str, samples: &[f64]| {
+            let path = dir.join(name);
+            let audio = WavAudio {
+                samples: samples.to_vec(),
+                sample_rate: rate,
+            };
+            write_wav(&path, &audio, WavFormat::Float32).expect("write wav");
+            path
+        };
+        let stereo = dir.join("3_stereo.wav");
+        write_stereo_f32(&stereo, &data.sessions[3].recording.samples, rate);
+        let files = [
+            mono("0_clean.wav", &data.sessions[0].recording.samples),
+            mono("1_truncated.wav", &data.sessions[1].recording.samples[..config.chirp_hop / 2]),
+            mono("2_clean.wav", &data.sessions[2].recording.samples),
+            stereo,
+        ];
+
+        let model_arg = model.display().to_string();
+        let run_cli = |command: &str, flags: &[&str]| {
+            let argv = ["earsonar", command, "--model", &model_arg]
+                .into_iter()
+                .chain(flags.iter().copied())
+                .map(String::from)
+                .chain(files.iter().map(|f| f.display().to_string()));
+            let (command, args) = parse_args(argv).expect("arguments");
+            let mut out = Vec::new();
+            let status = run(&command, &args, &mut out);
+            let verdicts: Vec<String> = String::from_utf8(out)
+                .expect("utf-8 output")
+                .lines()
+                .filter(|line| line.contains('\t'))
+                .map(String::from)
+                .collect();
+            (status, verdicts)
+        };
+
+        let screen = run_cli("screen", &[]);
+        assert_eq!(screen.1.len(), files.len(), "{:?}", screen.1);
+        for (line, file) in screen.1.iter().zip(&files) {
+            assert!(line.starts_with(&format!("{}\t", file.display())), "{line}");
+        }
+        assert!(screen.1[1].contains("\terror: "), "{}", screen.1[1]);
+        assert!(!screen.1[3].contains("\terror: "), "{}", screen.1[3]);
+        assert_eq!(screen.0, 2);
+        assert_eq!(run_cli("screen-wav", &[]), screen);
+        assert_eq!(run_cli("screen-wav", &["--workers", "2"]), screen);
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

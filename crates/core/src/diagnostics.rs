@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 
 /// Per-stage counters accumulated while a recording moves through the
 /// front end, chirp by chirp. Both the batch path ([`FrontEnd::process`])
-/// and the streaming path ([`crate::streaming::StreamingFrontEnd`]) fill
+/// and the streaming path ([`crate::streaming::ChirpStream`]) fill
 /// these in; a healthy quiet-room recording has every counter close to
 /// the chirp count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,18 +91,6 @@ impl CaptureDiagnostics {
             SignalError::BadLayout { .. } => self.layout_failures += 1,
             _ => self.source_failures += 1,
         }
-    }
-
-    /// Adds another run's capture counters into this aggregate, so a
-    /// multi-source screening pass (one source per concurrent session)
-    /// reports one combined attempted/succeeded/skipped line.
-    pub fn merge(&mut self, other: &CaptureDiagnostics) {
-        self.attempted += other.attempted;
-        self.succeeded += other.succeeded;
-        self.decode_failures += other.decode_failures;
-        self.rate_mismatches += other.rate_mismatches;
-        self.layout_failures += other.layout_failures;
-        self.source_failures += other.source_failures;
     }
 
     /// One-line summary for CLI output, e.g.
@@ -315,23 +303,6 @@ mod tests {
         assert_eq!(a.quality_rejections.clipping, 2);
         assert_eq!(a.quality_rejections.dropout, 1);
         assert_eq!(a.quality_rejections.total(), 3);
-
-        let mut c = CaptureDiagnostics {
-            attempted: 3,
-            succeeded: 2,
-            decode_failures: 1,
-            ..CaptureDiagnostics::default()
-        };
-        let d = CaptureDiagnostics {
-            attempted: 2,
-            succeeded: 1,
-            source_failures: 1,
-            ..CaptureDiagnostics::default()
-        };
-        c.merge(&d);
-        assert_eq!(c.attempted, 5);
-        assert_eq!(c.succeeded, 3);
-        assert_eq!(c.failed(), 2);
     }
 
     #[test]

@@ -45,6 +45,14 @@ pub enum EarSonarError {
         /// The backend recorded in the model file.
         found: String,
     },
+    /// A model file's classifier expects feature vectors of a different
+    /// width than its backend's feature extractor produces.
+    FeatureWidthMismatch {
+        /// Input width of the classifier (its scaler's length).
+        classifier: usize,
+        /// Width of the extractor's feature vectors.
+        extractor: usize,
+    },
 }
 
 impl fmt::Display for EarSonarError {
@@ -68,6 +76,13 @@ impl fmt::Display for EarSonarError {
                     "backend mismatch: requested `{expected}` but the model was saved by `{found}`"
                 )
             }
+            EarSonarError::FeatureWidthMismatch {
+                classifier,
+                extractor,
+            } => write!(
+                f,
+                "model classifier takes {classifier} features, its extractor makes {extractor}"
+            ),
         }
     }
 }

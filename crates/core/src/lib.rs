@@ -93,7 +93,7 @@ pub use error::EarSonarError;
 pub use pipeline::EarSonar;
 pub use quality::{QualityGateConfig, SessionQuality};
 pub use screening::{RetryPolicy, ScreeningOutcome};
-pub use streaming::{ChirpStream, StreamingFrontEnd};
+pub use streaming::ChirpStream;
 
 /// Re-export of the effusion-state enum shared with the detection core's
 /// foundation crate (`earsonar-signal`); the simulator re-exports the

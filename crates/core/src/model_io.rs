@@ -143,7 +143,9 @@ pub fn save_model(path: impl AsRef<Path>, system: &EarSonar) -> Result<(), EarSo
 ///
 /// # Errors
 ///
-/// Returns [`EarSonarError::BadRecording`] for format violations, plus any
+/// Returns [`EarSonarError::BadRecording`] for format violations,
+/// [`EarSonarError::FeatureWidthMismatch`] when the classifier's input
+/// width disagrees with the backend's feature extractor, plus any
 /// configuration or component validation error.
 pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
     let mut lines = text.lines();
@@ -283,6 +285,17 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
 
     let classifier = (spec.load)(&fields, &config)?;
     let front_end = FrontEnd::for_backend(&config, spec)?;
+    // Every backend standardizes its input first, so the scaler's width is
+    // the classifier's input width. A disagreement would load and then
+    // fail every screening.
+    let classifier_width = get("scaler_means")?.split_whitespace().count();
+    let extractor_width = front_end.extractor().feature_count();
+    if classifier_width != extractor_width {
+        return Err(EarSonarError::FeatureWidthMismatch {
+            classifier: classifier_width,
+            extractor: extractor_width,
+        });
+    }
     Ok(EarSonar::from_backend_parts(front_end, classifier))
 }
 

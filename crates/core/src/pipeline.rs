@@ -274,7 +274,7 @@ impl FrontEnd {
     /// bit-identical to [`FrontEnd::process`].
     ///
     /// Internally this is the same per-chirp staged computation the
-    /// streaming path runs ([`crate::streaming::StreamingFrontEnd`]): the
+    /// streaming path runs ([`crate::streaming::ChirpStream`]): the
     /// chirp windows go through [`FrontEnd::push_windows`] as one batch,
     /// and the recording-level stages run once in [`FrontEnd::finalize`] —
     /// so batch and streaming results are bit-identical by construction.
@@ -786,7 +786,7 @@ impl EarSonar {
 
     /// Classifies an already-processed recording — the second half of
     /// [`EarSonar::screen`] for callers that ran the front end themselves
-    /// (e.g. through [`crate::streaming::StreamingFrontEnd`]).
+    /// (e.g. through [`crate::streaming::ChirpStream`]).
     ///
     /// # Errors
     ///

@@ -11,7 +11,7 @@ use crate::diagnostics::CaptureDiagnostics;
 use crate::error::EarSonarError;
 use crate::pipeline::EarSonar;
 use crate::quality::SessionQuality;
-use crate::streaming::{ChirpStream, StreamingFrontEnd};
+use crate::streaming::ChirpStream;
 use earsonar_dsp::plan::DspScratch;
 use earsonar_signal::effusion::MeeState;
 use earsonar_signal::recording::Recording;
@@ -171,9 +171,9 @@ impl ScreeningOutcome {
 
 /// Screens one already-captured recording with quality gating, a
 /// usable-chirp quorum, and a confidence floor — the single-attempt core
-/// of [`screen_with_retry`], also used by the CLI on decoded WAV files
-/// (only the policy's quorum and confidence fields apply; `max_attempts`
-/// is the caller's business).
+/// of [`screen_with_retry`] and the sequential reference the CLI and the
+/// session engine are pinned against (only the policy's quorum and
+/// confidence fields apply; `max_attempts` is the caller's business).
 ///
 /// # Errors
 ///
@@ -184,9 +184,9 @@ pub fn screen_recording_quality(
     recording: &Recording,
     policy: &RetryPolicy,
 ) -> Result<ScreeningOutcome, EarSonarError> {
-    let mut stream = StreamingFrontEnd::new(system.front_end());
-    stream.push_samples(&recording.samples)?;
-    let (stream, mut scratch) = stream.into_parts();
+    let mut scratch = DspScratch::new();
+    let mut stream = ChirpStream::new(system.front_end());
+    stream.push_samples_with(system.front_end(), &mut scratch, &recording.samples)?;
     resolve_stream(system, &mut scratch, stream, policy)
 }
 

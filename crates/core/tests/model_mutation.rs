@@ -7,9 +7,13 @@
 //!
 //! Two base files: a `v2` file as written today and the `v1` form of the
 //! same model (the legacy magic line, no backend lines).
+//!
+//! One targeted mutation per registered backend: a classifier one feature
+//! wider than its extractor is refused at load with a typed error.
 
+use earsonar::backend::registry;
 use earsonar::model_io::{model_from_string, model_to_string};
-use earsonar::{EarSonar, EarSonarConfig};
+use earsonar::{EarSonar, EarSonarConfig, EarSonarError};
 use earsonar_dsp::rng::DetRng;
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
@@ -128,4 +132,27 @@ fn seeded_byte_and_bit_flips_never_panic() {
         loaded > 0 && loaded < cases as usize,
         "{loaded} of {cases} loaded"
     );
+}
+
+#[test]
+fn a_classifier_wider_than_its_extractor_is_refused_at_load() {
+    // One more scaler column keeps each classifier self-consistent, so
+    // only the width check against the feature extractor can refuse it;
+    // without that check the model loads and every screening fails.
+    let data = Dataset::build(&Cohort::generate(6, 21), &DatasetSpec::default());
+    for spec in registry() {
+        let system = EarSonar::fit_backend(&data.sessions, &EarSonarConfig::default(), spec.name)
+            .expect("fit");
+        let width = system.front_end().extractor().feature_count();
+        let widened = model_to_string(&system)
+            .replace("scaler_means: ", "scaler_means: 0.0 ")
+            .replace("scaler_stds: ", "scaler_stds: 1.0 ");
+        match model_from_string(&widened) {
+            Err(EarSonarError::FeatureWidthMismatch {
+                classifier,
+                extractor,
+            }) => assert_eq!((classifier, extractor), (width + 1, width), "{}", spec.name),
+            other => panic!("{}: loaded, or refused with {:?}", spec.name, other.err()),
+        }
+    }
 }

@@ -95,25 +95,6 @@ pub fn write_wav(
         })
 }
 
-/// Reads a mono PCM16 or float32 WAV file.
-///
-/// Multi-channel files are mixed down by averaging channels.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] for I/O failures or malformed /
-/// unsupported WAV content (the constraint string says which).
-pub fn read_wav(path: impl AsRef<Path>) -> Result<WavAudio, DspError> {
-    let mut bytes = Vec::new();
-    File::open(&path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|_| DspError::InvalidParameter {
-            name: "path",
-            constraint: "could not open or read the WAV file",
-        })?;
-    parse_wav(&bytes)
-}
-
 fn bad_wav(constraint: &'static str) -> DspError {
     DspError::InvalidParameter {
         name: "wav",
@@ -177,12 +158,15 @@ fn scan_chunks(bytes: &[u8]) -> Result<(WavFmt, &[u8]), DspError> {
     Ok((fmt, data))
 }
 
-/// Parses WAV content from memory (the core of [`read_wav`], separated for
-/// testing).
+/// Parses PCM16 or float32 WAV content from memory into `f64` samples,
+/// mixing multi-channel files down by averaging channels. The all-`f64`
+/// reference that [`parse_wav_f32_into`], the decoder every capture runs
+/// through, is checked against.
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_wav`].
+/// Returns [`DspError::InvalidParameter`] for malformed or unsupported WAV
+/// content (the constraint string says which).
 pub fn parse_wav(bytes: &[u8]) -> Result<WavAudio, DspError> {
     let ((tag, channels, rate, bits), data) = scan_chunks(bytes)?;
     let ch = channels as usize;
@@ -226,7 +210,7 @@ pub fn parse_wav(bytes: &[u8]) -> Result<WavAudio, DspError> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_wav`].
+/// Same conditions as [`parse_wav`].
 // lint: hot-path
 pub fn parse_wav_f32_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<u32, DspError> {
     let ((tag, channels, rate, bits), data) = scan_chunks(bytes)?;
@@ -276,7 +260,8 @@ pub fn parse_wav_f32_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<u32, DspEr
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_wav`].
+/// Returns [`DspError::InvalidParameter`] for I/O failures, plus the
+/// conditions of [`parse_wav`].
 pub fn read_wav_f32_into(
     path: impl AsRef<Path>,
     bytes: &mut Vec<u8>,
@@ -304,6 +289,13 @@ mod tests {
         (0..n).map(|i| (i as f64 * 0.3).sin() * 0.8).collect()
     }
 
+    /// Reads `path` back through the capture decoder: `(rate, samples)`.
+    fn read_back(path: &std::path::Path) -> (u32, Vec<f32>) {
+        let (mut bytes, mut out) = (Vec::new(), Vec::new());
+        let rate = read_wav_f32_into(path, &mut bytes, &mut out).unwrap();
+        (rate, out)
+    }
+
     #[test]
     fn pcm16_round_trip() {
         let path = tmp("pcm16");
@@ -312,11 +304,11 @@ mod tests {
             sample_rate: 48_000,
         };
         write_wav(&path, &audio, WavFormat::Pcm16).unwrap();
-        let back = read_wav(&path).unwrap();
-        assert_eq!(back.sample_rate, 48_000);
-        assert_eq!(back.samples.len(), 480);
-        for (a, b) in audio.samples.iter().zip(&back.samples) {
-            assert!((a - b).abs() < 1.0 / 16_000.0, "{a} vs {b}");
+        let (rate, back) = read_back(&path);
+        assert_eq!(rate, 48_000);
+        assert_eq!(back.len(), 480);
+        for (a, &b) in audio.samples.iter().zip(&back) {
+            assert!((a - b as f64).abs() < 1.0 / 16_000.0, "{a} vs {b}");
         }
         let _ = std::fs::remove_file(path);
     }
@@ -329,10 +321,10 @@ mod tests {
             sample_rate: 44_100,
         };
         write_wav(&path, &audio, WavFormat::Float32).unwrap();
-        let back = read_wav(&path).unwrap();
-        assert_eq!(back.sample_rate, 44_100);
-        for (a, b) in audio.samples.iter().zip(&back.samples) {
-            assert!((a - b).abs() < 1e-7);
+        let (rate, back) = read_back(&path);
+        assert_eq!(rate, 44_100);
+        for (a, &b) in audio.samples.iter().zip(&back) {
+            assert!((a - b as f64).abs() < 1e-7);
         }
         let _ = std::fs::remove_file(path);
     }
@@ -345,9 +337,9 @@ mod tests {
             sample_rate: 8_000,
         };
         write_wav(&path, &audio, WavFormat::Pcm16).unwrap();
-        let back = read_wav(&path).unwrap();
-        assert!(back.samples[0] > 0.99);
-        assert!(back.samples[1] < -0.99);
+        let (_, back) = read_back(&path);
+        assert!(back[0] > 0.99);
+        assert!(back[1] < -0.99);
         let _ = std::fs::remove_file(path);
     }
 
@@ -470,7 +462,8 @@ mod tests {
         bytes.extend_from_slice(&16u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]);
         assert!(parse_wav(&bytes).is_err());
-        assert!(read_wav("/nonexistent/path/file.wav").is_err());
+        let (mut raw, mut out) = (Vec::new(), Vec::new());
+        assert!(read_wav_f32_into("/nonexistent/path/file.wav", &mut raw, &mut out).is_err());
     }
 
     #[test]

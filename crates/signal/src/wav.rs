@@ -7,75 +7,27 @@
 
 use crate::recording::{ChirpLayout, Recording};
 use crate::source::{SignalError, SignalSource};
-use earsonar_dsp::wav::{read_wav, read_wav_f32_into};
+use earsonar_dsp::wav::read_wav_f32_into;
 use std::path::{Path, PathBuf};
 
 /// How far a file's sample rate may deviate from the layout's (hertz)
 /// before the capture is rejected — headers round, physics does not.
 const RATE_TOLERANCE_HZ: f64 = 1.0;
 
-/// Decodes one WAV file into a [`Recording`] on `layout`, truncating to a
-/// whole number of chirp hops.
-///
-/// # Errors
-///
-/// Returns [`SignalError::Dsp`] for I/O or decode failures,
-/// [`SignalError::RateMismatch`] when the file's rate disagrees with the
-/// layout, and [`SignalError::BadLayout`] when the audio is shorter than
-/// one chirp hop.
-pub fn recording_from_wav(
-    path: impl AsRef<Path>,
-    layout: &ChirpLayout,
-) -> Result<Recording, SignalError> {
-    let audio = read_wav(path)?;
-    if (audio.sample_rate as f64 - layout.sample_rate).abs() > RATE_TOLERANCE_HZ {
-        return Err(SignalError::RateMismatch {
-            found: audio.sample_rate as f64,
-            expected: layout.sample_rate,
-        });
-    }
-    layout.frame(audio.samples).ok_or(SignalError::BadLayout {
-        reason: "audio shorter than one chirp interval",
-    })
-}
-
-/// [`recording_from_wav`] through the fused i16→f32 decode path
-/// (`earsonar_dsp::wav::parse_wav_f32_into`), reusing `bytes` (raw file
-/// content) and `pcm` (decoded f32 samples) across calls — the only
-/// per-call allocation is the [`Recording`]'s own sample vector.
-///
-/// PCM16 decode is exactly lossless in f32 and the f32→f64 widening here
-/// is exact, so for mono files (either payload) the produced recording is
-/// **bit-identical** to [`recording_from_wav`]'s; multi-channel mixdowns
-/// pass through f32 and may differ from the all-f64 reference at the f32
-/// ulp.
-///
-/// # Errors
-///
-/// Same conditions as [`recording_from_wav`].
-// lint: hot-path
-pub fn recording_from_wav_buffered(
-    path: impl AsRef<Path>,
-    layout: &ChirpLayout,
-    bytes: &mut Vec<u8>,
-    pcm: &mut Vec<f32>,
-) -> Result<Recording, SignalError> {
-    let rate = read_wav_f32_into(path, bytes, pcm)?;
-    if (rate as f64 - layout.sample_rate).abs() > RATE_TOLERANCE_HZ {
-        return Err(SignalError::RateMismatch {
-            found: rate as f64,
-            expected: layout.sample_rate,
-        });
-    }
-    let mut samples = Vec::with_capacity(pcm.len());
-    samples.extend(pcm.iter().map(|&v| v as f64)); // exact widening
-    layout.frame(samples).ok_or(SignalError::BadLayout {
-        reason: "audio shorter than one chirp interval",
-    })
-}
-
 /// A [`SignalSource`] that walks a list of WAV files, yielding one
-/// recording per file.
+/// recording per file framed on `layout` and truncated to a whole number
+/// of chirp hops: the one WAV decoder behind every screening surface.
+///
+/// Decoding runs through `earsonar_dsp::wav::read_wav_f32_into`, reusing
+/// the raw-file and sample buffers across captures. PCM16 and float32
+/// samples are exact in f32, so a mono file decodes to exactly its stored
+/// samples; a multi-channel file is averaged per frame in f64, then
+/// narrowed to f32.
+///
+/// A failed capture still advances the queue: [`SignalError::Dsp`] for
+/// I/O or decode failures, [`SignalError::RateMismatch`] when the file's
+/// rate disagrees with the layout, and [`SignalError::BadLayout`] when the
+/// audio is shorter than one chirp hop.
 #[derive(Debug, Clone)]
 pub struct WavSignalSource {
     layout: ChirpLayout,
@@ -113,21 +65,33 @@ impl SignalSource for WavSignalSource {
         }
     }
 
+    // lint: hot-path
     fn capture(&mut self) -> Result<Option<Recording>, SignalError> {
         let Some(path) = self.paths.get(self.next) else {
             return Ok(None);
         };
         // Advance even on failure so one bad file doesn't wedge the queue.
         self.next += 1;
-        recording_from_wav_buffered(path, &self.layout, &mut self.bytes, &mut self.pcm)
-            .map(Some)
+        let rate = read_wav_f32_into(path, &mut self.bytes, &mut self.pcm)?;
+        if (rate as f64 - self.layout.sample_rate).abs() > RATE_TOLERANCE_HZ {
+            return Err(SignalError::RateMismatch {
+                found: rate as f64,
+                expected: self.layout.sample_rate,
+            });
+        }
+        let mut samples = Vec::with_capacity(self.pcm.len());
+        samples.extend(self.pcm.iter().map(|&v| v as f64)); // exact widening
+        let recording = self.layout.frame(samples).ok_or(SignalError::BadLayout {
+            reason: "audio shorter than one chirp interval",
+        })?;
+        Ok(Some(recording))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use earsonar_dsp::wav::{write_wav, WavAudio, WavFormat};
+    use earsonar_dsp::wav::{parse_wav, write_wav, WavAudio, WavFormat};
 
     fn layout() -> ChirpLayout {
         ChirpLayout {
@@ -175,7 +139,7 @@ mod tests {
     }
 
     #[test]
-    fn buffered_decode_matches_reference_for_mono_pcm16() {
+    fn mono_pcm16_decodes_to_its_stored_samples() {
         let path = std::env::temp_dir().join("earsonar_signal_wav_pcm16.wav");
         let samples: Vec<f64> = (0..750)
             .map(|i| (2.0 * std::f64::consts::PI * 18_000.0 * i as f64 / 48_000.0).sin() * 0.7)
@@ -189,50 +153,34 @@ mod tests {
             WavFormat::Pcm16,
         )
         .unwrap();
-        let reference = recording_from_wav(&path, &layout()).unwrap();
-        let (mut bytes, mut pcm) = (Vec::new(), Vec::new());
-        let buffered =
-            recording_from_wav_buffered(&path, &layout(), &mut bytes, &mut pcm).unwrap();
-        assert_eq!(buffered, reference); // bit-identical, PCM16 is lossless in f32
-        // Buffers survive for the next capture.
-        let again = recording_from_wav_buffered(&path, &layout(), &mut bytes, &mut pcm).unwrap();
-        assert_eq!(again, reference);
+        let reference = parse_wav(&std::fs::read(&path).unwrap()).unwrap();
+        // The same file twice: the reused buffers carry nothing over.
+        let mut src = WavSignalSource::new(layout(), vec![path.clone(), path.clone()]);
+        for _ in 0..2 {
+            let rec = src.capture().unwrap().unwrap();
+            assert_eq!(rec.samples[..], reference.samples[..720]); // PCM16 is exact in f32
+        }
         let _ = std::fs::remove_file(path);
     }
 
     #[test]
-    fn rate_mismatch_is_rejected() {
-        let path = std::env::temp_dir().join("earsonar_signal_wav_rate.wav");
-        write_tone(&path, 750, 44_100);
-        assert!(matches!(
-            recording_from_wav(&path, &layout()),
-            Err(SignalError::RateMismatch { .. })
-        ));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn short_audio_is_rejected_but_queue_advances() {
+    fn bad_captures_are_typed_errors_and_the_queue_advances() {
         let dir = std::env::temp_dir();
+        let rate = dir.join("earsonar_signal_wav_rate.wav");
         let short = dir.join("earsonar_signal_wav_short.wav");
         let good = dir.join("earsonar_signal_wav_good.wav");
+        write_tone(&rate, 750, 44_100);
         write_tone(&short, 100, 48_000);
         write_tone(&good, 240, 48_000);
-        let mut src = WavSignalSource::new(layout(), vec![short.clone(), good.clone()]);
-        assert!(matches!(
-            src.capture(),
-            Err(SignalError::BadLayout { .. })
-        ));
+        let missing = PathBuf::from("/nonexistent/earsonar.wav");
+        let paths = vec![missing, rate.clone(), short.clone(), good.clone()];
+        let mut src = WavSignalSource::new(layout(), paths);
+        assert!(matches!(src.capture(), Err(SignalError::Dsp(_))));
+        assert!(matches!(src.capture(), Err(SignalError::RateMismatch { .. })));
+        assert!(matches!(src.capture(), Err(SignalError::BadLayout { .. })));
         assert_eq!(src.capture().unwrap().unwrap().n_chirps, 1);
-        let _ = std::fs::remove_file(short);
-        let _ = std::fs::remove_file(good);
-    }
-
-    #[test]
-    fn missing_file_is_a_dsp_error() {
-        assert!(matches!(
-            recording_from_wav("/nonexistent/earsonar.wav", &layout()),
-            Err(SignalError::Dsp(_))
-        ));
+        for path in [rate, short, good] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 }

@@ -7,8 +7,9 @@
 use earsonar::backend::{lookup, registry, REFERENCE_BACKEND};
 use earsonar::eval::ab_compare;
 use earsonar::model_io::{model_from_string, model_to_string};
-use earsonar::streaming::StreamingFrontEnd;
+use earsonar::streaming::ChirpStream;
 use earsonar::{EarSonar, EarSonarError};
+use earsonar_dsp::plan::DspScratch;
 use earsonar_suite::{config, small_dataset};
 
 #[test]
@@ -58,13 +59,15 @@ fn streaming_and_batch_agree_for_every_backend() {
         let system = EarSonar::fit_backend(&data.sessions, &cfg, spec.name).expect("fit");
         for s in data.sessions.iter().take(4) {
             let batch = system.screen(&s.recording).expect("batch screen");
-            let mut stream = StreamingFrontEnd::new(system.front_end());
+            let fe = system.front_end();
+            let mut scratch = DspScratch::new();
+            let mut stream = ChirpStream::new(fe);
             for c in 0..s.recording.n_chirps {
                 stream
-                    .push_chirp(s.recording.chirp_window(c))
+                    .push_chirp_with(fe, &mut scratch, s.recording.chirp_window(c))
                     .expect("push chirp");
             }
-            let processed = stream.finish().expect("finish");
+            let processed = stream.finish_with(fe, &mut scratch).expect("finish");
             let streamed = system.classify(&processed).expect("classify");
             assert_eq!(batch, streamed, "backend {}", spec.name);
         }

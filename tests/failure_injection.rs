@@ -12,8 +12,9 @@ use earsonar::pipeline::FrontEnd;
 use earsonar::screening::{
     screen_recording_quality, screen_with_retry, RetryPolicy, ScreeningOutcome,
 };
-use earsonar::streaming::StreamingFrontEnd;
+use earsonar::streaming::ChirpStream;
 use earsonar::EarSonar;
+use earsonar_dsp::plan::DspScratch;
 use earsonar_signal::source::QueueSource;
 use earsonar_sim::faults::{Fault, FaultInjector, FaultySource};
 use earsonar_sim::recorder::Recording;
@@ -62,11 +63,12 @@ fn batch_and_streaming_agree_on_gated_recordings() {
         let rec = faulted(fault, 42);
         let batch = fe.process(&rec);
 
-        let mut stream = StreamingFrontEnd::new(&fe);
+        let mut scratch = DspScratch::new();
+        let mut stream = ChirpStream::new(&fe);
         for chunk in rec.samples.chunks(97) {
-            stream.push_samples(chunk).unwrap();
+            stream.push_samples_with(&fe, &mut scratch, chunk).unwrap();
         }
-        let streamed = stream.finish();
+        let streamed = stream.finish_with(&fe, &mut scratch);
         match (batch, streamed) {
             (Ok(b), Ok(s)) => {
                 assert_eq!(b.features, s.features, "{} features differ", fault.name());
@@ -90,8 +92,8 @@ fn batch_and_streaming_agree_on_gated_recordings() {
 fn gate_counts_dropped_chirps_by_cause() {
     let fe = FrontEnd::new(&config()).unwrap();
     let rec = faulted(Fault::Dropout { severity: 0.8 }, 7);
-    let mut stream = StreamingFrontEnd::new(&fe);
-    stream.push_samples(&rec.samples).unwrap();
+    let mut stream = ChirpStream::new(&fe);
+    stream.push_samples_with(&fe, &mut DspScratch::new(), &rec.samples).unwrap();
     let q = stream.quality();
     assert!(q.rejections.dropout > 0, "dropout fault must trip the dropout gate");
     assert_eq!(q.rejections.total(), q.chirps_pushed - q.chirps_accepted);

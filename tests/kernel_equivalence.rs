@@ -25,7 +25,7 @@ use earsonar::absorption::{echo_ir_spectra, echo_ir_spectrum};
 use earsonar::channel::pipeline_estimator;
 use earsonar::pipeline::FrontEnd;
 use earsonar::quality::{measure_window, measure_window_scalar, NoiseFloor};
-use earsonar::streaming::StreamingFrontEnd;
+use earsonar::streaming::ChirpStream;
 use earsonar::EarSonarConfig;
 use earsonar_acoustics::propagation::{
     delay_fractional_allpass_lanes, delay_fractional_allpass_with,
@@ -540,20 +540,22 @@ fn odd_batch_tails_are_bit_identical_to_one_lane() {
     let mut rec = data.sessions[0].recording.clone();
     rec.samples[5 * rec.chirp_hop + 17] = f64::NAN;
     for per_push in [1usize, 3, 5, 7, 9, 23] {
-        let mut batched = StreamingFrontEnd::new(&fe);
-        let mut single = StreamingFrontEnd::new(&fe);
+        let mut scratch = DspScratch::new();
+        let mut batched = ChirpStream::new(&fe);
+        let mut single = ChirpStream::new(&fe);
         for chunk in rec.samples.chunks(per_push * rec.chirp_hop) {
-            batched.push_samples(chunk).unwrap();
+            batched.push_samples_with(&fe, &mut scratch, chunk).unwrap();
         }
         for c in 0..rec.n_chirps {
-            single.push_chirp(rec.chirp_window(c)).unwrap();
+            single.push_chirp_with(&fe, &mut scratch, rec.chirp_window(c)).unwrap();
         }
         assert_eq!(
             batched.diagnostics(),
             single.diagnostics(),
             "{per_push} per push"
         );
-        let (b, s) = (batched.finish().unwrap(), single.finish().unwrap());
+        let b = batched.finish_with(&fe, &mut scratch).unwrap();
+        let s = single.finish_with(&fe, &mut scratch).unwrap();
         assert_eq!(b.features, s.features, "{per_push} per push");
         assert_eq!(b.spectrum, s.spectrum, "{per_push} per push");
     }

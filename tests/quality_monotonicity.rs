@@ -22,7 +22,8 @@
 //!    stay accepted, and any poisoned window zeroes session confidence.
 
 use earsonar::pipeline::FrontEnd;
-use earsonar::streaming::StreamingFrontEnd;
+use earsonar::streaming::ChirpStream;
+use earsonar_dsp::plan::DspScratch;
 use earsonar_sim::faults::Fault;
 use earsonar_sim::recorder::Recording;
 use earsonar_suite::{config, small_dataset};
@@ -36,8 +37,8 @@ fn clean_recording() -> Recording {
 
 /// Confidence and accepted-chirp count of `rec` under the default gate.
 fn gate_outcome(fe: &FrontEnd, rec: &Recording) -> (f64, usize) {
-    let mut stream = StreamingFrontEnd::new(fe);
-    stream.push_samples(&rec.samples).expect("push");
+    let mut stream = ChirpStream::new(fe);
+    stream.push_samples_with(fe, &mut DspScratch::new(), &rec.samples).expect("push");
     let q = stream.quality();
     (q.confidence(), q.chirps_accepted)
 }

@@ -4,8 +4,9 @@
 //! on the way in.
 
 use earsonar::pipeline::FrontEnd;
-use earsonar::streaming::StreamingFrontEnd;
+use earsonar::streaming::ChirpStream;
 use earsonar::{EarSonar, EarSonarError};
+use earsonar_dsp::plan::DspScratch;
 use earsonar_signal::recording::Recording;
 use earsonar_suite::{config, small_dataset};
 
@@ -34,11 +35,12 @@ fn chirp_by_chirp_push_is_bit_identical_to_batch() {
     let data = small_dataset(2);
     for (i, s) in data.sessions.iter().enumerate() {
         let batch = fe.process(&s.recording).expect("batch");
-        let mut stream = StreamingFrontEnd::new(&fe);
+        let mut scratch = DspScratch::new();
+        let mut stream = ChirpStream::new(&fe);
         for c in 0..s.recording.n_chirps {
-            stream.push_chirp(s.recording.chirp_window(c)).unwrap();
+            stream.push_chirp_with(&fe, &mut scratch, s.recording.chirp_window(c)).unwrap();
         }
-        let streamed = stream.finish().expect("stream");
+        let streamed = stream.finish_with(&fe, &mut scratch).expect("stream");
         assert_identical(&batch, &streamed, &format!("session {i}"));
     }
 }
@@ -51,12 +53,13 @@ fn every_chunk_granularity_is_bit_identical() {
     let batch = fe.process(rec).expect("batch");
     let whole = rec.samples.len();
     for granularity in [1usize, 7, 239, 240, 241, 1000, whole] {
-        let mut stream = StreamingFrontEnd::new(&fe);
+        let mut scratch = DspScratch::new();
+        let mut stream = ChirpStream::new(&fe);
         for chunk in rec.samples.chunks(granularity) {
-            stream.push_samples(chunk).unwrap();
+            stream.push_samples_with(&fe, &mut scratch, chunk).unwrap();
         }
-        assert_eq!(stream.chirps_pushed(), rec.n_chirps, "chunk {granularity}");
-        let streamed = stream.finish().expect("stream");
+        assert_eq!(stream.diagnostics().chirps_pushed, rec.n_chirps, "chunk {granularity}");
+        let streamed = stream.finish_with(&fe, &mut scratch).expect("stream");
         assert_identical(&batch, &streamed, &format!("chunk size {granularity}"));
     }
 }
@@ -84,11 +87,12 @@ fn recordings_with_failed_chirps_stay_equivalent() {
     assert!(batch.diagnostics.events_detected < batch.diagnostics.chirps_pushed);
 
     for granularity in [1usize, 240, 517] {
-        let mut stream = StreamingFrontEnd::new(&fe);
+        let mut scratch = DspScratch::new();
+        let mut stream = ChirpStream::new(&fe);
         for chunk in rec.samples.chunks(granularity) {
-            stream.push_samples(chunk).unwrap();
+            stream.push_samples_with(&fe, &mut scratch, chunk).unwrap();
         }
-        let streamed = stream.finish().expect("stream");
+        let streamed = stream.finish_with(&fe, &mut scratch).expect("stream");
         assert_identical(&batch, &streamed, &format!("failed chirps, chunk {granularity}"));
     }
 }
@@ -99,9 +103,11 @@ fn streaming_verdict_matches_batch_screening() {
     let system = EarSonar::fit(&data.sessions, &config()).expect("fit");
     for s in data.sessions.iter().take(6) {
         let batch_verdict = system.screen(&s.recording).expect("screen");
-        let mut stream = StreamingFrontEnd::new(system.front_end());
-        stream.push_samples(&s.recording.samples).unwrap();
-        let processed = stream.finish().expect("finish");
+        let fe = system.front_end();
+        let mut scratch = DspScratch::new();
+        let mut stream = ChirpStream::new(fe);
+        stream.push_samples_with(fe, &mut scratch, &s.recording.samples).unwrap();
+        let processed = stream.finish_with(fe, &mut scratch).expect("finish");
         let streamed_verdict = system.classify(&processed).expect("classify");
         assert_eq!(batch_verdict, streamed_verdict);
     }
@@ -112,15 +118,17 @@ fn early_finish_still_produces_a_verdict() {
     let data = small_dataset(4);
     let system = EarSonar::fit(&data.sessions, &config()).expect("fit");
     let rec = &data.sessions[0].recording;
-    let mut stream = StreamingFrontEnd::new(system.front_end());
+    let fe = system.front_end();
+    let mut scratch = DspScratch::new();
+    let mut stream = ChirpStream::new(fe);
     for c in 0..rec.n_chirps {
-        stream.push_chirp(rec.chirp_window(c)).unwrap();
+        stream.push_chirp_with(fe, &mut scratch, rec.chirp_window(c)).unwrap();
         if stream.ready(8) {
             break;
         }
     }
-    assert!(stream.chirps_pushed() < rec.n_chirps, "no early finish");
-    let processed = stream.finish().expect("finish");
+    assert!(stream.diagnostics().chirps_pushed < rec.n_chirps, "no early finish");
+    let processed = stream.finish_with(fe, &mut scratch).expect("finish");
     assert!(processed.chirps_used >= 8);
     assert!(system.classify(&processed).is_ok());
 }
@@ -141,12 +149,13 @@ fn silent_stream_reports_no_echo_with_full_diagnostics() {
         fe.process(&rec),
         Err(EarSonarError::NoEchoDetected)
     ));
-    let mut stream = StreamingFrontEnd::new(&fe);
-    stream.push_samples(&rec.samples).unwrap();
-    assert_eq!(stream.chirps_pushed(), 8);
+    let mut scratch = DspScratch::new();
+    let mut stream = ChirpStream::new(&fe);
+    stream.push_samples_with(&fe, &mut scratch, &rec.samples).unwrap();
+    assert_eq!(stream.diagnostics().chirps_pushed, 8);
     assert_eq!(stream.chirps_used(), 0);
     assert!(matches!(
-        stream.finish(),
+        stream.finish_with(&fe, &mut scratch),
         Err(EarSonarError::NoEchoDetected)
     ));
 }
