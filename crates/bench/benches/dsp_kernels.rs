@@ -1,9 +1,10 @@
 //! Micro-benchmarks of the DSP substrate kernels the pipeline leans on:
 //! FFT, Butterworth filtering, Wiener channel estimation, MFCC, and the
 //! parity-decomposition auto-convolution; then every scalar-vs-vectorized
-//! kernel pair, the shared complex and real-input FFT plans at the sizes
-//! the pipeline uses, and the lane-interleaved forms of the FFT and the
-//! zero-phase filter at 1, 2 and 4 lanes.
+//! kernel pair (with single rows for the quality scan and the mel
+//! projection, which keep one form), the shared complex and real-input FFT
+//! plans at the sizes the pipeline uses, and the lane-interleaved forms of
+//! the FFT and the zero-phase filter at 1, 2 and 4 lanes.
 //!
 //! Only timings are printed. The pairs' equivalence contracts (bit-identical
 //! or ulp-bounded) are asserted by `tests/kernel_equivalence.rs` and
@@ -14,7 +15,7 @@
 //! for a fast CI run).
 
 use earsonar::channel::ChannelEstimator;
-use earsonar::quality::{measure_window, measure_window_scalar, NoiseFloor};
+use earsonar::quality::{measure_window, NoiseFloor};
 use earsonar::EarSonarConfig;
 use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_bench::timing::Bencher;
@@ -43,7 +44,8 @@ fn random_signal(n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Each scalar reference against its vectorized form, at the input size
-/// the pipeline runs it on.
+/// the pipeline runs it on; the quality scan and the mel projection have
+/// one form each and one row.
 fn kernel_pairs(b: &Bencher) {
     let cfg = EarSonarConfig::default();
 
@@ -98,11 +100,7 @@ fn kernel_pairs(b: &Bencher) {
         .map(|x| x * x)
         .collect();
     let mut mel = Vec::new();
-    b.report(&format!("mel_projection/scalar/{n_fft}"), || {
-        bank.apply_into_scalar(&ps, &mut mel).unwrap();
-        black_box(mel[0])
-    });
-    b.report(&format!("mel_projection/vectorized/{n_fft}"), || {
+    b.report(&format!("mel_projection/{n_fft}"), || {
         bank.apply_into(&ps, &mut mel).unwrap();
         black_box(mel[0])
     });
@@ -126,11 +124,7 @@ fn kernel_pairs(b: &Bencher) {
     let active = cfg.chirp_len + 32;
     let (w, prev) = (random_signal(n, 107), random_signal(n, 108));
     let mut floor = NoiseFloor::default();
-    b.report(&format!("quality_scan/scalar/{n}"), || {
-        measure_window_scalar(&w, &prev, &mut floor, active).snr_db
-    });
-    let mut floor = NoiseFloor::default();
-    b.report(&format!("quality_scan/vectorized/{n}"), || {
+    b.report(&format!("quality_scan/{n}"), || {
         measure_window(&w, &prev, &mut floor, active).snr_db
     });
 

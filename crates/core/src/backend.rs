@@ -41,6 +41,7 @@ use earsonar_ml::distance::euclidean;
 use earsonar_ml::knn::KnnClassifier;
 use earsonar_ml::logistic::{LogisticConfig, MultinomialLogistic};
 use earsonar_ml::scaler::StandardScaler;
+use earsonar_ml::MlError;
 use earsonar_signal::effusion::MeeState;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -249,6 +250,16 @@ pub(crate) fn join_floats(v: &[f64]) -> String {
         .map(|x| format!("{x:?}"))
         .collect::<Vec<_>>()
         .join(" ")
+}
+
+/// Refuses a model component whose length is not the one its classifier
+/// needs: such a file would load and then panic or fail every screening.
+fn expect_len(expected: usize, actual: usize) -> Result<(), EarSonarError> {
+    if expected == actual {
+        Ok(())
+    } else {
+        Err(MlError::DimensionMismatch { expected, actual }.into())
+    }
 }
 
 /// Collects every row-style field (`key: …` repeated) as float rows.
@@ -521,8 +532,13 @@ fn logistic_load(
         parse_f64s(field(fields, "scaler_means")?)?,
         parse_f64s(field(fields, "scaler_stds")?)?,
     )?;
+    // One row per class, each the scaler width plus the trailing bias.
     let n_rows = parse_one_usize(field(fields, "weights")?)?;
+    expect_len(MeeState::COUNT, n_rows)?;
     let weights = float_rows(fields, "weight", n_rows)?;
+    for row in &weights {
+        expect_len(scaler.means().len() + 1, row.len())?;
+    }
     let model = MultinomialLogistic::from_weights(weights)?;
     Ok(Box::new(LogisticClassifier { scaler, model }))
 }
@@ -606,6 +622,9 @@ fn knn_load(
     let labels = parse_usizes(field(fields, "knn_labels")?)?;
     let n_rows = parse_one_usize(field(fields, "samples")?)?;
     let data = float_rows(fields, "sample", n_rows)?;
+    for row in &data {
+        expect_len(scaler.means().len(), row.len())?;
+    }
     let knn = KnnClassifier::fit(&data, &labels, k, MeeState::COUNT)?;
     Ok(Box::new(KnnBackendClassifier { scaler, knn }))
 }

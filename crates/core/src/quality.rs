@@ -369,120 +369,11 @@ impl ChirpQuality {
 /// (the pipeline passes `chirp_len + ir_taps`); the remainder of the
 /// window is the inter-chirp gap used for the noise floor.
 ///
-/// The scans run on the four-lane kernels of `earsonar_dsp::simd`: the
-/// clip-rail count and AC-peak max are **exact**, while the mean/energy/
-/// correlation reductions are reassociated and may differ from
-/// [`measure_window_scalar`] at the ulp level (bounded by the kernel
-/// contract; gate margins are macroscopic, so decisions do not flip —
-/// pinned by `tests/kernel_equivalence.rs`).
+/// One strict-order pass over the window, with single accumulators: at
+/// the pipeline's 240-sample windows a four-lane split of these scans
+/// did not beat the run-to-run spread of its timing.
 // lint: hot-path
 pub fn measure_window(
-    window: &[f64],
-    prev: &[f64],
-    floor: &mut NoiseFloor,
-    active_len: usize,
-) -> ChirpQuality {
-    use earsonar_dsp::simd;
-
-    let n = window.len();
-    if n == 0 {
-        return ChirpQuality {
-            clip_fraction: 0.0,
-            dropout_fraction: 1.0,
-            snr_db: -SNR_CLAMP_DB,
-            correlation: 1.0,
-            dc_fraction: 0.0,
-        };
-    }
-    let nf = n as f64;
-    let mean = simd::sum(window) / nf;
-
-    // Slice-split vectorized scans replace the scalar single pass: AC
-    // energy over the whole window, power over the active/gap split, the
-    // AC peak, and the clip-rail count.
-    let active_n = active_len.min(n);
-    let active_power = simd::centered_sum_sq(&window[..active_n], mean);
-    let gap_power = simd::centered_sum_sq(&window[active_n..], mean);
-    let ac_energy = active_power + gap_power;
-    let peak_ac = simd::centered_peak(window, mean);
-
-    // Longest flat-line run (constant-value, so dropped buffers are
-    // caught even under DC bias). The run length is a loop-carried
-    // dependence, so this scan stays sequential — every comparison is
-    // exact, so it matches the scalar reference bit-for-bit.
-    let mut longest_run = 1usize;
-    let mut run = 1usize;
-    for w in window.windows(2) {
-        if (w[1] - w[0]).abs() <= FLAT_EPS {
-            run += 1;
-            if run > longest_run {
-                longest_run = run;
-            }
-        } else {
-            run = 1;
-        }
-    }
-    let dropout_fraction = longest_run as f64 / nf;
-
-    let clip_fraction = if peak_ac <= FLAT_EPS {
-        // A dead-flat window has no converter rail to pin against; the
-        // dropout metric owns that failure mode.
-        0.0
-    } else {
-        simd::centered_count_ge(window, mean, CLIP_RAIL * peak_ac) as f64 / nf
-    };
-
-    // The floor includes this window's own gap before the ratio is taken,
-    // so the very first window still gets a meaningful SNR.
-    floor.observe(gap_power, n - active_n);
-    let active_mean_power = active_power / active_n.max(1) as f64;
-    let snr_db = match floor.mean() {
-        Some(f) if f > TINY => {
-            (10.0 * (active_mean_power / f).log10()).clamp(-SNR_CLAMP_DB, SNR_CLAMP_DB)
-        }
-        _ => {
-            if active_mean_power > TINY {
-                SNR_CLAMP_DB
-            } else {
-                0.0
-            }
-        }
-    };
-
-    let m = n.min(prev.len());
-    let correlation = if m == 0 {
-        1.0
-    } else {
-        let ma = simd::sum(&window[..m]) / m as f64;
-        let mb = simd::sum(&prev[..m]) / m as f64;
-        let (cov, va, vb) = simd::centered_moments(&window[..m], ma, &prev[..m], mb);
-        if va <= TINY || vb <= TINY {
-            // A degenerate window on either side carries no echo to
-            // compare; stay neutral and let the other metrics decide.
-            1.0
-        } else {
-            (cov / (va * vb).sqrt()).clamp(-1.0, 1.0)
-        }
-    };
-
-    let ac_rms = (ac_energy / nf).sqrt();
-    let dc_fraction = mean.abs() / (mean.abs() + ac_rms + TINY);
-
-    ChirpQuality {
-        clip_fraction,
-        dropout_fraction,
-        snr_db,
-        correlation,
-        dc_fraction,
-    }
-}
-
-/// The pinned scalar reference for [`measure_window`]: the original
-/// single-pass, single-accumulator implementation. The vectorized path
-/// differs only by reduction reassociation (and by splitting the fused
-/// pass into per-metric scans, which changes no individual reduction's
-/// term order); `tests/kernel_equivalence.rs` bounds the gap.
-pub fn measure_window_scalar(
     window: &[f64],
     prev: &[f64],
     floor: &mut NoiseFloor,
@@ -537,12 +428,16 @@ pub fn measure_window_scalar(
     let dropout_fraction = longest_run as f64 / nf;
 
     let clip_fraction = if peak_ac <= FLAT_EPS {
+        // A dead-flat window has no converter rail to pin against; the
+        // dropout metric owns that failure mode.
         0.0
     } else {
         let rail = CLIP_RAIL * peak_ac;
         window.iter().filter(|&&x| (x - mean).abs() >= rail).count() as f64 / nf
     };
 
+    // The floor includes this window's own gap before the ratio is taken,
+    // so the very first window still gets a meaningful SNR.
     floor.observe(gap_power, n - active_n);
     let active_mean_power = active_power / active_n.max(1) as f64;
     let snr_db = match floor.mean() {
@@ -575,6 +470,8 @@ pub fn measure_window_scalar(
             vb += db * db;
         }
         if va <= TINY || vb <= TINY {
+            // A degenerate window on either side carries no echo to
+            // compare; stay neutral and let the other metrics decide.
             1.0
         } else {
             (cov / (va * vb).sqrt()).clamp(-1.0, 1.0)
@@ -732,36 +629,36 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_measurement_tracks_scalar_reference() {
-        use earsonar_dsp::rng::DetRng;
-        let mut rng = DetRng::seed_from_u64(0x5EED);
-        let mut prev: Vec<f64> = Vec::new();
-        let mut floor_v = NoiseFloor::default();
-        let mut floor_s = NoiseFloor::default();
-        // Windows with DC bias, a flat run, and rail-pinned samples so
-        // every metric path is exercised, at a remainder-tail length.
-        for _ in 0..6 {
-            let mut w: Vec<f64> = (0..241)
-                .map(|_| 0.02 + rng.uniform(-1.0, 1.0))
-                .collect();
-            for v in w.iter_mut().skip(200).take(20) {
-                *v = 0.02; // flat-line run
-            }
-            w[5] = 1.02;
-            w[6] = -0.98; // rail samples
-            let qv = measure_window(&w, &prev, &mut floor_v, 120);
-            let qs = measure_window_scalar(&w, &prev, &mut floor_s, 120);
-            // The flat-run scan reads raw samples: exact. The clip count
-            // is exact for any rail not within an ulp of a sample, which
-            // the margins here guarantee. Reassociated reductions at ulp.
-            assert_eq!(qv.dropout_fraction, qs.dropout_fraction);
-            assert_eq!(qv.clip_fraction, qs.clip_fraction);
-            assert!((qv.snr_db - qs.snr_db).abs() < 1e-9);
-            assert!((qv.correlation - qs.correlation).abs() < 1e-9);
-            assert!((qv.dc_fraction - qs.dc_fraction).abs() < 1e-12);
-            prev.clear();
-            prev.extend_from_slice(&w);
+    fn dyadic_square_wave_metrics_are_exact() {
+        // An offset square wave: ±1.25 about 0.5 over 12 active samples,
+        // ±0.125 over a 244-sample gap. Every sample, sum and square is a
+        // short dyadic fraction, so each metric has an exact closed form:
+        // mean 0.5, AC energy 12 × 1.5625 + 244 / 64 = 4.75², active over
+        // gap mean power exactly 100.
+        let window: Vec<f64> = (0..256)
+            .map(|i| {
+                let swing = if i < 12 { 1.25 } else { 0.125 };
+                if i % 2 == 0 {
+                    0.5 + swing
+                } else {
+                    0.5 - swing
+                }
+            })
+            .collect();
+        let negated: Vec<f64> = window.iter().map(|x| -x).collect();
+        let mut floor = NoiseFloor::default();
+        for (prev, correlation) in [(&negated, -1.0), (&window, 1.0)] {
+            let q = measure_window(&window, prev, &mut floor, 12);
+            // Only the 12 active samples reach the 0.985 × 1.25 rail.
+            assert_eq!(q.clip_fraction, 12.0 / 256.0);
+            // No two neighbours are equal: the longest flat run is one.
+            assert_eq!(q.dropout_fraction, 1.0 / 256.0);
+            assert_eq!(q.snr_db, 20.0);
+            assert_eq!(q.correlation, correlation);
+            // |mean| / (|mean| + AC rms) with AC rms 4.75 / 16.
+            assert_eq!(q.dc_fraction, 32.0 / 51.0);
         }
+        assert_eq!(floor.mean(), Some(1.0 / 64.0));
     }
 
     #[test]

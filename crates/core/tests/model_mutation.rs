@@ -3,34 +3,62 @@
 //! input — truncated at any byte offset, or byte- or bit-flipped — must
 //! load or give a typed [`EarSonarError`](earsonar::EarSonarError), never
 //! panic. A model that does load must save and load again with the same
-//! configuration.
+//! configuration, and its classifier must predict on a vector of its
+//! extractor's width without panicking.
 //!
-//! Two base files: a `v2` file as written today and the `v1` form of the
-//! same model (the legacy magic line, no backend lines).
+//! Four base files: the reference backend's model as written today (`v2`)
+//! and in its `v1` form (the legacy magic line, no backend lines), and the
+//! `v2` files of the absorbance logistic and k-NN backends.
 //!
-//! One targeted mutation per registered backend: a classifier one feature
-//! wider than its extractor is refused at load with a typed error.
+//! Targeted mutations: a classifier one feature wider than its extractor
+//! is refused at load for every registered backend, and so are classifier
+//! components of the wrong length — a logistic model with a fifth class
+//! row or rows of the wrong width, and k-NN samples of the wrong width.
 
-use earsonar::backend::registry;
+use earsonar::backend::{reference, registry};
 use earsonar::model_io::{model_from_string, model_to_string};
 use earsonar::{EarSonar, EarSonarConfig, EarSonarError};
 use earsonar_dsp::rng::DetRng;
+use earsonar_ml::MlError;
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
-use std::panic::catch_unwind;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-/// Seeded mutations per base file (two base files: 10 000 in total).
+/// Seeded mutations per base file.
 const MUTATIONS_PER_FILE: u64 = 5_000;
 
-/// The v1 and v2 forms of one trained reference model, fitted once per
-/// test binary.
-fn base_files() -> &'static [String; 2] {
-    static FILES: OnceLock<[String; 2]> = OnceLock::new();
-    FILES.get_or_init(|| {
+/// One fitted system per registered backend, in registry order, fitted
+/// once per test binary on one cohort.
+fn systems() -> &'static [EarSonar] {
+    static SYSTEMS: OnceLock<Vec<EarSonar>> = OnceLock::new();
+    SYSTEMS.get_or_init(|| {
         let data = Dataset::build(&Cohort::generate(6, 21), &DatasetSpec::default());
-        let system = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).expect("fit");
-        let v2 = model_to_string(&system);
+        registry()
+            .iter()
+            .map(|spec| {
+                EarSonar::fit_backend(&data.sessions, &EarSonarConfig::default(), spec.name)
+                    .expect("fit")
+            })
+            .collect()
+    })
+}
+
+/// The saved model of the registered backend `name`.
+fn saved(name: &str) -> String {
+    let system = systems()
+        .iter()
+        .find(|s| s.backend() == name)
+        .expect("registered backend");
+    model_to_string(system)
+}
+
+/// The base files, labelled: the reference model in its v1 and v2 forms,
+/// then the v2 file of every other registered backend.
+fn base_files() -> &'static [(String, String)] {
+    static FILES: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let v2 = saved(reference().name);
         let v1 = v2
             .lines()
             .filter(|l| !l.starts_with("backend"))
@@ -43,7 +71,14 @@ fn base_files() -> &'static [String; 2] {
             })
             .collect::<Vec<_>>()
             .join("\n");
-        [v1, v2]
+        let mut files = vec![
+            (format!("{} v1", reference().name), v1),
+            (format!("{} v2", reference().name), v2),
+        ];
+        for spec in registry().iter().filter(|s| s.name != reference().name) {
+            files.push((format!("{} v2", spec.name), saved(spec.name)));
+        }
+        files
     })
 }
 
@@ -61,31 +96,39 @@ fn check(text: &str, what: &str) -> bool {
         again.front_end().config(),
         "{what}: configuration changed across save and load"
     );
+    // A typed error is fine here; a panic is not.
+    let width = system.front_end().extractor().feature_count();
+    let features: Vec<f64> = (0..width).map(|i| (i as f64 * 0.37).sin()).collect();
+    let classifier = system.classifier();
+    catch_unwind(AssertUnwindSafe(|| {
+        let _ = classifier.predict(&features);
+        let _ = classifier.confidence(&features);
+    }))
+    .unwrap_or_else(|_| panic!("{what}: the loaded classifier panicked"));
     true
 }
 
 #[test]
 fn base_files_load() {
-    for (f, text) in base_files().iter().enumerate() {
-        assert!(check(text, &format!("base {f}")), "base {f} must load");
+    assert_eq!(base_files().len(), registry().len() + 1);
+    for (name, text) in base_files() {
+        assert!(check(text, name), "{name} must load");
     }
 }
 
 #[test]
 fn truncation_at_every_offset_never_panics() {
-    for (f, text) in base_files().iter().enumerate() {
-        assert!(
-            text.is_ascii(),
-            "base {f}: every byte offset is a char boundary"
-        );
-        // `labeling:` is the last line and required, so only a cut inside
-        // its values can still load.
+    for (name, text) in base_files() {
+        assert!(text.is_ascii(), "{name}: every byte offset is a char boundary");
+        // The last line (`labeling:`, or the last `weight:` or `sample:`
+        // row) is required, so only a cut inside its values can still
+        // load.
         let last_line = text.trim_end().rfind('\n').expect("multi-line file");
         for len in 0..=text.len() {
-            let loaded = check(&text[..len], &format!("base {f} cut at {len}"));
+            let loaded = check(&text[..len], &format!("{name} cut at {len}"));
             assert!(
                 !loaded || len > last_line,
-                "base {f}: a cut at {len} lost required lines but loaded"
+                "{name}: a cut at {len} lost required lines but loaded"
             );
         }
     }
@@ -94,7 +137,7 @@ fn truncation_at_every_offset_never_panics() {
 #[test]
 fn seeded_byte_and_bit_flips_never_panic() {
     let (mut cases, mut loaded) = (0u64, 0usize);
-    for (f, base) in base_files().iter().enumerate() {
+    for (f, (name, base)) in base_files().iter().enumerate() {
         // The configuration header, where every field is parsed and
         // validated, ends where the classifier fields begin.
         let header = base.find("scaler_means:").expect("classifier fields");
@@ -121,12 +164,12 @@ fn seeded_byte_and_bit_flips_never_panic() {
             // parser.
             loaded += usize::from(check(
                 &String::from_utf8_lossy(&bytes),
-                &format!("base {f} seed {seed}"),
+                &format!("{name} seed {seed}"),
             ));
             cases += 1;
         }
     }
-    assert!(cases >= 10_000);
+    assert_eq!(cases, MUTATIONS_PER_FILE * base_files().len() as u64);
     // Both outcomes are exercised.
     assert!(
         loaded > 0 && loaded < cases as usize,
@@ -136,23 +179,97 @@ fn seeded_byte_and_bit_flips_never_panic() {
 
 #[test]
 fn a_classifier_wider_than_its_extractor_is_refused_at_load() {
-    // One more scaler column keeps each classifier self-consistent, so
-    // only the width check against the feature extractor can refuse it;
-    // without that check the model loads and every screening fails.
-    let data = Dataset::build(&Cohort::generate(6, 21), &DatasetSpec::default());
-    for spec in registry() {
-        let system = EarSonar::fit_backend(&data.sessions, &EarSonarConfig::default(), spec.name)
-            .expect("fit");
+    // One more column in the scaler, and in every logistic row and k-NN
+    // sample, keeps each classifier self-consistent, so only the width
+    // check against the feature extractor can refuse it; without that
+    // check the model loads and every screening fails.
+    for system in systems() {
+        let name = system.backend();
         let width = system.front_end().extractor().feature_count();
-        let widened = model_to_string(&system)
+        let widened = model_to_string(system)
             .replace("scaler_means: ", "scaler_means: 0.0 ")
-            .replace("scaler_stds: ", "scaler_stds: 1.0 ");
+            .replace("scaler_stds: ", "scaler_stds: 1.0 ")
+            .replace("weight: ", "weight: 0.0 ")
+            .replace("sample: ", "sample: 0.0 ");
         match model_from_string(&widened) {
             Err(EarSonarError::FeatureWidthMismatch {
                 classifier,
                 extractor,
-            }) => assert_eq!((classifier, extractor), (width + 1, width), "{}", spec.name),
-            other => panic!("{}: loaded, or refused with {:?}", spec.name, other.err()),
+            }) => assert_eq!((classifier, extractor), (width + 1, width), "{name}"),
+            other => panic!("{name}: loaded, or refused with {:?}", other.err()),
         }
     }
+}
+
+/// Asserts `text` is refused with a length mismatch of `expected` against
+/// `actual`.
+fn assert_refused(text: &str, expected: usize, actual: usize, what: &str) {
+    match model_from_string(text) {
+        Err(EarSonarError::Ml(MlError::DimensionMismatch {
+            expected: e,
+            actual: a,
+        })) => assert_eq!((e, a), (expected, actual), "{what}"),
+        other => panic!("{what}: loaded, or refused with {:?}", other.err()),
+    }
+}
+
+#[test]
+fn a_logistic_model_with_a_fifth_class_row_is_refused_at_load() {
+    // Without the check this loads, and its all-zero row with a huge bias
+    // wins every prediction with class index 4, which has no state.
+    let text = saved("absorbance-logistic");
+    let width = text
+        .lines()
+        .find_map(|l| l.strip_prefix("weight: "))
+        .expect("a weight row")
+        .split_whitespace()
+        .count();
+    let mut row = vec!["0.0"; width - 1];
+    row.push("1e6");
+    let text = format!("{}\nweight: {}\n", text.trim_end(), row.join(" "))
+        .replace("weights: 4\n", "weights: 5\n");
+    assert_refused(&text, 4, 5, "fifth class row");
+}
+
+#[test]
+fn a_logistic_row_of_the_wrong_width_is_refused_at_load() {
+    let text = saved("absorbance-logistic");
+    let width = text
+        .lines()
+        .find_map(|l| l.strip_prefix("scaler_means: "))
+        .expect("scaler means")
+        .split_whitespace()
+        .count();
+    // Every row loses its bias, so the rows still agree with each other.
+    let text = text
+        .lines()
+        .map(|l| match l.strip_prefix("weight: ") {
+            Some(row) => format!("weight: {}", row.rsplit_once(' ').expect("two columns").0),
+            None => l.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert_refused(&text, width + 1, width, "rows without a bias");
+}
+
+#[test]
+fn knn_samples_of_the_wrong_width_are_refused_at_load() {
+    let text = saved("absorbance-knn");
+    let width = text
+        .lines()
+        .find_map(|l| l.strip_prefix("scaler_means: "))
+        .expect("scaler means")
+        .split_whitespace()
+        .count();
+    // Every sample gains a column, so the samples still agree with each
+    // other.
+    let text = text
+        .lines()
+        .map(|l| match l.strip_prefix("sample: ") {
+            Some(row) => format!("sample: {row} 0.0"),
+            None => l.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert_refused(&text, width, width + 1, "samples one column wider");
 }

@@ -32,8 +32,7 @@ pub fn mel_to_hz(mel: f64) -> f64 {
 /// Triangular filters have contiguous support, so the bank stores its taps
 /// **dense**: one flat weight array plus a `(first bin, offset)` pair per
 /// filter. Applying a filter is then a contiguous dot product over the
-/// spectrum — the layout the four-lane kernel ([`crate::simd::dot`])
-/// needs — instead of a sparse `(index, weight)` gather.
+/// spectrum instead of a sparse `(index, weight)` gather.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MelFilterBank {
     /// Tap weights, filter-major: filter `f` owns
@@ -176,64 +175,27 @@ impl MelFilterBank {
     /// [`MelFilterBank::apply`] writing into a caller-owned buffer
     /// (cleared and refilled) — allocation-free once the buffer has grown
     /// to the bank size. Each filter is one contiguous dot product over
-    /// the spectrum ([`crate::simd::dot`]), which reassociates across four
-    /// lanes — ulp-equal to [`MelFilterBank::apply_into_scalar`] (see
-    /// [`crate::simd`] for the bound). Filters too narrow to amortize the
-    /// four-lane fold (the common case for the paper's 4 kHz band, ~6 bins
-    /// per triangle) take the strict-order path, which for them is also
-    /// bit-identical to the scalar reference.
+    /// the spectrum in strict tap order ([`crate::simd::dot_scalar`]). In
+    /// the paper's 16–20 kHz band with 26 filters the widest triangle has
+    /// 4 taps at a 256-point FFT, 6 at 512 and 9 at 1024 — too few for a
+    /// four-lane fold to pay.
     ///
     /// # Errors
     ///
     /// Same conditions as [`MelFilterBank::apply`].
     // lint: hot-path
     pub fn apply_into(&self, power_spectrum: &[f64], out: &mut Vec<f64>) -> Result<(), DspError> {
-        self.check_spectrum(power_spectrum)?;
-        out.clear();
-        out.extend(self.offsets.windows(2).zip(&self.starts).map(|(o, &k0)| {
-            let w = &self.weights[o[0]..o[1]];
-            let x = &power_spectrum[k0..k0 + w.len()];
-            if w.len() < 16 {
-                crate::simd::dot_scalar(w, x)
-            } else {
-                crate::simd::dot(w, x)
-            }
-        }));
-        Ok(())
-    }
-
-    /// The pinned scalar reference for [`MelFilterBank::apply_into`]:
-    /// single-accumulator dot products in strict tap order (the pre-SIMD
-    /// behaviour). Pinned by `tests/kernel_equivalence.rs`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MelFilterBank::apply`].
-    pub fn apply_into_scalar(
-        &self,
-        power_spectrum: &[f64],
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.check_spectrum(power_spectrum)?;
-        out.clear();
-        out.extend(self.offsets.windows(2).zip(&self.starts).map(|(o, &k0)| {
-            let w = &self.weights[o[0]..o[1]];
-            w.iter()
-                .zip(&power_spectrum[k0..k0 + w.len()])
-                .map(|(&wk, &pk)| wk * pk)
-                .sum::<f64>()
-        }));
-        Ok(())
-    }
-
-    fn check_spectrum(&self, power_spectrum: &[f64]) -> Result<(), DspError> {
-        let expect = self.n_fft / 2 + 1;
-        if power_spectrum.len() != expect {
+        if power_spectrum.len() != self.n_fft / 2 + 1 {
             return Err(DspError::InvalidLength {
                 expected: "n_fft/2 + 1 one-sided spectrum bins",
                 actual: power_spectrum.len(),
             });
         }
+        out.clear();
+        out.extend(self.offsets.windows(2).zip(&self.starts).map(|(o, &k0)| {
+            let w = &self.weights[o[0]..o[1]];
+            crate::simd::dot_scalar(w, &power_spectrum[k0..k0 + w.len()])
+        }));
         Ok(())
     }
 
@@ -325,24 +287,6 @@ mod tests {
         ps[k] = 100.0;
         let energies = bank.apply(&ps).unwrap();
         assert!(energies.iter().all(|&e| e == 0.0));
-    }
-
-    #[test]
-    fn dense_apply_matches_scalar_reference() {
-        let fs = 48_000.0;
-        let n_fft = 1024;
-        let bank = MelFilterBank::new(25, n_fft, fs, 16_000.0, 20_000.0).unwrap();
-        let ps: Vec<f64> = (0..n_fft / 2 + 1)
-            .map(|k| ((k as f64 * 0.113).sin() + 1.01) * 1e-3)
-            .collect();
-        let mut fast = Vec::new();
-        let mut slow = Vec::new();
-        bank.apply_into(&ps, &mut fast).unwrap();
-        bank.apply_into_scalar(&ps, &mut slow).unwrap();
-        assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(&slow) {
-            assert!((f - s).abs() <= 1e-12 * s.abs().max(1.0), "{f} vs {s}");
-        }
     }
 
     #[test]

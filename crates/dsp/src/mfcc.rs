@@ -288,10 +288,11 @@ impl MfccExtractor {
     }
 
     /// The pinned scalar reference for [`MfccExtractor::extract_into`]:
-    /// per-sample window cosines, sparse-order mel sums, and a per-element
-    /// cosine DCT, all with single strict-order accumulators (the pre-SIMD
-    /// behaviour). The vectorized path differs only by reduction
-    /// reassociation; `tests/kernel_equivalence.rs` bounds the gap.
+    /// per-sample window cosines and a per-element cosine DCT with single
+    /// strict-order accumulators (the pre-SIMD behaviour), over the same
+    /// strict-order mel projection ([`MelFilterBank::apply_into`]). The
+    /// vectorized path differs only by reduction reassociation;
+    /// `tests/kernel_equivalence.rs` bounds the gap.
     ///
     /// # Errors
     ///
@@ -324,7 +325,7 @@ impl MfccExtractor {
                 .map(|z| z.norm_sqr() / self.n_fft as f64),
         );
         let mut mel_energies = scratch.take_real();
-        let applied = self.bank.apply_into_scalar(&power, &mut mel_energies);
+        let applied = self.bank.apply_into(&power, &mut mel_energies);
         scratch.put_complex(spec);
         scratch.put_complex(work);
         scratch.put_real(power);

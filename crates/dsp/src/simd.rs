@@ -1,10 +1,10 @@
 //! Four-lane vectorized reduction kernels.
 //!
 //! The per-sample inner loops of the pipeline — window multiplies,
-//! correlation sums, mel projections, quality scans — spend their time in
-//! dependent floating-point adds: a single accumulator serializes on the
-//! FPU's add latency. Splitting the reduction across four independent
-//! accumulators (the classic `f64x4` layout, written in stable Rust with
+//! correlation sums, the MFCC's DCT — spend their time in dependent
+//! floating-point adds: a single accumulator serializes on the FPU's add
+//! latency. Splitting the reduction across four independent accumulators
+//! (the classic `f64x4` layout, written in stable Rust with
 //! `chunks_exact(4)` so the compiler autovectorizes it — no `unsafe`, no
 //! nightly `std::simd`) breaks that chain and keeps the SIMD units busy.
 //!
@@ -15,15 +15,15 @@
 //! * **Elementwise kernels** ([`mul_in_place`]) reorder nothing and are
 //!   **bit-identical** to their scalar twin.
 //! * **Reduction kernels** ([`sum`], [`sum_sq`], [`dot`],
-//!   [`centered_sum_sq`], [`centered_peak`], [`centered_moments`])
-//!   reassociate the sum into four partial sums folded as
-//!   `(acc0 + acc1) + (acc2 + acc3) + tail`. Floating-point addition is
-//!   not associative, so results differ from the scalar twin at the ulp
-//!   level — the equivalence suite bounds the difference by
-//!   `1e-12 × Σ|terms|`, the documented contract. `max`-reductions
-//!   ([`centered_peak`]) and comparison counts ([`centered_count_ge`])
-//!   are exact: `max` and integer `+` are associative, so lane order
-//!   cannot change the result.
+//!   [`centered_moments`]) reassociate the sum into four partial sums
+//!   folded as `(acc0 + acc1) + (acc2 + acc3) + tail`. Floating-point
+//!   addition is not associative, so results differ from the scalar twin
+//!   at the ulp level — the equivalence suite bounds the difference by
+//!   `1e-12 × Σ|terms|`, the documented contract.
+//!
+//! Kernels whose four-lane form did not beat its scalar twin at the
+//! pipeline's sizes are not here: the quality gate's window scan and the
+//! mel projection run one strict-order loop each.
 //!
 //! The deterministic promise is per-build, not per-reduction-order: the
 //! same input always produces the same output, and batch/streaming paths
@@ -150,104 +150,6 @@ pub fn mul_in_place_scalar(a: &mut [f64], b: &[f64]) {
     }
 }
 
-/// Σ `(x[i] - mean)²` with four partial accumulators (ulp-equal to
-/// [`centered_sum_sq_scalar`]).
-// lint: hot-path
-#[inline]
-pub fn centered_sum_sq(x: &[f64], mean: f64) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let chunks = x.chunks_exact(4);
-    let rem = chunks.remainder();
-    for c in chunks {
-        let d0 = c[0] - mean;
-        let d1 = c[1] - mean;
-        let d2 = c[2] - mean;
-        let d3 = c[3] - mean;
-        acc[0] += d0 * d0;
-        acc[1] += d1 * d1;
-        acc[2] += d2 * d2;
-        acc[3] += d3 * d3;
-    }
-    let mut tail = 0.0;
-    for &v in rem {
-        let d = v - mean;
-        tail += d * d;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-/// The scalar reference for [`centered_sum_sq`].
-pub fn centered_sum_sq_scalar(x: &[f64], mean: f64) -> f64 {
-    let mut acc = 0.0;
-    for &v in x {
-        let d = v - mean;
-        acc += d * d;
-    }
-    acc
-}
-
-/// max `|x[i] - mean|` with four partial maxima.
-///
-/// **Exact** (bit-identical to [`centered_peak_scalar`]): `max` over
-/// finite floats is associative, so lane order cannot change the result.
-// lint: hot-path
-#[inline]
-pub fn centered_peak(x: &[f64], mean: f64) -> f64 {
-    let mut m = [0.0f64; 4];
-    let chunks = x.chunks_exact(4);
-    let rem = chunks.remainder();
-    for c in chunks {
-        m[0] = m[0].max((c[0] - mean).abs());
-        m[1] = m[1].max((c[1] - mean).abs());
-        m[2] = m[2].max((c[2] - mean).abs());
-        m[3] = m[3].max((c[3] - mean).abs());
-    }
-    let mut tail = 0.0f64;
-    for &v in rem {
-        tail = tail.max((v - mean).abs());
-    }
-    m[0].max(m[1]).max(m[2]).max(m[3]).max(tail)
-}
-
-/// The scalar reference for [`centered_peak`].
-pub fn centered_peak_scalar(x: &[f64], mean: f64) -> f64 {
-    let mut m = 0.0f64;
-    for &v in x {
-        m = m.max((v - mean).abs());
-    }
-    m
-}
-
-/// Counts samples with `|x[i] - mean| >= threshold` using four lane
-/// counters — the quality gate's clip-rail scan.
-///
-/// **Exact** (identical to [`centered_count_ge_scalar`]): each comparison
-/// is independent and integer addition is associative, so lane order
-/// cannot change the count.
-// lint: hot-path
-#[inline]
-pub fn centered_count_ge(x: &[f64], mean: f64, threshold: f64) -> usize {
-    let mut cnt = [0usize; 4];
-    let chunks = x.chunks_exact(4);
-    let rem = chunks.remainder();
-    for c in chunks {
-        cnt[0] += usize::from((c[0] - mean).abs() >= threshold);
-        cnt[1] += usize::from((c[1] - mean).abs() >= threshold);
-        cnt[2] += usize::from((c[2] - mean).abs() >= threshold);
-        cnt[3] += usize::from((c[3] - mean).abs() >= threshold);
-    }
-    let mut tail = 0usize;
-    for &v in rem {
-        tail += usize::from((v - mean).abs() >= threshold);
-    }
-    cnt[0] + cnt[1] + cnt[2] + cnt[3] + tail
-}
-
-/// The scalar reference for [`centered_count_ge`].
-pub fn centered_count_ge_scalar(x: &[f64], mean: f64, threshold: f64) -> usize {
-    x.iter().filter(|&&v| (v - mean).abs() >= threshold).count()
-}
-
 /// Fused centered second moments of two equal-role sequences over their
 /// common prefix: `(Σ da·db, Σ da², Σ db²)` with `da = a[i] - mean_a`,
 /// `db = b[i] - mean_b` — the covariance/variance triple behind Pearson
@@ -358,42 +260,14 @@ mod tests {
     }
 
     #[test]
-    fn centered_peak_is_exact() {
-        for n in [1usize, 5, 64, 241] {
-            let x = noise(n, 60 + n as u64);
-            assert_eq!(centered_peak(&x, 0.25), centered_peak_scalar(&x, 0.25));
-        }
-        assert_eq!(centered_peak(&[], 1.0), 0.0);
-    }
-
-    #[test]
-    fn centered_count_is_exact() {
-        for n in [0usize, 1, 3, 4, 7, 64, 241] {
-            let x = noise(n, 90 + n as u64);
-            for t in [0.0, 0.25, 0.9] {
-                assert_eq!(
-                    centered_count_ge(&x, 0.1, t),
-                    centered_count_ge_scalar(&x, 0.1, t),
-                    "n={n} t={t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn centered_kernels_match_scalar() {
+    fn centered_moments_match_scalar() {
         let a = noise(239, 7);
         let b = noise(239, 8);
         let ma = sum_scalar(&a) / a.len() as f64;
         let mb = sum_scalar(&b) / b.len() as f64;
-        let scale = centered_sum_sq_scalar(&a, ma) + centered_sum_sq_scalar(&b, mb);
-        assert!(close(
-            centered_sum_sq(&a, ma),
-            centered_sum_sq_scalar(&a, ma),
-            scale
-        ));
         let (cv, va, vb) = centered_moments(&a, ma, &b, mb);
         let (cs, vas, vbs) = centered_moments_scalar(&a, ma, &b, mb);
+        let scale = vas + vbs;
         assert!(close(cv, cs, scale));
         assert!(close(va, vas, scale));
         assert!(close(vb, vbs, scale));

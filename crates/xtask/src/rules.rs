@@ -50,7 +50,7 @@ pub const WAIVABLE_RULES: &[&str] = &[
 ];
 
 const PANIC_PATTERNS: &[&str] = &[".unwrap()", ".expect(", "panic!", "todo!(", "unimplemented!("];
-const ALLOC_PATTERNS: &[&str] = &["Vec::new", "vec![", ".to_vec()", ".collect()", "Box::new", ".clone()"];
+const ALLOC_PATTERNS: &[&str] = &["Vec::new", "vec![", ".to_vec()", ".collect()", "Box::new", ".clone()", "with_capacity("];
 const MAP_PATTERNS: &[&str] = &["HashMap", "HashSet"];
 const CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime"];
 const RNG_PATTERNS: &[&str] = &["rand::", "use rand;", "extern crate rand", "thread_rng", "from_entropy"];

@@ -13,5 +13,7 @@ pub fn hot_must_not(out: &mut [f64]) {
     let copied = scratch.to_vec();
     let boxed = Box::new(copied.clone());
     let doubled: Vec<f64> = boxed.iter().map(|x| x * 2.0).collect();
-    out.copy_from_slice(&doubled);
+    let mut sized = Vec::with_capacity(doubled.len());
+    sized.extend_from_slice(&doubled);
+    out.copy_from_slice(&sized);
 }
