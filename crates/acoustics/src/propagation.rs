@@ -20,26 +20,6 @@ use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, LaneFrame, RealFftPlan};
 use std::f64::consts::PI;
 
-/// One propagation path: a delay and a broadband gain.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Path {
-    /// One-way or round-trip delay in seconds (caller's convention).
-    pub delay_s: f64,
-    /// Amplitude gain (attenuation if `< 1`).
-    pub gain: f64,
-}
-
-impl Path {
-    /// A path with a round-trip to a reflector at `distance_m` metres and
-    /// the given gain.
-    pub fn echo(distance_m: f64, gain: f64) -> Self {
-        Path {
-            delay_s: round_trip_delay(distance_m),
-            gain,
-        }
-    }
-}
-
 /// Round-trip delay in seconds to a reflector at `distance_m` metres in air.
 pub fn round_trip_delay(distance_m: f64) -> f64 {
     2.0 * distance_m / SPEED_OF_SOUND_AIR
@@ -88,31 +68,10 @@ pub fn delay_phase_multiplier(k: usize, n: usize, delay_samples: f64) -> Complex
     }
 }
 
-/// Delays `x` by a fractional number of samples (linear interpolation),
-/// extending the output so no energy is truncated.
-pub fn delay_fractional(x: &[f64], delay_samples: f64, out_len: usize) -> Vec<f64> {
-    let mut out = vec![0.0; out_len];
-    if x.is_empty() || delay_samples < 0.0 {
-        return out;
-    }
-    let int_part = delay_samples.floor() as usize;
-    let frac = delay_samples - int_part as f64;
-    for (i, &v) in x.iter().enumerate() {
-        let j = int_part + i;
-        if j < out_len {
-            out[j] += v * (1.0 - frac);
-        }
-        if frac > 0.0 && j + 1 < out_len {
-            out[j + 1] += v * frac;
-        }
-    }
-    out
-}
-
 /// Delays `x` by a fractional number of samples with an **allpass**
-/// frequency-domain phase shift — unlike [`delay_fractional`]'s linear
-/// interpolation, the magnitude response is exactly flat, which matters
-/// when the delayed signal's in-band spectrum is the measurand.
+/// frequency-domain phase shift: the magnitude response is exactly flat
+/// (linear interpolation would droop toward Nyquist), which matters when
+/// the delayed signal's in-band spectrum is the measurand.
 ///
 /// The result is written to `out` (`out_len` samples; a negative delay
 /// gives silence). The transform size is `next_pow2(x.len() + ⌈delay⌉ + 1)`
@@ -369,101 +328,6 @@ impl SpectralDelayLine {
     }
 }
 
-/// A set of propagation paths summed at the receiver.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MultipathChannel {
-    paths: Vec<Path>,
-}
-
-impl MultipathChannel {
-    /// Creates a channel from paths.
-    pub fn new(paths: Vec<Path>) -> Self {
-        MultipathChannel { paths }
-    }
-
-    /// Adds a path.
-    pub fn push(&mut self, path: Path) {
-        self.paths.push(path);
-    }
-
-    /// The paths in this channel.
-    pub fn paths(&self) -> &[Path] {
-        &self.paths
-    }
-
-    /// Applies the channel to `x` at sample rate `fs`. The output is long
-    /// enough to contain the most-delayed copy in full.
-    ///
-    /// Delays use the **allpass** fractional delay (flat magnitude), the
-    /// same interpolator the recording simulator applies — earlier versions
-    /// used linear interpolation here, whose magnitude response droops near
-    /// Nyquist and so disagreed with the recorder inside the 16–20 kHz
-    /// probe band. Fractional delays now spread a periodic-sinc tail across
-    /// the (power-of-two) analysis frame instead of two adjacent taps;
-    /// integer delays remain exact shifts. Paths with negative delay
-    /// contribute silence.
-    ///
-    /// One-shot wrapper over [`MultipathChannel::apply_with`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use earsonar_acoustics::propagation::{MultipathChannel, Path};
-    /// let ch = MultipathChannel::new(vec![
-    ///     Path { delay_s: 0.0, gain: 1.0 },
-    ///     Path { delay_s: 1.0 / 48_000.0, gain: 0.5 },
-    /// ]);
-    /// let y = ch.apply(&[1.0], 48_000.0);
-    /// assert!((y[0] - 1.0).abs() < 1e-12);
-    /// assert!((y[1] - 0.5).abs() < 1e-12);
-    /// ```
-    pub fn apply(&self, x: &[f64], fs: f64) -> Vec<f64> {
-        let mut scratch = DspScratch::new();
-        self.apply_with(x, fs, &mut scratch)
-    }
-
-    /// [`MultipathChannel::apply`] with buffers drawn from a caller-owned
-    /// [`DspScratch`].
-    ///
-    /// All paths are superposed in the frequency domain on a single
-    /// [`SpectralDelayLine`]: one forward and one inverse transform total,
-    /// independent of the number of paths. The FFT plan is sized from the
-    /// input length and the longest delay, and stays resident for the life
-    /// of the process ([`RealFftPlan::shared`]).
-    pub fn apply_with(&self, x: &[f64], fs: f64, scratch: &mut DspScratch) -> Vec<f64> {
-        if x.is_empty() || self.paths.is_empty() {
-            return Vec::new();
-        }
-        let max_delay = self
-            .paths
-            .iter()
-            .map(|p| p.delay_s)
-            .fold(0.0f64, f64::max);
-        let out_len = x.len() + (max_delay * fs).ceil() as usize + 1;
-        let n = next_pow2(out_len);
-        let plan = RealFftPlan::shared(n).expect("next_pow2 sizes are always valid");
-        let mut work = scratch.take_complex();
-        let mut line = SpectralDelayLine::new();
-        line.load(x, plan, &mut work)
-            .expect("transform size covers the input");
-        let mut acc = scratch.take_complex();
-        acc.resize(n, Complex64::ZERO);
-        for p in &self.paths {
-            line.accumulate_into(&mut acc, p.delay_s * fs, p.gain);
-        }
-        let mut time = scratch.take_real();
-        plan.inverse_into(&acc, &mut work, &mut time)
-            .expect("accumulator length matches the plan");
-        let mut out = time.clone();
-        out.resize(out_len, 0.0);
-        out.truncate(out_len);
-        scratch.put_real(time);
-        scratch.put_complex(acc);
-        scratch.put_complex(work);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,24 +349,6 @@ mod tests {
         assert!((distance_from_delay_samples(s, 48_000.0) - d).abs() < 1e-12);
         // 2.5 cm round trip at 343 m/s is ~146 µs, ~7 samples at 48 kHz.
         assert!((s - 6.997).abs() < 0.01, "{s}");
-    }
-
-    #[test]
-    fn integer_delay_shifts_exactly() {
-        let y = delay_fractional(&[1.0, 2.0], 3.0, 8);
-        assert_eq!(y, vec![0.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn fractional_delay_splits_energy() {
-        let y = delay_fractional(&[1.0], 2.5, 5);
-        assert_eq!(y, vec![0.0, 0.0, 0.5, 0.5, 0.0]);
-    }
-
-    #[test]
-    fn negative_delay_yields_silence() {
-        let y = delay_fractional(&[1.0], -1.0, 3);
-        assert_eq!(y, vec![0.0; 3]);
     }
 
     #[test]
@@ -713,85 +559,6 @@ mod tests {
         line.load(&[1.0], &plan, &mut work).unwrap();
         let mut acc = vec![Complex64::ZERO; 4];
         line.accumulate_into(&mut acc, 0.0, 1.0);
-    }
-
-    #[test]
-    fn channel_superposition() {
-        let ch = MultipathChannel::new(vec![
-            Path {
-                delay_s: 0.0,
-                gain: 1.0,
-            },
-            Path {
-                delay_s: 2.0 / 48_000.0,
-                gain: -0.5,
-            },
-        ]);
-        let y = ch.apply(&[1.0, 1.0], 48_000.0);
-        assert!((y[0] - 1.0).abs() < 1e-12);
-        assert!((y[1] - 1.0).abs() < 1e-12);
-        assert!((y[2] + 0.5).abs() < 1e-12);
-        assert!((y[3] + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn channel_uses_allpass_delays() {
-        // A fractionally delayed impulse through the channel must keep a
-        // flat in-band magnitude — the linear interpolator this method once
-        // used would attenuate high frequencies (≈29% at 18 kHz for a
-        // half-sample delay).
-        let fs = 48_000.0;
-        let x: Vec<f64> = (0..256)
-            .map(|i| (2.0 * PI * 18_000.0 * i as f64 / fs).sin())
-            .collect();
-        let ch = MultipathChannel::new(vec![Path {
-            delay_s: 0.5 / fs,
-            gain: 1.0,
-        }]);
-        let y = ch.apply(&x, fs);
-        let mag_x = earsonar_dsp::goertzel::goertzel_magnitude(&x, 18_000.0, fs).unwrap();
-        let mag_y = earsonar_dsp::goertzel::goertzel_magnitude(&y[..256], 18_000.0, fs).unwrap();
-        assert!(
-            (mag_y / mag_x - 1.0).abs() < 0.05,
-            "allpass channel must not droop: {mag_y} vs {mag_x}"
-        );
-    }
-
-    #[test]
-    fn channel_planned_matches_one_shot() {
-        let ch = MultipathChannel::new(vec![
-            Path {
-                delay_s: 0.7 / 48_000.0,
-                gain: 0.8,
-            },
-            Path {
-                delay_s: 3.2 / 48_000.0,
-                gain: -0.4,
-            },
-        ]);
-        let x: Vec<f64> = (0..40).map(|i| (i as f64 * 0.8).cos()).collect();
-        let mut scratch = DspScratch::new();
-        let a = ch.apply(&x, 48_000.0);
-        let b = ch.apply_with(&x, 48_000.0, &mut scratch);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn empty_channel_or_signal() {
-        let ch = MultipathChannel::default();
-        assert!(ch.apply(&[1.0], 48_000.0).is_empty());
-        let ch2 = MultipathChannel::new(vec![Path {
-            delay_s: 0.0,
-            gain: 1.0,
-        }]);
-        assert!(ch2.apply(&[], 48_000.0).is_empty());
-    }
-
-    #[test]
-    fn echo_path_constructor() {
-        let p = Path::echo(0.03, 0.4);
-        assert!((p.delay_s - 2.0 * 0.03 / SPEED_OF_SOUND_AIR).abs() < 1e-15);
-        assert_eq!(p.gain, 0.4);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! clustering back end as EarSonar. The missing eardrum-echo isolation is
 //! the paper's claimed ~8% advantage.
 
-use crate::cancel::chirp_template;
-use crate::channel::{average_irs, pipeline_estimator, ChannelEstimator};
+use crate::channel::{average_irs, chirp_template, pipeline_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::preprocess::Preprocessor;

@@ -12,6 +12,7 @@
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
+use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, LaneFrame, RealFftPlan};
@@ -172,6 +173,23 @@ impl ChannelEstimator {
     }
 }
 
+/// Builds the transmit-chirp template described by the pipeline
+/// configuration.
+///
+/// # Errors
+///
+/// Propagates [`FmcwChirp::new`] errors for an unrealizable chirp.
+pub fn chirp_template(config: &EarSonarConfig) -> Result<Vec<f64>, EarSonarError> {
+    let duration = config.chirp_len as f64 / config.sample_rate;
+    let chirp = FmcwChirp::new(
+        config.band_low_hz,
+        config.band_high_hz - config.band_low_hz,
+        duration,
+        config.sample_rate,
+    )?;
+    Ok(chirp.samples())
+}
+
 /// Builds the pipeline's channel estimator from its configuration and the
 /// preprocessed template.
 ///
@@ -221,7 +239,6 @@ pub fn average_irs(irs: &[Vec<f64>]) -> Result<Vec<f64>, EarSonarError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use earsonar_acoustics::chirp::FmcwChirp;
 
     fn template() -> Vec<f64> {
         FmcwChirp::earsonar().samples()
@@ -229,6 +246,11 @@ mod tests {
 
     fn make(window_len: usize) -> ChannelEstimator {
         ChannelEstimator::new(&template(), window_len, 64, 1e-3).unwrap()
+    }
+
+    #[test]
+    fn template_matches_chirp_length() {
+        assert_eq!(chirp_template(&EarSonarConfig::default()).unwrap().len(), 24);
     }
 
     #[test]

@@ -16,15 +16,16 @@ pub const MAX_CONFIG_SIZE: usize = 1 << 16;
 
 /// Full configuration of the EarSonar pipeline, with the paper's defaults.
 ///
-/// Use [`EarSonarConfig::builder`] for fluent construction:
+/// Override fields with struct-update syntax, then [`validate`](Self::validate):
 ///
 /// ```
 /// use earsonar::EarSonarConfig;
-/// let cfg = EarSonarConfig::builder()
-///     .noise_filter_order(6)
-///     .top_features(20)
-///     .build()
-///     .unwrap();
+/// let cfg = EarSonarConfig {
+///     noise_filter_order: 6,
+///     top_features: 20,
+///     ..EarSonarConfig::paper_default()
+/// };
+/// cfg.validate().unwrap();
 /// assert_eq!(cfg.top_features, 20);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -49,9 +50,6 @@ pub struct EarSonarConfig {
     pub parity_energy_threshold: f64,
     /// Eardrum-distance prior in metres (paper: 2–3.5 cm).
     pub eardrum_distance_range_m: (f64, f64),
-    /// Maximum template delay (samples) for direct-path cancellation; must
-    /// stay below the eardrum delay prior.
-    pub cancel_max_delay: usize,
     /// Number of channel impulse-response taps estimated per chirp.
     pub ir_taps: usize,
     /// Wiener-deconvolution regularization relative to the template's peak
@@ -102,7 +100,6 @@ impl EarSonarConfig {
             min_symmetry_support: 12,
             parity_energy_threshold: 0.7,
             eardrum_distance_range_m: (0.018, 0.042),
-            cancel_max_delay: 5,
             ir_taps: 96,
             deconvolution_epsilon: 1e-3,
             echo_ir_pre: 5,
@@ -126,13 +123,6 @@ impl EarSonarConfig {
             seed: 0x0EA5_0A45,
             remove_outliers: true,
             quality: QualityGateConfig::default(),
-        }
-    }
-
-    /// Starts a builder from the paper defaults.
-    pub fn builder() -> EarSonarConfigBuilder {
-        EarSonarConfigBuilder {
-            config: Self::paper_default(),
         }
     }
 
@@ -195,17 +185,6 @@ impl EarSonarConfig {
                 constraint: "need 0 < lo < hi",
             });
         }
-        // The direct leak arrives ~1 sample in; the eardrum echo begins a
-        // further `round_trip(lo)` samples later. Templates must stop short
-        // of that.
-        let min_delay_samples =
-            1.0 + 2.0 * lo / earsonar_acoustics::constants::SPEED_OF_SOUND_AIR * self.sample_rate;
-        if self.cancel_max_delay as f64 >= min_delay_samples {
-            return Err(EarSonarError::BadConfig {
-                name: "cancel_max_delay",
-                constraint: "must stay below the eardrum delay prior",
-            });
-        }
         if self.ir_taps == 0 || self.ir_taps > self.chirp_hop {
             return Err(EarSonarError::BadConfig {
                 name: "ir_taps",
@@ -249,89 +228,6 @@ impl Default for EarSonarConfig {
     }
 }
 
-/// Fluent builder for [`EarSonarConfig`].
-#[derive(Debug, Clone)]
-pub struct EarSonarConfigBuilder {
-    config: EarSonarConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $name:ident: $ty:ty),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $name(mut self, value: $ty) -> Self {
-                self.config.$name = value;
-                self
-            }
-        )*
-    };
-}
-
-impl EarSonarConfigBuilder {
-    builder_setters! {
-        /// Sets the sample rate in hertz.
-        sample_rate: f64,
-        /// Sets the probe-band lower edge in hertz.
-        band_low_hz: f64,
-        /// Sets the probe-band upper edge in hertz.
-        band_high_hz: f64,
-        /// Sets the Butterworth noise-filter order.
-        noise_filter_order: usize,
-        /// Sets the chirp length in samples.
-        chirp_len: usize,
-        /// Sets the chirp hop in samples.
-        chirp_hop: usize,
-        /// Sets the event-detection window `W`.
-        event_window: usize,
-        /// Sets the minimum parity-symmetry support `ml`.
-        min_symmetry_support: usize,
-        /// Sets the parity energy-ratio threshold `pt`.
-        parity_energy_threshold: f64,
-        /// Sets the eardrum-distance prior in metres.
-        eardrum_distance_range_m: (f64, f64),
-        /// Sets the direct-path cancellation template depth.
-        cancel_max_delay: usize,
-        /// Sets the number of estimated IR taps.
-        ir_taps: usize,
-        /// Sets the Wiener-deconvolution regularization.
-        deconvolution_epsilon: f64,
-        /// Sets the IR samples kept before the echo centre.
-        echo_ir_pre: usize,
-        /// Sets the IR samples kept after the echo centre.
-        echo_ir_tail: usize,
-        /// Sets the echo FFT size.
-        n_fft: usize,
-        /// Sets the number of PSD profile feature bins.
-        psd_profile_bins: usize,
-        /// Sets the PSD profile frequency range.
-        profile_band_hz: (f64, f64),
-        /// Sets the number of clusters `k`.
-        k_clusters: usize,
-        /// Sets how many features Laplacian selection keeps.
-        top_features: usize,
-        /// Sets the Laplacian kNN graph size.
-        laplacian_neighbors: usize,
-        /// Sets the number of k-means restarts.
-        kmeans_restarts: usize,
-        /// Sets the clustering seed.
-        seed: u64,
-        /// Enables or disables outlier removal.
-        remove_outliers: bool,
-        /// Sets the per-chirp quality-gate thresholds.
-        quality: QualityGateConfig,
-    }
-
-    /// Finalizes the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EarSonarError::BadConfig`] if validation fails.
-    pub fn build(self) -> Result<EarSonarConfig, EarSonarError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,37 +251,59 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_and_validates() {
-        let cfg = EarSonarConfig::builder()
-            .k_clusters(3)
-            .seed(9)
-            .build()
-            .unwrap();
+    fn struct_update_overrides_validate() {
+        let paper = EarSonarConfig::paper_default;
+        let cfg = EarSonarConfig {
+            k_clusters: 3,
+            seed: 9,
+            ..paper()
+        };
+        assert!(cfg.validate().is_ok());
         assert_eq!(cfg.k_clusters, 3);
         assert_eq!(cfg.seed, 9);
 
-        assert!(EarSonarConfig::builder()
-            .parity_energy_threshold(0.4)
-            .build()
-            .is_err());
-        assert!(EarSonarConfig::builder().band_high_hz(30_000.0).build().is_err());
-        assert!(EarSonarConfig::builder().chirp_len(0).build().is_err());
-        assert!(EarSonarConfig::builder().k_clusters(0).build().is_err());
-        assert!(EarSonarConfig::builder()
-            .eardrum_distance_range_m((0.05, 0.01))
-            .build()
-            .is_err());
-        assert!(EarSonarConfig::builder().n_fft(16).build().is_err());
+        let rejects = |cfg: EarSonarConfig| cfg.validate().is_err();
+        assert!(rejects(EarSonarConfig {
+            parity_energy_threshold: 0.4,
+            ..paper()
+        }));
+        assert!(rejects(EarSonarConfig {
+            band_high_hz: 30_000.0,
+            ..paper()
+        }));
+        assert!(rejects(EarSonarConfig {
+            chirp_len: 0,
+            ..paper()
+        }));
+        assert!(rejects(EarSonarConfig {
+            k_clusters: 0,
+            ..paper()
+        }));
+        assert!(rejects(EarSonarConfig {
+            eardrum_distance_range_m: (0.05, 0.01),
+            ..paper()
+        }));
+        assert!(rejects(EarSonarConfig {
+            n_fft: 16,
+            ..paper()
+        }));
         let bad_gate = QualityGateConfig {
             max_dropout_fraction: -0.5,
             ..Default::default()
         };
-        assert!(EarSonarConfig::builder().quality(bad_gate).build().is_err());
+        assert!(rejects(EarSonarConfig {
+            quality: bad_gate,
+            ..paper()
+        }));
         let off = QualityGateConfig {
             enabled: false,
             ..Default::default()
         };
-        let cfg = EarSonarConfig::builder().quality(off).build().unwrap();
+        let cfg = EarSonarConfig {
+            quality: off,
+            ..paper()
+        };
+        assert!(cfg.validate().is_ok());
         assert!(!cfg.quality.enabled);
     }
 }

@@ -31,25 +31,11 @@ impl EventSpan {
 }
 
 /// Runs the paper's adaptive-energy event detector over a preprocessed
-/// signal, returning the detected event spans.
-///
-/// The open/close power floor `μ̄` is the signal's own mean power; use
-/// [`detect_events_with_floor`] to supply a floor estimated over a longer
-/// horizon (the streaming pipeline tracks one across chirp windows).
-///
-/// # Errors
-///
-/// Returns [`EarSonarError::BadRecording`] if the signal is shorter than
-/// one event window.
-pub fn detect_events(signal: &[f64], config: &EarSonarConfig) -> Result<Vec<EventSpan>, EarSonarError> {
-    let n = signal.len().max(1);
-    let global_mean = signal.iter().map(|&x| x * x).sum::<f64>() / n as f64;
-    detect_events_with_floor(signal, global_mean, config)
-}
-
-/// [`detect_events`] with an externally supplied power floor `μ̄` (Eq. 6's
-/// global average power). Events open above `μ + σ` *and* above the floor,
-/// and close when the power falls back below the floor.
+/// signal with the power floor `μ̄` (Eq. 6's global average power)
+/// supplied by the caller, returning the detected event spans. Events open
+/// above `μ + σ` *and* above the floor, and close when the power falls
+/// back below the floor. The pipeline tracks the floor across a session's
+/// chirp windows, so one window's own mean power does not set it.
 ///
 /// # Errors
 ///
@@ -67,13 +53,14 @@ pub fn detect_events_with_floor(
         });
     }
     let n = signal.len();
-    let power: Vec<f64> = signal.iter().map(|&x| x * x).collect();
+    // Instantaneous power x², squared where it is read.
+    let power = |i: usize| signal[i] * signal[i];
 
     // Eq. 7: windowed cumulative power A(i) and windowed deviation B(i).
     // Eq. 6: exponential updates of mu(i) and sigma(i) with factor 1/W.
     let alpha = 1.0 / w as f64;
     // Prime the trackers on the first window.
-    let mut window_sum: f64 = power[..w].iter().sum();
+    let mut window_sum: f64 = signal[..w].iter().map(|&x| x * x).sum();
     let mut mu = window_sum / w as f64;
     let mut sigma = 0.0f64;
 
@@ -82,23 +69,24 @@ pub fn detect_events_with_floor(
     for i in 0..n {
         // Slide the window [i, i+W).
         if i > 0 {
-            let leaving = power[i - 1];
-            let entering = if i + w - 1 < n { power[i + w - 1] } else { 0.0 };
+            let leaving = power(i - 1);
+            let entering = if i + w - 1 < n { power(i + w - 1) } else { 0.0 };
             window_sum += entering - leaving;
         }
         let a_i = window_sum / w as f64;
-        let dev = (power[i] - a_i).abs();
+        let p_i = power(i);
+        let dev = (p_i - a_i).abs();
         mu = alpha * a_i + (1.0 - alpha) * mu;
         sigma = alpha * dev + (1.0 - alpha) * sigma;
 
         match open {
             None => {
-                if power[i] > mu + sigma && power[i] > global_mean {
+                if p_i > mu + sigma && p_i > global_mean {
                     open = Some(i);
                 }
             }
             Some(start) => {
-                if power[i] < global_mean {
+                if p_i < global_mean {
                     events.push(EventSpan { start, end: i });
                     open = None;
                 }
@@ -124,35 +112,18 @@ fn merge_close_events(events: Vec<EventSpan>, gap: usize) -> Vec<EventSpan> {
     out
 }
 
-/// Snaps detected events onto the known chirp grid: returns, for each
-/// chirp window, the event detected inside it (if any). Real deployments
-/// know the transmit schedule, so this is how the pipeline consumes the
-/// detector.
-pub fn events_per_chirp(
-    events: &[EventSpan],
-    chirp_hop: usize,
-    n_chirps: usize,
-) -> Vec<Option<EventSpan>> {
-    let mut out = vec![None; n_chirps];
-    for &e in events {
-        let c = e.start / chirp_hop.max(1);
-        if c < n_chirps {
-            let slot: &mut Option<EventSpan> = &mut out[c];
-            // Keep the longest event per chirp window.
-            if slot.is_none_or(|old| e.len() > old.len()) {
-                *slot = Some(e);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn config() -> EarSonarConfig {
         EarSonarConfig::paper_default()
+    }
+
+    /// Detects events with the floor set to the signal's mean power.
+    fn detect(x: &[f64]) -> Result<Vec<EventSpan>, EarSonarError> {
+        let floor = x.iter().map(|&v| v * v).sum::<f64>() / x.len().max(1) as f64;
+        detect_events_with_floor(x, floor, &config())
     }
 
     /// A synthetic "chirp train": bursts of a strong 18 kHz tone every
@@ -171,7 +142,7 @@ mod tests {
     #[test]
     fn detects_each_burst() {
         let x = synthetic_train(6, 240, 40);
-        let events = detect_events(&x, &config()).unwrap();
+        let events = detect(&x).unwrap();
         assert_eq!(events.len(), 6, "{events:?}");
         for (b, e) in events.iter().enumerate() {
             let expected = b * 240;
@@ -186,14 +157,14 @@ mod tests {
     #[test]
     fn silence_has_no_events() {
         let x = vec![0.0; 2048];
-        let events = detect_events(&x, &config()).unwrap();
+        let events = detect(&x).unwrap();
         assert!(events.is_empty());
     }
 
     #[test]
     fn short_signal_is_rejected() {
         assert!(matches!(
-            detect_events(&[1.0; 4], &config()),
+            detect(&[1.0; 4]),
             Err(EarSonarError::BadRecording { .. })
         ));
     }
@@ -205,20 +176,8 @@ mod tests {
         for (i, v) in x.iter_mut().enumerate() {
             *v += 0.01 * ((i as f64 * 1.7).sin());
         }
-        let events = detect_events(&x, &config()).unwrap();
+        let events = detect(&x).unwrap();
         assert_eq!(events.len(), 3);
-    }
-
-    #[test]
-    fn events_snap_to_chirp_grid() {
-        let x = synthetic_train(4, 240, 40);
-        let events = detect_events(&x, &config()).unwrap();
-        let per_chirp = events_per_chirp(&events, 240, 4);
-        assert!(per_chirp.iter().all(Option::is_some));
-        for (c, e) in per_chirp.iter().enumerate() {
-            let e = e.unwrap();
-            assert_eq!(e.start / 240, c);
-        }
     }
 
     #[test]
@@ -231,12 +190,9 @@ mod tests {
                 x[b * 240 + i] = (2.0 * std::f64::consts::PI * 18_000.0 * t / 48_000.0).sin();
             }
         }
-        let events = detect_events(&x, &config()).unwrap();
-        let per_chirp = events_per_chirp(&events, 240, 4);
-        assert!(per_chirp[0].is_some());
-        assert!(per_chirp[1].is_none());
-        assert!(per_chirp[2].is_some());
-        assert!(per_chirp[3].is_none());
+        let events = detect(&x).unwrap();
+        let windows: Vec<usize> = events.iter().map(|e| e.start / 240).collect();
+        assert_eq!(windows, [0, 2], "{events:?}");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!
 //! * [`preprocess`] — Butterworth band-pass noise removal (§IV-B-1),
 //! * [`event`] — adaptive-energy event detection (§IV-B-2, Eq. 6–7),
-//! * [`segment`] — even/odd parity-decomposition echo segmentation
-//!   (§IV-B-3, Eq. 8–10),
+//! * [`channel`] — Wiener deconvolution of the known chirp into the
+//!   canal impulse response, averaged over a session's chirps (§IV-B-3),
+//! * [`segment`] — even/odd parity segmentation of the eardrum echo in
+//!   that impulse response (§IV-B-3, Eq. 8–10),
 //! * [`absorption`] — eardrum-echo power-spectrum extraction (§IV-C-1),
 //! * [`features`] — the 105-element MFCC + statistical feature vector
 //!   (§IV-C-2),
@@ -34,9 +36,9 @@
 //! * [`quality`] — per-chirp signal-quality scoring and the gate that
 //!   rejects clipped, dropped, noisy, or decorrelated windows before they
 //!   reach the numeric stages,
-//! * [`screening`] — the home-monitoring layer (binary verdicts, trend
-//!   tracking, bounded re-measurement with typed `Inconclusive` results)
-//!   the paper motivates in §I,
+//! * [`screening`] — the home-monitoring layer (binary verdicts and
+//!   bounded re-measurement with typed `Inconclusive` results) the paper
+//!   motivates in §I,
 //! * [`model_io`] — save/load trained systems (train once, ship to
 //!   devices).
 //!
@@ -69,7 +71,6 @@
 pub mod absorption;
 pub mod backend;
 pub mod baseline;
-pub mod cancel;
 pub mod channel;
 pub mod config;
 pub mod detect;

@@ -10,8 +10,8 @@
 //! Format: one `key: values…` line per field, with vectors
 //! space-separated and matrices as one line per row. Integer fields must
 //! be written as integers that fit their type. Lines this build does not
-//! read are ignored, so files that still carry the `echo_window_half:`
-//! and `window:` lines of older builds load unchanged.
+//! read are ignored, so files from older builds that still carry lines
+//! for since-retired configuration fields load unchanged.
 //!
 //! Two format versions are understood:
 //!
@@ -85,7 +85,6 @@ pub fn model_to_string(system: &EarSonar) -> String {
         "eardrum_distance_range_m: {} {}",
         cfg.eardrum_distance_range_m.0, cfg.eardrum_distance_range_m.1
     );
-    let _ = writeln!(out, "cancel_max_delay: {}", cfg.cancel_max_delay);
     let _ = writeln!(out, "ir_taps: {}", cfg.ir_taps);
     let _ = writeln!(out, "deconvolution_epsilon: {}", cfg.deconvolution_epsilon);
     let _ = writeln!(out, "echo_ir: {} {}", cfg.echo_ir_pre, cfg.echo_ir_tail);
@@ -206,7 +205,6 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
         min_symmetry_support: one_usize(get("min_symmetry_support")?)?,
         parity_energy_threshold: one_f64(get("parity_energy_threshold")?)?,
         eardrum_distance_range_m: two_f64(get("eardrum_distance_range_m")?)?,
-        cancel_max_delay: one_usize(get("cancel_max_delay")?)?,
         ir_taps: one_usize(get("ir_taps")?)?,
         deconvolution_epsilon: one_f64(get("deconvolution_epsilon")?)?,
         echo_ir_pre: echo_ir[0],
@@ -462,24 +460,28 @@ mod tests {
     fn files_with_the_retired_echo_window_lines_load_with_identical_verdicts() {
         let (system, data) = trained();
         let text = model_to_string(&system);
-        assert!(!text.contains("echo_window_half:"));
-        // The layout older builds wrote: `echo_window_half:` after
-        // `cancel_max_delay:`, `window:` after `n_fft:`.
+        for retired in ["cancel_max_delay:", "echo_window_half:", "window:"] {
+            assert!(!text.lines().any(|l| l.starts_with(retired)), "{retired}");
+        }
+        // The layout older builds wrote: `cancel_max_delay:` and
+        // `echo_window_half:` after `eardrum_distance_range_m:`, `window:`
+        // after `n_fft:`.
         let old: String = text
             .lines()
             .flat_map(|l| {
-                let extra = if l.starts_with("cancel_max_delay:") {
-                    Some("echo_window_half: 32")
+                let extra: &[&str] = if l.starts_with("eardrum_distance_range_m:") {
+                    &["cancel_max_delay: 5", "echo_window_half: 32"]
                 } else if l.starts_with("n_fft:") {
-                    Some("window: hann")
+                    &["window: hann"]
                 } else {
-                    None
+                    &[]
                 };
-                std::iter::once(l).chain(extra)
+                std::iter::once(l).chain(extra.iter().copied())
             })
             .collect::<Vec<_>>()
             .join("\n");
-        assert!(old.contains("\necho_window_half: 32\n") && old.contains("\nwindow: hann\n"));
+        assert!(old.contains("\ncancel_max_delay: 5\necho_window_half: 32\n"));
+        assert!(old.contains("\nwindow: hann\n"));
         let restored = model_from_string(&old).expect("old-format parse");
         let fresh = model_from_string(&text).expect("parse");
         assert_eq!(restored.front_end().config(), fresh.front_end().config());

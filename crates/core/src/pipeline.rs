@@ -14,8 +14,7 @@
 
 use crate::absorption::{average_spectra, echo_ir_spectra, EchoSpectrum};
 use crate::backend::{self, BackendSpec, Classifier, ReferenceClassifier};
-use crate::channel::{average_irs, pipeline_estimator, ChannelEstimator};
-use crate::cancel::chirp_template;
+use crate::channel::{average_irs, chirp_template, pipeline_estimator, ChannelEstimator};
 use earsonar_acoustics::propagation::delay_fractional_allpass_lanes;
 use crate::config::EarSonarConfig;
 use crate::detect::EarSonarDetector;
@@ -217,7 +216,7 @@ impl FrontEnd {
     ) -> Result<Self, EarSonarError> {
         config.validate()?;
         let preprocessor = Preprocessor::new(config)?;
-        // The cancellation template must look like the direct leak *after*
+        // The deconvolution template must look like the direct leak *after*
         // preprocessing, so run the transmit chirp through the same
         // zero-phase band-pass the recording sees.
         let mut raw = chirp_template(config)?;
@@ -275,8 +274,8 @@ impl FrontEnd {
     ///
     /// Internally this is the same per-chirp staged computation the
     /// streaming path runs ([`crate::streaming::ChirpStream`]): the
-    /// chirp windows go through [`FrontEnd::push_windows`] as one batch,
-    /// and the recording-level stages run once in [`FrontEnd::finalize`] —
+    /// chirp windows go through `FrontEnd::push_windows` as one batch,
+    /// and the recording-level stages run once in `FrontEnd::finalize` —
     /// so batch and streaming results are bit-identical by construction.
     ///
     /// # Errors

@@ -1,11 +1,11 @@
 //! Home-monitoring layer: the paper's intended use case (§I, §VIII).
 //!
 //! The paper positions EarSonar as "a tool for the initial screening of
-//! MEE in families": a caregiver measures daily and needs (a) a robust
+//! MEE in families": a caregiver measures at home and needs a robust
 //! binary *fluid / no fluid* verdict (the clinically actionable question
-//! posed by Chan et al.), and (b) a trend over days that smooths out
-//! single-measurement noise. This module wraps the four-state detector in
-//! both.
+//! posed by Chan et al.). This module wraps the four-state detector in
+//! that verdict and in bounded, quality-gated re-measurement that ends
+//! either conclusive or with a typed `Inconclusive` reason.
 
 use crate::diagnostics::CaptureDiagnostics;
 use crate::error::EarSonarError;
@@ -42,21 +42,6 @@ impl ScreeningVerdict {
     pub fn has_effusion(&self) -> bool {
         matches!(self, ScreeningVerdict::EffusionDetected { .. })
     }
-}
-
-/// Recommendation derived from a screening history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Recommendation {
-    /// No effusion trend — routine monitoring only.
-    AllClear,
-    /// Effusion present but improving across measurements.
-    Improving,
-    /// Effusion persisting without improvement; the paper's clinical
-    /// guidance (persistent effusion risks hearing damage) says see a
-    /// physician.
-    SeekClinicalReview,
-    /// Not enough measurements to judge a trend yet.
-    InsufficientData,
 }
 
 /// Bounded re-measurement policy for quality-gated screening: how many
@@ -345,129 +330,6 @@ pub fn screen_with_retry(
     }))
 }
 
-/// A multi-day home-screening tracker over a trained [`EarSonar`] system.
-///
-/// # Example
-///
-/// ```no_run
-/// # use earsonar::screening::HomeScreening;
-/// # use earsonar::{EarSonar, EarSonarConfig};
-/// # use earsonar_sim::dataset::{Dataset, DatasetSpec};
-/// # use earsonar_sim::cohort::Cohort;
-/// # let data = Dataset::build(&Cohort::generate(8, 1), &DatasetSpec::default());
-/// let system = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).unwrap();
-/// let mut monitor = HomeScreening::new(system);
-/// // each morning:
-/// // monitor.record(&this_mornings_recording)?;
-/// // println!("{:?}", monitor.recommendation());
-/// ```
-#[derive(Debug, Clone)]
-pub struct HomeScreening {
-    system: EarSonar,
-    history: Vec<MeeState>,
-}
-
-impl HomeScreening {
-    /// Wraps a trained system with an empty history.
-    pub fn new(system: EarSonar) -> HomeScreening {
-        HomeScreening {
-            system,
-            history: Vec::new(),
-        }
-    }
-
-    /// Screens one recording, appends it to the history, and returns the
-    /// binary verdict.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline errors; a failed measurement leaves the history
-    /// unchanged.
-    pub fn record(&mut self, recording: &Recording) -> Result<ScreeningVerdict, EarSonarError> {
-        let state = self.system.screen(recording)?;
-        self.history.push(state);
-        Ok(ScreeningVerdict::from_state(state))
-    }
-
-    /// The per-measurement state history, oldest first.
-    pub fn history(&self) -> &[MeeState] {
-        &self.history
-    }
-
-    /// Number of recorded measurements.
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Returns `true` if nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
-    }
-
-    /// Majority state over the last `window` measurements — the smoothed
-    /// "current state" a caregiver should read. Ties resolve to the less
-    /// severe state (screening errs toward re-measurement, not alarm).
-    pub fn current_state(&self, window: usize) -> Option<MeeState> {
-        if self.history.is_empty() {
-            return None;
-        }
-        let start = self.history.len().saturating_sub(window.max(1));
-        let recent = &self.history[start..];
-        let mut counts = [0usize; MeeState::COUNT];
-        for s in recent {
-            counts[s.index()] += 1;
-        }
-        // `counts` is a fixed-size array, so `max` always exists.
-        let best = counts.iter().copied().max().unwrap_or(0);
-        (0..MeeState::COUNT)
-            .filter(|&k| counts[k] == best)
-            .map(MeeState::from_index)
-            .next()
-    }
-
-    /// Screens the next capture from `source` under a retry policy and
-    /// appends the state to the history **only when the outcome is
-    /// conclusive** — an inconclusive measurement must not pollute the
-    /// trend a caregiver reads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unexpected pipeline errors; inconclusive outcomes are
-    /// returned, not raised.
-    pub fn record_from_source(
-        &mut self,
-        source: &mut dyn SignalSource,
-        policy: &RetryPolicy,
-    ) -> Result<ScreeningOutcome, EarSonarError> {
-        let outcome = screen_with_retry(&self.system, source, policy)?;
-        if let ScreeningOutcome::Conclusive(report) = &outcome {
-            self.history.push(report.state);
-        }
-        Ok(outcome)
-    }
-
-    /// Trend-based recommendation from the full history.
-    ///
-    /// Requires at least four measurements; compares mean severity over
-    /// the first and second half of the history.
-    pub fn recommendation(&self) -> Recommendation {
-        if self.history.len() < 4 {
-            return Recommendation::InsufficientData;
-        }
-        let sev: Vec<f64> = self.history.iter().map(|s| s.severity() as f64).collect();
-        let half = sev.len() / 2;
-        let early = sev[..half].iter().sum::<f64>() / half as f64;
-        let late = sev[half..].iter().sum::<f64>() / (sev.len() - half) as f64;
-        if late < 0.5 {
-            Recommendation::AllClear
-        } else if late < early - 0.25 {
-            Recommendation::Improving
-        } else {
-            Recommendation::SeekClinicalReview
-        }
-    }
-}
-
 /// Binary (fluid / no fluid) evaluation over four-state predictions — the
 /// task Chan et al. solve and the paper's §I framing. Returns
 /// `(sensitivity, specificity)` of effusion detection.
@@ -529,39 +391,6 @@ mod tests {
         let v = ScreeningVerdict::from_state(MeeState::Mucoid);
         assert!(v.has_effusion());
         assert!(!ScreeningVerdict::Clear.has_effusion());
-    }
-
-    #[test]
-    fn monitor_tracks_recovery() {
-        let system = trained_system();
-        let mut monitor = HomeScreening::new(system);
-        assert!(monitor.is_empty());
-        assert_eq!(monitor.recommendation(), Recommendation::InsufficientData);
-
-        let cohort = Cohort::generate(6, 55);
-        let child = &cohort.patients()[0];
-        for day in 0..=child.recovery_day() + 2 {
-            let s = Session::record(child, day, &SessionConfig::default(), day as u64);
-            let _ = monitor.record(&s.recording);
-        }
-        assert!(monitor.len() >= 4);
-        // At the end of a full recovery the trend must not demand escalation.
-        let rec = monitor.recommendation();
-        assert!(
-            rec == Recommendation::AllClear || rec == Recommendation::Improving,
-            "{rec:?} after full recovery (history {:?})",
-            monitor.history()
-        );
-        assert_eq!(monitor.current_state(3), Some(MeeState::Clear));
-    }
-
-    #[test]
-    fn persistent_effusion_escalates() {
-        // Synthesize a stuck history directly.
-        let system = trained_system();
-        let mut monitor = HomeScreening::new(system);
-        monitor.history = vec![MeeState::Mucoid; 8];
-        assert_eq!(monitor.recommendation(), Recommendation::SeekClinicalReview);
     }
 
     #[test]
@@ -675,46 +504,5 @@ mod tests {
         }
         assert!(!outcome.is_conclusive());
         assert_eq!(outcome.state(), None);
-    }
-
-    #[test]
-    fn monitor_skips_inconclusive_measurements() {
-        use earsonar_signal::source::QueueSource;
-        use earsonar_sim::faults::{Fault, FaultInjector, FaultySource};
-        let system = trained_system();
-        let cohort = Cohort::generate(1, 74);
-        let rec = Session::record(&cohort.patients()[0], 0, &SessionConfig::default(), 2).recording;
-        let mut monitor = HomeScreening::new(system);
-
-        let injector =
-            FaultInjector::new(606).with(Fault::Dropout { severity: 0.95 });
-        let mut bad = FaultySource::new(QueueSource::repeating(rec.clone(), 5), injector);
-        let outcome = monitor
-            .record_from_source(&mut bad, &RetryPolicy::default())
-            .expect("screen");
-        assert!(!outcome.is_conclusive());
-        assert!(monitor.is_empty(), "inconclusive must not enter history");
-
-        let mut good = QueueSource::repeating(rec, 1);
-        let outcome = monitor
-            .record_from_source(&mut good, &RetryPolicy::default())
-            .expect("screen");
-        assert!(outcome.is_conclusive());
-        assert_eq!(monitor.len(), 1);
-    }
-
-    #[test]
-    fn current_state_uses_recent_window() {
-        let system = trained_system();
-        let mut monitor = HomeScreening::new(system);
-        monitor.history = vec![
-            MeeState::Purulent,
-            MeeState::Purulent,
-            MeeState::Clear,
-            MeeState::Clear,
-            MeeState::Clear,
-        ];
-        assert_eq!(monitor.current_state(3), Some(MeeState::Clear));
-        assert_eq!(monitor.current_state(100), Some(MeeState::Clear));
     }
 }

@@ -12,31 +12,14 @@
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use earsonar_dsp::convolution::autoconvolve_with;
-use earsonar_dsp::peak::envelope_peak;
 use earsonar_dsp::plan::DspScratch;
-
-/// Splits `x` into its even and odd parts about fold position `m/2`
-/// (paper Eq. 8, with `m = 2n₀`; odd `m` folds between samples).
-/// Out-of-range reflections are treated as zero.
-///
-/// The identity `x[n] = xe[n] + xo[n]` holds exactly.
-pub fn parity_decompose(x: &[f64], m: usize) -> (Vec<f64>, Vec<f64>) {
-    let n = x.len();
-    let mut even = vec![0.0; n];
-    let mut odd = vec![0.0; n];
-    for i in 0..n {
-        let reflected = if m >= i && m - i < n { x[m - i] } else { 0.0 };
-        even[i] = 0.5 * (x[i] + reflected);
-        odd[i] = 0.5 * (x[i] - reflected);
-    }
-    (even, odd)
-}
 
 /// Parity energies `(E_even, E_odd)` of `x` about fold `m` — paper Eq. 9.
 ///
-/// Computes the decomposition inline (same accumulation order as summing
-/// over [`parity_decompose`]'s outputs) without materializing it — this
-/// runs once per symmetry candidate, inside the segmentation hot loop.
+/// The even and odd parts (Eq. 8, with `m = 2n₀`; odd `m` folds between
+/// samples) are `½(x[n] ± x[m−n])`, with out-of-range reflections taken as
+/// zero. They are computed inline, never materialized — this runs once per
+/// symmetry candidate, inside the segmentation hot loop.
 // lint: hot-path
 pub fn parity_energies(x: &[f64], m: usize) -> (f64, f64) {
     let n = x.len();
@@ -156,10 +139,13 @@ fn delay_prior_samples(config: &EarSonarConfig) -> (f64, f64) {
     )
 }
 
-/// Segments the eardrum echo out of one chirp window.
+/// Segments the eardrum echo out of one chirp window or impulse response,
+/// measuring delays from `direct_center`.
 ///
-/// The direct signal dominates the window, so its envelope peak anchors
-/// the coordinate system; the winning symmetry candidate must lie at an
+/// `direct_center` is where the direct signal sits; the pipeline passes
+/// the transmit-grid tap at which the direct leak arrives (tap 1 of the
+/// averaged impulse response, fixed by `FrontEnd::finalize`), not a value
+/// fitted from the window. The winning symmetry candidate must lie at an
 /// eardrum-plausible delay behind it (paper's selection principles). When
 /// no candidate survives, the echo is placed at the middle of the prior
 /// range — the pipeline can still extract a (lower-quality) spectrum.
@@ -169,35 +155,6 @@ fn delay_prior_samples(config: &EarSonarConfig) -> (f64, f64) {
 /// Returns [`EarSonarError::NoEchoDetected`] if the window is essentially
 /// silent, and [`EarSonarError::BadRecording`] if it is shorter than the
 /// chirp.
-pub fn segment_eardrum_echo(
-    chirp_window: &[f64],
-    config: &EarSonarConfig,
-) -> Result<EardrumEcho, EarSonarError> {
-    if chirp_window.len() < config.chirp_len {
-        return Err(EarSonarError::BadRecording {
-            reason: "chirp window shorter than the chirp",
-        });
-    }
-    let energy: f64 = chirp_window.iter().map(|v| v * v).sum();
-    if energy <= 1e-18 {
-        return Err(EarSonarError::NoEchoDetected);
-    }
-    // Anchor: the direct signal's envelope peak, searched over the early
-    // window (direct + near multipath live in the first ~2 chirp lengths).
-    let search = &chirp_window[..(2 * config.chirp_len).min(chirp_window.len())];
-    let direct_center =
-        envelope_peak(search, config.chirp_len / 2).ok_or(EarSonarError::NoEchoDetected)?;
-    segment_with_anchor(chirp_window, direct_center, config)
-}
-
-/// Like [`segment_eardrum_echo`] but with the direct-signal centre already
-/// known — the pipeline gets it from the direct-path cancellation fit
-/// (see [`crate::cancel`]), which is far more reliable than envelope
-/// peaking once the direct leak has been subtracted.
-///
-/// # Errors
-///
-/// Same conditions as [`segment_eardrum_echo`].
 // lint: hot-path
 pub fn segment_with_anchor(
     chirp_window: &[f64],
@@ -259,13 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn parity_reconstruction_is_exact() {
+    fn parity_energies_split_the_folded_energy() {
+        // xe² + xo² = ½(x² + r²) sample by sample, r the reflection.
         let x: Vec<f64> = (0..32).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         for m in [0usize, 15, 31, 40] {
-            let (e, o) = parity_decompose(&x, m);
-            for i in 0..32 {
-                assert!((e[i] + o[i] - x[i]).abs() < 1e-12);
-            }
+            let (ee, eo) = parity_energies(&x, m);
+            let folded: f64 = (0..32)
+                .map(|i| {
+                    let r = if m >= i && m - i < 32 { x[m - i] } else { 0.0 };
+                    0.5 * (x[i] * x[i] + r * r)
+                })
+                .sum();
+            assert!((ee + eo - folded).abs() < 1e-9, "m={m}");
         }
     }
 
@@ -350,7 +312,8 @@ mod tests {
         for (i, &c) in chirp.iter().enumerate() {
             window[i + 9] += 0.45 * c;
         }
-        let echo = segment_eardrum_echo(&window, &cfg).unwrap();
+        // The direct chirp's centre anchors the delay axis.
+        let echo = segment_with_anchor(&window, 1 + cfg.chirp_len / 2, &cfg).unwrap();
         let d = echo.delay_samples();
         assert!(
             (4..=13).contains(&d),
@@ -365,7 +328,7 @@ mod tests {
     #[test]
     fn silence_yields_no_echo() {
         assert!(matches!(
-            segment_eardrum_echo(&[0.0; 240], &config()),
+            segment_with_anchor(&[0.0; 240], 1, &config()),
             Err(EarSonarError::NoEchoDetected)
         ));
     }
@@ -373,7 +336,7 @@ mod tests {
     #[test]
     fn short_window_is_rejected() {
         assert!(matches!(
-            segment_eardrum_echo(&[1.0; 10], &config()),
+            segment_with_anchor(&[1.0; 10], 1, &config()),
             Err(EarSonarError::BadRecording { .. })
         ));
     }
@@ -387,7 +350,7 @@ mod tests {
             s = 3.99 * s * (1.0 - s);
             x.push(s - 0.5);
         }
-        let echo = segment_eardrum_echo(&x, &config()).unwrap();
+        let echo = segment_with_anchor(&x, 1, &config()).unwrap();
         // Whether via symmetry or fallback, the echo must respect the prior.
         let (d_lo, d_hi) = delay_prior_samples(&config());
         let d = echo.delay_samples() as f64;

@@ -1,7 +1,7 @@
 //! Peak detection.
 //!
-//! The absorption analysis centres its FFT window on "the peak sampling
-//! point of the eardrum" echo (paper §IV-C-1); this module provides general
+//! Echo segmentation takes its symmetry candidates from the extrema of the
+//! auto-convolution (paper §IV-B-3, Eq. 10); this module provides general
 //! peak finding with height and minimum-separation constraints.
 
 /// A detected peak.
@@ -63,37 +63,6 @@ pub fn find_peaks(x: &[f64], min_height: f64, min_distance: usize) -> Vec<Peak> 
     kept
 }
 
-/// The tallest peak of `x`, if any (no height or distance constraint beyond
-/// being a local maximum).
-pub fn highest_peak(x: &[f64]) -> Option<Peak> {
-    find_peaks(x, f64::NEG_INFINITY, 1)
-        .into_iter()
-        .max_by(|a, b| a.height.total_cmp(&b.height))
-}
-
-/// Finds the peak of the *envelope* (moving RMS over `window` samples) of an
-/// oscillatory signal — robust localization for band-pass bursts like chirp
-/// echoes. Returns the centre index of the highest-energy window.
-pub fn envelope_peak(x: &[f64], window: usize) -> Option<usize> {
-    let n = x.len();
-    let w = window.max(1);
-    if n < w {
-        return None;
-    }
-    // Sliding sum of squares in O(n).
-    let mut acc: f64 = x[..w].iter().map(|v| v * v).sum();
-    let mut best = acc;
-    let mut best_start = 0usize;
-    for start in 1..=(n - w) {
-        acc += x[start + w - 1] * x[start + w - 1] - x[start - 1] * x[start - 1];
-        if acc > best {
-            best = acc;
-            best_start = start;
-        }
-    }
-    Some(best_start + w / 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,32 +97,5 @@ mod tests {
         let peaks = find_peaks(&x, 0.0, 1);
         assert_eq!(peaks.len(), 1);
         assert_eq!(peaks[0].index, 1);
-    }
-
-    #[test]
-    fn highest_peak_picks_global() {
-        let x = [0.0, 2.0, 0.0, 5.0, 0.0, 3.0, 0.0];
-        assert_eq!(highest_peak(&x).unwrap().index, 3);
-        assert_eq!(highest_peak(&[1.0, 1.0]), None);
-    }
-
-    #[test]
-    fn envelope_peak_locates_burst() {
-        let n = 1024;
-        let x: Vec<f64> = (0..n)
-            .map(|i| {
-                let t = (i as f64 - 700.0) / 40.0;
-                (-t * t).exp() * (0.9 * i as f64).sin()
-            })
-            .collect();
-        let p = envelope_peak(&x, 64).unwrap();
-        assert!((p as isize - 700).abs() < 40, "envelope peak at {p}");
-    }
-
-    #[test]
-    fn envelope_peak_degenerate() {
-        assert_eq!(envelope_peak(&[], 8), None);
-        assert_eq!(envelope_peak(&[1.0, 2.0], 8), None);
-        assert!(envelope_peak(&[1.0; 16], 8).is_some());
     }
 }

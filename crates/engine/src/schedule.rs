@@ -172,7 +172,7 @@ pub enum ScheduleError {
         /// The typed refusal.
         error: Rejected,
     },
-    /// `QueueFull` persisted through [`MAX_BACKPRESSURE_RETRIES`] drain
+    /// `QueueFull` persisted through `MAX_BACKPRESSURE_RETRIES` drain
     /// + retry rounds — accepted work is not being serviced.
     BackpressureStall {
         /// Session whose chunk could not be delivered.

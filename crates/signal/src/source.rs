@@ -1,6 +1,6 @@
 //! The capture boundary: where sample streams come from.
 //!
-//! The pipeline never cares whether a [`Recording`](crate::Recording) was
+//! The pipeline never cares whether a [`Recording`] was
 //! synthesized, decoded from a file, or pulled off an earphone driver —
 //! only that it follows a chirp layout. [`SignalSource`] is that contract:
 //! a backend yields recordings until it runs dry. The simulator implements

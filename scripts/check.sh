@@ -41,6 +41,11 @@ cargo test -q -p earsonar-engine --test schedule_exploration
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace (deny rustdoc warnings)"
+# Catches broken and private intra-doc links. The earsonar bin/lib
+# output-filename collision is a cargo warning and does not fail this step.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> benchmark: unit tests and clippy (its own package, outside the workspace)"
 # benchmark/ declares an empty [workspace], so the --workspace commands
 # above never see it; BENCHMARK.json at the root names it as the repo's

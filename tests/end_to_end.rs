@@ -95,8 +95,11 @@ fn pipeline_survives_adverse_conditions() {
 
 #[test]
 fn config_violations_surface_before_any_audio_work() {
-    let bad = EarSonarConfig::builder().band_high_hz(30_000.0).build();
-    assert!(bad.is_err());
+    let bad = EarSonarConfig {
+        band_high_hz: 30_000.0,
+        ..Default::default()
+    };
+    assert!(bad.validate().is_err());
     let cfg = EarSonarConfig {
         parity_energy_threshold: 0.2,
         ..Default::default()
