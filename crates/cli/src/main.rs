@@ -49,9 +49,11 @@ USAGE:
       --backend NAME requires the model file to use that backend and
       fails the run otherwise (a guard for scripted deployments).
   earsonar screen-wav --model FILE [--backend NAME] [--quorum N] [--workers N] WAV [WAV...]
-      Screen a WAV queue through the concurrent session engine, drained
-      by N worker threads (default 1) with at most N recordings open at
-      once, then print a per-cause summary of skipped captures. Verdict
+      Screen a WAV queue through the multi-session engine with at most
+      N recordings open at once (default 1), drained by up to N worker
+      threads, then print a per-cause summary of skipped captures. The
+      drain never starts more threads than the host has cores, so an N
+      beyond the core count only raises how many files are open. Verdict
       lines and exit codes are identical to `screen` at every N;
       --min-chirps applies to `screen` only.
   earsonar eval     [--patients N] [--seed S]
@@ -465,10 +467,11 @@ fn drain_batch(
     Ok(all_conclusive)
 }
 
-/// Screens the WAV queue through the concurrent session engine: each
-/// recording is opened as a session and pushed as one chunk (chunking never
-/// changes a verdict), and once `workers` sessions are open they are
-/// drained by `workers` threads before the next file is read. A 1-worker
+/// Screens the WAV queue through the multi-session engine: each recording
+/// is opened as a session and pushed as one chunk (chunking never changes
+/// a verdict), and once `workers` sessions are open they are drained by up
+/// to `workers` threads (capped at the host's cores) before the next file
+/// is read. A 1-worker
 /// engine is bit-identical to sequential screening, so the verdicts match
 /// `screen` at every worker count.
 fn cmd_screen_wav(args: &Args, out: &mut dyn Write) -> Result<bool, String> {

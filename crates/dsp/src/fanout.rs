@@ -1,21 +1,24 @@
 //! The workspace's one parallel fan-out.
 //!
 //! Cohort synthesis, model fitting, feature extraction and the engine's
-//! drain all map an index range through a pure per-item function that
+//! drain all map a list of items through a pure per-item function that
 //! needs a warm, worker-owned workspace (`SimScratch`, [`DspScratch`]).
-//! [`map_indexed`] does that over `std::thread::scope` workers — no
-//! thread-pool dependency, no `'static` bounds:
+//! [`map_on`] does that over `std::thread::scope` workers — no
+//! thread-pool dependency, no `'static` bounds, and no lock or atomic:
 //!
-//! * results come back in index order;
-//! * workers claim indices from one atomic counter (dynamic load
-//!   balancing: some recordings fail fast, some run the full pipeline)
-//!   and each owns one `init()` state for its whole lifetime;
+//! * items move into the workers by value, dealt round-robin (worker `w`
+//!   of `k` owns items `w`, `w + k`, `w + 2k`, …), so every worker owns a
+//!   disjoint share and each item is consumed exactly once;
+//! * results come back in input order;
+//! * each worker owns one `init()` state for its whole share;
 //! * worker 0 is the calling thread, so a two-worker fan-out spawns one
 //!   thread — and with it one glibc malloc arena less, which measurably
 //!   trims peak RSS;
-//! * a panicking item resumes on the caller with its original payload.
+//! * a panicking item resumes on the caller with its original payload;
+//! * the worker count is `min(requested, items, available cores)`, so no
+//!   request, however large, starts more threads than the host can run.
 //!
-//! Every item depends only on its index (never on which worker ran it or
+//! Every result depends only on its item (never on which worker ran it or
 //! what that worker's state held before), so the output is bit-identical
 //! to a sequential map at any worker count. With one worker — a 1-core
 //! host, or a single item — everything runs inline and nothing is
@@ -23,11 +26,24 @@
 //!
 //! [`DspScratch`]: crate::plan::DspScratch
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Maps `f(state, index)` over `0..n`, fanned out over the host's
-/// available parallelism (capped at `n`), returning results in index
-/// order.
+/// The host's available parallelism, read once per process: one read
+/// parses the cgroup CPU quota, ~20 µs on a 2-core x86-64 Linux host, and
+/// the engine's drain sizes a fan-out up to every 5 ms.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
+}
+
+/// Workers for a fan-out of `n` items: the request, capped at the items
+/// and at the host's `cores`; `0` and `1` both mean inline.
+fn worker_count(requested: usize, n: usize, cores: usize) -> usize {
+    requested.min(n).min(cores).max(1)
+}
+
+/// Maps `f(state, index)` over `0..n` on every available core, returning
+/// results in index order.
 ///
 /// `init` builds one worker-local state per worker; `f` must produce a
 /// result that depends only on its index.
@@ -49,110 +65,144 @@ where
     G: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    map_indexed_on(cores, n, init, f)
+    map_on(usize::MAX, (0..n).collect(), init, f)
 }
 
-/// [`map_indexed`] over an explicit worker count (capped at `n`; `0` and
-/// `1` both run inline). For callers whose worker count is already part
-/// of their own contract, such as the screening engine's `drain(workers)`.
+/// Maps `f(state, item)` over `items` by value on up to `workers`
+/// workers (capped at the item count and the host's cores), returning
+/// results in input order. For callers whose worker count is part of
+/// their own contract, such as the screening engine's `drain(workers)`.
 ///
 /// # Panics
 ///
 /// As [`map_indexed`].
-pub fn map_indexed_on<T, S, G, F>(workers: usize, n: usize, init: G, f: F) -> Vec<T>
+///
+/// # Example
+///
+/// ```
+/// use earsonar_dsp::fanout::map_on;
+/// let words = vec!["ear".to_string(), "drum".to_string()];
+/// let lens = map_on(2, words, || (), |_, w| w.len());
+/// assert_eq!(lens, vec![3, 4]);
+/// ```
+pub fn map_on<I, T, S, G, F>(workers: usize, items: Vec<I>, init: G, f: F) -> Vec<T>
 where
+    I: Send,
     T: Send,
     G: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
+    F: Fn(&mut S, I) -> T + Sync,
 {
-    let workers = workers.min(n);
-    if workers <= 1 {
+    let workers = worker_count(workers, items.len(), cores());
+    run(workers, items, &init, &f)
+}
+
+/// [`map_on`] at exactly `workers` workers (`0` and `1` run inline).
+fn run<I, T, S, G, F>(workers: usize, items: Vec<I>, init: &G, f: &F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    G: Fn() -> S + Sync,
+    F: Fn(&mut S, I) -> T + Sync,
+{
+    let n = items.len();
+    let work = |share: Vec<I>| -> Vec<T> {
         let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut state = init();
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            done.push((i, f(&mut state, i)));
-        }
+        share.into_iter().map(|item| f(&mut state, item)).collect()
     };
-    let mut done = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
-        let mut done = work();
+    if workers <= 1 {
+        return work(items);
+    }
+    let mut shares: Vec<Vec<I>> = (0..workers)
+        .map(|_| Vec::with_capacity(n.div_ceil(workers)))
+        .collect();
+    for (i, item) in items.into_iter().enumerate() {
+        shares[i % workers].push(item);
+    }
+    let mut shares = shares.into_iter();
+    let mine = shares.next().unwrap_or_default();
+    let work = &work;
+    let done: Vec<Vec<T>> = std::thread::scope(|s| {
+        let helpers: Vec<_> = shares.map(|share| s.spawn(move || work(share))).collect();
+        let mut done = vec![work(mine)];
         for h in helpers {
             match h.join() {
-                Ok(theirs) => done.extend(theirs),
+                Ok(theirs) => done.push(theirs),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
         done
     });
-    // The counter hands out each index exactly once, so sorting by index
-    // restores input order without gaps or duplicates.
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, v)| v).collect()
+    // Undo the round-robin deal: result `i` is the next one of share
+    // `i % workers`.
+    let mut done: Vec<_> = done.into_iter().map(Vec::into_iter).collect();
+    (0..n).filter_map(|i| done[i % workers].next()).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const WORKERS: [usize; 5] = [0, 1, 2, 3, 8];
 
     #[test]
-    fn preserves_index_order_and_runs_every_index_once() {
-        for workers in [1usize, 2, 3, 8] {
-            let calls: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
-            let out = map_indexed_on(
-                workers,
-                calls.len(),
-                || (),
-                |_, i| {
-                    calls[i].fetch_add(1, Ordering::Relaxed);
-                    i * i
-                },
-            );
-            let expect: Vec<usize> = (0..calls.len()).map(|i| i * i).collect();
-            assert_eq!(out, expect, "workers = {workers}");
-            assert!(
-                calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                "workers = {workers}: an index ran other than once"
-            );
+    fn sizing_caps_at_items_and_cores() {
+        // Pure arithmetic: thousands of requested workers start nothing.
+        assert_eq!(worker_count(10_000, 10_000, 4), 4);
+        assert_eq!(worker_count(10_000, 3, 64), 3);
+        assert_eq!(worker_count(2, 10_000, 64), 2);
+        assert_eq!(worker_count(usize::MAX, usize::MAX, 1), 1);
+        for (requested, n) in [(0, 9), (1, 9), (8, 1), (8, 0)] {
+            assert_eq!(worker_count(requested, n, 16), 1, "{requested}, {n}");
         }
     }
 
     #[test]
-    fn each_worker_owns_one_state() {
-        let inits = AtomicUsize::new(0);
-        let out = map_indexed_on(
-            3,
-            20,
-            || {
+    fn every_item_is_consumed_once_and_returned_in_input_order() {
+        for workers in WORKERS {
+            let items: Vec<String> = (0..37).map(|i| i.to_string()).collect();
+            let out = run(workers, items, &|| (), &|_, s: String| s + "!");
+            let expect: Vec<String> = (0..37).map(|i| format!("{i}!")).collect();
+            assert_eq!(out, expect, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn each_worker_owns_one_state_for_its_share() {
+        for workers in WORKERS {
+            let inits = AtomicUsize::new(0);
+            let init = || {
                 inits.fetch_add(1, Ordering::Relaxed);
                 0usize
-            },
-            |seen, i| {
-                *seen += 1;
-                i
-            },
-        );
-        assert_eq!(out, (0..20).collect::<Vec<_>>());
-        assert!((1..=3).contains(&inits.load(Ordering::Relaxed)));
+            };
+            let out = run(
+                workers,
+                (0..20).collect(),
+                &init,
+                &|seen: &mut usize, i: usize| {
+                    *seen += 1;
+                    (i, *seen)
+                },
+            );
+            let k = workers.max(1);
+            assert_eq!(inits.load(Ordering::Relaxed), k, "workers = {workers}");
+            // Round-robin deal: item `i` is the `i / k + 1`-th its worker saw.
+            let expect: Vec<_> = (0..20).map(|i| (i, i / k + 1)).collect();
+            assert_eq!(out, expect, "workers = {workers}");
+        }
     }
 
     #[test]
     fn one_worker_spawns_nothing() {
-        // Zero or one worker, or more workers than the one item: all run
-        // inline on the caller.
         let caller = std::thread::current().id();
         for (workers, n) in [(0usize, 9usize), (1, 9), (8, 1)] {
-            let threads = map_indexed_on(workers, n, || (), |_, _| std::thread::current().id());
+            let threads = map_on(
+                workers,
+                vec![(); n],
+                || (),
+                |_, ()| std::thread::current().id(),
+            );
             assert_eq!(threads.len(), n);
             assert!(
                 threads.iter().all(|&t| t == caller),
@@ -163,27 +213,24 @@ mod tests {
 
     #[test]
     fn empty_input_yields_nothing() {
-        let out: Vec<usize> = map_indexed_on(4, 0, || (), |_, i| i);
-        assert!(out.is_empty());
+        for workers in WORKERS {
+            let out: Vec<usize> = run(workers, Vec::new(), &|| (), &|_, i: usize| i);
+            assert!(out.is_empty());
+        }
         let out: Vec<usize> = map_indexed(0, || (), |_, i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn a_panicking_item_reaches_the_caller_with_its_message() {
-        for workers in [1usize, 2, 3, 8] {
+        for workers in WORKERS {
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                map_indexed_on(
-                    workers,
-                    16,
-                    || (),
-                    |_, i| {
-                        if i == 11 {
-                            panic!("item {i} failed");
-                        }
-                        i
-                    },
-                )
+                run(workers, (0..16).collect(), &|| (), &|_, i: usize| {
+                    if i == 11 {
+                        panic!("item {i} failed");
+                    }
+                    i
+                })
             }));
             let payload = caught.expect_err("the panic must propagate");
             let message = payload

@@ -9,11 +9,6 @@ use earsonar::screening::RetryPolicy;
 /// smallest legal value", never a panic or a degenerate engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Number of independently locked session-table shards. More shards
-    /// means less lock contention between ingest threads and workers; the
-    /// shard count never affects verdicts (pinned by the equivalence
-    /// tests at shard counts {1, 4, 16}).
-    pub shards: usize,
     /// Maximum buffered sample chunks per session. A push against a full
     /// queue returns [`crate::Rejected::QueueFull`] — the producer slows
     /// down. This bounds chunks, not samples: a chunk may be any length.
@@ -34,7 +29,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            shards: 16,
             queue_capacity: 32,
             max_sessions: 4096,
             keep_alive_ticks: 8,
@@ -46,7 +40,6 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The config with every count clamped to its smallest legal value.
     pub(crate) fn normalized(mut self) -> Self {
-        self.shards = self.shards.max(1);
         self.queue_capacity = self.queue_capacity.max(1);
         self.max_sessions = self.max_sessions.max(1);
         self.keep_alive_ticks = self.keep_alive_ticks.max(1);
@@ -61,14 +54,12 @@ mod tests {
     #[test]
     fn zero_knobs_clamp_to_one() {
         let c = EngineConfig {
-            shards: 0,
             queue_capacity: 0,
             max_sessions: 0,
             keep_alive_ticks: 0,
             policy: RetryPolicy::default(),
         }
         .normalized();
-        assert_eq!(c.shards, 1);
         assert_eq!(c.queue_capacity, 1);
         assert_eq!(c.max_sessions, 1);
         assert_eq!(c.keep_alive_ticks, 1);

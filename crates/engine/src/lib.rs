@@ -1,20 +1,22 @@
-//! Concurrent multi-session screening: the throughput layer over the
-//! EarSonar front end.
+//! Multi-session screening: the throughput layer over the EarSonar front
+//! end.
 //!
-//! A population-scale screening service does not see one ear at a time; it
-//! sees thousands of interleaved chirp streams, each trickling in as its
-//! earphone captures audio. [`ScreeningEngine`] multiplexes those streams
-//! over the single-session front end:
+//! A screening device does not always see one ear at a time: a caregiver
+//! may screen both ears, or a clinic a queue of recordings, each chirp
+//! stream trickling in as its earphone captures audio.
+//! [`ScreeningEngine`] multiplexes those streams over the single-session
+//! front end, from one owning thread:
 //!
-//! * a **sharded session table** keyed by [`SessionId`] — sessions hold
-//!   only their accumulated [`earsonar::streaming::ChirpStream`] state (a
-//!   few kilobytes), never a scratch;
+//! * **one session table** keyed by [`SessionId`] — sessions hold only
+//!   their accumulated [`earsonar::streaming::ChirpStream`] state (a few
+//!   kilobytes), never a scratch;
 //! * **bounded per-session ingest queues** with explicit backpressure —
 //!   a full queue returns [`Rejected::QueueFull`], the engine never drops
 //!   a sample silently;
-//! * a **worker pool** ([`ScreeningEngine::drain`]) that claims ready
-//!   sessions across shards, each worker reusing one warm
-//!   [`earsonar_dsp::plan::DspScratch`] for every session it touches;
+//! * **a by-value drain** ([`ScreeningEngine::drain`]) that moves the
+//!   ready sessions out of the table onto the workspace fan-out, each
+//!   worker owning its sessions and one warm
+//!   [`earsonar_dsp::plan::DspScratch`] — no lock and no atomic;
 //! * **tick-driven keep-alive eviction** — time is a logical clock the
 //!   caller advances with [`ScreeningEngine::tick`], so abandoned
 //!   sessions resolve to a typed
@@ -23,7 +25,7 @@
 //!
 //! Verdicts are **bit-identical** to sequential per-session screening via
 //! [`earsonar::screening::screen_recording_quality`] at every worker
-//! count, shard count, and ingest interleaving: both paths feed the same
+//! count and ingest interleaving: both paths feed the same
 //! partition-invariant stream API and resolve through the same
 //! [`earsonar::screening::resolve_stream`] decision sequence, and the
 //! scratch is a pure buffer pool. The `engine_equivalence` integration

@@ -48,7 +48,7 @@ const MAX_BACKPRESSURE_RETRIES: usize = 1024;
 pub struct Schedule {
     /// Session index per delivery step.
     pub tokens: Vec<usize>,
-    /// Worker threads for every drain this schedule triggers.
+    /// Workers requested for every drain this schedule triggers.
     pub workers: usize,
     /// Run a drain after every `drain_every` deliveries (0 = only the
     /// final drain and backpressure-forced ones).

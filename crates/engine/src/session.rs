@@ -6,8 +6,9 @@ use earsonar::screening::ScreeningOutcome;
 use std::fmt;
 
 /// Caller-chosen identifier of one screening session (one ear, one
-/// continuous capture). The engine shards on the raw value, so ids may be
-/// anything unique — sequence numbers, device hashes, database keys.
+/// continuous capture). The engine keys its table on the raw value, so
+/// ids may be anything unique — sequence numbers, device hashes, database
+/// keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub u64);
 

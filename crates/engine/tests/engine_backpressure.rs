@@ -17,10 +17,9 @@ fn full_queue_rejects_without_corrupting_neighbors() {
     let policy = RetryPolicy::default();
     let expected = common::expected_outcomes(system, &recs, &policy);
 
-    // One shard and a two-chunk queue: both sessions contend on the same
-    // lock and session 0 is driven straight into backpressure.
+    // A two-chunk queue: session 0 is driven straight into backpressure
+    // while session 1 shares the table.
     let config = EngineConfig {
-        shards: 1,
         queue_capacity: 2,
         policy,
         ..EngineConfig::default()
@@ -42,7 +41,7 @@ fn full_queue_rejects_without_corrupting_neighbors() {
         Err(Rejected::QueueFull { capacity: 2 })
     );
 
-    // The neighbor on the same shard is unaffected by the full queue.
+    // The neighbor in the same table is unaffected by the full queue.
     for c in &chunks1 {
         loop {
             match engine.push(SessionId(1), c) {
@@ -215,7 +214,6 @@ fn thousand_concurrent_sessions_resolve_in_bounded_memory() {
 
     const SESSIONS: usize = 1000;
     let config = EngineConfig {
-        shards: 16,
         queue_capacity: 4,
         max_sessions: SESSIONS + 8,
         policy,

@@ -66,7 +66,6 @@ fn every_session_completes_once_under_seeded_eviction_schedules() {
         let engine = ScreeningEngine::new(
             system,
             EngineConfig {
-                shards: rng.range_inclusive(1, 4),
                 queue_capacity: rng.range_inclusive(1, 3),
                 keep_alive_ticks: rng.range_inclusive(1, 3) as u64,
                 policy,

@@ -11,9 +11,7 @@
 //! | `nondeterministic-map`  | no `HashMap`/`HashSet` in result-producing crates |
 //! | `wall-clock`            | no `Instant::now`/`SystemTime` outside bench and the CLI |
 //! | `ambient-rng`           | no `rand` outside the `DetRng` modules |
-//! | `lock-order`            | no lock-acquisition-order cycle anywhere in the workspace |
-//! | `guard-across-blocking` | no guard held across a blocking call in a hot-path function |
-//! | `bare-lock`             | no `.lock().unwrap()`/`.lock().expect(…)` in shipped code |
+//! | `lock`                  | no `Mutex`/`RwLock`/`Condvar` in shipped code |
 //! | `layering`              | `earsonar-sim` never in the normal-dep closure of core/ml/signal |
 //! | `unsafe-header`         | every library root carries `#![forbid(unsafe_code)]` |
 //! | `directive`             | lint directives parse, waivers carry reasons, none are stale |
@@ -31,6 +29,5 @@
 
 pub mod lexer;
 pub mod lint;
-pub mod locks;
 pub mod manifest;
 pub mod rules;

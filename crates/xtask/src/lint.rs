@@ -1,9 +1,8 @@
 //! Orchestration: walk the workspace, scope the rule families per crate,
 //! scan every source file, and check the manifest-level invariants.
 
-use crate::locks;
 use crate::manifest::{self, Member};
-use crate::rules::{self, Finding, RuleSet, WaiverRecord, RULE_DIRECTIVE};
+use crate::rules::{self, Finding, RuleSet, WaiverRecord};
 use std::path::{Path, PathBuf};
 
 /// The full result of one lint run.
@@ -41,6 +40,8 @@ impl Report {
 ///   the CLI, whose *product* is timing and user interaction.
 /// * **ambient-rng** is banned everywhere; the per-file exemption for
 ///   `rng.rs` (the `DetRng` modules) is applied at scan time.
+/// * **lock** is banned everywhere: the engine has one owner and the
+///   fan-out hands workers disjoint items, so no shipped code needs one.
 pub fn ruleset_for(crate_name: &str) -> RuleSet {
     let panic = matches!(
         crate_name,
@@ -62,9 +63,6 @@ pub fn ruleset_for(crate_name: &str) -> RuleSet {
         maps,
         wall_clock: !timing_crate,
         rng: crate_name != "xtask",
-        // Concurrency discipline is workspace-wide: a deadlock in a
-        // support crate stalls the same process as one in the engine.
-        locks: true,
     }
 }
 
@@ -111,32 +109,9 @@ pub fn run(root: &Path) -> Result<Report, String> {
         report.findings.push(f);
     }
 
-    // Cross-file state: the lock-order relation only exists once every
-    // member's acquisition edges are combined.
-    let mut edges: Vec<locks::Edge> = Vec::new();
-    let mut order_waivers: Vec<locks::OrderWaiver> = Vec::new();
-
     for member in &members {
         report.crates_scanned += 1;
-        scan_member(root, member, &mut report, &mut edges, &mut order_waivers)?;
-    }
-
-    // Global lock-order resolution: cycles across the whole workspace,
-    // waivers applied at their acquisition sites, stale waivers flagged.
-    report
-        .findings
-        .extend(locks::finish_order(&edges, &mut order_waivers));
-    for w in &order_waivers {
-        if w.used {
-            report.waivers_used += 1;
-        } else {
-            report.findings.push(Finding {
-                file: w.file.clone(),
-                line: w.directive_line,
-                rule: RULE_DIRECTIVE,
-                message: "waiver for `lock-order` suppresses nothing — remove it".to_string(),
-            });
-        }
+        scan_member(root, member, &mut report)?;
     }
 
     report.findings.sort_by(|a, b| {
@@ -151,13 +126,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
     Ok(report)
 }
 
-fn scan_member(
-    root: &Path,
-    member: &Member,
-    report: &mut Report,
-    edges: &mut Vec<locks::Edge>,
-    order_waivers: &mut Vec<locks::OrderWaiver>,
-) -> Result<(), String> {
+fn scan_member(root: &Path, member: &Member, report: &mut Report) -> Result<(), String> {
     let rules = ruleset_for(&member.name);
 
     // Source rules cover shipped code only: `src/` trees. Integration
@@ -176,13 +145,11 @@ fn scan_member(
             file_rules.rng = false;
         }
         let label = rel_label(root, path);
-        let out = rules::scan_source_model(&label, &text, file_rules);
+        let out = rules::scan_source(&label, &text, file_rules);
         report.findings.extend(out.findings);
         report.hot_functions += out.stats.hot_functions;
         report.waivers_used += out.stats.waivers_used;
         report.waivers.extend(out.waivers);
-        edges.extend(out.edges);
-        order_waivers.extend(out.order_waivers);
     }
 
     // Header hygiene: every library root forbids unsafe code.
