@@ -6,6 +6,11 @@
 //! The two families together replay over 100 distinct schedules; the
 //! final test counts them explicitly so the bar is enforced, not
 //! implied.
+//!
+//! A schedule's worker count is a request: each drain runs on
+//! `min(workers, ready sessions, host cores)` threads, so on a 2-core
+//! host `workers = 4` runs 2 threads and on a 1-core host every drain
+//! runs inline. The axis varies the request, not the thread count.
 
 mod common;
 
