@@ -334,9 +334,7 @@ mod tests {
     use std::f64::consts::PI;
 
     /// Runs one `_with` spectral operation on a cold scratch.
-    fn cold(
-        op: impl FnOnce(&mut DspScratch, &mut Vec<f64>) -> Result<(), DspError>,
-    ) -> Vec<f64> {
+    fn cold(op: impl FnOnce(&mut DspScratch, &mut Vec<f64>) -> Result<(), DspError>) -> Vec<f64> {
         let mut out = Vec::new();
         op(&mut DspScratch::new(), &mut out).unwrap();
         out
@@ -359,8 +357,7 @@ mod tests {
             .collect();
         for d in [0.0, 0.25, 0.5, 0.75, 3.3] {
             let y = cold(|s, o| delay_fractional_allpass_with(&x, d, 512, s, o));
-            let mag_x =
-                earsonar_dsp::goertzel::goertzel_magnitude(&x, 18_000.0, fs).unwrap();
+            let mag_x = earsonar_dsp::goertzel::goertzel_magnitude(&x, 18_000.0, fs).unwrap();
             let mag_y = earsonar_dsp::goertzel::goertzel_magnitude(
                 &y[..256 + d.ceil() as usize],
                 18_000.0,
@@ -483,7 +480,9 @@ mod tests {
         // Observable consequence: a half-sample delay annihilates a pure
         // Nyquist-frequency tone (cos(π/2) = 0). The tone must fill the
         // analysis frame exactly, so drive the delay line directly.
-        let nyq: Vec<f64> = (0..16).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let nyq: Vec<f64> = (0..16)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let plan = RealFftPlan::new(16).unwrap();
         let mut work = Vec::new();
         let mut line = SpectralDelayLine::new();

@@ -91,7 +91,9 @@ fn kernel_pairs(b: &Bencher) {
     b.report(&format!("correlation/scalar/{n}"), || {
         pearson_scalar(&x, &y).unwrap()
     });
-    b.report(&format!("correlation/vectorized/{n}"), || pearson(&x, &y).unwrap());
+    b.report(&format!("correlation/vectorized/{n}"), || {
+        pearson(&x, &y).unwrap()
+    });
 
     let n_fft = 1024;
     let bank = MelFilterBank::new(26, n_fft, 48_000.0, 16_000.0, 20_000.0).unwrap();
@@ -111,7 +113,8 @@ fn kernel_pairs(b: &Bencher) {
     let x = random_signal(n, 106);
     let mut coeffs = Vec::new();
     b.report(&format!("mfcc/scalar/{n}"), || {
-        ex.extract_into_scalar(&mut scratch, &x, &mut coeffs).unwrap();
+        ex.extract_into_scalar(&mut scratch, &x, &mut coeffs)
+            .unwrap();
         black_box(coeffs[0])
     });
     b.report(&format!("mfcc/vectorized/{n}"), || {
@@ -194,7 +197,8 @@ fn fft_lanes<const L: usize>(b: &Bencher, n: usize) {
     let mut buf = signal.clone();
     report_lanes(b, &format!("fft_lanes/{L}x{n}"), L, || {
         buf.copy_from_slice(&signal);
-        plan.execute_lanes(split_frames_mut::<L>(&mut buf), false).unwrap();
+        plan.execute_lanes(split_frames_mut::<L>(&mut buf), false)
+            .unwrap();
         black_box(buf[0])
     });
 }

@@ -44,7 +44,13 @@ fn main() {
     println!("overall accuracy: {}\n", pct(report.accuracy));
 
     let mut c = Table::new("Fig. 13(d): confusion matrix (rows = actual)");
-    c.header(["actual \\ predicted", "Clear", "Serous", "Mucoid", "Purulent"]);
+    c.header([
+        "actual \\ predicted",
+        "Clear",
+        "Serous",
+        "Mucoid",
+        "Purulent",
+    ]);
     for (i, row) in report.confusion.normalized().iter().enumerate() {
         let mut cells = vec![MeeState::from_index(i).label().to_string()];
         cells.extend(row.iter().map(|v| format!("{v:.2}")));

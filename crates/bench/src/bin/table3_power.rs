@@ -6,9 +6,9 @@
 //! draw + audio chain + CPU duty cycle from the *measured* pipeline
 //! latency. The substitution is recorded in DESIGN.md.
 
-use earsonar_bench::power::{measure_stage_latency, paper_power_table};
 use earsonar::report::{num, Table};
 use earsonar::{EarSonar, EarSonarConfig};
+use earsonar_bench::power::{measure_stage_latency, paper_power_table};
 use earsonar_bench::standard_dataset;
 use earsonar_sim::session::SessionConfig;
 

@@ -177,10 +177,7 @@ mod tests {
     fn mi10_draws_most() {
         let l = latency_fixture();
         let table = paper_power_table(&l, 120.0);
-        let max = table
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap();
+        let max = table.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
         assert_eq!(max.0, "MI 10");
     }
 

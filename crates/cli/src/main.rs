@@ -92,7 +92,9 @@ impl Args {
     fn policy(&self) -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
-            min_accepted_chirps: self.quorum.unwrap_or(RetryPolicy::default().min_accepted_chirps),
+            min_accepted_chirps: self
+                .quorum
+                .unwrap_or(RetryPolicy::default().min_accepted_chirps),
             ..RetryPolicy::default()
         }
     }
@@ -133,9 +135,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
             }
             "--out" => {
                 i += 1;
-                args.out = Some(PathBuf::from(
-                    rest.get(i).ok_or("--out needs a directory")?,
-                ));
+                args.out = Some(PathBuf::from(rest.get(i).ok_or("--out needs a directory")?));
             }
             "--model" => {
                 i += 1;
@@ -241,7 +241,10 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
 fn cmd_train(args: &Args) -> Result<(), String> {
     let model_path = args.model.as_ref().ok_or("train requires --model FILE")?;
-    let backend = args.backend.as_deref().unwrap_or(earsonar::backend::REFERENCE_BACKEND);
+    let backend = args
+        .backend
+        .as_deref()
+        .unwrap_or(earsonar::backend::REFERENCE_BACKEND);
     let data = build_dataset(args.patients, args.seed);
     eprintln!(
         "training backend `{backend}` on {} sessions from {} patients…",
@@ -306,7 +309,10 @@ fn outcome_line(outcome: &ScreeningOutcome) -> String {
         }
         ScreeningOutcome::Inconclusive(r) => {
             let why = match r.reason {
-                InconclusiveReason::QuorumNotMet { needed, best_usable } => {
+                InconclusiveReason::QuorumNotMet {
+                    needed,
+                    best_usable,
+                } => {
                     format!("only {best_usable} of the {needed} required usable chirps")
                 }
                 InconclusiveReason::SourceExhausted => "no capture available".to_string(),
@@ -692,7 +698,10 @@ mod tests {
         write_stereo_f32(&stereo, &data.sessions[3].recording.samples, rate);
         let files = [
             mono("0_clean.wav", &data.sessions[0].recording.samples),
-            mono("1_truncated.wav", &data.sessions[1].recording.samples[..config.chirp_hop / 2]),
+            mono(
+                "1_truncated.wav",
+                &data.sessions[1].recording.samples[..config.chirp_hop / 2],
+            ),
             mono("2_clean.wav", &data.sessions[2].recording.samples),
             stereo,
         ];

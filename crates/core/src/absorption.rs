@@ -47,7 +47,11 @@ impl EchoSpectrum {
 
     /// Depth of the dip relative to the profile maximum, in `[0, 1]`.
     pub fn dip_depth(&self) -> f64 {
-        let max = self.profile.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let max = self
+            .profile
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max);
         let min = self.profile.iter().copied().fold(f64::INFINITY, f64::min);
         if max <= 0.0 || !max.is_finite() {
             0.0
@@ -149,9 +153,7 @@ pub fn echo_ir_spectra<const L: usize>(
     let k_hi = ((p_hi / df).ceil() as usize).min(n_fft / 2);
     let cal_sq = calibration * calibration;
     let frequencies: Vec<f64> = (0..config.psd_profile_bins)
-        .map(|i| {
-            p_lo + (p_hi - p_lo) * i as f64 / (config.psd_profile_bins - 1).max(1) as f64
-        })
+        .map(|i| p_lo + (p_hi - p_lo) * i as f64 / (config.psd_profile_bins - 1).max(1) as f64)
         .collect();
     let bins = split_frames::<L>(&spec);
     let spectra = std::array::from_fn(|l| {
@@ -262,9 +264,7 @@ mod tests {
         assert_eq!(spec.profile.len(), cfg.psd_profile_bins);
         assert_eq!(spec.frequencies.len(), cfg.psd_profile_bins);
         assert!((spec.frequencies[0] - cfg.profile_band_hz.0).abs() < 1.0);
-        assert!(
-            (spec.frequencies[cfg.psd_profile_bins - 1] - cfg.profile_band_hz.1).abs() < 1.0
-        );
+        assert!((spec.frequencies[cfg.psd_profile_bins - 1] - cfg.profile_band_hz.1).abs() < 1.0);
         assert!(spec.profile.iter().all(|&v| v >= 0.0));
         assert!(spec.band_power > 0.0);
         assert_eq!(spec.echo_window.len(), cfg.echo_ir_pre + cfg.echo_ir_tail);

@@ -113,8 +113,7 @@ impl Clone for Box<dyn Classifier> {
 }
 
 /// Constructor signature for a backend's feature extractor.
-pub type MakeExtractorFn =
-    fn(&EarSonarConfig) -> Result<Arc<dyn FeatureExtractor>, EarSonarError>;
+pub type MakeExtractorFn = fn(&EarSonarConfig) -> Result<Arc<dyn FeatureExtractor>, EarSonarError>;
 
 /// Training signature: labelled feature vectors in, fitted classifier out.
 pub type FitFn =

@@ -250,7 +250,10 @@ mod tests {
 
     #[test]
     fn template_matches_chirp_length() {
-        assert_eq!(chirp_template(&EarSonarConfig::default()).unwrap().len(), 24);
+        assert_eq!(
+            chirp_template(&EarSonarConfig::default()).unwrap().len(),
+            24
+        );
     }
 
     #[test]
@@ -314,9 +317,18 @@ mod tests {
         }
         let ir = est.estimate(&window).unwrap();
         // Band-limited taps: check the ratio structure, not absolutes.
-        assert!(ir[9] > ir[1], "echo tap {} should exceed direct {}", ir[9], ir[1]);
+        assert!(
+            ir[9] > ir[1],
+            "echo tap {} should exceed direct {}",
+            ir[9],
+            ir[1]
+        );
         assert!(ir[1] > 0.1, "direct tap {}", ir[1]);
-        assert!((ir[9] / ir[1] - 0.5 / 0.35).abs() < 0.5, "ratio {}", ir[9] / ir[1]);
+        assert!(
+            (ir[9] / ir[1] - 0.5 / 0.35).abs() < 0.5,
+            "ratio {}",
+            ir[9] / ir[1]
+        );
     }
 
     #[test]
@@ -377,7 +389,10 @@ mod tests {
         let avg = average_irs(&irs).unwrap();
         let noise_single: f64 = irs[0][30..60].iter().map(|v| v * v).sum();
         let noise_avg: f64 = avg[30..60].iter().map(|v| v * v).sum();
-        assert!(noise_avg < 0.3 * noise_single, "{noise_avg} vs {noise_single}");
+        assert!(
+            noise_avg < 0.3 * noise_single,
+            "{noise_avg} vs {noise_single}"
+        );
         // The averaged tap matches a single-chirp clean estimate.
         let mut clean = vec![0.0; 240];
         for (i, &v) in t.iter().enumerate() {

@@ -173,11 +173,7 @@ pub fn inspect_recording(
     Ok(render_report(recording, &processed, front_end))
 }
 
-fn render_report(
-    recording: &Recording,
-    p: &ProcessedRecording,
-    front_end: &FrontEnd,
-) -> String {
+fn render_report(recording: &Recording, p: &ProcessedRecording, front_end: &FrontEnd) -> String {
     let mut out = String::new();
     let cfg = front_end.config();
     let _ = writeln!(

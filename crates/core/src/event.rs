@@ -208,7 +208,10 @@ mod tests {
         let events = vec![
             EventSpan { start: 0, end: 10 },
             EventSpan { start: 12, end: 20 },
-            EventSpan { start: 100, end: 110 },
+            EventSpan {
+                start: 100,
+                end: 110,
+            },
         ];
         let merged = merge_close_events(events, 5);
         assert_eq!(merged.len(), 2);

@@ -172,12 +172,7 @@ impl FeatureExtractor {
             .sum::<f64>()
             / total)
             .sqrt();
-        let geo_mean = (p
-            .iter()
-            .map(|&v| (v.max(1e-12)).ln())
-            .sum::<f64>()
-            / p.len() as f64)
-            .exp();
+        let geo_mean = (p.iter().map(|&v| (v.max(1e-12)).ln()).sum::<f64>() / p.len() as f64).exp();
         let flatness = geo_mean / (total / p.len() as f64);
         let half = p.len() / 2;
         let low_half: f64 = p[..half].iter().sum();

@@ -178,7 +178,9 @@ mod tests {
         let cfg = config();
         let ex = AbsorbanceExtractor::new(&cfg).unwrap();
         let (spec, echo) = notched_ir_spectrum(0.3, &cfg);
-        let f = ex.extract(std::slice::from_ref(&spec), &spec, &[echo]).unwrap();
+        let f = ex
+            .extract(std::slice::from_ref(&spec), &spec, &[echo])
+            .unwrap();
         assert_eq!(f.len(), ABSORBANCE_FEATURE_COUNT);
         assert!(f.iter().all(|v| v.is_finite()), "non-finite feature: {f:?}");
     }
@@ -227,7 +229,9 @@ mod tests {
         let cfg = config();
         let ex = AbsorbanceExtractor::new(&cfg).unwrap();
         let (spec, echo) = notched_ir_spectrum(0.5, &cfg);
-        let f = ex.extract(std::slice::from_ref(&spec), &spec, &[echo]).unwrap();
+        let f = ex
+            .extract(std::slice::from_ref(&spec), &spec, &[echo])
+            .unwrap();
         for &sim in &f[40..43] {
             assert!((-1.0..=1.0).contains(&sim), "similarity {sim}");
         }

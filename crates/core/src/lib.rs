@@ -67,7 +67,6 @@
 // parameter validation; `partial_cmp` would obscure that intent.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-
 pub mod absorption;
 pub mod backend;
 pub mod baseline;

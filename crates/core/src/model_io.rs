@@ -79,7 +79,11 @@ pub fn model_to_string(system: &EarSonar) -> String {
     let _ = writeln!(out, "chirp: {} {}", cfg.chirp_len, cfg.chirp_hop);
     let _ = writeln!(out, "event_window: {}", cfg.event_window);
     let _ = writeln!(out, "min_symmetry_support: {}", cfg.min_symmetry_support);
-    let _ = writeln!(out, "parity_energy_threshold: {}", cfg.parity_energy_threshold);
+    let _ = writeln!(
+        out,
+        "parity_energy_threshold: {}",
+        cfg.parity_energy_threshold
+    );
     let _ = writeln!(
         out,
         "eardrum_distance_range_m: {} {}",
@@ -134,8 +138,7 @@ pub fn model_to_string(system: &EarSonar) -> String {
 ///
 /// Returns [`EarSonarError::BadRecording`] on I/O failure.
 pub fn save_model(path: impl AsRef<Path>, system: &EarSonar) -> Result<(), EarSonarError> {
-    std::fs::write(path, model_to_string(system))
-        .map_err(|_| bad("could not write the model file"))
+    std::fs::write(path, model_to_string(system)).map_err(|_| bad("could not write the model file"))
 }
 
 /// Parses a model from its text form.
@@ -168,9 +171,7 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
     let usizes = parse_usizes;
     let one_usize = parse_one_usize;
     fn one_f64(s: &str) -> Result<f64, EarSonarError> {
-        s.trim()
-            .parse()
-            .map_err(|_| bad("bad float in model file"))
+        s.trim().parse().map_err(|_| bad("bad float in model file"))
     }
     fn two_f64(s: &str) -> Result<(f64, f64), EarSonarError> {
         let v = parse_f64s(s)?;
@@ -304,10 +305,7 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
 /// Returns [`EarSonarError::UnknownBackend`] if `backend_name` is not
 /// registered, [`EarSonarError::BackendMismatch`] if the model was saved
 /// by a different backend, plus the conditions of [`model_from_string`].
-pub fn model_from_string_as(
-    text: &str,
-    backend_name: &str,
-) -> Result<EarSonar, EarSonarError> {
+pub fn model_from_string_as(text: &str, backend_name: &str) -> Result<EarSonar, EarSonarError> {
     let requested = backend::lookup(backend_name)?;
     let system = model_from_string(text)?;
     if system.backend() != requested.name {
@@ -326,8 +324,7 @@ pub fn model_from_string_as(
 /// Returns [`EarSonarError::BadRecording`] on I/O failure or format
 /// violations.
 pub fn load_model(path: impl AsRef<Path>) -> Result<EarSonar, EarSonarError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|_| bad("could not read the model file"))?;
+    let text = std::fs::read_to_string(path).map_err(|_| bad("could not read the model file"))?;
     model_from_string(&text)
 }
 
@@ -341,8 +338,7 @@ pub fn load_model_as(
     path: impl AsRef<Path>,
     backend_name: &str,
 ) -> Result<EarSonar, EarSonarError> {
-    let text =
-        std::fs::read_to_string(path).map_err(|_| bad("could not read the model file"))?;
+    let text = std::fs::read_to_string(path).map_err(|_| bad("could not read the model file"))?;
     model_from_string_as(&text, backend_name)
 }
 
@@ -392,10 +388,7 @@ mod tests {
     fn config_survives_round_trip() {
         let (system, _) = trained();
         let restored = model_from_string(&model_to_string(&system)).expect("parse");
-        assert_eq!(
-            system.front_end().config(),
-            restored.front_end().config()
-        );
+        assert_eq!(system.front_end().config(), restored.front_end().config());
     }
 
     #[test]
@@ -589,8 +582,16 @@ mod tests {
                 line("psd_profile_bins:"),
                 "psd_profile_bins: 4294967296".into(),
             ),
-            ("k_clusters", line("k_clusters:"), "k_clusters: 4294967296".into()),
-            ("top_features", line("top_features:"), "top_features: 4294967296".into()),
+            (
+                "k_clusters",
+                line("k_clusters:"),
+                "k_clusters: 4294967296".into(),
+            ),
+            (
+                "top_features",
+                line("top_features:"),
+                "top_features: 4294967296".into(),
+            ),
             (
                 "echo_ir_pre/echo_ir_tail",
                 line("echo_ir:"),
@@ -606,7 +607,10 @@ mod tests {
         // Integer fields must be integers of their type: no wrap-around
         // of an oversized version, no truncation of a fractional size.
         let parse_cases = [
-            (line("backend_version:"), "backend_version: 4294967297".to_string()),
+            (
+                line("backend_version:"),
+                "backend_version: 4294967297".to_string(),
+            ),
             (line("backend_version:"), "backend_version: -1".to_string()),
             (line("mfcc:"), set_mfcc(2, "256.9")),
             (line("mfcc:"), set_mfcc(3, "26.7")),

@@ -577,7 +577,9 @@ mod tests {
     #[test]
     fn clipped_window_is_caught() {
         // A saturated square-ish wave: half the samples at each rail.
-        let window: Vec<f64> = (0..240).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let window: Vec<f64> = (0..240)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let mut floor = NoiseFloor::default();
         let q = measure_window(&window, &[], &mut floor, 120);
         assert!(q.clip_fraction > 0.9, "clip fraction {}", q.clip_fraction);
@@ -673,11 +675,26 @@ mod tests {
         };
         let s0 = base.score(&cfg);
         for worse in [
-            ChirpQuality { clip_fraction: 0.5, ..base },
-            ChirpQuality { dropout_fraction: 0.8, ..base },
-            ChirpQuality { snr_db: -10.0, ..base },
-            ChirpQuality { correlation: -0.5, ..base },
-            ChirpQuality { dc_fraction: 0.99, ..base },
+            ChirpQuality {
+                clip_fraction: 0.5,
+                ..base
+            },
+            ChirpQuality {
+                dropout_fraction: 0.8,
+                ..base
+            },
+            ChirpQuality {
+                snr_db: -10.0,
+                ..base
+            },
+            ChirpQuality {
+                correlation: -0.5,
+                ..base
+            },
+            ChirpQuality {
+                dc_fraction: 0.99,
+                ..base
+            },
         ] {
             assert!(worse.score(&cfg) <= s0 + 1e-12);
         }

@@ -16,8 +16,8 @@
 //! responses, so every float comes out equal regardless of how the
 //! samples were chunked on the way in (see `tests/streaming_equivalence`).
 
-use crate::error::EarSonarError;
 use crate::diagnostics::Diagnostics;
+use crate::error::EarSonarError;
 use crate::pipeline::{ChirpAccumulator, ChirpOutcome, FrontEnd, ProcessedRecording};
 use crate::quality::SessionQuality;
 use earsonar_dsp::plan::DspScratch;
@@ -201,7 +201,9 @@ mod tests {
         let rec = recording();
         let mut scratch = DspScratch::new();
         let mut stream = ChirpStream::new(&fe);
-        stream.push_samples_with(&fe, &mut scratch, &rec.samples[..100]).unwrap();
+        stream
+            .push_samples_with(&fe, &mut scratch, &rec.samples[..100])
+            .unwrap();
         assert!(matches!(
             stream.push_chirp_with(&fe, &mut scratch, rec.chirp_window(1)),
             Err(EarSonarError::BadRecording { .. })

@@ -119,7 +119,10 @@ fn base_files_load() {
 #[test]
 fn truncation_at_every_offset_never_panics() {
     for (name, text) in base_files() {
-        assert!(text.is_ascii(), "{name}: every byte offset is a char boundary");
+        assert!(
+            text.is_ascii(),
+            "{name}: every byte offset is a char boundary"
+        );
         // The last line (`labeling:`, or the last `weight:` or `sample:`
         // row) is required, so only a cut inside its values can still
         // load.

@@ -288,7 +288,10 @@ mod tests {
         assert!((f.magnitude_at(0.0, 48_000.0) - 1.0).abs() < 1e-9);
         // -3 dB at the cutoff, by Butterworth definition.
         let g_c = f.magnitude_at(2_000.0, 48_000.0);
-        assert!((g_c - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.01, "{g_c}");
+        assert!(
+            (g_c - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.01,
+            "{g_c}"
+        );
         assert!(f.magnitude_at(8_000.0, 48_000.0) < 0.01);
     }
 
@@ -307,7 +310,10 @@ mod tests {
         assert!(f.is_stable());
         assert!((f.magnitude_at(23_999.0, 48_000.0) - 1.0).abs() < 1e-3);
         let g_c = f.magnitude_at(10_000.0, 48_000.0);
-        assert!((g_c - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.01, "{g_c}");
+        assert!(
+            (g_c - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.01,
+            "{g_c}"
+        );
         assert!(f.magnitude_at(1_000.0, 48_000.0) < 1e-3);
     }
 
@@ -364,11 +370,7 @@ mod tests {
         let out_band: Vec<f64> = (0..n)
             .map(|i| (2.0 * PI * 2_000.0 * i as f64 / fs).sin())
             .collect();
-        let mixed: Vec<f64> = in_band
-            .iter()
-            .zip(&out_band)
-            .map(|(a, b)| a + b)
-            .collect();
+        let mixed: Vec<f64> = in_band.iter().zip(&out_band).map(|(a, b)| a + b).collect();
         let y = f.process(&mixed);
         // Steady-state tail should track the in-band tone closely.
         let tail = n / 2..n;

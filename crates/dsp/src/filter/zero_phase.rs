@@ -32,11 +32,7 @@ use crate::filter::biquad::BiquadCascade;
 /// # Ok(())
 /// # }
 /// ```
-pub fn filtfilt(
-    filter: &BiquadCascade,
-    signal: &[f64],
-    pad: usize,
-) -> Result<Vec<f64>, DspError> {
+pub fn filtfilt(filter: &BiquadCascade, signal: &[f64], pad: usize) -> Result<Vec<f64>, DspError> {
     if signal.is_empty() {
         return Err(DspError::EmptyInput);
     }
@@ -248,9 +244,7 @@ mod tests {
                 .collect();
             let y = filtfilt(&f, &x, 256).unwrap();
             let mid = n / 4..3 * n / 4;
-            let rms_y = (mid.clone().map(|i| y[i] * y[i]).sum::<f64>()
-                / mid.len() as f64)
-                .sqrt();
+            let rms_y = (mid.clone().map(|i| y[i] * y[i]).sum::<f64>() / mid.len() as f64).sqrt();
             let single = f.magnitude_at(freq, fs);
             let expect = single * single * std::f64::consts::FRAC_1_SQRT_2;
             assert!(

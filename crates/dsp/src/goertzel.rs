@@ -52,10 +52,7 @@ pub fn goertzel(signal: &[f64], f_hz: f64, fs: f64) -> Result<Complex64, DspErro
     }
     // Finalization: X(ω) = (s[N-1] - e^{-iω} s[N-2]) e^{-iω(N-1)} matches
     // the textbook DFT Σ_n x[n] e^{-iωn}.
-    let y = Complex64::new(
-        s_prev - s_prev2 * omega.cos(),
-        s_prev2 * omega.sin(),
-    );
+    let y = Complex64::new(s_prev - s_prev2 * omega.cos(), s_prev2 * omega.sin());
     let n = signal.len() as f64;
     Ok(y * Complex64::cis(-omega * (n - 1.0)))
 }

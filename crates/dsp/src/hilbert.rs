@@ -27,8 +27,10 @@ pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<C
     let cplan = FftPlan::shared(n).expect("valid plan size");
     let mut work = scratch.take_complex();
     let mut spec = scratch.take_complex();
-    // lint: allow(panic) x.len() <= n by construction of n, so the input fits the padded plan
-    rplan.forward_into(x, &mut work, &mut spec).expect("fits plan");
+    rplan
+        .forward_into(x, &mut work, &mut spec)
+        // lint: allow(panic) x.len() <= n by construction of n, so the input fits the padded plan
+        .expect("fits plan");
     // One-sided doubling: keep DC and Nyquist, double positives, zero
     // negatives.
     let half = n / 2;

@@ -153,11 +153,7 @@ impl FftPlan {
     ///
     /// Returns [`DspError::InvalidLength`] if `data.len()` differs from the
     /// planned size.
-    pub fn execute_in_place(
-        &self,
-        data: &mut [Complex64],
-        inverse: bool,
-    ) -> Result<(), DspError> {
+    pub fn execute_in_place(&self, data: &mut [Complex64], inverse: bool) -> Result<(), DspError> {
         self.check_frames(data.len())?;
         self.run::<1, _>(data.as_chunks_mut::<1>().0, inverse);
         Ok(())
@@ -407,7 +403,11 @@ impl RealFftPlan {
         work.resize(2 * L * (self.n / 2), 0.0);
         out.clear();
         out.resize(2 * L * self.n, 0.0);
-        self.forward_frames(inputs, split_frames_mut::<L>(work), split_frames_mut::<L>(out));
+        self.forward_frames(
+            inputs,
+            split_frames_mut::<L>(work),
+            split_frames_mut::<L>(out),
+        );
         Ok(())
     }
 
@@ -432,7 +432,10 @@ impl RealFftPlan {
     ) {
         if self.n == 1 {
             for (l, input) in inputs.iter().enumerate() {
-                out[0].set_lane(l, Complex64::from_real(input.first().copied().unwrap_or(0.0)));
+                out[0].set_lane(
+                    l,
+                    Complex64::from_real(input.first().copied().unwrap_or(0.0)),
+                );
             }
             return;
         }
@@ -524,7 +527,11 @@ impl RealFftPlan {
         }
         work.clear();
         work.resize(2 * L * (self.n / 2), 0.0);
-        self.inverse_frames(split_frames::<L>(spectrum), split_frames_mut::<L>(work), out);
+        self.inverse_frames(
+            split_frames::<L>(spectrum),
+            split_frames_mut::<L>(work),
+            out,
+        );
         Ok(())
     }
 

@@ -195,12 +195,7 @@ pub fn centered_moments(a: &[f64], mean_a: f64, b: &[f64], mean_b: f64) -> (f64,
 }
 
 /// The scalar reference for [`centered_moments`].
-pub fn centered_moments_scalar(
-    a: &[f64],
-    mean_a: f64,
-    b: &[f64],
-    mean_b: f64,
-) -> (f64, f64, f64) {
+pub fn centered_moments_scalar(a: &[f64], mean_a: f64, b: &[f64], mean_b: f64) -> (f64, f64, f64) {
     let (mut cov, mut va, mut vb) = (0.0f64, 0.0f64, 0.0f64);
     for (&x, &y) in a.iter().zip(b) {
         let da = x - mean_a;

@@ -129,16 +129,14 @@ fn scan_chunks(bytes: &[u8]) -> Result<(WavFmt, &[u8]), DspError> {
         match id {
             b"fmt " if size >= 16 && body_start + 16 <= bytes.len() => {
                 let tag = u16::from_le_bytes([bytes[body_start], bytes[body_start + 1]]);
-                let channels =
-                    u16::from_le_bytes([bytes[body_start + 2], bytes[body_start + 3]]);
+                let channels = u16::from_le_bytes([bytes[body_start + 2], bytes[body_start + 3]]);
                 let rate = u32::from_le_bytes([
                     bytes[body_start + 4],
                     bytes[body_start + 5],
                     bytes[body_start + 6],
                     bytes[body_start + 7],
                 ]);
-                let bits =
-                    u16::from_le_bytes([bytes[body_start + 14], bytes[body_start + 15]]);
+                let bits = u16::from_le_bytes([bytes[body_start + 14], bytes[body_start + 15]]);
                 fmt = Some((tag, channels, rate, bits));
             }
             b"data" => data = Some(&bytes[body_start..body_end]),

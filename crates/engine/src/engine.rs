@@ -437,7 +437,9 @@ mod tests {
                 engine.push(SessionId(1), &chunk),
                 Err(Rejected::UnknownSession)
             );
-            engine.push(SessionId(0), &chunk).expect("session 0 survives");
+            engine
+                .push(SessionId(0), &chunk)
+                .expect("session 0 survives");
             let ids: Vec<u64> = engine.take_completed().iter().map(|c| c.id.0).collect();
             assert_eq!(ids, vec![2, 3], "workers = {workers}");
             let stats = engine.stats();

@@ -208,7 +208,10 @@ impl fmt::Display for ScheduleError {
                 write!(f, "{in_flight} sessions unresolved after the final drain")
             }
             ScheduleError::Missing { session } => {
-                write!(f, "session {session} accepted chunks but produced no verdict")
+                write!(
+                    f,
+                    "session {session} accepted chunks but produced no verdict"
+                )
             }
         }
     }
@@ -304,7 +307,10 @@ pub fn replay(
     }
     let completed = engine.take_completed();
     for (s, _) in recordings.iter().enumerate() {
-        let records = completed.iter().filter(|c| c.id == SessionId(s as u64)).count();
+        let records = completed
+            .iter()
+            .filter(|c| c.id == SessionId(s as u64))
+            .count();
         if records != 1 {
             return Err(ScheduleError::Missing { session: s });
         }

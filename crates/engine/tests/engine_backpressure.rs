@@ -98,7 +98,9 @@ fn stalled_session_evicts_to_inconclusive_after_keep_alive() {
 
     // A few chirps arrive, then the producer dies mid-session.
     let hop = recs[0].chirp_hop;
-    engine.push(SessionId(9), &recs[0].samples[..4 * hop]).unwrap();
+    engine
+        .push(SessionId(9), &recs[0].samples[..4 * hop])
+        .unwrap();
     engine.drain(1);
     assert_eq!(engine.in_flight(), 1);
 
@@ -177,7 +179,10 @@ fn duplicate_unknown_and_closed_ids_are_typed_errors() {
         Err(Rejected::UnknownSession)
     );
     engine.close(SessionId(5)).unwrap();
-    assert_eq!(engine.push(SessionId(5), &[0.0; 8]), Err(Rejected::SessionClosed));
+    assert_eq!(
+        engine.push(SessionId(5), &[0.0; 8]),
+        Err(Rejected::SessionClosed)
+    );
     assert_eq!(engine.close(SessionId(5)), Err(Rejected::SessionClosed));
     engine.drain(1);
     assert_eq!(engine.close(SessionId(5)), Err(Rejected::UnknownSession));
@@ -250,7 +255,10 @@ fn thousand_concurrent_sessions_resolve_in_bounded_memory() {
             let hi = (lo + hop).min(rec.samples.len());
             // A full queue is skipped this round and retried after a
             // later drain — backpressure, not failure.
-            if engine.push(SessionId(s as u64), &rec.samples[lo..hi]).is_ok() {
+            if engine
+                .push(SessionId(s as u64), &rec.samples[lo..hi])
+                .is_ok()
+            {
                 cursor[s] += 1;
             }
         }

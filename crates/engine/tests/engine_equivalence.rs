@@ -41,8 +41,7 @@ fn seeded_interleavings_match_sequential_at_workers_1_2_4() {
         for done in &completed {
             let outcome = done.outcome.as_ref().expect("engine outcome");
             assert_eq!(
-                *outcome,
-                expected[done.id.0 as usize],
+                *outcome, expected[done.id.0 as usize],
                 "verdict diverged at workers={workers} seed={seed} id={}",
                 done.id
             );
@@ -76,8 +75,7 @@ fn distinct_interleavings_agree_with_each_other() {
 fn per_session_diagnostics_match_the_stream() {
     let system = common::system();
     let recs = common::recordings(3, 44, CHIRPS);
-    let completed =
-        common::run_interleaved(system, &recs, EngineConfig::default(), 2, 2400, 5);
+    let completed = common::run_interleaved(system, &recs, EngineConfig::default(), 2, 2400, 5);
 
     // The engine's aggregate equals the sum of the per-session counters.
     let mut total = 0usize;

@@ -119,7 +119,10 @@ fn every_session_completes_once_under_seeded_eviction_schedules() {
                             if r.reason == InconclusiveReason::SourceExhausted),
                         "seed {seed}: evicted {s}"
                     );
-                    assert_eq!(engine.push(id, &recs[s].samples), Err(Rejected::UnknownSession));
+                    assert_eq!(
+                        engine.push(id, &recs[s].samples),
+                        Err(Rejected::UnknownSession)
+                    );
                     assert_eq!(engine.close(id), Err(Rejected::UnknownSession));
                 }
                 (Some((n, true)), Some(c)) => {
@@ -135,8 +138,14 @@ fn every_session_completes_once_under_seeded_eviction_schedules() {
         }
         let opened = state.iter().flatten().count();
         let stats = engine.stats();
-        assert_eq!((stats.opened, stats.resolved + stats.evicted), (opened, opened));
+        assert_eq!(
+            (stats.opened, stats.resolved + stats.evicted),
+            (opened, opened)
+        );
     }
     // The schedules exercise both ways a session can end.
-    assert!(evicted > 0 && resolved > 0, "{evicted} evicted, {resolved} resolved");
+    assert!(
+        evicted > 0 && resolved > 0,
+        "{evicted} evicted, {resolved} resolved"
+    );
 }

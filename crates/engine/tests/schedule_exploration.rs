@@ -49,8 +49,14 @@ fn exhaustive_enumeration_of_three_sessions_is_bit_identical() {
     let schedules = schedule::enumerate_all(&counts, 2, usize::MAX);
     assert_eq!(schedules.len(), 90);
 
-    let result = schedule::explore(system, &recs, EngineConfig::default(), &schedules, chunk_len)
-        .expect("exploration completes");
+    let result = schedule::explore(
+        system,
+        &recs,
+        EngineConfig::default(),
+        &schedules,
+        chunk_len,
+    )
+    .expect("exploration completes");
     assert_eq!(result.schedules_run, 90);
     assert_eq!(result.baseline.len(), recs.len());
     assert!(
@@ -68,8 +74,9 @@ fn seeded_schedules_vary_workers_and_drain_cadence() {
     let counts = chunk_counts(&recs, chunk_len);
 
     let mut schedules = Vec::new();
-    for (i, &(workers, drain_every)) in
-        [(1usize, 0usize), (2, 0), (2, 3), (4, 2)].iter().enumerate()
+    for (i, &(workers, drain_every)) in [(1usize, 0usize), (2, 0), (2, 3), (4, 2)]
+        .iter()
+        .enumerate()
     {
         for seed in 0..4u64 {
             schedules.push(Schedule::seeded(
@@ -81,8 +88,14 @@ fn seeded_schedules_vary_workers_and_drain_cadence() {
         }
     }
 
-    let result = schedule::explore(system, &recs, EngineConfig::default(), &schedules, chunk_len)
-        .expect("exploration completes");
+    let result = schedule::explore(
+        system,
+        &recs,
+        EngineConfig::default(),
+        &schedules,
+        chunk_len,
+    )
+    .expect("exploration completes");
     assert!(
         result.is_clean(),
         "verdicts diverged: {:?}",
@@ -133,8 +146,9 @@ fn explored_interleavings_exceed_one_hundred_distinct_schedules() {
     let len4 = chunk_len_for(&recs4, 3);
     let counts4 = chunk_counts(&recs4, len4);
     let mut seeded = Vec::new();
-    for (i, &(workers, drain_every)) in
-        [(1usize, 0usize), (2, 0), (2, 3), (4, 2)].iter().enumerate()
+    for (i, &(workers, drain_every)) in [(1usize, 0usize), (2, 0), (2, 3), (4, 2)]
+        .iter()
+        .enumerate()
     {
         for seed in 0..4u64 {
             seeded.push(Schedule::seeded(
@@ -166,5 +180,8 @@ fn explored_interleavings_exceed_one_hundred_distinct_schedules() {
         .expect("seeded family");
     assert!(a.is_clean(), "{:?}", a.divergences);
     assert!(b.is_clean(), "{:?}", b.divergences);
-    assert_eq!(a.schedules_run + b.schedules_run, exhaustive.len() + seeded.len());
+    assert_eq!(
+        a.schedules_run + b.schedules_run,
+        exhaustive.len() + seeded.len()
+    );
 }

@@ -37,7 +37,10 @@ impl fmt::Display for MlError {
         match self {
             MlError::EmptyDataset => write!(f, "dataset is empty"),
             MlError::DimensionMismatch { expected, actual } => {
-                write!(f, "sample dimensionality {actual} does not match {expected}")
+                write!(
+                    f,
+                    "sample dimensionality {actual} does not match {expected}"
+                )
             }
             MlError::InvalidParameter { name, constraint } => {
                 write!(f, "invalid parameter `{name}`: {constraint}")

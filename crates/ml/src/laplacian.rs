@@ -141,7 +141,11 @@ pub fn laplacian_scores(data: &[Vec<f64>], config: &LaplacianConfig) -> Result<V
         }
         // f̃ᵀ D f̃.
         let den: f64 = ft.iter().zip(&degree).map(|(&v, &d)| v * v * d).sum();
-        scores.push(if den > 1e-300 { num / den } else { f64::INFINITY });
+        scores.push(if den > 1e-300 {
+            num / den
+        } else {
+            f64::INFINITY
+        });
     }
     Ok(scores)
 }

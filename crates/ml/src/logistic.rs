@@ -295,7 +295,10 @@ mod tests {
         for c in 0..4usize {
             for i in 0..8 {
                 let jitter = i as f64 * 0.03;
-                data.push(vec![c as f64 - 1.5 + jitter, (c as f64 - 1.5) * 0.5 - jitter]);
+                data.push(vec![
+                    c as f64 - 1.5 + jitter,
+                    (c as f64 - 1.5) * 0.5 - jitter,
+                ]);
                 labels.push(c);
             }
         }
@@ -303,7 +306,11 @@ mod tests {
             MultinomialLogistic::fit(&data, &labels, 4, &LogisticConfig::default()).unwrap();
         let pred = model.predict_batch(&data).unwrap();
         let correct = pred.iter().zip(&labels).filter(|(p, l)| p == l).count();
-        assert!(correct * 10 >= labels.len() * 9, "{correct}/{}", labels.len());
+        assert!(
+            correct * 10 >= labels.len() * 9,
+            "{correct}/{}",
+            labels.len()
+        );
     }
 
     #[test]
@@ -314,9 +321,7 @@ mod tests {
         assert!(MultinomialLogistic::fit(&data, &[0], 0, &LogisticConfig::default()).is_err());
         assert!(MultinomialLogistic::fit(&data, &[5], 2, &LogisticConfig::default()).is_err());
         let ragged = vec![vec![1.0], vec![1.0, 2.0]];
-        assert!(
-            MultinomialLogistic::fit(&ragged, &[0, 1], 2, &LogisticConfig::default()).is_err()
-        );
+        assert!(MultinomialLogistic::fit(&ragged, &[0, 1], 2, &LogisticConfig::default()).is_err());
         let bad_cfg = LogisticConfig {
             iters: 0,
             ..Default::default()

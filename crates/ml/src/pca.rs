@@ -108,8 +108,7 @@ impl Pca {
             }
             found.push((v, lambda.max(0.0)));
         }
-        let (components, explained_variance): (Vec<Vec<f64>>, Vec<f64>) =
-            found.into_iter().unzip();
+        let (components, explained_variance): (Vec<Vec<f64>>, Vec<f64>) = found.into_iter().unzip();
         Ok(Pca {
             mean,
             components,
@@ -129,7 +128,11 @@ impl Pca {
                 actual: sample.len(),
             });
         }
-        let centered: Vec<f64> = sample.iter().zip(&self.mean).map(|(&v, &m)| v - m).collect();
+        let centered: Vec<f64> = sample
+            .iter()
+            .zip(&self.mean)
+            .map(|(&v, &m)| v - m)
+            .collect();
         Ok(self
             .components
             .iter()
@@ -217,12 +220,10 @@ mod tests {
         let pca = Pca::fit(&data, 1).unwrap();
         let projected = pca.transform(&data).unwrap();
         // Projection mean is ~0 (centering).
-        let mean: f64 =
-            projected.iter().map(|p| p[0]).sum::<f64>() / projected.len() as f64;
+        let mean: f64 = projected.iter().map(|p| p[0]).sum::<f64>() / projected.len() as f64;
         assert!(mean.abs() < 1e-9);
         // Projection variance equals the first eigenvalue.
-        let var: f64 =
-            projected.iter().map(|p| p[0] * p[0]).sum::<f64>() / projected.len() as f64;
+        let var: f64 = projected.iter().map(|p| p[0] * p[0]).sum::<f64>() / projected.len() as f64;
         assert!(
             (var - pca.explained_variance()[0]).abs() < 0.05 * var,
             "{var} vs {:?}",

@@ -147,8 +147,14 @@ mod tests {
         let g_cs = gap(MeeState::Clear, MeeState::Serous);
         let g_sm = gap(MeeState::Serous, MeeState::Mucoid);
         let g_mp = gap(MeeState::Mucoid, MeeState::Purulent);
-        assert!(g_mp < g_sm, "mucoid-purulent must be tightest: {g_mp} vs {g_sm}");
-        assert!(g_mp < g_cs, "mucoid-purulent must be tightest: {g_mp} vs {g_cs}");
+        assert!(
+            g_mp < g_sm,
+            "mucoid-purulent must be tightest: {g_mp} vs {g_sm}"
+        );
+        assert!(
+            g_mp < g_cs,
+            "mucoid-purulent must be tightest: {g_mp} vs {g_cs}"
+        );
         assert!(g_cs > 5.0, "clear must separate strongly: {g_cs}");
     }
 
@@ -158,9 +164,7 @@ mod tests {
             let (lo, hi) = s.thickness_range();
             assert!(lo <= hi);
         }
-        assert!(
-            MeeState::Serous.thickness_range().1 <= MeeState::Purulent.thickness_range().1
-        );
+        assert!(MeeState::Serous.thickness_range().1 <= MeeState::Purulent.thickness_range().1);
     }
 
     #[test]

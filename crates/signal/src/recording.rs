@@ -81,8 +81,9 @@ impl Recording {
     /// Panics if `i >= n_chirps`.
     pub fn chirp_window(&self, i: usize) -> &[f64] {
         assert!(i < self.n_chirps, "chirp index out of range");
-        // lint: allow(panic) documented `# Panics` accessor; try_chirp_window is the checked variant
-        self.try_chirp_window(i).expect("chirp grid fits the buffer")
+        self.try_chirp_window(i)
+            // lint: allow(panic) documented `# Panics` accessor; try_chirp_window is the checked variant
+            .expect("chirp grid fits the buffer")
     }
 
     /// The layout this recording was captured on.

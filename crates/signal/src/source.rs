@@ -43,7 +43,10 @@ impl fmt::Display for SignalError {
                 write!(f, "capture does not fit the chirp layout: {reason}")
             }
             SignalError::RateMismatch { found, expected } => {
-                write!(f, "sample rate {found} Hz does not match the layout's {expected} Hz")
+                write!(
+                    f,
+                    "sample rate {found} Hz does not match the layout's {expected} Hz"
+                )
             }
         }
     }
@@ -177,9 +180,11 @@ mod tests {
         };
         assert!(e.to_string().contains("44100"));
         assert!(e.source().is_none());
-        assert!(SignalError::BadLayout { reason: "too short" }
-            .to_string()
-            .contains("too short"));
+        assert!(SignalError::BadLayout {
+            reason: "too short"
+        }
+        .to_string()
+        .contains("too short"));
         assert!(SignalError::Source("device unplugged".into())
             .to_string()
             .contains("unplugged"));

@@ -177,7 +177,10 @@ mod tests {
         let paths = vec![missing, rate.clone(), short.clone(), good.clone()];
         let mut src = WavSignalSource::new(layout(), paths);
         assert!(matches!(src.capture(), Err(SignalError::Dsp(_))));
-        assert!(matches!(src.capture(), Err(SignalError::RateMismatch { .. })));
+        assert!(matches!(
+            src.capture(),
+            Err(SignalError::RateMismatch { .. })
+        ));
         assert!(matches!(src.capture(), Err(SignalError::BadLayout { .. })));
         assert_eq!(src.capture().unwrap().unwrap().n_chirps, 1);
         for path in [rate, short, good] {

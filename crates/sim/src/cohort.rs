@@ -66,11 +66,7 @@ impl Cohort {
 
     /// Counts of (male, female) participants.
     pub fn sex_counts(&self) -> (usize, usize) {
-        let m = self
-            .patients
-            .iter()
-            .filter(|p| p.sex == Sex::Male)
-            .count();
+        let m = self.patients.iter().filter(|p| p.sex == Sex::Male).count();
         (m, self.patients.len() - m)
     }
 

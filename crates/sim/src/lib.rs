@@ -55,7 +55,6 @@
 // parameter validation; `partial_cmp` would obscure that intent.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-
 pub mod cohort;
 pub mod dataset;
 pub mod device;

@@ -145,6 +145,9 @@ mod tests {
     fn noise_is_deterministic_per_seed() {
         let mut a = SimRng::seed_from_u64(4);
         let mut b = SimRng::seed_from_u64(4);
-        assert_eq!(ambient_noise(64, 50.0, &mut a), ambient_noise(64, 50.0, &mut b));
+        assert_eq!(
+            ambient_noise(64, 50.0, &mut a),
+            ambient_noise(64, 50.0, &mut b)
+        );
     }
 }

@@ -122,7 +122,8 @@ impl Patient {
     /// Draws the eardrum frequency response for a visit on `day`, with
     /// day-to-day physiological variation from `rng`.
     pub fn eardrum_response_on_day(&self, day: u32, rng: &mut SimRng) -> EardrumResponse {
-        self.state_on_day(day).sample_response(self.dip_center_hz, rng)
+        self.state_on_day(day)
+            .sample_response(self.dip_center_hz, rng)
     }
 }
 
@@ -204,7 +205,10 @@ mod tests {
         assert!(centers.iter().all(|&c| (17_300.0..=18_700.0).contains(&c)));
         let spread = centers.iter().copied().fold(f64::NEG_INFINITY, f64::max)
             - centers.iter().copied().fold(f64::INFINITY, f64::min);
-        assert!(spread > 100.0, "personal variation expected, spread {spread}");
+        assert!(
+            spread > 100.0,
+            "personal variation expected, spread {spread}"
+        );
     }
 
     #[test]

@@ -103,12 +103,7 @@ mod tests {
         let mut src = ear();
         let via_source = src.capture().unwrap().unwrap();
         let cohort = Cohort::generate(1, 11);
-        let direct = Session::record(
-            &cohort.patients()[0],
-            0,
-            &SessionConfig::default(),
-            0,
-        );
+        let direct = Session::record(&cohort.patients()[0], 0, &SessionConfig::default(), 0);
         assert_eq!(via_source, direct.recording);
     }
 

@@ -97,8 +97,7 @@ mod tests {
     #[test]
     fn wall_energy_grows_with_angle() {
         assert!(
-            WearingAngle::new(40.0).wall_gain_factor()
-                > WearingAngle::new(10.0).wall_gain_factor()
+            WearingAngle::new(40.0).wall_gain_factor() > WearingAngle::new(10.0).wall_gain_factor()
         );
     }
 
@@ -113,10 +112,18 @@ mod tests {
         let mut rng0 = SimRng::seed_from_u64(1);
         let mut rng40 = SimRng::seed_from_u64(1);
         let small: f64 = (0..100)
-            .map(|_| WearingAngle::new(0.0).sample_distance_offset(&mut rng0).abs())
+            .map(|_| {
+                WearingAngle::new(0.0)
+                    .sample_distance_offset(&mut rng0)
+                    .abs()
+            })
             .sum();
         let large: f64 = (0..100)
-            .map(|_| WearingAngle::new(40.0).sample_distance_offset(&mut rng40).abs())
+            .map(|_| {
+                WearingAngle::new(40.0)
+                    .sample_distance_offset(&mut rng40)
+                    .abs()
+            })
             .sum();
         assert!(small < 1e-12);
         assert!(large > 0.05);

@@ -170,7 +170,10 @@ fn wearing_angle_factors_degrade_monotonically() {
             wa.eardrum_gain_factor() >= wb.eardrum_gain_factor(),
             "case {case}"
         );
-        assert!(wa.wall_gain_factor() <= wb.wall_gain_factor(), "case {case}");
+        assert!(
+            wa.wall_gain_factor() <= wb.wall_gain_factor(),
+            "case {case}"
+        );
         assert!(
             wa.extra_delay_jitter() <= wb.extra_delay_jitter(),
             "case {case}"

@@ -260,7 +260,10 @@ fn skip_char_or_lifetime(cs: &[char], i: usize, cur: &mut String) -> usize {
 
 /// Parses a line comment's text into a directive, if it carries one.
 fn parse_directive(comment: &str) -> Option<DirectiveKind> {
-    let t = comment.trim_start_matches('/').trim_start_matches('!').trim();
+    let t = comment
+        .trim_start_matches('/')
+        .trim_start_matches('!')
+        .trim();
     let rest = t.strip_prefix("lint:")?.trim();
     if rest == "hot-path" {
         return Some(DirectiveKind::HotPath);
@@ -312,8 +315,16 @@ mod tests {
     fn lifetimes_survive_char_literals_do_not() {
         let s = strip("fn f<'a>(q: &'a str) { let c = 'x'; let d = '\\n'; }");
         assert!(s.lines[0].contains("<'a>"));
-        assert!(!s.lines[0].contains('x'), "char contents blanked: {}", s.lines[0]);
-        assert!(!s.lines[0].contains("\\n"), "escape blanked: {}", s.lines[0]);
+        assert!(
+            !s.lines[0].contains('x'),
+            "char contents blanked: {}",
+            s.lines[0]
+        );
+        assert!(
+            !s.lines[0].contains("\\n"),
+            "escape blanked: {}",
+            s.lines[0]
+        );
     }
 
     #[test]
@@ -327,7 +338,13 @@ mod tests {
     fn directives_are_extracted() {
         let s = strip("// lint: hot-path\nfn f() {}\nlet x = 1; // lint: allow(panic) provably fine\n// lint: allow(panic)\n// lint: frobnicate");
         assert_eq!(s.directives.len(), 4);
-        assert_eq!(s.directives[0], Directive { line: 1, kind: DirectiveKind::HotPath });
+        assert_eq!(
+            s.directives[0],
+            Directive {
+                line: 1,
+                kind: DirectiveKind::HotPath
+            }
+        );
         assert!(matches!(
             &s.directives[1].kind,
             DirectiveKind::Allow { rule, reason } if rule == "panic" && reason == "provably fine"
@@ -336,7 +353,10 @@ mod tests {
             &s.directives[2].kind,
             DirectiveKind::Allow { reason, .. } if reason.is_empty()
         ));
-        assert!(matches!(&s.directives[3].kind, DirectiveKind::Malformed { .. }));
+        assert!(matches!(
+            &s.directives[3].kind,
+            DirectiveKind::Malformed { .. }
+        ));
     }
 
     #[test]

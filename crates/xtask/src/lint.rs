@@ -99,7 +99,10 @@ fn rel_label(root: &Path, path: &Path) -> String {
 pub fn run(root: &Path) -> Result<Report, String> {
     let members = manifest::discover(root)?;
     if members.is_empty() {
-        return Err(format!("no workspace members found under {}", root.display()));
+        return Err(format!(
+            "no workspace members found under {}",
+            root.display()
+        ));
     }
     let mut report = Report::default();
 

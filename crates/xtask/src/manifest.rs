@@ -14,8 +14,12 @@ use std::path::{Path, PathBuf};
 /// `earsonar-signal`, and the session engine multiplexes that same core;
 /// the simulator is one producer among several and must only ever appear
 /// as a dev-dependency.
-pub const PROTECTED_CRATES: &[&str] =
-    &["earsonar", "earsonar-ml", "earsonar-signal", "earsonar-engine"];
+pub const PROTECTED_CRATES: &[&str] = &[
+    "earsonar",
+    "earsonar-ml",
+    "earsonar-signal",
+    "earsonar-engine",
+];
 /// The crate banned from protected closures.
 pub const FORBIDDEN_DEP: &str = "earsonar-sim";
 
@@ -55,7 +59,10 @@ fn parse_manifest(text: &str) -> ParsedManifest {
             continue;
         }
         if line.starts_with('[') {
-            section = line.trim_matches(|c| c == '[' || c == ']').trim().to_string();
+            section = line
+                .trim_matches(|c| c == '[' || c == ']')
+                .trim()
+                .to_string();
             continue;
         }
         let Some(eq) = line.find('=') else { continue };
@@ -111,7 +118,12 @@ fn unquote(s: &str) -> String {
 /// this; the workspace does not use renames, and the lint would fail loudly
 /// on the unknown name if one appeared.)
 fn dep_name(key: &str) -> String {
-    key.split('.').next().unwrap_or(key).trim().trim_matches('"').to_string()
+    key.split('.')
+        .next()
+        .unwrap_or(key)
+        .trim()
+        .trim_matches('"')
+        .to_string()
 }
 
 /// Reads the workspace rooted at `root`: the root package (if any) plus
@@ -147,7 +159,10 @@ pub fn discover(root: &Path) -> Result<Vec<Member>, String> {
     let mut members = Vec::new();
     for dir in dirs {
         if dir != root && !dir.join("Cargo.toml").is_file() {
-            return Err(format!("workspace member {} has no Cargo.toml", dir.display()));
+            return Err(format!(
+                "workspace member {} has no Cargo.toml",
+                dir.display()
+            ));
         }
         let text = std::fs::read_to_string(dir.join("Cargo.toml"))
             .map_err(|e| format!("cannot read {}: {e}", dir.join("Cargo.toml").display()))?;
@@ -175,16 +190,14 @@ pub fn discover(root: &Path) -> Result<Vec<Member>, String> {
 /// Walks the normal-dependency closure of every protected crate; any path
 /// reaching [`FORBIDDEN_DEP`] is a finding that spells out the chain.
 pub fn check_layering(members: &[Member]) -> Vec<Finding> {
-    let by_name: BTreeMap<&str, &Member> =
-        members.iter().map(|m| (m.name.as_str(), m)).collect();
+    let by_name: BTreeMap<&str, &Member> = members.iter().map(|m| (m.name.as_str(), m)).collect();
     let mut findings = Vec::new();
     for &protected in PROTECTED_CRATES {
         let Some(start) = by_name.get(protected) else {
             continue;
         };
         // DFS over workspace-local normal deps, remembering the chain.
-        let mut stack: Vec<(&Member, Vec<String>)> =
-            vec![(start, vec![protected.to_string()])];
+        let mut stack: Vec<(&Member, Vec<String>)> = vec![(start, vec![protected.to_string()])];
         let mut visited: Vec<&str> = Vec::new();
         while let Some((m, chain)) = stack.pop() {
             for dep in &m.normal_deps {
@@ -192,11 +205,7 @@ pub fn check_layering(members: &[Member]) -> Vec<Finding> {
                     let mut full = chain.clone();
                     full.push(dep.clone());
                     findings.push(Finding {
-                        file: m
-                            .dir
-                            .join("Cargo.toml")
-                            .to_string_lossy()
-                            .into_owned(),
+                        file: m.dir.join("Cargo.toml").to_string_lossy().into_owned(),
                         line: 0,
                         rule: RULE_LAYERING,
                         message: format!(
@@ -238,9 +247,7 @@ mod tests {
 
     #[test]
     fn multiline_members_and_comments() {
-        let p = parse_manifest(
-            "[workspace]\nmembers = [\n  \"a\", # first\n  \"b\",\n]\n",
-        );
+        let p = parse_manifest("[workspace]\nmembers = [\n  \"a\", # first\n  \"b\",\n]\n");
         assert_eq!(p.workspace_members, vec!["a", "b"]);
     }
 

@@ -42,11 +42,31 @@ pub const WAIVABLE_RULES: &[&str] = &[
     RULE_LOCK,
 ];
 
-const PANIC_PATTERNS: &[&str] = &[".unwrap()", ".expect(", "panic!", "todo!(", "unimplemented!("];
-const ALLOC_PATTERNS: &[&str] = &["Vec::new", "vec![", ".to_vec()", ".collect()", "Box::new", ".clone()", "with_capacity("];
+const PANIC_PATTERNS: &[&str] = &[
+    ".unwrap()",
+    ".expect(",
+    "panic!",
+    "todo!(",
+    "unimplemented!(",
+];
+const ALLOC_PATTERNS: &[&str] = &[
+    "Vec::new",
+    "vec![",
+    ".to_vec()",
+    ".collect()",
+    "Box::new",
+    ".clone()",
+    "with_capacity(",
+];
 const MAP_PATTERNS: &[&str] = &["HashMap", "HashSet"];
 const CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime"];
-const RNG_PATTERNS: &[&str] = &["rand::", "use rand;", "extern crate rand", "thread_rng", "from_entropy"];
+const RNG_PATTERNS: &[&str] = &[
+    "rand::",
+    "use rand;",
+    "extern crate rand",
+    "thread_rng",
+    "from_entropy",
+];
 const LOCK_PATTERNS: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
 /// Which rule families apply to the file being scanned. Hot-path
@@ -79,7 +99,11 @@ pub struct Finding {
 
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{} {} {}", self.file, self.line, self.rule, self.message)
+        write!(
+            f,
+            "{}:{} {} {}",
+            self.file, self.line, self.rule, self.message
+        )
     }
 }
 
@@ -217,12 +241,12 @@ pub fn scan_source(file: &str, source: &str, rules: RuleSet) -> ScanOutput {
 
     // Pattern pass.
     let check = |line_no: usize,
-                     text: &str,
-                     rule: &'static str,
-                     patterns: &[&str],
-                     findings: &mut Vec<Finding>,
-                     waivers: &mut Vec<Waiver>,
-                     used: &mut usize| {
+                 text: &str,
+                 rule: &'static str,
+                 patterns: &[&str],
+                 findings: &mut Vec<Finding>,
+                 waivers: &mut Vec<Waiver>,
+                 used: &mut usize| {
         for pat in patterns {
             if !text.contains(pat) {
                 continue;
@@ -252,21 +276,69 @@ pub fn scan_source(file: &str, source: &str, rules: RuleSet) -> ScanOutput {
             continue;
         }
         if rules.panic {
-            check(line_no, text, RULE_PANIC, PANIC_PATTERNS, &mut findings, &mut waivers, &mut stats.waivers_used);
+            check(
+                line_no,
+                text,
+                RULE_PANIC,
+                PANIC_PATTERNS,
+                &mut findings,
+                &mut waivers,
+                &mut stats.waivers_used,
+            );
         }
         if in_hot(line_no) {
-            check(line_no, text, RULE_HOT_ALLOC, ALLOC_PATTERNS, &mut findings, &mut waivers, &mut stats.waivers_used);
+            check(
+                line_no,
+                text,
+                RULE_HOT_ALLOC,
+                ALLOC_PATTERNS,
+                &mut findings,
+                &mut waivers,
+                &mut stats.waivers_used,
+            );
         }
         if rules.maps {
-            check(line_no, text, RULE_MAP, MAP_PATTERNS, &mut findings, &mut waivers, &mut stats.waivers_used);
+            check(
+                line_no,
+                text,
+                RULE_MAP,
+                MAP_PATTERNS,
+                &mut findings,
+                &mut waivers,
+                &mut stats.waivers_used,
+            );
         }
         if rules.wall_clock {
-            check(line_no, text, RULE_CLOCK, CLOCK_PATTERNS, &mut findings, &mut waivers, &mut stats.waivers_used);
+            check(
+                line_no,
+                text,
+                RULE_CLOCK,
+                CLOCK_PATTERNS,
+                &mut findings,
+                &mut waivers,
+                &mut stats.waivers_used,
+            );
         }
         if rules.rng {
-            check(line_no, text, RULE_RNG, RNG_PATTERNS, &mut findings, &mut waivers, &mut stats.waivers_used);
+            check(
+                line_no,
+                text,
+                RULE_RNG,
+                RNG_PATTERNS,
+                &mut findings,
+                &mut waivers,
+                &mut stats.waivers_used,
+            );
         }
-        check(line_no, text, RULE_LOCK, LOCK_PATTERNS, &mut findings, &mut waivers, &mut stats.waivers_used);
+        check(
+            line_no,
+            text,
+            RULE_LOCK,
+            LOCK_PATTERNS,
+            &mut findings,
+            &mut waivers,
+            &mut stats.waivers_used,
+        );
     }
 
     // A waiver that suppressed nothing is stale (or the rule family does
@@ -331,7 +403,10 @@ fn find_test_regions(stripped: &Stripped) -> Vec<Region> {
         let line_no = idx + 1;
         if let Some(col) = text.find("#[cfg(test)]") {
             if let Some(end) = item_end(stripped, line_no, col + "#[cfg(test)]".len()) {
-                regions.push(Region { start: line_no, end });
+                regions.push(Region {
+                    start: line_no,
+                    end,
+                });
             }
         }
     }
@@ -358,7 +433,8 @@ fn find_fn_token(text: &str) -> Option<usize> {
     let mut from = 0;
     while let Some(p) = text[from..].find("fn") {
         let at = from + p;
-        let before_ok = at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_');
+        let before_ok =
+            at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_');
         let after = at + 2;
         let after_ok =
             after >= bytes.len() || !(bytes[after].is_ascii_alphanumeric() || bytes[after] == b'_');
@@ -410,12 +486,17 @@ mod tests {
         (out.findings, out.stats)
     }
 
-    const ALL: RuleSet =
-        RuleSet { panic: true, maps: true, wall_clock: true, rng: true };
+    const ALL: RuleSet = RuleSet {
+        panic: true,
+        maps: true,
+        wall_clock: true,
+        rng: true,
+    };
 
     #[test]
     fn panic_fires_outside_tests_only() {
-        let src = "fn f() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn g() { y.unwrap(); }\n}\n";
+        let src =
+            "fn f() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn g() { y.unwrap(); }\n}\n";
         let (f, _) = scan("a.rs", src, ALL);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 1);
@@ -495,7 +576,8 @@ mod tests {
 
     #[test]
     fn maps_clock_rng_patterns() {
-        let src = "use std::collections::HashMap;\nlet t = Instant::now();\nlet r = rand::random();\n";
+        let src =
+            "use std::collections::HashMap;\nlet t = Instant::now();\nlet r = rand::random();\n";
         let (f, _) = scan("a.rs", src, ALL);
         let rules: Vec<_> = f.iter().map(|x| x.rule).collect();
         assert!(rules.contains(&RULE_MAP));

@@ -116,8 +116,11 @@ fn layering_bad_workspace_is_rejected_by_the_full_run() {
     let report = xtask::lint::run(&root).expect("fixture workspace parses");
     assert!(!report.is_clean());
     assert!(
-        report.findings.iter().any(|f| f.rule == rules::RULE_LAYERING
-            && f.message.contains("earsonar -> earsonar-sim")),
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == rules::RULE_LAYERING
+                && f.message.contains("earsonar -> earsonar-sim")),
         "{:?}",
         report.findings
     );
@@ -133,13 +136,15 @@ fn layering_ok_workspace_passes_the_full_run() {
 
 #[test]
 fn layering_engine_bad_workspace_is_rejected_by_the_full_run() {
-    let root =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/layering_engine_bad");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/layering_engine_bad");
     let report = xtask::lint::run(&root).expect("fixture workspace parses");
     assert!(!report.is_clean());
     assert!(
-        report.findings.iter().any(|f| f.rule == rules::RULE_LAYERING
-            && f.message.contains("earsonar-engine -> earsonar-sim")),
+        report
+            .findings
+            .iter()
+            .any(|f| f.rule == rules::RULE_LAYERING
+                && f.message.contains("earsonar-engine -> earsonar-sim")),
         "{:?}",
         report.findings
     );
@@ -147,8 +152,7 @@ fn layering_engine_bad_workspace_is_rejected_by_the_full_run() {
 
 #[test]
 fn layering_engine_ok_workspace_passes_the_full_run() {
-    let root =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/layering_engine_ok");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/layering_engine_ok");
     let report = xtask::lint::run(&root).expect("fixture workspace parses");
     assert!(report.is_clean(), "{:?}", report.findings);
     assert_eq!(report.crates_scanned, 2);

@@ -29,15 +29,15 @@ fn main() {
     let cohort = Cohort::generate(20, 5);
     let data = Dataset::build(&cohort, &DatasetSpec::default());
     let system = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).expect("training");
-    println!("system trained in quiet conditions on {} sessions\n", data.len());
+    println!(
+        "system trained in quiet conditions on {} sessions\n",
+        data.len()
+    );
 
     // Screen held-out patients in progressively noisier rooms.
     let held_out = Cohort::generate(36, 6);
     let patients = &held_out.patients()[20..36];
-    println!(
-        "{:22} {:>9} {:>12}",
-        "environment", "dB SPL", "accuracy"
-    );
+    println!("{:22} {:>9} {:>12}", "environment", "dB SPL", "accuracy");
     for (room, db) in ROOMS {
         let mut correct = 0usize;
         let mut total = 0usize;
@@ -95,7 +95,10 @@ fn main() {
             }
             ScreeningOutcome::Inconclusive(r) => {
                 let why = match r.reason {
-                    InconclusiveReason::QuorumNotMet { best_usable, needed } => {
+                    InconclusiveReason::QuorumNotMet {
+                        best_usable,
+                        needed,
+                    } => {
                         format!("{best_usable}/{needed} usable chirps")
                     }
                     InconclusiveReason::LowConfidence => "confidence too low".into(),

@@ -92,8 +92,12 @@ fn unknown_backend_is_a_typed_error_everywhere() {
 fn ab_harness_scores_candidates_against_the_reference() {
     let data = small_dataset(6);
     let cfg = config();
-    let cmp = ab_compare(&data.sessions, &cfg, &["absorbance-logistic", "absorbance-knn"])
-        .expect("ab_compare");
+    let cmp = ab_compare(
+        &data.sessions,
+        &cfg,
+        &["absorbance-logistic", "absorbance-knn"],
+    )
+    .expect("ab_compare");
     assert_eq!(cmp.baseline.backend, REFERENCE_BACKEND);
     assert_eq!(cmp.candidates.len(), 2);
     for cand in &cmp.candidates {

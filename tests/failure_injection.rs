@@ -76,7 +76,12 @@ fn batch_and_streaming_agree_on_gated_recordings() {
                 assert_eq!(b.quality, s.quality, "{} quality", fault.name());
             }
             (Err(b), Err(s)) => {
-                assert_eq!(b.to_string(), s.to_string(), "{} errors differ", fault.name());
+                assert_eq!(
+                    b.to_string(),
+                    s.to_string(),
+                    "{} errors differ",
+                    fault.name()
+                );
             }
             (b, s) => panic!(
                 "{}: batch {:?} but streaming {:?}",
@@ -93,11 +98,19 @@ fn gate_counts_dropped_chirps_by_cause() {
     let fe = FrontEnd::new(&config()).unwrap();
     let rec = faulted(Fault::Dropout { severity: 0.8 }, 7);
     let mut stream = ChirpStream::new(&fe);
-    stream.push_samples_with(&fe, &mut DspScratch::new(), &rec.samples).unwrap();
+    stream
+        .push_samples_with(&fe, &mut DspScratch::new(), &rec.samples)
+        .unwrap();
     let q = stream.quality();
-    assert!(q.rejections.dropout > 0, "dropout fault must trip the dropout gate");
+    assert!(
+        q.rejections.dropout > 0,
+        "dropout fault must trip the dropout gate"
+    );
     assert_eq!(q.rejections.total(), q.chirps_pushed - q.chirps_accepted);
-    assert!(q.confidence() < 0.5, "mostly dropped session cannot be confident");
+    assert!(
+        q.confidence() < 0.5,
+        "mostly dropped session cannot be confident"
+    );
 }
 
 #[test]
@@ -127,7 +140,11 @@ fn corrupt_captures_recover_to_the_clean_verdict_via_retry() {
             // DC offset is filtered by the band-pass, so the first capture
             // may already conclude; everything else must have retried.
             ScreeningOutcome::Inconclusive(r) => {
-                panic!("{}: inconclusive {:?} despite a clean third capture", fault.name(), r.reason)
+                panic!(
+                    "{}: inconclusive {:?} despite a clean third capture",
+                    fault.name(),
+                    r.reason
+                )
             }
         }
     }

@@ -35,13 +35,15 @@ use earsonar_dsp::filter::{
 use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
 use earsonar_dsp::plan::{split_frames, split_frames_mut, DspScratch, FftPlan, RealFftPlan};
-use earsonar_dsp::Complex64;
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::simd;
 use earsonar_dsp::window::{apply_precomputed, Window};
+use earsonar_dsp::Complex64;
 
 /// Every remainder-tail class plus odd one-off and kernel-typical sizes.
-const LENGTHS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 63, 64, 65, 239, 240, 241, 1021];
+const LENGTHS: &[usize] = &[
+    1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 63, 64, 65, 239, 240, 241, 1021,
+];
 
 fn noise(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = DetRng::seed_from_u64(seed);
@@ -61,7 +63,10 @@ fn reductions_track_scalar_over_all_remainder_classes() {
         let b = noise(n, 2_000 + n as u64);
         let scale_a: f64 = a.iter().map(|v| v.abs()).sum();
         let scale_ab: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-        assert!(close(simd::sum(&a), simd::sum_scalar(&a), scale_a), "sum n={n}");
+        assert!(
+            close(simd::sum(&a), simd::sum_scalar(&a), scale_a),
+            "sum n={n}"
+        );
         assert!(
             close(simd::sum_sq(&a), simd::sum_sq_scalar(&a), scale_a),
             "sum_sq n={n}"
@@ -97,7 +102,12 @@ fn exact_kernels_are_bit_identical() {
 #[test]
 fn window_precomputed_multiply_is_bit_identical() {
     let mut taps = Vec::new();
-    for win in [Window::Hann, Window::Hamming, Window::Blackman, Window::Rectangular] {
+    for win in [
+        Window::Hann,
+        Window::Hamming,
+        Window::Blackman,
+        Window::Rectangular,
+    ] {
         for &n in LENGTHS {
             let x = noise(n, 5_000 + n as u64);
             let mut expect = x.clone();
@@ -133,7 +143,10 @@ fn pearson_tracks_scalar_reference() {
         let slow = pearson_scalar(&a, &b).unwrap();
         // Correlations are normalized; a loose absolute bound suffices
         // (the underlying reductions are each within the 1e-12 contract).
-        assert!((fast - slow).abs() < 1e-9, "pearson n={n}: {fast} vs {slow}");
+        assert!(
+            (fast - slow).abs() < 1e-9,
+            "pearson n={n}: {fast} vs {slow}"
+        );
     }
 }
 
@@ -459,7 +472,9 @@ fn odd_batch_tails_are_bit_identical_to_one_lane() {
             batched.push_samples_with(&fe, &mut scratch, chunk).unwrap();
         }
         for c in 0..rec.n_chirps {
-            single.push_chirp_with(&fe, &mut scratch, rec.chirp_window(c)).unwrap();
+            single
+                .push_chirp_with(&fe, &mut scratch, rec.chirp_window(c))
+                .unwrap();
         }
         assert_eq!(
             batched.diagnostics(),

@@ -42,10 +42,7 @@ fn absorption_orders_states_through_the_full_chain() {
         );
     }
     // And the Clear/Purulent contrast is strong (paper Fig. 2/11).
-    assert!(
-        means[0] > 2.5 * means[3],
-        "contrast too weak: {means:?}"
-    );
+    assert!(means[0] > 2.5 * means[3], "contrast too weak: {means:?}");
 }
 
 #[test]
@@ -101,9 +98,8 @@ fn recovered_ears_look_like_never_sick_ears() {
         }
     }
     let mean = recovered.iter().sum::<f64>() / recovered.len() as f64;
-    let sd = (recovered.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
-        / recovered.len() as f64)
-        .sqrt();
+    let sd =
+        (recovered.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / recovered.len() as f64).sqrt();
     // Healthy band power is consistent across people (coefficient of
     // variation well under 50%).
     assert!(sd / mean < 0.5, "healthy spread too wide: {sd} vs {mean}");

@@ -38,7 +38,9 @@ fn clean_recording() -> Recording {
 /// Confidence and accepted-chirp count of `rec` under the default gate.
 fn gate_outcome(fe: &FrontEnd, rec: &Recording) -> (f64, usize) {
     let mut stream = ChirpStream::new(fe);
-    stream.push_samples_with(fe, &mut DspScratch::new(), &rec.samples).expect("push");
+    stream
+        .push_samples_with(fe, &mut DspScratch::new(), &rec.samples)
+        .expect("push");
     let q = stream.quality();
     (q.confidence(), q.chirps_accepted)
 }
@@ -126,7 +128,10 @@ fn clean_sessions_are_bit_identical_with_the_gate_on_or_off() {
             0,
             "a clean simulated session must pass the gate untouched"
         );
-        assert_eq!(gated.features, ungated.features, "features must be bit-identical");
+        assert_eq!(
+            gated.features, ungated.features,
+            "features must be bit-identical"
+        );
         assert_eq!(gated.diagnostics, ungated.diagnostics);
         assert_eq!(gated.chirps_used, ungated.chirps_used);
     }
@@ -137,7 +142,10 @@ fn each_non_finite_window_costs_exactly_one_accepted_chirp() {
     let fe = FrontEnd::new(&config()).expect("front end");
     let rec = clean_recording();
     let (clean_conf, clean_accepted) = gate_outcome(&fe, &rec);
-    assert_eq!(clean_accepted, rec.n_chirps, "the clean session must pass the gate untouched");
+    assert_eq!(
+        clean_accepted, rec.n_chirps,
+        "the clean session must pass the gate untouched"
+    );
     assert!(clean_conf > 0.0);
 
     // One bad sample mid-window, in windows spread over the session.
@@ -161,7 +169,10 @@ fn each_non_finite_window_costs_exactly_one_accepted_chirp() {
             "{poisoned} poisoned window(s) must cost exactly {poisoned} accepted chirp(s)"
         );
         if poisoned > 0 {
-            assert_eq!(conf, 0.0, "{poisoned} poisoned window(s) must zero confidence");
+            assert_eq!(
+                conf, 0.0,
+                "{poisoned} poisoned window(s) must zero confidence"
+            );
         }
         prev = accepted;
     }

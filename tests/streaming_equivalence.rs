@@ -22,7 +22,10 @@ fn assert_identical(
     assert_eq!(batch.features, streamed.features, "{label}: features");
     assert_eq!(batch.spectrum, streamed.spectrum, "{label}: spectrum");
     assert_eq!(batch.echoes, streamed.echoes, "{label}: echoes");
-    assert_eq!(batch.chirps_used, streamed.chirps_used, "{label}: chirps_used");
+    assert_eq!(
+        batch.chirps_used, streamed.chirps_used,
+        "{label}: chirps_used"
+    );
     assert_eq!(
         batch.diagnostics, streamed.diagnostics,
         "{label}: diagnostics"
@@ -38,7 +41,9 @@ fn chirp_by_chirp_push_is_bit_identical_to_batch() {
         let mut scratch = DspScratch::new();
         let mut stream = ChirpStream::new(&fe);
         for c in 0..s.recording.n_chirps {
-            stream.push_chirp_with(&fe, &mut scratch, s.recording.chirp_window(c)).unwrap();
+            stream
+                .push_chirp_with(&fe, &mut scratch, s.recording.chirp_window(c))
+                .unwrap();
         }
         let streamed = stream.finish_with(&fe, &mut scratch).expect("stream");
         assert_identical(&batch, &streamed, &format!("session {i}"));
@@ -58,7 +63,11 @@ fn every_chunk_granularity_is_bit_identical() {
         for chunk in rec.samples.chunks(granularity) {
             stream.push_samples_with(&fe, &mut scratch, chunk).unwrap();
         }
-        assert_eq!(stream.diagnostics().chirps_pushed, rec.n_chirps, "chunk {granularity}");
+        assert_eq!(
+            stream.diagnostics().chirps_pushed,
+            rec.n_chirps,
+            "chunk {granularity}"
+        );
         let streamed = stream.finish_with(&fe, &mut scratch).expect("stream");
         assert_identical(&batch, &streamed, &format!("chunk size {granularity}"));
     }
@@ -93,7 +102,11 @@ fn recordings_with_failed_chirps_stay_equivalent() {
             stream.push_samples_with(&fe, &mut scratch, chunk).unwrap();
         }
         let streamed = stream.finish_with(&fe, &mut scratch).expect("stream");
-        assert_identical(&batch, &streamed, &format!("failed chirps, chunk {granularity}"));
+        assert_identical(
+            &batch,
+            &streamed,
+            &format!("failed chirps, chunk {granularity}"),
+        );
     }
 }
 
@@ -106,7 +119,9 @@ fn streaming_verdict_matches_batch_screening() {
         let fe = system.front_end();
         let mut scratch = DspScratch::new();
         let mut stream = ChirpStream::new(fe);
-        stream.push_samples_with(fe, &mut scratch, &s.recording.samples).unwrap();
+        stream
+            .push_samples_with(fe, &mut scratch, &s.recording.samples)
+            .unwrap();
         let processed = stream.finish_with(fe, &mut scratch).expect("finish");
         let streamed_verdict = system.classify(&processed).expect("classify");
         assert_eq!(batch_verdict, streamed_verdict);
@@ -122,12 +137,17 @@ fn early_finish_still_produces_a_verdict() {
     let mut scratch = DspScratch::new();
     let mut stream = ChirpStream::new(fe);
     for c in 0..rec.n_chirps {
-        stream.push_chirp_with(fe, &mut scratch, rec.chirp_window(c)).unwrap();
+        stream
+            .push_chirp_with(fe, &mut scratch, rec.chirp_window(c))
+            .unwrap();
         if stream.ready(8) {
             break;
         }
     }
-    assert!(stream.diagnostics().chirps_pushed < rec.n_chirps, "no early finish");
+    assert!(
+        stream.diagnostics().chirps_pushed < rec.n_chirps,
+        "no early finish"
+    );
     let processed = stream.finish_with(fe, &mut scratch).expect("finish");
     assert!(processed.chirps_used >= 8);
     assert!(system.classify(&processed).is_ok());
@@ -151,7 +171,9 @@ fn silent_stream_reports_no_echo_with_full_diagnostics() {
     ));
     let mut scratch = DspScratch::new();
     let mut stream = ChirpStream::new(&fe);
-    stream.push_samples_with(&fe, &mut scratch, &rec.samples).unwrap();
+    stream
+        .push_samples_with(&fe, &mut scratch, &rec.samples)
+        .unwrap();
     assert_eq!(stream.diagnostics().chirps_pushed, 8);
     assert_eq!(stream.chirps_used(), 0);
     assert!(matches!(
