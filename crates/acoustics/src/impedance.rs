@@ -41,14 +41,6 @@ pub fn effusion_layer_impedance(medium: Medium, d: f64, f_hz: f64) -> f64 {
     layer_impedance(medium.impedance(), 1.0, d, lambda)
 }
 
-/// Thickness (m) at which the layer impedance reaches half of its bulk
-/// value, for coupling constant `xi_mu_sqrt` and wavelength `lambda`.
-/// Useful for calibrating simulator severity scales.
-pub fn half_saturation_thickness(xi_mu_sqrt: f64, lambda: f64) -> f64 {
-    // tanh(x) = 0.5 at x = atanh(0.5).
-    0.5f64.atanh() * lambda / (2.0 * std::f64::consts::PI * xi_mu_sqrt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,13 +84,5 @@ mod tests {
         let m = effusion_layer_impedance(Medium::MUCOID_EFFUSION, d, f);
         let p = effusion_layer_impedance(Medium::PURULENT_EFFUSION, d, f);
         assert!(s < m && m < p);
-    }
-
-    #[test]
-    fn half_saturation_thickness_is_consistent() {
-        let lambda = 0.019;
-        let d_half = half_saturation_thickness(1.0, lambda);
-        let z = layer_impedance(2.0, 1.0, d_half, lambda);
-        assert!((z - 1.0).abs() < 1e-12);
     }
 }

@@ -1,10 +1,10 @@
-//! Reflection and transmission at a boundary between two media.
+//! Reflection at a boundary between two media.
 //!
 //! The paper's Eq. 1 gives the pressure reflectance at normal incidence,
 //! `R = P_r / P_i = (Z_fluid − Z_air) / (Z_fluid + Z_air)` (the printed
 //! equation has a typo — a minus in the denominator — which would make
-//! `R ≡ 1`; we implement the standard form it clearly intends). Energy
-//! coefficients follow as `R²` and `1 − R²`.
+//! `R ≡ 1`; we implement the standard form it clearly intends). The energy
+//! reflectance follows as `R²`.
 
 /// Pressure reflectance at normal incidence from a medium of impedance
 /// `z_from` onto a medium of impedance `z_to` (paper Eq. 1).
@@ -25,27 +25,10 @@ pub fn pressure_reflectance(z_from: f64, z_to: f64) -> f64 {
     (z_to - z_from) / (z_to + z_from)
 }
 
-/// Pressure transmittance at the same boundary: `T = 2 Z_to / (Z_to + Z_from)`.
-pub fn pressure_transmittance(z_from: f64, z_to: f64) -> f64 {
-    2.0 * z_to / (z_to + z_from)
-}
-
 /// Fraction of incident **energy** reflected: `R²`.
 pub fn energy_reflectance(z_from: f64, z_to: f64) -> f64 {
     let r = pressure_reflectance(z_from, z_to);
     r * r
-}
-
-/// Fraction of incident energy absorbed/transmitted past the boundary:
-/// `1 − R²`.
-pub fn energy_absorbance(z_from: f64, z_to: f64) -> f64 {
-    1.0 - energy_reflectance(z_from, z_to)
-}
-
-/// Reflected pressure amplitude for an incident wave of amplitude `p0`
-/// (paper Eq. 3, evaluated at the boundary).
-pub fn reflected_amplitude(p0: f64, z_from: f64, z_to: f64) -> f64 {
-    p0 * pressure_reflectance(z_from, z_to)
 }
 
 #[cfg(test)]
@@ -57,22 +40,13 @@ mod tests {
     #[test]
     fn matched_impedance_reflects_nothing() {
         assert_eq!(pressure_reflectance(1000.0, 1000.0), 0.0);
-        assert_eq!(energy_absorbance(1000.0, 1000.0), 1.0);
+        assert_eq!(energy_reflectance(1000.0, 1000.0), 0.0);
     }
 
     #[test]
     fn rigid_wall_limit() {
         let r = pressure_reflectance(413.0, 1e12);
         assert!((r - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pressure_continuity_at_boundary() {
-        // 1 + R = T (pressure continuity for normal incidence).
-        let (z1, z2) = (413.0, 1.49e6);
-        let r = pressure_reflectance(z1, z2);
-        let t = pressure_transmittance(z1, z2);
-        assert!((1.0 + r - t).abs() < 1e-12);
     }
 
     #[test]
@@ -92,12 +66,5 @@ mod tests {
             assert!(r > prev);
             prev = r;
         }
-    }
-
-    #[test]
-    fn reflected_amplitude_scales_with_incident() {
-        let r1 = reflected_amplitude(1.0, 413.0, 1.5e6);
-        let r2 = reflected_amplitude(2.0, 413.0, 1.5e6);
-        assert!((r2 - 2.0 * r1).abs() < 1e-12);
     }
 }

@@ -9,7 +9,7 @@
 //! are unit-tested in `earsonar_dsp::fanout`.)
 
 use earsonar::backend;
-use earsonar::baseline::ChanBaseline;
+use earsonar::baseline;
 use earsonar::detect::EarSonarDetector;
 use earsonar::eval::ExtractedDataset;
 use earsonar::model_io::model_to_string;
@@ -88,10 +88,10 @@ fn baseline_extraction_equals_a_sequential_loop() {
     let sessions = sessions(3, 11);
     let config = EarSonarConfig::default();
     let pre = Preprocessor::new(&config).unwrap();
-    let est = ChanBaseline::build_estimator(&pre, &config).unwrap();
+    let est = baseline::build_estimator(&pre, &config).unwrap();
     let features: Vec<Vec<f64>> = sessions
         .iter()
-        .filter_map(|s| ChanBaseline::features(&pre, &est, &config, &s.recording).ok())
+        .filter_map(|s| baseline::features(&pre, &est, &config, &s.recording).ok())
         .collect();
     let extracted = ExtractedDataset::extract_baseline(&sessions, &config).unwrap();
     assert_eq!(bits(&extracted.features), bits(&features));

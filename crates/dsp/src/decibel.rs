@@ -1,12 +1,8 @@
-//! Decibel conversions and sound-pressure-level helpers.
+//! Decibel conversions.
 //!
 //! The noise-robustness experiments (paper §VI-C-2, Fig. 14) inject ambient
 //! noise calibrated in dB SPL; these helpers convert between linear
-//! amplitude, power ratios, and decibels.
-
-/// Reference sound pressure for SPL: 20 µPa, by convention mapped here to a
-/// dimensionless amplitude of `1.0` at 0 dB SPL in the simulator's units.
-pub const SPL_REFERENCE_AMPLITUDE: f64 = 1.0;
+//! amplitude ratios and decibels.
 
 /// Converts an amplitude ratio to decibels: `20 log10(a / a_ref)`.
 ///
@@ -25,22 +21,6 @@ pub fn amplitude_to_db(a: f64, a_ref: f64) -> f64 {
 /// Converts decibels to an amplitude ratio: `a_ref * 10^(db/20)`.
 pub fn db_to_amplitude(db: f64, a_ref: f64) -> f64 {
     a_ref * 10f64.powf(db / 20.0)
-}
-
-/// Converts a power ratio to decibels: `10 log10(p / p_ref)`.
-pub fn power_to_db(p: f64, p_ref: f64) -> f64 {
-    10.0 * (p / p_ref).abs().log10()
-}
-
-/// Converts decibels to a power ratio.
-pub fn db_to_power(db: f64, p_ref: f64) -> f64 {
-    p_ref * 10f64.powf(db / 10.0)
-}
-
-/// RMS amplitude (in simulator units) of ambient noise at the given dB SPL,
-/// relative to [`SPL_REFERENCE_AMPLITUDE`].
-pub fn spl_to_rms_amplitude(db_spl: f64) -> f64 {
-    db_to_amplitude(db_spl, SPL_REFERENCE_AMPLITUDE)
 }
 
 /// Signal-to-noise ratio in dB given signal and noise RMS amplitudes.
@@ -67,35 +47,13 @@ mod tests {
     }
 
     #[test]
-    fn power_db_round_trip() {
-        for db in [-30.0, 0.0, 10.0, 55.0] {
-            let p = db_to_power(db, 1.0);
-            assert!((power_to_db(p, 1.0) - db).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn doubling_amplitude_is_six_db() {
         assert!((amplitude_to_db(2.0, 1.0) - 6.0206).abs() < 1e-3);
     }
 
     #[test]
-    fn doubling_power_is_three_db() {
-        assert!((power_to_db(2.0, 1.0) - 3.0103).abs() < 1e-3);
-    }
-
-    #[test]
     fn zero_amplitude_is_minus_infinity() {
         assert_eq!(amplitude_to_db(0.0, 1.0), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn spl_scale_is_monotone() {
-        let a45 = spl_to_rms_amplitude(45.0);
-        let a60 = spl_to_rms_amplitude(60.0);
-        assert!(a60 > a45);
-        // 15 dB is a factor of ~5.62 in amplitude.
-        assert!((a60 / a45 - 10f64.powf(0.75)).abs() < 1e-9);
     }
 
     #[test]

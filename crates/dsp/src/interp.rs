@@ -45,55 +45,6 @@ pub fn interp_linear(xs: &[f64], ys: &[f64], qs: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Catmull–Rom cubic interpolation at query points `qs` over uniformly
-/// conceptually spaced knots `(xs, ys)` (xs sorted ascending, clamped ends).
-pub fn interp_catmull_rom(xs: &[f64], ys: &[f64], qs: &[f64]) -> Vec<f64> {
-    let n = xs.len().min(ys.len());
-    if n < 3 {
-        return interp_linear(xs, ys, qs);
-    }
-    // Virtual knots beyond the ends are linearly extrapolated so the spline
-    // reproduces linear data exactly, boundaries included.
-    let at = |i: isize| -> f64 {
-        if i < 0 {
-            2.0 * ys[0] - ys[(-i) as usize % n]
-        } else if i as usize >= n {
-            let over = i as usize - (n - 1);
-            2.0 * ys[n - 1] - ys[n - 1 - over.min(n - 1)]
-        } else {
-            ys[i as usize]
-        }
-    };
-    qs.iter()
-        .map(|&q| {
-            if q <= xs[0] {
-                return ys[0];
-            }
-            if q >= xs[n - 1] {
-                return ys[n - 1];
-            }
-            let idx = match xs[..n].binary_search_by(|v| v.total_cmp(&q)) {
-                Ok(i) => return ys[i],
-                Err(i) => i - 1,
-            };
-            let (x0, x1) = (xs[idx], xs[idx + 1]);
-            let t = if x1 > x0 { (q - x0) / (x1 - x0) } else { 0.0 };
-            let (p0, p1, p2, p3) = (
-                at(idx as isize - 1),
-                at(idx as isize),
-                at(idx as isize + 1),
-                at(idx as isize + 2),
-            );
-            let t2 = t * t;
-            let t3 = t2 * t;
-            0.5 * ((2.0 * p1)
-                + (-p0 + p2) * t
-                + (2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3) * t2
-                + (-p0 + 3.0 * p1 - 3.0 * p2 + p3) * t3)
-        })
-        .collect()
-}
-
 /// Resamples `ys` (assumed uniformly spaced) to `n_out` uniformly spaced
 /// points over the same span, using linear interpolation.
 pub fn resample_uniform(ys: &[f64], n_out: usize) -> Vec<f64> {
@@ -139,28 +90,6 @@ mod tests {
     fn linear_empty_and_singleton() {
         assert_eq!(interp_linear(&[], &[], &[1.0, 2.0]), vec![0.0, 0.0]);
         assert_eq!(interp_linear(&[5.0], &[7.0], &[0.0, 9.0]), vec![7.0, 7.0]);
-    }
-
-    #[test]
-    fn catmull_rom_reproduces_linear_data() {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
-        let qs = [0.5, 3.25, 7.75];
-        let out = interp_catmull_rom(&xs, &ys, &qs);
-        for (q, o) in qs.iter().zip(&out) {
-            assert!((o - (2.0 * q + 1.0)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn catmull_rom_is_smooth_on_curved_data() {
-        let xs: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| (x / 3.0).sin()).collect();
-        let qs = [4.5, 10.5];
-        let cubic = interp_catmull_rom(&xs, &ys, &qs);
-        for (q, c) in qs.iter().zip(&cubic) {
-            assert!((c - (q / 3.0).sin()).abs() < 0.01);
-        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! spectrum (paper §IV-C-2). These primitives are used both there and in the
 //! adaptive-energy event detector.
 
-use crate::error::DspError;
-
 /// Arithmetic mean. Returns `0.0` for an empty slice.
 pub fn mean(x: &[f64]) -> f64 {
     if x.is_empty() {
@@ -109,13 +107,6 @@ pub fn percentile(x: &[f64], p: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// Zero-crossing count of a signal.
-pub fn zero_crossings(x: &[f64]) -> usize {
-    x.windows(2)
-        .filter(|w| (w[0] >= 0.0) != (w[1] >= 0.0))
-        .count()
-}
-
 /// Index of the maximum value. Returns `None` for an empty slice.
 pub fn argmax(x: &[f64]) -> Option<usize> {
     (0..x.len()).max_by(|&i, &j| x[i].total_cmp(&x[j]))
@@ -124,23 +115,6 @@ pub fn argmax(x: &[f64]) -> Option<usize> {
 /// Index of the minimum value. Returns `None` for an empty slice.
 pub fn argmin(x: &[f64]) -> Option<usize> {
     (0..x.len()).min_by(|&i, &j| x[i].total_cmp(&x[j]))
-}
-
-/// Normalizes a slice to unit peak magnitude, returning a new vector.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty slice. An all-zero signal is
-/// returned unchanged.
-pub fn normalize_peak(x: &[f64]) -> Result<Vec<f64>, DspError> {
-    if x.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let peak = x.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()));
-    if peak == 0.0 {
-        return Ok(x.to_vec());
-    }
-    Ok(x.iter().map(|&v| v / peak).collect())
 }
 
 /// Standard summary of a sequence: the six statistics the paper lists as its
@@ -272,25 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_crossings_of_alternating_signal() {
-        assert_eq!(zero_crossings(&[1.0, -1.0, 1.0, -1.0]), 3);
-        assert_eq!(zero_crossings(&[1.0, 2.0, 3.0]), 0);
-        assert_eq!(zero_crossings(&[]), 0);
-    }
-
-    #[test]
     fn argmax_argmin() {
         let x = [0.5, -2.0, 7.0, 3.0];
         assert_eq!(argmax(&x), Some(2));
         assert_eq!(argmin(&x), Some(1));
-    }
-
-    #[test]
-    fn normalize_peak_bounds_signal() {
-        let y = normalize_peak(&[2.0, -8.0, 4.0]).unwrap();
-        assert_eq!(y, vec![0.25, -1.0, 0.5]);
-        assert!(normalize_peak(&[]).is_err());
-        assert_eq!(normalize_peak(&[0.0, 0.0]).unwrap(), vec![0.0, 0.0]);
     }
 
     #[test]

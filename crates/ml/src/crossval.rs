@@ -7,7 +7,6 @@
 //! data leaks between train and test.
 
 use crate::error::MlError;
-use earsonar_dsp::rng::DetRng;
 
 /// One train/test split: indices into the sample array.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,99 +64,6 @@ pub fn leave_one_group_out(groups: &[usize]) -> Result<Vec<Split>, MlError> {
         .collect())
 }
 
-/// Shuffled k-fold splits over `n` samples.
-///
-/// # Errors
-///
-/// Returns [`MlError::InvalidParameter`] if `k < 2` and
-/// [`MlError::NotEnoughSamples`] if `k > n`.
-pub fn k_fold(n: usize, k: usize, seed: u64) -> Result<Vec<Split>, MlError> {
-    if k < 2 {
-        return Err(MlError::InvalidParameter {
-            name: "k",
-            constraint: "need at least 2 folds",
-        });
-    }
-    if n < k {
-        return Err(MlError::NotEnoughSamples {
-            needed: k,
-            available: n,
-        });
-    }
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = DetRng::seed_from_u64(seed);
-    // Fisher-Yates shuffle.
-    for i in (1..n).rev() {
-        let j = rng.range_inclusive(0, i);
-        idx.swap(i, j);
-    }
-    let mut splits = Vec::with_capacity(k);
-    let base = n / k;
-    let extra = n % k;
-    let mut start = 0;
-    for fold in 0..k {
-        let size = base + usize::from(fold < extra);
-        let test: Vec<usize> = idx[start..start + size].to_vec();
-        let train: Vec<usize> = idx[..start]
-            .iter()
-            .chain(&idx[start + size..])
-            .copied()
-            .collect();
-        splits.push(Split { train, test });
-        start += size;
-    }
-    Ok(splits)
-}
-
-/// A deterministic stratified train/test split: `train_fraction` of each
-/// class goes to training (at least one sample per class in training when
-/// possible).
-///
-/// # Errors
-///
-/// Returns [`MlError::EmptyDataset`] for empty labels and
-/// [`MlError::InvalidParameter`] if `train_fraction` is outside `(0, 1)`.
-pub fn stratified_split(
-    labels: &[usize],
-    train_fraction: f64,
-    seed: u64,
-) -> Result<Split, MlError> {
-    if labels.is_empty() {
-        return Err(MlError::EmptyDataset);
-    }
-    if !(train_fraction > 0.0 && train_fraction < 1.0) {
-        return Err(MlError::InvalidParameter {
-            name: "train_fraction",
-            constraint: "must lie strictly between 0 and 1",
-        });
-    }
-    let mut rng = DetRng::seed_from_u64(seed);
-    let mut classes: Vec<usize> = labels.to_vec();
-    classes.sort_unstable();
-    classes.dedup();
-    let mut train = Vec::new();
-    let mut test = Vec::new();
-    for c in classes {
-        let mut members: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == c)
-            .map(|(i, _)| i)
-            .collect();
-        for i in (1..members.len()).rev() {
-            let j = rng.range_inclusive(0, i);
-            members.swap(i, j);
-        }
-        let take = ((members.len() as f64 * train_fraction).round() as usize)
-            .clamp(1, members.len().saturating_sub(1).max(1));
-        train.extend_from_slice(&members[..take]);
-        test.extend_from_slice(&members[take..]);
-    }
-    train.sort_unstable();
-    test.sort_unstable();
-    Ok(Split { train, test })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,50 +99,5 @@ mod tests {
     fn logo_errors() {
         assert!(leave_one_group_out(&[]).is_err());
         assert!(leave_one_group_out(&[3, 3, 3]).is_err());
-    }
-
-    #[test]
-    fn k_fold_partitions() {
-        let splits = k_fold(10, 3, 1).unwrap();
-        assert_eq!(splits.len(), 3);
-        let sizes: Vec<usize> = splits.iter().map(|s| s.test.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 10);
-        assert_eq!(sizes, vec![4, 3, 3]);
-        let mut all: Vec<usize> = splits.iter().flat_map(|s| s.test.clone()).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn k_fold_is_deterministic_and_seed_sensitive() {
-        let a = k_fold(20, 4, 5).unwrap();
-        let b = k_fold(20, 4, 5).unwrap();
-        let c = k_fold(20, 4, 6).unwrap();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn k_fold_errors() {
-        assert!(k_fold(10, 1, 0).is_err());
-        assert!(k_fold(2, 3, 0).is_err());
-    }
-
-    #[test]
-    fn stratified_split_respects_fraction_per_class() {
-        let labels: Vec<usize> = [vec![0; 20], vec![1; 20]].concat();
-        let s = stratified_split(&labels, 0.75, 9).unwrap();
-        let train_class0 = s.train.iter().filter(|&&i| labels[i] == 0).count();
-        let train_class1 = s.train.iter().filter(|&&i| labels[i] == 1).count();
-        assert_eq!(train_class0, 15);
-        assert_eq!(train_class1, 15);
-        assert_eq!(s.train.len() + s.test.len(), 40);
-    }
-
-    #[test]
-    fn stratified_split_errors() {
-        assert!(stratified_split(&[], 0.5, 0).is_err());
-        assert!(stratified_split(&[0, 1], 0.0, 0).is_err());
-        assert!(stratified_split(&[0, 1], 1.0, 0).is_err());
     }
 }

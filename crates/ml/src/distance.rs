@@ -33,13 +33,6 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     squared_euclidean(a, b).sqrt()
 }
 
-/// Manhattan (L1) distance — used as a robustness alternative in ablations.
-#[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum()
-}
-
 /// Cosine similarity `cos(a, b)`, clamped to `[-1, 1]`; zero vectors have
 /// similarity 0 with everything.
 ///
@@ -106,11 +99,6 @@ mod tests {
         let b = [1.0, 1.0];
         let c = [2.0, 0.5];
         assert!(euclidean(&a, &c) <= euclidean(&a, &b) + euclidean(&b, &c) + 1e-12);
-    }
-
-    #[test]
-    fn manhattan_basics() {
-        assert_eq!(manhattan(&[1.0, 2.0], &[4.0, 0.0]), 5.0);
     }
 
     #[test]

@@ -175,12 +175,6 @@ impl KMeans {
         nearest_centroid(sample, &self.centroids).0
     }
 
-    /// Nearest centroid and distance for `sample`.
-    pub fn predict_with_distance(&self, sample: &[f64]) -> (usize, f64) {
-        let (i, d2) = nearest_centroid(sample, &self.centroids);
-        (i, d2.sqrt())
-    }
-
     /// Predicts labels for many samples.
     pub fn predict_batch(&self, samples: &[Vec<f64>]) -> Vec<usize> {
         samples.iter().map(|s| self.predict(s)).collect()
@@ -449,21 +443,6 @@ mod tests {
         }
         let batch = model.predict_batch(&data);
         assert_eq!(batch, model.labels());
-    }
-
-    #[test]
-    fn predict_with_distance_is_nonnegative() {
-        let data = blobs();
-        let model = KMeans::fit(
-            &data,
-            &KMeansConfig {
-                k: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let (_, d) = model.predict_with_distance(&[5.0, 5.0]);
-        assert!(d > 0.0);
     }
 
     #[test]

@@ -1,19 +1,15 @@
 //! Outlier handling for k-means.
 //!
 //! "K-means clustering can perform badly in the presence of outliers"
-//! (paper §IV-D-4). The paper describes two mitigation strategies, both
-//! implemented here:
-//!
-//! 1. **Distance-based removal**: points much farther from their cluster
-//!    centre than their peers are dropped, verified over multiple
-//!    clustering loops before deletion.
-//! 2. **Random sampling**: cluster a random subsample (outliers are
-//!    unlikely to be drawn), then extend the model to the full set.
+//! (paper §IV-D-4). This module implements the first of the paper's two
+//! mitigation strategies, the one the detector uses: **distance-based
+//! removal** drops points much farther from their cluster centre than their
+//! peers, verified over multiple clustering loops before deletion. The
+//! second, clustering a random subsample, is not implemented.
 
 use crate::distance::euclidean;
 use crate::error::MlError;
 use crate::kmeans::{KMeans, KMeansConfig};
-use earsonar_dsp::rng::DetRng;
 
 /// Result of an outlier-removal pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,18 +18,6 @@ pub struct OutlierReport {
     pub inliers: Vec<usize>,
     /// Indices flagged as outliers.
     pub outliers: Vec<usize>,
-}
-
-impl OutlierReport {
-    /// Fraction of samples flagged.
-    pub fn outlier_rate(&self) -> f64 {
-        let total = self.inliers.len() + self.outliers.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.outliers.len() as f64 / total as f64
-        }
-    }
 }
 
 /// Distance-based outlier detection (paper strategy 1).
@@ -101,47 +85,6 @@ pub fn detect_outliers(
     Ok(OutlierReport { inliers, outliers })
 }
 
-/// Random-sampling strategy (paper strategy 2): fit k-means on a random
-/// fraction of the data ("the randomly selected sample will be relatively
-/// clean"), returning the model for use on the full dataset.
-///
-/// # Errors
-///
-/// Returns [`MlError::InvalidParameter`] if `fraction` is outside `(0, 1]`,
-/// plus any k-means fitting error (e.g. the subsample being smaller than
-/// `k`).
-pub fn fit_on_random_sample(
-    data: &[Vec<f64>],
-    config: &KMeansConfig,
-    fraction: f64,
-    seed: u64,
-) -> Result<KMeans, MlError> {
-    if !(fraction > 0.0 && fraction <= 1.0) {
-        return Err(MlError::InvalidParameter {
-            name: "fraction",
-            constraint: "must lie in (0, 1]",
-        });
-    }
-    if data.is_empty() {
-        return Err(MlError::EmptyDataset);
-    }
-    let take = ((data.len() as f64 * fraction).round() as usize)
-        .clamp(1, data.len())
-        .max(config.k);
-    let mut rng = DetRng::seed_from_u64(seed);
-    // Partial Fisher-Yates for a uniform subsample without replacement.
-    let mut idx: Vec<usize> = (0..data.len()).collect();
-    for i in 0..take.min(data.len() - 1) {
-        let j = rng.range_usize(i, data.len());
-        idx.swap(i, j);
-    }
-    let sample: Vec<Vec<f64>> = idx[..take.min(data.len())]
-        .iter()
-        .map(|&i| data[i].clone())
-        .collect();
-    KMeans::fit(&sample, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +128,6 @@ mod tests {
         };
         let report = detect_outliers(&data, &cfg, 4.0, 3).unwrap();
         assert!(report.outliers.is_empty(), "{:?}", report.outliers);
-        assert_eq!(report.outlier_rate(), 0.0);
     }
 
     #[test]
@@ -197,46 +139,5 @@ mod tests {
         };
         assert!(detect_outliers(&data, &cfg, 2.0, 0).is_err());
         assert!(detect_outliers(&data, &cfg, 0.0, 3).is_err());
-        assert!(fit_on_random_sample(&data, &cfg, 0.0, 1).is_err());
-        assert!(fit_on_random_sample(&data, &cfg, 1.5, 1).is_err());
-        assert!(fit_on_random_sample(&[], &cfg, 0.5, 1).is_err());
-    }
-
-    #[test]
-    fn random_sample_model_clusters_full_data() {
-        let data = blobs_with_outlier();
-        let cfg = KMeansConfig {
-            k: 2,
-            ..Default::default()
-        };
-        let model = fit_on_random_sample(&data, &cfg, 0.6, 7).unwrap();
-        // The two blob members map to different clusters.
-        assert_ne!(model.predict(&data[0]), model.predict(&data[12]));
-    }
-
-    #[test]
-    fn random_sampling_is_deterministic_per_seed() {
-        let data = blobs_with_outlier();
-        let cfg = KMeansConfig {
-            k: 2,
-            ..Default::default()
-        };
-        let a = fit_on_random_sample(&data, &cfg, 0.5, 99).unwrap();
-        let b = fit_on_random_sample(&data, &cfg, 0.5, 99).unwrap();
-        assert_eq!(a.centroids(), b.centroids());
-    }
-
-    #[test]
-    fn outlier_rate_math() {
-        let r = OutlierReport {
-            inliers: vec![0, 1, 2],
-            outliers: vec![3],
-        };
-        assert!((r.outlier_rate() - 0.25).abs() < 1e-12);
-        let empty = OutlierReport {
-            inliers: vec![],
-            outliers: vec![],
-        };
-        assert_eq!(empty.outlier_rate(), 0.0);
     }
 }

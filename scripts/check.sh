@@ -6,6 +6,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --all --check: every workspace member is rustfmt-clean"
+# Covers workspace members only; benchmark/ is its own package and keeps
+# its own formatting.
+cargo fmt --all --check
+
 echo "==> xtask lint: workspace invariants (panic-freedom, allocation"
 echo "    discipline, determinism, layering, header hygiene, no lock)"
 # Parses manifests and scans sources directly, so it runs before anything
