@@ -216,7 +216,8 @@ mod tests {
         // dominates all sidelobes, enabling multipath separation.
         let c = FmcwChirp::new(16_000.0, 4_000.0, 2e-3, 48_000.0).unwrap();
         let x = c.samples();
-        let xc = earsonar_dsp::correlation::cross_correlate(&x, &x);
+        let reversed: Vec<f64> = x.iter().rev().copied().collect();
+        let xc = earsonar_dsp::convolution::convolve(&x, &reversed);
         let zero_lag = x.len() - 1;
         let peak = xc[zero_lag].abs();
         let max_sidelobe = xc

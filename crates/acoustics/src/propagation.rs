@@ -9,15 +9,16 @@
 //! Every spectral operation runs on the process-wide FFT plan of its size
 //! and draws its intermediate buffers from a caller-owned [`DspScratch`]:
 //! [`delay_fractional_allpass_with`] and [`apply_frequency_response_with`]
-//! for one copy, [`SpectralDelayLine`] for accumulating many delayed copies
-//! of one signal with a *single* inverse transform — the hot path of the
-//! recording simulator.
+//! for one copy, [`AllpassDelay`] for delaying many signals by one amount
+//! with one transform in all, [`SpectralDelayLine`] for accumulating many
+//! delayed copies of one signal with a *single* inverse transform — the
+//! hot path of the recording simulator.
 
 use crate::constants::SPEED_OF_SOUND_AIR;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::error::DspError;
 use earsonar_dsp::fft::next_pow2;
-use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, LaneFrame, RealFftPlan};
+use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use std::f64::consts::PI;
 
 /// Round-trip delay in seconds to a reflector at `distance_m` metres in air.
@@ -74,12 +75,11 @@ pub fn delay_phase_multiplier(k: usize, n: usize, delay_samples: f64) -> Complex
 /// the delayed signal's in-band spectrum is the measurand.
 ///
 /// The result is written to `out` (`out_len` samples; a negative delay
-/// gives silence). The transform size is `next_pow2(x.len() + ⌈delay⌉ + 1)`
-/// and the intermediate buffer comes from `scratch`: with a warm scratch
-/// the call performs no allocation beyond growing `out` to `out_len`. The
-/// FFT plan of that size stays resident for the life of the process
-/// ([`FftPlan::shared`]). This is the one-lane instance of
-/// [`delay_fractional_allpass_lanes`].
+/// gives silence). This is [`AllpassDelay::new`] for `x`'s length followed
+/// by [`AllpassDelay::apply`]: the transform size is
+/// `next_pow2(x.len() + ⌈delay⌉ + 1)`, and the kernel's intermediate
+/// buffers come from `scratch`. Callers that delay many signals of one
+/// length by one amount build the [`AllpassDelay`] once instead.
 ///
 /// # Errors
 ///
@@ -91,74 +91,129 @@ pub fn delay_fractional_allpass_with(
     scratch: &mut DspScratch,
     out: &mut Vec<f64>,
 ) -> Result<(), DspError> {
-    delay_fractional_allpass_lanes([x], delay_samples, out_len, scratch, [out])
+    AllpassDelay::new(delay_samples, x.len(), scratch)?.apply(x, out_len, out)
 }
 
-/// [`delay_fractional_allpass_with`] of `L` signals by the same delay:
-/// one `L`-lane forward and inverse transform, one set of phase
-/// multipliers; `outs[l]` receives `xs[l]` delayed, bit-identical to
-/// delaying it alone.
+/// Outputs an [`AllpassDelay`] computes together.
+const BLOCK: usize = 8;
+
+/// An allpass fractional delay by one amount, for inputs of one transform
+/// size `n`, held as its real kernel `h = IFFT(M)`, where
+/// `M[k] = delay_phase_multiplier(k, n, delay)`
+/// ([`delay_phase_multiplier`]).
 ///
-/// The phase multipliers are evaluated for bins `0..=n/2` only. Bin
-/// `n - k`'s phase is the exact negation of bin `k`'s (both signed
-/// frequencies are exact multiples of `1/n`), so its multiplier is the
-/// conjugate of bin `k`'s, bit for bit. Lanes whose lengths call for
-/// different transform sizes, or empty lanes, run one at a time.
+/// Multiplying a spectrum by `M` is a circular convolution with `h`, so
+/// once the kernel is built (one `n`-point inverse transform) each
+/// [`AllpassDelay::apply`] is a direct convolution with no transform.
 ///
-/// # Errors
+/// # Example
 ///
-/// Propagates plan errors (not reachable for the sizes chosen here).
-pub fn delay_fractional_allpass_lanes<const L: usize>(
-    xs: [&[f64]; L],
-    delay_samples: f64,
-    out_len: usize,
-    scratch: &mut DspScratch,
-    mut outs: [&mut Vec<f64>; L],
-) -> Result<(), DspError> {
-    for out in outs.iter_mut() {
+/// ```
+/// use earsonar_acoustics::propagation::AllpassDelay;
+/// use earsonar_dsp::plan::DspScratch;
+///
+/// // One delay of 2.5 samples for every 4-sample input.
+/// let delay = AllpassDelay::new(2.5, 4, &mut DspScratch::new()).unwrap();
+/// let mut out = Vec::new();
+/// delay.apply(&[0.0, 1.0, 0.0, 0.0], 8, &mut out).unwrap();
+/// // The impulse now straddles samples 3 and 4.
+/// assert!(out[3] > 0.5 && out[4] > 0.5);
+/// ```
+#[derive(Debug, Clone)]
+pub struct AllpassDelay {
+    /// The transform size `n`.
+    n: usize,
+    /// `⌈delay⌉ + 1`: an input of `len` samples needs
+    /// `next_pow2(len + lead)` points.
+    lead: usize,
+    /// The kernel repeated: `taps[i] = h[i mod n]` for `i < 2n`, so input
+    /// sample `j` adds `x[j] · taps[n - j + t]` to output sample `t`; then
+    /// [`BLOCK`] zeros, so a block of outputs always has taps to read.
+    /// Empty for a negative delay, which gives silence.
+    taps: Vec<f64>,
+}
+
+impl AllpassDelay {
+    /// The delay by `delay_samples` for inputs of `input_len` samples (or
+    /// of any length that needs the same transform size). The phase
+    /// multipliers and the inverse transform's buffers come from
+    /// `scratch`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates plan errors (not reachable for the sizes chosen here).
+    pub fn new(
+        delay_samples: f64,
+        input_len: usize,
+        scratch: &mut DspScratch,
+    ) -> Result<Self, DspError> {
+        let lead = delay_samples.ceil() as usize + 1;
+        let n = next_pow2(input_len + lead);
+        let mut taps = Vec::new();
+        // A NaN delay is not negative: it builds a NaN kernel, not silence.
+        if !(delay_samples < 0.0) {
+            let plan = RealFftPlan::shared(n)?;
+            // Bins above n/2 are the conjugates of those below; the real
+            // inverse reads only `0..=n/2`.
+            let mut multipliers = scratch.take_complex();
+            multipliers.extend((0..=n / 2).map(|k| delay_phase_multiplier(k, n, delay_samples)));
+            multipliers.resize(n, Complex64::ZERO);
+            let mut work = scratch.take_complex();
+            let mut h = scratch.take_real();
+            let inverted = plan.inverse_into(&multipliers, &mut work, &mut h);
+            if inverted.is_ok() {
+                taps.extend_from_slice(&h);
+                taps.extend_from_slice(&h);
+                taps.resize(2 * n + BLOCK, 0.0);
+            }
+            scratch.put_real(h);
+            scratch.put_complex(work);
+            scratch.put_complex(multipliers);
+            inverted?;
+        }
+        Ok(AllpassDelay { n, lead, taps })
+    }
+
+    /// Writes `x` delayed to `out`: `out_len` samples, of which the first
+    /// `n` carry the circular convolution of `x` with the kernel and the
+    /// rest are zero, exactly as the spectral phase shift at size `n`
+    /// would give. An empty input or a negative delay gives silence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidLength`] if `x` needs a different
+    /// transform size than the one the delay was built for.
+    // lint: hot-path
+    pub fn apply(&self, x: &[f64], out_len: usize, out: &mut Vec<f64>) -> Result<(), DspError> {
         out.clear();
         out.resize(out_len, 0.0);
-    }
-    if delay_samples < 0.0 || out_len == 0 {
-        return Ok(());
-    }
-    let size = |x: &[f64]| next_pow2(x.len() + delay_samples.ceil() as usize + 1);
-    if L > 1 && xs.iter().any(|x| x.is_empty() || size(x) != size(xs[0])) {
-        for (x, out) in xs.into_iter().zip(outs) {
-            delay_fractional_allpass_lanes([x], delay_samples, out_len, scratch, [out])?;
+        if self.taps.is_empty() || x.is_empty() {
+            return Ok(());
         }
-        return Ok(());
-    }
-    if xs[0].is_empty() {
-        return Ok(());
-    }
-    let n = size(xs[0]);
-    let plan = FftPlan::shared(n)?;
-    let mut buf = scratch.take_frames();
-    let mut multipliers = scratch.take_complex();
-    plan.forward_from_real_lanes(xs, &mut buf);
-    multipliers.extend((0..=n / 2).map(|k| delay_phase_multiplier(k, n, delay_samples)));
-    let frames = split_frames_mut::<L>(&mut buf);
-    for (k, frame) in frames.iter_mut().enumerate() {
-        let m = match multipliers.get(k) {
-            Some(&m) => m,
-            None => multipliers[n - k].conj(),
-        };
-        for l in 0..L {
-            frame.set_lane(l, frame.lane(l) * m);
+        let n = self.n;
+        if next_pow2(x.len() + self.lead) != n {
+            return Err(DspError::InvalidLength {
+                expected: "an input of the transform size the delay was built for",
+                actual: x.len(),
+            });
         }
-    }
-    let inverted = plan.execute_lanes(frames, true);
-    if inverted.is_ok() {
-        for (l, out) in outs.into_iter().enumerate() {
-            for (dst, frame) in out.iter_mut().zip(frames.iter()) {
-                *dst = frame.lane(l).re;
+        // y[t] = Σ_j x[j] h[(t - j) mod n], summed over j in order, for a
+        // block of consecutive outputs at a time: the block's sums are
+        // independent, so they stay in registers and run side by side.
+        for (b, ys) in out[..out_len.min(n)].chunks_mut(BLOCK).enumerate() {
+            let t0 = b * BLOCK;
+            let mut acc = [0.0; BLOCK];
+            for (j, &v) in x.iter().enumerate() {
+                if let Some(h) = self.taps[n - j + t0..].first_chunk::<BLOCK>() {
+                    for (a, &h) in acc.iter_mut().zip(h) {
+                        *a += v * h;
+                    }
+                }
             }
+            ys.copy_from_slice(&acc[..ys.len()]);
         }
+        Ok(())
     }
-    scratch.put_complex(multipliers);
-    scratch.put_frames(buf);
-    inverted
 }
 
 /// Filters `x` through an arbitrary real frequency response `gain(f_hz)`
@@ -399,56 +454,6 @@ mod tests {
             let expect = cold(|s, o| delay_fractional_allpass_with(&x, d, 64, s, o));
             delay_fractional_allpass_with(&x, d, 64, &mut scratch, &mut out).unwrap();
             assert_eq!(expect, out, "delay {d}");
-        }
-    }
-
-    /// The allpass delay as it was written before the multipliers were
-    /// mirrored: one `delay_phase_multiplier` per bin.
-    fn allpass_per_bin(x: &[f64], d: f64, out_len: usize) -> Vec<f64> {
-        let n = earsonar_dsp::fft::next_pow2(x.len() + d.ceil() as usize + 1);
-        let mut buf = Vec::new();
-        FftPlan::new(n).unwrap().forward_from_real(x, &mut buf);
-        for (k, z) in buf.iter_mut().enumerate() {
-            *z *= delay_phase_multiplier(k, n, d);
-        }
-        FftPlan::new(n).unwrap().inverse(&mut buf).unwrap();
-        let mut out = vec![0.0; out_len];
-        for (dst, z) in out.iter_mut().zip(&buf) {
-            *dst = z.re;
-        }
-        out
-    }
-
-    #[test]
-    fn mirrored_multipliers_match_per_bin_form_bitwise() {
-        let mut rng = earsonar_dsp::rng::DetRng::seed_from_u64(0xA11_9A55);
-        let mut scratch = DspScratch::new();
-        let (mut out, mut a, mut b, mut c, mut e) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for case in 0..1_000 {
-            let len = rng.range_inclusive(1, 300);
-            let d = rng.uniform(0.0, 40.0);
-            let x: Vec<f64> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let out_len = len + 8;
-            let expect = allpass_per_bin(&x, d, out_len);
-            delay_fractional_allpass_with(&x, d, out_len, &mut scratch, &mut out).unwrap();
-            assert_eq!(out, expect, "case {case}: len {len} delay {d}");
-            // Every lane of a 4-lane pass equals the one-lane result; the
-            // last lane's length needs another transform size.
-            let y: Vec<f64> = x.iter().map(|v| -0.5 * v).collect();
-            let long = vec![0.25; 2 * len + 64];
-            delay_fractional_allpass_lanes(
-                [&x, &y, &x, &long],
-                d,
-                out_len,
-                &mut scratch,
-                [&mut a, &mut b, &mut c, &mut e],
-            )
-            .unwrap();
-            assert_eq!(a, expect, "case {case}: lane 0");
-            assert_eq!(c, expect, "case {case}: lane 2");
-            assert_eq!(b, allpass_per_bin(&y, d, out_len), "case {case}: lane 1");
-            assert_eq!(e, allpass_per_bin(&long, d, out_len), "case {case}: lane 3");
         }
     }
 

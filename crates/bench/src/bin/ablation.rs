@@ -155,7 +155,8 @@ fn main() {
 
     println!(
         "\nreading: echo segmentation is the load-bearing stage; Laplacian\n\
-         selection trims noise dimensions; outlier removal is a small\n\
-         stabilizer on clean data."
+         selection trims noise dimensions; outlier removal moves accuracy\n\
+         by {:+.1} pts on clean data.",
+        100.0 * (reports[0].accuracy - reports[2].accuracy)
     );
 }

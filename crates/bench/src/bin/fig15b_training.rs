@@ -49,7 +49,7 @@ fn main() {
     }
     print!("{}", t.render());
     println!(
-        "\nshape check (paper): steep rise then saturation — the 50%→100%\n\
+        "\nshape check (paper): steep rise then saturation — the 50%→90%\n\
          gain ({:+.1} pts measured) is much smaller than 25%→50% ({:+.1} pts).",
         100.0 * (accs[3] - accs[1]),
         100.0 * (accs[1] - accs[0])

@@ -12,17 +12,9 @@
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use earsonar_dsp::fft::next_pow2;
+use earsonar_dsp::goertzel::Goertzel;
 use earsonar_dsp::interp::resample_uniform;
-use earsonar_dsp::plan::{split_frames, DspScratch, FftPlan, LaneFrame};
-use earsonar_dsp::Complex64;
-
-/// The `n_fft`-point (power-of-two rounded) spectrum of `x`, truncated or
-/// zero-padded to fit.
-pub(crate) fn padded_spectrum(x: &[f64], n_fft: usize) -> Result<Vec<Complex64>, EarSonarError> {
-    let mut spec = Vec::new();
-    FftPlan::shared(next_pow2(n_fft))?.forward_from_real(x, &mut spec);
-    Ok(spec)
-}
+use earsonar_dsp::plan::DspScratch;
 
 /// The absorption signature of one (or an average of many) eardrum echoes.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +60,10 @@ impl EchoSpectrum {
 /// eardrum reflectance power directly. A Tukey-style taper (Hann ramps at
 /// both ends) suppresses truncation leakage.
 ///
-/// This is the one-lane instance of [`echo_ir_spectra`].
+/// The band's bins come from a Goertzel pass over the section, not a
+/// transform. This call builds the configuration's taper and Goertzel
+/// coefficients; the front end builds them once and reuses them for every
+/// chirp, with the same result.
 ///
 /// # Errors
 ///
@@ -80,96 +75,106 @@ pub fn echo_ir_spectrum(
     calibration: f64,
     config: &EarSonarConfig,
 ) -> Result<EchoSpectrum, EarSonarError> {
-    let mut scratch = DspScratch::new();
-    let [spectrum] = echo_ir_spectra([ir], echo_center, calibration, config, &mut scratch)?;
-    Ok(spectrum)
+    EchoBand::new(config).spectrum(&mut DspScratch::new(), ir, echo_center, calibration)
 }
 
-/// [`echo_ir_spectrum`] of `L` impulse responses sharing one echo centre:
-/// the taper weights are evaluated once and the `L` spectra come from one
-/// `L`-lane transform ([`FftPlan::forward_from_real_lanes`]). Lane `l`'s
-/// spectrum is bit-identical to [`echo_ir_spectrum`] of `irs[l]`.
-///
-/// # Errors
-///
-/// Returns [`EarSonarError::BadRecording`] if any IR is empty or the
-/// calibration is not positive.
-pub fn echo_ir_spectra<const L: usize>(
-    irs: [&[f64]; L],
-    echo_center: usize,
-    calibration: f64,
-    config: &EarSonarConfig,
-    scratch: &mut DspScratch,
-) -> Result<[EchoSpectrum; L], EarSonarError> {
-    if irs.iter().any(|ir| ir.is_empty()) {
-        return Err(EarSonarError::BadRecording {
-            reason: "empty impulse response",
-        });
+/// The echo-spectrum operator of one configuration, built once: the IR
+/// section's placement and taper, and Goertzel probes at the bins of the
+/// `n_fft`-point spectrum that cover `profile_band_hz` — the only bins the
+/// spectrum reads, so no transform runs.
+#[derive(Debug, Clone)]
+pub(crate) struct EchoBand {
+    /// Section samples before the echo centre.
+    pre: usize,
+    /// Tukey taper over the `echo_ir_pre + echo_ir_tail` section: a short
+    /// Hann ramp in, a longer ramp out.
+    taper: Vec<f64>,
+    band: Goertzel,
+    /// Frequency of each profile bin in hertz.
+    frequencies: Vec<f64>,
+}
+
+impl EchoBand {
+    pub(crate) fn new(config: &EarSonarConfig) -> Self {
+        let pre = config.echo_ir_pre;
+        let tail = config.echo_ir_tail;
+        let hann = |i: usize, ramp: usize| {
+            0.5 - 0.5 * (std::f64::consts::PI * i as f64 / ramp as f64).cos()
+        };
+        let mut taper = vec![1.0; pre + tail];
+        let ramp_in = pre.clamp(1, 3);
+        let ramp_out = (tail / 3).max(1);
+        for (i, w) in taper.iter_mut().take(ramp_in).enumerate() {
+            *w *= hann(i, ramp_in);
+        }
+        for (i, w) in taper.iter_mut().rev().take(ramp_out).enumerate() {
+            *w *= hann(i, ramp_out);
+        }
+        let n_fft = next_pow2(config.n_fft);
+        let df = config.sample_rate / n_fft as f64;
+        let (p_lo, p_hi) = config.profile_band_hz;
+        let k_lo = (p_lo / df).floor() as usize;
+        let k_hi = ((p_hi / df).ceil() as usize).min(n_fft / 2);
+        let bins = config.psd_profile_bins;
+        EchoBand {
+            pre,
+            taper,
+            band: Goertzel::dft_bins(n_fft, k_lo..k_hi + 1),
+            frequencies: (0..bins)
+                .map(|i| p_lo + (p_hi - p_lo) * i as f64 / (bins - 1).max(1) as f64)
+                .collect(),
+        }
     }
-    if !(calibration > 0.0) {
-        return Err(EarSonarError::BadRecording {
-            reason: "calibration gain must be positive",
-        });
-    }
-    let pre = config.echo_ir_pre;
-    let tail = config.echo_ir_tail;
-    let len = pre + tail;
-    let start = echo_center as isize - pre as isize;
-    let mut sections = irs.map(|ir| -> Vec<f64> {
-        (0..len)
-            .map(|i| {
+
+    /// The echo spectrum of `ir` around `echo_center`: see
+    /// [`echo_ir_spectrum`]. The band powers' buffer comes from `scratch`.
+    pub(crate) fn spectrum(
+        &self,
+        scratch: &mut DspScratch,
+        ir: &[f64],
+        echo_center: usize,
+        calibration: f64,
+    ) -> Result<EchoSpectrum, EarSonarError> {
+        if ir.is_empty() {
+            return Err(EarSonarError::BadRecording {
+                reason: "empty impulse response",
+            });
+        }
+        if !(calibration > 0.0) {
+            return Err(EarSonarError::BadRecording {
+                reason: "calibration gain must be positive",
+            });
+        }
+        let start = echo_center as isize - self.pre as isize;
+        let echo_window: Vec<f64> = self
+            .taper
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
                 let idx = start + i as isize;
-                if idx >= 0 && (idx as usize) < ir.len() {
+                let v = if idx >= 0 && (idx as usize) < ir.len() {
                     ir[idx as usize]
                 } else {
                     0.0
-                }
+                };
+                v * w
             })
-            .collect()
-    });
-    // Tukey taper: short Hann ramp in, longer ramp out.
-    let ramp_in = pre.clamp(1, 3);
-    let ramp_out = (tail / 3).max(1);
-    for i in 0..ramp_in.min(len) {
-        let w = 0.5 - 0.5 * (std::f64::consts::PI * i as f64 / ramp_in as f64).cos();
-        for section in sections.iter_mut() {
-            section[i] *= w;
-        }
-    }
-    for i in 0..ramp_out.min(len) {
-        let w = 0.5 - 0.5 * (std::f64::consts::PI * i as f64 / ramp_out as f64).cos();
-        for section in sections.iter_mut() {
-            section[len - 1 - i] *= w;
-        }
-    }
-
-    let plan = FftPlan::shared(next_pow2(config.n_fft))?;
-    let mut spec = scratch.take_frames();
-    plan.forward_from_real_lanes(sections.each_ref().map(Vec::as_slice), &mut spec);
-    let n_fft = plan.size();
-    let df = config.sample_rate / n_fft as f64;
-    let (p_lo, p_hi) = config.profile_band_hz;
-    let k_lo = (p_lo / df).floor() as usize;
-    let k_hi = ((p_hi / df).ceil() as usize).min(n_fft / 2);
-    let cal_sq = calibration * calibration;
-    let frequencies: Vec<f64> = (0..config.psd_profile_bins)
-        .map(|i| p_lo + (p_hi - p_lo) * i as f64 / (config.psd_profile_bins - 1).max(1) as f64)
-        .collect();
-    let bins = split_frames::<L>(&spec);
-    let spectra = std::array::from_fn(|l| {
-        let band: Vec<f64> = (k_lo..=k_hi)
-            .map(|k| bins[k].lane(l).norm_sqr() / cal_sq)
             .collect();
-        let band_power: f64 = band.iter().sum();
-        EchoSpectrum {
-            profile: resample_uniform(&band, config.psd_profile_bins),
-            frequencies: frequencies.clone(),
-            band_power,
-            echo_window: std::mem::take(&mut sections[l]),
+        let mut band = scratch.take_real();
+        self.band.powers_into(&echo_window, &mut band);
+        let cal_sq = calibration * calibration;
+        for p in band.iter_mut() {
+            *p /= cal_sq;
         }
-    });
-    scratch.put_frames(spec);
-    Ok(spectra)
+        let spectrum = EchoSpectrum {
+            profile: resample_uniform(&band, self.frequencies.len()),
+            frequencies: self.frequencies.clone(),
+            band_power: band.iter().sum(),
+            echo_window,
+        };
+        scratch.put_real(band);
+        Ok(spectrum)
+    }
 }
 
 /// Averages per-chirp spectra into one recording-level spectrum. The

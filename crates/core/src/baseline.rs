@@ -14,6 +14,8 @@ use crate::channel::{average_irs, chirp_template, pipeline_estimator, ChannelEst
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::preprocess::Preprocessor;
+use earsonar_dsp::fft::next_pow2;
+use earsonar_dsp::plan::FftPlan;
 use earsonar_dsp::stats::Summary;
 use earsonar_signal::recording::Recording;
 
@@ -53,8 +55,9 @@ pub fn features(
     let avg_ir = average_irs(&irs)?;
     // Whole-response spectrum: no segmentation, so the direct leak and
     // wall reflections interfere with the eardrum return.
-    let spec = crate::absorption::padded_spectrum(&avg_ir, config.n_fft)?;
-    let n_fft = spec.len();
+    let n_fft = next_pow2(config.n_fft);
+    let mut spec = Vec::new();
+    FftPlan::shared(n_fft)?.forward_from_real(&avg_ir, &mut spec);
     let df = config.sample_rate / n_fft as f64;
     let (p_lo, p_hi) = config.profile_band_hz;
     let k_lo = (p_lo / df).floor() as usize;

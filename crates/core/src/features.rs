@@ -17,7 +17,6 @@ use crate::absorption::EchoSpectrum;
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::segment::EardrumEcho;
-use earsonar_dsp::lanes::{for_lane_groups, LaneOp};
 use earsonar_dsp::mfcc::MfccExtractor;
 use earsonar_dsp::plan::DspScratch;
 use earsonar_dsp::stats::{self, Summary};
@@ -96,15 +95,14 @@ impl FeatureExtractor {
         }
         let mut features = Vec::with_capacity(FEATURE_COUNT);
 
-        // MFCC mean and std across chirps, several chirps per transform.
-        let mut mfcc = MfccLanes {
-            mfcc: &self.mfcc,
-            scratch,
-            per_chirp,
-            coeffs: Vec::with_capacity(per_chirp.len()),
-        };
-        for_lane_groups(per_chirp.len(), &mut mfcc)?;
-        let mfccs = mfcc.coeffs;
+        // MFCC mean and std across chirps.
+        let mut mfccs = Vec::with_capacity(per_chirp.len());
+        for spectrum in per_chirp {
+            let mut coeffs = Vec::with_capacity(N_MFCC);
+            self.mfcc
+                .extract_into(scratch, &spectrum.echo_window, &mut coeffs)?;
+            mfccs.push(coeffs);
+        }
         let n = mfccs.len() as f64;
         let mut mean = vec![0.0; N_MFCC];
         for m in &mfccs {
@@ -199,68 +197,6 @@ impl FeatureExtractor {
             mean_parity,
         ]
     }
-
-    /// Names of all 105 features, index-aligned with
-    /// [`FeatureExtractor::extract`]'s output.
-    pub fn feature_names() -> Vec<String> {
-        let mut names = Vec::with_capacity(FEATURE_COUNT);
-        for i in 0..N_MFCC {
-            names.push(format!("mfcc_mean_{i:02}"));
-        }
-        for i in 0..N_MFCC {
-            names.push(format!("mfcc_std_{i:02}"));
-        }
-        for i in 0..N_PROFILE {
-            names.push(format!("psd_profile_{i:02}"));
-        }
-        for s in ["mean", "std", "max", "min", "skewness", "kurtosis"] {
-            names.push(format!("profile_{s}"));
-        }
-        for s in ["mean", "std", "max", "min", "skewness", "kurtosis"] {
-            names.push(format!("echo_td_{s}"));
-        }
-        for s in [
-            "dip_frequency",
-            "dip_depth",
-            "spectral_centroid",
-            "spectral_spread",
-            "spectral_flatness",
-            "half_band_ratio",
-            "peak_frequency",
-            "log_band_power",
-            "parity_energy_ratio",
-        ] {
-            names.push(format!("shape_{s}"));
-        }
-        debug_assert_eq!(names.len(), FEATURE_COUNT);
-        names
-    }
-}
-
-/// The MFCCs of a batch of echo windows, one lane group at a time, in
-/// chirp order.
-struct MfccLanes<'a> {
-    mfcc: &'a MfccExtractor,
-    scratch: &'a mut DspScratch,
-    per_chirp: &'a [EchoSpectrum],
-    coeffs: Vec<Vec<f64>>,
-}
-
-impl LaneOp for MfccLanes<'_> {
-    type Error = EarSonarError;
-
-    /// A group fails exactly when a chirp-by-chirp loop would: the only
-    /// per-lane error is an empty window, and every other error is the
-    /// same for all lanes.
-    fn run<const L: usize>(&mut self, first: usize) -> Result<(), EarSonarError> {
-        let segments: [&[f64]; L] =
-            std::array::from_fn(|l| self.per_chirp[first + l].echo_window.as_slice());
-        let mut coeffs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::with_capacity(N_MFCC));
-        self.mfcc
-            .extract_lanes(self.scratch, segments, coeffs.each_mut())?;
-        self.coeffs.extend(coeffs);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -282,20 +218,6 @@ mod tests {
             .unwrap();
         assert_eq!(f.len(), FEATURE_COUNT);
         assert!(f.iter().all(|v| v.is_finite()), "non-finite feature");
-    }
-
-    #[test]
-    fn feature_names_align_with_count() {
-        let names = FeatureExtractor::feature_names();
-        assert_eq!(names.len(), FEATURE_COUNT);
-        assert_eq!(names[0], "mfcc_mean_00");
-        assert_eq!(names[52], "psd_profile_00");
-        assert_eq!(names[104], "shape_parity_energy_ratio");
-        // All names unique.
-        let mut sorted = names.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), FEATURE_COUNT);
     }
 
     #[test]

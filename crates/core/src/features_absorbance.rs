@@ -141,27 +141,6 @@ impl AbsorbanceExtractor {
         debug_assert_eq!(features.len(), ABSORBANCE_FEATURE_COUNT);
         Ok(features)
     }
-
-    /// Names of all 45 features, index-aligned with
-    /// [`AbsorbanceExtractor::extract`]'s output.
-    pub fn feature_names() -> Vec<String> {
-        let mut names = Vec::with_capacity(ABSORBANCE_FEATURE_COUNT);
-        for i in 0..N_PROFILE {
-            names.push(format!("absorbance_{i:02}"));
-        }
-        for s in ["mean", "std", "max", "min", "skewness", "kurtosis"] {
-            names.push(format!("absorbance_{s}"));
-        }
-        names.push("absorbance_dip_frequency".to_string());
-        names.push("absorbance_dip_depth".to_string());
-        for s in ["serous", "mucoid", "purulent"] {
-            names.push(format!("template_{s}_similarity"));
-        }
-        names.push("absorbance_log_band_power".to_string());
-        names.push("absorbance_parity_energy_ratio".to_string());
-        debug_assert_eq!(names.len(), ABSORBANCE_FEATURE_COUNT);
-        names
-    }
 }
 
 #[cfg(test)]
@@ -256,15 +235,5 @@ mod tests {
             AbsorbanceExtractor::new(&cfg),
             Err(EarSonarError::BadConfig { .. })
         ));
-    }
-
-    #[test]
-    fn feature_names_align_with_count() {
-        let names = AbsorbanceExtractor::feature_names();
-        assert_eq!(names.len(), ABSORBANCE_FEATURE_COUNT);
-        let mut sorted = names.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ABSORBANCE_FEATURE_COUNT);
     }
 }

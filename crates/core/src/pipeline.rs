@@ -12,7 +12,7 @@
 //! pre-registry system), while [`EarSonar::fit_backend`] selects any
 //! registered backend by name.
 
-use crate::absorption::{average_spectra, echo_ir_spectra, EchoSpectrum};
+use crate::absorption::{average_spectra, EchoBand, EchoSpectrum};
 use crate::backend::{self, BackendSpec, Classifier, ReferenceClassifier};
 use crate::channel::{average_irs, chirp_template, pipeline_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
@@ -24,7 +24,7 @@ use crate::event::detect_events_with_floor;
 use crate::preprocess::Preprocessor;
 use crate::quality::{self, NoiseFloor, QualityCause, SessionQuality};
 use crate::segment::{segment_with_anchor, EardrumEcho};
-use earsonar_acoustics::propagation::delay_fractional_allpass_lanes;
+use earsonar_acoustics::propagation::AllpassDelay;
 use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
 use earsonar_dsp::plan::DspScratch;
 use earsonar_signal::effusion::MeeState;
@@ -176,6 +176,7 @@ pub struct FrontEnd {
     extractor: Arc<dyn backend::FeatureExtractor>,
     template: Vec<f64>,
     estimator: ChannelEstimator,
+    echo_band: EchoBand,
 }
 
 impl FrontEnd {
@@ -228,6 +229,7 @@ impl FrontEnd {
             extractor,
             template: filtered,
             estimator,
+            echo_band: EchoBand::new(config),
         })
     }
 
@@ -534,20 +536,22 @@ impl FrontEnd {
         let aligned_center = target as usize;
         echo.center = aligned_center;
 
-        // Align each IR and take its echo spectrum, several IRs per
-        // transform; a chirp whose spectrum fails is skipped.
-        let mut aligned = AlignedSpectra {
-            irs: &acc.irs,
-            shift,
-            aligned_len,
-            aligned_center,
-            calibration,
-            config: &self.config,
-            scratch,
-            spectra: Vec::with_capacity(acc.irs.len()),
-        };
-        for_lane_groups(acc.irs.len(), &mut aligned)?;
-        let spectra = aligned.spectra;
+        // Align each IR and take its echo spectrum; a chirp whose spectrum
+        // fails is skipped. Every IR has the averaged IR's length, so one
+        // delay kernel serves the whole capture.
+        let delay = AllpassDelay::new(shift, avg_ir.len(), scratch)?;
+        let mut aligned = scratch.take_real();
+        let mut spectra = Vec::with_capacity(acc.irs.len());
+        for ir in &acc.irs {
+            delay.apply(ir, aligned_len, &mut aligned)?;
+            if let Ok(s) = self
+                .echo_band
+                .spectrum(scratch, &aligned, aligned_center, calibration)
+            {
+                spectra.push(s);
+            }
+        }
+        scratch.put_real(aligned);
         if spectra.is_empty() {
             return Err(EarSonarError::NoEchoDetected);
         }
@@ -635,60 +639,6 @@ impl LaneOp for Deconvolve<'_> {
                     let Ok(()) = self.run::<1>(i);
                 }
             }
-        }
-        Ok(())
-    }
-}
-
-/// The finalize stage's per-chirp work: each IR delayed onto the echo grid
-/// and reduced to its echo spectrum, one lane group at a time, in chirp
-/// order.
-struct AlignedSpectra<'a> {
-    irs: &'a [Vec<f64>],
-    shift: f64,
-    aligned_len: usize,
-    aligned_center: usize,
-    calibration: f64,
-    config: &'a EarSonarConfig,
-    scratch: &'a mut DspScratch,
-    spectra: Vec<EchoSpectrum>,
-}
-
-impl LaneOp for AlignedSpectra<'_> {
-    type Error = EarSonarError;
-
-    /// A delay failure stops the batch, as it stops a chirp-by-chirp
-    /// loop; a spectrum failure skips only its own chirp.
-    fn run<const L: usize>(&mut self, first: usize) -> Result<(), EarSonarError> {
-        let irs: [&[f64]; L] = std::array::from_fn(|l| self.irs[first + l].as_slice());
-        let mut aligned: [Vec<f64>; L] = std::array::from_fn(|_| self.scratch.take_real());
-        let delayed = delay_fractional_allpass_lanes(
-            irs,
-            self.shift,
-            self.aligned_len,
-            self.scratch,
-            aligned.each_mut(),
-        );
-        let spectra = delayed.map(|()| {
-            echo_ir_spectra(
-                aligned.each_ref().map(Vec::as_slice),
-                self.aligned_center,
-                self.calibration,
-                self.config,
-                self.scratch,
-            )
-        });
-        for buf in aligned {
-            self.scratch.put_real(buf);
-        }
-        match spectra? {
-            Ok(spectra) => self.spectra.extend(spectra),
-            Err(_) if L > 1 => {
-                for i in first..first + L {
-                    self.run::<1>(i)?;
-                }
-            }
-            Err(_) => {}
         }
         Ok(())
     }

@@ -1,11 +1,9 @@
 //! Correlation measures.
 //!
-//! EarSonar uses correlation twice: the Pearson coefficient quantifies the
-//! session-to-session consistency of eardrum-echo spectra (paper Fig. 9),
-//! and cross-correlation with the transmitted chirp locates echo arrivals.
+//! The Pearson coefficient quantifies the session-to-session consistency of
+//! eardrum-echo spectra (paper Fig. 9).
 
 use crate::error::DspError;
-use crate::plan::DspScratch;
 
 /// Pearson correlation coefficient between two equal-length sequences.
 ///
@@ -75,20 +73,6 @@ pub fn pearson_scalar(a: &[f64], b: &[f64]) -> Result<f64, DspError> {
     Ok((cov / (var_a.sqrt() * var_b.sqrt())).clamp(-1.0, 1.0))
 }
 
-/// Full cross-correlation `r[k] = Σ_n a[n] b[n - (k - (b.len()-1))]` for all
-/// lags, i.e. `convolve(a, reverse(b))`.
-///
-/// Output length is `a.len() + b.len() - 1`; the zero-lag term sits at index
-/// `b.len() - 1`. Empty inputs yield an empty output. The FFT plan is sized
-/// from the input lengths and stays resident for the life of the process
-/// ([`crate::plan::FftPlan::shared`]).
-pub fn cross_correlate(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let reversed: Vec<f64> = b.iter().rev().copied().collect();
-    let mut out = Vec::new();
-    crate::convolution::convolve_fft_with(&mut DspScratch::new(), a, &reversed, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,14 +105,5 @@ mod tests {
         let a = [0.3, -1.2, 2.2, 0.9, -0.5];
         let b = [1.1, 0.4, -0.6, 2.0, 0.0];
         assert!((pearson(&a, &b).unwrap() - pearson(&b, &a).unwrap()).abs() < 1e-14);
-    }
-
-    #[test]
-    fn cross_correlation_zero_lag_is_dot_product() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [0.5, -1.0, 2.0];
-        let xc = cross_correlate(&a, &b);
-        let dot: f64 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-        assert!((xc[b.len() - 1] - dot).abs() < 1e-9);
     }
 }

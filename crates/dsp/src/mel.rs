@@ -7,6 +7,7 @@
 //! `[f_min, f_max]` range rather than the speech-typical 0–8 kHz.
 
 use crate::error::DspError;
+use std::ops::Range;
 
 /// Converts hertz to mel (O'Shaughnessy formula).
 ///
@@ -157,6 +158,20 @@ impl MelFilterBank {
     /// The `[f_min, f_max]` band the bank spans, in hertz.
     pub fn band(&self) -> (f64, f64) {
         (self.f_min, self.f_max)
+    }
+
+    /// The spectrum bins any filter reads, first to last: every other bin
+    /// of the spectrum passed to [`MelFilterBank::apply_into`] is ignored.
+    pub(crate) fn support(&self) -> Range<usize> {
+        let first = self.starts.iter().copied().min().unwrap_or(0);
+        let end = self
+            .offsets
+            .windows(2)
+            .zip(&self.starts)
+            .map(|(o, &k0)| k0 + (o[1] - o[0]))
+            .max()
+            .unwrap_or(0);
+        first..end
     }
 
     /// Applies the filterbank to a one-sided power spectrum

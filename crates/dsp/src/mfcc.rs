@@ -5,12 +5,14 @@
 //! frequency-domain signal into multiple smaller frequency bins and use a
 //! triangular filter on each bin …, finally a discrete cosine transform is
 //! used" (paper §IV-C-2). This module implements exactly that chain for a
-//! single echo segment, plus framed extraction for longer signals.
+//! single echo segment. Only the spectrum bins the mel filters read are
+//! computed ([`crate::goertzel`]); the scalar reference takes the full FFT.
 
 use crate::error::DspError;
 use crate::fft::next_pow2;
+use crate::goertzel::Goertzel;
 use crate::mel::MelFilterBank;
-use crate::plan::{split_frames, DspScratch, LaneFrame, RealFftPlan};
+use crate::plan::{DspScratch, RealFftPlan};
 use crate::window::Window;
 use std::f64::consts::PI;
 
@@ -90,6 +92,10 @@ pub struct MfccExtractor {
     /// The `sqrt(1/n)` / `sqrt(2/n)` scale is applied after the dot
     /// product, exactly as the scalar reference does.
     dct_basis: Vec<f64>,
+    /// Goertzel probes at the spectrum bins the mel filters read, the
+    /// first of which is `band_start`.
+    band: Goertzel,
+    band_start: usize,
 }
 
 impl MfccExtractor {
@@ -122,8 +128,11 @@ impl MfccExtractor {
                 (0..config.n_filters).map(move |i| (PI / nf * (i as f64 + 0.5) * k as f64).cos())
             })
             .collect();
+        let support = bank.support();
         Ok(MfccExtractor {
             config,
+            band_start: support.start,
+            band: Goertzel::dft_bins(n_fft, support),
             bank,
             n_fft,
             window_taps,
@@ -168,13 +177,13 @@ impl MfccExtractor {
     }
 
     /// [`MfccExtractor::extract`] writing into a caller-owned buffer, with
-    /// the shared FFT plan and every intermediate (windowed frame, spectrum,
-    /// power, mel energies) drawn from `scratch` — allocation-free once
-    /// warm. This is the one-lane instance of
-    /// [`MfccExtractor::extract_lanes`].
+    /// every intermediate (windowed frame, band powers, power spectrum, mel
+    /// energies) drawn from `scratch` — allocation-free once warm.
     ///
-    /// Only the `n_coeffs` retained cepstral coefficients are computed,
-    /// rather than the full DCT.
+    /// Only the spectrum bins the mel filters read are computed, by one
+    /// Goertzel pass ([`Goertzel`]) instead of a full transform, and only
+    /// the `n_coeffs` retained cepstral coefficients, rather than the full
+    /// DCT.
     ///
     /// # Errors
     ///
@@ -186,69 +195,33 @@ impl MfccExtractor {
         segment: &[f64],
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        self.extract_lanes(scratch, [segment], [out])
-    }
-
-    /// [`MfccExtractor::extract_into`] of `L` segments with one `L`-lane
-    /// FFT ([`RealFftPlan::forward_lanes`]); `outs[l]` receives the
-    /// coefficients of `segments[l]`, bit-identical to extracting it alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if any segment is empty.
-    // lint: hot-path
-    pub fn extract_lanes<const L: usize>(
-        &self,
-        scratch: &mut DspScratch,
-        segments: [&[f64]; L],
-        outs: [&mut Vec<f64>; L],
-    ) -> Result<(), DspError> {
-        if segments.iter().any(|s| s.is_empty()) {
+        if segment.is_empty() {
             return Err(DspError::EmptyInput);
         }
-        let mut frames: [Vec<f64>; L] = std::array::from_fn(|_| scratch.take_real());
-        for (frame, segment) in frames.iter_mut().zip(segments) {
-            let take = segment.len().min(self.n_fft);
-            frame.extend_from_slice(&segment[..take]);
-            if take == self.window_taps.len() {
-                // Precomputed taps: bit-identical to `apply_in_place`, no
-                // per-sample cosine.
-                crate::window::apply_precomputed(&self.window_taps, frame);
-            } else {
-                // Taps depend on frame length.
-                self.config.window.apply_in_place(frame);
-            }
+        let take = segment.len().min(self.n_fft);
+        let mut frame = scratch.take_real();
+        frame.extend_from_slice(&segment[..take]);
+        if take == self.window_taps.len() {
+            // Precomputed taps: bit-identical to `apply_in_place`, no
+            // per-sample cosine.
+            crate::window::apply_precomputed(&self.window_taps, &mut frame);
+        } else {
+            // Taps depend on frame length.
+            self.config.window.apply_in_place(&mut frame);
         }
-
-        let plan = RealFftPlan::shared(self.n_fft)?;
-        let mut work = scratch.take_frames();
-        let mut spec = scratch.take_frames();
-        let inputs = frames.each_ref().map(Vec::as_slice);
-        let mut result = plan.forward_lanes(inputs, &mut work, &mut spec);
-        if result.is_ok() {
-            let mut power = scratch.take_real();
-            let mut mel_energies = scratch.take_real();
-            let n_bins = self.n_fft / 2 + 1;
-            let bins = &split_frames::<L>(&spec)[..n_bins];
-            for (l, out) in outs.into_iter().enumerate() {
-                power.clear();
-                power.extend(
-                    bins.iter()
-                        .map(|frame| frame.lane(l).norm_sqr() / self.n_fft as f64),
-                );
-                result = self.cepstrum(&power, &mut mel_energies, out);
-                if result.is_err() {
-                    break;
-                }
-            }
-            scratch.put_real(mel_energies);
-            scratch.put_real(power);
+        let mut band = scratch.take_real();
+        self.band.powers_into(&frame, &mut band);
+        // Bins outside the filters' support are never read; they stay zero.
+        let mut power = frame;
+        power.clear();
+        power.resize(self.n_fft / 2 + 1, 0.0);
+        for (p, &b) in power[self.band_start..].iter_mut().zip(&band) {
+            *p = b / self.n_fft as f64;
         }
-        for buf in frames {
-            scratch.put_real(buf);
-        }
-        scratch.put_frames(work);
-        scratch.put_frames(spec);
+        let mut mel_energies = band;
+        let result = self.cepstrum(&power, &mut mel_energies, out);
+        scratch.put_real(mel_energies);
+        scratch.put_real(power);
         result
     }
 
@@ -289,10 +262,11 @@ impl MfccExtractor {
     }
 
     /// The pinned scalar reference for [`MfccExtractor::extract_into`]:
-    /// per-sample window cosines and a per-element cosine DCT with single
-    /// strict-order accumulators (the pre-SIMD behaviour), over the same
-    /// strict-order mel projection ([`MelFilterBank::apply_into`]). The
-    /// vectorized path differs only by reduction reassociation;
+    /// per-sample window cosines, the full real FFT, and a per-element
+    /// cosine DCT with single strict-order accumulators (the pre-SIMD
+    /// behaviour), over the same strict-order mel projection
+    /// ([`MelFilterBank::apply_into`]). The fast path differs by its
+    /// Goertzel band powers and reduction reassociation;
     /// `tests/kernel_equivalence.rs` bounds the gap.
     ///
     /// # Errors

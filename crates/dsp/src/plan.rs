@@ -1,9 +1,9 @@
 //! Planned FFTs and reusable scratch space.
 //!
 //! The detection pipeline transforms the *same handful of sizes* thousands
-//! of times per recording (one Wiener deconvolution per chirp, one echo
-//! spectrum per impulse response, one MFCC frame per echo window, …). This
-//! module factors the per-size work out of the transforms:
+//! of times per recording (one Wiener deconvolution per chirp, one
+//! envelope per averaged impulse response, …). This module factors the
+//! per-size work out of the transforms:
 //!
 //! * [`FftPlan`] — a radix-2 transform of one fixed power-of-two size with
 //!   the bit-reversal permutation and per-stage twiddle factors precomputed
@@ -26,7 +26,11 @@
 //! lanes. Every lane performs exactly the one-lane operation sequence on
 //! its own values, so a lane's output is bit-identical to transforming it
 //! alone; several lanes per pass only overlap their independent arithmetic
-//! and share the twiddle loads and loop overhead.
+//! and share the twiddle loads and loop overhead. The pipeline runs lanes
+//! only in the per-chirp Wiener deconvolution
+//! ([`RealFftPlan::forward_lanes`] / [`RealFftPlan::inverse_lanes`]); the
+//! per-chirp echo spectra and MFCCs read their few band bins with
+//! [`crate::goertzel`] instead of transforming.
 //!
 //! A plan is a pure function of its size, so a shared plan computes the
 //! same bits as a freshly built one. Plans are immutable after
@@ -217,33 +221,10 @@ impl FftPlan {
     pub fn forward_from_real(&self, x: &[f64], out: &mut Vec<Complex64>) {
         out.clear();
         out.resize(self.n, Complex64::ZERO);
-        self.forward_from_real_frames([x], out.as_chunks_mut::<1>().0);
-    }
-
-    /// [`FftPlan::forward_from_real`] of `L` signals at once: `out` is
-    /// resized to the planned size in split frames and holds their spectra.
-    /// Inputs may differ in length; each is truncated or zero-padded on its
-    /// own.
-    // lint: hot-path
-    pub fn forward_from_real_lanes<const L: usize>(&self, xs: [&[f64]; L], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(2 * L * self.n, 0.0);
-        self.forward_from_real_frames(xs, split_frames_mut::<L>(out));
-    }
-
-    /// Loads `xs` into zeroed `frames` as complex values and transforms.
-    // lint: hot-path
-    fn forward_from_real_frames<const L: usize, F: LaneFrame<L>>(
-        &self,
-        xs: [&[f64]; L],
-        frames: &mut [F],
-    ) {
-        for (l, x) in xs.iter().enumerate() {
-            for (frame, &v) in frames.iter_mut().zip(x.iter()) {
-                frame.set_lane(l, Complex64::from_real(v));
-            }
+        for (z, &v) in out.iter_mut().zip(x) {
+            *z = Complex64::from_real(v);
         }
-        self.run::<L, F>(frames, false);
+        self.run::<1, _>(out.as_chunks_mut::<1>().0, false);
     }
 
     /// The radix-2 transform of `L` lanes in place. The butterfly sequence
@@ -640,10 +621,9 @@ pub fn split_frames_mut<const L: usize>(buf: &mut [f64]) -> &mut [SplitFrame<L>]
 /// A reusable DSP workspace: pools of intermediate buffers.
 ///
 /// The planned kernels (`convolve_fft_with`, `envelope_with`,
-/// `MfccExtractor::extract_into`, `ChannelEstimator::estimate_with`, …)
-/// take their plans from the shared table ([`FftPlan::shared`]) and borrow
-/// every intermediate buffer from one of these, so a warm scratch makes
-/// them allocation-free. Create one per worker thread and keep it across
+/// `ChannelEstimator::estimate_with`, …) take their plans from the shared
+/// table ([`FftPlan::shared`]) and borrow every intermediate buffer from
+/// one of these, so a warm scratch makes them allocation-free. Create one per worker thread and keep it across
 /// calls; creation itself is cheap (empty pools).
 #[derive(Debug, Default)]
 pub struct DspScratch {

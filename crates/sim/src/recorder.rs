@@ -258,9 +258,9 @@ pub fn synthesize_recording_with(
     }
 }
 
-/// The time-domain reference synthesis: one allpass delay (FFT pair) per
-/// path per chirp, summed in the time domain, with the current
-/// (polar-method) noise generators.
+/// The time-domain reference synthesis: one allpass delay
+/// ([`delay_fractional_allpass_with`]) per path per chirp, summed in the
+/// time domain, with the current (polar-method) noise generators.
 ///
 /// Kept as the reference implementation for the spectral path's
 /// equivalence suite: it consumes the RNG identically to

@@ -15,23 +15,30 @@
 //! are finite by construction.
 //!
 //! Lane ≡ one lane: every kernel that runs several signals per pass (the
-//! FFTs, the zero-phase filter, deconvolution, the allpass delay, echo
-//! spectra, MFCCs) is pinned bit for bit against its one-lane form at 2 and
-//! 4 lanes, over sizes 1–4096, lanes of unequal length, and batches whose
-//! size leaves an odd tail of lane groups.
+//! FFTs, the zero-phase filter, deconvolution) is pinned bit for bit
+//! against its one-lane form at 2 and 4 lanes, over sizes 1–4096, lanes of
+//! unequal length, and batches whose size leaves an odd tail of lane
+//! groups.
+//!
+//! Band kernels ≈ independent references: the Goertzel band powers behind
+//! the echo spectrum are bounded against a naive `O(N·K)` DFT, and the
+//! allpass kernel delay against the FFT phase-multiplier delay, both
+//! written here.
 
-use earsonar::absorption::{echo_ir_spectra, echo_ir_spectrum};
+use earsonar::absorption::echo_ir_spectrum;
 use earsonar::channel::pipeline_estimator;
 use earsonar::pipeline::FrontEnd;
 use earsonar::streaming::ChirpStream;
 use earsonar::EarSonarConfig;
 use earsonar_acoustics::propagation::{
-    delay_fractional_allpass_lanes, delay_fractional_allpass_with,
+    delay_fractional_allpass_with, delay_phase_multiplier, AllpassDelay,
 };
 use earsonar_dsp::correlation::{pearson, pearson_scalar};
+use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::filter::{
     butter_bandpass, filtfilt, filtfilt_lanes, filtfilt_with, BiquadCascade,
 };
+use earsonar_dsp::goertzel::Goertzel;
 use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
 use earsonar_dsp::plan::{split_frames, split_frames_mut, DspScratch, FftPlan, RealFftPlan};
@@ -249,22 +256,10 @@ fn lane_fft_kernels<const L: usize>() {
             }
         }
 
-        // Real input of unequal lengths, complex and half-size real paths.
+        // Real input of unequal lengths through the half-size real path.
         let lens = unequal::<L>(&[n, n / 2 + 1, 1, n.saturating_sub(1).max(1), 2 * n], log2);
         let xs: [Vec<f64>; L] = std::array::from_fn(|l| noise(lens[l], seed + 50 + l as u64));
         let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
-        let mut spec = Vec::new();
-        plan.forward_from_real_lanes(inputs, &mut spec);
-        let mut one = Vec::new();
-        for (l, x) in inputs.iter().enumerate() {
-            plan.forward_from_real(x, &mut one);
-            let lane: Vec<Complex64> = split_frames::<L>(&spec)
-                .iter()
-                .map(|f| Complex64::new(f[0][l], f[1][l]))
-                .collect();
-            assert_eq!(lane, one, "L={L} n={n} lane {l}: forward_from_real");
-        }
-
         let real = RealFftPlan::shared(n).unwrap();
         let fitting: [&[f64]; L] = std::array::from_fn(|l| &xs[l][..xs[l].len().min(n)]);
         let (mut work, mut spec, mut time) = (Vec::new(), Vec::new(), Vec::new());
@@ -339,57 +334,6 @@ fn lane_signal_kernels<const L: usize>() {
             assert_eq!(outs[l], one, "L={L} lens={lens:?} lane {l}: deconvolution");
         }
     }
-
-    // Allpass delay: lanes sharing a transform size, and lanes that need
-    // different sizes (run one at a time).
-    for (offset, delay) in [0.0, 0.37, 1.5, 2.0, 7.25].into_iter().enumerate() {
-        for lens_of in [[96usize, 96, 96, 96], [96, 30, 1, 200]] {
-            let lens: [usize; L] = std::array::from_fn(|l| lens_of[l]);
-            let xs: [Vec<f64>; L] =
-                std::array::from_fn(|l| noise(lens[l], 50_000 + (offset * L + l) as u64));
-            let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
-            let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
-            delay_fractional_allpass_lanes(inputs, delay, 99, &mut scratch, outs.each_mut())
-                .unwrap();
-            for (l, x) in inputs.iter().enumerate() {
-                delay_fractional_allpass_with(x, delay, 99, &mut one_scratch, &mut one).unwrap();
-                assert_eq!(
-                    outs[l], one,
-                    "L={L} lens={lens:?} delay {delay} lane {l}: allpass"
-                );
-            }
-        }
-    }
-
-    // Echo spectra of IRs of unequal length, and MFCCs of echo windows of
-    // unequal length (the pipeline's 61, a full frame, a short one).
-    let extractor = MfccExtractor::new(cfg.mfcc.clone())
-        .unwrap()
-        .with_frame_len(61);
-    for offset in 0..6 {
-        let lens = unequal::<L>(&[99, 99, 40, 1, 300, 61], offset);
-        let xs: [Vec<f64>; L] =
-            std::array::from_fn(|l| noise(lens[l], 60_000 + (offset * L + l) as u64));
-        let inputs: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
-        let spectra = echo_ir_spectra(inputs, 22, 1.0, &cfg, &mut scratch).unwrap();
-        for (l, x) in inputs.iter().enumerate() {
-            assert_eq!(
-                spectra[l],
-                echo_ir_spectrum(x, 22, 1.0, &cfg).unwrap(),
-                "L={L} lane {l}: echo spectrum"
-            );
-        }
-        let mut outs: [Vec<f64>; L] = std::array::from_fn(|_| Vec::new());
-        extractor
-            .extract_lanes(&mut scratch, inputs, outs.each_mut())
-            .unwrap();
-        for (l, x) in inputs.iter().enumerate() {
-            extractor
-                .extract_into(&mut one_scratch, x, &mut one)
-                .unwrap();
-            assert_eq!(outs[l], one, "L={L} lens={lens:?} lane {l}: MFCC");
-        }
-    }
 }
 
 #[test]
@@ -398,6 +342,116 @@ fn lane_kernels_are_bit_identical_to_their_one_lane_form() {
     lane_fft_kernels::<4>();
     lane_signal_kernels::<2>();
     lane_signal_kernels::<4>();
+}
+
+/// The DFT power of `x` at bin `k` of an `n`-point transform, summed term
+/// by term.
+fn naive_dft_power(x: &[f64], k: usize, n: usize) -> f64 {
+    let omega = 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+    let z: Complex64 = x
+        .iter()
+        .enumerate()
+        .map(|(t, &v)| Complex64::cis(-omega * t as f64) * v)
+        .sum();
+    z.norm_sqr()
+}
+
+/// `x` delayed by `d` samples as the spectral phase shift: the full complex
+/// FFT at size `next_pow2(len + ⌈d⌉ + 1)`, one multiplier per bin, and the
+/// inverse's real part.
+fn phase_shift_delay(x: &[f64], d: f64, out_len: usize) -> Vec<f64> {
+    let n = next_pow2(x.len() + d.ceil() as usize + 1);
+    let plan = FftPlan::new(n).unwrap();
+    let mut buf = Vec::new();
+    plan.forward_from_real(x, &mut buf);
+    for (k, z) in buf.iter_mut().enumerate() {
+        *z *= delay_phase_multiplier(k, n, d);
+    }
+    plan.inverse(&mut buf).unwrap();
+    let mut out = vec![0.0; out_len];
+    for (o, z) in out.iter_mut().zip(&buf) {
+        *o = z.re;
+    }
+    out
+}
+
+#[test]
+fn band_kernels_track_independent_references() {
+    // Goertzel band powers against the naive DFT, for signals up to the
+    // transform size; both sums' rounding is bounded by n·ε·(Σ|x|)².
+    let mut power = Vec::new();
+    for &n in &[16usize, 64, 256, 512] {
+        for &len in &[1usize, 2, 7, 17, 61, 96, n] {
+            let x = noise(len.min(n), 80_000 + (n * 1_000 + len) as u64);
+            let scale: f64 = x.iter().map(|v| v.abs()).sum::<f64>().powi(2);
+            let bins = n / 3..n / 2 + 1;
+            Goertzel::dft_bins(n, bins.clone()).powers_into(&x, &mut power);
+            assert_eq!(power.len(), bins.len(), "one power per probe");
+            for (k, &p) in bins.zip(&power) {
+                let reference = naive_dft_power(&x, k, n);
+                assert!(
+                    (p - reference).abs() <= 1e-13 * n as f64 * scale,
+                    "n={n} len={len} bin {k}: {p} vs {reference}"
+                );
+            }
+        }
+    }
+
+    Goertzel::dft_bins(16, 0..3).powers_into(&[], &mut power);
+    assert_eq!(power, [0.0; 3], "an empty signal has no power");
+
+    // The echo spectrum's band power is the naive DFT power of its
+    // tapered window over the profile band's bins.
+    let cfg = EarSonarConfig::default();
+    let n = next_pow2(cfg.n_fft);
+    let df = cfg.sample_rate / n as f64;
+    let k_lo = (cfg.profile_band_hz.0 / df).floor() as usize;
+    let k_hi = (cfg.profile_band_hz.1 / df).ceil() as usize;
+    for (seed, center) in [(1u64, 0usize), (2, 9), (3, 22), (4, 90)] {
+        let ir = noise(99, 81_000 + seed);
+        let spectrum = echo_ir_spectrum(&ir, center, 1.0, &cfg).unwrap();
+        let w = &spectrum.echo_window;
+        let reference: f64 = (k_lo..=k_hi).map(|k| naive_dft_power(w, k, n)).sum();
+        let scale: f64 = w.iter().map(|v| v.abs()).sum::<f64>().powi(2);
+        assert!(
+            (spectrum.band_power - reference).abs()
+                <= 1e-13 * n as f64 * scale * (k_hi - k_lo + 1) as f64,
+            "centre {center}: {} vs {reference}",
+            spectrum.band_power
+        );
+    }
+
+    // The allpass kernel against the phase-shift delay, over lengths up
+    // to 513, fractional and integer delays and output lengths shorter and
+    // longer than the transform; and one kernel per length and delay,
+    // applied to many inputs, equals building it per call bit for bit.
+    let mut scratch = DspScratch::new();
+    let (mut once, mut per_call) = (Vec::new(), Vec::new());
+    let lengths = spread_lengths().into_iter().filter(|&len| len <= 513);
+    for (i, len) in lengths.enumerate() {
+        for (j, d) in [0.0, 0.37, 1.5, 2.0, 7.25, 31.9].into_iter().enumerate() {
+            let delay = AllpassDelay::new(d, len, &mut scratch).unwrap();
+            for (m, out_len) in [len + 3, 2 * len + 40].into_iter().enumerate() {
+                let x = noise(len, 90_000 + (i * 100 + j * 10 + m) as u64);
+                let scale: f64 = x.iter().map(|v| v.abs()).sum();
+                let reference = phase_shift_delay(&x, d, out_len);
+                delay.apply(&x, out_len, &mut once).unwrap();
+                for (t, (a, b)) in once.iter().zip(&reference).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-13 * (1.0 + scale),
+                        "len={len} d={d} t={t}: {a} vs {b}"
+                    );
+                }
+                assert_eq!(once.len(), out_len);
+                delay_fractional_allpass_with(&x, d, out_len, &mut scratch, &mut per_call).unwrap();
+                assert_eq!(once, per_call, "len={len} d={d}: built once vs per call");
+            }
+        }
+    }
+    // An input that needs another transform size is refused, not
+    // silently wrapped.
+    let delay = AllpassDelay::new(1.5, 96, &mut scratch).unwrap();
+    assert!(delay.apply(&noise(300, 7), 99, &mut once).is_err());
 }
 
 /// A batch of signals band-passed through `for_lane_groups`, as the front
