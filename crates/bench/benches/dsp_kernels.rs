@@ -4,7 +4,7 @@
 //! kernel pair (with single rows for the quality scan and the mel
 //! projection, which keep one form), the shared complex and real-input FFT
 //! plans at the sizes the pipeline uses, and the lane-interleaved forms of
-//! the FFT and the zero-phase filter at 1, 2 and 4 lanes.
+//! the real FFT and the zero-phase filter at 1, 2, 4 (and 8) lanes.
 //!
 //! Only timings are printed. The pairs' equivalence contracts (bit-identical
 //! or ulp-bounded) are asserted by `tests/kernel_equivalence.rs` and
@@ -25,7 +25,7 @@ use earsonar_dsp::correlation::{pearson, pearson_scalar};
 use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_lanes, filtfilt_with};
 use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
-use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::psd::periodogram;
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::wav::{parse_wav, parse_wav_f32_into, write_wav, WavAudio, WavFormat};
@@ -190,16 +190,18 @@ fn report_lanes<T>(b: &Bencher, name: &str, lanes: usize, f: impl FnMut() -> T) 
     );
 }
 
-/// One radix-2 pass over `L` signals of `n` points in split frames.
+/// One real forward transform of `L` signals of `n` points in split
+/// frames: the lane transform the deconvolution runs.
 fn fft_lanes<const L: usize>(b: &Bencher, n: usize) {
-    let signal = random_signal(2 * L * n, 41 + n as u64);
-    let plan = FftPlan::shared(n).unwrap();
-    let mut buf = signal.clone();
+    let xs: Vec<Vec<f64>> = (0..L)
+        .map(|l| random_signal(n, 41 + (n + l) as u64))
+        .collect();
+    let plan = RealFftPlan::shared(n).unwrap();
+    let (mut work, mut out) = (Vec::new(), Vec::new());
     report_lanes(b, &format!("fft_lanes/{L}x{n}"), L, || {
-        buf.copy_from_slice(&signal);
-        plan.execute_lanes(split_frames_mut::<L>(&mut buf), false)
-            .unwrap();
-        black_box(buf[0])
+        let signals: [&[f64]; L] = std::array::from_fn(|l| xs[l].as_slice());
+        plan.forward_lanes(signals, &mut work, &mut out).unwrap();
+        black_box(out[0])
     });
 }
 

@@ -21,7 +21,7 @@ use earsonar::{EarSonar, EarSonarConfig, MeeState};
 use earsonar_dsp::plan::DspScratch;
 use earsonar_dsp::wav::{write_wav, WavAudio, WavFormat};
 use earsonar_engine::{EngineConfig, ScreeningEngine, SessionId};
-use earsonar_signal::recording::{ChirpLayout, Recording};
+use earsonar_signal::recording::Recording;
 use earsonar_signal::source::{SignalError, SignalSource};
 use earsonar_signal::wav::WavSignalSource;
 use earsonar_sim::cohort::Cohort;
@@ -393,12 +393,7 @@ fn for_each_capture(
     files: &[PathBuf],
     mut visit: impl FnMut(String, Result<Recording, SignalError>) -> Result<(), String>,
 ) -> Result<CaptureDiagnostics, String> {
-    let config = system.front_end().config();
-    let layout = ChirpLayout {
-        sample_rate: config.sample_rate,
-        chirp_len: config.chirp_len,
-        chirp_hop: config.chirp_hop,
-    };
+    let layout = system.front_end().config().layout();
     let mut source = WavSignalSource::new(layout, files.to_vec());
     let mut captures = CaptureDiagnostics::default();
     while let Some(label) = source.next_path().map(|p| p.display().to_string()) {

@@ -4,6 +4,7 @@ use crate::error::EarSonarError;
 use crate::quality::QualityGateConfig;
 use earsonar_dsp::mfcc::MfccConfig;
 use earsonar_dsp::window::Window;
+use earsonar_signal::recording::ChirpLayout;
 
 /// The largest chirp hop (samples), FFT length (points), mel filter count,
 /// profile bin count, cluster count or selected-feature count a
@@ -126,6 +127,16 @@ impl EarSonarConfig {
         }
     }
 
+    /// The capture layout this configuration processes: its sample rate
+    /// and chirp grid.
+    pub fn layout(&self) -> ChirpLayout {
+        ChirpLayout {
+            sample_rate: self.sample_rate,
+            chirp_len: self.chirp_len,
+            chirp_hop: self.chirp_hop,
+        }
+    }
+
     /// Validates cross-field constraints.
     ///
     /// # Errors
@@ -152,6 +163,14 @@ impl EarSonarConfig {
             return Err(EarSonarError::BadConfig {
                 name: "sample_rate",
                 constraint: "must be positive",
+            });
+        }
+        // The mel bank maps Hz to bins at the MFCC rate: any other rate
+        // computes MFCCs on shifted bands.
+        if self.mfcc.sample_rate != self.sample_rate {
+            return Err(EarSonarError::BadConfig {
+                name: "mfcc.sample_rate",
+                constraint: "must equal sample_rate",
             });
         }
         if !(self.band_low_hz > 0.0 && self.band_low_hz < self.band_high_hz) {

@@ -597,6 +597,8 @@ mod tests {
                 line("echo_ir:"),
                 "echo_ir: 18446744073709551615 1".into(),
             ),
+            // This one loaded and computed MFCCs on shifted mel bands.
+            ("mfcc.sample_rate", line("mfcc:"), set_mfcc(1, "44100")),
         ];
         for (field, old, new) in &cases {
             match model_from_string(&text.replace(old, new)) {

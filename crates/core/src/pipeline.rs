@@ -255,7 +255,9 @@ impl FrontEnd {
     /// # Errors
     ///
     /// Returns [`EarSonarError::NoEchoDetected`] if no chirp yields a
-    /// usable echo, or [`EarSonarError::BadRecording`] for malformed input.
+    /// usable echo, or [`EarSonarError::BadRecording`] for malformed input
+    /// or a recording laid out for another sample rate or chirp grid than
+    /// the config's.
     pub fn process(&self, recording: &Recording) -> Result<ProcessedRecording, EarSonarError> {
         let mut scratch = DspScratch::new();
         self.process_with(&mut scratch, recording)
@@ -285,6 +287,7 @@ impl FrontEnd {
         scratch: &mut DspScratch,
         recording: &Recording,
     ) -> Result<ProcessedRecording, EarSonarError> {
+        self.check_layout(recording)?;
         if recording.samples.is_empty() {
             return Err(EarSonarError::BadRecording {
                 reason: "empty recording",
@@ -302,6 +305,23 @@ impl FrontEnd {
         let windows = (0..n).filter_map(|c| recording.try_chirp_window(c));
         self.push_windows(scratch, &mut acc, windows);
         self.finalize(scratch, acc)
+    }
+
+    /// Refuses a recording captured on another layout than the config's:
+    /// the filters, the chirp template and the mel bands are all built
+    /// for the config's sample rate and chirp grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EarSonarError::BadRecording`] when `recording.layout()`
+    /// differs from [`EarSonarConfig::layout`].
+    pub(crate) fn check_layout(&self, recording: &Recording) -> Result<(), EarSonarError> {
+        if recording.layout() != self.config.layout() {
+            return Err(EarSonarError::BadRecording {
+                reason: "sample rate or chirp grid differs from the model's",
+            });
+        }
+        Ok(())
     }
 
     /// Stage 1, per batch of chirp windows: for each window, in order,

@@ -163,13 +163,16 @@ impl ScreeningOutcome {
 ///
 /// # Errors
 ///
-/// Propagates pipeline errors other than the expected no-echo case,
-/// which maps to a typed [`ScreeningOutcome::Inconclusive`].
+/// Returns [`EarSonarError::BadRecording`] for a recording laid out for
+/// another sample rate or chirp grid than the model's. Propagates
+/// pipeline errors other than the expected no-echo case, which maps to a
+/// typed [`ScreeningOutcome::Inconclusive`].
 pub fn screen_recording_quality(
     system: &EarSonar,
     recording: &Recording,
     policy: &RetryPolicy,
 ) -> Result<ScreeningOutcome, EarSonarError> {
+    system.front_end().check_layout(recording)?;
     let mut scratch = DspScratch::new();
     let mut stream = ChirpStream::new(system.front_end());
     stream.push_samples_with(system.front_end(), &mut scratch, &recording.samples)?;

@@ -51,20 +51,32 @@ pub fn convolve_fft_with(scratch: &mut DspScratch, a: &[f64], b: &[f64], out: &m
     }
     let out_len = a.len() + b.len() - 1;
     let n = next_pow2(out_len);
-    // lint: allow(panic) next_pow2 always yields a nonzero power of two, the only sizes a plan rejects
+    #[expect(
+        clippy::expect_used,
+        reason = "next_pow2 always yields a nonzero power of two, the only sizes a plan rejects"
+    )]
     let plan = RealFftPlan::shared(n).expect("valid plan size");
     let mut work = scratch.take_complex();
     let mut fa = scratch.take_complex();
     let mut fb = scratch.take_complex();
-    // lint: allow(panic) a.len() <= out_len <= n, so the input fits the padded plan
+    #[expect(
+        clippy::expect_used,
+        reason = "a.len() <= out_len <= n, so the input fits the padded plan"
+    )]
     plan.forward_into(a, &mut work, &mut fa).expect("fits plan");
-    // lint: allow(panic) b.len() <= out_len <= n, same bound as the line above
+    #[expect(
+        clippy::expect_used,
+        reason = "b.len() <= out_len <= n, same bound as the line above"
+    )]
     plan.forward_into(b, &mut work, &mut fb).expect("fits plan");
     for (x, &y) in fa.iter_mut().zip(fb.iter()) {
         *x *= y;
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "forward_into sized fa to exactly the planned n"
+    )]
     plan.inverse_into(&fa, &mut work, out)
-        // lint: allow(panic) forward_into sized fa to exactly the planned n
         .expect("planned size");
     out.truncate(out_len);
     scratch.put_complex(fb);

@@ -21,15 +21,24 @@ pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<C
         return;
     }
     let n = next_pow2(x.len());
-    // lint: allow(panic) next_pow2 always yields a nonzero power of two, which a plan never rejects
+    #[expect(
+        clippy::expect_used,
+        reason = "next_pow2 always yields a nonzero power of two, which a plan never rejects"
+    )]
     let rplan = RealFftPlan::shared(n).expect("valid plan size");
-    // lint: allow(panic) same power-of-two n as the real plan above
+    #[expect(
+        clippy::expect_used,
+        reason = "same power-of-two n as the real plan above"
+    )]
     let cplan = FftPlan::shared(n).expect("valid plan size");
     let mut work = scratch.take_complex();
     let mut spec = scratch.take_complex();
+    #[expect(
+        clippy::expect_used,
+        reason = "x.len() <= n by construction of n, so the input fits the padded plan"
+    )]
     rplan
         .forward_into(x, &mut work, &mut spec)
-        // lint: allow(panic) x.len() <= n by construction of n, so the input fits the padded plan
         .expect("fits plan");
     // One-sided doubling: keep DC and Nyquist, double positives, zero
     // negatives.
@@ -43,7 +52,10 @@ pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<C
             *z = Complex64::ZERO;
         }
     }
-    // lint: allow(panic) forward_into sized spec to exactly the planned n
+    #[expect(
+        clippy::expect_used,
+        reason = "forward_into sized spec to exactly the planned n"
+    )]
     cplan.inverse(&mut spec).expect("planned size");
     out.extend_from_slice(&spec[..x.len()]);
     scratch.put_complex(spec);

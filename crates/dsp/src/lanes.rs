@@ -2,8 +2,8 @@
 //! pass.
 //!
 //! The front end's inner kernels ([`crate::filter::filtfilt_lanes`],
-//! [`crate::plan::FftPlan::execute_lanes`],
-//! [`crate::plan::RealFftPlan::forward_lanes`], …) take a const lane count
+//! [`crate::plan::RealFftPlan::forward_lanes`],
+//! [`crate::plan::RealFftPlan::inverse_lanes`], …) take a const lane count
 //! `L` and process `L` signals in one pass, each lane bit-identical to
 //! processing it alone. One pass over several lanes overlaps their
 //! independent floating-point chains (an IIR recurrence or a butterfly
@@ -18,7 +18,7 @@
 /// The lane count of a full group. Chosen from the `fft_lanes/*` and
 /// `filtfilt_lanes/*` rows of `cargo bench -p earsonar-bench --bench
 /// dsp_kernels`: on a 2-vCPU Xeon VM, four lanes cost about 0.5 (filter)
-/// to 0.7 (FFT) of one lane's time per signal, two lanes about 0.7–0.8.
+/// to 0.6 (real FFT) of one lane's time per signal, two lanes about 0.7.
 pub const LANES: usize = 4;
 
 /// A kernel that runs over items `first..first + L` of a batch it owns,

@@ -52,9 +52,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// `!(x > 0.0)` deliberately rejects NaN along with non-positive values in
-// parameter validation; `partial_cmp` would obscure that intent.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+// Panic-freedom: the detection crates return typed errors, never panic.
+// A sound exception is a `#[expect(clippy::expect_used, reason = "…")]`
+// on the one statement; test code is exempt through clippy.toml.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+#![allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > 0.0)` deliberately rejects NaN along with non-positive values in parameter validation"
+)]
 
 pub mod complex;
 pub mod convolution;

@@ -163,25 +163,6 @@ impl FftPlan {
         Ok(())
     }
 
-    /// Executes `L` transforms in place over split frames (frame `k` holds
-    /// point `k` of every lane; see [`split_frames_mut`]): forward when
-    /// `inverse` is false, normalized inverse otherwise. Each lane is
-    /// bit-identical to [`FftPlan::execute_in_place`] on that lane alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if there is not exactly one
-    /// frame per planned point.
-    pub fn execute_lanes<const L: usize>(
-        &self,
-        frames: &mut [SplitFrame<L>],
-        inverse: bool,
-    ) -> Result<(), DspError> {
-        self.check_frames(frames.len())?;
-        self.run::<L, _>(frames, inverse);
-        Ok(())
-    }
-
     fn check_frames(&self, len: usize) -> Result<(), DspError> {
         if len != self.n {
             return Err(DspError::InvalidLength {

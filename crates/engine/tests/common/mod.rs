@@ -1,5 +1,5 @@
 //! Shared fixtures for the engine integration tests: one trained system
-//! per test binary, simulated recordings, and the interleaved pump loop.
+//! per test binary, simulated recordings, and a seeded interleaving.
 
 // Each test binary compiles its own copy of this module and uses a
 // different subset of the helpers.
@@ -7,8 +7,8 @@
 
 use earsonar::screening::{screen_recording_quality, RetryPolicy, ScreeningOutcome};
 use earsonar::{EarSonar, EarSonarConfig};
-use earsonar_dsp::rng::DetRng;
-use earsonar_engine::{CompletedSession, EngineConfig, Rejected, ScreeningEngine, SessionId};
+use earsonar_engine::schedule::{replay, Schedule};
+use earsonar_engine::{CompletedSession, EngineConfig};
 use earsonar_signal::recording::Recording;
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
@@ -69,10 +69,10 @@ pub fn expected_outcomes(
 }
 
 /// Replays `recs` as one engine session each, pushing `chunk_len`-sample
-/// chunks in a seeded-shuffle interleaving (per-session chunk order is
-/// preserved — only the cross-session schedule is randomized). A full
-/// queue triggers a drain and a retry, so backpressure is exercised
-/// whenever capacity is hit. Returns the completed sessions, sorted by id.
+/// chunks in the [`Schedule::seeded`] interleaving (per-session chunk
+/// order is preserved — only the cross-session schedule is randomized)
+/// through [`replay`], which drains and retries on a full queue. Returns
+/// the completed sessions, sorted by id.
 pub fn run_interleaved(
     system: &EarSonar,
     recs: &[Recording],
@@ -81,46 +81,14 @@ pub fn run_interleaved(
     chunk_len: usize,
     seed: u64,
 ) -> Vec<CompletedSession> {
-    let engine = ScreeningEngine::new(system, config);
     let chunk_len = chunk_len.max(1);
-    let chunk_counts: Vec<usize> = recs
+    let counts: Vec<usize> = recs
         .iter()
         .map(|r| r.samples.len().div_ceil(chunk_len))
         .collect();
-
-    for i in 0..recs.len() {
-        engine.open(SessionId(i as u64)).expect("open");
+    let schedule = Schedule::seeded(&counts, seed, workers, 0);
+    match replay(system, recs, config, &schedule, chunk_len) {
+        Ok(run) => run.completed,
+        Err(e) => panic!("{}: {e}", schedule.label()),
     }
-
-    // One token per chunk; shuffling tokens randomizes the interleaving
-    // while each session's own chunks still arrive in order.
-    let mut tokens: Vec<usize> = Vec::new();
-    for (i, &count) in chunk_counts.iter().enumerate() {
-        tokens.extend(std::iter::repeat_n(i, count));
-    }
-    let mut rng = DetRng::seed_from_u64(seed);
-    rng.shuffle(&mut tokens);
-
-    let mut cursor = vec![0usize; recs.len()];
-    for &s in &tokens {
-        let lo = cursor[s] * chunk_len;
-        let hi = (lo + chunk_len).min(recs[s].samples.len());
-        cursor[s] += 1;
-        let chunk = &recs[s].samples[lo..hi];
-        loop {
-            match engine.push(SessionId(s as u64), chunk) {
-                Ok(()) => break,
-                Err(Rejected::QueueFull { .. }) => {
-                    engine.drain(workers);
-                }
-                Err(e) => panic!("push rejected: {e}"),
-            }
-        }
-    }
-    for i in 0..recs.len() {
-        engine.close(SessionId(i as u64)).expect("close");
-    }
-    engine.drain(workers);
-    assert_eq!(engine.in_flight(), 0, "sessions left unresolved");
-    engine.take_completed()
 }

@@ -31,6 +31,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic-freedom: the detection crates return typed errors, never panic.
+// A sound exception is a `#[expect(clippy::expect_used, reason = "…")]`
+// on the one statement; test code is exempt through clippy.toml.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod effusion;
 pub mod recording;

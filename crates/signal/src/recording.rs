@@ -79,10 +79,13 @@ impl Recording {
     /// # Panics
     ///
     /// Panics if `i >= n_chirps`.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` accessor; try_chirp_window is the checked variant"
+    )]
     pub fn chirp_window(&self, i: usize) -> &[f64] {
         assert!(i < self.n_chirps, "chirp index out of range");
         self.try_chirp_window(i)
-            // lint: allow(panic) documented `# Panics` accessor; try_chirp_window is the checked variant
             .expect("chirp grid fits the buffer")
     }
 

@@ -4,9 +4,9 @@
 //! before any rule runs the source is reduced to *code only*: comments are
 //! deleted, and the contents of string and character literals are blanked
 //! (the delimiting quotes are kept so token boundaries survive). This is
-//! what makes `// a comment mentioning unwrap()` and
-//! `"a string mentioning panic!"` invisible to the rules while
-//! `x.unwrap()` stays visible.
+//! what makes `// a comment mentioning to_vec()` and
+//! `"a string mentioning vec!"` invisible to the rules while
+//! `x.to_vec()` stays visible.
 //!
 //! Lint directives are recognised in **line comments only** (`//`, `///`,
 //! `//!`): `lint: hot-path` marks the next `fn` item as a hot path, and
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn directives_are_extracted() {
-        let s = strip("// lint: hot-path\nfn f() {}\nlet x = 1; // lint: allow(panic) provably fine\n// lint: allow(panic)\n// lint: frobnicate");
+        let s = strip("// lint: hot-path\nfn f() {}\nlet x = 1; // lint: allow(hot-path-alloc) provably fine\n// lint: allow(hot-path-alloc)\n// lint: frobnicate");
         assert_eq!(s.directives.len(), 4);
         assert_eq!(
             s.directives[0],
@@ -347,7 +347,7 @@ mod tests {
         );
         assert!(matches!(
             &s.directives[1].kind,
-            DirectiveKind::Allow { rule, reason } if rule == "panic" && reason == "provably fine"
+            DirectiveKind::Allow { rule, reason } if rule == "hot-path-alloc" && reason == "provably fine"
         ));
         assert!(matches!(
             &s.directives[2].kind,

@@ -1,8 +1,8 @@
-//! Orchestration: walk the workspace, scope the rule families per crate,
-//! scan every source file, and check the manifest-level invariants.
+//! Orchestration: walk the workspace, scan every source file, and check
+//! the manifest-level invariants.
 
 use crate::manifest::{self, Member};
-use crate::rules::{self, Finding, RuleSet, WaiverRecord};
+use crate::rules::{self, Finding};
 use std::path::{Path, PathBuf};
 
 /// The full result of one lint run.
@@ -18,51 +18,12 @@ pub struct Report {
     pub hot_functions: usize,
     /// Waivers that suppressed a violation (each carries a reason).
     pub waivers_used: usize,
-    /// Every registered waiver with its reason, in (file, line) order —
-    /// the `--waivers` audit inventory.
-    pub waivers: Vec<WaiverRecord>,
 }
 
 impl Report {
     /// True when the workspace satisfies every invariant.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-}
-
-/// The rule families that apply to a crate, by package name.
-///
-/// * **panic-freedom** covers the detection pipeline and its substrates —
-///   the crates a clinical screening product would ship on-device.
-/// * **nondeterministic-map** covers every crate whose output feeds results
-///   (the simulator included: iteration order there corrupts datasets).
-/// * **wall-clock** is banned everywhere except the benchmark harness and
-///   the CLI, whose *product* is timing and user interaction.
-/// * **ambient-rng** is banned everywhere; the per-file exemption for
-///   `rng.rs` (the `DetRng` modules) is applied at scan time.
-/// * **lock** is banned everywhere: the engine has one owner and the
-///   fan-out hands workers disjoint items, so no shipped code needs one.
-pub fn ruleset_for(crate_name: &str) -> RuleSet {
-    let panic = matches!(
-        crate_name,
-        "earsonar" | "earsonar-dsp" | "earsonar-signal" | "earsonar-ml" | "earsonar-engine"
-    );
-    let maps = matches!(
-        crate_name,
-        "earsonar"
-            | "earsonar-dsp"
-            | "earsonar-signal"
-            | "earsonar-ml"
-            | "earsonar-acoustics"
-            | "earsonar-sim"
-            | "earsonar-engine"
-    );
-    let timing_crate = matches!(crate_name, "earsonar-bench" | "earsonar-cli" | "xtask");
-    RuleSet {
-        panic,
-        maps,
-        wall_clock: !timing_crate,
-        rng: crate_name != "xtask",
     }
 }
 
@@ -123,17 +84,12 @@ pub fn run(root: &Path) -> Result<Report, String> {
             .then(a.line.cmp(&b.line))
             .then(a.rule.cmp(b.rule))
     });
-    report
-        .waivers
-        .sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     Ok(report)
 }
 
 fn scan_member(root: &Path, member: &Member, report: &mut Report) -> Result<(), String> {
-    let rules = ruleset_for(&member.name);
-
     // Source rules cover shipped code only: `src/` trees. Integration
-    // tests, benches, and fixtures under `tests/` are free to unwrap.
+    // tests, benches, and fixtures under `tests/` are not scanned.
     let src = member.dir.join("src");
     let mut files = Vec::new();
     rust_files(&src, &mut files);
@@ -141,18 +97,10 @@ fn scan_member(root: &Path, member: &Member, report: &mut Report) -> Result<(), 
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         report.files_scanned += 1;
-        // The DetRng implementations live in files named rng.rs — the one
-        // place allowed to speak about randomness.
-        let mut file_rules = rules;
-        if path.file_name().is_some_and(|n| n == "rng.rs") {
-            file_rules.rng = false;
-        }
-        let label = rel_label(root, path);
-        let out = rules::scan_source(&label, &text, file_rules);
-        report.findings.extend(out.findings);
-        report.hot_functions += out.stats.hot_functions;
-        report.waivers_used += out.stats.waivers_used;
-        report.waivers.extend(out.waivers);
+        let (findings, stats) = rules::scan_source(&rel_label(root, path), &text);
+        report.findings.extend(findings);
+        report.hot_functions += stats.hot_functions;
+        report.waivers_used += stats.waivers_used;
     }
 
     // Header hygiene: every library root forbids unsafe code.

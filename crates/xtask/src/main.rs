@@ -1,10 +1,10 @@
 //! Command-line entry point:
-//! `cargo run -p xtask -- lint [--waivers] [--root DIR]`.
+//! `cargo run -p xtask -- lint [--root DIR]`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo run -p xtask -- lint [--waivers] [--root DIR]";
+const USAGE: &str = "usage: cargo run -p xtask -- lint [--root DIR]";
 
 fn workspace_root() -> PathBuf {
     // When run via `cargo run -p xtask`, the manifest dir is
@@ -19,42 +19,9 @@ fn workspace_root() -> PathBuf {
     }
 }
 
-/// Prints the full waiver inventory — one line per registered waiver
-/// with its rule and justification — plus any directive findings (stale
-/// or reason-less waivers). Nonzero exit when the inventory is unsound.
-fn run_waiver_audit(report: &xtask::lint::Report) -> ExitCode {
-    for w in &report.waivers {
-        println!("{}:{} {} — {}", w.file, w.line, w.rule, w.reason);
-    }
-    let directive: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == xtask::rules::RULE_DIRECTIVE)
-        .collect();
-    for f in &directive {
-        println!("{f}");
-    }
-    if directive.is_empty() {
-        println!(
-            "xtask lint --waivers OK: {} waivers, every one carries a reason and suppresses a finding",
-            report.waivers.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "xtask lint --waivers: {} unsound directive(s)",
-            directive.len()
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn run_lint(root: &Path, waivers: bool) -> ExitCode {
+fn run_lint(root: &Path) -> ExitCode {
     match xtask::lint::run(root) {
         Ok(report) => {
-            if waivers {
-                return run_waiver_audit(&report);
-            }
             for f in &report.findings {
                 println!("{f}");
             }
@@ -83,7 +50,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root = workspace_root();
     let mut lint = false;
-    let mut waivers = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -97,7 +63,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--waivers" if lint => waivers = true,
             "lint" if !lint => lint = true,
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -108,7 +73,7 @@ fn main() -> ExitCode {
         i += 1;
     }
     if lint {
-        run_lint(&root, waivers)
+        run_lint(&root)
     } else {
         eprintln!("{USAGE}");
         ExitCode::from(2)

@@ -1,6 +1,7 @@
 // Fixture: a waiver without a reason is rejected AND waives nothing —
 // both the directive finding and the underlying violation must fire.
 
-pub fn sneaky(x: Option<u32>) -> u32 {
-    x.unwrap() // lint: allow(panic)
+// lint: hot-path
+pub fn sneaky(x: &[f64]) -> Vec<f64> {
+    x.to_vec() // lint: allow(hot-path-alloc)
 }

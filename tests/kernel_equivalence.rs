@@ -41,7 +41,7 @@ use earsonar_dsp::filter::{
 use earsonar_dsp::goertzel::Goertzel;
 use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
-use earsonar_dsp::plan::{split_frames, split_frames_mut, DspScratch, FftPlan, RealFftPlan};
+use earsonar_dsp::plan::{split_frames, DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::simd;
 use earsonar_dsp::window::{apply_precomputed, Window};
@@ -224,38 +224,6 @@ fn lane_fft_kernels<const L: usize>() {
     for log2 in 0..=12 {
         let n = 1usize << log2;
         let seed = 20_000 + (L * 100 + log2) as u64;
-        // Complex transform, forward then inverse, against one lane.
-        let plan = FftPlan::shared(n).unwrap();
-        let signals: [Vec<Complex64>; L] = std::array::from_fn(|l| {
-            noise(2 * n, seed + l as u64)
-                .chunks(2)
-                .map(|p| Complex64::new(p[0], p[1]))
-                .collect()
-        });
-        let mut buf = vec![0.0; 2 * L * n];
-        for (l, s) in signals.iter().enumerate() {
-            for (frame, z) in split_frames_mut::<L>(&mut buf).iter_mut().zip(s) {
-                frame[0][l] = z.re;
-                frame[1][l] = z.im;
-            }
-        }
-        for inverse in [false, true] {
-            plan.execute_lanes(split_frames_mut::<L>(&mut buf), inverse)
-                .unwrap();
-            for (l, s) in signals.iter().enumerate() {
-                let mut one = s.clone();
-                plan.forward(&mut one).unwrap();
-                if inverse {
-                    plan.inverse(&mut one).unwrap();
-                }
-                let lane: Vec<Complex64> = split_frames::<L>(&buf)
-                    .iter()
-                    .map(|f| Complex64::new(f[0][l], f[1][l]))
-                    .collect();
-                assert_eq!(lane, one, "L={L} n={n} lane {l} inverse={inverse}");
-            }
-        }
-
         // Real input of unequal lengths through the half-size real path.
         let lens = unequal::<L>(&[n, n / 2 + 1, 1, n.saturating_sub(1).max(1), 2 * n], log2);
         let xs: [Vec<f64>; L] = std::array::from_fn(|l| noise(lens[l], seed + 50 + l as u64));

@@ -62,9 +62,13 @@ fn pipeline_works_at_44100_hz() {
 }
 
 #[test]
-fn mismatched_rates_still_produce_verdicts_but_degrade() {
-    // Train at 48 kHz, screen a 44.1 kHz recording: the grids disagree, so
-    // quality drops, but nothing panics and errors are typed.
+fn mismatched_layouts_are_refused_by_every_recording_entry_point() {
+    // Train at 48 kHz, screen a 44.1 kHz recording with a ~220-sample hop:
+    // the filters, chirp template and mel bands are built for the model's
+    // layout, so both the batch and the quality-gated screening refuse the
+    // recording with the same typed error instead of disagreeing on it.
+    use earsonar::screening::{screen_recording_quality, RetryPolicy};
+    use earsonar::EarSonarError;
     use earsonar_suite::{config, small_dataset};
     let data = small_dataset(6);
     let system = EarSonar::fit(&data.sessions, &config()).expect("fit");
@@ -72,8 +76,14 @@ fn mismatched_rates_still_produce_verdicts_but_degrade() {
     let (_, session44) = config_44100();
     let cohort = Cohort::generate(1, 9);
     let s = earsonar_sim::session::Session::record(&cohort.patients()[0], 0, &session44, 0);
-    // 44.1 kHz recording with 220-sample hop through a 240-hop pipeline:
-    // the front end either adapts (chirp grid comes from the recording) or
-    // fails with a typed error — both acceptable, panics are not.
-    let _ = system.screen(&s.recording);
+    assert_eq!(s.recording.sample_rate, 44_100.0);
+    assert_ne!(s.recording.chirp_hop, config().chirp_hop);
+    assert!(matches!(
+        system.screen(&s.recording),
+        Err(EarSonarError::BadRecording { .. })
+    ));
+    assert!(matches!(
+        screen_recording_quality(&system, &s.recording, &RetryPolicy::default()),
+        Err(EarSonarError::BadRecording { .. })
+    ));
 }
