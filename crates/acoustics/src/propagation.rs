@@ -183,7 +183,6 @@ impl AllpassDelay {
     ///
     /// Returns [`DspError::InvalidLength`] if `x` needs a different
     /// transform size than the one the delay was built for.
-    // lint: hot-path
     pub fn apply(&self, x: &[f64], out_len: usize, out: &mut Vec<f64>) -> Result<(), DspError> {
         out.clear();
         out.resize(out_len, 0.0);

@@ -10,8 +10,8 @@
 //!
 //! This module lives in the benchmark harness, not the detection core:
 //! wall-clock reads are banned from the result-producing crates (see
-//! `xtask lint`'s `wall-clock` rule), and latency numbers are a benchmark
-//! artifact, not a detection output.
+//! `clippy.toml`'s `disallowed-methods`), and latency numbers are a
+//! benchmark artifact, not a detection output.
 
 use earsonar::detect::EarSonarDetector;
 use earsonar::pipeline::FrontEnd;

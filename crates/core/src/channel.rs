@@ -217,23 +217,32 @@ pub fn pipeline_estimator(
 /// [`EarSonarError::BadRecording`] for ragged lengths.
 pub fn average_irs(irs: &[Vec<f64>]) -> Result<Vec<f64>, EarSonarError> {
     let first = irs.first().ok_or(EarSonarError::NoEchoDetected)?;
-    let n = first.len();
-    let mut acc = vec![0.0; n];
-    for ir in irs {
-        if ir.len() != n {
-            return Err(EarSonarError::BadRecording {
-                reason: "impulse responses have inconsistent lengths",
-            });
-        }
-        for (a, &v) in acc.iter_mut().zip(ir) {
+    if irs.iter().any(|ir| ir.len() != first.len()) {
+        return Err(EarSonarError::BadRecording {
+            reason: "impulse responses have inconsistent lengths",
+        });
+    }
+    Ok(mean_rows(irs.iter().map(Vec::as_slice), first.len()))
+}
+
+/// The element-wise mean of `rows`, each `len` long: summed in row order,
+/// then divided by the row count. [`average_irs`] and the front end's
+/// finalize (over its IRs stored end to end) both average through here.
+pub(crate) fn mean_rows<'a>(
+    rows: impl ExactSizeIterator<Item = &'a [f64]>,
+    len: usize,
+) -> Vec<f64> {
+    let count = rows.len() as f64;
+    let mut acc = vec![0.0; len];
+    for row in rows {
+        for (a, &v) in acc.iter_mut().zip(row) {
             *a += v;
         }
     }
-    let count = irs.len() as f64;
     for a in &mut acc {
         *a /= count;
     }
-    Ok(acc)
+    acc
 }
 
 #[cfg(test)]

@@ -46,6 +46,21 @@ pub fn detect_events_with_floor(
     global_mean: f64,
     config: &EarSonarConfig,
 ) -> Result<Vec<EventSpan>, EarSonarError> {
+    let mut events = Vec::new();
+    detect_events_into(signal, global_mean, config, &mut events)?;
+    Ok(events)
+}
+
+/// [`detect_events_with_floor`] writing the spans into `events` (cleared
+/// and refilled), so a caller that keeps the buffer detects without
+/// allocating once it has grown.
+pub(crate) fn detect_events_into(
+    signal: &[f64],
+    global_mean: f64,
+    config: &EarSonarConfig,
+    events: &mut Vec<EventSpan>,
+) -> Result<(), EarSonarError> {
+    events.clear();
     let w = config.event_window.max(2);
     if signal.len() < w {
         return Err(EarSonarError::BadRecording {
@@ -55,6 +70,8 @@ pub fn detect_events_with_floor(
     let n = signal.len();
     // Instantaneous power x², squared where it is read.
     let power = |i: usize| signal[i] * signal[i];
+    // Events separated by less than half a window merge (echo ripple).
+    let gap = w / 2;
 
     // Eq. 7: windowed cumulative power A(i) and windowed deviation B(i).
     // Eq. 6: exponential updates of mu(i) and sigma(i) with factor 1/W.
@@ -64,7 +81,6 @@ pub fn detect_events_with_floor(
     let mut mu = window_sum / w as f64;
     let mut sigma = 0.0f64;
 
-    let mut events = Vec::new();
     let mut open: Option<usize> = None;
     for i in 0..n {
         // Slide the window [i, i+W).
@@ -87,29 +103,25 @@ pub fn detect_events_with_floor(
             }
             Some(start) => {
                 if p_i < global_mean {
-                    events.push(EventSpan { start, end: i });
+                    push_merged(events, EventSpan { start, end: i }, gap);
                     open = None;
                 }
             }
         }
     }
     if let Some(start) = open {
-        events.push(EventSpan { start, end: n });
+        push_merged(events, EventSpan { start, end: n }, gap);
     }
-    // Merge events separated by less than half a window (echo ripple).
-    let merged = merge_close_events(events, w / 2);
-    Ok(merged)
+    Ok(())
 }
 
-fn merge_close_events(events: Vec<EventSpan>, gap: usize) -> Vec<EventSpan> {
-    let mut out: Vec<EventSpan> = Vec::with_capacity(events.len());
-    for e in events {
-        match out.last_mut() {
-            Some(prev) if e.start <= prev.end + gap => prev.end = prev.end.max(e.end),
-            _ => out.push(e),
-        }
+/// Appends `e` to the chronological `events`, extending the last span
+/// instead when `e` starts within `gap` samples of its end.
+fn push_merged(events: &mut Vec<EventSpan>, e: EventSpan, gap: usize) {
+    match events.last_mut() {
+        Some(prev) if e.start <= prev.end + gap => prev.end = prev.end.max(e.end),
+        _ => events.push(e),
     }
-    out
 }
 
 #[cfg(test)]
@@ -204,16 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_close_events_coalesces() {
-        let events = vec![
+    fn push_merged_coalesces_close_events() {
+        let mut merged = Vec::new();
+        for e in [
             EventSpan { start: 0, end: 10 },
             EventSpan { start: 12, end: 20 },
             EventSpan {
                 start: 100,
                 end: 110,
             },
-        ];
-        let merged = merge_close_events(events, 5);
+        ] {
+            push_merged(&mut merged, e, 5);
+        }
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0], EventSpan { start: 0, end: 20 });
     }

@@ -14,13 +14,13 @@
 
 use crate::absorption::{average_spectra, EchoBand, EchoSpectrum};
 use crate::backend::{self, BackendSpec, Classifier, ReferenceClassifier};
-use crate::channel::{average_irs, chirp_template, pipeline_estimator, ChannelEstimator};
+use crate::channel::{chirp_template, mean_rows, pipeline_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
 use crate::detect::EarSonarDetector;
 use crate::diagnostics::Diagnostics;
 use crate::error::EarSonarError;
 use crate::eval::ExtractedDataset;
-use crate::event::detect_events_with_floor;
+use crate::event::{detect_events_into, EventSpan};
 use crate::preprocess::Preprocessor;
 use crate::quality::{self, NoiseFloor, QualityCause, SessionQuality};
 use crate::segment::{segment_with_anchor, EardrumEcho};
@@ -79,7 +79,9 @@ pub enum ChirpOutcome {
 /// the same computation by construction.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChirpAccumulator {
-    pub(crate) irs: Vec<Vec<f64>>,
+    /// Every used chirp's impulse response in chirp order, stored end to
+    /// end (each is the estimator's `n_taps` long).
+    irs: Vec<f64>,
     pub(crate) power_sum: f64,
     pub(crate) power_len: usize,
     /// Raw tail of the previous chirp window, kept as left context for the
@@ -102,12 +104,15 @@ pub(crate) struct ChirpAccumulator {
     /// their capacity).
     accepted: Vec<BatchChirp>,
     events: Vec<BatchChirp>,
+    /// The event detector's spans for the chirp being checked (refilled
+    /// per chirp, kept for its capacity).
+    spans: Vec<EventSpan>,
 }
 
 /// One window of a batch that passed the gate, on its way through the
 /// band-pass, event and deconvolution stages. Its sample buffers are
-/// borrowed from the batch's [`DspScratch`] and returned when the batch
-/// ends.
+/// borrowed from the batch's [`DspScratch`] and returned when the chirp
+/// retires.
 #[derive(Debug, Clone)]
 struct BatchChirp {
     /// Position of the window in the batch (its slot in `outcomes`).
@@ -125,31 +130,31 @@ struct BatchChirp {
 }
 
 impl BatchChirp {
-    /// A chirp that passed the gate, its filter output buffer borrowed
-    /// from `scratch`. The impulse response starts empty: it becomes one
-    /// of the accumulator's IRs, so it must not hold a pooled buffer.
+    /// A chirp that passed the gate, its filter output and impulse
+    /// response buffers borrowed from `scratch`.
     fn new(slot: usize, ctx: usize, contextual: Vec<f64>, scratch: &mut DspScratch) -> Self {
         BatchChirp {
             slot,
             ctx,
             contextual,
             filtered: scratch.take_real(),
-            ir: Vec::new(),
+            ir: scratch.take_real(),
             outcome: ChirpOutcome::Used,
         }
     }
 }
 
 impl ChirpAccumulator {
-    /// Records a chirp's final outcome — keeping its impulse response if
-    /// it has one — and returns its filtered window to the scratch.
-    fn retire(&mut self, scratch: &mut DspScratch, mut chirp: BatchChirp) {
+    /// Records a chirp's final outcome — appending its impulse response
+    /// to `irs` if it has one — and returns its buffers to the scratch.
+    fn retire(&mut self, scratch: &mut DspScratch, chirp: BatchChirp) {
         if chirp.outcome == ChirpOutcome::Used {
             self.diagnostics.irs_estimated += 1;
-            self.irs.push(std::mem::take(&mut chirp.ir));
+            self.irs.extend_from_slice(&chirp.ir);
         }
         self.outcomes[chirp.slot] = chirp.outcome;
         scratch.put_real(chirp.filtered);
+        scratch.put_real(chirp.ir);
     }
 
     /// Aggregates the per-chirp quality state into a session-level report.
@@ -349,7 +354,6 @@ impl FrontEnd {
     /// so accepted windows are processed exactly as they would be with
     /// the gate disabled: a session with zero rejections yields
     /// bit-identical features either way.
-    // lint: hot-path
     pub(crate) fn push_windows<'w>(
         &self,
         scratch: &mut DspScratch,
@@ -406,7 +410,6 @@ impl FrontEnd {
     /// Band-passes every chirp of `accepted`, several per pass, then runs
     /// the event detector over them in chirp order: chirps with an event
     /// move on to `events`, the rest are retired.
-    // lint: hot-path
     fn band_pass(
         &self,
         scratch: &mut DspScratch,
@@ -442,8 +445,9 @@ impl FrontEnd {
             } else {
                 acc.power_sum / acc.power_len as f64
             };
-            let has_event = match detect_events_with_floor(filtered, floor, &self.config) {
-                Ok(events) => !events.is_empty(),
+            let has_event = match detect_events_into(filtered, floor, &self.config, &mut acc.spans)
+            {
+                Ok(()) => !acc.spans.is_empty(),
                 // A window shorter than the detection window cannot hold
                 // an event (trailing partial chirp).
                 Err(_) => false,
@@ -461,7 +465,6 @@ impl FrontEnd {
     /// Deconvolves the leading chirps of `events`, several per pass — as
     /// many as fill whole groups of `group` — and retires them in chirp
     /// order.
-    // lint: hot-path
     fn deconvolve(
         &self,
         scratch: &mut DspScratch,
@@ -531,7 +534,8 @@ impl FrontEnd {
         if acc.irs.is_empty() {
             return Err(EarSonarError::NoEchoDetected);
         }
-        let avg_ir = average_irs(&acc.irs)?;
+        let taps = self.estimator.n_taps();
+        let avg_ir = mean_rows(acc.irs.chunks_exact(taps), taps);
 
         // The transmit grid fixes the delay origin: the direct leak (tiny
         // by hardware design) arrives one sample in. Absolute spectral
@@ -561,8 +565,8 @@ impl FrontEnd {
         // delay kernel serves the whole capture.
         let delay = AllpassDelay::new(shift, avg_ir.len(), scratch)?;
         let mut aligned = scratch.take_real();
-        let mut spectra = Vec::with_capacity(acc.irs.len());
-        for ir in &acc.irs {
+        let mut spectra = Vec::with_capacity(acc.diagnostics.irs_estimated);
+        for ir in acc.irs.chunks_exact(taps) {
             delay.apply(ir, aligned_len, &mut aligned)?;
             if let Ok(s) = self
                 .echo_band
@@ -602,7 +606,6 @@ struct BandPass<'a> {
 impl LaneOp for BandPass<'_> {
     type Error = Infallible;
 
-    // lint: hot-path
     fn run<const L: usize>(&mut self, first: usize) -> Result<(), Infallible> {
         let Some(group) = self.batch[first..].first_chunk_mut::<L>() else {
             return Ok(());
@@ -640,7 +643,6 @@ struct Deconvolve<'a> {
 impl LaneOp for Deconvolve<'_> {
     type Error = Infallible;
 
-    // lint: hot-path
     fn run<const L: usize>(&mut self, first: usize) -> Result<(), Infallible> {
         let Some(group) = self.batch[first..].first_chunk_mut::<L>() else {
             return Ok(());

@@ -58,7 +58,6 @@ impl Preprocessor {
     /// # Errors
     ///
     /// Returns [`EarSonarError::Dsp`] for an empty signal.
-    // lint: hot-path
     pub fn run_with(
         &self,
         samples: &[f64],
@@ -77,7 +76,6 @@ impl Preprocessor {
     /// # Errors
     ///
     /// Returns [`EarSonarError::Dsp`] if any signal is empty.
-    // lint: hot-path
     pub fn run_lanes<const L: usize>(
         &self,
         samples: [&[f64]; L],

@@ -278,14 +278,12 @@ pub struct NoiseFloor {
 impl NoiseFloor {
     /// Folds one window's gap-region power sum over `len` samples into
     /// the running estimate.
-    // lint: hot-path
     pub fn observe(&mut self, power_sum: f64, len: usize) {
         self.gap_power_sum += power_sum;
         self.gap_len += len;
     }
 
     /// Mean gap power per sample, or `None` before any gap was seen.
-    // lint: hot-path
     pub fn mean(&self) -> Option<f64> {
         if self.gap_len == 0 {
             None
@@ -323,7 +321,6 @@ impl ChirpQuality {
     /// multiplies the mean of the others so a dead window scores zero.
     ///
     /// Monotone: raising any corruption metric never raises the score.
-    // lint: hot-path
     pub fn score(&self, cfg: &QualityGateConfig) -> f64 {
         let clip = 1.0 - clamp01(self.clip_fraction / cfg.max_clip_fraction.max(TINY));
         let dropout = 1.0 - clamp01(self.dropout_fraction / cfg.max_dropout_fraction.max(TINY));
@@ -337,7 +334,6 @@ impl ChirpQuality {
 
     /// The gate decision: the first hard threshold this window violates,
     /// or `None` when the window is acceptable.
-    // lint: hot-path
     pub fn gate(&self, cfg: &QualityGateConfig) -> Option<QualityCause> {
         if self.dropout_fraction > cfg.max_dropout_fraction {
             return Some(QualityCause::Dropout);
@@ -372,7 +368,6 @@ impl ChirpQuality {
 /// One strict-order pass over the window, with single accumulators: at
 /// the pipeline's 240-sample windows a four-lane split of these scans
 /// did not beat the run-to-run spread of its timing.
-// lint: hot-path
 pub fn measure_window(
     window: &[f64],
     prev: &[f64],

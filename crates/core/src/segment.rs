@@ -20,7 +20,6 @@ use earsonar_dsp::plan::DspScratch;
 /// samples) are `½(x[n] ± x[m−n])`, with out-of-range reflections taken as
 /// zero. They are computed inline, never materialized — this runs once per
 /// symmetry candidate, inside the segmentation hot loop.
-// lint: hot-path
 pub fn parity_energies(x: &[f64], m: usize) -> (f64, f64) {
     let n = x.len();
     let mut e_even = 0.0f64;
@@ -155,7 +154,6 @@ fn delay_prior_samples(config: &EarSonarConfig) -> (f64, f64) {
 /// Returns [`EarSonarError::NoEchoDetected`] if the window is essentially
 /// silent, and [`EarSonarError::BadRecording`] if it is shorter than the
 /// chirp.
-// lint: hot-path
 pub fn segment_with_anchor(
     chirp_window: &[f64],
     direct_center: usize,

@@ -86,7 +86,6 @@ impl ChirpStream {
     /// partially received window (mixing [`ChirpStream::push_samples_with`]
     /// chunks with whole-window pushes at a misaligned point would silently
     /// shear every later chirp off the transmit grid).
-    // lint: hot-path
     pub fn push_chirp_with(
         &mut self,
         front_end: &FrontEnd,
@@ -115,7 +114,6 @@ impl ChirpStream {
     /// Currently infallible in practice (per-chirp failures are recorded
     /// as diagnostics, not raised); the `Result` keeps room for backends
     /// that validate sample chunks.
-    // lint: hot-path
     pub fn push_samples_with(
         &mut self,
         front_end: &FrontEnd,

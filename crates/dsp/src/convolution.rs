@@ -43,7 +43,6 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
 /// Matches [`convolve`] up to floating-point rounding but runs in
 /// `O(N log N)`. The FFT plan is sized from the input lengths and stays
 /// resident for the life of the process ([`RealFftPlan::shared`]).
-// lint: hot-path
 pub fn convolve_fft_with(scratch: &mut DspScratch, a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     out.clear();
     if a.is_empty() || b.is_empty() {
@@ -92,7 +91,6 @@ pub fn convolve_fft_with(scratch: &mut DspScratch, a: &[f64], b: &[f64], out: &m
 /// to a candidate symmetry point at `m / 2` (half-sample resolution).
 /// Short inputs use the direct algorithm (still allocation-free: the output
 /// buffer is reused).
-// lint: hot-path
 pub fn autoconvolve_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<f64>) {
     if x.len() < 64 {
         out.clear();

@@ -89,7 +89,6 @@ impl Biquad {
     /// Bit-identical to [`Biquad::process`] after a [`Biquad::reset`]:
     /// per-sample operations and their order are unchanged. This is the
     /// one-section, one-lane instance of [`BiquadCascade::run_lanes`].
-    // lint: hot-path
     #[inline]
     pub fn run_in_place(&self, buf: &mut [f64]) {
         run_sections(std::slice::from_ref(self), buf.as_chunks_mut::<1>().0);
@@ -185,7 +184,6 @@ impl BiquadCascade {
     /// no `&mut self` and therefore no per-call cascade clone.
     ///
     /// This is the one-lane instance of [`BiquadCascade::run_lanes`].
-    // lint: hot-path
     #[inline]
     pub fn run_in_place(&self, buf: &mut [f64]) {
         self.run_lanes(buf.as_chunks_mut::<1>().0);
@@ -201,7 +199,6 @@ impl BiquadCascade {
     /// The lanes share a length. A caller with shorter signals can place
     /// each at the start of its lane and pad after it: the filter is
     /// causal, so whatever follows a signal never reaches its samples.
-    // lint: hot-path
     #[inline]
     pub fn run_lanes<const L: usize>(&self, frames: &mut [[f64; L]]) {
         run_sections(&self.sections, frames);
@@ -231,7 +228,6 @@ impl BiquadCascade {
 /// of up to [`GROUP`] sections whose state stays in a stack-local array.
 /// A deeper cascade runs group after group; each section still consumes
 /// its predecessor's full output sequence, so grouping moves no bit.
-// lint: hot-path
 #[inline]
 fn run_sections<const L: usize>(sections: &[Biquad], frames: &mut [[f64; L]]) {
     const { assert!(L > 0) };
@@ -241,7 +237,6 @@ fn run_sections<const L: usize>(sections: &[Biquad], frames: &mut [[f64; L]]) {
 }
 
 /// One sample-major pass of at most [`GROUP`] sections.
-// lint: hot-path
 #[inline(always)]
 fn run_group<const L: usize>(group: &[Biquad], frames: &mut [[f64; L]]) {
     // Bounding the slice here (not only through `chunks`) lets the

@@ -79,7 +79,6 @@ pub fn filtfilt(filter: &BiquadCascade, signal: &[f64], pad: usize) -> Result<Ve
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] if `signal` is empty.
-// lint: hot-path
 pub fn filtfilt_with(
     filter: &BiquadCascade,
     signal: &[f64],
@@ -109,7 +108,6 @@ pub fn filtfilt_with(
 /// # Errors
 ///
 /// Returns [`DspError::EmptyInput`] if any signal is empty.
-// lint: hot-path
 pub fn filtfilt_lanes<const L: usize>(
     filter: &BiquadCascade,
     signals: [&[f64]; L],

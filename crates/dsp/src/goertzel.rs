@@ -61,7 +61,6 @@ impl Goertzel {
     /// the probe count). A block of probes advances together through the
     /// signal, one sample at a time. An empty signal has zero power
     /// everywhere.
-    // lint: hot-path
     pub fn powers_into(&self, x: &[f64], out: &mut Vec<f64>) {
         out.clear();
         for c in self.coeffs.as_chunks::<BLOCK>().0 {

@@ -14,7 +14,6 @@ use crate::plan::{DspScratch, FftPlan, RealFftPlan};
 /// buffer, with intermediates drawn from `scratch` — allocation-free once
 /// warm. The FFT plans are sized from the input length and stay resident
 /// for the life of the process ([`FftPlan::shared`]).
-// lint: hot-path
 pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<Complex64>) {
     out.clear();
     if x.is_empty() {
@@ -78,7 +77,6 @@ pub fn analytic_signal_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<C
 /// envelope_with(&mut DspScratch::new(), &x, &mut env);
 /// assert!(env[64..192].iter().all(|&e| (e - 1.0).abs() < 0.05));
 /// ```
-// lint: hot-path
 pub fn envelope_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<f64>) {
     let mut analytic = scratch.take_complex();
     analytic_signal_with(scratch, x, &mut analytic);

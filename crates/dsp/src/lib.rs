@@ -19,7 +19,7 @@
 //! * [`convolution`] / [`correlation`] — including the auto-convolution used
 //!   by the paper's parity-decomposition echo segmentation,
 //! * [`simd`] — four-lane vectorized reduction kernels with pinned
-//!   scalar twins (the hot-path building blocks),
+//!   scalar twins (the per-sample loops of the per-chirp stages),
 //! * [`stats`] — the statistical feature primitives (skewness, kurtosis, …),
 //! * [`fanout`] — the one scoped-thread, index-ordered parallel map the
 //!   simulator, the detection core and the engine share,

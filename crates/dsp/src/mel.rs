@@ -198,7 +198,6 @@ impl MelFilterBank {
     /// # Errors
     ///
     /// Same conditions as [`MelFilterBank::apply`].
-    // lint: hot-path
     pub fn apply_into(&self, power_spectrum: &[f64], out: &mut Vec<f64>) -> Result<(), DspError> {
         if power_spectrum.len() != self.n_fft / 2 + 1 {
             return Err(DspError::InvalidLength {

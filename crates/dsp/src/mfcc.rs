@@ -188,7 +188,6 @@ impl MfccExtractor {
     /// # Errors
     ///
     /// Same conditions as [`MfccExtractor::extract`].
-    // lint: hot-path
     pub fn extract_into(
         &self,
         scratch: &mut DspScratch,
@@ -227,7 +226,6 @@ impl MfccExtractor {
 
     /// Mel energies, log, and the retained DCT-II coefficients of one power
     /// spectrum, written to `out`; `mel_energies` is scratch.
-    // lint: hot-path
     fn cepstrum(
         &self,
         power: &[f64],

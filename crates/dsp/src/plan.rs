@@ -198,7 +198,6 @@ impl FftPlan {
     ///
     /// This is the generic complex path, not [`RealFftPlan`]'s half-size
     /// one; the two agree to rounding, not bit for bit.
-    // lint: hot-path
     pub fn forward_from_real(&self, x: &[f64], out: &mut Vec<Complex64>) {
         out.clear();
         out.resize(self.n, Complex64::ZERO);
@@ -211,7 +210,6 @@ impl FftPlan {
     /// The radix-2 transform of `L` lanes in place. The butterfly sequence
     /// is the one-lane sequence with an inner loop over lanes, so every
     /// lane sees exactly the operations it would see alone.
-    // lint: hot-path
     fn run<const L: usize, F: LaneFrame<L>>(&self, frames: &mut [F], inverse: bool) {
         const { assert!(L > 0) };
         let n = self.n;
@@ -323,7 +321,6 @@ impl RealFftPlan {
     ///
     /// Returns [`DspError::InvalidLength`] if `input` is longer than the
     /// planned size.
-    // lint: hot-path
     pub fn forward_into(
         &self,
         input: &[f64],
@@ -353,7 +350,6 @@ impl RealFftPlan {
     ///
     /// Returns [`DspError::InvalidLength`] if any input is longer than the
     /// planned size.
-    // lint: hot-path
     pub fn forward_lanes<const L: usize>(
         &self,
         inputs: [&[f64]; L],
@@ -385,7 +381,6 @@ impl RealFftPlan {
 
     /// The forward transform into zeroed frames: `n/2` of `work`, `n` of
     /// `out`.
-    // lint: hot-path
     fn forward_frames<const L: usize, F: LaneFrame<L>>(
         &self,
         inputs: [&[f64]; L],
@@ -446,7 +441,6 @@ impl RealFftPlan {
     ///
     /// Returns [`DspError::InvalidLength`] if `spectrum.len()` differs from
     /// the planned size.
-    // lint: hot-path
     pub fn inverse_into(
         &self,
         spectrum: &[Complex64],
@@ -474,7 +468,6 @@ impl RealFftPlan {
     ///
     /// Returns [`DspError::InvalidLength`] unless `spectrum` holds exactly
     /// one split frame per planned point.
-    // lint: hot-path
     pub fn inverse_lanes<const L: usize>(
         &self,
         spectrum: &[f64],
@@ -509,7 +502,6 @@ impl RealFftPlan {
 
     /// The inverse transform of `n` frames of `bins` through `n/2` frames
     /// of `work`, samples lane-interleaved into `out`.
-    // lint: hot-path
     fn inverse_frames<const L: usize, F: LaneFrame<L>>(
         &self,
         bins: &[F],

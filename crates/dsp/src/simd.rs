@@ -32,7 +32,6 @@
 /// Σ `x[i]` with four partial accumulators.
 ///
 /// Reassociated (ulp-equal to [`sum_scalar`], see the module docs).
-// lint: hot-path
 #[inline]
 pub fn sum(x: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
@@ -62,7 +61,6 @@ pub fn sum_scalar(x: &[f64]) -> f64 {
 
 /// Σ `x[i]²` with four partial accumulators (ulp-equal to
 /// [`sum_sq_scalar`]).
-// lint: hot-path
 #[inline]
 pub fn sum_sq(x: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
@@ -92,7 +90,6 @@ pub fn sum_sq_scalar(x: &[f64]) -> f64 {
 
 /// Σ `a[i] b[i]` over the common prefix, four partial accumulators
 /// (ulp-equal to [`dot_scalar`]).
-// lint: hot-path
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().min(b.len());
@@ -124,7 +121,6 @@ pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// **Bit-identical** to [`mul_in_place_scalar`]: multiplication order per
 /// element is unchanged, nothing is reassociated.
-// lint: hot-path
 #[inline]
 pub fn mul_in_place(a: &mut [f64], b: &[f64]) {
     let n = a.len().min(b.len());
@@ -155,7 +151,6 @@ pub fn mul_in_place_scalar(a: &mut [f64], b: &[f64]) {
 /// `db = b[i] - mean_b` — the covariance/variance triple behind Pearson
 /// correlation, in one pass with three four-lane accumulator groups
 /// (ulp-equal to [`centered_moments_scalar`]).
-// lint: hot-path
 #[inline]
 pub fn centered_moments(a: &[f64], mean_a: f64, b: &[f64], mean_b: f64) -> (f64, f64, f64) {
     let n = a.len().min(b.len());

@@ -209,7 +209,6 @@ pub fn parse_wav(bytes: &[u8]) -> Result<WavAudio, DspError> {
 /// # Errors
 ///
 /// Same conditions as [`parse_wav`].
-// lint: hot-path
 pub fn parse_wav_f32_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<u32, DspError> {
     let ((tag, channels, rate, bits), data) = scan_chunks(bytes)?;
     let ch = channels as usize;

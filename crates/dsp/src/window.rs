@@ -115,7 +115,6 @@ impl Window {
 /// coefficient values multiply the same samples, elementwise, with no
 /// reassociation. Pinned by `precomputed_apply_is_bit_identical` below
 /// and `tests/kernel_equivalence.rs`.
-// lint: hot-path
 #[inline]
 pub fn apply_precomputed(taps: &[f64], signal: &mut [f64]) {
     crate::simd::mul_in_place(signal, taps);

@@ -2,7 +2,10 @@
 //! [`parse_wav_f32_into`] read bytes the system does not control, so every
 //! input — truncated at any offset, byte- or bit-flipped, or carrying
 //! extreme header fields — must give a valid result or a typed error,
-//! never a panic. Allocation must stay bounded by the input length.
+//! never a panic. That their peak live bytes stay within a constant times
+//! the input length is measured, over a seeded corpus of the same kind,
+//! by `wav_parsers_peak_bytes_stay_linear_in_input_length` in the
+//! workspace's root `tests/allocation.rs`.
 //!
 //! The two parsers must also agree: both succeed or both fail, with the
 //! same sample rate, and the `f32` decode equals the `f64` parse narrowed

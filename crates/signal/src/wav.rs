@@ -65,7 +65,6 @@ impl SignalSource for WavSignalSource {
         }
     }
 
-    // lint: hot-path
     fn capture(&mut self) -> Result<Option<Recording>, SignalError> {
         let Some(path) = self.paths.get(self.next) else {
             return Ok(None);
@@ -79,7 +78,8 @@ impl SignalSource for WavSignalSource {
                 expected: self.layout.sample_rate,
             });
         }
-        // lint: allow(hot-path-alloc) the returned Recording must own its samples; this is one allocation per capture, not per chirp
+        // The returned Recording must own its samples: one allocation
+        // per capture, not per chirp.
         let mut samples = Vec::with_capacity(self.pcm.len());
         samples.extend(self.pcm.iter().map(|&v| v as f64)); // exact widening
         let recording = self.layout.frame(samples).ok_or(SignalError::BadLayout {

@@ -11,12 +11,27 @@ echo "==> cargo fmt --all --check: every workspace member is rustfmt-clean"
 # its own formatting.
 cargo fmt --all --check
 
-echo "==> xtask lint: the invariants no compiler lint can express (hot-path"
-echo "    allocation, layering, unsafe headers, lint directives)"
-# Parses manifests and scans sources directly, so it runs before anything
-# else builds. Panics, maps, clocks, locks and lint waivers are the
-# clippy step's. See DESIGN.md "Static analysis & invariants".
-cargo run -p xtask -- lint
+echo "==> layering: earsonar-sim is in no shipped crate's normal dependencies"
+# The detection core reads recordings through earsonar-signal and the
+# engine multiplexes that core; the simulator is one producer among
+# several and may only be a dev-dependency. The workspace has no
+# registry dependencies, so the tree resolves offline.
+for crate in earsonar earsonar-ml earsonar-signal earsonar-engine; do
+    deps=$(cargo tree --offline -e normal -p "$crate" --prefix none)
+    if grep -q '^earsonar-sim ' <<<"$deps"; then
+        echo "$crate depends on earsonar-sim:"
+        cargo tree --offline -e normal -p "$crate" -i earsonar-sim
+        exit 1
+    fi
+done
+
+echo "==> unsafe header: every library root forbids unsafe code"
+missing=$(grep -L '^#!\[forbid(unsafe_code)\]' src/suite.rs crates/*/src/lib.rs || true)
+if [ -n "$missing" ]; then
+    echo "no #![forbid(unsafe_code)] in:"
+    echo "$missing"
+    exit 1
+fi
 
 echo "==> no ambient randomness: neither lockfile lists a rand or getrandom package"
 if grep -nE '^name = "(rand.*|getrandom)"$' Cargo.lock benchmark/Cargo.lock; then exit 1; fi
