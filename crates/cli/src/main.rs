@@ -15,7 +15,9 @@ use earsonar::eval::{loocv, ExtractedDataset};
 use earsonar::model_io::{load_model, load_model_as, save_model};
 use earsonar::quality::SessionQuality;
 use earsonar::report::{pct, Table};
-use earsonar::screening::{resolve_stream, InconclusiveReason, RetryPolicy, ScreeningOutcome};
+use earsonar::screening::{
+    resolve_stream, InconclusiveReason, RetryPolicy, ScreeningOutcome, ScreeningVerdict,
+};
 use earsonar::streaming::ChirpStream;
 use earsonar::{EarSonar, EarSonarConfig, MeeState};
 use earsonar_dsp::plan::DspScratch;
@@ -276,14 +278,6 @@ fn load_pinned(path: &Path, backend: Option<&str>) -> Result<EarSonar, String> {
     .map_err(|e| format!("loading model: {e}{}", backend_hint()))
 }
 
-fn verdict_line(state: MeeState) -> String {
-    if state == MeeState::Clear {
-        "clear".to_string()
-    } else {
-        format!("EFFUSION ({state})")
-    }
-}
-
 /// One-line signal-quality summary for a screened recording.
 fn quality_line(q: &SessionQuality) -> String {
     let causes = q.rejections.summary();
@@ -305,7 +299,11 @@ fn quality_line(q: &SessionQuality) -> String {
 fn outcome_line(outcome: &ScreeningOutcome) -> String {
     match outcome {
         ScreeningOutcome::Conclusive(r) => {
-            format!("{} (confidence {:.2})", verdict_line(r.state), r.confidence)
+            let verdict = match r.verdict {
+                ScreeningVerdict::Clear => "clear".to_string(),
+                ScreeningVerdict::EffusionDetected { state } => format!("EFFUSION ({state})"),
+            };
+            format!("{verdict} (confidence {:.2})", r.confidence)
         }
         ScreeningOutcome::Inconclusive(r) => {
             let why = match r.reason {

@@ -5,10 +5,10 @@
 //! echo windows + diagnostics in, versioned feature vectors out), a
 //! [`Classifier`] trait (fit/predict/confidence), and a static
 //! [`registry`] of named [`BackendSpec`]s pairing the two. The paper's
-//! MFCC+k-means pipeline is the **reference backend** — it runs the exact
-//! same code it always did, just behind the trait boundary, so verdicts
-//! are bit-identical to the pre-registry system on the batch, streaming,
-//! and engine paths alike.
+//! MFCC+k-means pipeline is the **reference backend**:
+//! [`crate::EarSonar::fit`] trains it, and its verdicts equal those of
+//! `EarSonar::fit_backend(REFERENCE_BACKEND)`, verdict for verdict, on
+//! the batch, streaming, and engine paths alike.
 //!
 //! Registered backends:
 //!
@@ -129,8 +129,6 @@ pub struct BackendSpec {
     pub name: &'static str,
     /// Backend version; model files must match exactly.
     pub version: u32,
-    /// One-line human description.
-    pub description: &'static str,
     /// Builds the backend's feature extractor for a configuration.
     pub make_extractor: MakeExtractorFn,
     /// Fits the backend's classifier on labelled feature vectors.
@@ -155,8 +153,6 @@ static REGISTRY: [BackendSpec; 3] = [
     BackendSpec {
         name: REFERENCE_BACKEND,
         version: 1,
-        description: "paper reference: 105-dim MFCC+statistics features, \
-                      state-initialized k-means (bit-identical to the pre-registry system)",
         make_extractor: reference_extractor,
         fit: reference_fit,
         load: reference_load,
@@ -164,8 +160,6 @@ static REGISTRY: [BackendSpec; 3] = [
     BackendSpec {
         name: "absorbance-logistic",
         version: 1,
-        description: "wideband-absorbance curve features into multinomial \
-                      logistic regression",
         make_extractor: absorbance_extractor,
         fit: logistic_fit,
         load: logistic_load,
@@ -173,7 +167,6 @@ static REGISTRY: [BackendSpec; 3] = [
     BackendSpec {
         name: "absorbance-knn",
         version: 1,
-        description: "wideband-absorbance curve features into k-nearest-neighbour voting",
         make_extractor: absorbance_extractor,
         fit: knn_fit,
         load: knn_load,

@@ -8,9 +8,9 @@
 //!
 //! Feature extraction and classification sit behind the
 //! [`crate::backend`] trait boundary: [`EarSonar::fit`] trains the
-//! paper's reference MFCC+k-means backend (bit-identical to the
-//! pre-registry system), while [`EarSonar::fit_backend`] selects any
-//! registered backend by name.
+//! paper's reference MFCC+k-means backend, verdict for verdict the same
+//! system as `fit_backend(REFERENCE_BACKEND)`, while
+//! [`EarSonar::fit_backend`] selects any registered backend by name.
 
 use crate::absorption::{average_spectra, EchoBand, EchoSpectrum};
 use crate::backend::{self, BackendSpec, Classifier, ReferenceClassifier};

@@ -28,13 +28,12 @@
 //! count and ingest interleaving: both paths feed the same
 //! partition-invariant stream API and resolve through the same
 //! [`earsonar::screening::resolve_stream`] decision sequence, and the
-//! scratch is a pure buffer pool. The `engine_equivalence` integration
-//! tests pin this with seeded-shuffle interleavings, and the
-//! [`schedule`] module turns the contract into a harness: bounded
-//! exhaustive enumeration of every delivery order for small session
-//! counts, seeded-random sampling beyond, each replayed through
-//! [`schedule::replay`] with verdict bit-identity and queue-accounting
-//! invariants checked (`schedule_exploration` integration tests).
+//! scratch is a pure buffer pool. The `schedule_exploration` integration
+//! tests pin this with the test harness in `crates/engine/tests/common`:
+//! every delivery order for small session counts, seeded interleavings
+//! and drain cadences beyond, and conclusive sessions at 1, 2 and 4
+//! workers, each replayed once and compared session by session with
+//! sequential screening of the same samples.
 //!
 //! # Example
 //!
@@ -74,10 +73,8 @@
 
 pub mod config;
 pub mod engine;
-pub mod schedule;
 pub mod session;
 
 pub use config::EngineConfig;
 pub use engine::{EngineStats, ScreeningEngine};
-pub use schedule::{Exploration, Replay, Schedule, ScheduleError};
 pub use session::{CompletedSession, Rejected, SessionId};

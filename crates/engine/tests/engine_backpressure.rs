@@ -15,7 +15,7 @@ fn full_queue_rejects_without_corrupting_neighbors() {
     let system = common::system();
     let recs = common::recordings(2, 51, CHIRPS);
     let policy = RetryPolicy::default();
-    let expected = common::expected_outcomes(system, &recs, &policy);
+    let expected = common::sequential(system, &recs, &policy);
 
     // A two-chunk queue: session 0 is driven straight into backpressure
     // while session 1 shares the table.
@@ -78,7 +78,7 @@ fn full_queue_rejects_without_corrupting_neighbors() {
     for done in &completed {
         assert_eq!(
             *done.outcome.as_ref().unwrap(),
-            expected[done.id.0 as usize],
+            expected[done.id.0 as usize].0,
             "rejected pushes corrupted {}",
             done.id
         );
@@ -215,7 +215,7 @@ fn thousand_concurrent_sessions_resolve_in_bounded_memory() {
     // the 12-chirp quorum so most verdicts are conclusive.
     let distinct = common::recordings(4, 54, 16);
     let policy = RetryPolicy::default();
-    let expected = common::expected_outcomes(system, &distinct, &policy);
+    let expected = common::sequential(system, &distinct, &policy);
 
     const SESSIONS: usize = 1000;
     let config = EngineConfig {
@@ -278,7 +278,7 @@ fn thousand_concurrent_sessions_resolve_in_bounded_memory() {
         assert!(!done.evicted);
         assert_eq!(
             *done.outcome.as_ref().unwrap(),
-            expected[done.id.0 as usize % distinct.len()],
+            expected[done.id.0 as usize % distinct.len()].0,
             "verdict diverged for {}",
             done.id
         );

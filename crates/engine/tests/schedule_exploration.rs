@@ -1,187 +1,230 @@
-//! The schedule-exploration contract: verdicts are bit-identical to the
-//! sequential baseline across *every* explored worker/ingest
-//! interleaving — bounded exhaustive for small session counts, seeded
-//! beyond — and queue accounting never loses an accepted chunk.
+//! The determinism contract: engine verdicts are bit-identical to
+//! sequential screening across every explored ingest/drain interleaving,
+//! and queue accounting never loses an accepted chunk.
 //!
-//! The two families together replay over 100 distinct schedules; the
-//! final test counts them explicitly so the bar is enforced, not
-//! implied.
+//! Each family below is a set of recordings plus the schedules replayed
+//! over them: every delivery order for three short sessions, seeded
+//! interleavings with varied workers and drain cadences, a one-slot queue
+//! that forces backpressure, and conclusive 24-chirp sessions cut into
+//! hop-misaligned chunks at 1, 2 and 4 workers. Every schedule is
+//! replayed once, and every session is compared with `assert_eq!` against
+//! sequential screening of the same samples: the outcome, every float in
+//! it included, the stream diagnostics, and not being evicted. The
+//! families hold over 100 distinct schedules; the last test counts them,
+//! so the bar is enforced, not implied.
 //!
 //! A schedule's worker count is a request: each drain runs on
 //! `min(workers, ready sessions, host cores)` threads, so on a 2-core
 //! host `workers = 4` runs 2 threads and on a 1-core host every drain
-//! runs inline. The axis varies the request, not the thread count.
+//! runs inline. More than two threads are covered by the fan-out's own
+//! unit tests, which bypass the cap.
 
 mod common;
 
-use earsonar_engine::schedule::{self, Schedule};
+use common::{Replay, Schedule};
+use earsonar::diagnostics::Diagnostics;
+use earsonar::screening::ScreeningOutcome;
 use earsonar_engine::EngineConfig;
+use earsonar_signal::recording::Recording;
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
-/// Short sessions keep debug-mode exploration bounded: the stream API is
-/// partition-invariant, so 8 chirps exercise the same code as 80.
-const CHIRPS: usize = 8;
+/// Chirps per session in the exploration families: below the 12-chirp
+/// quorum, so these sessions resolve `QuorumNotMet`, but the stream API
+/// is partition-invariant, so 8 chirps exercise the same code as 80.
+const SHORT: usize = 8;
 
-/// Per-session chunk counts for `recs` at `chunk_len`.
-fn chunk_counts(recs: &[earsonar_signal::recording::Recording], chunk_len: usize) -> Vec<usize> {
-    recs.iter()
+/// Chirps per session in the conclusive family: comfortably above the
+/// default 12-chirp quorum.
+const CONCLUSIVE: usize = 24;
+
+/// Recordings, the schedules replayed over them, and the sequential
+/// reference each replay is held to.
+struct Family {
+    recordings: Vec<Recording>,
+    config: EngineConfig,
+    chunk_len: usize,
+    chunk_counts: Vec<usize>,
+    schedules: Vec<Schedule>,
+    expected: Vec<(ScreeningOutcome, Diagnostics)>,
+}
+
+struct Families {
+    exhaustive: Family,
+    seeded: Family,
+    backpressure: Family,
+    conclusive: Family,
+}
+
+/// Builds a family; `schedules` receives the per-session chunk counts.
+fn family(
+    chunk_len: usize,
+    recordings: Vec<Recording>,
+    config: EngineConfig,
+    schedules: impl FnOnce(&[usize]) -> Vec<Schedule>,
+) -> Family {
+    let chunk_counts: Vec<usize> = recordings
+        .iter()
         .map(|r| r.samples.len().div_ceil(chunk_len))
-        .collect()
+        .collect();
+    Family {
+        schedules: schedules(&chunk_counts),
+        expected: common::sequential(common::system(), &recordings, &config.policy),
+        recordings,
+        config,
+        chunk_len,
+        chunk_counts,
+    }
 }
 
 /// A chunk length that cuts every recording into exactly `n` chunks.
-fn chunk_len_for(recs: &[earsonar_signal::recording::Recording], n: usize) -> usize {
+fn chunk_len_for(recs: &[Recording], n: usize) -> usize {
     recs.iter()
         .map(|r| r.samples.len().div_ceil(n))
         .max()
         .expect("non-empty recordings")
 }
 
-#[test]
-fn exhaustive_enumeration_of_three_sessions_is_bit_identical() {
+/// Every family, built once per test binary and shared by the replay
+/// tests and the count.
+fn families() -> &'static Families {
+    static FAMILIES: OnceLock<Families> = OnceLock::new();
+    FAMILIES.get_or_init(|| {
+        let exhaustive = common::recordings(3, 61, SHORT);
+        let seeded = common::recordings(4, 62, SHORT);
+        let backpressure = common::recordings(2, 63, SHORT);
+        Families {
+            // Every distinct cross-session delivery order of 3 sessions
+            // × 2 chunks: 6!/(2!^3) = 90.
+            exhaustive: family(
+                chunk_len_for(&exhaustive, 2),
+                exhaustive,
+                EngineConfig::default(),
+                |counts| common::enumerate_all(counts, 2),
+            ),
+            seeded: family(
+                chunk_len_for(&seeded, 3),
+                seeded,
+                EngineConfig::default(),
+                |counts| {
+                    let mut schedules = Vec::new();
+                    for (i, (workers, drain_every)) in
+                        [(1, 0), (2, 0), (2, 3), (4, 2)].into_iter().enumerate()
+                    {
+                        for seed in 0..4 {
+                            let seed = 1000 + seed + 100 * i as u64;
+                            schedules.push(Schedule::seeded(counts, seed, workers, drain_every));
+                        }
+                    }
+                    schedules
+                },
+            ),
+            // Many small chunks against a one-slot queue: every session
+            // hits QueueFull repeatedly, forcing the drain-and-retry path.
+            backpressure: family(
+                chunk_len_for(&backpressure, 6),
+                backpressure,
+                EngineConfig {
+                    queue_capacity: 1,
+                    ..EngineConfig::default()
+                },
+                |counts| vec![Schedule::seeded(counts, 9, 2, 0)],
+            ),
+            // Deliberately hop-misaligned chunks: window completion must
+            // not depend on how the stream was cut.
+            conclusive: family(
+                997,
+                common::recordings(6, 41, CONCLUSIVE),
+                EngineConfig::default(),
+                |counts| {
+                    [(1, 11), (2, 12), (4, 13)]
+                        .map(|(workers, seed)| Schedule::seeded(counts, seed, workers, 0))
+                        .to_vec()
+                },
+            ),
+        }
+    })
+}
+
+/// Replays every schedule of `family` once and holds each session to
+/// sequential screening: same outcome, same diagnostics, not evicted,
+/// and every offered chunk accepted.
+fn explore(family: &Family) -> Vec<Replay> {
     let system = common::system();
-    let recs = common::recordings(3, 61, CHIRPS);
-    let chunk_len = chunk_len_for(&recs, 2);
-    let counts = chunk_counts(&recs, chunk_len);
-    assert_eq!(counts, vec![2, 2, 2], "fixture must give 2 chunks/session");
+    family
+        .schedules
+        .iter()
+        .map(|schedule| {
+            let label = schedule.label();
+            let run = common::replay(
+                system,
+                &family.recordings,
+                family.config,
+                schedule,
+                family.chunk_len,
+            );
+            assert_eq!(run.accepted, family.chunk_counts, "accepted under {label}");
+            for done in &run.completed {
+                let (outcome, diagnostics) = &family.expected[done.id.0 as usize];
+                let id = done.id;
+                assert_eq!(done.outcome.as_ref(), Ok(outcome), "{id} under {label}");
+                assert_eq!(&done.diagnostics, diagnostics, "{id} under {label}");
+                assert!(!done.evicted, "{id} evicted under {label}");
+            }
+            run
+        })
+        .collect()
+}
 
-    // Every distinct cross-session delivery order: 6!/(2!^3) = 90.
-    let schedules = schedule::enumerate_all(&counts, 2, usize::MAX);
-    assert_eq!(schedules.len(), 90);
-
-    let result = schedule::explore(
-        system,
-        &recs,
-        EngineConfig::default(),
-        &schedules,
-        chunk_len,
-    )
-    .expect("exploration completes");
-    assert_eq!(result.schedules_run, 90);
-    assert_eq!(result.baseline.len(), recs.len());
-    assert!(
-        result.is_clean(),
-        "verdicts diverged: {:?}",
-        result.divergences
-    );
+#[test]
+fn every_delivery_order_of_three_sessions_matches_sequential_screening() {
+    let family = &families().exhaustive;
+    assert_eq!(family.chunk_counts, vec![2, 2, 2]);
+    assert_eq!(explore(family).len(), 90);
 }
 
 #[test]
 fn seeded_schedules_vary_workers_and_drain_cadence() {
-    let system = common::system();
-    let recs = common::recordings(4, 62, CHIRPS);
-    let chunk_len = chunk_len_for(&recs, 3);
-    let counts = chunk_counts(&recs, chunk_len);
-
-    let mut schedules = Vec::new();
-    for (i, &(workers, drain_every)) in [(1usize, 0usize), (2, 0), (2, 3), (4, 2)]
-        .iter()
-        .enumerate()
-    {
-        for seed in 0..4u64 {
-            schedules.push(Schedule::seeded(
-                &counts,
-                1000 + seed + 100 * i as u64,
-                workers,
-                drain_every,
-            ));
-        }
-    }
-
-    let result = schedule::explore(
-        system,
-        &recs,
-        EngineConfig::default(),
-        &schedules,
-        chunk_len,
-    )
-    .expect("exploration completes");
-    assert!(
-        result.is_clean(),
-        "verdicts diverged: {:?}",
-        result.divergences
-    );
+    assert_eq!(explore(&families().seeded).len(), 16);
 }
 
 #[test]
 fn backpressure_never_drops_an_accepted_chunk() {
-    let system = common::system();
-    let recs = common::recordings(2, 63, CHIRPS);
-    // Many small chunks against a one-slot queue: every session hits
-    // QueueFull repeatedly, forcing the drain-and-retry path.
-    let chunk_len = chunk_len_for(&recs, 6);
-    let counts = chunk_counts(&recs, chunk_len);
-    let config = EngineConfig {
-        queue_capacity: 1,
-        ..EngineConfig::default()
-    };
+    // `explore` checks accepted == offered and that every session
+    // resolved to the sequential verdict; this family must also have
+    // gone through the drain-and-retry path.
+    for run in explore(&families().backpressure) {
+        assert!(
+            run.backpressure_drains > 0,
+            "the one-slot queue must exercise QueueFull backpressure"
+        );
+    }
+}
 
-    let sched = Schedule::seeded(&counts, 9, 2, 0);
-    let run = schedule::replay(system, &recs, config, &sched, chunk_len).expect("replay completes");
-
+#[test]
+fn conclusive_sessions_match_sequential_screening_at_workers_1_2_4() {
+    let family = &families().conclusive;
     assert!(
-        run.backpressure_drains > 0,
-        "the one-slot queue must exercise QueueFull backpressure"
+        family.expected.iter().all(|(o, _)| o.is_conclusive()),
+        "the conclusive family must resolve conclusively"
     );
-    // Accepted == offered: refusals were retried until accepted, and
-    // every accepted chunk resolved (replay errors otherwise).
-    assert_eq!(run.accepted, counts);
-    assert_eq!(run.completed.len(), recs.len());
-    assert!(run.completed.iter().all(|c| !c.evicted));
+    let workers: Vec<usize> = family.schedules.iter().map(|s| s.workers).collect();
+    assert_eq!(workers, vec![1, 2, 4]);
+    explore(family);
 }
 
 #[test]
 fn explored_interleavings_exceed_one_hundred_distinct_schedules() {
-    // The acceptance bar: >= 100 *distinct* interleavings replayed with
-    // bit-identity checked. Exhaustive (90) + seeded (16) families,
-    // deduplicated on the full schedule value.
-    let system = common::system();
-
-    let recs3 = common::recordings(3, 61, CHIRPS);
-    let len3 = chunk_len_for(&recs3, 2);
-    let counts3 = chunk_counts(&recs3, len3);
-    let exhaustive = schedule::enumerate_all(&counts3, 2, usize::MAX);
-
-    let recs4 = common::recordings(4, 62, CHIRPS);
-    let len4 = chunk_len_for(&recs4, 3);
-    let counts4 = chunk_counts(&recs4, len4);
-    let mut seeded = Vec::new();
-    for (i, &(workers, drain_every)) in [(1usize, 0usize), (2, 0), (2, 3), (4, 2)]
+    // The acceptance bar: >= 100 *distinct* schedules over the families
+    // the tests above replay, deduplicated on the full schedule value.
+    let f = families();
+    let distinct: BTreeSet<&Schedule> = [&f.exhaustive, &f.seeded, &f.backpressure, &f.conclusive]
         .iter()
-        .enumerate()
-    {
-        for seed in 0..4u64 {
-            seeded.push(Schedule::seeded(
-                &counts4,
-                1000 + seed + 100 * i as u64,
-                workers,
-                drain_every,
-            ));
-        }
-    }
-
-    // Distinctness is structural: session-3 and session-4 token vectors
-    // can never collide (different lengths), so the union's size is the
-    // deduplicated sum.
-    let mut distinct: BTreeSet<Schedule> = BTreeSet::new();
-    distinct.extend(exhaustive.iter().cloned());
-    distinct.extend(seeded.iter().cloned());
+        .flat_map(|family| &family.schedules)
+        .collect();
     assert!(
         distinct.len() >= 100,
         "only {} distinct schedules explored",
         distinct.len()
-    );
-
-    // Both families replay clean — the same invariants the dedicated
-    // tests above check, asserted over the full counted set.
-    let a = schedule::explore(system, &recs3, EngineConfig::default(), &exhaustive, len3)
-        .expect("exhaustive family");
-    let b = schedule::explore(system, &recs4, EngineConfig::default(), &seeded, len4)
-        .expect("seeded family");
-    assert!(a.is_clean(), "{:?}", a.divergences);
-    assert!(b.is_clean(), "{:?}", b.divergences);
-    assert_eq!(
-        a.schedules_run + b.schedules_run,
-        exhaustive.len() + seeded.len()
     );
 }

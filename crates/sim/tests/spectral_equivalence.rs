@@ -2,12 +2,12 @@
 //!
 //! The hot path (`synthesize_recording_with`) accumulates every propagation
 //! path in the frequency domain and inverts once per chirp; the reference
-//! (`synthesize_recording_time_domain`) is the literal pre-optimization
-//! algorithm, one FFT pair per path per chirp. Both consume the RNG
-//! identically, so for a fixed seed they must agree within 1e-9 relative
-//! error across motion states, devices, wearing angles, and effusion
-//! states — and the fanned-out dataset builder must be bit-identical to
-//! recording the patients one after another.
+//! (`synthesize_recording_time_domain`) sums the paths in the time
+//! domain, one `delay_fractional_allpass_with` per path per chirp. Both
+//! consume the RNG identically, so for a fixed seed they must agree
+//! within 1e-9 relative error across motion states, devices, wearing
+//! angles, and effusion states — and the fanned-out dataset builder must
+//! be bit-identical to recording the patients one after another.
 
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{patient_sessions, Dataset, DatasetSpec};

@@ -50,11 +50,13 @@ echo "==> robustness: fault injection, quality gating, monotonicity"
 cargo test -q --test failure_injection --test quality_monotonicity
 cargo test -q -p earsonar quality::
 
-echo "==> schedule exploration: verdict bit-identity over 100+ interleavings"
-# Replays every enumerable delivery order for small session counts (90
-# schedules for 3 sessions x 2 chunks) plus seeded worker/drain-cadence
-# variations, asserting verdicts match the sequential baseline bit for
-# bit and that backpressure never drops an accepted chunk.
+echo "==> schedule exploration: 100+ interleavings equal sequential screening"
+# Replays every delivery order for 3 sessions x 2 chunks (90 schedules),
+# seeded worker/drain-cadence variations, a one-slot backpressure queue
+# (all inconclusive 8-chirp sessions) and conclusive 24-chirp sessions
+# at 1, 2 and 4 workers. Each session must equal sequential screening of
+# the same samples bit for bit, and backpressure must never drop an
+# accepted chunk. The harness is crates/engine/tests/common.
 cargo test -q -p earsonar-engine --test schedule_exploration
 
 echo "==> cargo clippy --workspace (deny warnings): panic-freedom in the"

@@ -1,8 +1,8 @@
-//! Integration tests of the feature/classifier backend registry: the
-//! reference backend must behave exactly like the pre-registry monolith,
-//! every registered backend must train, screen, and round-trip through
-//! the model file, and the A/B harness must score candidates on the
-//! same folds as the reference evaluation.
+//! Integration tests of the feature/classifier backend registry:
+//! `EarSonar::fit` must equal `fit_backend(REFERENCE_BACKEND)`, verdict
+//! for verdict, every registered backend must train, screen, and
+//! round-trip through the model file, and the A/B harness must score
+//! candidates on the same folds as the reference evaluation.
 
 use earsonar::backend::{lookup, registry, REFERENCE_BACKEND};
 use earsonar::eval::ab_compare;
