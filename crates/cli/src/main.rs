@@ -8,19 +8,15 @@
 //! ```
 //!
 //! `simulate` writes each session as a float32 WAV plus a `manifest.tsv`
-//! with ground truth; `screen` reads WAVs back through the full pipeline.
+//! with ground truth; `screen` screens WAVs through the session engine.
 
 use earsonar::diagnostics::CaptureDiagnostics;
 use earsonar::eval::{loocv, ExtractedDataset};
 use earsonar::model_io::{load_model, load_model_as, save_model};
 use earsonar::quality::SessionQuality;
 use earsonar::report::{pct, Table};
-use earsonar::screening::{
-    resolve_stream, InconclusiveReason, RetryPolicy, ScreeningOutcome, ScreeningVerdict,
-};
-use earsonar::streaming::ChirpStream;
+use earsonar::screening::{InconclusiveReason, RetryPolicy, ScreeningOutcome, ScreeningVerdict};
 use earsonar::{EarSonar, EarSonarConfig, MeeState};
-use earsonar_dsp::plan::DspScratch;
 use earsonar_dsp::wav::{write_wav, WavAudio, WavFormat};
 use earsonar_engine::{EngineConfig, ScreeningEngine, SessionId};
 use earsonar_signal::recording::Recording;
@@ -29,7 +25,7 @@ use earsonar_signal::wav::WavSignalSource;
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -42,28 +38,24 @@ USAGE:
       Train the pipeline on a simulated cohort and save the model. With
       --backend, train one of the registered feature/classifier backends
       instead of the reference pipeline.
-  earsonar screen   --model FILE [--backend NAME] [--min-chirps N] [--quorum N] WAV [WAV...]
-      Screen recordings chirp by chirp through the streaming front end,
-      reporting per-chirp progress and a signal-quality verdict; with
-      --min-chirps N, stop pushing as soon as N chirps have produced
-      usable echoes. --quorum N sets how many quality-accepted,
-      echo-yielding chirps a recording needs for a conclusive verdict.
-      --backend NAME requires the model file to use that backend and
-      fails the run otherwise (a guard for scripted deployments).
-  earsonar screen-wav --model FILE [--backend NAME] [--quorum N] [--workers N] WAV [WAV...]
+  earsonar screen   --model FILE [--backend NAME] [--quorum N] [--workers N] WAV [WAV...]
       Screen a WAV queue through the multi-session engine with at most
       N recordings open at once (default 1), drained by up to N worker
       threads, then print a per-cause summary of skipped captures. The
       drain never starts more threads than the host has cores, so an N
-      beyond the core count only raises how many files are open. Verdict
-      lines and exit codes are identical to `screen` at every N;
-      --min-chirps applies to `screen` only.
+      beyond the core count only raises how many files are open; verdict
+      lines and exit codes are identical at every N. Each file's
+      signal-quality summary goes to stderr. --quorum N sets how many
+      quality-accepted, echo-yielding chirps a recording needs for a
+      conclusive verdict. --backend NAME requires the model file to use
+      that backend and fails the run otherwise (a guard for scripted
+      deployments).
   earsonar eval     [--patients N] [--seed S]
       Leave-one-participant-out evaluation on a simulated cohort.
   earsonar inspect  --model FILE [--backend NAME] WAV [WAV...]
       Show what the pipeline sees inside recordings (IR, spectrum, dip).
 
-All three WAV commands read files one at a time through the same capture
+Both WAV commands read files one at a time through the same capture
 loop and print one line per file, in file order.
 
 Defaults: --patients 16, --seed 7, --quorum 12, --workers 1.
@@ -80,9 +72,8 @@ struct Args {
     seed: u64,
     out: Option<PathBuf>,
     model: Option<PathBuf>,
-    min_chirps: Option<usize>,
     quorum: Option<usize>,
-    workers: Option<usize>,
+    workers: usize,
     backend: Option<String>,
     files: Vec<PathBuf>,
 }
@@ -102,6 +93,13 @@ impl Args {
     }
 }
 
+/// Parses the number that follows `flag`.
+fn number<T: std::str::FromStr>(value: Option<&String>, flag: &str) -> Result<T, String> {
+    value
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} needs a number"))
+}
+
 fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), String> {
     let mut argv = argv.into_iter();
     let _bin = argv.next();
@@ -111,9 +109,8 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
         seed: 7,
         out: None,
         model: None,
-        min_chirps: None,
         quorum: None,
-        workers: None,
+        workers: 1,
         backend: None,
         files: Vec::new(),
     };
@@ -123,17 +120,11 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
         match rest[i].as_str() {
             "--patients" => {
                 i += 1;
-                args.patients = rest
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--patients needs a number")?;
+                args.patients = number(rest.get(i), "--patients")?;
             }
             "--seed" => {
                 i += 1;
-                args.seed = rest
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs a number")?;
+                args.seed = number(rest.get(i), "--seed")?;
             }
             "--out" => {
                 i += 1;
@@ -143,32 +134,16 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
                 i += 1;
                 args.model = Some(PathBuf::from(rest.get(i).ok_or("--model needs a path")?));
             }
-            "--min-chirps" => {
-                i += 1;
-                args.min_chirps = Some(
-                    rest.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--min-chirps needs a number")?,
-                );
-            }
             "--quorum" => {
                 i += 1;
-                args.quorum = Some(
-                    rest.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--quorum needs a number")?,
-                );
+                args.quorum = Some(number(rest.get(i), "--quorum")?);
             }
             "--workers" => {
                 i += 1;
-                let n: usize = rest
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--workers needs a number")?;
-                if n == 0 {
+                args.workers = number(rest.get(i), "--workers")?;
+                if args.workers == 0 {
                     return Err("--workers needs at least 1".into());
                 }
-                args.workers = Some(n);
             }
             "--backend" => {
                 i += 1;
@@ -269,15 +244,6 @@ fn backend_hint() -> String {
     format!(" (registered backends: {})", names.join(", "))
 }
 
-/// Loads a model, optionally requiring it to use the named backend.
-fn load_pinned(path: &Path, backend: Option<&str>) -> Result<EarSonar, String> {
-    match backend {
-        Some(name) => load_model_as(path, name),
-        None => load_model(path),
-    }
-    .map_err(|e| format!("loading model: {e}{}", backend_hint()))
-}
-
 /// One-line signal-quality summary for a screened recording.
 fn quality_line(q: &SessionQuality) -> String {
     let causes = q.rejections.summary();
@@ -322,54 +288,8 @@ fn outcome_line(outcome: &ScreeningOutcome) -> String {
     }
 }
 
-/// Pushes one recording chirp by chirp through a streaming front end,
-/// printing progress, and returns the quality-gated screening outcome.
-/// With `min_chirps`, stops pushing as soon as that many chirps yielded
-/// usable echoes. The decision itself is `earsonar::screening::resolve_stream`,
-/// the same one `screen_recording_quality` and the engine end in.
-fn screen_streaming(
-    system: &EarSonar,
-    rec: &Recording,
-    min_chirps: Option<usize>,
-    policy: &RetryPolicy,
-) -> Result<ScreeningOutcome, String> {
-    let fe = system.front_end();
-    let mut scratch = DspScratch::new();
-    let mut stream = ChirpStream::new(fe);
-    let mut early = false;
-    for c in 0..rec.n_chirps {
-        let window = rec
-            .try_chirp_window(c)
-            .ok_or("chirp window out of recording bounds")?;
-        stream
-            .push_chirp_with(fe, &mut scratch, window)
-            .map_err(|e| e.to_string())?;
-        if c % 200 == 199 || c + 1 == rec.n_chirps {
-            eprint!(
-                "\r  chirp {}/{} ({} usable)",
-                c + 1,
-                rec.n_chirps,
-                stream.chirps_used()
-            );
-        }
-        if min_chirps.is_some_and(|min| stream.ready(min)) {
-            early = true;
-            break;
-        }
-    }
-    let quality = stream.quality();
-    eprintln!(
-        "\r  {} chirps pushed, {} usable{}",
-        quality.chirps_pushed,
-        stream.chirps_used(),
-        if early { " (stopped early)" } else { "" }
-    );
-    eprintln!("  quality: {}", quality_line(&quality));
-    resolve_stream(system, &mut scratch, stream, policy).map_err(|e| e.to_string())
-}
-
 /// Loads the model a WAV command runs on, after checking the command has
-/// files to read.
+/// files to read; with `--backend`, the model must use that backend.
 fn wav_command_model(args: &Args, command: &str) -> Result<EarSonar, String> {
     let model_path = args
         .model
@@ -378,10 +298,14 @@ fn wav_command_model(args: &Args, command: &str) -> Result<EarSonar, String> {
     if args.files.is_empty() {
         return Err(format!("{command} requires at least one WAV file"));
     }
-    load_pinned(model_path, args.backend.as_deref())
+    match args.backend.as_deref() {
+        Some(name) => load_model_as(model_path, name),
+        None => load_model(model_path),
+    }
+    .map_err(|e| format!("loading model: {e}{}", backend_hint()))
 }
 
-/// The one capture loop behind `screen`, `screen-wav` and `inspect`: drains
+/// The one capture loop behind `screen` and `inspect`: drains
 /// the WAV queue through [`WavSignalSource`] on the model's chirp grid,
 /// exactly like a live capture backend, one capture at a time, handing
 /// each file's label and capture to `visit`. A failed capture is counted
@@ -410,34 +334,28 @@ fn for_each_capture(
     Ok(captures)
 }
 
-/// Prints one file's verdict line and returns whether it was conclusive.
+/// Prints one file's verdict line, and its signal-quality summary to
+/// stderr when a capture decoded, and returns whether it was conclusive.
 /// A file that failed to decode or to screen is not.
 fn report_verdict(
     out: &mut dyn Write,
     label: &str,
     result: Result<ScreeningOutcome, String>,
 ) -> Result<bool, String> {
+    let quality = match &result {
+        Ok(ScreeningOutcome::Conclusive(r)) => Some(&r.quality),
+        Ok(ScreeningOutcome::Inconclusive(r)) => r.quality.as_ref(),
+        Err(_) => None,
+    };
+    if let Some(q) = quality {
+        eprintln!("  quality: {label}: {}", quality_line(q));
+    }
     let (line, conclusive) = match result {
         Ok(outcome) => (outcome_line(&outcome), outcome.is_conclusive()),
         Err(e) => (format!("error: {e}"), false),
     };
     writeln!(out, "{label}\t{line}").map_err(|e| format!("writing output: {e}"))?;
     Ok(conclusive)
-}
-
-fn cmd_screen(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
-    let system = wav_command_model(args, "screen")?;
-    let policy = args.policy();
-    let mut all_conclusive = true;
-    for_each_capture(&system, &args.files, |label, capture| {
-        eprintln!("screening {label}…");
-        let result = capture
-            .map_err(|e| e.to_string())
-            .and_then(|rec| screen_streaming(&system, &rec, args.min_chirps, &policy));
-        all_conclusive &= report_verdict(out, &label, result)?;
-        Ok(())
-    })?;
-    Ok(all_conclusive)
 }
 
 /// Resolves every session open in `engine` and prints the verdict lines of
@@ -470,12 +388,11 @@ fn drain_batch(
 /// is opened as a session and pushed as one chunk (chunking never changes
 /// a verdict), and once `workers` sessions are open they are drained by up
 /// to `workers` threads (capped at the host's cores) before the next file
-/// is read. A 1-worker
-/// engine is bit-identical to sequential screening, so the verdicts match
-/// `screen` at every worker count.
-fn cmd_screen_wav(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
-    let system = wav_command_model(args, "screen-wav")?;
-    let workers = args.workers.unwrap_or(1);
+/// is read. The engine is bit-identical to sequential screening at every
+/// worker count, so the verdicts do not depend on `workers`.
+fn cmd_screen(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
+    let system = wav_command_model(args, "screen")?;
+    let workers = args.workers;
     let engine = ScreeningEngine::new(
         &system,
         EngineConfig {
@@ -487,6 +404,10 @@ fn cmd_screen_wav(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
     let mut batch: Vec<(String, Option<String>)> = Vec::new();
     let mut all_conclusive = true;
     let captures = for_each_capture(&system, &args.files, |label, capture| {
+        if engine.in_flight() == workers {
+            all_conclusive &= drain_batch(&engine, workers, &mut batch, out)?;
+        }
+        eprintln!("screening {label}…");
         let rec = match capture {
             Ok(rec) => rec,
             Err(e) => {
@@ -494,9 +415,6 @@ fn cmd_screen_wav(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
                 return Ok(());
             }
         };
-        if engine.in_flight() == workers {
-            all_conclusive &= drain_batch(&engine, workers, &mut batch, out)?;
-        }
         let id = SessionId(batch.len() as u64);
         engine
             .open(id)
@@ -565,7 +483,6 @@ fn run(command: &str, args: &Args, out: &mut dyn Write) -> u8 {
         "simulate" => cmd_simulate(args).map(|()| true),
         "train" => cmd_train(args).map(|()| true),
         "screen" => cmd_screen(args, out),
-        "screen-wav" => cmd_screen_wav(args, out),
         "eval" => cmd_eval(args).map(|()| true),
         "inspect" => cmd_inspect(args, out).map(|()| true),
         _ => Err(format!("unknown command `{command}`\n\n{USAGE}")),
@@ -596,6 +513,7 @@ mod tests {
     use super::*;
     use earsonar::screening::screen_recording_quality;
     use earsonar_sim::faults::Fault;
+    use std::path::Path;
     use std::sync::OnceLock;
 
     /// A six-patient cohort and the reference system fitted on it, shared
@@ -607,34 +525,6 @@ mod tests {
             let system = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).expect("fit");
             (data, system)
         })
-    }
-
-    #[test]
-    fn screen_streaming_decides_like_screen_recording_quality() {
-        // Without an early stop, the chirp-by-chirp CLI path must reach the
-        // library's decision bit for bit: the same verdict, confidence and
-        // quality on a clean capture, and the same `Inconclusive` reason
-        // under every standard fault.
-        let (data, system) = fitted();
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        };
-        let clean = data.sessions[0].recording.clone();
-        let mut cases = vec![("clean", clean.clone())];
-        for fault in Fault::standard_suite(0.9) {
-            let mut rec = clean.clone();
-            fault.apply(&mut rec, 31);
-            cases.push((fault.name(), rec));
-        }
-        let mut inconclusive = 0;
-        for (name, rec) in &cases {
-            let cli = screen_streaming(system, rec, None, &policy).expect("cli screening");
-            let lib = screen_recording_quality(system, rec, &policy).expect("library screening");
-            assert_eq!(cli, lib, "{name}");
-            inconclusive += usize::from(!lib.is_conclusive());
-        }
-        assert!(inconclusive > 0, "the fault suite must exercise refusals");
     }
 
     /// Writes `samples` as a two-channel float32 WAV whose channels differ
@@ -668,9 +558,11 @@ mod tests {
     #[test]
     fn screening_surfaces_print_the_same_verdicts_and_exit_status() {
         // One queue — clean, shorter than one chirp hop, clean, two-channel
-        // float32 — through `screen`, `screen-wav` and `screen-wav
-        // --workers 2`: the same verdict lines in file order and the same
-        // nonzero exit status, since the short file gets no verdict.
+        // float32, then session 0 under every standard fault — through
+        // `screen` and `screen --workers 2`: the same verdict lines in file
+        // order and the same nonzero exit status, since the short file gets
+        // no verdict. Every verdict is the library's sequential decision
+        // on the decoded file, and the fault suite exercises refusals.
         let (data, system) = fitted();
         let config = system.front_end().config();
         let rate = config.sample_rate as u32;
@@ -689,8 +581,9 @@ mod tests {
         };
         let stereo = dir.join("3_stereo.wav");
         write_stereo_f32(&stereo, &data.sessions[3].recording.samples, rate);
-        let files = [
-            mono("0_clean.wav", &data.sessions[0].recording.samples),
+        let clean = &data.sessions[0].recording;
+        let mut files = vec![
+            mono("0_clean.wav", &clean.samples),
             mono(
                 "1_truncated.wav",
                 &data.sessions[1].recording.samples[..config.chirp_hop / 2],
@@ -698,6 +591,11 @@ mod tests {
             mono("2_clean.wav", &data.sessions[2].recording.samples),
             stereo,
         ];
+        for fault in Fault::standard_suite(0.9) {
+            let mut rec = clean.clone();
+            fault.apply(&mut rec, 31);
+            files.push(mono(&format!("4_{}.wav", fault.name()), &rec.samples));
+        }
 
         let model_arg = model.display().to_string();
         let run_cli = |command: &str, flags: &[&str]| {
@@ -726,8 +624,32 @@ mod tests {
         assert!(screen.1[1].contains("\terror: "), "{}", screen.1[1]);
         assert!(!screen.1[3].contains("\terror: "), "{}", screen.1[3]);
         assert_eq!(screen.0, 2);
-        assert_eq!(run_cli("screen-wav", &[]), screen);
-        assert_eq!(run_cli("screen-wav", &["--workers", "2"]), screen);
+        assert_eq!(run_cli("screen", &["--workers", "2"]), screen);
+
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
+        for (line, file) in screen.1.iter().zip(&files) {
+            if line.contains("\terror: ") {
+                continue;
+            }
+            let decoded = WavSignalSource::new(config.layout(), vec![file.clone()])
+                .capture()
+                .expect("decode")
+                .expect("one capture");
+            let outcome =
+                screen_recording_quality(system, &decoded, &policy).expect("library screening");
+            assert_eq!(
+                line,
+                &format!("{}\t{}", file.display(), outcome_line(&outcome))
+            );
+        }
+        assert!(
+            screen.1.iter().any(|line| line.contains("\tINCONCLUSIVE")),
+            "the fault suite must exercise refusals: {:?}",
+            screen.1
+        );
         let _ = std::fs::remove_dir_all(dir);
     }
 }

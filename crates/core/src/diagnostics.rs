@@ -57,7 +57,7 @@ impl Diagnostics {
 
 /// Counters over a capture queue: how many captures a screening run
 /// attempted, how many decoded into usable recordings, and why the rest
-/// were skipped. Filled by the CLI's `screen-wav` drain loop and the
+/// were skipped. Filled by the CLI's `screen` capture loop and the
 /// retry policy in [`crate::screening`], so skipped files are reported
 /// instead of vanishing into log lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

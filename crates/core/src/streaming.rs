@@ -151,13 +151,6 @@ impl ChirpStream {
         self.acc.session_quality()
     }
 
-    /// Returns `true` once at least `min_chirps` chirps have produced
-    /// impulse responses — the early-finish signal: a caller may stop
-    /// pushing and finish without waiting for the rest of the capture.
-    pub fn ready(&self, min_chirps: usize) -> bool {
-        self.chirps_used() >= min_chirps.max(1)
-    }
-
     /// Runs the recording-level stages over everything pushed so far and
     /// returns the processed recording. A trailing partial window (fewer
     /// than `hop` buffered samples) is pushed first, exactly as the batch

@@ -47,19 +47,27 @@ pub fn interp_linear(xs: &[f64], ys: &[f64], qs: &[f64]) -> Vec<f64> {
 
 /// Resamples `ys` (assumed uniformly spaced) to `n_out` uniformly spaced
 /// points over the same span, using linear interpolation.
+///
+/// Bit-identical to [`interp_linear`] over the knots `0, 1, …, n − 1`,
+/// whose unit spacing makes `(q − x0) / (x1 − x0)` exactly `q − x0`, but
+/// allocates only the output: each query's knot is `q.floor()`.
 pub fn resample_uniform(ys: &[f64], n_out: usize) -> Vec<f64> {
     let n = ys.len();
     if n == 0 || n_out == 0 {
         return Vec::new();
     }
-    if n == 1 {
-        return vec![ys[0]; n_out];
-    }
-    let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let qs: Vec<f64> = (0..n_out)
-        .map(|i| (n - 1) as f64 * i as f64 / (n_out - 1).max(1) as f64)
-        .collect();
-    interp_linear(&xs, ys, &qs)
+    (0..n_out)
+        .map(|i| {
+            let q = (n - 1) as f64 * i as f64 / (n_out - 1).max(1) as f64;
+            let x0 = q.floor();
+            let i0 = x0 as usize;
+            if x0 == q {
+                ys[i0]
+            } else {
+                ys[i0] + (q - x0) * (ys[i0 + 1] - ys[i0])
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -100,6 +108,21 @@ mod tests {
         assert_eq!(out[0], 1.0);
         assert_eq!(out[8], 5.0);
         assert_eq!(out[4], 3.0);
+    }
+
+    #[test]
+    fn resample_uniform_is_interp_linear_on_integer_knots_bit_for_bit() {
+        let mut ys: Vec<f64> = (0..37).map(|i| (f64::from(i) * 0.7).sin() * 1e3).collect();
+        (ys[5], ys[6], ys[20]) = (f64::INFINITY, f64::NEG_INFINITY, f64::NAN);
+        let xs: Vec<f64> = (0..37).map(f64::from).collect();
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for n_out in [1, 2, 3, 36, 37, 38, 64, 101, 256] {
+            let qs: Vec<f64> = (0..n_out)
+                .map(|i| 36.0 * i as f64 / (n_out - 1).max(1) as f64)
+                .collect();
+            let reference = bits(interp_linear(&xs, &ys, &qs));
+            assert_eq!(bits(resample_uniform(&ys, n_out)), reference, "{n_out}");
+        }
     }
 
     #[test]

@@ -66,16 +66,16 @@ pub fn laplacian_scores(data: &[Vec<f64>], config: &LaplacianConfig) -> Result<V
     }
     let k = config.k_neighbors.min(n - 1);
 
-    // k-nearest-neighbour squared distances.
+    // k-nearest-neighbour squared distances, sorted in one reused buffer;
+    // each sample keeps an exact-size k-prefix.
     let mut neighbor_sets: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let mut dists: Vec<(usize, f64)> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| (j, squared_euclidean(&data[i], &data[j])))
-            .collect();
+    let mut dists: Vec<(usize, f64)> = Vec::with_capacity(n - 1);
+    for (i, row) in data.iter().enumerate() {
+        dists.clear();
+        let others = (0..n).filter(|&j| j != i);
+        dists.extend(others.map(|j| (j, squared_euclidean(row, &data[j]))));
         dists.sort_by(|a, b| a.1.total_cmp(&b.1));
-        dists.truncate(k);
-        neighbor_sets.push(dists);
+        neighbor_sets.push(dists[..k].to_vec());
     }
 
     // Heat-kernel bandwidth.

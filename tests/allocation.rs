@@ -215,9 +215,9 @@ fn push_path_calls_do_not_grow_with_chirp_count() {
 /// and the feature vector, among others.
 const FINALIZE_FIXED: usize = 29;
 /// Finalize's allocation calls per used chirp: the echo spectrum's
-/// window, its frequencies and its resampled profile (three, two of them
-/// the resampler's abscissae), and the chirp's MFCC vector.
-const FINALIZE_PER_CHIRP: usize = 6;
+/// window, its frequencies, its resampled profile and the chirp's MFCC
+/// vector.
+const FINALIZE_PER_CHIRP: usize = 4;
 
 #[test]
 fn finalize_calls_stay_linear_in_chirps_used() {

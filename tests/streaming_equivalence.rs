@@ -140,7 +140,7 @@ fn early_finish_still_produces_a_verdict() {
         stream
             .push_chirp_with(fe, &mut scratch, rec.chirp_window(c))
             .unwrap();
-        if stream.ready(8) {
+        if stream.chirps_used() >= 8 {
             break;
         }
     }
