@@ -15,6 +15,8 @@
 //! for a fast CI run).
 
 use earsonar::channel::ChannelEstimator;
+use earsonar::features::mfcc_config;
+use earsonar::preprocess::{NOISE_FILTER_ORDER, PROBE_BAND_HZ};
 use earsonar::quality::{measure_window, NoiseFloor};
 use earsonar::EarSonarConfig;
 use earsonar_acoustics::chirp::FmcwChirp;
@@ -22,9 +24,11 @@ use earsonar_bench::timing::Bencher;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::convolution::autoconvolve_with;
 use earsonar_dsp::correlation::{pearson, pearson_scalar};
-use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_lanes, filtfilt_with};
+use earsonar_dsp::filter::{
+    butter_bandpass, filtfilt, filtfilt_lanes, filtfilt_with, BiquadCascade,
+};
 use earsonar_dsp::mel::MelFilterBank;
-use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
+use earsonar_dsp::mfcc::MfccExtractor;
 use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::psd::periodogram;
 use earsonar_dsp::rng::DetRng;
@@ -36,6 +40,12 @@ fn signal(n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| (2.0 * std::f64::consts::PI * 18_000.0 * i as f64 / 48_000.0).sin())
         .collect()
+}
+
+/// The pipeline's noise-removal band-pass at the configuration's rate.
+fn band_pass(cfg: &EarSonarConfig) -> BiquadCascade {
+    let (low, high) = PROBE_BAND_HZ;
+    butter_bandpass(NOISE_FILTER_ORDER, low, high, cfg.sample_rate).unwrap()
 }
 
 fn random_signal(n: usize, seed: u64) -> Vec<f64> {
@@ -50,13 +60,7 @@ fn kernel_pairs(b: &Bencher) {
     let cfg = EarSonarConfig::default();
 
     // One chirp hop plus the preprocessor's reflection pad.
-    let filter = butter_bandpass(
-        cfg.noise_filter_order,
-        cfg.band_low_hz,
-        cfg.band_high_hz,
-        cfg.sample_rate,
-    )
-    .unwrap();
+    let filter = band_pass(&cfg);
     let pad = 3 * cfg.chirp_len;
     let n = pad + cfg.chirp_hop;
     let x = random_signal(n, 101);
@@ -69,7 +73,8 @@ fn kernel_pairs(b: &Bencher) {
         black_box(out[0])
     });
 
-    let n = 512; // the MFCC frame size
+    let mfcc = mfcc_config(cfg.sample_rate);
+    let n = mfcc.n_fft; // the MFCC frame size
     let win = Window::Hann;
     let x = random_signal(n, 102);
     let mut taps = Vec::new();
@@ -107,9 +112,9 @@ fn kernel_pairs(b: &Bencher) {
         black_box(mel[0])
     });
 
-    let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+    let n = mfcc.n_fft; // a full MFCC frame
+    let ex = MfccExtractor::new(mfcc).unwrap();
     let mut scratch = DspScratch::new();
-    let n = 512;
     let x = random_signal(n, 106);
     let mut coeffs = Vec::new();
     b.report(&format!("mfcc/scalar/{n}"), || {
@@ -210,13 +215,7 @@ fn fft_lanes<const L: usize>(b: &Bencher, n: usize) {
 /// returned.
 fn filtfilt_lanes_row<const L: usize>(b: &Bencher) {
     let cfg = EarSonarConfig::default();
-    let filter = butter_bandpass(
-        cfg.noise_filter_order,
-        cfg.band_low_hz,
-        cfg.band_high_hz,
-        cfg.sample_rate,
-    )
-    .unwrap();
+    let filter = band_pass(&cfg);
     let pad = 3 * cfg.chirp_len;
     let n = pad + cfg.chirp_hop;
     let xs: Vec<Vec<f64>> = (0..L).map(|l| random_signal(n, 111 + l as u64)).collect();
@@ -247,7 +246,8 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let b = Bencher::from_env(&args);
 
-    let f = butter_bandpass(4, 16_000.0, 20_000.0, 48_000.0).unwrap();
+    let cfg = EarSonarConfig::default();
+    let f = band_pass(&cfg);
     let x = signal(5_760); // one default recording
     b.report("filtfilt_recording", || filtfilt(&f, &x, 72).unwrap());
 
@@ -256,7 +256,7 @@ fn main() {
     let window = signal(240);
     b.report("channel_ir_estimate", || est.estimate(&window).unwrap());
 
-    let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+    let ex = MfccExtractor::new(mfcc_config(cfg.sample_rate)).unwrap();
     let x = signal(256);
     b.report("mfcc_extract_frame", || ex.extract(&x).unwrap());
 

@@ -67,7 +67,7 @@ fn main() {
     }
 
     let exb = ExtractedDataset::extract_baseline(&dataset.sessions, &base).expect("extract");
-    let rb = loocv_baseline(&exb, &base).expect("baseline");
+    let rb = loocv_baseline(&exb).expect("baseline");
     t.row([
         "no echo segmentation (baseline front end)".to_string(),
         pct(rb.accuracy),

@@ -23,7 +23,7 @@ fn main() {
     eprintln!("  EarSonar done: {}", pct(earsonar_report.accuracy));
 
     let base = ExtractedDataset::extract_baseline(&dataset.sessions, &cfg).expect("extract");
-    let baseline_report = loocv_baseline(&base, &cfg).expect("baseline LOOCV");
+    let baseline_report = loocv_baseline(&base).expect("baseline LOOCV");
     eprintln!("  baseline done: {}", pct(baseline_report.accuracy));
 
     let mut t = Table::new("EarSonar vs no-segmentation baseline");

@@ -56,7 +56,9 @@ USAGE:
       Show what the pipeline sees inside recordings (IR, spectrum, dip).
 
 Both WAV commands read files one at a time through the same capture
-loop and print one line per file, in file order.
+loop and print one line per file, in file order. Each command takes only
+the flags shown for it, and only screen and inspect take files; anything
+else is refused.
 
 Defaults: --patients 16, --seed 7, --quorum 12, --workers 1.
 Backends: mfcc-kmeans (reference, default), absorbance-logistic,
@@ -104,6 +106,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
     let mut argv = argv.into_iter();
     let _bin = argv.next();
     let command = argv.next().ok_or_else(|| USAGE.to_string())?;
+    // The flags each command reads, and whether it reads WAV files: any
+    // other argument would be silently ignored, so it is refused.
+    let (flags, takes_files): (&[&str], bool) = match command.as_str() {
+        "simulate" => (&["--patients", "--seed", "--out"], false),
+        "train" => (&["--patients", "--seed", "--backend", "--model"], false),
+        "screen" => (&["--model", "--backend", "--quorum", "--workers"], true),
+        "eval" => (&["--patients", "--seed"], false),
+        "inspect" => (&["--model", "--backend"], true),
+        "--help" | "-h" => return Err(USAGE.to_string()),
+        _ => return Err(format!("unknown command `{command}`\n\n{USAGE}")),
+    };
     let mut args = Args {
         patients: 16,
         seed: 7,
@@ -114,52 +127,36 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
         backend: None,
         files: Vec::new(),
     };
-    let mut rest: Vec<String> = argv.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--patients" => {
-                i += 1;
-                args.patients = number(rest.get(i), "--patients")?;
+    while let Some(arg) = argv.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(USAGE.to_string());
+        }
+        if !arg.starts_with("--") {
+            if !takes_files {
+                return Err(format!("`{command}` takes no files, got {arg}\n\n{USAGE}"));
             }
-            "--seed" => {
-                i += 1;
-                args.seed = number(rest.get(i), "--seed")?;
-            }
-            "--out" => {
-                i += 1;
-                args.out = Some(PathBuf::from(rest.get(i).ok_or("--out needs a directory")?));
-            }
-            "--model" => {
-                i += 1;
-                args.model = Some(PathBuf::from(rest.get(i).ok_or("--model needs a path")?));
-            }
-            "--quorum" => {
-                i += 1;
-                args.quorum = Some(number(rest.get(i), "--quorum")?);
-            }
+            args.files.push(PathBuf::from(arg));
+            continue;
+        }
+        if !flags.contains(&arg.as_str()) {
+            return Err(format!("`{command}` does not take {arg}\n\n{USAGE}"));
+        }
+        let value = argv.next();
+        match arg.as_str() {
+            "--patients" => args.patients = number(value.as_ref(), "--patients")?,
+            "--seed" => args.seed = number(value.as_ref(), "--seed")?,
+            "--out" => args.out = Some(PathBuf::from(value.ok_or("--out needs a directory")?)),
+            "--model" => args.model = Some(PathBuf::from(value.ok_or("--model needs a path")?)),
+            "--quorum" => args.quorum = Some(number(value.as_ref(), "--quorum")?),
             "--workers" => {
-                i += 1;
-                args.workers = number(rest.get(i), "--workers")?;
+                args.workers = number(value.as_ref(), "--workers")?;
                 if args.workers == 0 {
                     return Err("--workers needs at least 1".into());
                 }
             }
-            "--backend" => {
-                i += 1;
-                args.backend = Some(rest.get(i).ok_or("--backend needs a name")?.clone());
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other}\n\n{USAGE}"));
-            }
-            _ => {
-                args.files.push(PathBuf::from(rest.remove(i)));
-                // `remove` shifted the next element into position i.
-                continue;
-            }
+            // `--backend`, the one flag left.
+            _ => args.backend = Some(value.ok_or("--backend needs a name")?),
         }
-        i += 1;
     }
     Ok((command, args))
 }
@@ -651,5 +648,45 @@ mod tests {
             screen.1
         );
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn commands_refuse_flags_and_files_they_do_not_read() {
+        let parse = |argv: &str| parse_args(argv.split_whitespace().map(String::from));
+        for (argv, named) in [
+            ("earsonar inspect --model m --quorum 5 a.wav", "--quorum"),
+            ("earsonar simulate --model m --out d", "--model"),
+            ("earsonar eval x.wav", "x.wav"),
+            (
+                "earsonar eval --patients 2 --quorum 99 bogus.wav",
+                "--quorum",
+            ),
+            ("earsonar train --model m --out d", "--out"),
+            (
+                "earsonar screen --model m --min-chirps 8 a.wav",
+                "--min-chirps",
+            ),
+        ] {
+            let command = argv.split_whitespace().nth(1).unwrap_or_default();
+            match parse(argv) {
+                Err(msg) => {
+                    let first = msg.lines().next().unwrap_or_default();
+                    assert!(
+                        first.contains(named) && first.contains(&format!("`{command}`")),
+                        "{argv}: {first}"
+                    );
+                }
+                Ok(_) => panic!("{argv}: accepted"),
+            }
+        }
+        let (command, args) = parse("earsonar screen --model m --quorum 5 --workers 2 a.wav b.wav")
+            .expect("screen flags");
+        assert_eq!(command, "screen");
+        assert_eq!(
+            (args.quorum, args.workers, args.files.len()),
+            (Some(5), 2, 2)
+        );
+        assert!(parse("earsonar inspect --model m --backend absorbance-knn a.wav").is_ok());
+        assert!(parse("earsonar train --patients 6 --seed 1 --backend b --model m").is_ok());
     }
 }

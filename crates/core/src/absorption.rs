@@ -6,21 +6,48 @@
 //! then computes the power spectral density, whose 16–20 kHz profile
 //! carries the absorption signature. Here the fixed window is a section
 //! of the chirp's channel impulse response around the echo centre
-//! (`echo_ir_pre` samples before it, `echo_ir_tail` after), so the
+//! ([`ECHO_IR_PRE`] samples before it, [`ECHO_IR_TAIL`] after), so the
 //! transmit chirp's own spectrum is already deconvolved out.
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
-use earsonar_dsp::fft::next_pow2;
+use crate::preprocess::PROBE_BAND_HZ;
 use earsonar_dsp::goertzel::Goertzel;
 use earsonar_dsp::interp::resample_uniform;
 use earsonar_dsp::plan::DspScratch;
 
+/// IR samples kept before the detected echo centre.
+pub const ECHO_IR_PRE: usize = 5;
+
+/// IR samples kept after the detected echo centre (they hold the
+/// absorption ringing).
+pub const ECHO_IR_TAIL: usize = 56;
+
+/// Length of the transform whose bins the echo spectrum reads (a power of
+/// two).
+pub const N_FFT: usize = 256;
+
+/// Number of bins in the echo's power profile.
+pub const PROFILE_BINS: usize = 32;
+
+/// Frequency range of the power profile in hertz. Inset from the probe
+/// band's edges: the Butterworth skirts and the chirp's own spectral
+/// roll-off leave the outermost bins signal-free.
+pub const PROFILE_BAND_HZ: (f64, f64) = (16_500.0, 19_500.0);
+
+const _: () = assert!(0 < ECHO_IR_PRE + ECHO_IR_TAIL && ECHO_IR_PRE + ECHO_IR_TAIL <= N_FFT);
+const _: () = assert!(N_FFT.is_power_of_two() && PROFILE_BINS > 1);
+const _: () = assert!(
+    PROBE_BAND_HZ.0 <= PROFILE_BAND_HZ.0
+        && PROFILE_BAND_HZ.0 < PROFILE_BAND_HZ.1
+        && PROFILE_BAND_HZ.1 <= PROBE_BAND_HZ.1
+);
+
 /// The absorption signature of one (or an average of many) eardrum echoes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EchoSpectrum {
-    /// Normalized in-band power profile, `psd_profile_bins` values across
-    /// `[band_low_hz, band_high_hz]`.
+    /// Normalized in-band power profile, [`PROFILE_BINS`] values across
+    /// [`PROFILE_BAND_HZ`].
     pub profile: Vec<f64>,
     /// Frequency of each profile bin in hertz.
     pub frequencies: Vec<f64>,
@@ -54,16 +81,16 @@ impl EchoSpectrum {
 }
 
 /// Extracts the absorption spectrum from a **channel impulse response**:
-/// the IR section `[center - echo_ir_pre, center + echo_ir_tail)` is the
+/// the IR section `[center - ECHO_IR_PRE, center + ECHO_IR_TAIL)` is the
 /// eardrum's reflection response (arrival plus absorption ringing); its
 /// band spectrum, calibrated by the direct-tap amplitude, estimates the
 /// eardrum reflectance power directly. A Tukey-style taper (Hann ramps at
 /// both ends) suppresses truncation leakage.
 ///
 /// The band's bins come from a Goertzel pass over the section, not a
-/// transform. This call builds the configuration's taper and Goertzel
-/// coefficients; the front end builds them once and reuses them for every
-/// chirp, with the same result.
+/// transform. This call builds the taper and the Goertzel coefficients at
+/// the configuration's sample rate; the front end builds them once and
+/// reuses them for every chirp, with the same result.
 ///
 /// # Errors
 ///
@@ -78,16 +105,16 @@ pub fn echo_ir_spectrum(
     EchoBand::new(config).spectrum(&mut DspScratch::new(), ir, echo_center, calibration)
 }
 
-/// The echo-spectrum operator of one configuration, built once: the IR
+/// The echo-spectrum operator of one sample rate, built once: the IR
 /// section's placement and taper, and Goertzel probes at the bins of the
-/// `n_fft`-point spectrum that cover `profile_band_hz` — the only bins the
-/// spectrum reads, so no transform runs.
+/// [`N_FFT`]-point spectrum that cover [`PROFILE_BAND_HZ`] — the only bins
+/// the spectrum reads, so no transform runs.
 #[derive(Debug, Clone)]
 pub(crate) struct EchoBand {
     /// Section samples before the echo centre.
     pre: usize,
-    /// Tukey taper over the `echo_ir_pre + echo_ir_tail` section: a short
-    /// Hann ramp in, a longer ramp out.
+    /// Tukey taper over the `pre + tail` section: a short Hann ramp in, a
+    /// longer ramp out.
     taper: Vec<f64>,
     band: Goertzel,
     /// Frequency of each profile bin in hertz.
@@ -96,8 +123,12 @@ pub(crate) struct EchoBand {
 
 impl EchoBand {
     pub(crate) fn new(config: &EarSonarConfig) -> Self {
-        let pre = config.echo_ir_pre;
-        let tail = config.echo_ir_tail;
+        Self::with_section(config.sample_rate, ECHO_IR_PRE, ECHO_IR_TAIL, N_FFT)
+    }
+
+    /// The operator for a `pre + tail` section read through an
+    /// `n_fft`-point spectrum at sample rate `fs`.
+    pub(crate) fn with_section(fs: f64, pre: usize, tail: usize, n_fft: usize) -> Self {
         let hann = |i: usize, ramp: usize| {
             0.5 - 0.5 * (std::f64::consts::PI * i as f64 / ramp as f64).cos()
         };
@@ -110,18 +141,16 @@ impl EchoBand {
         for (i, w) in taper.iter_mut().rev().take(ramp_out).enumerate() {
             *w *= hann(i, ramp_out);
         }
-        let n_fft = next_pow2(config.n_fft);
-        let df = config.sample_rate / n_fft as f64;
-        let (p_lo, p_hi) = config.profile_band_hz;
+        let df = fs / n_fft as f64;
+        let (p_lo, p_hi) = PROFILE_BAND_HZ;
         let k_lo = (p_lo / df).floor() as usize;
         let k_hi = ((p_hi / df).ceil() as usize).min(n_fft / 2);
-        let bins = config.psd_profile_bins;
         EchoBand {
             pre,
             taper,
             band: Goertzel::dft_bins(n_fft, k_lo..k_hi + 1),
-            frequencies: (0..bins)
-                .map(|i| p_lo + (p_hi - p_lo) * i as f64 / (bins - 1).max(1) as f64)
+            frequencies: (0..PROFILE_BINS)
+                .map(|i| p_lo + (p_hi - p_lo) * i as f64 / (PROFILE_BINS - 1) as f64)
                 .collect(),
         }
     }
@@ -258,7 +287,7 @@ mod tests {
     use super::*;
 
     fn config() -> EarSonarConfig {
-        EarSonarConfig::paper_default()
+        EarSonarConfig::default()
     }
 
     #[test]
@@ -266,13 +295,13 @@ mod tests {
         let cfg = config();
         let (spec, echo) = notched_ir_spectrum(0.0, &cfg);
         assert!(echo.from_symmetry, "{echo:?}");
-        assert_eq!(spec.profile.len(), cfg.psd_profile_bins);
-        assert_eq!(spec.frequencies.len(), cfg.psd_profile_bins);
-        assert!((spec.frequencies[0] - cfg.profile_band_hz.0).abs() < 1.0);
-        assert!((spec.frequencies[cfg.psd_profile_bins - 1] - cfg.profile_band_hz.1).abs() < 1.0);
+        assert_eq!(spec.profile.len(), PROFILE_BINS);
+        assert_eq!(spec.frequencies.len(), PROFILE_BINS);
+        assert!((spec.frequencies[0] - PROFILE_BAND_HZ.0).abs() < 1.0);
+        assert!((spec.frequencies[PROFILE_BINS - 1] - PROFILE_BAND_HZ.1).abs() < 1.0);
         assert!(spec.profile.iter().all(|&v| v >= 0.0));
         assert!(spec.band_power > 0.0);
-        assert_eq!(spec.echo_window.len(), cfg.echo_ir_pre + cfg.echo_ir_tail);
+        assert_eq!(spec.echo_window.len(), ECHO_IR_PRE + ECHO_IR_TAIL);
     }
 
     #[test]
@@ -300,7 +329,7 @@ mod tests {
         let cfg = config();
         let (s1, _) = notched_ir_spectrum(0.4, &cfg);
         let avg = average_spectra(&[s1.clone(), s1.clone()]).unwrap();
-        assert_eq!(avg.profile.len(), cfg.psd_profile_bins);
+        assert_eq!(avg.profile.len(), PROFILE_BINS);
         // Averaging identical spectra is the identity.
         for (a, b) in avg.profile.iter().zip(&s1.profile) {
             assert!((a - b).abs() < 1e-12);
@@ -312,12 +341,11 @@ mod tests {
     fn dip_frequency_tracks_notch_position() {
         // A section long enough to hold the notch's ringing resolves the
         // dip itself, not just the absorbed energy.
-        let mut cfg = config();
-        cfg.echo_ir_pre = 256;
-        cfg.echo_ir_tail = 256;
-        cfg.n_fft = 512;
+        let band = EchoBand::with_section(48_000.0, 256, 256, 512);
         let ir = notched_ir(512, 256, 0.8, 400.0);
-        let spec = echo_ir_spectrum(&ir, 256, 1.0, &cfg).unwrap();
+        let spec = band
+            .spectrum(&mut DspScratch::new(), &ir, 256, 1.0)
+            .unwrap();
         let dip = spec.dip_frequency().unwrap();
         assert!((dip - 18_000.0).abs() < 600.0, "dip at {dip}");
     }

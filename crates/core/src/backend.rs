@@ -454,9 +454,9 @@ impl FeatureExtractor for AbsorbanceExtractor {
 }
 
 fn absorbance_extractor(
-    config: &EarSonarConfig,
+    _config: &EarSonarConfig,
 ) -> Result<Arc<dyn FeatureExtractor>, EarSonarError> {
-    Ok(Arc::new(AbsorbanceExtractor::new(config)?))
+    Ok(Arc::new(AbsorbanceExtractor))
 }
 
 /// Multinomial logistic regression over standardized features.

@@ -10,11 +10,11 @@
 //! back end as EarSonar, so the missing eardrum-echo isolation is the
 //! paper's claimed ~8% advantage.
 
+use crate::absorption::{N_FFT, PROFILE_BAND_HZ};
 use crate::channel::{average_irs, chirp_template, pipeline_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::preprocess::Preprocessor;
-use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::plan::FftPlan;
 use earsonar_dsp::stats::Summary;
 use earsonar_signal::recording::Recording;
@@ -55,13 +55,12 @@ pub fn features(
     let avg_ir = average_irs(&irs)?;
     // Whole-response spectrum: no segmentation, so the direct leak and
     // wall reflections interfere with the eardrum return.
-    let n_fft = next_pow2(config.n_fft);
     let mut spec = Vec::new();
-    FftPlan::shared(n_fft)?.forward_from_real(&avg_ir, &mut spec);
-    let df = config.sample_rate / n_fft as f64;
-    let (p_lo, p_hi) = config.profile_band_hz;
+    FftPlan::shared(N_FFT)?.forward_from_real(&avg_ir, &mut spec);
+    let df = config.sample_rate / N_FFT as f64;
+    let (p_lo, p_hi) = PROFILE_BAND_HZ;
     let k_lo = (p_lo / df).floor() as usize;
-    let k_hi = ((p_hi / df).ceil() as usize).min(n_fft / 2);
+    let k_hi = ((p_hi / df).ceil() as usize).min(N_FFT / 2);
     let band: Vec<f64> = (k_lo..=k_hi).map(|k| spec[k].norm_sqr()).collect();
     let profile = earsonar_dsp::interp::resample_uniform(&band, BASELINE_BINS);
     let mut features = profile.clone();

@@ -13,9 +13,15 @@
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use earsonar_acoustics::chirp::FmcwChirp;
+use earsonar_acoustics::constants::{EARSONAR_BANDWIDTH, EARSONAR_F0};
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::plan::{split_frames_mut, DspScratch, FftPlan, LaneFrame, RealFftPlan};
+
+/// The pipeline's Wiener-deconvolution regularization, relative to the
+/// template's peak spectral power.
+pub const DECONVOLUTION_EPSILON: f64 = 1e-3;
+const _: () = assert!(DECONVOLUTION_EPSILON > 0.0);
 
 /// A prepared Wiener deconvolution operator for a fixed chirp template and
 /// window length.
@@ -173,8 +179,8 @@ impl ChannelEstimator {
     }
 }
 
-/// Builds the transmit-chirp template described by the pipeline
-/// configuration.
+/// Builds the transmit chirp: the probe band swept in `chirp_len`
+/// samples at the configuration's sample rate.
 ///
 /// # Errors
 ///
@@ -182,8 +188,8 @@ impl ChannelEstimator {
 pub fn chirp_template(config: &EarSonarConfig) -> Result<Vec<f64>, EarSonarError> {
     let duration = config.chirp_len as f64 / config.sample_rate;
     let chirp = FmcwChirp::new(
-        config.band_low_hz,
-        config.band_high_hz - config.band_low_hz,
+        EARSONAR_F0,
+        EARSONAR_BANDWIDTH,
         duration,
         config.sample_rate,
     )?;
@@ -204,7 +210,7 @@ pub fn pipeline_estimator(
         template,
         config.chirp_hop,
         config.ir_taps,
-        config.deconvolution_epsilon,
+        DECONVOLUTION_EPSILON,
     )
 }
 

@@ -16,6 +16,15 @@ use earsonar_ml::outlier;
 use earsonar_ml::scaler::StandardScaler;
 use earsonar_signal::effusion::MeeState;
 
+/// Neighbours in the Laplacian-score kNN graph.
+pub const LAPLACIAN_NEIGHBORS: usize = 15;
+
+/// k-means restarts.
+pub const KMEANS_RESTARTS: usize = 12;
+
+/// Deterministic seed for clustering and outlier removal.
+pub const SEED: u64 = 0x0EA5_0A45;
+
 /// A fitted MEE detector.
 #[derive(Debug, Clone)]
 pub struct EarSonarDetector {
@@ -54,23 +63,24 @@ impl EarSonarDetector {
             config.top_features,
             0.99,
             &LaplacianConfig {
-                k_neighbors: config.laplacian_neighbors,
+                k_neighbors: LAPLACIAN_NEIGHBORS,
                 bandwidth: None,
             },
         )?;
         let projected = laplacian::project(&scaled, &selected)?;
 
+        // One cluster per effusion state.
         let km_config = KMeansConfig {
-            k: config.k_clusters,
-            n_init: config.kmeans_restarts,
-            seed: config.seed,
+            k: MeeState::COUNT,
+            n_init: KMEANS_RESTARTS,
+            seed: SEED,
             ..Default::default()
         };
 
         // Outlier removal (paper §IV-D-4, strategy 1): cluster, drop
         // confirmed outliers, re-cluster on the clean set.
         let (train_set, train_labels): (Vec<Vec<f64>>, Vec<MeeState>) =
-            if config.remove_outliers && projected.len() > 4 * config.k_clusters {
+            if config.remove_outliers && projected.len() > 4 * MeeState::COUNT {
                 let report = outlier::detect_outliers(&projected, &km_config, 3.0, 3)?;
                 if report.outliers.is_empty() {
                     (projected.clone(), labels.to_vec())
@@ -114,7 +124,6 @@ impl EarSonarDetector {
         let initial: Vec<Vec<f64>> = sums
             .iter()
             .zip(&counts)
-            .take(config.k_clusters)
             .map(|(s, &c)| {
                 if c == 0 {
                     grand.clone()
@@ -123,24 +132,16 @@ impl EarSonarDetector {
                 }
             })
             .collect();
-        let kmeans = if initial.len() == config.k_clusters {
-            // A short Lloyd descent refines the given centres without
-            // letting adjacent severity grades collapse into one cluster.
-            let refine = KMeansConfig {
-                max_iters: 1,
-                ..km_config.clone()
-            };
-            KMeans::fit_with_init(&train_set, &initial, &refine)?
-        } else {
-            KMeans::fit(&train_set, &km_config)?
+        // A short Lloyd descent refines the given centres without letting
+        // adjacent severity grades collapse into one cluster.
+        let refine = KMeansConfig {
+            max_iters: 1,
+            ..km_config
         };
+        let kmeans = KMeans::fit_with_init(&train_set, &initial, &refine)?;
         let class_of: Vec<usize> = train_labels.iter().map(|s| s.index()).collect();
-        let labeling = ClusterLabeling::fit(
-            kmeans.labels(),
-            &class_of,
-            config.k_clusters,
-            MeeState::COUNT,
-        )?;
+        let labeling =
+            ClusterLabeling::fit(kmeans.labels(), &class_of, MeeState::COUNT, MeeState::COUNT)?;
         Ok(EarSonarDetector {
             scaler,
             selected,
@@ -274,7 +275,7 @@ mod tests {
     }
 
     fn config() -> EarSonarConfig {
-        EarSonarConfig::paper_default()
+        EarSonarConfig::default()
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! sees inside a recording (impulse response, echo spectrum, per-chirp
 //! health). Backs the CLI's `inspect` command and debugging sessions.
 
+use crate::absorption::PROFILE_BAND_HZ;
 use crate::error::EarSonarError;
 use crate::pipeline::{FrontEnd, ProcessedRecording};
 use crate::quality::QualityRejections;
@@ -198,8 +199,8 @@ fn render_report(recording: &Recording, p: &ProcessedRecording, front_end: &Fron
         out,
         "echo band |{}|  {:.1}-{:.1} kHz",
         sparkline(&p.spectrum.profile),
-        cfg.profile_band_hz.0 / 1e3,
-        cfg.profile_band_hz.1 / 1e3
+        PROFILE_BAND_HZ.0 / 1e3,
+        PROFILE_BAND_HZ.1 / 1e3
     );
     if let Some(dip) = p.spectrum.dip_frequency() {
         let _ = writeln!(

@@ -293,10 +293,7 @@ fn shuffled_participants(groups: &[usize], seed: u64) -> Vec<usize> {
 /// # Errors
 ///
 /// Same conditions as [`loocv`].
-pub fn loocv_baseline(
-    data: &ExtractedDataset,
-    config: &EarSonarConfig,
-) -> Result<ClassificationReport, EarSonarError> {
+pub fn loocv_baseline(data: &ExtractedDataset) -> Result<ClassificationReport, EarSonarError> {
     loocv_with(
         data,
         |train_x, train_y| {
@@ -315,26 +312,21 @@ pub fn loocv_baseline(
             let initial: Vec<Vec<f64>> = sums
                 .iter()
                 .zip(&counts)
-                .take(config.k_clusters)
                 .map(|(s, &c)| s.iter().map(|v| v / c.max(1) as f64).collect())
                 .collect();
             let kmeans = KMeans::fit_with_init(
                 &scaled,
                 &initial,
                 &KMeansConfig {
-                    k: config.k_clusters,
+                    k: MeeState::COUNT,
                     max_iters: 1,
-                    seed: config.seed,
+                    seed: crate::detect::SEED,
                     ..Default::default()
                 },
             )?;
             let class_of: Vec<usize> = train_y.iter().map(|s| s.index()).collect();
-            let labeling = ClusterLabeling::fit(
-                kmeans.labels(),
-                &class_of,
-                config.k_clusters,
-                MeeState::COUNT,
-            )?;
+            let labeling =
+                ClusterLabeling::fit(kmeans.labels(), &class_of, MeeState::COUNT, MeeState::COUNT)?;
             Ok((scaler, kmeans, labeling))
         },
         |(scaler, kmeans, labeling), f| {
@@ -570,7 +562,7 @@ mod tests {
         let cfg = EarSonarConfig::default();
         let ex = ExtractedDataset::extract_baseline(&ds.sessions, &cfg).unwrap();
         assert!(!ex.is_empty());
-        let report = loocv_baseline(&ex, &cfg).unwrap();
+        let report = loocv_baseline(&ex).unwrap();
         assert!(report.accuracy > 0.2);
     }
 }

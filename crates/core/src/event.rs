@@ -9,6 +9,9 @@
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 
+/// Sliding-window length `W` of the power trackers (samples).
+pub const EVENT_WINDOW: usize = 24;
+
 /// A detected event: a half-open sample interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventSpan {
@@ -40,14 +43,15 @@ impl EventSpan {
 /// # Errors
 ///
 /// Returns [`EarSonarError::BadRecording`] if the signal is shorter than
-/// one event window.
+/// one [`EVENT_WINDOW`]. The configuration is not read: the window is
+/// fixed at every sample rate.
 pub fn detect_events_with_floor(
     signal: &[f64],
     global_mean: f64,
-    config: &EarSonarConfig,
+    _config: &EarSonarConfig,
 ) -> Result<Vec<EventSpan>, EarSonarError> {
     let mut events = Vec::new();
-    detect_events_into(signal, global_mean, config, &mut events)?;
+    detect_events_into(signal, global_mean, &mut events)?;
     Ok(events)
 }
 
@@ -57,11 +61,10 @@ pub fn detect_events_with_floor(
 pub(crate) fn detect_events_into(
     signal: &[f64],
     global_mean: f64,
-    config: &EarSonarConfig,
     events: &mut Vec<EventSpan>,
 ) -> Result<(), EarSonarError> {
     events.clear();
-    let w = config.event_window.max(2);
+    let w = EVENT_WINDOW;
     if signal.len() < w {
         return Err(EarSonarError::BadRecording {
             reason: "signal shorter than the event-detection window",
@@ -129,7 +132,7 @@ mod tests {
     use super::*;
 
     fn config() -> EarSonarConfig {
-        EarSonarConfig::paper_default()
+        EarSonarConfig::default()
     }
 
     /// Detects events with the floor set to the signal's mean power.

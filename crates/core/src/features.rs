@@ -13,50 +13,57 @@
 //! | `90..96`   | 6     | statistics of the echo time-domain window           |
 //! | `96..105`  | 9     | spectral-shape descriptors (dip, centroid, flatness, …) |
 
-use crate::absorption::EchoSpectrum;
+use crate::absorption::{EchoSpectrum, ECHO_IR_PRE, ECHO_IR_TAIL, N_FFT, PROFILE_BINS};
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
+use crate::preprocess::PROBE_BAND_HZ;
 use crate::segment::EardrumEcho;
-use earsonar_dsp::mfcc::MfccExtractor;
+use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
 use earsonar_dsp::plan::DspScratch;
 use earsonar_dsp::stats::{self, Summary};
+use earsonar_dsp::window::Window;
 
 /// Total feature-vector length, matching the paper.
 pub const FEATURE_COUNT: usize = 105;
 
 const N_MFCC: usize = 26;
-const N_PROFILE: usize = 32;
+// The layout above: MFCC means and stds, the profile, then 6 + 6 + 9.
+const _: () = assert!(2 * N_MFCC + PROFILE_BINS + 21 == FEATURE_COUNT);
+
+/// The pipeline's MFCC settings at `sample_rate`: 26 mel filters over the
+/// probe band and one cepstral coefficient per filter, read from the echo
+/// spectrum's transform length with a Hann taper.
+pub fn mfcc_config(sample_rate: f64) -> MfccConfig {
+    MfccConfig {
+        sample_rate,
+        n_fft: N_FFT,
+        n_filters: N_MFCC,
+        n_coeffs: N_MFCC,
+        f_min: PROBE_BAND_HZ.0,
+        f_max: PROBE_BAND_HZ.1,
+        window: Window::Hann,
+    }
+}
 
 /// Extracts the 105-element feature vector from segmented echoes.
 #[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     mfcc: MfccExtractor,
-    band_low: f64,
-    band_high: f64,
 }
 
 impl FeatureExtractor {
-    /// Builds the extractor from the pipeline configuration.
+    /// Builds the extractor at the configuration's sample rate.
     ///
     /// # Errors
     ///
-    /// Returns [`EarSonarError::BadConfig`] if the configured MFCC or PSD
-    /// dimensions do not sum to 105, or [`EarSonarError::Dsp`] if the MFCC
-    /// filterbank cannot be built.
+    /// Returns [`EarSonarError::Dsp`] if the MFCC filterbank cannot be
+    /// built.
     pub fn new(config: &EarSonarConfig) -> Result<Self, EarSonarError> {
-        if config.mfcc.n_coeffs != N_MFCC || config.psd_profile_bins != N_PROFILE {
-            return Err(EarSonarError::BadConfig {
-                name: "mfcc.n_coeffs/psd_profile_bins",
-                constraint: "the 105-feature layout requires 26 MFCCs and 32 profile bins",
-            });
-        }
         // The MFCC frames are the echo IR sections, so precompute the
         // window for their length rather than for a full FFT frame.
-        let frame_len = config.echo_ir_pre.saturating_add(config.echo_ir_tail);
+        let mfcc = MfccExtractor::new(mfcc_config(config.sample_rate))?;
         Ok(FeatureExtractor {
-            mfcc: MfccExtractor::new(config.mfcc.clone())?.with_frame_len(frame_len),
-            band_low: config.band_low_hz,
-            band_high: config.band_high_hz,
+            mfcc: mfcc.with_frame_len(ECHO_IR_PRE + ECHO_IR_TAIL),
         })
     }
 
@@ -152,8 +159,8 @@ impl FeatureExtractor {
     }
 
     fn shape_descriptors(&self, spec: &EchoSpectrum, echoes: &[EardrumEcho]) -> [f64; 9] {
-        let width = self.band_high - self.band_low;
-        let norm_f = |f: f64| ((f - self.band_low) / width).clamp(0.0, 1.0);
+        let (low, high) = PROBE_BAND_HZ;
+        let norm_f = |f: f64| ((f - low) / (high - low)).clamp(0.0, 1.0);
 
         let p = &spec.profile;
         let total: f64 = p.iter().sum::<f64>().max(f64::MIN_POSITIVE);
@@ -205,7 +212,7 @@ mod tests {
     use crate::absorption::notched_ir_spectrum;
 
     fn config() -> EarSonarConfig {
-        EarSonarConfig::paper_default()
+        EarSonarConfig::default()
     }
 
     #[test]
@@ -256,16 +263,6 @@ mod tests {
         assert!(matches!(
             ex.extract(&[], &spec, &[]),
             Err(EarSonarError::NoEchoDetected)
-        ));
-    }
-
-    #[test]
-    fn wrong_layout_config_is_rejected() {
-        let mut cfg = config();
-        cfg.psd_profile_bins = 16;
-        assert!(matches!(
-            FeatureExtractor::new(&cfg),
-            Err(EarSonarError::BadConfig { .. })
         ));
     }
 

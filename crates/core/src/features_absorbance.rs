@@ -20,8 +20,7 @@
 //! | `40..43`  | 3     | cosine similarity to serous/mucoid/purulent templates |
 //! | `43..45`  | 2     | log band power, mean parity energy ratio            |
 
-use crate::absorption::EchoSpectrum;
-use crate::config::EarSonarConfig;
+use crate::absorption::{EchoSpectrum, PROFILE_BAND_HZ, PROFILE_BINS};
 use crate::error::EarSonarError;
 use crate::segment::EardrumEcho;
 use earsonar_acoustics::absorption::EardrumResponse;
@@ -31,8 +30,8 @@ use earsonar_ml::distance::cosine_similarity;
 
 /// Total absorbance feature-vector length.
 pub const ABSORBANCE_FEATURE_COUNT: usize = 45;
-
-const N_PROFILE: usize = 32;
+// The layout above: the absorbance curve, then 6 + 2 + 3 + 2.
+const _: () = assert!(PROFILE_BINS + 13 == ABSORBANCE_FEATURE_COUNT);
 
 /// Per-state effusion templates: medium, layer thickness, dip depth and
 /// width. Thickness and dip severity grow with effusion viscosity, the
@@ -45,31 +44,9 @@ const TEMPLATES: [(Medium, f64, f64, f64); 3] = [
 
 /// Extracts the 45-element wideband-absorbance feature vector.
 #[derive(Debug, Clone)]
-pub struct AbsorbanceExtractor {
-    band_lo: f64,
-    band_hi: f64,
-}
+pub struct AbsorbanceExtractor;
 
 impl AbsorbanceExtractor {
-    /// Builds the extractor from the pipeline configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EarSonarError::BadConfig`] if the configured profile does
-    /// not carry the 32 bins this layout is versioned against.
-    pub fn new(config: &EarSonarConfig) -> Result<Self, EarSonarError> {
-        if config.psd_profile_bins != N_PROFILE {
-            return Err(EarSonarError::BadConfig {
-                name: "psd_profile_bins",
-                constraint: "the 45-element absorbance layout requires 32 profile bins",
-            });
-        }
-        Ok(AbsorbanceExtractor {
-            band_lo: config.profile_band_hz.0,
-            band_hi: config.profile_band_hz.1,
-        })
-    }
-
     /// Extracts the feature vector from the recording-averaged spectrum
     /// and the segmented echoes.
     ///
@@ -107,11 +84,9 @@ impl AbsorbanceExtractor {
         features.extend_from_slice(&Summary::of(&absorbance).to_array());
 
         // Measured dip position and depth.
-        let width = (self.band_hi - self.band_lo).max(f64::MIN_POSITIVE);
-        let norm_f = |f: f64| ((f - self.band_lo) / width).clamp(0.0, 1.0);
-        let dip_center = averaged
-            .dip_frequency()
-            .unwrap_or(0.5 * (self.band_lo + self.band_hi));
+        let (lo, hi) = PROFILE_BAND_HZ;
+        let norm_f = |f: f64| ((f - lo) / (hi - lo)).clamp(0.0, 1.0);
+        let dip_center = averaged.dip_frequency().unwrap_or(0.5 * (lo + hi));
         features.push(norm_f(dip_center));
         features.push(averaged.dip_depth());
 
@@ -147,15 +122,16 @@ impl AbsorbanceExtractor {
 mod tests {
     use super::*;
     use crate::absorption::notched_ir_spectrum;
+    use crate::config::EarSonarConfig;
 
     fn config() -> EarSonarConfig {
-        EarSonarConfig::paper_default()
+        EarSonarConfig::default()
     }
 
     #[test]
     fn vector_has_45_finite_elements() {
         let cfg = config();
-        let ex = AbsorbanceExtractor::new(&cfg).unwrap();
+        let ex = AbsorbanceExtractor;
         let (spec, echo) = notched_ir_spectrum(0.3, &cfg);
         let f = ex
             .extract(std::slice::from_ref(&spec), &spec, &[echo])
@@ -166,9 +142,9 @@ mod tests {
 
     /// A spectrum with a Gaussian notch of the given depth at 18 kHz on
     /// an otherwise flat reflected-power profile.
-    fn notched_spectrum(depth: f64, cfg: &EarSonarConfig) -> EchoSpectrum {
-        let (lo, hi) = cfg.profile_band_hz;
-        let n = cfg.psd_profile_bins;
+    fn notched_spectrum(depth: f64) -> EchoSpectrum {
+        let (lo, hi) = PROFILE_BAND_HZ;
+        let n = PROFILE_BINS;
         let frequencies: Vec<f64> = (0..n)
             .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
             .collect();
@@ -189,12 +165,11 @@ mod tests {
 
     #[test]
     fn deeper_dip_raises_mean_absorbance() {
-        let cfg = config();
-        let ex = AbsorbanceExtractor::new(&cfg).unwrap();
+        let ex = AbsorbanceExtractor;
         let mut means = Vec::new();
         let mut depths = Vec::new();
         for d in [0.1, 0.7] {
-            let spec = notched_spectrum(d, &cfg);
+            let spec = notched_spectrum(d);
             let f = ex.extract(std::slice::from_ref(&spec), &spec, &[]).unwrap();
             means.push(f[32]); // absorbance_mean
             depths.push(f[39]); // measured dip depth
@@ -206,7 +181,7 @@ mod tests {
     #[test]
     fn template_similarities_are_bounded() {
         let cfg = config();
-        let ex = AbsorbanceExtractor::new(&cfg).unwrap();
+        let ex = AbsorbanceExtractor;
         let (spec, echo) = notched_ir_spectrum(0.5, &cfg);
         let f = ex
             .extract(std::slice::from_ref(&spec), &spec, &[echo])
@@ -219,21 +194,11 @@ mod tests {
     #[test]
     fn empty_input_is_rejected() {
         let cfg = config();
-        let ex = AbsorbanceExtractor::new(&cfg).unwrap();
+        let ex = AbsorbanceExtractor;
         let (spec, _) = notched_ir_spectrum(0.2, &cfg);
         assert!(matches!(
             ex.extract(&[], &spec, &[]),
             Err(EarSonarError::NoEchoDetected)
-        ));
-    }
-
-    #[test]
-    fn wrong_layout_config_is_rejected() {
-        let mut cfg = config();
-        cfg.psd_profile_bins = 16;
-        assert!(matches!(
-            AbsorbanceExtractor::new(&cfg),
-            Err(EarSonarError::BadConfig { .. })
         ));
     }
 }

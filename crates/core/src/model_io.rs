@@ -9,9 +9,18 @@
 //!
 //! Format: one `key: values…` line per field, with vectors
 //! space-separated and matrices as one line per row. Integer fields must
-//! be written as integers that fit their type. Lines this build does not
-//! read are ignored, so files from older builds that still carry lines
-//! for since-retired configuration fields load unchanged.
+//! be written as integers that fit their type. The configuration takes six
+//! lines, one per [`EarSonarConfig`] field (`chirp:` holds `chirp_len`
+//! and `chirp_hop`, `quality_gate:` the gate's six values).
+//!
+//! Files from older builds also carry a line for each setting that is now
+//! a constant of the pipeline (`band_hz:`, `event_window:`, `mfcc:`, …).
+//! Such a line loads when its values parse equal to this build's constant
+//! (for `mfcc:`, the MFCC settings derived from the file's own
+//! `sample_rate`), and is otherwise refused with
+//! [`EarSonarError::BadConfig`] naming the line: a model never runs
+//! silently on settings other than those it was trained with. Other lines
+//! this build does not read are ignored.
 //!
 //! Two format versions are understood:
 //!
@@ -28,11 +37,17 @@
 //! saved by a different backend is [`EarSonarError::BackendMismatch`] —
 //! typed errors, never panics.
 
-use crate::backend::{self, parse_f64s, parse_one_usize, parse_usizes};
+use crate::absorption::{ECHO_IR_PRE, ECHO_IR_TAIL, N_FFT, PROFILE_BAND_HZ, PROFILE_BINS};
+use crate::backend::{self, parse_usizes};
+use crate::channel::DECONVOLUTION_EPSILON;
 use crate::config::EarSonarConfig;
+use crate::detect::{KMEANS_RESTARTS, LAPLACIAN_NEIGHBORS, SEED};
 use crate::error::EarSonarError;
+use crate::event::EVENT_WINDOW;
 use crate::pipeline::{EarSonar, FrontEnd};
-use earsonar_dsp::window::Window;
+use crate::preprocess::{NOISE_FILTER_ORDER, PROBE_BAND_HZ};
+use crate::segment::{EARDRUM_DISTANCE_RANGE_M, MIN_SYMMETRY_SUPPORT, PARITY_ENERGY_THRESHOLD};
+use earsonar_signal::effusion::MeeState;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -43,23 +58,63 @@ fn bad(constraint: &'static str) -> EarSonarError {
     EarSonarError::BadRecording { reason: constraint }
 }
 
-fn window_name(w: Window) -> &'static str {
-    match w {
-        Window::Rectangular => "rectangular",
-        Window::Hann => "hann",
-        Window::Hamming => "hamming",
-        Window::Blackman => "blackman",
-    }
+/// The lines older builds wrote for settings that are now constants, each
+/// with the values this build runs at `sample_rate`, written as those
+/// builds wrote them.
+fn retired_lines(sample_rate: f64) -> [(&'static str, String); 17] {
+    let mfcc = crate::features::mfcc_config(sample_rate);
+    let pair = |(a, b): (f64, f64)| format!("{a} {b}");
+    [
+        ("band_hz", pair(PROBE_BAND_HZ)),
+        ("noise_filter_order", NOISE_FILTER_ORDER.to_string()),
+        ("event_window", EVENT_WINDOW.to_string()),
+        ("min_symmetry_support", MIN_SYMMETRY_SUPPORT.to_string()),
+        (
+            "parity_energy_threshold",
+            PARITY_ENERGY_THRESHOLD.to_string(),
+        ),
+        ("eardrum_distance_range_m", pair(EARDRUM_DISTANCE_RANGE_M)),
+        ("deconvolution_epsilon", DECONVOLUTION_EPSILON.to_string()),
+        ("echo_ir", format!("{ECHO_IR_PRE} {ECHO_IR_TAIL}")),
+        ("n_fft", N_FFT.to_string()),
+        ("psd_profile_bins", PROFILE_BINS.to_string()),
+        ("profile_band_hz", pair(PROFILE_BAND_HZ)),
+        (
+            "mfcc",
+            format!(
+                "{} {} {} {} {} {}",
+                mfcc.sample_rate, mfcc.n_fft, mfcc.n_filters, mfcc.n_coeffs, mfcc.f_min, mfcc.f_max
+            ),
+        ),
+        ("mfcc_window", format!("{:?}", mfcc.window).to_lowercase()),
+        ("k_clusters", MeeState::COUNT.to_string()),
+        ("laplacian_neighbors", LAPLACIAN_NEIGHBORS.to_string()),
+        ("kmeans_restarts", KMEANS_RESTARTS.to_string()),
+        ("seed", SEED.to_string()),
+    ]
 }
 
-fn window_from_name(s: &str) -> Result<Window, EarSonarError> {
-    match s {
-        "rectangular" => Ok(Window::Rectangular),
-        "hann" => Ok(Window::Hann),
-        "hamming" => Ok(Window::Hamming),
-        "blackman" => Ok(Window::Blackman),
-        _ => Err(bad("unknown window name in model file")),
+/// Refuses a retired line whose values do not parse equal, token by
+/// token, to this build's constant.
+fn check_retired_lines(fields: &[(String, String)], sample_rate: f64) -> Result<(), EarSonarError> {
+    let same = |a: &str, b: &str| {
+        a == b || matches!((a.parse::<f64>(), b.parse::<f64>()), (Ok(x), Ok(y)) if x == y)
+    };
+    for (name, expected) in retired_lines(sample_rate) {
+        let Ok(found) = backend::field(fields, name) else {
+            continue;
+        };
+        let (found, expected) = (found.split_whitespace(), expected.split_whitespace());
+        if found.clone().count() != expected.clone().count()
+            || !found.zip(expected).all(|(a, b)| same(a, b))
+        {
+            return Err(EarSonarError::BadConfig {
+                name,
+                constraint: "a setting that is now a constant must equal this build's value",
+            });
+        }
     }
+    Ok(())
 }
 
 /// Serializes a trained system to the model text format
@@ -74,47 +129,9 @@ pub fn model_to_string(system: &EarSonar) -> String {
 
     // Configuration.
     let _ = writeln!(out, "sample_rate: {}", cfg.sample_rate);
-    let _ = writeln!(out, "band_hz: {} {}", cfg.band_low_hz, cfg.band_high_hz);
-    let _ = writeln!(out, "noise_filter_order: {}", cfg.noise_filter_order);
     let _ = writeln!(out, "chirp: {} {}", cfg.chirp_len, cfg.chirp_hop);
-    let _ = writeln!(out, "event_window: {}", cfg.event_window);
-    let _ = writeln!(out, "min_symmetry_support: {}", cfg.min_symmetry_support);
-    let _ = writeln!(
-        out,
-        "parity_energy_threshold: {}",
-        cfg.parity_energy_threshold
-    );
-    let _ = writeln!(
-        out,
-        "eardrum_distance_range_m: {} {}",
-        cfg.eardrum_distance_range_m.0, cfg.eardrum_distance_range_m.1
-    );
     let _ = writeln!(out, "ir_taps: {}", cfg.ir_taps);
-    let _ = writeln!(out, "deconvolution_epsilon: {}", cfg.deconvolution_epsilon);
-    let _ = writeln!(out, "echo_ir: {} {}", cfg.echo_ir_pre, cfg.echo_ir_tail);
-    let _ = writeln!(out, "n_fft: {}", cfg.n_fft);
-    let _ = writeln!(out, "psd_profile_bins: {}", cfg.psd_profile_bins);
-    let _ = writeln!(
-        out,
-        "profile_band_hz: {} {}",
-        cfg.profile_band_hz.0, cfg.profile_band_hz.1
-    );
-    let _ = writeln!(
-        out,
-        "mfcc: {} {} {} {} {} {}",
-        cfg.mfcc.sample_rate,
-        cfg.mfcc.n_fft,
-        cfg.mfcc.n_filters,
-        cfg.mfcc.n_coeffs,
-        cfg.mfcc.f_min,
-        cfg.mfcc.f_max
-    );
-    let _ = writeln!(out, "mfcc_window: {}", window_name(cfg.mfcc.window));
-    let _ = writeln!(out, "k_clusters: {}", cfg.k_clusters);
     let _ = writeln!(out, "top_features: {}", cfg.top_features);
-    let _ = writeln!(out, "laplacian_neighbors: {}", cfg.laplacian_neighbors);
-    let _ = writeln!(out, "kmeans_restarts: {}", cfg.kmeans_restarts);
-    let _ = writeln!(out, "seed: {}", cfg.seed);
     let _ = writeln!(out, "remove_outliers: {}", cfg.remove_outliers);
     let _ = writeln!(
         out,
@@ -168,67 +185,22 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
         fields.push((key.trim().to_string(), value.trim().to_string()));
     }
     let get = |key: &str| backend::field(&fields, key);
-    let usizes = parse_usizes;
-    let one_usize = parse_one_usize;
-    fn one_f64(s: &str) -> Result<f64, EarSonarError> {
-        s.trim().parse().map_err(|_| bad("bad float in model file"))
-    }
-    fn two_f64(s: &str) -> Result<(f64, f64), EarSonarError> {
-        let v = parse_f64s(s)?;
-        if v.len() != 2 {
-            return Err(bad("expected two floats"));
-        }
-        Ok((v[0], v[1]))
-    }
+    let one_usize = backend::parse_one_usize;
 
-    let band = two_f64(get("band_hz")?)?;
-    let chirp = usizes(get("chirp")?)?;
-    if chirp.len() != 2 {
+    let sample_rate: f64 = get("sample_rate")?
+        .parse()
+        .map_err(|_| bad("bad float in model file"))?;
+    check_retired_lines(&fields, sample_rate)?;
+    let chirp = parse_usizes(get("chirp")?)?;
+    let [chirp_len, chirp_hop] = chirp[..] else {
         return Err(bad("expected two chirp integers"));
-    }
-    let echo_ir = usizes(get("echo_ir")?)?;
-    if echo_ir.len() != 2 {
-        return Err(bad("expected two echo_ir integers"));
-    }
-    let mfcc_fields: Vec<&str> = get("mfcc")?.split_whitespace().collect();
-    let [mfcc_rate, mfcc_n_fft, n_filters, n_coeffs, f_min, f_max] = mfcc_fields[..] else {
-        return Err(bad("expected six mfcc values"));
     };
-
     let config = EarSonarConfig {
-        sample_rate: one_f64(get("sample_rate")?)?,
-        band_low_hz: band.0,
-        band_high_hz: band.1,
-        noise_filter_order: one_usize(get("noise_filter_order")?)?,
-        chirp_len: chirp[0],
-        chirp_hop: chirp[1],
-        event_window: one_usize(get("event_window")?)?,
-        min_symmetry_support: one_usize(get("min_symmetry_support")?)?,
-        parity_energy_threshold: one_f64(get("parity_energy_threshold")?)?,
-        eardrum_distance_range_m: two_f64(get("eardrum_distance_range_m")?)?,
+        sample_rate,
+        chirp_len,
+        chirp_hop,
         ir_taps: one_usize(get("ir_taps")?)?,
-        deconvolution_epsilon: one_f64(get("deconvolution_epsilon")?)?,
-        echo_ir_pre: echo_ir[0],
-        echo_ir_tail: echo_ir[1],
-        n_fft: one_usize(get("n_fft")?)?,
-        psd_profile_bins: one_usize(get("psd_profile_bins")?)?,
-        profile_band_hz: two_f64(get("profile_band_hz")?)?,
-        mfcc: earsonar_dsp::mfcc::MfccConfig {
-            sample_rate: one_f64(mfcc_rate)?,
-            n_fft: one_usize(mfcc_n_fft)?,
-            n_filters: one_usize(n_filters)?,
-            n_coeffs: one_usize(n_coeffs)?,
-            f_min: one_f64(f_min)?,
-            f_max: one_f64(f_max)?,
-            window: window_from_name(get("mfcc_window")?)?,
-        },
-        k_clusters: one_usize(get("k_clusters")?)?,
         top_features: one_usize(get("top_features")?)?,
-        laplacian_neighbors: one_usize(get("laplacian_neighbors")?)?,
-        kmeans_restarts: one_usize(get("kmeans_restarts")?)?,
-        seed: get("seed")?
-            .parse()
-            .map_err(|_| bad("bad seed in model file"))?,
         remove_outliers: match get("remove_outliers")? {
             "true" => true,
             "false" => false,
@@ -456,15 +428,13 @@ mod tests {
         for retired in ["cancel_max_delay:", "echo_window_half:", "window:"] {
             assert!(!text.lines().any(|l| l.starts_with(retired)), "{retired}");
         }
-        // The layout older builds wrote: `cancel_max_delay:` and
-        // `echo_window_half:` after `eardrum_distance_range_m:`, `window:`
-        // after `n_fft:`.
+        // Among the configuration lines, as older builds wrote them.
         let old: String = text
             .lines()
             .flat_map(|l| {
-                let extra: &[&str] = if l.starts_with("eardrum_distance_range_m:") {
+                let extra: &[&str] = if l.starts_with("chirp:") {
                     &["cancel_max_delay: 5", "echo_window_half: 32"]
-                } else if l.starts_with("n_fft:") {
+                } else if l.starts_with("ir_taps:") {
                     &["window: hann"]
                 } else {
                     &[]
@@ -563,74 +533,66 @@ mod tests {
     fn hostile_sizes_are_refused_at_load() {
         // Each of these once aborted the process in an allocation (or, in
         // debug builds, panicked on `next_pow2` or `echo_ir` add overflow).
+        // Only `chirp_hop` and `top_features` are still settable; the
+        // other sizes are constants, and a line an older build wrote for
+        // one of them must equal this build's value.
         let (system, _) = trained();
         let text = model_to_string(&system);
         let line = |key: &str| text.lines().find(|l| l.starts_with(key)).unwrap();
-        let mfcc: Vec<&str> = line("mfcc:").split_whitespace().collect();
-        let set_mfcc = |i: usize, value: &str| {
-            let mut fields = mfcc.clone();
+        let replaced = |key: &str, new: &str| text.replace(line(key), new);
+        let appended = |new: &str| format!("{text}{new}\n");
+        let mfcc = |i: usize, value: &str| {
+            let mut fields: Vec<&str> = "mfcc: 48000 256 26 26 16000 20000"
+                .split_whitespace()
+                .collect();
             fields[i] = value;
-            fields.join(" ")
+            appended(&fields.join(" "))
         };
+        // A retired line as older builds wrote it loads.
+        assert!(model_from_string(&mfcc(1, "48000")).is_ok());
         let cases = [
-            ("chirp_hop", line("chirp:"), "chirp: 24 4294967296".into()),
-            ("mfcc.n_filters", line("mfcc:"), set_mfcc(3, "1000000000")),
-            ("n_fft", line("n_fft:"), "n_fft: 4294967296".into()),
-            ("mfcc.n_fft", line("mfcc:"), set_mfcc(2, "4294967296")),
-            (
-                "psd_profile_bins",
-                line("psd_profile_bins:"),
-                "psd_profile_bins: 4294967296".into(),
-            ),
-            (
-                "k_clusters",
-                line("k_clusters:"),
-                "k_clusters: 4294967296".into(),
-            ),
+            ("chirp_hop", replaced("chirp:", "chirp: 24 4294967296")),
             (
                 "top_features",
-                line("top_features:"),
-                "top_features: 4294967296".into(),
+                replaced("top_features:", "top_features: 4294967296"),
             ),
-            (
-                "echo_ir_pre/echo_ir_tail",
-                line("echo_ir:"),
-                "echo_ir: 18446744073709551615 1".into(),
-            ),
+            ("mfcc", mfcc(3, "1000000000")),
+            ("n_fft", appended("n_fft: 4294967296")),
+            ("mfcc", mfcc(2, "4294967296")),
+            ("psd_profile_bins", appended("psd_profile_bins: 4294967296")),
+            ("k_clusters", appended("k_clusters: 4294967296")),
+            ("echo_ir", appended("echo_ir: 18446744073709551615 1")),
             // This one loaded and computed MFCCs on shifted mel bands.
-            ("mfcc.sample_rate", line("mfcc:"), set_mfcc(1, "44100")),
+            ("mfcc", mfcc(1, "44100")),
+            // No truncation of a fractional size.
+            ("mfcc", mfcc(2, "256.9")),
+            ("mfcc", mfcc(3, "26.7")),
+            ("mfcc", mfcc(4, "26.99")),
+            ("mfcc", mfcc(3, "1e9")),
+            ("mfcc", mfcc(2, "1e30")),
         ];
-        for (field, old, new) in &cases {
-            match model_from_string(&text.replace(old, new)) {
+        for (field, text) in &cases {
+            match model_from_string(text) {
                 Err(EarSonarError::BadConfig { name, .. }) => assert_eq!(name, *field),
                 other => panic!("{field}: expected BadConfig, got {:?}", other.err()),
             }
         }
         // Integer fields must be integers of their type: no wrap-around
-        // of an oversized version, no truncation of a fractional size.
-        let parse_cases = [
-            (
-                line("backend_version:"),
-                "backend_version: 4294967297".to_string(),
-            ),
-            (line("backend_version:"), "backend_version: -1".to_string()),
-            (line("mfcc:"), set_mfcc(2, "256.9")),
-            (line("mfcc:"), set_mfcc(3, "26.7")),
-            (line("mfcc:"), set_mfcc(4, "26.99")),
-            (line("mfcc:"), set_mfcc(3, "1e9")),
-            (line("mfcc:"), set_mfcc(2, "1e30")),
-        ];
-        for (old, new) in &parse_cases {
-            match model_from_string(&text.replace(old, new)) {
+        // of an oversized version.
+        for new in ["backend_version: 4294967297", "backend_version: -1"] {
+            match model_from_string(&replaced("backend_version:", new)) {
                 Err(EarSonarError::BadRecording { .. }) => {}
                 other => panic!("{new}: expected BadRecording, got {:?}", other.err()),
             }
         }
         // The bound itself passes the size check.
-        let at_bound = text.replace(line("n_fft:"), &format!("n_fft: {MAX_CONFIG_SIZE}"));
+        let at_bound = replaced("top_features:", &format!("top_features: {MAX_CONFIG_SIZE}"));
         assert!(!matches!(
             model_from_string(&at_bound),
-            Err(EarSonarError::BadConfig { name: "n_fft", .. })
+            Err(EarSonarError::BadConfig {
+                name: "top_features",
+                ..
+            })
         ));
     }
 

@@ -445,8 +445,7 @@ impl FrontEnd {
             } else {
                 acc.power_sum / acc.power_len as f64
             };
-            let has_event = match detect_events_into(filtered, floor, &self.config, &mut acc.spans)
-            {
+            let has_event = match detect_events_into(filtered, floor, &mut acc.spans) {
                 Ok(()) => !acc.spans.is_empty(),
                 // A window shorter than the detection window cannot hold
                 // an event (trailing partial chirp).

@@ -7,7 +7,16 @@
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
+use earsonar_acoustics::constants::{EARSONAR_BANDWIDTH, EARSONAR_F0};
 use earsonar_dsp::filter::{butter_bandpass, filtfilt, filtfilt_lanes, BiquadCascade};
+
+/// The probe band in hertz, `(low, high)`: the transmitted chirp's sweep
+/// (paper §IV-A: 16–20 kHz), which the band-pass keeps.
+pub const PROBE_BAND_HZ: (f64, f64) = (EARSONAR_F0, EARSONAR_F0 + EARSONAR_BANDWIDTH);
+const _: () = assert!(0.0 < PROBE_BAND_HZ.0 && PROBE_BAND_HZ.0 < PROBE_BAND_HZ.1);
+
+/// Order of the Butterworth band-pass that removes out-of-band noise.
+pub const NOISE_FILTER_ORDER: usize = 4;
 
 /// A reusable preprocessing stage holding the designed band-pass filter.
 #[derive(Debug, Clone)]
@@ -17,18 +26,15 @@ pub struct Preprocessor {
 }
 
 impl Preprocessor {
-    /// Designs the band-pass filter from the configuration.
+    /// Designs the [`PROBE_BAND_HZ`] band-pass at the configuration's
+    /// sample rate.
     ///
     /// # Errors
     ///
     /// Returns [`EarSonarError::Dsp`] if the filter design is infeasible.
     pub fn new(config: &EarSonarConfig) -> Result<Self, EarSonarError> {
-        let filter = butter_bandpass(
-            config.noise_filter_order,
-            config.band_low_hz,
-            config.band_high_hz,
-            config.sample_rate,
-        )?;
+        let (low, high) = PROBE_BAND_HZ;
+        let filter = butter_bandpass(NOISE_FILTER_ORDER, low, high, config.sample_rate)?;
         Ok(Preprocessor {
             filter,
             pad: 3 * config.chirp_len,
@@ -106,7 +112,7 @@ mod tests {
     use std::f64::consts::PI;
 
     fn config() -> EarSonarConfig {
-        EarSonarConfig::paper_default()
+        EarSonarConfig::default()
     }
 
     #[test]
@@ -175,9 +181,11 @@ mod tests {
 
     #[test]
     fn bad_band_fails_construction() {
-        let mut cfg = config();
-        cfg.band_low_hz = 25_000.0;
-        cfg.band_high_hz = 26_000.0;
+        // At 32 kHz the probe band sits above the Nyquist frequency.
+        let cfg = EarSonarConfig {
+            sample_rate: 32_000.0,
+            ..config()
+        };
         assert!(Preprocessor::new(&cfg).is_err());
     }
 }

@@ -14,6 +14,21 @@ use crate::error::EarSonarError;
 use earsonar_dsp::convolution::autoconvolve_with;
 use earsonar_dsp::plan::DspScratch;
 
+/// Minimum symmetry support `ml` (samples): a candidate's parity is
+/// measured over `2 * MIN_SYMMETRY_SUPPORT` samples around it.
+pub const MIN_SYMMETRY_SUPPORT: usize = 12;
+
+/// Even/odd energy-ratio threshold `pt` (paper: 0.5 < pt < 1).
+pub const PARITY_ENERGY_THRESHOLD: f64 = 0.7;
+
+/// Eardrum-distance prior in metres (paper: 2–3.5 cm, widened to
+/// 1.8–4.2 cm).
+pub const EARDRUM_DISTANCE_RANGE_M: (f64, f64) = (0.018, 0.042);
+
+const _: () = assert!(0.5 < PARITY_ENERGY_THRESHOLD && PARITY_ENERGY_THRESHOLD < 1.0);
+const _: () = assert!(0.0 < EARDRUM_DISTANCE_RANGE_M.0);
+const _: () = assert!(EARDRUM_DISTANCE_RANGE_M.0 < EARDRUM_DISTANCE_RANGE_M.1);
+
 /// Parity energies `(E_even, E_odd)` of `x` about fold `m` — paper Eq. 9.
 ///
 /// The even and odd parts (Eq. 8, with `m = 2n₀`; odd `m` folds between
@@ -49,9 +64,9 @@ pub struct EchoCandidate {
 
 /// Finds all local-symmetry candidates of `x`: local extrema of
 /// `|(x∗x)[m]|` whose parity energy ratio (over a window of
-/// `2 * min_symmetry_support` samples) exceeds `pt`.
-pub fn find_symmetry_candidates(x: &[f64], config: &EarSonarConfig) -> Vec<EchoCandidate> {
-    if x.len() < config.min_symmetry_support {
+/// `2 * MIN_SYMMETRY_SUPPORT` samples) exceeds [`PARITY_ENERGY_THRESHOLD`].
+pub fn find_symmetry_candidates(x: &[f64]) -> Vec<EchoCandidate> {
+    if x.len() < MIN_SYMMETRY_SUPPORT {
         return Vec::new();
     }
     let mut ac = Vec::new();
@@ -64,7 +79,7 @@ pub fn find_symmetry_candidates(x: &[f64], config: &EarSonarConfig) -> Vec<EchoC
     // Local extrema of the auto-convolution magnitude, pruned to
     // meaningful height.
     let peaks = earsonar_dsp::peak::find_peaks(&mag, 0.05 * top, 2);
-    let half = config.min_symmetry_support;
+    let half = MIN_SYMMETRY_SUPPORT;
     let mut out = Vec::new();
     for p in peaks {
         let m = p.index;
@@ -87,7 +102,7 @@ pub fn find_symmetry_candidates(x: &[f64], config: &EarSonarConfig) -> Vec<EchoC
         } else {
             (eo / total, false)
         };
-        if ratio > config.parity_energy_threshold {
+        if ratio > PARITY_ENERGY_THRESHOLD {
             out.push(EchoCandidate {
                 center,
                 fold: m,
@@ -129,12 +144,13 @@ impl EardrumEcho {
     }
 }
 
-/// Converts the eardrum-distance prior into a delay range in samples.
-fn delay_prior_samples(config: &EarSonarConfig) -> (f64, f64) {
-    let (lo, hi) = config.eardrum_distance_range_m;
+/// Converts the eardrum-distance prior into a delay range in samples at
+/// sample rate `fs`.
+fn delay_prior_samples(fs: f64) -> (f64, f64) {
+    let (lo, hi) = EARDRUM_DISTANCE_RANGE_M;
     (
-        earsonar_acoustics::propagation::round_trip_delay_samples(lo, config.sample_rate),
-        earsonar_acoustics::propagation::round_trip_delay_samples(hi, config.sample_rate),
+        earsonar_acoustics::propagation::round_trip_delay_samples(lo, fs),
+        earsonar_acoustics::propagation::round_trip_delay_samples(hi, fs),
     )
 }
 
@@ -168,11 +184,11 @@ pub fn segment_with_anchor(
     if energy <= 1e-18 {
         return Err(EarSonarError::NoEchoDetected);
     }
-    let (d_lo, d_hi) = delay_prior_samples(config);
+    let (d_lo, d_hi) = delay_prior_samples(config.sample_rate);
     // Focus the symmetry search on the active part of the window.
     let active_len = (config.chirp_len * 3 + d_hi.ceil() as usize).min(chirp_window.len());
     let active = &chirp_window[..active_len];
-    let candidates = find_symmetry_candidates(active, config);
+    let candidates = find_symmetry_candidates(active);
 
     let lo = direct_center as f64 + d_lo;
     let hi = direct_center as f64 + d_hi;
@@ -210,7 +226,7 @@ mod tests {
     use super::*;
 
     fn config() -> EarSonarConfig {
-        EarSonarConfig::paper_default()
+        EarSonarConfig::default()
     }
 
     #[test]
@@ -277,7 +293,7 @@ mod tests {
                 (-t * t).exp() * (0.9 * (i as f64 - 40.0)).cos()
             })
             .collect();
-        let candidates = find_symmetry_candidates(&x, &config());
+        let candidates = find_symmetry_candidates(&x);
         assert!(!candidates.is_empty());
         let best = candidates
             .iter()
@@ -294,8 +310,8 @@ mod tests {
 
     #[test]
     fn silence_produces_no_candidates() {
-        assert!(find_symmetry_candidates(&[0.0; 64], &config()).is_empty());
-        assert!(find_symmetry_candidates(&[0.0; 4], &config()).is_empty());
+        assert!(find_symmetry_candidates(&[0.0; 64]).is_empty());
+        assert!(find_symmetry_candidates(&[0.0; 4]).is_empty());
     }
 
     #[test]
@@ -350,14 +366,14 @@ mod tests {
         }
         let echo = segment_with_anchor(&x, 1, &config()).unwrap();
         // Whether via symmetry or fallback, the echo must respect the prior.
-        let (d_lo, d_hi) = delay_prior_samples(&config());
+        let (d_lo, d_hi) = delay_prior_samples(config().sample_rate);
         let d = echo.delay_samples() as f64;
         assert!(d >= d_lo - 1.0 && d <= d_hi + 1.0, "delay {d}");
     }
 
     #[test]
     fn delay_prior_matches_anatomy() {
-        let (lo, hi) = delay_prior_samples(&config());
+        let (lo, hi) = delay_prior_samples(config().sample_rate);
         // 1.5-4.2 cm round trip at 48 kHz: about 4-12 samples.
         assert!(lo > 3.0 && lo < 6.0, "{lo}");
         assert!(hi > 10.0 && hi < 13.0, "{hi}");

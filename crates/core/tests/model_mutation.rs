@@ -6,9 +6,11 @@
 //! configuration, and its classifier must predict on a vector of its
 //! extractor's width without panicking.
 //!
-//! Four base files: the reference backend's model as written today (`v2`)
-//! and in its `v1` form (the legacy magic line, no backend lines), and the
-//! `v2` files of the absorbance logistic and k-NN backends.
+//! Five base files: the reference backend's model as written today (`v2`)
+//! and in its `v1` form (the legacy magic line, no backend lines), the
+//! `v2` files of the absorbance logistic and k-NN backends, and a
+//! reference model written by an older build, whose configuration lines
+//! for settings that are now constants go through the retired-line check.
 //!
 //! Targeted mutations: a classifier one feature wider than its extractor
 //! is refused at load for every registered backend, and so are classifier
@@ -54,7 +56,8 @@ fn saved(name: &str) -> String {
 }
 
 /// The base files, labelled: the reference model in its v1 and v2 forms,
-/// then the v2 file of every other registered backend.
+/// the v2 file of every other registered backend, then the older build's
+/// reference model.
 fn base_files() -> &'static [(String, String)] {
     static FILES: OnceLock<Vec<(String, String)>> = OnceLock::new();
     FILES.get_or_init(|| {
@@ -78,6 +81,10 @@ fn base_files() -> &'static [(String, String)] {
         for spec in registry().iter().filter(|s| s.name != reference().name) {
             files.push((format!("{} v2", spec.name), saved(spec.name)));
         }
+        files.push((
+            "mfcc-kmeans v2 with retired lines".to_string(),
+            include_str!("fixtures/mfcc-kmeans-6-patients-seed-2023.model").to_string(),
+        ));
         files
     })
 }
@@ -110,7 +117,7 @@ fn check(text: &str, what: &str) -> bool {
 
 #[test]
 fn base_files_load() {
-    assert_eq!(base_files().len(), registry().len() + 1);
+    assert_eq!(base_files().len(), registry().len() + 2);
     for (name, text) in base_files() {
         assert!(check(text, name), "{name} must load");
     }

@@ -38,28 +38,6 @@ pub struct MfccConfig {
     pub window: Window,
 }
 
-impl MfccConfig {
-    /// The EarSonar defaults: 48 kHz sampling, the 16–20 kHz chirp band,
-    /// 26 mel filters and 13 cepstral coefficients over a 512-point FFT.
-    pub fn earsonar_default() -> Self {
-        MfccConfig {
-            sample_rate: 48_000.0,
-            n_fft: 512,
-            n_filters: 26,
-            n_coeffs: 13,
-            f_min: 16_000.0,
-            f_max: 20_000.0,
-            window: Window::Hann,
-        }
-    }
-}
-
-impl Default for MfccConfig {
-    fn default() -> Self {
-        Self::earsonar_default()
-    }
-}
-
 /// An MFCC extractor with a pre-built filterbank.
 ///
 /// # Example
@@ -67,7 +45,16 @@ impl Default for MfccConfig {
 /// ```
 /// # fn main() -> Result<(), earsonar_dsp::DspError> {
 /// use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
-/// let extractor = MfccExtractor::new(MfccConfig::earsonar_default())?;
+/// use earsonar_dsp::window::Window;
+/// let extractor = MfccExtractor::new(MfccConfig {
+///     sample_rate: 48_000.0,
+///     n_fft: 512,
+///     n_filters: 26,
+///     n_coeffs: 13,
+///     f_min: 16_000.0,
+///     f_max: 20_000.0,
+///     window: Window::Hann,
+/// })?;
 /// let frame: Vec<f64> = (0..512)
 ///     .map(|i| (2.0 * std::f64::consts::PI * 18_000.0 * i as f64 / 48_000.0).sin())
 ///     .collect();
@@ -335,6 +322,20 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    /// 13 coefficients from 26 mel filters over 16–20 kHz, on a
+    /// 512-point FFT at 48 kHz.
+    fn config() -> MfccConfig {
+        MfccConfig {
+            sample_rate: 48_000.0,
+            n_fft: 512,
+            n_filters: 26,
+            n_coeffs: 13,
+            f_min: 16_000.0,
+            f_max: 20_000.0,
+            window: Window::Hann,
+        }
+    }
+
     fn tone(f: f64, fs: f64, n: usize) -> Vec<f64> {
         (0..n)
             .map(|i| (2.0 * PI * f * i as f64 / fs).sin())
@@ -343,7 +344,7 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let mut cfg = MfccConfig::earsonar_default();
+        let mut cfg = config();
         cfg.n_coeffs = 0;
         assert!(MfccExtractor::new(cfg.clone()).is_err());
         cfg.n_coeffs = 40;
@@ -353,7 +354,7 @@ mod tests {
 
     #[test]
     fn extract_produces_requested_count() {
-        let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+        let ex = MfccExtractor::new(config()).unwrap();
         let c = ex.extract(&tone(18_000.0, 48_000.0, 512)).unwrap();
         assert_eq!(c.len(), 13);
         assert!(c.iter().all(|v| v.is_finite()));
@@ -361,7 +362,7 @@ mod tests {
 
     #[test]
     fn vectorized_extract_tracks_scalar_reference() {
-        let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+        let ex = MfccExtractor::new(config()).unwrap();
         let mut scratch = DspScratch::new();
         let mut fast = Vec::new();
         let mut slow = Vec::new();
@@ -385,7 +386,7 @@ mod tests {
         let cfg = MfccConfig {
             n_fft: 256,
             n_coeffs: 26,
-            ..MfccConfig::earsonar_default()
+            ..config()
         };
         let full = MfccExtractor::new(cfg.clone()).unwrap();
         let short = MfccExtractor::new(cfg).unwrap().with_frame_len(61);
@@ -401,13 +402,13 @@ mod tests {
 
     #[test]
     fn empty_segment_is_rejected() {
-        let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+        let ex = MfccExtractor::new(config()).unwrap();
         assert!(matches!(ex.extract(&[]), Err(DspError::EmptyInput)));
     }
 
     #[test]
     fn different_tones_give_different_mfccs() {
-        let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+        let ex = MfccExtractor::new(config()).unwrap();
         let a = ex.extract(&tone(16_500.0, 48_000.0, 512)).unwrap();
         let b = ex.extract(&tone(19_500.0, 48_000.0, 512)).unwrap();
         let dist: f64 = a
@@ -424,7 +425,7 @@ mod tests {
         // Doubling amplitude adds a constant to the log energies, which the
         // orthonormal DCT maps into coefficient 0 — higher coefficients are
         // (nearly) invariant.
-        let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+        let ex = MfccExtractor::new(config()).unwrap();
         let x = tone(18_000.0, 48_000.0, 512);
         let x2: Vec<f64> = x.iter().map(|v| v * 2.0).collect();
         let a = ex.extract(&x).unwrap();

@@ -63,6 +63,11 @@ echo "==> cargo clippy --workspace (deny warnings): panic-freedom in the"
 echo "    detection crates, no HashMap/lock/wall-clock, reasoned and live waivers"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> dsp_kernels bench, smoke run: the timing bench runs to completion"
+# clippy only compiles the bench; this runs it, so a kernel call that
+# panics at run time fails here. Timings are printed, never asserted.
+cargo bench -p earsonar-bench --bench dsp_kernels -- --smoke
+
 echo "==> cargo doc --workspace (deny rustdoc warnings)"
 # Catches broken and private intra-doc links. The earsonar bin/lib
 # output-filename collision is a cargo warning and does not fail this step.

@@ -18,6 +18,7 @@
 //! calling thread: nothing measured here fans out.
 
 use earsonar::channel::pipeline_estimator;
+use earsonar::features::mfcc_config;
 use earsonar::model_io::{model_from_string, model_to_string};
 use earsonar::pipeline::FrontEnd;
 use earsonar::preprocess::Preprocessor;
@@ -32,7 +33,7 @@ use earsonar_dsp::filter::zero_phase::{filtfilt_lanes, filtfilt_with};
 use earsonar_dsp::goertzel::Goertzel;
 use earsonar_dsp::hilbert::envelope_with;
 use earsonar_dsp::mel::MelFilterBank;
-use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
+use earsonar_dsp::mfcc::MfccExtractor;
 use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::wav::{parse_wav, parse_wav_f32_into};
@@ -344,7 +345,7 @@ fn warm_per_chirp_kernels_allocate_nothing() {
     assert_warm_call_allocates_nothing("Goertzel::powers_into", || {
         goertzel.powers_into(&y, &mut out)
     });
-    let mfcc_config = MfccConfig::earsonar_default();
+    let mfcc_config = mfcc_config(cfg.sample_rate);
     let mel = MelFilterBank::new(
         mfcc_config.n_filters,
         mfcc_config.n_fft,

@@ -95,13 +95,14 @@ fn pipeline_survives_adverse_conditions() {
 
 #[test]
 fn config_violations_surface_before_any_audio_work() {
+    // At 32 kHz the 16-20 kHz probe band sits above the Nyquist frequency.
     let bad = EarSonarConfig {
-        band_high_hz: 30_000.0,
+        sample_rate: 32_000.0,
         ..Default::default()
     };
     assert!(bad.validate().is_err());
     let cfg = EarSonarConfig {
-        parity_energy_threshold: 0.2,
+        top_features: 0,
         ..Default::default()
     };
     assert!(EarSonar::fit(&small_dataset(2).sessions, &cfg).is_err());

@@ -24,7 +24,7 @@ fn earsonar_beats_the_no_segmentation_baseline() {
     let full = ExtractedDataset::extract(&data.sessions, &cfg).expect("extract full");
     let base = ExtractedDataset::extract_baseline(&data.sessions, &cfg).expect("extract base");
     let r_full = loocv(&full, &cfg).expect("loocv full");
-    let r_base = loocv_baseline(&base, &cfg).expect("loocv base");
+    let r_base = loocv_baseline(&base).expect("loocv base");
     assert!(
         r_full.accuracy > r_base.accuracy + 0.05,
         "EarSonar {} vs baseline {}",

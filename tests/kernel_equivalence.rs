@@ -25,8 +25,9 @@
 //! allpass kernel delay against the FFT phase-multiplier delay, both
 //! written here.
 
-use earsonar::absorption::echo_ir_spectrum;
+use earsonar::absorption::{echo_ir_spectrum, ECHO_IR_PRE, ECHO_IR_TAIL, N_FFT, PROFILE_BAND_HZ};
 use earsonar::channel::pipeline_estimator;
+use earsonar::features::mfcc_config;
 use earsonar::pipeline::FrontEnd;
 use earsonar::streaming::ChirpStream;
 use earsonar::EarSonarConfig;
@@ -40,7 +41,7 @@ use earsonar_dsp::filter::{
 };
 use earsonar_dsp::goertzel::Goertzel;
 use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
-use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
+use earsonar_dsp::mfcc::MfccExtractor;
 use earsonar_dsp::plan::{split_frames, DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::simd;
@@ -159,12 +160,13 @@ fn pearson_tracks_scalar_reference() {
 
 #[test]
 fn mfcc_extraction_tracks_scalar_reference() {
-    let ex = MfccExtractor::new(MfccConfig::earsonar_default()).unwrap();
+    let ex = MfccExtractor::new(mfcc_config(48_000.0)).unwrap();
     let mut scratch = DspScratch::new();
     let (mut fast, mut slow) = (Vec::new(), Vec::new());
     // Full frame (precomputed window taps + dense mel + basis DCT) and
-    // short zero-padded frames (per-sample window fallback).
-    for n in [512usize, 511, 300, 17] {
+    // short zero-padded frames (per-sample window fallback), one of them
+    // the pipeline's echo section.
+    for n in [256usize, 255, ECHO_IR_PRE + ECHO_IR_TAIL, 17] {
         let x = noise(n, 10_000 + n as u64);
         ex.extract_into(&mut scratch, &x, &mut fast).unwrap();
         ex.extract_into_scalar(&mut scratch, &x, &mut slow).unwrap();
@@ -371,10 +373,10 @@ fn band_kernels_track_independent_references() {
     // The echo spectrum's band power is the naive DFT power of its
     // tapered window over the profile band's bins.
     let cfg = EarSonarConfig::default();
-    let n = next_pow2(cfg.n_fft);
+    let n = N_FFT;
     let df = cfg.sample_rate / n as f64;
-    let k_lo = (cfg.profile_band_hz.0 / df).floor() as usize;
-    let k_hi = (cfg.profile_band_hz.1 / df).ceil() as usize;
+    let k_lo = (PROFILE_BAND_HZ.0 / df).floor() as usize;
+    let k_hi = (PROFILE_BAND_HZ.1 / df).ceil() as usize;
     for (seed, center) in [(1u64, 0usize), (2, 9), (3, 22), (4, 90)] {
         let ir = noise(99, 81_000 + seed);
         let spectrum = echo_ir_spectrum(&ir, center, 1.0, &cfg).unwrap();

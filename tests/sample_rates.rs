@@ -14,13 +14,12 @@ fn config_44100() -> (EarSonarConfig, SessionConfig) {
     let chirp = FmcwChirp::new(16_000.0, 4_000.0, 0.5e-3, fs).expect("chirp");
     let chirp_len = chirp.len(); // 22 samples at 44.1 kHz
     let chirp_hop = chirp.hop_samples(5e-3); // ~220 samples
-    let mut cfg = EarSonarConfig {
+    let cfg = EarSonarConfig {
         sample_rate: fs,
         chirp_len,
         chirp_hop,
-        ..EarSonarConfig::paper_default()
+        ..EarSonarConfig::default()
     };
-    cfg.mfcc.sample_rate = fs;
     cfg.validate().expect("validate");
     let session = SessionConfig {
         chirp,
