@@ -20,9 +20,7 @@ fn main() {
     let dataset = standard_dataset(8, SessionConfig::default());
     let system = EarSonar::fit(&dataset.sessions, &cfg).expect("fit");
     let recording = &dataset.sessions[0].recording;
-    let detector = system.detector().expect("reference backend");
-    let latency = measure_stage_latency(system.front_end(), detector, recording, 10)
-        .expect("latency measurement");
+    let latency = measure_stage_latency(&system, recording, 10).expect("latency measurement");
     let modelled = paper_power_table(&latency, recording.duration_s() * 1e3);
 
     let mut t = Table::new("Table III: Power consumption of EarSonar");

@@ -13,8 +13,7 @@
 //! `clippy.toml`'s `disallowed-methods`), and latency numbers are a
 //! benchmark artifact, not a detection output.
 
-use earsonar::detect::EarSonarDetector;
-use earsonar::pipeline::FrontEnd;
+use earsonar::pipeline::EarSonar;
 use earsonar::preprocess::Preprocessor;
 use earsonar_signal::recording::Recording;
 use std::time::Instant;
@@ -26,7 +25,8 @@ pub struct StageLatency {
     pub bandpass_ms: f64,
     /// Event detection + segmentation + absorption analysis + features.
     pub feature_extract_ms: f64,
-    /// Detector inference (standardize, project, nearest centre).
+    /// Classifier inference on the feature vector (for the reference
+    /// backend: standardize, project, nearest centre).
     pub inference_ms: f64,
 }
 
@@ -37,20 +37,20 @@ impl StageLatency {
     }
 }
 
-/// Measures the latency of each pipeline stage on `recording`, averaging
-/// over `repeats` runs.
+/// Measures the latency of each stage of `system` screening `recording`,
+/// averaging over `repeats` runs.
 ///
 /// # Errors
 ///
 /// Propagates any pipeline error from the measured stages.
 #[allow(clippy::disallowed_methods)] // timing is this module's purpose
 pub fn measure_stage_latency(
-    front_end: &FrontEnd,
-    detector: &EarSonarDetector,
+    system: &EarSonar,
     recording: &Recording,
     repeats: usize,
 ) -> Result<StageLatency, earsonar::error::EarSonarError> {
     let repeats = repeats.max(1);
+    let front_end = system.front_end();
     let pre = Preprocessor::new(front_end.config())?;
 
     let t0 = Instant::now();
@@ -60,9 +60,9 @@ pub fn measure_stage_latency(
     let bandpass_ms = t0.elapsed().as_secs_f64() * 1e3 / repeats as f64;
 
     let t1 = Instant::now();
-    let mut features = Vec::new();
-    for _ in 0..repeats {
-        features = std::hint::black_box(front_end.process(recording)?.features);
+    let mut processed = std::hint::black_box(front_end.process(recording)?);
+    for _ in 1..repeats {
+        processed = std::hint::black_box(front_end.process(recording)?);
     }
     let full_ms = t1.elapsed().as_secs_f64() * 1e3 / repeats as f64;
     // The front end includes the band-pass; features alone = full - bandpass.
@@ -70,7 +70,7 @@ pub fn measure_stage_latency(
 
     let t2 = Instant::now();
     for _ in 0..repeats {
-        std::hint::black_box(detector.predict(&features)?);
+        std::hint::black_box(system.classify(&processed)?);
     }
     let inference_ms = t2.elapsed().as_secs_f64() * 1e3 / repeats as f64;
 
@@ -193,14 +193,8 @@ mod tests {
     fn measured_latency_is_positive_and_finite() {
         let ds = Dataset::build(&Cohort::generate(4, 31), &DatasetSpec::default());
         let cfg = EarSonarConfig::default();
-        let system = earsonar::pipeline::EarSonar::fit(&ds.sessions, &cfg).unwrap();
-        let lat = measure_stage_latency(
-            system.front_end(),
-            system.detector().expect("reference backend"),
-            &ds.sessions[0].recording,
-            2,
-        )
-        .unwrap();
+        let system = EarSonar::fit(&ds.sessions, &cfg).unwrap();
+        let lat = measure_stage_latency(&system, &ds.sessions[0].recording, 2).unwrap();
         assert!(lat.bandpass_ms > 0.0 && lat.bandpass_ms.is_finite());
         assert!(lat.feature_extract_ms >= 0.0);
         assert!(lat.inference_ms > 0.0);

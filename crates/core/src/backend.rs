@@ -1,14 +1,14 @@
-//! Pluggable feature/classifier backend registry.
+//! The feature/classifier backends.
 //!
 //! The paper hard-wires MFCC features into k-means clustering. This
-//! module carves that seam open: a [`FeatureExtractor`] trait (dechirped
-//! echo windows + diagnostics in, versioned feature vectors out), a
-//! [`Classifier`] trait (fit/predict/confidence), and a static
-//! [`registry`] of named [`BackendSpec`]s pairing the two. The paper's
-//! MFCC+k-means pipeline is the **reference backend**:
-//! [`crate::EarSonar::fit`] trains it, and its verdicts equal those of
-//! `EarSonar::fit_backend(REFERENCE_BACKEND)`, verdict for verdict, on
-//! the batch, streaming, and engine paths alike.
+//! module adds two wideband-absorbance backends beside it. The set is
+//! closed: an [`Extractor`] is one of two feature families (dechirped echo
+//! windows + diagnostics in, feature vector out), a [`Classifier`] is one
+//! of three fitted models, and the static [`registry`] of named
+//! [`BackendSpec`]s pairs them. The paper's MFCC+k-means pipeline is the
+//! **reference backend**: [`crate::EarSonar::fit`] trains it, and its
+//! verdicts equal those of `EarSonar::fit_backend(REFERENCE_BACKEND)`,
+//! verdict for verdict, on the batch, streaming, and engine paths alike.
 //!
 //! Registered backends:
 //!
@@ -21,8 +21,13 @@
 //! * `absorbance-knn` — the same absorbance features into the k-NN
 //!   comparison classifier.
 //!
+//! Deleting a backend is deleting its registry entry and its
+//! [`Classifier`] variant; the compiler then names every match arm,
+//! including its model-file lines in [`crate::model_io`], that goes with
+//! it.
+//!
 //! Versioning rules: every backend carries a `version` that stamps both
-//! its feature layout and its serialized classifier fields. A model file
+//! its feature layout and its model-file fields. A model file
 //! (`earsonar-model v2`) records `backend` and `backend_version`; loading
 //! requires an exact version match — a layout change must bump the
 //! version, never silently reinterpret old files. Unknown names are
@@ -34,116 +39,41 @@ use crate::absorption::EchoSpectrum;
 use crate::config::EarSonarConfig;
 use crate::detect::EarSonarDetector;
 use crate::error::EarSonarError;
-use crate::features_absorbance::AbsorbanceExtractor;
+use crate::features::{self, FEATURE_COUNT};
+use crate::features_absorbance::{AbsorbanceExtractor, ABSORBANCE_FEATURE_COUNT};
 use crate::segment::EardrumEcho;
 use earsonar_dsp::plan::DspScratch;
 use earsonar_ml::distance::euclidean;
 use earsonar_ml::knn::KnnClassifier;
 use earsonar_ml::logistic::{LogisticConfig, MultinomialLogistic};
 use earsonar_ml::scaler::StandardScaler;
-use earsonar_ml::MlError;
 use earsonar_signal::effusion::MeeState;
-use std::fmt::Write as _;
-use std::sync::Arc;
 
-/// Turns echo spectra and diagnostics into a versioned feature vector.
-///
-/// Implementations must be deterministic: the same inputs always produce
-/// the same vector, and `feature_count` pins the layout width for the
-/// extractor's `version`.
-pub trait FeatureExtractor: std::fmt::Debug + Send + Sync {
-    /// Short name of the feature family (e.g. `"mfcc"`).
-    fn name(&self) -> &'static str;
-    /// Feature-layout version; bump on any layout change.
-    fn version(&self) -> u32;
-    /// Width of the produced vectors.
-    fn feature_count(&self) -> usize;
-    /// Extracts the feature vector for one recording from its per-chirp
-    /// spectra, the recording-averaged spectrum, and the segmented echoes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EarSonarError::NoEchoDetected`] if no chirp produced a
-    /// spectrum, and propagates DSP errors.
-    fn extract_with(
-        &self,
-        scratch: &mut DspScratch,
-        per_chirp: &[EchoSpectrum],
-        averaged: &EchoSpectrum,
-        echoes: &[EardrumEcho],
-    ) -> Result<Vec<f64>, EarSonarError>;
+/// The feature family a backend reduces echo spectra with. Backends of one
+/// family extract identical vectors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Family {
+    Mfcc,
+    Absorbance,
 }
 
-/// A fitted classifier over one backend's feature vectors.
-pub trait Classifier: std::fmt::Debug + Send + Sync {
-    /// Registry name of the backend this classifier belongs to.
-    fn backend(&self) -> &'static str;
-    /// Backend version (stamped into model files).
-    fn version(&self) -> u32;
-    /// Predicts the effusion state of one feature vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EarSonarError::Ml`] if the vector's width differs from
-    /// training.
-    fn predict(&self, features: &[f64]) -> Result<MeeState, EarSonarError>;
-    /// Classifier-native confidence in `[0, 1]` for the predicted state
-    /// (cluster margin, softmax probability, vote fraction — backend
-    /// specific, comparable only within a backend).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Classifier::predict`].
-    fn confidence(&self, features: &[f64]) -> Result<f64, EarSonarError>;
-    /// Appends this classifier's `key: values…` model-file lines.
-    fn save_fields(&self, out: &mut String);
-    /// Clones into a boxed trait object ([`Clone`] for `Box<dyn Classifier>`).
-    fn clone_box(&self) -> Box<dyn Classifier>;
-    /// The underlying [`EarSonarDetector`] when this is the reference
-    /// MFCC+k-means backend; `None` for every other backend.
-    fn as_reference(&self) -> Option<&EarSonarDetector> {
-        None
-    }
+/// The classifier a backend fits, one per [`Classifier`] variant. The
+/// discriminant is the backend's position in the registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    KMeans = 0,
+    Logistic = 1,
+    Knn = 2,
 }
-
-impl Clone for Box<dyn Classifier> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Constructor signature for a backend's feature extractor.
-pub type MakeExtractorFn = fn(&EarSonarConfig) -> Result<Arc<dyn FeatureExtractor>, EarSonarError>;
-
-/// Training signature: labelled feature vectors in, fitted classifier out.
-pub type FitFn =
-    fn(&[Vec<f64>], &[MeeState], &EarSonarConfig) -> Result<Box<dyn Classifier>, EarSonarError>;
-
-/// Loading signature: parsed model-file fields in, classifier out.
-pub type LoadFn =
-    fn(&[(String, String)], &EarSonarConfig) -> Result<Box<dyn Classifier>, EarSonarError>;
 
 /// One registered feature/classifier pairing.
+#[derive(Debug)]
 pub struct BackendSpec {
     /// Registry key (what `--backend` and model files use).
     pub name: &'static str,
     /// Backend version; model files must match exactly.
     pub version: u32,
-    /// Builds the backend's feature extractor for a configuration.
-    pub make_extractor: MakeExtractorFn,
-    /// Fits the backend's classifier on labelled feature vectors.
-    pub fit: FitFn,
-    /// Reassembles the classifier from parsed model-file fields.
-    pub load: LoadFn,
-}
-
-impl std::fmt::Debug for BackendSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BackendSpec")
-            .field("name", &self.name)
-            .field("version", &self.version)
-            .finish()
-    }
+    pub(crate) kind: Kind,
 }
 
 /// Registry key of the paper's reference backend.
@@ -153,23 +83,17 @@ static REGISTRY: [BackendSpec; 3] = [
     BackendSpec {
         name: REFERENCE_BACKEND,
         version: 1,
-        make_extractor: reference_extractor,
-        fit: reference_fit,
-        load: reference_load,
+        kind: Kind::KMeans,
     },
     BackendSpec {
         name: "absorbance-logistic",
         version: 1,
-        make_extractor: absorbance_extractor,
-        fit: logistic_fit,
-        load: logistic_load,
+        kind: Kind::Logistic,
     },
     BackendSpec {
         name: "absorbance-knn",
         version: 1,
-        make_extractor: absorbance_extractor,
-        fit: knn_fit,
-        load: knn_load,
+        kind: Kind::Knn,
     },
 ];
 
@@ -198,431 +122,213 @@ pub fn lookup(name: &str) -> Result<&'static BackendSpec, EarSonarError> {
         })
 }
 
-// ---------------------------------------------------------------------------
-// Shared model-field helpers (used here and by `model_io`).
+/// Neighbourhood size for the k-NN backend.
+const KNN_K: usize = 5;
 
-fn bad(reason: &'static str) -> EarSonarError {
-    EarSonarError::BadRecording { reason }
-}
+impl BackendSpec {
+    /// The feature family this backend's classifier reads.
+    pub(crate) fn family(&self) -> Family {
+        match self.kind {
+            Kind::KMeans => Family::Mfcc,
+            Kind::Logistic | Kind::Knn => Family::Absorbance,
+        }
+    }
 
-pub(crate) fn field<'a>(
-    fields: &'a [(String, String)],
-    key: &str,
-) -> Result<&'a str, EarSonarError> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .ok_or(bad("missing model field"))
-}
-
-pub(crate) fn parse_f64s(s: &str) -> Result<Vec<f64>, EarSonarError> {
-    s.split_whitespace()
-        .map(|t| t.parse::<f64>().map_err(|_| bad("bad float in model file")))
-        .collect()
-}
-
-pub(crate) fn parse_usizes(s: &str) -> Result<Vec<usize>, EarSonarError> {
-    s.split_whitespace()
-        .map(|t| {
-            t.parse::<usize>()
-                .map_err(|_| bad("bad integer in model file"))
+    /// Builds the backend's feature extractor for a configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EarSonarError::Dsp`] if the MFCC filterbank cannot be
+    /// built.
+    pub fn extractor(&self, config: &EarSonarConfig) -> Result<Extractor, EarSonarError> {
+        Ok(match self.family() {
+            Family::Mfcc => Extractor::Mfcc(features::FeatureExtractor::new(config)?),
+            Family::Absorbance => Extractor::Absorbance(AbsorbanceExtractor),
         })
-        .collect()
-}
+    }
 
-pub(crate) fn parse_one_usize(s: &str) -> Result<usize, EarSonarError> {
-    s.trim()
-        .parse()
-        .map_err(|_| bad("bad integer in model file"))
-}
-
-pub(crate) fn join_floats(v: &[f64]) -> String {
-    v.iter()
-        .map(|x| format!("{x:?}"))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-/// Refuses a model component whose length is not the one its classifier
-/// needs: such a file would load and then panic or fail every screening.
-fn expect_len(expected: usize, actual: usize) -> Result<(), EarSonarError> {
-    if expected == actual {
-        Ok(())
-    } else {
-        Err(MlError::DimensionMismatch { expected, actual }.into())
+    /// Fits the backend's classifier on labelled feature vectors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EarSonarError::Ml`] or [`EarSonarError::BadRecording`]
+    /// when the training data cannot be fitted.
+    pub fn fit(
+        &self,
+        features: &[Vec<f64>],
+        labels: &[MeeState],
+        config: &EarSonarConfig,
+    ) -> Result<Classifier, EarSonarError> {
+        let classes = || labels.iter().map(|s| s.index()).collect::<Vec<_>>();
+        Ok(match self.kind {
+            Kind::KMeans => Classifier::KMeans(EarSonarDetector::fit(features, labels, config)?),
+            Kind::Logistic => {
+                let (scaler, scaled) = StandardScaler::fit_transform(features)?;
+                let model = MultinomialLogistic::fit(
+                    &scaled,
+                    &classes(),
+                    MeeState::COUNT,
+                    &LogisticConfig::default(),
+                )?;
+                Classifier::Logistic { scaler, model }
+            }
+            Kind::Knn => {
+                let (scaler, scaled) = StandardScaler::fit_transform(features)?;
+                let k = KNN_K.min(scaled.len()).max(1);
+                let knn = KnnClassifier::fit(&scaled, &classes(), k, MeeState::COUNT)?;
+                Classifier::Knn { scaler, knn }
+            }
+        })
     }
 }
 
-/// Collects every row-style field (`key: …` repeated) as float rows.
-fn float_rows(
-    fields: &[(String, String)],
-    key: &str,
-    expected: usize,
-) -> Result<Vec<Vec<f64>>, EarSonarError> {
-    let rows: Vec<Vec<f64>> = fields
-        .iter()
-        .filter(|(k, _)| k == key)
-        .map(|(_, v)| parse_f64s(v))
-        .collect::<Result<_, _>>()?;
-    if rows.len() != expected {
-        return Err(bad("model row count mismatch"));
-    }
-    Ok(rows)
+/// Turns echo spectra and diagnostics into a feature vector, one variant
+/// per feature family. Extraction is deterministic: the same inputs always
+/// produce the same vector.
+#[derive(Debug, Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a front end holds exactly one extractor and never moves it in a hot path; boxing the MFCC tables would only add an indirection"
+)]
+pub enum Extractor {
+    /// The paper's 105-element MFCC + statistics vector.
+    Mfcc(features::FeatureExtractor),
+    /// The 45-element wideband-absorbance vector.
+    Absorbance(AbsorbanceExtractor),
 }
 
-// ---------------------------------------------------------------------------
-// Reference backend: the paper's MFCC features + k-means detector.
-
-impl FeatureExtractor for crate::features::FeatureExtractor {
-    fn name(&self) -> &'static str {
-        "mfcc"
+impl Extractor {
+    /// Width of the produced vectors.
+    pub fn feature_count(&self) -> usize {
+        match self {
+            Extractor::Mfcc(_) => FEATURE_COUNT,
+            Extractor::Absorbance(_) => ABSORBANCE_FEATURE_COUNT,
+        }
     }
 
-    fn version(&self) -> u32 {
-        1
-    }
-
-    fn feature_count(&self) -> usize {
-        crate::features::FEATURE_COUNT
-    }
-
-    fn extract_with(
+    /// Extracts the feature vector for one recording from its per-chirp
+    /// spectra, the recording-averaged spectrum, and the segmented echoes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EarSonarError::NoEchoDetected`] if no chirp produced a
+    /// spectrum, and propagates DSP errors.
+    pub fn extract_with(
         &self,
         scratch: &mut DspScratch,
         per_chirp: &[EchoSpectrum],
         averaged: &EchoSpectrum,
         echoes: &[EardrumEcho],
     ) -> Result<Vec<f64>, EarSonarError> {
-        crate::features::FeatureExtractor::extract_with(self, scratch, per_chirp, averaged, echoes)
+        match self {
+            Extractor::Mfcc(ex) => ex.extract_with(scratch, per_chirp, averaged, echoes),
+            Extractor::Absorbance(ex) => ex.extract(per_chirp, averaged, echoes),
+        }
     }
 }
 
-fn reference_extractor(
-    config: &EarSonarConfig,
-) -> Result<Arc<dyn FeatureExtractor>, EarSonarError> {
-    Ok(Arc::new(crate::features::FeatureExtractor::new(config)?))
-}
-
-/// The reference classifier: the paper's detector behind the trait.
+/// A fitted classifier over one backend's feature vectors.
 #[derive(Debug, Clone)]
-pub struct ReferenceClassifier {
-    detector: EarSonarDetector,
+pub enum Classifier {
+    /// The paper's detector: standardize, select, k-means, label.
+    KMeans(EarSonarDetector),
+    /// Multinomial logistic regression over standardized features.
+    Logistic {
+        /// Standardization fitted on the training vectors.
+        scaler: StandardScaler,
+        /// The fitted regression.
+        model: MultinomialLogistic,
+    },
+    /// k-NN voting over standardized features.
+    Knn {
+        /// Standardization fitted on the training vectors.
+        scaler: StandardScaler,
+        /// The memorized, standardized training set.
+        knn: KnnClassifier,
+    },
 }
 
-impl ReferenceClassifier {
-    /// Wraps an already-fitted detector.
-    pub fn new(detector: EarSonarDetector) -> Self {
-        ReferenceClassifier { detector }
-    }
-}
-
-impl Classifier for ReferenceClassifier {
-    fn backend(&self) -> &'static str {
-        REFERENCE_BACKEND
-    }
-
-    fn version(&self) -> u32 {
-        1
+impl Classifier {
+    /// The registered backend this classifier belongs to.
+    pub fn spec(&self) -> &'static BackendSpec {
+        let kind = match self {
+            Classifier::KMeans(_) => Kind::KMeans,
+            Classifier::Logistic { .. } => Kind::Logistic,
+            Classifier::Knn { .. } => Kind::Knn,
+        };
+        &REGISTRY[kind as usize]
     }
 
-    fn predict(&self, features: &[f64]) -> Result<MeeState, EarSonarError> {
-        self.detector.predict(features)
+    /// Predicts the effusion state of one feature vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EarSonarError::Ml`] if the vector's width differs from
+    /// training.
+    pub fn predict(&self, features: &[f64]) -> Result<MeeState, EarSonarError> {
+        match self {
+            Classifier::KMeans(detector) => detector.predict(features),
+            Classifier::Logistic { scaler, model } => Ok(MeeState::from_index(
+                model.predict(&scaler.transform_sample(features)?)?,
+            )),
+            Classifier::Knn { scaler, knn } => Ok(MeeState::from_index(
+                knn.predict(&scaler.transform_sample(features)?)?,
+            )),
+        }
     }
 
-    fn confidence(&self, features: &[f64]) -> Result<f64, EarSonarError> {
-        let scaled = self.detector.scaler().transform_sample(features)?;
-        let projected: Vec<f64> = self
-            .detector
-            .selected_features()
-            .iter()
-            .map(|&i| scaled[i])
-            .collect();
-        // Cluster margin: how decisively the nearest centroid beats the
-        // runner-up (0 on the decision boundary, → 1 deep inside a cluster).
-        let mut d0 = f64::INFINITY;
-        let mut d1 = f64::INFINITY;
-        for c in self.detector.kmeans().centroids() {
-            let d = euclidean(&projected, c);
-            if d < d0 {
-                d1 = d0;
-                d0 = d;
-            } else if d < d1 {
-                d1 = d;
+    /// Classifier-native confidence in `[0, 1]` for the predicted state
+    /// (cluster margin, softmax probability, vote fraction — backend
+    /// specific, comparable only within a backend).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Classifier::predict`].
+    pub fn confidence(&self, features: &[f64]) -> Result<f64, EarSonarError> {
+        match self {
+            Classifier::KMeans(detector) => cluster_margin(detector, features),
+            Classifier::Logistic { scaler, model } => {
+                let probs = model.predict_proba(&scaler.transform_sample(features)?)?;
+                Ok(probs.iter().copied().fold(0.0f64, f64::max))
+            }
+            Classifier::Knn { scaler, knn } => {
+                let (_, confidence) =
+                    knn.predict_with_confidence(&scaler.transform_sample(features)?)?;
+                Ok(confidence)
             }
         }
-        if !d1.is_finite() {
-            return Ok(1.0);
-        }
-        let span = d0 + d1;
-        Ok(if span > 0.0 { (d1 - d0) / span } else { 0.0 })
-    }
-
-    fn save_fields(&self, out: &mut String) {
-        let det = &self.detector;
-        let _ = writeln!(out, "scaler_means: {}", join_floats(det.scaler().means()));
-        let _ = writeln!(out, "scaler_stds: {}", join_floats(det.scaler().stds()));
-        let _ = writeln!(
-            out,
-            "selected: {}",
-            det.selected_features()
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        let _ = writeln!(out, "centroids: {}", det.kmeans().centroids().len());
-        for c in det.kmeans().centroids() {
-            let _ = writeln!(out, "centroid: {}", join_floats(c));
-        }
-        let _ = writeln!(
-            out,
-            "labeling: {}",
-            det.labeling()
-                .mapping()
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-    }
-
-    fn clone_box(&self) -> Box<dyn Classifier> {
-        Box::new(self.clone())
-    }
-
-    fn as_reference(&self) -> Option<&EarSonarDetector> {
-        Some(&self.detector)
     }
 }
 
-fn reference_fit(
-    features: &[Vec<f64>],
-    labels: &[MeeState],
-    config: &EarSonarConfig,
-) -> Result<Box<dyn Classifier>, EarSonarError> {
-    Ok(Box::new(ReferenceClassifier::new(EarSonarDetector::fit(
-        features, labels, config,
-    )?)))
-}
-
-fn reference_load(
-    fields: &[(String, String)],
-    _config: &EarSonarConfig,
-) -> Result<Box<dyn Classifier>, EarSonarError> {
-    let scaler = StandardScaler::from_parts(
-        parse_f64s(field(fields, "scaler_means")?)?,
-        parse_f64s(field(fields, "scaler_stds")?)?,
-    )?;
-    let selected = parse_usizes(field(fields, "selected")?)?;
-    let n_centroids = parse_one_usize(field(fields, "centroids")?)?;
-    let centroids = float_rows(fields, "centroid", n_centroids)?;
-    let kmeans = earsonar_ml::kmeans::KMeans::from_centroids(centroids)?;
-    let labeling = earsonar_ml::labeling::ClusterLabeling::from_mapping(
-        parse_usizes(field(fields, "labeling")?)?,
-        MeeState::COUNT,
-    )?;
-    let detector = EarSonarDetector::from_components(scaler, selected, kmeans, labeling)?;
-    Ok(Box::new(ReferenceClassifier::new(detector)))
-}
-
-// ---------------------------------------------------------------------------
-// Absorbance feature backend, logistic and k-NN classifiers.
-
-impl FeatureExtractor for AbsorbanceExtractor {
-    fn name(&self) -> &'static str {
-        "absorbance"
-    }
-
-    fn version(&self) -> u32 {
-        1
-    }
-
-    fn feature_count(&self) -> usize {
-        crate::features_absorbance::ABSORBANCE_FEATURE_COUNT
-    }
-
-    fn extract_with(
-        &self,
-        _scratch: &mut DspScratch,
-        per_chirp: &[EchoSpectrum],
-        averaged: &EchoSpectrum,
-        echoes: &[EardrumEcho],
-    ) -> Result<Vec<f64>, EarSonarError> {
-        self.extract(per_chirp, averaged, echoes)
-    }
-}
-
-fn absorbance_extractor(
-    _config: &EarSonarConfig,
-) -> Result<Arc<dyn FeatureExtractor>, EarSonarError> {
-    Ok(Arc::new(AbsorbanceExtractor))
-}
-
-/// Multinomial logistic regression over standardized features.
-#[derive(Debug, Clone)]
-struct LogisticClassifier {
-    scaler: StandardScaler,
-    model: MultinomialLogistic,
-}
-
-impl Classifier for LogisticClassifier {
-    fn backend(&self) -> &'static str {
-        "absorbance-logistic"
-    }
-
-    fn version(&self) -> u32 {
-        1
-    }
-
-    fn predict(&self, features: &[f64]) -> Result<MeeState, EarSonarError> {
-        let scaled = self.scaler.transform_sample(features)?;
-        Ok(MeeState::from_index(self.model.predict(&scaled)?))
-    }
-
-    fn confidence(&self, features: &[f64]) -> Result<f64, EarSonarError> {
-        let scaled = self.scaler.transform_sample(features)?;
-        let probs = self.model.predict_proba(&scaled)?;
-        Ok(probs.iter().copied().fold(0.0f64, f64::max))
-    }
-
-    fn save_fields(&self, out: &mut String) {
-        let _ = writeln!(out, "scaler_means: {}", join_floats(self.scaler.means()));
-        let _ = writeln!(out, "scaler_stds: {}", join_floats(self.scaler.stds()));
-        let _ = writeln!(out, "weights: {}", self.model.weights().len());
-        for w in self.model.weights() {
-            let _ = writeln!(out, "weight: {}", join_floats(w));
+/// How decisively the nearest centroid beats the runner-up: 0 on the
+/// decision boundary, → 1 deep inside a cluster.
+fn cluster_margin(detector: &EarSonarDetector, features: &[f64]) -> Result<f64, EarSonarError> {
+    let scaled = detector.scaler().transform_sample(features)?;
+    let projected: Vec<f64> = detector
+        .selected_features()
+        .iter()
+        .map(|&i| scaled[i])
+        .collect();
+    let mut d0 = f64::INFINITY;
+    let mut d1 = f64::INFINITY;
+    for c in detector.kmeans().centroids() {
+        let d = euclidean(&projected, c);
+        if d < d0 {
+            d1 = d0;
+            d0 = d;
+        } else if d < d1 {
+            d1 = d;
         }
     }
-
-    fn clone_box(&self) -> Box<dyn Classifier> {
-        Box::new(self.clone())
+    if !d1.is_finite() {
+        return Ok(1.0);
     }
-}
-
-fn logistic_fit(
-    features: &[Vec<f64>],
-    labels: &[MeeState],
-    _config: &EarSonarConfig,
-) -> Result<Box<dyn Classifier>, EarSonarError> {
-    let (scaler, scaled) = StandardScaler::fit_transform(features)?;
-    let class_labels: Vec<usize> = labels.iter().map(|s| s.index()).collect();
-    let model = MultinomialLogistic::fit(
-        &scaled,
-        &class_labels,
-        MeeState::COUNT,
-        &LogisticConfig::default(),
-    )?;
-    Ok(Box::new(LogisticClassifier { scaler, model }))
-}
-
-fn logistic_load(
-    fields: &[(String, String)],
-    _config: &EarSonarConfig,
-) -> Result<Box<dyn Classifier>, EarSonarError> {
-    let scaler = StandardScaler::from_parts(
-        parse_f64s(field(fields, "scaler_means")?)?,
-        parse_f64s(field(fields, "scaler_stds")?)?,
-    )?;
-    // One row per class, each the scaler width plus the trailing bias.
-    let n_rows = parse_one_usize(field(fields, "weights")?)?;
-    expect_len(MeeState::COUNT, n_rows)?;
-    let weights = float_rows(fields, "weight", n_rows)?;
-    for row in &weights {
-        expect_len(scaler.means().len() + 1, row.len())?;
-    }
-    let model = MultinomialLogistic::from_weights(weights)?;
-    Ok(Box::new(LogisticClassifier { scaler, model }))
-}
-
-/// k-NN voting over standardized features.
-#[derive(Debug, Clone)]
-struct KnnBackendClassifier {
-    scaler: StandardScaler,
-    knn: KnnClassifier,
-}
-
-/// Neighbourhood size for the k-NN backend.
-const KNN_K: usize = 5;
-
-impl Classifier for KnnBackendClassifier {
-    fn backend(&self) -> &'static str {
-        "absorbance-knn"
-    }
-
-    fn version(&self) -> u32 {
-        1
-    }
-
-    fn predict(&self, features: &[f64]) -> Result<MeeState, EarSonarError> {
-        let scaled = self.scaler.transform_sample(features)?;
-        Ok(MeeState::from_index(self.knn.predict(&scaled)?))
-    }
-
-    fn confidence(&self, features: &[f64]) -> Result<f64, EarSonarError> {
-        let scaled = self.scaler.transform_sample(features)?;
-        let (_, confidence) = self.knn.predict_with_confidence(&scaled)?;
-        Ok(confidence)
-    }
-
-    fn save_fields(&self, out: &mut String) {
-        let _ = writeln!(out, "scaler_means: {}", join_floats(self.scaler.means()));
-        let _ = writeln!(out, "scaler_stds: {}", join_floats(self.scaler.stds()));
-        let _ = writeln!(out, "knn_k: {}", self.knn.k());
-        let _ = writeln!(
-            out,
-            "knn_labels: {}",
-            self.knn
-                .labels()
-                .iter()
-                .map(|l| l.to_string())
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        let _ = writeln!(out, "samples: {}", self.knn.data().len());
-        for row in self.knn.data() {
-            let _ = writeln!(out, "sample: {}", join_floats(row));
-        }
-    }
-
-    fn clone_box(&self) -> Box<dyn Classifier> {
-        Box::new(self.clone())
-    }
-}
-
-fn knn_fit(
-    features: &[Vec<f64>],
-    labels: &[MeeState],
-    _config: &EarSonarConfig,
-) -> Result<Box<dyn Classifier>, EarSonarError> {
-    let (scaler, scaled) = StandardScaler::fit_transform(features)?;
-    let class_labels: Vec<usize> = labels.iter().map(|s| s.index()).collect();
-    let k = KNN_K.min(scaled.len());
-    let knn = KnnClassifier::fit(&scaled, &class_labels, k.max(1), MeeState::COUNT)?;
-    Ok(Box::new(KnnBackendClassifier { scaler, knn }))
-}
-
-fn knn_load(
-    fields: &[(String, String)],
-    _config: &EarSonarConfig,
-) -> Result<Box<dyn Classifier>, EarSonarError> {
-    let scaler = StandardScaler::from_parts(
-        parse_f64s(field(fields, "scaler_means")?)?,
-        parse_f64s(field(fields, "scaler_stds")?)?,
-    )?;
-    let k = parse_one_usize(field(fields, "knn_k")?)?;
-    let labels = parse_usizes(field(fields, "knn_labels")?)?;
-    let n_rows = parse_one_usize(field(fields, "samples")?)?;
-    let data = float_rows(fields, "sample", n_rows)?;
-    for row in &data {
-        expect_len(scaler.means().len(), row.len())?;
-    }
-    let knn = KnnClassifier::fit(&data, &labels, k, MeeState::COUNT)?;
-    Ok(Box::new(KnnBackendClassifier { scaler, knn }))
+    let span = d0 + d1;
+    Ok(if span > 0.0 { (d1 - d0) / span } else { 0.0 })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -634,6 +340,13 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), registry().len());
         assert!(registry().len() >= 3, "reference + two candidate backends");
+        for (i, spec) in registry().iter().enumerate() {
+            assert_eq!(
+                spec.kind as usize, i,
+                "{} is indexed by its kind",
+                spec.name
+            );
+        }
     }
 
     #[test]
@@ -652,14 +365,14 @@ mod tests {
     fn extractors_build_from_default_config() {
         let cfg = EarSonarConfig::default();
         for spec in registry() {
-            let ex = (spec.make_extractor)(&cfg).expect(spec.name);
+            let ex = spec.extractor(&cfg).expect(spec.name);
             assert!(ex.feature_count() > 0);
-            assert!(ex.version() >= 1);
-            assert!(!ex.name().is_empty());
         }
     }
 
-    fn blob_features(dim: usize) -> (Vec<Vec<f64>>, Vec<MeeState>) {
+    /// Eight vectors of each state in `dim` dimensions, the states apart
+    /// on the first six.
+    pub(crate) fn blob_features(dim: usize) -> (Vec<Vec<f64>>, Vec<MeeState>) {
         let mut feats = Vec::new();
         let mut labels = Vec::new();
         let mut lcg = 99u64;
@@ -687,19 +400,14 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_fits_predicts_and_round_trips_fields() {
+    fn every_backend_fits_and_predicts() {
         let cfg = EarSonarConfig::default();
-        let (feats, labels) = blob_features(45);
         for spec in registry() {
-            // The reference detector wants the 105-wide layout.
-            let (feats, labels) = if spec.name == REFERENCE_BACKEND {
-                blob_features(105)
-            } else {
-                (feats.clone(), labels.clone())
-            };
-            let clf = (spec.fit)(&feats, &labels, &cfg).expect(spec.name);
-            assert_eq!(clf.backend(), spec.name);
-            assert_eq!(clf.version(), spec.version);
+            let width = spec.extractor(&cfg).unwrap().feature_count();
+            let (feats, labels) = blob_features(width);
+            let clf = spec.fit(&feats, &labels, &cfg).expect(spec.name);
+            assert_eq!(clf.spec().name, spec.name);
+            assert_eq!(clf.spec().version, spec.version);
             let mut agree = 0usize;
             for (x, &y) in feats.iter().zip(&labels) {
                 if clf.predict(x).unwrap() == y {
@@ -714,44 +422,6 @@ mod tests {
                 spec.name,
                 feats.len()
             );
-
-            // Serialized fields reload into an equivalent classifier.
-            let mut text = String::new();
-            clf.save_fields(&mut text);
-            let fields: Vec<(String, String)> = text
-                .lines()
-                .filter_map(|l| l.split_once(':'))
-                .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-                .collect();
-            let restored = (spec.load)(&fields, &cfg).expect(spec.name);
-            for x in feats.iter().take(8) {
-                assert_eq!(clf.predict(x).unwrap(), restored.predict(x).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn only_the_reference_classifier_exposes_a_detector() {
-        let cfg = EarSonarConfig::default();
-        for spec in registry() {
-            let (feats, labels) = if spec.name == REFERENCE_BACKEND {
-                blob_features(105)
-            } else {
-                blob_features(45)
-            };
-            let clf = (spec.fit)(&feats, &labels, &cfg).unwrap();
-            assert_eq!(
-                clf.as_reference().is_some(),
-                spec.name == REFERENCE_BACKEND,
-                "{}",
-                spec.name
-            );
-            // Box<dyn Classifier> clones preserve behaviour.
-            let cloned = clf.clone();
-            assert_eq!(
-                clf.predict(&feats[0]).unwrap(),
-                cloned.predict(&feats[0]).unwrap()
-            );
         }
     }
 
@@ -759,7 +429,7 @@ mod tests {
     fn reference_confidence_tracks_cluster_margin() {
         let cfg = EarSonarConfig::default();
         let (feats, labels) = blob_features(105);
-        let clf = (reference().fit)(&feats, &labels, &cfg).unwrap();
+        let clf = reference().fit(&feats, &labels, &cfg).unwrap();
         // A training point deep inside its class should be confidently
         // assigned; confidence stays within [0, 1] everywhere.
         let c = clf.confidence(&feats[0]).unwrap();

@@ -163,15 +163,6 @@ impl EarSonarDetector {
         Ok(MeeState::from_index(self.labeling.class_of(cluster)))
     }
 
-    /// Predicts states for a batch of feature vectors.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`EarSonarDetector::predict`].
-    pub fn predict_batch(&self, features: &[Vec<f64>]) -> Result<Vec<MeeState>, EarSonarError> {
-        features.iter().map(|f| self.predict(f)).collect()
-    }
-
     /// Indices (into the 105-feature layout) kept by Laplacian selection.
     pub fn selected_features(&self) -> &[usize] {
         &self.selected
@@ -278,11 +269,15 @@ mod tests {
         EarSonarConfig::default()
     }
 
+    fn predict_all(det: &EarSonarDetector, feats: &[Vec<f64>]) -> Vec<MeeState> {
+        feats.iter().map(|f| det.predict(f).unwrap()).collect()
+    }
+
     #[test]
     fn fits_and_recovers_separated_classes() {
         let (feats, labels) = synthetic_features(12, 0.5);
         let det = EarSonarDetector::fit(&feats, &labels, &config()).unwrap();
-        let pred = det.predict_batch(&feats).unwrap();
+        let pred = predict_all(&det, &feats);
         let correct = pred.iter().zip(&labels).filter(|(p, l)| p == l).count();
         assert!(
             correct as f64 / labels.len() as f64 > 0.95,
@@ -333,8 +328,8 @@ mod tests {
         let cfg = config();
         let a = EarSonarDetector::fit(&feats, &labels, &cfg).unwrap();
         let b = EarSonarDetector::fit(&feats, &labels, &cfg).unwrap();
-        let pa = a.predict_batch(&feats).unwrap();
-        let pb = b.predict_batch(&feats).unwrap();
+        let pa = predict_all(&a, &feats);
+        let pb = predict_all(&b, &feats);
         assert_eq!(pa, pb);
     }
 
@@ -344,7 +339,7 @@ mod tests {
         let mut cfg = config();
         cfg.remove_outliers = false;
         let det = EarSonarDetector::fit(&feats, &labels, &cfg).unwrap();
-        let pred = det.predict_batch(&feats).unwrap();
+        let pred = predict_all(&det, &feats);
         let correct = pred.iter().zip(&labels).filter(|(p, l)| p == l).count();
         assert!(correct as f64 / labels.len() as f64 > 0.9);
     }

@@ -36,6 +36,7 @@ use earsonar_ml::scaler::StandardScaler;
 use earsonar_signal::effusion::MeeState;
 use earsonar_signal::recording::Recording;
 use earsonar_signal::session::Session;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Features and labels extracted from a session set, ready for fold loops.
 #[derive(Debug, Clone)]
@@ -395,7 +396,7 @@ pub fn loocv_with_backend(
     let mut confidence_sum = 0.0;
     let report = loocv_with(
         data,
-        |x, y| (spec.fit)(x, y, config),
+        |x, y| spec.fit(x, y, config),
         |classifier, f| {
             let p = classifier.predict(f)?;
             confidence_sum += classifier.confidence(f)?;
@@ -407,8 +408,7 @@ pub fn loocv_with_backend(
 }
 
 /// Runs the reference backend and every named candidate through LOOCV on
-/// the same sessions, reusing feature extraction across backends that
-/// share an extractor family.
+/// the same sessions, extracting features once per feature family.
 ///
 /// # Errors
 ///
@@ -419,17 +419,14 @@ pub fn ab_compare(
     config: &EarSonarConfig,
     candidate_names: &[&str],
 ) -> Result<AbComparison, EarSonarError> {
-    let mut datasets: std::collections::BTreeMap<&'static str, ExtractedDataset> =
-        std::collections::BTreeMap::new();
+    let mut datasets = BTreeMap::new();
     let mut score = |spec: &'static BackendSpec| -> Result<BackendScore, EarSonarError> {
-        let extractor_family = (spec.make_extractor)(config)?.name();
-        if !datasets.contains_key(extractor_family) {
-            datasets.insert(
-                extractor_family,
-                ExtractedDataset::extract_with_backend(sessions, config, spec)?,
-            );
-        }
-        let data = &datasets[extractor_family];
+        let data = match datasets.entry(spec.family()) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => slot.insert(ExtractedDataset::extract_with_backend(
+                sessions, config, spec,
+            )?),
+        };
         let (report, mean_confidence) = loocv_with_backend(data, config, spec)?;
         Ok(BackendScore {
             backend: spec.name,

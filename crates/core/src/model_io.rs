@@ -11,7 +11,18 @@
 //! space-separated and matrices as one line per row. Integer fields must
 //! be written as integers that fit their type. The configuration takes six
 //! lines, one per [`EarSonarConfig`] field (`chirp:` holds `chirp_len`
-//! and `chirp_hop`, `quality_gate:` the gate's six values).
+//! and `chirp_hop`, `quality_gate:` the gate's six values). The
+//! classifier's lines follow, in one layout per [`Classifier`] variant:
+//! every backend starts with `scaler_means:` and `scaler_stds:`, then
+//!
+//! * `mfcc-kmeans` — `selected:`, `centroids: n` and n `centroid:` rows,
+//!   `labeling:`;
+//! * `absorbance-logistic` — `weights: n` and n `weight:` rows (one per
+//!   class, the scaler's width plus a trailing bias);
+//! * `absorbance-knn` — `knn_k:`, `knn_labels:`, `samples: n` and n
+//!   `sample:` rows.
+//!
+//! This module is the only reader and writer of the format.
 //!
 //! Files from older builds also carry a line for each setting that is now
 //! a constant of the pipeline (`band_hz:`, `event_window:`, `mfcc:`, …).
@@ -38,15 +49,21 @@
 //! typed errors, never panics.
 
 use crate::absorption::{ECHO_IR_PRE, ECHO_IR_TAIL, N_FFT, PROFILE_BAND_HZ, PROFILE_BINS};
-use crate::backend::{self, parse_usizes};
+use crate::backend::{self, BackendSpec, Classifier, Kind};
 use crate::channel::DECONVOLUTION_EPSILON;
 use crate::config::EarSonarConfig;
-use crate::detect::{KMEANS_RESTARTS, LAPLACIAN_NEIGHBORS, SEED};
+use crate::detect::{EarSonarDetector, KMEANS_RESTARTS, LAPLACIAN_NEIGHBORS, SEED};
 use crate::error::EarSonarError;
 use crate::event::EVENT_WINDOW;
 use crate::pipeline::{EarSonar, FrontEnd};
 use crate::preprocess::{NOISE_FILTER_ORDER, PROBE_BAND_HZ};
 use crate::segment::{EARDRUM_DISTANCE_RANGE_M, MIN_SYMMETRY_SUPPORT, PARITY_ENERGY_THRESHOLD};
+use earsonar_ml::kmeans::KMeans;
+use earsonar_ml::knn::KnnClassifier;
+use earsonar_ml::labeling::ClusterLabeling;
+use earsonar_ml::logistic::MultinomialLogistic;
+use earsonar_ml::scaler::StandardScaler;
+use earsonar_ml::MlError;
 use earsonar_signal::effusion::MeeState;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -56,6 +73,151 @@ const MAGIC_V2: &str = "earsonar-model v2";
 
 fn bad(constraint: &'static str) -> EarSonarError {
     EarSonarError::BadRecording { reason: constraint }
+}
+
+fn field<'a>(fields: &'a [(String, String)], key: &str) -> Result<&'a str, EarSonarError> {
+    fields
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.as_str())
+        .ok_or(bad("missing model field"))
+}
+
+fn parse_f64s(s: &str) -> Result<Vec<f64>, EarSonarError> {
+    s.split_whitespace()
+        .map(|t| t.parse::<f64>().map_err(|_| bad("bad float in model file")))
+        .collect()
+}
+
+fn parse_usizes(s: &str) -> Result<Vec<usize>, EarSonarError> {
+    s.split_whitespace()
+        .map(|t| {
+            t.parse::<usize>()
+                .map_err(|_| bad("bad integer in model file"))
+        })
+        .collect()
+}
+
+fn parse_one_usize(s: &str) -> Result<usize, EarSonarError> {
+    s.trim()
+        .parse()
+        .map_err(|_| bad("bad integer in model file"))
+}
+
+/// Space-separates values; `{:?}` writes an `f64` with the digits that
+/// parse back to the same bits.
+fn join<T: std::fmt::Debug>(v: &[T]) -> String {
+    v.iter()
+        .map(|x| format!("{x:?}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Refuses a model component whose length is not the one its classifier
+/// needs: such a file would load and then panic or fail every screening.
+fn expect_len(expected: usize, actual: usize) -> Result<(), EarSonarError> {
+    if expected == actual {
+        Ok(())
+    } else {
+        Err(MlError::DimensionMismatch { expected, actual }.into())
+    }
+}
+
+/// Collects every row-style field (`key: …` repeated) as float rows.
+fn float_rows(
+    fields: &[(String, String)],
+    key: &str,
+    expected: usize,
+) -> Result<Vec<Vec<f64>>, EarSonarError> {
+    let rows: Vec<Vec<f64>> = fields
+        .iter()
+        .filter(|(k, _)| k == key)
+        .map(|(_, v)| parse_f64s(v))
+        .collect::<Result<_, _>>()?;
+    if rows.len() != expected {
+        return Err(bad("model row count mismatch"));
+    }
+    Ok(rows)
+}
+
+/// Appends `key: n` and then n `row_key:` lines, one per row.
+fn write_rows(out: &mut String, key: &str, row_key: &str, rows: &[Vec<f64>]) {
+    let _ = writeln!(out, "{key}: {}", rows.len());
+    for row in rows {
+        let _ = writeln!(out, "{row_key}: {}", join(row));
+    }
+}
+
+/// Appends the classifier's lines in its backend's layout.
+fn write_classifier(out: &mut String, classifier: &Classifier) {
+    let scaler = match classifier {
+        Classifier::KMeans(detector) => detector.scaler(),
+        Classifier::Logistic { scaler, .. } | Classifier::Knn { scaler, .. } => scaler,
+    };
+    let _ = writeln!(out, "scaler_means: {}", join(scaler.means()));
+    let _ = writeln!(out, "scaler_stds: {}", join(scaler.stds()));
+    match classifier {
+        Classifier::KMeans(detector) => {
+            let _ = writeln!(out, "selected: {}", join(detector.selected_features()));
+            write_rows(out, "centroids", "centroid", detector.kmeans().centroids());
+            let _ = writeln!(out, "labeling: {}", join(detector.labeling().mapping()));
+        }
+        Classifier::Logistic { model, .. } => write_rows(out, "weights", "weight", model.weights()),
+        Classifier::Knn { knn, .. } => {
+            let _ = writeln!(out, "knn_k: {}", knn.k());
+            let _ = writeln!(out, "knn_labels: {}", join(knn.labels()));
+            write_rows(out, "samples", "sample", knn.data());
+        }
+    }
+}
+
+/// Reassembles `spec`'s classifier from its model-file lines.
+fn read_classifier(
+    fields: &[(String, String)],
+    spec: &BackendSpec,
+) -> Result<Classifier, EarSonarError> {
+    let scaler = StandardScaler::from_parts(
+        parse_f64s(field(fields, "scaler_means")?)?,
+        parse_f64s(field(fields, "scaler_stds")?)?,
+    )?;
+    let width = scaler.means().len();
+    Ok(match spec.kind {
+        Kind::KMeans => {
+            let selected = parse_usizes(field(fields, "selected")?)?;
+            let n_centroids = parse_one_usize(field(fields, "centroids")?)?;
+            let kmeans = KMeans::from_centroids(float_rows(fields, "centroid", n_centroids)?)?;
+            let labeling = ClusterLabeling::from_mapping(
+                parse_usizes(field(fields, "labeling")?)?,
+                MeeState::COUNT,
+            )?;
+            Classifier::KMeans(EarSonarDetector::from_components(
+                scaler, selected, kmeans, labeling,
+            )?)
+        }
+        Kind::Logistic => {
+            // One row per class, each the scaler width plus the trailing
+            // bias.
+            let n_rows = parse_one_usize(field(fields, "weights")?)?;
+            expect_len(MeeState::COUNT, n_rows)?;
+            let weights = float_rows(fields, "weight", n_rows)?;
+            for row in &weights {
+                expect_len(width + 1, row.len())?;
+            }
+            let model = MultinomialLogistic::from_weights(weights)?;
+            Classifier::Logistic { scaler, model }
+        }
+        Kind::Knn => {
+            let k = parse_one_usize(field(fields, "knn_k")?)?;
+            let labels = parse_usizes(field(fields, "knn_labels")?)?;
+            let n_rows = parse_one_usize(field(fields, "samples")?)?;
+            let data = float_rows(fields, "sample", n_rows)?;
+            for row in &data {
+                expect_len(width, row.len())?;
+            }
+            let knn = KnnClassifier::fit(&data, &labels, k, MeeState::COUNT)?;
+            Classifier::Knn { scaler, knn }
+        }
+    })
 }
 
 /// The lines older builds wrote for settings that are now constants, each
@@ -101,7 +263,7 @@ fn check_retired_lines(fields: &[(String, String)], sample_rate: f64) -> Result<
         a == b || matches!((a.parse::<f64>(), b.parse::<f64>()), (Ok(x), Ok(y)) if x == y)
     };
     for (name, expected) in retired_lines(sample_rate) {
-        let Ok(found) = backend::field(fields, name) else {
+        let Ok(found) = field(fields, name) else {
             continue;
         };
         let (found, expected) = (found.split_whitespace(), expected.split_whitespace());
@@ -122,10 +284,11 @@ fn check_retired_lines(fields: &[(String, String)], sample_rate: f64) -> Result<
 pub fn model_to_string(system: &EarSonar) -> String {
     let cfg = system.front_end().config();
     let classifier = system.classifier();
+    let spec = classifier.spec();
     let mut out = String::new();
     let _ = writeln!(out, "{MAGIC_V2}");
-    let _ = writeln!(out, "backend: {}", classifier.backend());
-    let _ = writeln!(out, "backend_version: {}", classifier.version());
+    let _ = writeln!(out, "backend: {}", spec.name);
+    let _ = writeln!(out, "backend_version: {}", spec.version);
 
     // Configuration.
     let _ = writeln!(out, "sample_rate: {}", cfg.sample_rate);
@@ -144,8 +307,7 @@ pub fn model_to_string(system: &EarSonar) -> String {
         cfg.quality.max_dc_fraction
     );
 
-    // Classifier components, in the backend's own field layout.
-    classifier.save_fields(&mut out);
+    write_classifier(&mut out, classifier);
     out
 }
 
@@ -184,8 +346,8 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
         let (key, value) = line.split_once(':').ok_or(bad("malformed model line"))?;
         fields.push((key.trim().to_string(), value.trim().to_string()));
     }
-    let get = |key: &str| backend::field(&fields, key);
-    let one_usize = backend::parse_one_usize;
+    let get = |key: &str| field(&fields, key);
+    let one_usize = parse_one_usize;
 
     let sample_rate: f64 = get("sample_rate")?
         .parse()
@@ -254,7 +416,7 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
         }
     }
 
-    let classifier = (spec.load)(&fields, &config)?;
+    let classifier = read_classifier(&fields, spec)?;
     let front_end = FrontEnd::for_backend(&config, spec)?;
     // Every backend standardizes its input first, so the scaler's width is
     // the classifier's input width. A disagreement would load and then
@@ -267,7 +429,7 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
             extractor: extractor_width,
         });
     }
-    Ok(EarSonar::from_backend_parts(front_end, classifier))
+    Ok(EarSonar::from_parts(front_end, classifier))
 }
 
 /// [`model_from_string`] pinned to an expected backend.
@@ -412,7 +574,7 @@ mod tests {
         assert!(legacy.starts_with(MAGIC_V1));
         let restored = model_from_string(&legacy).expect("legacy parse");
         assert_eq!(restored.backend(), crate::backend::REFERENCE_BACKEND);
-        assert!(restored.detector().is_some());
+        assert!(matches!(restored.classifier(), Classifier::KMeans(_)));
         for s in data.sessions.iter().take(12) {
             assert_eq!(
                 system.screen(&s.recording).unwrap(),
@@ -500,12 +662,41 @@ mod tests {
         assert!(text.contains("backend: absorbance-knn"));
         let restored = model_from_string(&text).expect("parse");
         assert_eq!(restored.backend(), "absorbance-knn");
-        assert!(restored.detector().is_none());
+        assert!(matches!(restored.classifier(), Classifier::Knn { .. }));
         for s in data.sessions.iter().take(12) {
             assert_eq!(
                 system.screen(&s.recording).unwrap(),
                 restored.screen(&s.recording).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn every_classifier_round_trips_its_lines() {
+        let cfg = EarSonarConfig::default();
+        for spec in backend::registry() {
+            let width = spec.extractor(&cfg).unwrap().feature_count();
+            let (feats, labels) = crate::backend::tests::blob_features(width);
+            let classifier = spec.fit(&feats, &labels, &cfg).expect(spec.name);
+            let mut text = String::new();
+            write_classifier(&mut text, &classifier);
+            let fields: Vec<(String, String)> = text
+                .lines()
+                .filter_map(|l| l.split_once(':'))
+                .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
+                .collect();
+            let restored = read_classifier(&fields, spec).expect(spec.name);
+            assert_eq!(restored.spec().name, spec.name);
+            let mut again = String::new();
+            write_classifier(&mut again, &restored);
+            assert_eq!(again, text, "{}", spec.name);
+            for x in &feats {
+                assert_eq!(classifier.predict(x).unwrap(), restored.predict(x).unwrap());
+                assert_eq!(
+                    classifier.confidence(x).unwrap(),
+                    restored.confidence(x).unwrap()
+                );
+            }
         }
     }
 
@@ -598,11 +789,10 @@ mod tests {
 
     #[test]
     fn detector_component_validation() {
-        use crate::detect::EarSonarDetector;
-        use earsonar_ml::kmeans::KMeans;
-
         let (system, _) = trained();
-        let det = system.detector().expect("reference backend");
+        let Classifier::KMeans(det) = system.classifier() else {
+            panic!("the reference backend fits k-means");
+        };
         // Inconsistent k-means dimensionality is rejected.
         let bad_km = KMeans::from_centroids(vec![vec![0.0; 3]; 4]).unwrap();
         assert!(EarSonarDetector::from_components(

@@ -6,17 +6,16 @@
 //! detection. [`EarSonar::fit`] plays the role of the training phase on
 //! collected sessions; [`EarSonar::screen`] is the home-screening call.
 //!
-//! Feature extraction and classification sit behind the
-//! [`crate::backend`] trait boundary: [`EarSonar::fit`] trains the
-//! paper's reference MFCC+k-means backend, verdict for verdict the same
-//! system as `fit_backend(REFERENCE_BACKEND)`, while
-//! [`EarSonar::fit_backend`] selects any registered backend by name.
+//! Feature extraction and classification come from one registered
+//! [`crate::backend`]: [`EarSonar::fit`] trains the paper's reference
+//! MFCC+k-means backend, verdict for verdict the same system as
+//! `fit_backend(REFERENCE_BACKEND)`, while [`EarSonar::fit_backend`]
+//! selects any registered backend by name.
 
 use crate::absorption::{average_spectra, EchoBand, EchoSpectrum};
-use crate::backend::{self, BackendSpec, Classifier, ReferenceClassifier};
+use crate::backend::{self, BackendSpec, Classifier, Extractor};
 use crate::channel::{chirp_template, mean_rows, pipeline_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
-use crate::detect::EarSonarDetector;
 use crate::diagnostics::Diagnostics;
 use crate::error::EarSonarError;
 use crate::eval::ExtractedDataset;
@@ -31,7 +30,6 @@ use earsonar_signal::effusion::MeeState;
 use earsonar_signal::recording::Recording;
 use earsonar_signal::session::Session;
 use std::convert::Infallible;
-use std::sync::Arc;
 
 pub use crate::config::EarSonarConfig as Config;
 
@@ -178,7 +176,7 @@ impl ChirpAccumulator {
 pub struct FrontEnd {
     config: EarSonarConfig,
     preprocessor: Preprocessor,
-    extractor: Arc<dyn backend::FeatureExtractor>,
+    extractor: Extractor,
     template: Vec<f64>,
     estimator: ChannelEstimator,
     echo_band: EchoBand,
@@ -192,31 +190,19 @@ impl FrontEnd {
     /// Returns [`EarSonarError::BadConfig`] or [`EarSonarError::Dsp`] if
     /// the configuration is infeasible.
     pub fn new(config: &EarSonarConfig) -> Result<Self, EarSonarError> {
-        let extractor = Arc::new(crate::features::FeatureExtractor::new(config)?);
-        FrontEnd::with_extractor(config, extractor)
+        FrontEnd::for_backend(config, backend::reference())
     }
 
-    /// Builds the front end with a backend's feature extractor.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FrontEnd::new`].
-    pub fn for_backend(config: &EarSonarConfig, spec: &BackendSpec) -> Result<Self, EarSonarError> {
-        FrontEnd::with_extractor(config, (spec.make_extractor)(config)?)
-    }
-
-    /// Builds the front end around an arbitrary feature extractor. The
+    /// Builds the front end with a backend's feature extractor. The
     /// signal stages (preprocessing through echo spectra) are identical
-    /// for every extractor; only the final reduction to a feature vector
+    /// for every backend; only the final reduction to a feature vector
     /// differs.
     ///
     /// # Errors
     ///
     /// Same conditions as [`FrontEnd::new`].
-    pub fn with_extractor(
-        config: &EarSonarConfig,
-        extractor: Arc<dyn backend::FeatureExtractor>,
-    ) -> Result<Self, EarSonarError> {
+    pub fn for_backend(config: &EarSonarConfig, spec: &BackendSpec) -> Result<Self, EarSonarError> {
+        let extractor = spec.extractor(config)?;
         config.validate()?;
         let preprocessor = Preprocessor::new(config)?;
         // The deconvolution template must look like the direct leak *after*
@@ -244,8 +230,8 @@ impl FrontEnd {
     }
 
     /// The feature extractor reducing echo spectra to feature vectors.
-    pub fn extractor(&self) -> &dyn backend::FeatureExtractor {
-        self.extractor.as_ref()
+    pub fn extractor(&self) -> &Extractor {
+        &self.extractor
     }
 
     /// The preprocessed transmit-chirp template the front end deconvolves
@@ -669,7 +655,7 @@ impl LaneOp for Deconvolve<'_> {
 #[derive(Debug, Clone)]
 pub struct EarSonar {
     front_end: FrontEnd,
-    classifier: Box<dyn Classifier>,
+    classifier: Classifier,
 }
 
 impl EarSonar {
@@ -705,26 +691,17 @@ impl EarSonar {
         let spec = backend::lookup(backend_name)?;
         let front_end = FrontEnd::for_backend(config, spec)?;
         let data = ExtractedDataset::extract_front_end(sessions, &front_end)?;
-        let classifier = (spec.fit)(&data.features, &data.labels, config)?;
+        let classifier = spec.fit(&data.features, &data.labels, config)?;
         Ok(EarSonar {
             front_end,
             classifier,
         })
     }
 
-    /// Builds a system from an already-fitted reference detector (used by
-    /// the evaluation harness to avoid re-processing recordings).
-    pub fn from_parts(front_end: FrontEnd, detector: EarSonarDetector) -> Self {
-        EarSonar {
-            front_end,
-            classifier: Box::new(ReferenceClassifier::new(detector)),
-        }
-    }
-
-    /// Builds a system from an already-fitted backend classifier. The
-    /// front end must carry the matching extractor (use
-    /// [`FrontEnd::for_backend`]).
-    pub fn from_backend_parts(front_end: FrontEnd, classifier: Box<dyn Classifier>) -> Self {
+    /// Builds a system from an already-fitted classifier. The front end
+    /// must carry the matching extractor (use [`FrontEnd::for_backend`]
+    /// with the classifier's [`Classifier::spec`]).
+    pub fn from_parts(front_end: FrontEnd, classifier: Classifier) -> Self {
         EarSonar {
             front_end,
             classifier,
@@ -768,20 +745,14 @@ impl EarSonar {
         &self.front_end
     }
 
-    /// The fitted reference detector, when this system runs the
-    /// MFCC+k-means backend; `None` for every other backend.
-    pub fn detector(&self) -> Option<&EarSonarDetector> {
-        self.classifier.as_reference()
-    }
-
-    /// The fitted classifier behind the trait boundary.
-    pub fn classifier(&self) -> &dyn Classifier {
-        self.classifier.as_ref()
+    /// The fitted classifier.
+    pub fn classifier(&self) -> &Classifier {
+        &self.classifier
     }
 
     /// Registry name of the backend this system runs.
     pub fn backend(&self) -> &'static str {
-        self.classifier.backend()
+        self.classifier.spec().name
     }
 }
 

@@ -8,7 +8,7 @@
 //! inline single-worker runs and panic propagation of the fan-out itself
 //! are unit-tested in `earsonar_dsp::fanout`.)
 
-use earsonar::backend;
+use earsonar::backend::{self, Classifier};
 use earsonar::baseline;
 use earsonar::detect::EarSonarDetector;
 use earsonar::eval::ExtractedDataset;
@@ -106,7 +106,7 @@ fn fit_equals_fitting_on_sequentially_extracted_features() {
     let fe = FrontEnd::new(&config).unwrap();
     let (features, labels, _, _) = sequential_features(&fe, &sessions);
     let detector = EarSonarDetector::fit(&features, &labels, &config).unwrap();
-    let sequential = EarSonar::from_parts(fe, detector);
+    let sequential = EarSonar::from_parts(fe, Classifier::KMeans(detector));
     let fitted = EarSonar::fit(&sessions, &config).unwrap();
     // The model text carries every fitted parameter at full precision.
     assert_eq!(model_to_string(&fitted), model_to_string(&sequential));
@@ -114,8 +114,8 @@ fn fit_equals_fitting_on_sequentially_extracted_features() {
     for spec in backend::registry() {
         let fe = FrontEnd::for_backend(&config, spec).unwrap();
         let (features, labels, _, _) = sequential_features(&fe, &sessions);
-        let classifier = (spec.fit)(&features, &labels, &config).unwrap();
-        let sequential = EarSonar::from_backend_parts(fe, classifier);
+        let classifier = spec.fit(&features, &labels, &config).unwrap();
+        let sequential = EarSonar::from_parts(fe, classifier);
         let fitted = EarSonar::fit_backend(&sessions, &config, spec.name).unwrap();
         assert_eq!(
             model_to_string(&fitted),

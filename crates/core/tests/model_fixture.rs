@@ -1,20 +1,38 @@
-//! A model file written before the pipeline's fixed settings became
-//! constants: `earsonar train --patients 6 --seed 2023` with the reference
-//! backend, carrying 23 configuration lines where files written today
-//! carry 6.
+//! Model files written by earlier builds, one per registered backend:
+//! `earsonar train --patients 6 --seed 2023 --backend NAME`.
 //!
-//! It must load, and screen every session of its training cohort exactly
-//! as a fresh fit on the same data does: the constants hold the values the
-//! old configuration lines named. A retired line with any other value is
-//! refused, naming the line, so a file never runs silently on settings it
-//! was not trained with.
+//! * `mfcc-kmeans` was written before the pipeline's fixed settings became
+//!   constants, and carries 23 configuration lines where files written
+//!   today carry 6.
+//! * `absorbance-logistic` and `absorbance-knn` were written after, when
+//!   each backend's classifier still wrote its own model-file lines.
+//!
+//! Each must load, today's writer must reproduce it byte for byte (minus
+//! the retired lines), and it must screen every session of its training
+//! cohort exactly as a fresh fit on the same data does. A retired line
+//! with any other value than the constant's is refused, naming the line,
+//! so a file never runs silently on settings it was not trained with.
 
 use earsonar::model_io::{model_from_string, model_to_string};
 use earsonar::{EarSonar, EarSonarConfig, EarSonarError};
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
 
-const FIXTURE: &str = include_str!("fixtures/mfcc-kmeans-6-patients-seed-2023.model");
+/// `(backend, file)` for every registered backend.
+const FIXTURES: [(&str, &str); 3] = [
+    (
+        "mfcc-kmeans",
+        include_str!("fixtures/mfcc-kmeans-6-patients-seed-2023.model"),
+    ),
+    (
+        "absorbance-logistic",
+        include_str!("fixtures/absorbance-logistic-6-patients-seed-2023.model"),
+    ),
+    (
+        "absorbance-knn",
+        include_str!("fixtures/absorbance-knn-6-patients-seed-2023.model"),
+    ),
+];
 
 /// The configuration lines of settings that are constants today.
 const RETIRED: [&str; 17] = [
@@ -41,7 +59,7 @@ fn key(line: &str) -> &str {
     line.split_once(':').map_or(line, |(k, _)| k)
 }
 
-/// The training data of the fixture: the CLI's `build_dataset(6, 2023)`.
+/// The training data of the fixtures: the CLI's `build_dataset(6, 2023)`.
 fn training_data() -> Dataset {
     Dataset::build(
         &Cohort::generate(6, 2023),
@@ -54,41 +72,69 @@ fn training_data() -> Dataset {
 }
 
 #[test]
-fn the_old_model_file_loads_and_screens_like_a_fresh_fit() {
-    let old = model_from_string(FIXTURE).expect("the fixture loads");
-    let data = training_data();
-    let fresh = EarSonar::fit(&data.sessions, &EarSonarConfig::default()).expect("fit");
+fn every_backend_has_a_fixture() {
+    let names: Vec<&str> = earsonar::backend::registry()
+        .iter()
+        .map(|s| s.name)
+        .collect();
+    let fixtures: Vec<&str> = FIXTURES.iter().map(|(name, _)| *name).collect();
+    assert_eq!(fixtures, names);
+}
 
-    // Today's file is the old one without its retired lines, byte for byte.
-    let config_lines = |text: &str| {
+#[test]
+fn the_old_model_files_load_and_screen_like_a_fresh_fit() {
+    let data = training_data();
+    let without_retired = |text: &str| {
         text.lines()
             .filter(|l| !RETIRED.contains(&key(l)))
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let written = model_to_string(&fresh);
-    assert_eq!(
-        written.lines().count() + RETIRED.len(),
-        FIXTURE.lines().count()
-    );
-    assert_eq!(config_lines(&written), config_lines(FIXTURE));
-    assert_eq!(old.front_end().config(), fresh.front_end().config());
+    for (backend, fixture) in FIXTURES {
+        let old = model_from_string(fixture).expect(backend);
+        assert_eq!(old.backend(), backend);
+        let fresh = EarSonar::fit_backend(&data.sessions, &EarSonarConfig::default(), backend)
+            .expect(backend);
 
-    for (i, s) in data.sessions.iter().enumerate() {
-        let a = old.front_end().process(&s.recording).map(|p| p.features);
-        let b = fresh.front_end().process(&s.recording).map(|p| p.features);
-        assert_eq!(a, b, "session {i}: features");
+        // Today's file is the old one without its retired lines (all 17
+        // in the reference fixture), byte for byte, and the loaded file
+        // writes it again.
+        let written = model_to_string(&fresh);
+        let retired = if backend == "mfcc-kmeans" {
+            RETIRED.len()
+        } else {
+            0
+        };
         assert_eq!(
-            old.screen(&s.recording),
-            fresh.screen(&s.recording),
-            "session {i}: verdict"
+            written.lines().count() + retired,
+            fixture.lines().count(),
+            "{backend}"
         );
+        assert_eq!(
+            without_retired(&written),
+            without_retired(fixture),
+            "{backend}"
+        );
+        assert_eq!(model_to_string(&old), written, "{backend}");
+        assert_eq!(old.front_end().config(), fresh.front_end().config());
+
+        for (i, s) in data.sessions.iter().enumerate() {
+            let a = old.front_end().process(&s.recording).map(|p| p.features);
+            let b = fresh.front_end().process(&s.recording).map(|p| p.features);
+            assert_eq!(a, b, "{backend} session {i}: features");
+            assert_eq!(
+                old.screen(&s.recording),
+                fresh.screen(&s.recording),
+                "{backend} session {i}: verdict"
+            );
+        }
     }
 }
 
 #[test]
 fn a_retired_line_with_another_value_is_refused_by_name() {
-    let line = |k: &str| FIXTURE.lines().find(|l| key(l) == k).expect("line");
+    let (_, fixture) = FIXTURES[0];
+    let line = |k: &str| fixture.lines().find(|l| key(l) == k).expect("line");
     for (name, new) in [
         ("event_window", "event_window: 30"),
         ("mfcc", "mfcc: 44100 256 26 26 16000 20000"),
@@ -97,7 +143,7 @@ fn a_retired_line_with_another_value_is_refused_by_name() {
         ("seed", "seed: 7"),
         ("band_hz", "band_hz: 17000 20000"),
     ] {
-        let text = FIXTURE.replace(line(name), new);
+        let text = fixture.replace(line(name), new);
         match model_from_string(&text) {
             Err(EarSonarError::BadConfig { name: found, .. }) => assert_eq!(found, name, "{new}"),
             other => panic!(

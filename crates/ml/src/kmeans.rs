@@ -174,11 +174,6 @@ impl KMeans {
     pub fn predict(&self, sample: &[f64]) -> usize {
         nearest_centroid(sample, &self.centroids).0
     }
-
-    /// Predicts labels for many samples.
-    pub fn predict_batch(&self, samples: &[Vec<f64>]) -> Vec<usize> {
-        samples.iter().map(|s| self.predict(s)).collect()
-    }
 }
 
 fn validate(data: &[Vec<f64>], config: &KMeansConfig) -> Result<(), MlError> {
@@ -441,8 +436,6 @@ mod tests {
         for (x, &l) in data.iter().zip(model.labels()) {
             assert_eq!(model.predict(x), l);
         }
-        let batch = model.predict_batch(&data);
-        assert_eq!(batch, model.labels());
     }
 
     #[test]

@@ -119,13 +119,6 @@ impl KnnClassifier {
 
     /// Predicts a batch of samples.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`KnnClassifier::predict`].
-    pub fn predict_batch(&self, samples: &[Vec<f64>]) -> Result<Vec<usize>, MlError> {
-        samples.iter().map(|s| self.predict(s)).collect()
-    }
-
     /// The `k` this classifier votes over.
     pub fn k(&self) -> usize {
         self.k
@@ -225,15 +218,5 @@ mod tests {
         assert_eq!(knn.data(), data.as_slice());
         assert_eq!(knn.labels(), labels.as_slice());
         assert_eq!(knn.n_classes(), 2);
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let (data, labels) = two_blobs();
-        let knn = KnnClassifier::fit(&data, &labels, 3, 2).unwrap();
-        let queries = vec![vec![0.2, 0.0], vec![4.8, 5.0]];
-        let batch = knn.predict_batch(&queries).unwrap();
-        assert_eq!(batch[0], knn.predict(&queries[0]).unwrap());
-        assert_eq!(batch[1], knn.predict(&queries[1]).unwrap());
     }
 }

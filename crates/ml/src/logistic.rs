@@ -158,13 +158,6 @@ impl MultinomialLogistic {
 
     /// Predicts a batch of samples.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MultinomialLogistic::predict`].
-    pub fn predict_batch(&self, samples: &[Vec<f64>]) -> Result<Vec<usize>, MlError> {
-        samples.iter().map(|s| self.predict(s)).collect()
-    }
-
     /// Reassembles a classifier from persisted weights (one row per
     /// class, `dim + 1` wide with the trailing bias).
     ///
@@ -304,7 +297,7 @@ mod tests {
         }
         let model =
             MultinomialLogistic::fit(&data, &labels, 4, &LogisticConfig::default()).unwrap();
-        let pred = model.predict_batch(&data).unwrap();
+        let pred: Vec<usize> = data.iter().map(|x| model.predict(x).unwrap()).collect();
         let correct = pred.iter().zip(&labels).filter(|(p, l)| p == l).count();
         assert!(
             correct * 10 >= labels.len() * 9,

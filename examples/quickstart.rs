@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use earsonar::backend::Classifier;
 use earsonar::{EarSonar, EarSonarConfig};
 use earsonar_sim::cohort::Cohort;
 use earsonar_sim::dataset::{Dataset, DatasetSpec};
@@ -31,7 +32,9 @@ fn main() {
     // 3. Train the full pipeline with the paper's configuration.
     let config = EarSonarConfig::default();
     let system = EarSonar::fit(&data.sessions, &config).expect("training");
-    let detector = system.detector().expect("reference backend");
+    let Classifier::KMeans(detector) = system.classifier() else {
+        unreachable!("EarSonar::fit trains the paper's k-means detector");
+    };
     println!(
         "trained: {} features selected of 105, k = {} clusters",
         detector.selected_features().len(),

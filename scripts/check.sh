@@ -68,6 +68,13 @@ echo "==> dsp_kernels bench, smoke run: the timing bench runs to completion"
 # panics at run time fails here. Timings are printed, never asserted.
 cargo bench -p earsonar-bench --bench dsp_kernels -- --smoke
 
+echo "==> examples: each runs to completion once, in release"
+# The build and clippy steps only compile examples/; this runs them, so
+# an example that no longer works against the library fails here.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> cargo doc --workspace (deny rustdoc warnings)"
 # Catches broken and private intra-doc links. The earsonar bin/lib
 # output-filename collision is a cargo warning and does not fail this step.

@@ -50,9 +50,9 @@ fn every_registered_backend_trains_screens_and_round_trips() {
 
 #[test]
 fn streaming_and_batch_agree_for_every_backend() {
-    // The extractor trait object sits behind the streaming front end too;
-    // pushing chirp windows must give the same verdict as whole-recording
-    // screening regardless of the backend.
+    // The backend's extractor runs at the end of the streaming front end
+    // too; pushing chirp windows must give the same verdict as
+    // whole-recording screening regardless of the backend.
     let data = small_dataset(5);
     let cfg = config();
     for spec in registry() {
