@@ -6,13 +6,13 @@
 //! a delayed, attenuated — and for the eardrum, spectrally shaped — copy of
 //! the transmitted signal.
 //!
-//! Every spectral operation runs on the process-wide FFT plan of its size
-//! and draws its intermediate buffers from a caller-owned [`DspScratch`]:
-//! [`delay_fractional_allpass_with`] and [`apply_frequency_response_with`]
-//! for one copy, [`AllpassDelay`] for delaying many signals by one amount
-//! with one transform in all, [`SpectralDelayLine`] for accumulating many
-//! delayed copies of one signal with a *single* inverse transform — the
-//! hot path of the recording simulator.
+//! Every spectral operation runs on the process-wide FFT plan of its size:
+//! [`delay_fractional_allpass_with`] (buffers from a caller-owned
+//! [`DspScratch`]) and [`apply_frequency_response`] for one copy,
+//! [`AllpassDelay`] for delaying many signals by one amount with one
+//! transform in all, [`SpectralDelayLine`] for accumulating many delayed
+//! copies of one signal with a *single* inverse transform — the hot path
+//! of the recording simulator.
 
 use crate::constants::SPEED_OF_SOUND_AIR;
 use earsonar_dsp::complex::Complex64;
@@ -219,41 +219,31 @@ impl AllpassDelay {
 /// via FFT multiplication (zero-phase). Used to imprint the eardrum's
 /// reflectance spectrum onto the echo waveform.
 ///
-/// The intermediate buffer comes from a caller-owned [`DspScratch`]. The
-/// output keeps `x.len()` samples (the filter's circular tail beyond that
-/// is discarded, which is why callers pad their input with tail room for
-/// ringing). The FFT plan is sized from the input length and stays
+/// The output keeps `x.len()` samples (the filter's circular tail beyond
+/// that is discarded, which is why callers pad their input with tail room
+/// for ringing). The FFT plan is sized from the input length and stays
 /// resident for the life of the process ([`FftPlan::shared`]).
 ///
 /// # Errors
 ///
 /// Propagates plan errors (not reachable for the sizes chosen here).
-pub fn apply_frequency_response_with<F>(
-    x: &[f64],
-    fs: f64,
-    gain: F,
-    scratch: &mut DspScratch,
-    out: &mut Vec<f64>,
-) -> Result<(), DspError>
+pub fn apply_frequency_response<F>(x: &[f64], fs: f64, gain: F) -> Result<Vec<f64>, DspError>
 where
     F: Fn(f64) -> f64,
 {
-    out.clear();
     if x.is_empty() {
-        return Ok(());
+        return Ok(Vec::new());
     }
     let n = next_pow2(x.len() * 2);
     let plan = FftPlan::shared(n)?;
-    let mut buf = scratch.take_complex();
+    let mut buf = Vec::new();
     plan.forward_from_real(x, &mut buf);
     for (k, z) in buf.iter_mut().enumerate() {
         let f_hz = signed_bin_frequency(k, n).abs() * fs;
         *z = z.scale(gain(f_hz));
     }
     plan.inverse(&mut buf)?;
-    out.extend(buf[..x.len()].iter().map(|z| z.re));
-    scratch.put_complex(buf);
-    Ok(())
+    Ok(buf[..x.len()].iter().map(|z| z.re).collect())
 }
 
 /// The frequency-domain image of a real signal, ready to be superposed
@@ -457,19 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_scratch_response_matches_cold_bitwise() {
-        let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.37).sin()).collect();
-        let gain = |f: f64| 1.0 / (1.0 + f / 10_000.0);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            let expect = cold(|s, o| apply_frequency_response_with(&x, 48_000.0, gain, s, o));
-            apply_frequency_response_with(&x, 48_000.0, gain, &mut scratch, &mut out).unwrap();
-            assert_eq!(expect, out);
-        }
-    }
-
-    #[test]
     fn nyquist_bin_treatment_is_pinned() {
         // Regression for the shared spectral helper: the Nyquist multiplier
         // must be purely real with value cos(π·delay) — NOT the complex
@@ -576,7 +553,7 @@ mod tests {
             })
             .collect();
         let low_pass = |f: f64| if f > 18_000.0 { 0.0 } else { 1.0 };
-        let y = cold(|s, o| apply_frequency_response_with(&x, fs, low_pass, s, o));
+        let y = apply_frequency_response(&x, fs, low_pass).unwrap();
         let mag17 = earsonar_dsp::goertzel::goertzel_magnitude(&y, 17_000.0, fs).unwrap();
         let mag19 = earsonar_dsp::goertzel::goertzel_magnitude(&y, 19_000.0, fs).unwrap();
         assert!(mag17 > 20.0 * mag19, "17k {mag17}, 19k {mag19}");
@@ -585,7 +562,7 @@ mod tests {
     #[test]
     fn unit_response_is_identity() {
         let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin()).collect();
-        let y = cold(|s, o| apply_frequency_response_with(&x, 48_000.0, |_| 1.0, s, o));
+        let y = apply_frequency_response(&x, 48_000.0, |_| 1.0).unwrap();
         for (a, b) in x.iter().zip(&y) {
             assert!((a - b).abs() < 1e-9);
         }
@@ -593,7 +570,8 @@ mod tests {
 
     #[test]
     fn empty_frequency_response_input() {
-        let y = cold(|s, o| apply_frequency_response_with(&[], 48_000.0, |_| 1.0, s, o));
-        assert!(y.is_empty());
+        assert!(apply_frequency_response(&[], 48_000.0, |_| 1.0)
+            .unwrap()
+            .is_empty());
     }
 }

@@ -252,19 +252,13 @@ pub fn average_spectra(spectra: &[EchoSpectrum]) -> Result<EchoSpectrum, EarSona
 pub(crate) fn notched_ir(len: usize, center: usize, depth: f64, width_hz: f64) -> Vec<f64> {
     let mut impulse = vec![0.0; len];
     impulse[center] = 0.45;
-    let mut ir = Vec::new();
-    earsonar_acoustics::propagation::apply_frequency_response_with(
-        &impulse,
-        48_000.0,
-        |f| {
+    let mut ir =
+        earsonar_acoustics::propagation::apply_frequency_response(&impulse, 48_000.0, |f| {
             let band = (-((f - 18_000.0) / 2_000.0).powi(8)).exp();
             let z = (f - 18_000.0) / width_hz;
             band * (1.0 - depth * (-0.5 * z * z).exp())
-        },
-        &mut DspScratch::new(),
-        &mut ir,
-    )
-    .unwrap();
+        })
+        .unwrap();
     ir[1] += 0.06;
     ir
 }

@@ -1,8 +1,9 @@
 //! The workspace's one parallel fan-out.
 //!
 //! Cohort synthesis, model fitting, feature extraction and the engine's
-//! drain all map a list of items through a pure per-item function that
-//! needs a warm, worker-owned workspace (`SimScratch`, [`DspScratch`]).
+//! drain all map a list of items through a pure per-item function, given
+//! a worker-owned workspace where one pays (a warm [`DspScratch`]; cohort
+//! synthesis needs none and passes `()`).
 //! [`map_on`] does that over `std::thread::scope` workers — no
 //! thread-pool dependency, no `'static` bounds, and no lock or atomic:
 //!

@@ -7,7 +7,6 @@
 use crate::cohort::Cohort;
 use crate::effusion::MeeState;
 use crate::patient::Patient;
-use crate::scratch::SimScratch;
 use crate::session::{RecordSession, Session, SessionConfig};
 use earsonar_dsp::fanout;
 
@@ -53,17 +52,6 @@ pub fn representative_days(patient: &Patient) -> Vec<(MeeState, u32)> {
 /// Records `spec.sessions_per_state` sessions per state the patient passes
 /// through, spreading visits across the days of each stage.
 pub fn patient_sessions(patient: &Patient, spec: &DatasetSpec) -> Vec<Session> {
-    let mut scratch = SimScratch::new();
-    patient_sessions_with(patient, spec, &mut scratch)
-}
-
-/// [`patient_sessions`] with synthesis buffers drawn from a caller-owned
-/// [`SimScratch`], reused across every visit.
-pub fn patient_sessions_with(
-    patient: &Patient,
-    spec: &DatasetSpec,
-    scratch: &mut SimScratch,
-) -> Vec<Session> {
     let horizon = patient.recovery_day() + 6;
     // Group days by state.
     let mut stage_days: Vec<(MeeState, Vec<u32>)> = Vec::new();
@@ -82,13 +70,7 @@ pub fn patient_sessions_with(
             // a different visit seed (morning/evening).
             let day = days[(v % n) * days.len() / n.max(1)];
             let visit_seed = spec.seed.wrapping_mul(31).wrapping_add(v as u64);
-            out.push(Session::record_with(
-                patient,
-                day,
-                &spec.config,
-                visit_seed,
-                scratch,
-            ));
+            out.push(Session::record(patient, day, &spec.config, visit_seed));
         }
     }
     out
@@ -103,17 +85,18 @@ pub struct Dataset {
 
 impl Dataset {
     /// Records the full dataset for `cohort` under `spec`, one patient
-    /// per [`fanout::map_indexed`] item and one warm [`SimScratch`] per
-    /// worker.
+    /// per [`fanout::map_indexed`] item.
     ///
     /// Every session's samples depend only on `(patient, spec)` — never on
-    /// the scratch or on which worker rendered it — so the result is
-    /// **bit-identical** to recording the patients one after another with
-    /// [`patient_sessions`].
+    /// which worker rendered it — so the result is **bit-identical** to
+    /// recording the patients one after another with [`patient_sessions`].
     pub fn build(cohort: &Cohort, spec: &DatasetSpec) -> Dataset {
-        let per_patient = fanout::map_indexed(cohort.len(), SimScratch::new, |scratch, id| {
-            patient_sessions_with(&cohort.patients()[id], spec, scratch)
-        });
+        let patients = cohort.patients();
+        let per_patient = fanout::map_indexed(
+            patients.len(),
+            || (),
+            |(), id| patient_sessions(&patients[id], spec),
+        );
         Dataset {
             sessions: per_patient.into_iter().flatten().collect(),
         }

@@ -66,7 +66,6 @@ pub mod noise;
 pub mod patient;
 pub mod recorder;
 pub mod rng;
-pub mod scratch;
 pub mod session;
 pub mod source;
 pub mod wearing;

@@ -6,6 +6,9 @@
 //! noise is mostly low-frequency; only its high tail lands inside the
 //! 16–20 kHz probe band, which is why the paper could sense at all in a
 //! noisy room.
+//!
+//! [`add_ambient_noise`] adds the noise onto a buffer in place, its
+//! Gaussians drawn in blocks by [`SimRng::gaussian_pairs`].
 
 use crate::rng::SimRng;
 use earsonar_dsp::decibel::db_to_amplitude;
@@ -27,44 +30,29 @@ pub fn spl_to_amplitude(db_spl: f64) -> f64 {
     db_to_amplitude(db_spl, SPL_REF_AMPLITUDE)
 }
 
-/// Synthesizes `len` samples of ambient noise at `db_spl` sound pressure
-/// level: a low-frequency-weighted component (one-pole-smoothed white
-/// noise) plus a broadband component.
+/// Adds ambient noise at `db_spl` sound pressure level, scaled by the
+/// earphone's passive `isolation` factor, onto `signal` in place: a
+/// low-frequency-weighted component (one-pole-smoothed white noise) plus a
+/// broadband component.
+///
+/// Each sample needs exactly two independent Gaussians (the rumble drive
+/// and the broadband term), so it takes one polar-method pair per sample
+/// from [`SimRng::gaussian_pairs`] — about half the cost of two Box–Muller
+/// draws, with identical statistics.
 ///
 /// # Example
 ///
 /// ```
-/// use earsonar_sim::noise::ambient_noise;
+/// use earsonar_sim::noise::add_ambient_noise;
 /// use earsonar_sim::rng::SimRng;
 /// let mut rng = SimRng::seed_from_u64(1);
-/// let quiet = ambient_noise(4_800, 30.0, &mut rng);
-/// let loud = ambient_noise(4_800, 70.0, &mut rng);
+/// let (mut quiet, mut loud) = (vec![0.0; 4_800], vec![0.0; 4_800]);
+/// add_ambient_noise(&mut quiet, 30.0, 1.0, &mut rng);
+/// add_ambient_noise(&mut loud, 70.0, 1.0, &mut rng);
 /// let rms = |x: &[f64]| (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt();
 /// assert!(rms(&loud) > 50.0 * rms(&quiet));
 /// ```
-pub fn ambient_noise(len: usize, db_spl: f64, rng: &mut SimRng) -> Vec<f64> {
-    let mut out = vec![0.0; len];
-    mix_ambient_noise(&mut out, db_spl, 1.0, rng);
-    out
-}
-
-/// Adds ambient noise at `db_spl`, scaled by the earphone's passive
-/// `isolation` factor, onto `signal` in place.
-///
-/// Streams the noise generator directly into `signal` — no temporary
-/// buffer — so the recording synthesizer's hot path stays allocation-free.
 pub fn add_ambient_noise(signal: &mut [f64], db_spl: f64, isolation: f64, rng: &mut SimRng) {
-    mix_ambient_noise(signal, db_spl, isolation, rng);
-}
-
-/// The shared generator: one-pole low-passed rumble plus broadband noise,
-/// mixed onto `signal` sample by sample.
-///
-/// Each sample needs exactly two independent Gaussians (the rumble drive
-/// and the broadband term), so it draws one polar-method pair per sample
-/// ([`SimRng::gaussian_pair`]) — about half the cost of two Box–Muller
-/// draws, with identical statistics.
-fn mix_ambient_noise(signal: &mut [f64], db_spl: f64, isolation: f64, rng: &mut SimRng) {
     let rms = spl_to_amplitude(db_spl);
     let low_rms = rms * LOW_FREQ_FRACTION;
     let broad_rms = rms * (1.0 - LOW_FREQ_FRACTION * LOW_FREQ_FRACTION).sqrt();
@@ -73,11 +61,13 @@ fn mix_ambient_noise(signal: &mut [f64], db_spl: f64, isolation: f64, rng: &mut 
     let a = 0.95f64;
     let comp = (1.0 - a * a).sqrt();
     let mut state = 0.0f64;
-    for s in signal.iter_mut() {
-        let (w, g) = rng.gaussian_pair();
-        state = a * state + comp * w;
-        *s += isolation * (low_rms * state + broad_rms * g);
-    }
+    let mut samples = signal.iter_mut();
+    rng.gaussian_pairs(samples.len(), |w, g| {
+        if let Some(s) = samples.next() {
+            state = a * state + comp * w;
+            *s += isolation * (low_rms * state + broad_rms * g);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -86,6 +76,13 @@ mod tests {
 
     fn rms(x: &[f64]) -> f64 {
         (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
+    }
+
+    /// `len` samples of ambient noise alone, at unit isolation.
+    fn ambient(len: usize, db_spl: f64, rng: &mut SimRng) -> Vec<f64> {
+        let mut x = vec![0.0; len];
+        add_ambient_noise(&mut x, db_spl, 1.0, rng);
+        x
     }
 
     #[test]
@@ -100,7 +97,7 @@ mod tests {
     fn noise_rms_tracks_requested_level() {
         let mut rng = SimRng::seed_from_u64(3);
         for db in [40.0, 55.0, 70.0] {
-            let x = ambient_noise(50_000, db, &mut rng);
+            let x = ambient(50_000, db, &mut rng);
             let want = spl_to_amplitude(db);
             let got = rms(&x);
             assert!(
@@ -113,7 +110,7 @@ mod tests {
     #[test]
     fn noise_is_low_frequency_dominated() {
         let mut rng = SimRng::seed_from_u64(5);
-        let x = ambient_noise(1 << 15, 60.0, &mut rng);
+        let x = ambient(1 << 15, 60.0, &mut rng);
         let psd = earsonar_dsp::psd::periodogram(&x, 48_000.0, earsonar_dsp::window::Window::Hann)
             .unwrap();
         let low = psd.band_power(0.0, 4_000.0);
@@ -126,7 +123,7 @@ mod tests {
     #[test]
     fn quiet_room_barely_perturbs_probe() {
         let mut rng = SimRng::seed_from_u64(8);
-        let x = ambient_noise(10_000, 30.0, &mut rng);
+        let x = ambient(10_000, 30.0, &mut rng);
         assert!(rms(&x) < 0.01, "rms {}", rms(&x));
     }
 
@@ -145,9 +142,6 @@ mod tests {
     fn noise_is_deterministic_per_seed() {
         let mut a = SimRng::seed_from_u64(4);
         let mut b = SimRng::seed_from_u64(4);
-        assert_eq!(
-            ambient_noise(64, 50.0, &mut a),
-            ambient_noise(64, 50.0, &mut b)
-        );
+        assert_eq!(ambient(64, 50.0, &mut a), ambient(64, 50.0, &mut b));
     }
 }

@@ -8,35 +8,46 @@
 //!
 //! # Spectral synthesis
 //!
-//! The hot path ([`synthesize_recording_with`]) works in the frequency
+//! The hot path ([`synthesize_recording`]) works in the frequency
 //! domain: the device-shaped chirp and the echo-shaped chirp are each
 //! transformed **once** per recording (into a
-//! [`SpectralDelayLine`](earsonar_acoustics::propagation::SpectralDelayLine)),
-//! every propagation path of every chirp window becomes a per-bin phase
-//! ramp × gain accumulated into a shared spectrum, and **one** inverse FFT
-//! per chirp recovers the superposed waveform. Because the inverse
-//! transform is linear this equals summing per-path allpass delays in the
-//! time domain at the same transform size exactly — it is a
-//! re-association of the same computation, not an approximation. The same
-//! algorithm executed in the time domain is kept as
-//! [`synthesize_recording_time_domain`]; both consume the RNG identically,
-//! and an equivalence suite holds them within 1e-9 relative error.
+//! [`SpectralDelayLine`]), every propagation path of every chirp window
+//! becomes a per-bin phase ramp × gain accumulated into a shared
+//! spectrum, and **one** inverse FFT per chirp recovers the superposed
+//! waveform. Because the inverse transform is linear this equals summing
+//! per-path allpass delays in the time domain at the same transform size
+//! exactly — it is a re-association of the same computation, not an
+//! approximation. The same algorithm executed in the time domain is kept
+//! as [`synthesize_recording_time_domain`]; both consume the RNG
+//! identically, and an equivalence suite holds them within 1e-9 relative
+//! error.
 //!
-//! The dense microphone/ambient noise fills draw polar-method Gaussian
-//! pairs ([`SimRng::gaussian_pair`]), two deviates per draw.
+//! Each recording builds its few small buffers (the shaped chirps, two
+//! delay-line spectra, one accumulator, the per-chirp parameters) as
+//! locals; only the FFT plans outlive it, process-wide
+//! ([`RealFftPlan::shared`], `FftPlan::shared`). Carrying the buffers from
+//! one recording to the next saved under 2% of synthesis time, because
+//! the noise below is most of it.
+//!
+//! # Noise
+//!
+//! The dense microphone/ambient noise fills take polar-method Gaussian
+//! pairs from [`SimRng::gaussian_pairs`], two deviates per accepted
+//! candidate, drawn in blocks. They are 73–97% of a recording's synthesis
+//! time, and their floor is the one `ln` per pair (see [`crate::rng`]).
 
 use crate::device::EarphoneModel;
 use crate::ear::EarCanal;
 use crate::motion::Motion;
 use crate::noise;
 use crate::rng::SimRng;
-use crate::scratch::{ChirpParams, SimScratch};
 use crate::wearing::WearingAngle;
 use earsonar_acoustics::absorption::EardrumResponse;
 use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_acoustics::constants::EARSONAR_CHIRP_INTERVAL;
 use earsonar_acoustics::propagation::{
-    apply_frequency_response_with, delay_fractional_allpass_with, round_trip_delay_samples,
+    apply_frequency_response, delay_fractional_allpass_with, round_trip_delay_samples,
+    SpectralDelayLine,
 };
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::fft::next_pow2;
@@ -81,70 +92,65 @@ pub use earsonar_signal::recording::Recording;
 /// the matched-filter peak of the direct path is an interior maximum.
 const DIRECT_DELAY_SAMPLES: f64 = 1.0;
 
+/// Pre-sampled synthesis parameters for one chirp window.
+///
+/// The recorder draws every random quantity up front, in the exact order
+/// the time-domain reference implementation consumes the RNG, then renders
+/// all chirps from these frozen parameters — keeping the spectral and
+/// time-domain paths bit-identical in their random streams.
+struct ChirpParams {
+    /// Canal-wall paths as (delay in samples, amplitude gain).
+    wall: Vec<(f64, f64)>,
+    /// Eardrum-echo delay in samples (jitter applied, clamped to ≥ 0).
+    eardrum_delay: f64,
+    /// Eardrum-echo amplitude gain (motion gain jitter applied).
+    eardrum_gain: f64,
+    /// Additive motion-transient samples for the start of the window
+    /// (empty when no transient fired).
+    transient: Vec<f64>,
+}
+
+/// Shapes the transmitted chirp `tx` by the earphone's frequency
+/// response, with tail room for filter ringing, then further filters it
+/// by the eardrum reflectance spectrum to get the echo waveform. Both are
+/// computed once per recording — the eardrum state is static within a
+/// session.
+fn shape_chirp(
+    tx: &[f64],
+    config: &RecorderConfig,
+    response: &EardrumResponse,
+) -> (Vec<f64>, Vec<f64>) {
+    let fs = config.chirp.sample_rate;
+    let mut padded = tx.to_vec();
+    padded.resize(tx.len() + tx.len().max(16), 0.0);
+    let tx_shaped = apply_frequency_response(&padded, fs, |f| config.device.response_gain(f))
+        .expect("internally chosen power-of-two FFT sizes are always valid");
+    let echo_shaped = apply_frequency_response(&tx_shaped, fs, |f| response.reflectance_at(f))
+        .expect("internally chosen power-of-two FFT sizes are always valid");
+    (tx_shaped, echo_shaped)
+}
+
 /// Synthesizes one recording of `ear` with the eardrum in the state
-/// described by `response`.
+/// described by `response` — the spectral-domain hot path.
 ///
 /// All stochastic elements (coupling, motion jitter, noise) come from
-/// `rng`, so a fixed seed reproduces the capture exactly.
-///
-/// One-shot wrapper over [`synthesize_recording_with`]; repeated callers
-/// (sessions, cohorts, benchmarks) should hold a [`SimScratch`] and use the
-/// planned variant directly.
+/// `rng`, so a fixed seed reproduces the capture exactly. The random
+/// stream consumed is identical to [`synthesize_recording_time_domain`]'s:
+/// all stochastic parameters are sampled up front in the reference's
+/// order, then rendered spectrally.
 pub fn synthesize_recording(
     ear: &EarCanal,
     response: &EardrumResponse,
     config: &RecorderConfig,
     rng: &mut SimRng,
 ) -> Recording {
-    let mut scratch = SimScratch::new();
-    synthesize_recording_with(ear, response, config, rng, &mut scratch)
-}
-
-/// [`synthesize_recording`] with plans and buffers drawn from a
-/// caller-owned [`SimScratch`] — the spectral-domain hot path.
-///
-/// With a warm scratch the only allocation per call is the returned
-/// `Recording`'s sample buffer. The random stream consumed is identical to
-/// [`synthesize_recording_time_domain`]'s: all stochastic parameters are
-/// sampled up front in the legacy order, then rendered spectrally.
-pub fn synthesize_recording_with(
-    ear: &EarCanal,
-    response: &EardrumResponse,
-    config: &RecorderConfig,
-    rng: &mut SimRng,
-    scratch: &mut SimScratch,
-) -> Recording {
     let fs = config.chirp.sample_rate;
     let tx = config.chirp.samples();
     let chirp_len = tx.len();
     let hop = config.chirp.hop_samples(config.chirp_interval_s);
 
-    // Shape the transmitted chirp by the earphone's frequency response,
-    // with tail room for filter ringing; then further filter by the eardrum
-    // reflectance spectrum to get the echo waveform. Both are computed once
-    // per recording — the eardrum state is static within a session.
+    let (tx_shaped, echo_shaped) = shape_chirp(&tx, config, response);
     let device = config.device;
-    scratch.padded.clear();
-    scratch.padded.extend_from_slice(&tx);
-    scratch
-        .padded
-        .extend(std::iter::repeat_n(0.0, chirp_len.max(16)));
-    apply_frequency_response_with(
-        &scratch.padded,
-        fs,
-        |f| device.response_gain(f),
-        &mut scratch.dsp,
-        &mut scratch.tx_shaped,
-    )
-    .expect("internally chosen power-of-two FFT sizes are always valid");
-    apply_frequency_response_with(
-        &scratch.tx_shaped,
-        fs,
-        |f| response.reflectance_at(f),
-        &mut scratch.dsp,
-        &mut scratch.echo_shaped,
-    )
-    .expect("internally chosen power-of-two FFT sizes are always valid");
 
     // Session-level factors.
     let coupling = rng.jitter(1.0 - device.coupling_quality());
@@ -157,87 +163,82 @@ pub fn synthesize_recording_with(
     // Sample every per-chirp stochastic parameter up front, in exactly the
     // order the time-domain reference consumes the RNG, and track the
     // largest delay so one transform size covers every path.
-    let seg_len = hop;
-    let t_len = seg_len.min(60);
+    let t_len = hop.min(60);
     let mut max_delay = DIRECT_DELAY_SAMPLES;
-    scratch
-        .chirps
-        .resize_with(config.n_chirps, ChirpParams::default);
-    for cp in scratch.chirps.iter_mut().take(config.n_chirps) {
-        cp.wall.clear();
-        cp.transient.clear();
+    let mut chirps = Vec::with_capacity(config.n_chirps);
+    for _ in 0..config.n_chirps {
         let (delay_jit, gain_jit, transient) = config.motion.sample_disturbance(rng);
         let extra_jit = rng.gaussian(0.0, config.angle.extra_delay_jitter());
+        let mut wall = Vec::with_capacity(ear.wall_paths.len());
         for &(dist, gain) in &ear.wall_paths {
             let delay = (round_trip_delay_samples(dist, fs)
                 + DIRECT_DELAY_SAMPLES
                 + rng.gaussian(0.0, 0.08))
             .max(0.0);
             let g = gain * config.angle.wall_gain_factor() * coupling * rng.jitter(0.04);
-            cp.wall.push((delay, g));
+            wall.push((delay, g));
             max_delay = max_delay.max(delay);
         }
-        cp.eardrum_delay = (eardrum_delay + delay_jit + extra_jit).max(0.0);
-        cp.eardrum_gain = eardrum_gain * gain_jit;
+        let cp = ChirpParams {
+            wall,
+            eardrum_delay: (eardrum_delay + delay_jit + extra_jit).max(0.0),
+            eardrum_gain: eardrum_gain * gain_jit,
+            transient: if transient > 0.0 {
+                (0..t_len)
+                    .map(|i| {
+                        let env = (-((i as f64 - 20.0) / 10.0).powi(2)).exp();
+                        transient * env * rng.standard_gaussian()
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            },
+        };
         max_delay = max_delay.max(cp.eardrum_delay);
-        if transient > 0.0 {
-            for i in 0..t_len {
-                let env = (-((i as f64 - 20.0) / 10.0).powi(2)).exp();
-                cp.transient.push(transient * env * rng.standard_gaussian());
-            }
-        }
+        chirps.push(cp);
     }
 
     // One forward transform per source waveform, at a size covering the
     // longest delayed copy (the same size the per-path reference delays pick
     // for the default geometry).
-    let n = next_pow2(scratch.tx_shaped.len() + max_delay.ceil() as usize + 1);
+    let n = next_pow2(tx_shaped.len() + max_delay.ceil() as usize + 1);
     let plan = RealFftPlan::shared(n).expect("next_pow2 sizes are always valid");
-    let mut work = scratch.dsp.take_complex();
-    scratch
-        .tx_line
-        .load(&scratch.tx_shaped, plan, &mut work)
+    let (mut tx_line, mut echo_line) = (SpectralDelayLine::new(), SpectralDelayLine::new());
+    let mut work = Vec::new();
+    tx_line
+        .load(&tx_shaped, plan, &mut work)
         .expect("transform size covers the shaped chirp");
-    scratch
-        .echo_line
-        .load(&scratch.echo_shaped, plan, &mut work)
+    echo_line
+        .load(&echo_shaped, plan, &mut work)
         .expect("transform size covers the echo waveform");
 
-    let total_len = hop * config.n_chirps;
-    let mut samples = vec![0.0; total_len];
+    let mut samples = vec![0.0; hop * config.n_chirps];
     let half = n / 2;
-    scratch.acc.resize(n, Complex64::ZERO);
-    for (c, cp) in scratch.chirps.iter().take(config.n_chirps).enumerate() {
+    let mut acc = vec![Complex64::ZERO; n];
+    let mut time = Vec::new();
+    for (c, cp) in chirps.iter().enumerate() {
         // Only the lower half of the accumulator is ever read by the real
         // inverse transform, so only the lower half needs clearing.
-        for z in &mut scratch.acc[..=half] {
-            *z = Complex64::ZERO;
-        }
+        acc[..=half].fill(Complex64::ZERO);
         // Direct leak, canal-wall multipath, eardrum echo: each path is one
         // phase-ramp accumulation, no FFT.
-        scratch
-            .tx_line
-            .accumulate_into(&mut scratch.acc, DIRECT_DELAY_SAMPLES, dgain);
+        tx_line.accumulate_into(&mut acc, DIRECT_DELAY_SAMPLES, dgain);
         for &(delay, g) in &cp.wall {
-            scratch.tx_line.accumulate_into(&mut scratch.acc, delay, g);
+            tx_line.accumulate_into(&mut acc, delay, g);
         }
-        scratch
-            .echo_line
-            .accumulate_into(&mut scratch.acc, cp.eardrum_delay, cp.eardrum_gain);
-        plan.inverse_into(&scratch.acc, &mut work, &mut scratch.time)
+        echo_line.accumulate_into(&mut acc, cp.eardrum_delay, cp.eardrum_gain);
+        plan.inverse_into(&acc, &mut work, &mut time)
             .expect("accumulator length matches the plan");
 
-        let start = c * hop;
-        let segment = &mut samples[start..start + seg_len];
-        for (s, t) in segment.iter_mut().zip(scratch.time.iter()) {
+        let segment = &mut samples[c * hop..(c + 1) * hop];
+        for (s, t) in segment.iter_mut().zip(&time) {
             *s = *t;
         }
         // Motion transient: a short broadband thud early in the window.
-        for (s, t) in segment.iter_mut().zip(cp.transient.iter()) {
+        for (s, t) in segment.iter_mut().zip(&cp.transient) {
             *s += *t;
         }
     }
-    scratch.dsp.put_complex(work);
 
     // Microphone self-noise and ambient noise through the earbud seal,
     // streamed in place.
@@ -264,7 +265,7 @@ pub fn synthesize_recording_with(
 ///
 /// Kept as the reference implementation for the spectral path's
 /// equivalence suite: it consumes the RNG identically to
-/// [`synthesize_recording_with`], so the two agree within 1e-9.
+/// [`synthesize_recording`], so the two agree within 1e-9.
 pub fn synthesize_recording_time_domain(
     ear: &EarCanal,
     response: &EardrumResponse,
@@ -276,18 +277,8 @@ pub fn synthesize_recording_time_domain(
     let chirp_len = tx.len();
     let hop = config.chirp.hop_samples(config.chirp_interval_s);
 
-    let mut padded = tx.clone();
-    padded.extend(std::iter::repeat_n(0.0, chirp_len.max(16)));
+    let (tx_shaped, echo_shaped) = shape_chirp(&tx, config, response);
     let device = config.device;
-    let mut dsp = DspScratch::new();
-    let mut shape = |x: &[f64], gain: &dyn Fn(f64) -> f64| {
-        let mut out = Vec::new();
-        apply_frequency_response_with(x, fs, gain, &mut dsp, &mut out)
-            .expect("internally chosen power-of-two FFT sizes are always valid");
-        out
-    };
-    let tx_shaped = shape(&padded, &|f| device.response_gain(f));
-    let echo_shaped = shape(&tx_shaped, &|f| response.reflectance_at(f));
 
     let coupling = rng.jitter(1.0 - device.coupling_quality());
     let distance_offset = config.angle.sample_distance_offset(rng);
@@ -298,6 +289,7 @@ pub fn synthesize_recording_time_domain(
     let total_len = hop * config.n_chirps;
     let mut samples = vec![0.0; total_len];
     let seg_len = hop;
+    let mut dsp = DspScratch::new();
     let mut delay_allpass = |x: &[f64], delay: f64, out: &mut Vec<f64>| {
         delay_fractional_allpass_with(x, delay, seg_len, &mut dsp, out)
             .expect("internally chosen power-of-two FFT sizes are always valid");
@@ -413,32 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_bit_identical() {
-        // A warm scratch carried across recordings (different ears, motion
-        // states, eardrum responses) must not leak state between calls.
-        let cfg_walk = RecorderConfig {
-            motion: Motion::Walking,
-            ..Default::default()
-        };
-        let cfg_sit = RecorderConfig::default();
-        let mut warm = SimScratch::new();
-        let mut rng_warm = SimRng::seed_from_u64(31);
-        let mut rng_cold = SimRng::seed_from_u64(31);
-        for (seed, cfg) in [(5u64, &cfg_walk), (6, &cfg_sit), (5, &cfg_walk)] {
-            let ear = test_ear(seed);
-            let resp = EardrumResponse::clear();
-            let a = synthesize_recording_with(&ear, &resp, cfg, &mut rng_warm, &mut warm);
-            let b = synthesize_recording(&ear, &resp, cfg, &mut rng_cold);
-            assert_eq!(a, b, "seed {seed}");
-        }
-    }
-
-    #[test]
     fn spectral_matches_time_domain_reference() {
         // The tentpole equivalence: spectral accumulation with one inverse
         // FFT per chirp vs. the per-path time-domain reference, same seeds.
         let resp = EardrumResponse::clear();
-        let mut scratch = SimScratch::new();
         for (seed, motion) in [
             (2u64, Motion::Sit),
             (9, Motion::Walking),
@@ -451,7 +421,7 @@ mod tests {
             };
             let mut a = SimRng::seed_from_u64(seed + 100);
             let mut b = SimRng::seed_from_u64(seed + 100);
-            let spectral = synthesize_recording_with(&ear, &resp, &cfg, &mut a, &mut scratch);
+            let spectral = synthesize_recording(&ear, &resp, &cfg, &mut a);
             let reference = synthesize_recording_time_domain(&ear, &resp, &cfg, &mut b);
             let peak = reference.samples.iter().fold(0.0f64, |m, v| m.max(v.abs()));
             assert!(peak > 0.0);

@@ -8,15 +8,14 @@
 //! model's state on that day as the "pneumatic otoscope" ground truth.
 
 use crate::patient::Patient;
-use crate::recorder::synthesize_recording_with;
+use crate::recorder::synthesize_recording;
 use crate::rng::SimRng;
-use crate::scratch::SimScratch;
 
 pub use crate::recorder::RecorderConfig as SessionConfig;
 pub use earsonar_signal::session::Session;
 
 /// Simulator-side constructors for [`Session`]: import this trait to call
-/// `Session::record(...)` / `Session::record_with(...)`.
+/// `Session::record(...)`.
 pub trait RecordSession {
     /// Records a session for `patient` on `day` under `config`.
     ///
@@ -24,33 +23,10 @@ pub trait RecordSession {
     /// day (morning vs evening); the patient's own seed is mixed in so the
     /// same `(patient, day, visit_seed)` always reproduces the capture.
     fn record(patient: &Patient, day: u32, config: &SessionConfig, visit_seed: u64) -> Session;
-
-    /// [`RecordSession::record`] with synthesis buffers drawn from a
-    /// caller-owned [`SimScratch`]. Bit-identical to the one-shot entry
-    /// point — the scratch holds no state that influences the samples — so
-    /// a warm scratch can be reused across sessions, days, and patients.
-    fn record_with(
-        patient: &Patient,
-        day: u32,
-        config: &SessionConfig,
-        visit_seed: u64,
-        scratch: &mut SimScratch,
-    ) -> Session;
 }
 
 impl RecordSession for Session {
     fn record(patient: &Patient, day: u32, config: &SessionConfig, visit_seed: u64) -> Session {
-        let mut scratch = SimScratch::new();
-        Self::record_with(patient, day, config, visit_seed, &mut scratch)
-    }
-
-    fn record_with(
-        patient: &Patient,
-        day: u32,
-        config: &SessionConfig,
-        visit_seed: u64,
-        scratch: &mut SimScratch,
-    ) -> Session {
         let mut rng = SimRng::seed_from_u64(
             patient
                 .seed
@@ -59,8 +35,7 @@ impl RecordSession for Session {
         );
         let ground_truth = patient.state_on_day(day);
         let response = patient.eardrum_response_on_day(day, &mut rng);
-        let recording =
-            synthesize_recording_with(&patient.ear, &response, config, &mut rng, scratch);
+        let recording = synthesize_recording(&patient.ear, &response, config, &mut rng);
         Session {
             patient_id: patient.id,
             day,

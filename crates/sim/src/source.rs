@@ -8,7 +8,6 @@
 //! (`earsonar_signal::wav`), or future hardware backends.
 
 use crate::patient::Patient;
-use crate::scratch::SimScratch;
 use crate::session::{RecordSession, Session, SessionConfig};
 use earsonar_signal::effusion::MeeState;
 use earsonar_signal::recording::Recording;
@@ -23,7 +22,6 @@ pub struct SimulatedEar {
     config: SessionConfig,
     visits_per_day: u64,
     next_visit: u64,
-    scratch: SimScratch,
 }
 
 impl SimulatedEar {
@@ -34,7 +32,6 @@ impl SimulatedEar {
             config,
             visits_per_day: 2,
             next_visit: 0,
-            scratch: SimScratch::new(),
         }
     }
 
@@ -55,7 +52,7 @@ impl SimulatedEar {
         let day = self.current_day();
         let visit = self.next_visit;
         self.next_visit += 1;
-        Session::record_with(&self.patient, day, &self.config, visit, &mut self.scratch)
+        Session::record(&self.patient, day, &self.config, visit)
     }
 }
 

@@ -9,7 +9,7 @@ use earsonar_sim::device::EarphoneModel;
 use earsonar_sim::ear::EarCanal;
 use earsonar_sim::effusion::{MeeAcoustics, MeeState};
 use earsonar_sim::motion::Motion;
-use earsonar_sim::noise::{ambient_noise, spl_to_amplitude};
+use earsonar_sim::noise::{add_ambient_noise, spl_to_amplitude};
 use earsonar_sim::recorder::{synthesize_recording, RecorderConfig};
 use earsonar_sim::rng::SimRng;
 use earsonar_sim::session::{RecordSession, Session, SessionConfig};
@@ -87,7 +87,8 @@ fn ambient_noise_is_zero_mean() {
         let mut case_rng = DetRng::seed_from_u64(seed);
         let db = case_rng.uniform(30.0, 65.0);
         let mut rng = SimRng::seed_from_u64(seed);
-        let x = ambient_noise(4_096, db, &mut rng);
+        let mut x = vec![0.0; 4_096];
+        add_ambient_noise(&mut x, db, 1.0, &mut rng);
         let mean = x.iter().sum::<f64>() / x.len() as f64;
         assert!(mean.abs() < 5.0 * spl_to_amplitude(db), "seed {seed}");
     }

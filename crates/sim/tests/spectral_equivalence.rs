@@ -1,6 +1,6 @@
 //! Equivalence suite for the spectral-domain recording synthesizer.
 //!
-//! The hot path (`synthesize_recording_with`) accumulates every propagation
+//! The hot path (`synthesize_recording`) accumulates every propagation
 //! path in the frequency domain and inverts once per chirp; the reference
 //! (`synthesize_recording_time_domain`) sums the paths in the time
 //! domain, one `delay_fractional_allpass_with` per path per chirp. Both
@@ -15,11 +15,9 @@ use earsonar_sim::device::EarphoneModel;
 use earsonar_sim::ear::EarCanal;
 use earsonar_sim::motion::Motion;
 use earsonar_sim::recorder::{
-    synthesize_recording, synthesize_recording_time_domain, synthesize_recording_with,
-    RecorderConfig,
+    synthesize_recording, synthesize_recording_time_domain, RecorderConfig,
 };
 use earsonar_sim::rng::SimRng;
-use earsonar_sim::scratch::SimScratch;
 use earsonar_sim::wearing::WearingAngle;
 use earsonar_sim::{MeeAcoustics, MeeState};
 
@@ -34,10 +32,9 @@ fn assert_equivalent(label: &str, cfg: &RecorderConfig, ear: &EarCanal, seed: u6
     let mut resp_rng = SimRng::seed_from_u64(seed ^ 0x5DEE_CE66);
     let state = MeeState::ALL[(seed % MeeState::ALL.len() as u64) as usize];
     let resp = state.sample_response(18_000.0, &mut resp_rng);
-    let mut scratch = SimScratch::new();
     let mut rng_a = SimRng::seed_from_u64(seed);
     let mut rng_b = SimRng::seed_from_u64(seed);
-    let spectral = synthesize_recording_with(ear, &resp, cfg, &mut rng_a, &mut scratch);
+    let spectral = synthesize_recording(ear, &resp, cfg, &mut rng_a);
     let reference = synthesize_recording_time_domain(ear, &resp, cfg, &mut rng_b);
     assert_eq!(spectral.samples.len(), reference.samples.len(), "{label}");
     // Identical RNG consumption is a precondition of sample agreement;
