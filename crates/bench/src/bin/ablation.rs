@@ -134,7 +134,6 @@ fn main() {
                     k,
                     n_init: 6,
                     seed: 1,
-                    ..Default::default()
                 },
             )
             .expect("kmeans");

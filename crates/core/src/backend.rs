@@ -45,7 +45,7 @@ use crate::segment::EardrumEcho;
 use earsonar_dsp::plan::DspScratch;
 use earsonar_ml::distance::euclidean;
 use earsonar_ml::knn::KnnClassifier;
-use earsonar_ml::logistic::{LogisticConfig, MultinomialLogistic};
+use earsonar_ml::logistic::MultinomialLogistic;
 use earsonar_ml::scaler::StandardScaler;
 use earsonar_signal::effusion::MeeState;
 
@@ -164,12 +164,7 @@ impl BackendSpec {
             Kind::KMeans => Classifier::KMeans(EarSonarDetector::fit(features, labels, config)?),
             Kind::Logistic => {
                 let (scaler, scaled) = StandardScaler::fit_transform(features)?;
-                let model = MultinomialLogistic::fit(
-                    &scaled,
-                    &classes(),
-                    MeeState::COUNT,
-                    &LogisticConfig::default(),
-                )?;
+                let model = MultinomialLogistic::fit(&scaled, &classes(), MeeState::COUNT)?;
                 Classifier::Logistic { scaler, model }
             }
             Kind::Knn => {

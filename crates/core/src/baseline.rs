@@ -11,7 +11,7 @@
 //! paper's claimed ~8% advantage.
 
 use crate::absorption::{N_FFT, PROFILE_BAND_HZ};
-use crate::channel::{average_irs, chirp_template, pipeline_estimator, ChannelEstimator};
+use crate::channel::{average_irs, template_and_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use crate::preprocess::Preprocessor;
@@ -77,10 +77,7 @@ pub fn build_estimator(
     preprocessor: &Preprocessor,
     config: &EarSonarConfig,
 ) -> Result<ChannelEstimator, EarSonarError> {
-    let mut raw = chirp_template(config)?;
-    raw.extend(std::iter::repeat_n(0.0, raw.len()));
-    let filtered = preprocessor.run(&raw)?;
-    pipeline_estimator(&filtered, config)
+    template_and_estimator(preprocessor, config).map(|(_, estimator)| estimator)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
+use crate::preprocess::Preprocessor;
 use earsonar_acoustics::chirp::FmcwChirp;
 use earsonar_acoustics::constants::{EARSONAR_BANDWIDTH, EARSONAR_F0};
 use earsonar_dsp::complex::Complex64;
@@ -196,6 +197,25 @@ pub fn chirp_template(config: &EarSonarConfig) -> Result<Vec<f64>, EarSonarError
     Ok(chirp.samples())
 }
 
+/// The pipeline's deconvolution template and its channel estimator. The
+/// template must look like the direct leak *after* preprocessing, so the
+/// transmit chirp, zero-padded to twice its length, runs through the same
+/// zero-phase band-pass the recording sees.
+///
+/// # Errors
+///
+/// Propagates chirp, band-pass and estimator construction errors.
+pub(crate) fn template_and_estimator(
+    preprocessor: &Preprocessor,
+    config: &EarSonarConfig,
+) -> Result<(Vec<f64>, ChannelEstimator), EarSonarError> {
+    let mut raw = chirp_template(config)?;
+    raw.resize(raw.len() * 2, 0.0);
+    let template = preprocessor.run(&raw)?;
+    let estimator = pipeline_estimator(&template, config)?;
+    Ok((template, estimator))
+}
+
 /// Builds the pipeline's channel estimator from its configuration and the
 /// preprocessed template.
 ///
@@ -232,8 +252,9 @@ pub fn average_irs(irs: &[Vec<f64>]) -> Result<Vec<f64>, EarSonarError> {
 }
 
 /// The element-wise mean of `rows`, each `len` long: summed in row order,
-/// then divided by the row count. [`average_irs`] and the front end's
-/// finalize (over its IRs stored end to end) both average through here.
+/// then divided by the row count. [`average_irs`], the front end's
+/// finalize (over its IRs stored end to end) and the detector's
+/// state-mean k-means start all average through here.
 pub(crate) fn mean_rows<'a>(
     rows: impl ExactSizeIterator<Item = &'a [f64]>,
     len: usize,

@@ -1,23 +1,24 @@
 //! MEE detection (paper §IV-C-2/3/4).
 //!
 //! The trained detector chains: z-score standardization → Laplacian-score
-//! feature selection (top 25 of 105) → k-means clustering (k = 4) with
-//! optional distance-based outlier removal → majority-vote cluster
-//! labelling. At prediction time a feature vector is standardized,
-//! projected, assigned to its nearest cluster centre, and mapped to an
-//! effusion state.
+//! feature selection (top 25 of 105) → optional distance-based outlier
+//! removal → k-means (k = 4) started from the four state means →
+//! majority-vote cluster labelling. At prediction time a feature vector
+//! is standardized, projected, assigned to its nearest cluster centre, and
+//! mapped to an effusion state.
 
+use crate::channel::mean_rows;
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
 use earsonar_ml::kmeans::{KMeans, KMeansConfig};
 use earsonar_ml::labeling::ClusterLabeling;
-use earsonar_ml::laplacian::{self, LaplacianConfig};
+use earsonar_ml::laplacian;
 use earsonar_ml::outlier;
 use earsonar_ml::scaler::StandardScaler;
 use earsonar_signal::effusion::MeeState;
 
 /// Neighbours in the Laplacian-score kNN graph.
-pub const LAPLACIAN_NEIGHBORS: usize = 15;
+pub use earsonar_ml::laplacian::NEIGHBORS as LAPLACIAN_NEIGHBORS;
 
 /// k-means restarts.
 pub const KMEANS_RESTARTS: usize = 12;
@@ -58,15 +59,7 @@ impl EarSonarDetector {
         }
         let (scaler, scaled) = StandardScaler::fit_transform(features)?;
 
-        let selected = laplacian::select_top_features_decorrelated(
-            &scaled,
-            config.top_features,
-            0.99,
-            &LaplacianConfig {
-                k_neighbors: LAPLACIAN_NEIGHBORS,
-                bandwidth: None,
-            },
-        )?;
+        let selected = laplacian::select_top_features(&scaled, config.top_features)?;
         let projected = laplacian::project(&scaled, &selected)?;
 
         // One cluster per effusion state.
@@ -74,14 +67,13 @@ impl EarSonarDetector {
             k: MeeState::COUNT,
             n_init: KMEANS_RESTARTS,
             seed: SEED,
-            ..Default::default()
         };
 
         // Outlier removal (paper §IV-D-4, strategy 1): cluster, drop
         // confirmed outliers, re-cluster on the clean set.
         let (train_set, train_labels): (Vec<Vec<f64>>, Vec<MeeState>) =
             if config.remove_outliers && projected.len() > 4 * MeeState::COUNT {
-                let report = outlier::detect_outliers(&projected, &km_config, 3.0, 3)?;
+                let report = outlier::detect_outliers(&projected, &km_config)?;
                 if report.outliers.is_empty() {
                     (projected.clone(), labels.to_vec())
                 } else {
@@ -98,50 +90,7 @@ impl EarSonarDetector {
                 (projected.clone(), labels.to_vec())
             };
 
-        // The paper gives k-means "four cluster centers according to the
-        // four different states": initialize each centre at its state's
-        // training mean, then let Lloyd refine.
-        let dim = train_set[0].len();
-        let mut sums = vec![vec![0.0; dim]; MeeState::COUNT];
-        let mut counts = vec![0usize; MeeState::COUNT];
-        for (x, s) in train_set.iter().zip(&train_labels) {
-            let k = s.index();
-            counts[k] += 1;
-            for (a, &v) in sums[k].iter_mut().zip(x) {
-                *a += v;
-            }
-        }
-        let grand: Vec<f64> = {
-            let n = train_set.len() as f64;
-            let mut g = vec![0.0; dim];
-            for x in &train_set {
-                for (a, &v) in g.iter_mut().zip(x) {
-                    *a += v;
-                }
-            }
-            g.into_iter().map(|v| v / n).collect()
-        };
-        let initial: Vec<Vec<f64>> = sums
-            .iter()
-            .zip(&counts)
-            .map(|(s, &c)| {
-                if c == 0 {
-                    grand.clone()
-                } else {
-                    s.iter().map(|v| v / c as f64).collect()
-                }
-            })
-            .collect();
-        // A short Lloyd descent refines the given centres without letting
-        // adjacent severity grades collapse into one cluster.
-        let refine = KMeansConfig {
-            max_iters: 1,
-            ..km_config
-        };
-        let kmeans = KMeans::fit_with_init(&train_set, &initial, &refine)?;
-        let class_of: Vec<usize> = train_labels.iter().map(|s| s.index()).collect();
-        let labeling =
-            ClusterLabeling::fit(kmeans.labels(), &class_of, MeeState::COUNT, MeeState::COUNT)?;
+        let (kmeans, labeling) = fit_state_kmeans(&train_set, &train_labels)?;
         Ok(EarSonarDetector {
             scaler,
             selected,
@@ -225,6 +174,46 @@ impl EarSonarDetector {
             labeling,
         })
     }
+}
+
+/// The paper's clustering step: k-means "given four cluster centers
+/// according to the four different states". Each centre starts at its
+/// state's mean over `data` (the grand mean for a state with no rows), one
+/// Lloyd step refines them without letting adjacent severity grades
+/// collapse into one cluster, and a majority vote names the clusters. The
+/// detector and [`crate::eval::loocv_baseline`] share it.
+///
+/// # Errors
+///
+/// Returns [`EarSonarError::Ml`] for empty or ragged data or fewer rows
+/// than states.
+pub(crate) fn fit_state_kmeans(
+    data: &[Vec<f64>],
+    labels: &[MeeState],
+) -> Result<(KMeans, ClusterLabeling), EarSonarError> {
+    let dim = data.first().map_or(0, Vec::len);
+    let grand = mean_rows(data.iter().map(Vec::as_slice), dim);
+    let initial = MeeState::ALL
+        .iter()
+        .map(|&state| {
+            let rows: Vec<&[f64]> = data
+                .iter()
+                .zip(labels)
+                .filter(|&(_, &s)| s == state)
+                .map(|(x, _)| x.as_slice())
+                .collect();
+            if rows.is_empty() {
+                grand.clone()
+            } else {
+                mean_rows(rows.into_iter(), dim)
+            }
+        })
+        .collect();
+    let kmeans = KMeans::refine(data, initial)?;
+    let class_of: Vec<usize> = labels.iter().map(|s| s.index()).collect();
+    let labeling =
+        ClusterLabeling::fit(kmeans.labels(), &class_of, MeeState::COUNT, MeeState::COUNT)?;
+    Ok((kmeans, labeling))
 }
 
 #[cfg(test)]

@@ -29,8 +29,6 @@ use crate::preprocess::Preprocessor;
 use earsonar_dsp::fanout;
 use earsonar_dsp::plan::DspScratch;
 use earsonar_ml::crossval::{leave_one_group_out, Split};
-use earsonar_ml::kmeans::{KMeans, KMeansConfig};
-use earsonar_ml::labeling::ClusterLabeling;
 use earsonar_ml::metrics::ClassificationReport;
 use earsonar_ml::scaler::StandardScaler;
 use earsonar_signal::effusion::MeeState;
@@ -299,35 +297,7 @@ pub fn loocv_baseline(data: &ExtractedDataset) -> Result<ClassificationReport, E
         data,
         |train_x, train_y| {
             let (scaler, scaled) = StandardScaler::fit_transform(train_x)?;
-            // State-mean initial centres, as in the EarSonar detector.
-            let dim = scaled[0].len();
-            let mut sums = vec![vec![0.0; dim]; MeeState::COUNT];
-            let mut counts = vec![0usize; MeeState::COUNT];
-            for (x, s) in scaled.iter().zip(train_y) {
-                let k = s.index();
-                counts[k] += 1;
-                for (a, &v) in sums[k].iter_mut().zip(x) {
-                    *a += v;
-                }
-            }
-            let initial: Vec<Vec<f64>> = sums
-                .iter()
-                .zip(&counts)
-                .map(|(s, &c)| s.iter().map(|v| v / c.max(1) as f64).collect())
-                .collect();
-            let kmeans = KMeans::fit_with_init(
-                &scaled,
-                &initial,
-                &KMeansConfig {
-                    k: MeeState::COUNT,
-                    max_iters: 1,
-                    seed: crate::detect::SEED,
-                    ..Default::default()
-                },
-            )?;
-            let class_of: Vec<usize> = train_y.iter().map(|s| s.index()).collect();
-            let labeling =
-                ClusterLabeling::fit(kmeans.labels(), &class_of, MeeState::COUNT, MeeState::COUNT)?;
+            let (kmeans, labeling) = crate::detect::fit_state_kmeans(&scaled, train_y)?;
             Ok((scaler, kmeans, labeling))
         },
         |(scaler, kmeans, labeling), f| {

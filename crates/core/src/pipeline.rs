@@ -14,7 +14,7 @@
 
 use crate::absorption::{average_spectra, EchoBand, EchoSpectrum};
 use crate::backend::{self, BackendSpec, Classifier, Extractor};
-use crate::channel::{chirp_template, mean_rows, pipeline_estimator, ChannelEstimator};
+use crate::channel::{mean_rows, template_and_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
 use crate::diagnostics::Diagnostics;
 use crate::error::EarSonarError;
@@ -22,7 +22,7 @@ use crate::eval::ExtractedDataset;
 use crate::event::{detect_events_into, EventSpan};
 use crate::preprocess::Preprocessor;
 use crate::quality::{self, NoiseFloor, QualityCause, SessionQuality};
-use crate::segment::{segment_with_anchor, EardrumEcho};
+use crate::segment::{segment_with_anchor_with, EardrumEcho};
 use earsonar_acoustics::propagation::AllpassDelay;
 use earsonar_dsp::lanes::{for_lane_groups, LaneOp, LANES};
 use earsonar_dsp::plan::DspScratch;
@@ -205,20 +205,12 @@ impl FrontEnd {
         let extractor = spec.extractor(config)?;
         config.validate()?;
         let preprocessor = Preprocessor::new(config)?;
-        // The deconvolution template must look like the direct leak *after*
-        // preprocessing, so run the transmit chirp through the same
-        // zero-phase band-pass the recording sees.
-        let mut raw = chirp_template(config)?;
-        // Zero-pad to twice the chirp length in place — `resize` grows the
-        // existing allocation instead of copying element by element.
-        raw.resize(raw.len() * 2, 0.0);
-        let filtered = preprocessor.run(&raw)?;
-        let estimator = pipeline_estimator(&filtered, config)?;
+        let (template, estimator) = template_and_estimator(&preprocessor, config)?;
         Ok(FrontEnd {
             config: config.clone(),
             preprocessor,
             extractor,
-            template: filtered,
+            template,
             estimator,
             echo_band: EchoBand::new(config),
         })
@@ -529,7 +521,7 @@ impl FrontEnd {
         let calibration = 1.0;
 
         // Parity segmentation on the averaged IR locates the eardrum echo.
-        let mut echo = segment_with_anchor(&avg_ir, direct_tap, &self.config)?;
+        let mut echo = segment_with_anchor_with(scratch, &avg_ir, direct_tap, &self.config)?;
 
         // Subsample alignment: place the echo pulse's envelope peak on the
         // integer grid so the fixed analysis section always captures the

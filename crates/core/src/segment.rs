@@ -65,20 +65,23 @@ pub struct EchoCandidate {
 /// Finds all local-symmetry candidates of `x`: local extrema of
 /// `|(x∗x)[m]|` whose parity energy ratio (over a window of
 /// `2 * MIN_SYMMETRY_SUPPORT` samples) exceeds [`PARITY_ENERGY_THRESHOLD`].
-pub fn find_symmetry_candidates(x: &[f64]) -> Vec<EchoCandidate> {
+/// The auto-convolution's plan and buffers come from `scratch`.
+pub fn find_symmetry_candidates(scratch: &mut DspScratch, x: &[f64]) -> Vec<EchoCandidate> {
     if x.len() < MIN_SYMMETRY_SUPPORT {
         return Vec::new();
     }
-    let mut ac = Vec::new();
-    autoconvolve_with(&mut DspScratch::new(), x, &mut ac);
-    let mag: Vec<f64> = ac.iter().map(|v| v.abs()).collect();
+    let mut mag = scratch.take_real();
+    autoconvolve_with(scratch, x, &mut mag);
+    mag.iter_mut().for_each(|v| *v = v.abs());
     let top = mag.iter().copied().fold(0.0f64, f64::max);
-    if top == 0.0 {
-        return Vec::new();
-    }
     // Local extrema of the auto-convolution magnitude, pruned to
     // meaningful height.
-    let peaks = earsonar_dsp::peak::find_peaks(&mag, 0.05 * top, 2);
+    let peaks = if top == 0.0 {
+        Vec::new()
+    } else {
+        earsonar_dsp::peak::find_peaks(&mag, 0.05 * top, 2)
+    };
+    scratch.put_real(mag);
     let half = MIN_SYMMETRY_SUPPORT;
     let mut out = Vec::new();
     for p in peaks {
@@ -175,6 +178,22 @@ pub fn segment_with_anchor(
     direct_center: usize,
     config: &EarSonarConfig,
 ) -> Result<EardrumEcho, EarSonarError> {
+    segment_with_anchor_with(&mut DspScratch::new(), chirp_window, direct_center, config)
+}
+
+/// [`segment_with_anchor`] with the symmetry search's FFT plan and buffers
+/// drawn from a caller-owned [`DspScratch`]; the pipeline's per-capture
+/// segmentation.
+///
+/// # Errors
+///
+/// Same conditions as [`segment_with_anchor`].
+pub fn segment_with_anchor_with(
+    scratch: &mut DspScratch,
+    chirp_window: &[f64],
+    direct_center: usize,
+    config: &EarSonarConfig,
+) -> Result<EardrumEcho, EarSonarError> {
     if chirp_window.len() < config.chirp_len {
         return Err(EarSonarError::BadRecording {
             reason: "chirp window shorter than the chirp",
@@ -188,7 +207,7 @@ pub fn segment_with_anchor(
     // Focus the symmetry search on the active part of the window.
     let active_len = (config.chirp_len * 3 + d_hi.ceil() as usize).min(chirp_window.len());
     let active = &chirp_window[..active_len];
-    let candidates = find_symmetry_candidates(active);
+    let candidates = find_symmetry_candidates(scratch, active);
 
     let lo = direct_center as f64 + d_lo;
     let hi = direct_center as f64 + d_hi;
@@ -293,7 +312,7 @@ mod tests {
                 (-t * t).exp() * (0.9 * (i as f64 - 40.0)).cos()
             })
             .collect();
-        let candidates = find_symmetry_candidates(&x);
+        let candidates = find_symmetry_candidates(&mut DspScratch::new(), &x);
         assert!(!candidates.is_empty());
         let best = candidates
             .iter()
@@ -310,8 +329,8 @@ mod tests {
 
     #[test]
     fn silence_produces_no_candidates() {
-        assert!(find_symmetry_candidates(&[0.0; 64]).is_empty());
-        assert!(find_symmetry_candidates(&[0.0; 4]).is_empty());
+        assert!(find_symmetry_candidates(&mut DspScratch::new(), &[0.0; 64]).is_empty());
+        assert!(find_symmetry_candidates(&mut DspScratch::new(), &[0.0; 4]).is_empty());
     }
 
     #[test]

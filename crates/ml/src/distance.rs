@@ -38,7 +38,7 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// This is the one audited implementation behind both
 /// [`cosine`] distance and the Pearson-correlation redundancy test in
-/// [`crate::laplacian::select_top_features_decorrelated`] (applied to
+/// [`crate::laplacian::select_top_features`] (applied to
 /// mean-centred columns, cosine similarity *is* Pearson correlation).
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());

@@ -11,15 +11,19 @@ use crate::distance::squared_euclidean;
 use crate::error::MlError;
 use earsonar_dsp::rng::DetRng;
 
+/// Maximum Lloyd iterations per restart of [`KMeans::fit`].
+const MAX_ITERS: usize = 300;
+
+/// Convergence tolerance on summed centroid movement (squared distance).
+const TOL: f64 = 1e-10;
+
+const _: () = assert!(MAX_ITERS > 0 && TOL >= 0.0);
+
 /// Configuration for [`KMeans::fit`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters `k`.
     pub k: usize,
-    /// Maximum Lloyd iterations per restart.
-    pub max_iters: usize,
-    /// Convergence tolerance on centroid movement (squared distance).
-    pub tol: f64,
     /// Number of k-means++ restarts; the lowest-inertia run wins.
     pub n_init: usize,
     /// RNG seed for deterministic seeding.
@@ -30,8 +34,6 @@ impl Default for KMeansConfig {
     fn default() -> Self {
         KMeansConfig {
             k: 4,
-            max_iters: 300,
-            tol: 1e-10,
             n_init: 8,
             seed: 0x0EA5_0A45,
         }
@@ -44,7 +46,6 @@ pub struct KMeans {
     centroids: Vec<Vec<f64>>,
     labels: Vec<usize>,
     inertia: f64,
-    iterations: usize,
 }
 
 impl KMeans {
@@ -54,15 +55,20 @@ impl KMeans {
     ///
     /// Returns [`MlError::EmptyDataset`] for empty data,
     /// [`MlError::DimensionMismatch`] for ragged rows,
-    /// [`MlError::InvalidParameter`] if `k == 0`, `n_init == 0`, or
-    /// `max_iters == 0`, and [`MlError::NotEnoughSamples`] if `k` exceeds
-    /// the sample count.
+    /// [`MlError::InvalidParameter`] if `k == 0` or `n_init == 0`, and
+    /// [`MlError::NotEnoughSamples`] if `k` exceeds the sample count.
     pub fn fit(data: &[Vec<f64>], config: &KMeansConfig) -> Result<KMeans, MlError> {
-        validate(data, config)?;
+        validate(data, config.k)?;
+        if config.n_init == 0 {
+            return Err(MlError::InvalidParameter {
+                name: "n_init",
+                constraint: "must be positive",
+            });
+        }
         let mut best: Option<KMeans> = None;
         for restart in 0..config.n_init {
             let mut rng = DetRng::seed_from_u64(config.seed.wrapping_add(restart as u64));
-            let run = lloyd(data, config, &mut rng);
+            let run = lloyd(data, kmeanspp_init(data, config.k, &mut rng), MAX_ITERS);
             if best.as_ref().is_none_or(|b| run.inertia < b.inertia) {
                 best = Some(run);
             }
@@ -73,39 +79,31 @@ impl KMeans {
         })
     }
 
-    /// Fits k-means starting from caller-supplied initial centroids (the
-    /// paper's protocol: "we have given four cluster centers according to
-    /// the four different states"). Runs a single Lloyd descent from the
-    /// given centres — no random restarts, fully deterministic.
+    /// One Lloyd step from caller-supplied centres (the paper's
+    /// protocol: "we have given four cluster centers according to the
+    /// four different states"): each centre moves to the mean of the
+    /// samples nearest to it, and the samples are then labelled by the
+    /// moved centres. No restarts, fully deterministic; a centre no
+    /// sample chose is re-seeded at the sample farthest from its nearest
+    /// centre.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`KMeans::fit`], plus
-    /// [`MlError::DimensionMismatch`] if a centroid's width differs from
-    /// the data and [`MlError::InvalidParameter`] if the centroid count
-    /// differs from `config.k`.
-    pub fn fit_with_init(
-        data: &[Vec<f64>],
-        initial: &[Vec<f64>],
-        config: &KMeansConfig,
-    ) -> Result<KMeans, MlError> {
-        validate(data, config)?;
-        if initial.len() != config.k {
-            return Err(MlError::InvalidParameter {
-                name: "initial",
-                constraint: "must supply exactly k initial centroids",
+    /// Returns [`MlError::EmptyDataset`] for empty data,
+    /// [`MlError::InvalidParameter`] for no centres,
+    /// [`MlError::DimensionMismatch`] for ragged rows or a centre whose
+    /// width differs from the data, and [`MlError::NotEnoughSamples`] for
+    /// more centres than samples.
+    pub fn refine(data: &[Vec<f64>], initial: Vec<Vec<f64>>) -> Result<KMeans, MlError> {
+        validate(data, initial.len())?;
+        let dim = data[0].len();
+        if let Some(c) = initial.iter().find(|c| c.len() != dim) {
+            return Err(MlError::DimensionMismatch {
+                expected: dim,
+                actual: c.len(),
             });
         }
-        let dim = data[0].len();
-        for c in initial {
-            if c.len() != dim {
-                return Err(MlError::DimensionMismatch {
-                    expected: dim,
-                    actual: c.len(),
-                });
-            }
-        }
-        Ok(lloyd_from(data, initial.to_vec(), config))
+        Ok(lloyd(data, initial, 1))
     }
 
     /// Reassembles a predict-only model from persisted centroids (training
@@ -136,7 +134,6 @@ impl KMeans {
             centroids,
             labels: Vec::new(),
             inertia: 0.0,
-            iterations: 0,
         })
     }
 
@@ -156,11 +153,6 @@ impl KMeans {
         self.inertia
     }
 
-    /// Lloyd iterations executed by the winning restart.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
     /// Number of clusters.
     pub fn k(&self) -> usize {
         self.centroids.len()
@@ -176,7 +168,9 @@ impl KMeans {
     }
 }
 
-fn validate(data: &[Vec<f64>], config: &KMeansConfig) -> Result<(), MlError> {
+/// Checks that `data` is a non-empty rectangular set of at least `k`
+/// samples with at least one dimension, and that `k` is positive.
+fn validate(data: &[Vec<f64>], k: usize) -> Result<(), MlError> {
     if data.is_empty() {
         return Err(MlError::EmptyDataset);
     }
@@ -195,15 +189,15 @@ fn validate(data: &[Vec<f64>], config: &KMeansConfig) -> Result<(), MlError> {
             });
         }
     }
-    if config.k == 0 || config.n_init == 0 || config.max_iters == 0 {
+    if k == 0 {
         return Err(MlError::InvalidParameter {
-            name: "k/n_init/max_iters",
-            constraint: "must all be positive",
+            name: "k",
+            constraint: "must be positive",
         });
     }
-    if data.len() < config.k {
+    if data.len() < k {
         return Err(MlError::NotEnoughSamples {
-            needed: config.k,
+            needed: k,
             available: data.len(),
         });
     }
@@ -261,18 +255,13 @@ fn kmeanspp_init(data: &[Vec<f64>], k: usize, rng: &mut DetRng) -> Vec<Vec<f64>>
     centroids
 }
 
-fn lloyd(data: &[Vec<f64>], config: &KMeansConfig, rng: &mut DetRng) -> KMeans {
-    let centroids = kmeanspp_init(data, config.k, rng);
-    lloyd_from(data, centroids, config)
-}
-
-fn lloyd_from(data: &[Vec<f64>], mut centroids: Vec<Vec<f64>>, config: &KMeansConfig) -> KMeans {
+/// Lloyd descent from `centroids`: at most `max_iters` assignment/update
+/// rounds, stopping early once the centres move by at most [`TOL`].
+fn lloyd(data: &[Vec<f64>], mut centroids: Vec<Vec<f64>>, max_iters: usize) -> KMeans {
     let dim = data[0].len();
-    let k = config.k;
+    let k = centroids.len();
     let mut labels = vec![0usize; data.len()];
-    let mut iterations = 0usize;
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
+    for _ in 0..max_iters {
         // Assignment step.
         for (label, x) in labels.iter_mut().zip(data) {
             *label = nearest_centroid(x, &centroids).0;
@@ -309,7 +298,7 @@ fn lloyd_from(data: &[Vec<f64>], mut centroids: Vec<Vec<f64>>, config: &KMeansCo
             movement += squared_euclidean(&centroids[c], &new_c);
             centroids[c] = new_c;
         }
-        if movement <= config.tol {
+        if movement <= TOL {
             break;
         }
     }
@@ -324,7 +313,6 @@ fn lloyd_from(data: &[Vec<f64>], mut centroids: Vec<Vec<f64>>, config: &KMeansCo
         centroids,
         labels,
         inertia,
-        iterations,
     }
 }
 
@@ -485,6 +473,64 @@ mod tests {
         }
         assert!(KMeans::from_centroids(vec![]).is_err());
         assert!(KMeans::from_centroids(vec![vec![1.0], vec![1.0, 2.0]]).is_err());
+    }
+
+    #[test]
+    fn refine_moves_each_centre_to_its_assigned_mean() {
+        let data = vec![
+            vec![0.0, 0.0],
+            vec![2.0, 0.0],
+            vec![10.0, 10.0],
+            vec![12.0, 14.0],
+        ];
+        let model = KMeans::refine(&data, vec![vec![1.0, 1.0], vec![9.0, 9.0]]).unwrap();
+        assert_eq!(model.centroids(), &[vec![1.0, 0.0], vec![11.0, 12.0]]);
+        assert_eq!(model.labels(), &[0, 0, 1, 1]);
+        // Inertia is measured against the moved centres: 1 + 1 + 5 + 5.
+        assert_eq!(model.inertia(), 12.0);
+    }
+
+    #[test]
+    fn refine_takes_exactly_one_lloyd_step() {
+        // From [0] and [1], one step moves the second centre to the mean of
+        // 1, 2 and 10; a second step would pull 1 and 2 over to the first.
+        let data = vec![vec![0.0], vec![1.0], vec![2.0], vec![10.0]];
+        let model = KMeans::refine(&data, vec![vec![0.0], vec![1.0]]).unwrap();
+        assert_eq!(model.centroids(), &[vec![0.0], vec![13.0 / 3.0]]);
+        // Labels come from the moved centres.
+        assert_eq!(model.labels(), &[0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn refine_reseeds_an_empty_cluster_at_the_farthest_sample() {
+        // Every sample is nearest the first centre, which moves to 1.5; the
+        // second, far away, gets none and is re-seeded at the sample
+        // farthest from its nearest centre: [6].
+        let data = vec![vec![-1.0], vec![0.0], vec![1.0], vec![6.0]];
+        let model = KMeans::refine(&data, vec![vec![0.0], vec![100.0]]).unwrap();
+        assert_eq!(model.centroids(), &[vec![1.5], vec![6.0]]);
+        assert_eq!(model.labels(), &[0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn refine_rejects_bad_centres() {
+        let data = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
+        assert!(matches!(
+            KMeans::refine(&data, vec![]),
+            Err(MlError::InvalidParameter { .. })
+        ));
+        assert!(matches!(
+            KMeans::refine(&data, vec![vec![0.0]]),
+            Err(MlError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            KMeans::refine(&data, vec![vec![0.0, 0.0]; 3]),
+            Err(MlError::NotEnoughSamples { .. })
+        ));
+        assert!(matches!(
+            KMeans::refine(&[], vec![vec![0.0]]),
+            Err(MlError::EmptyDataset)
+        ));
     }
 
     #[test]

@@ -10,35 +10,29 @@
 use crate::distance::squared_euclidean;
 use crate::error::MlError;
 
-/// Configuration for [`laplacian_scores`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaplacianConfig {
-    /// Number of nearest neighbours in the sample graph.
-    pub k_neighbors: usize,
-    /// Heat-kernel bandwidth `t` in `S_ij = exp(-d²/t)`; if `None`, the
-    /// mean squared neighbour distance is used.
-    pub bandwidth: Option<f64>,
-}
+/// Neighbours of each sample in the kNN graph the score is measured on
+/// (capped at `n − 1` for small sample sets).
+pub const NEIGHBORS: usize = 15;
 
-impl Default for LaplacianConfig {
-    fn default() -> Self {
-        LaplacianConfig {
-            k_neighbors: 5,
-            bandwidth: None,
-        }
-    }
-}
+/// Redundancy cut of [`select_top_features`]: a feature whose absolute
+/// Pearson correlation with an already-selected one exceeds this is
+/// skipped.
+pub const MAX_CORR: f64 = 0.99;
 
-/// Computes the Laplacian score of every feature (column) of `data`.
+const _: () = assert!(NEIGHBORS > 0);
+const _: () = assert!(0.0 < MAX_CORR && MAX_CORR <= 1.0);
+
+/// Computes the Laplacian score of every feature (column) of `data` on the
+/// [`NEIGHBORS`]-nearest-neighbour graph, with the heat-kernel bandwidth
+/// `t` in `S_ij = exp(-d²/t)` set to the mean squared neighbour distance.
 /// **Lower scores indicate more important features.**
 ///
 /// # Errors
 ///
 /// Returns [`MlError::EmptyDataset`] for empty data,
-/// [`MlError::DimensionMismatch`] for ragged rows,
-/// [`MlError::NotEnoughSamples`] if there are fewer than 2 samples, and
-/// [`MlError::InvalidParameter`] if `k_neighbors == 0`.
-pub fn laplacian_scores(data: &[Vec<f64>], config: &LaplacianConfig) -> Result<Vec<f64>, MlError> {
+/// [`MlError::DimensionMismatch`] for ragged rows, and
+/// [`MlError::NotEnoughSamples`] if there are fewer than 2 samples.
+fn laplacian_scores(data: &[Vec<f64>]) -> Result<Vec<f64>, MlError> {
     if data.is_empty() {
         return Err(MlError::EmptyDataset);
     }
@@ -58,13 +52,7 @@ pub fn laplacian_scores(data: &[Vec<f64>], config: &LaplacianConfig) -> Result<V
             });
         }
     }
-    if config.k_neighbors == 0 {
-        return Err(MlError::InvalidParameter {
-            name: "k_neighbors",
-            constraint: "must be at least 1",
-        });
-    }
-    let k = config.k_neighbors.min(n - 1);
+    let k = NEIGHBORS.min(n - 1);
 
     // k-nearest-neighbour squared distances, sorted in one reused buffer;
     // each sample keeps an exact-size k-prefix.
@@ -79,14 +67,14 @@ pub fn laplacian_scores(data: &[Vec<f64>], config: &LaplacianConfig) -> Result<V
     }
 
     // Heat-kernel bandwidth.
-    let t = config.bandwidth.unwrap_or_else(|| {
+    let t = {
         let sum: f64 = neighbor_sets
             .iter()
             .flat_map(|s| s.iter().map(|&(_, d)| d))
             .sum();
         let count = (n * k) as f64;
         (sum / count).max(1e-12)
-    });
+    };
 
     // Symmetric sparse weight matrix (union of kNN relations).
     let mut weights: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
@@ -150,35 +138,10 @@ pub fn laplacian_scores(data: &[Vec<f64>], config: &LaplacianConfig) -> Result<V
     Ok(scores)
 }
 
-/// Indices of the `top_k` most important features (lowest Laplacian score),
-/// in ascending-score order.
-///
-/// # Errors
-///
-/// Same conditions as [`laplacian_scores`]; additionally
-/// [`MlError::InvalidParameter`] if `top_k == 0`.
-pub fn select_top_features(
-    data: &[Vec<f64>],
-    top_k: usize,
-    config: &LaplacianConfig,
-) -> Result<Vec<usize>, MlError> {
-    if top_k == 0 {
-        return Err(MlError::InvalidParameter {
-            name: "top_k",
-            constraint: "must be at least 1",
-        });
-    }
-    let scores = laplacian_scores(data, config)?;
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
-    order.truncate(top_k.min(scores.len()));
-    Ok(order)
-}
-
 /// Indices of the `top_k` most important features by Laplacian score with
 /// **redundancy pruning**: walking the score ranking, a feature is skipped
 /// when its absolute Pearson correlation with an already-selected feature
-/// exceeds `max_corr`. Without pruning, a block of mutually correlated
+/// exceeds [`MAX_CORR`]. Without pruning, a block of mutually correlated
 /// features (e.g. adjacent spectrum bins) can crowd out everything else —
 /// they dominate the sample graph and therefore look maximally "smooth" to
 /// the score.
@@ -188,27 +151,18 @@ pub fn select_top_features(
 ///
 /// # Errors
 ///
-/// Same conditions as [`select_top_features`]; additionally
-/// [`MlError::InvalidParameter`] if `max_corr` is outside `(0, 1]`.
-pub fn select_top_features_decorrelated(
-    data: &[Vec<f64>],
-    top_k: usize,
-    max_corr: f64,
-    config: &LaplacianConfig,
-) -> Result<Vec<usize>, MlError> {
-    if !(max_corr > 0.0 && max_corr <= 1.0) {
-        return Err(MlError::InvalidParameter {
-            name: "max_corr",
-            constraint: "must lie in (0, 1]",
-        });
-    }
+/// Returns [`MlError::EmptyDataset`] for empty data,
+/// [`MlError::DimensionMismatch`] for ragged rows,
+/// [`MlError::NotEnoughSamples`] if there are fewer than 2 samples, and
+/// [`MlError::InvalidParameter`] if `top_k == 0`.
+pub fn select_top_features(data: &[Vec<f64>], top_k: usize) -> Result<Vec<usize>, MlError> {
     if top_k == 0 {
         return Err(MlError::InvalidParameter {
             name: "top_k",
             constraint: "must be at least 1",
         });
     }
-    let scores = laplacian_scores(data, config)?;
+    let scores = laplacian_scores(data)?;
     let dim = scores.len();
     let n = data.len() as f64;
     // Column means/stds for correlation tests.
@@ -238,7 +192,7 @@ pub fn select_top_features_decorrelated(
             break;
         }
         let c = col(d);
-        if selected_cols.iter().any(|sc| corr(sc, &c).abs() > max_corr) {
+        if selected_cols.iter().any(|sc| corr(sc, &c).abs() > MAX_CORR) {
             skipped.push(d);
             continue;
         }
@@ -281,23 +235,24 @@ pub fn project(data: &[Vec<f64>], indices: &[usize]) -> Result<Vec<Vec<f64>>, Ml
 mod tests {
     use super::*;
 
-    /// Two blobs separated along dimension 0; dimension 1 is uninformative
-    /// noise; dimension 2 is constant.
+    /// Two blobs of 20 samples separated along dimension 0, so each
+    /// sample's [`NEIGHBORS`] nearest neighbours lie in its own blob;
+    /// dimension 1 is uninformative noise; dimension 2 is constant.
     fn structured_data() -> Vec<Vec<f64>> {
-        let mut data = Vec::new();
-        for i in 0..20 {
-            let noise = ((i * 37 % 11) as f64) / 11.0 - 0.5;
-            let blob = if i < 10 { 0.0 } else { 10.0 };
-            let jitter = ((i * 13 % 7) as f64) / 20.0;
-            data.push(vec![blob + jitter, noise * 8.0, 3.0]);
-        }
-        data
+        (0..40)
+            .map(|i| {
+                let noise = ((i * 37 % 11) as f64) / 11.0 - 0.5;
+                let blob = if i < 20 { 0.0 } else { 10.0 };
+                let jitter = ((i * 13 % 7) as f64) / 20.0;
+                vec![blob + jitter, noise * 8.0, 3.0]
+            })
+            .collect()
     }
 
     #[test]
     fn cluster_aligned_feature_scores_lowest() {
         let data = structured_data();
-        let scores = laplacian_scores(&data, &LaplacianConfig::default()).unwrap();
+        let scores = laplacian_scores(&data).unwrap();
         assert!(
             scores[0] < scores[1],
             "informative {} vs noise {}",
@@ -309,15 +264,32 @@ mod tests {
     #[test]
     fn top_selection_prefers_informative_feature() {
         let data = structured_data();
-        let top = select_top_features(&data, 1, &LaplacianConfig::default()).unwrap();
+        let top = select_top_features(&data, 1).unwrap();
         assert_eq!(top, vec![0]);
     }
 
     #[test]
     fn selection_is_bounded_by_dimensionality() {
         let data = structured_data();
-        let top = select_top_features(&data, 10, &LaplacianConfig::default()).unwrap();
+        let top = select_top_features(&data, 10).unwrap();
         assert_eq!(top.len(), 3);
+    }
+
+    #[test]
+    fn a_correlated_copy_is_skipped_then_backfilled() {
+        // Column 3 is column 0 scaled: correlation 1 > MAX_CORR.
+        let data: Vec<Vec<f64>> = structured_data()
+            .into_iter()
+            .map(|mut row| {
+                row.push(2.0 * row[0]);
+                row
+            })
+            .collect();
+        // The copy ranks with column 0, but is skipped for the noise and
+        // the constant column, then backfilled last.
+        let top = select_top_features(&data, 4).unwrap();
+        assert!(top[0] == 0 || top[0] == 3, "{top:?}");
+        assert_eq!(top[1..], [1, 2, 3 - top[0]], "{top:?}");
     }
 
     #[test]
@@ -330,58 +302,25 @@ mod tests {
 
     #[test]
     fn error_cases() {
-        let cfg = LaplacianConfig::default();
+        assert!(matches!(laplacian_scores(&[]), Err(MlError::EmptyDataset)));
         assert!(matches!(
-            laplacian_scores(&[], &cfg),
-            Err(MlError::EmptyDataset)
-        ));
-        assert!(matches!(
-            laplacian_scores(&[vec![1.0]], &cfg),
+            laplacian_scores(&[vec![1.0]]),
             Err(MlError::NotEnoughSamples { .. })
         ));
         let ragged = vec![vec![1.0], vec![1.0, 2.0]];
-        assert!(laplacian_scores(&ragged, &cfg).is_err());
+        assert!(laplacian_scores(&ragged).is_err());
         let ok = vec![vec![1.0], vec![2.0]];
-        assert!(laplacian_scores(
-            &ok,
-            &LaplacianConfig {
-                k_neighbors: 0,
-                ..Default::default()
-            }
-        )
-        .is_err());
-        assert!(select_top_features(&ok, 0, &cfg).is_err());
+        assert!(select_top_features(&ok, 0).is_err());
+        assert!(select_top_features(&ragged, 1).is_err());
     }
 
     #[test]
     fn scores_are_finite_for_reasonable_data() {
         let data = structured_data();
-        let scores = laplacian_scores(&data, &LaplacianConfig::default()).unwrap();
+        let scores = laplacian_scores(&data).unwrap();
         // Constant feature has zero variance → infinite score (unimportant).
         assert!(scores[0].is_finite());
         assert!(scores[1].is_finite());
         assert!(scores[2].is_infinite());
-    }
-
-    #[test]
-    fn explicit_bandwidth_is_respected() {
-        let data = structured_data();
-        let a = laplacian_scores(
-            &data,
-            &LaplacianConfig {
-                k_neighbors: 5,
-                bandwidth: Some(1.0),
-            },
-        )
-        .unwrap();
-        let b = laplacian_scores(
-            &data,
-            &LaplacianConfig {
-                k_neighbors: 5,
-                bandwidth: Some(100.0),
-            },
-        )
-        .unwrap();
-        assert_ne!(a, b);
     }
 }

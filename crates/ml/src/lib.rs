@@ -6,10 +6,13 @@
 //! machinery rather than deep models (paper §IV-C-3/4, §VI-A):
 //!
 //! * [`kmeans`] — k-means clustering with k-means++ seeding (the paper's
-//!   classifier, Eq. 11–12),
-//! * [`outlier`] — the two outlier-handling strategies of §IV-D-4,
-//! * [`laplacian`] — Laplacian-score feature ranking (the paper keeps the
-//!   top 25 of 105 features),
+//!   classifier, Eq. 11–12), and [`kmeans::KMeans::refine`], the one Lloyd
+//!   step the detector takes from its four state-mean centres,
+//! * [`outlier`] — distance-based outlier removal at 3σ, confirmed over
+//!   three clusterings (the first of §IV-D-4's two strategies),
+//! * [`laplacian`] — Laplacian-score feature ranking on a 15-neighbour
+//!   graph with redundancy pruning (the paper keeps the top 25 of 105
+//!   features),
 //! * [`scaler`] — z-score standardization,
 //! * [`labeling`] — majority-vote assignment of cluster → class,
 //! * [`metrics`] — precision/recall/F1, confusion matrices, FAR/FRR,
@@ -18,6 +21,12 @@
 //!   quality analysis used by the ablation harness,
 //! * [`logistic`] — deterministic multinomial logistic regression for the
 //!   pluggable classifier-backend registry.
+//!
+//! The model-building numbers have one value each in use — neighbour
+//! count, redundancy cut, outlier threshold and loops, Lloyd iteration cap
+//! and tolerance, logistic iterations, step size and penalty — so each is
+//! a constant of the module that uses it. Only [`kmeans::KMeansConfig`]'s
+//! cluster count, restarts and seed are set by callers.
 //!
 //! # Example
 //!

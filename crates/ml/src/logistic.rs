@@ -9,26 +9,16 @@
 
 use crate::error::MlError;
 
-/// Training hyper-parameters for [`MultinomialLogistic::fit`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogisticConfig {
-    /// Full-batch gradient-descent iterations.
-    pub iters: usize,
-    /// Step size.
-    pub learning_rate: f64,
-    /// L2 penalty on the weights (the bias is not penalized).
-    pub l2: f64,
-}
+/// Full-batch gradient-descent iterations of [`MultinomialLogistic::fit`].
+const ITERS: usize = 400;
 
-impl Default for LogisticConfig {
-    fn default() -> Self {
-        LogisticConfig {
-            iters: 400,
-            learning_rate: 0.5,
-            l2: 1e-3,
-        }
-    }
-}
+/// Gradient-descent step size.
+const LEARNING_RATE: f64 = 0.5;
+
+/// L2 penalty on the weights (the bias is not penalized).
+const L2: f64 = 1e-3;
+
+const _: () = assert!(ITERS > 0 && LEARNING_RATE > 0.0 && L2 >= 0.0);
 
 /// A fitted multinomial (softmax) logistic-regression classifier.
 ///
@@ -41,20 +31,16 @@ pub struct MultinomialLogistic {
 }
 
 impl MultinomialLogistic {
-    /// Fits the classifier with full-batch gradient descent.
+    /// Fits the classifier with full-batch gradient descent (400
+    /// iterations at step 0.5, L2 penalty 1e-3).
     ///
     /// # Errors
     ///
     /// Returns [`MlError::EmptyDataset`] for empty data,
     /// [`MlError::DimensionMismatch`] for ragged rows or a label-count
-    /// mismatch, and [`MlError::InvalidParameter`] for `n_classes == 0`,
-    /// out-of-range labels, or non-finite hyper-parameters.
-    pub fn fit(
-        data: &[Vec<f64>],
-        labels: &[usize],
-        n_classes: usize,
-        config: &LogisticConfig,
-    ) -> Result<Self, MlError> {
+    /// mismatch, and [`MlError::InvalidParameter`] for `n_classes == 0` or
+    /// out-of-range labels.
+    pub fn fit(data: &[Vec<f64>], labels: &[usize], n_classes: usize) -> Result<Self, MlError> {
         if data.is_empty() {
             return Err(MlError::EmptyDataset);
         }
@@ -76,12 +62,6 @@ impl MultinomialLogistic {
                 constraint: "labels must be below n_classes",
             });
         }
-        if !(config.learning_rate > 0.0) || !(config.l2 >= 0.0) || config.iters == 0 {
-            return Err(MlError::InvalidParameter {
-                name: "logistic config",
-                constraint: "iters > 0, learning_rate > 0, l2 >= 0 required",
-            });
-        }
         let dim = data[0].len();
         for row in data {
             if row.len() != dim {
@@ -96,7 +76,7 @@ impl MultinomialLogistic {
         let mut weights = vec![vec![0.0; dim + 1]; n_classes];
         let mut probs = vec![0.0; n_classes];
         let mut grad = vec![vec![0.0; dim + 1]; n_classes];
-        for _ in 0..config.iters {
+        for _ in 0..ITERS {
             for g in &mut grad {
                 g.iter_mut().for_each(|v| *v = 0.0);
             }
@@ -113,8 +93,8 @@ impl MultinomialLogistic {
             for (w, g) in weights.iter_mut().zip(&grad) {
                 for (j, (wv, &gv)) in w.iter_mut().zip(g).enumerate() {
                     // The bias (last slot) carries no L2 penalty.
-                    let penalty = if j < dim { config.l2 * *wv } else { 0.0 };
-                    *wv -= config.learning_rate * (gv / n + penalty);
+                    let penalty = if j < dim { L2 * *wv } else { 0.0 };
+                    *wv -= LEARNING_RATE * (gv / n + penalty);
                 }
             }
         }
@@ -242,8 +222,7 @@ mod tests {
     #[test]
     fn separates_two_blobs() {
         let (data, labels) = two_blobs();
-        let model =
-            MultinomialLogistic::fit(&data, &labels, 2, &LogisticConfig::default()).unwrap();
+        let model = MultinomialLogistic::fit(&data, &labels, 2).unwrap();
         assert_eq!(model.predict(&[0.1, -1.2]).unwrap(), 0);
         assert_eq!(model.predict(&[2.3, 1.4]).unwrap(), 1);
     }
@@ -251,8 +230,7 @@ mod tests {
     #[test]
     fn probabilities_sum_to_one() {
         let (data, labels) = two_blobs();
-        let model =
-            MultinomialLogistic::fit(&data, &labels, 2, &LogisticConfig::default()).unwrap();
+        let model = MultinomialLogistic::fit(&data, &labels, 2).unwrap();
         let p = model.predict_proba(&[1.0, 0.0]).unwrap();
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -261,17 +239,15 @@ mod tests {
     #[test]
     fn fitting_is_deterministic() {
         let (data, labels) = two_blobs();
-        let cfg = LogisticConfig::default();
-        let a = MultinomialLogistic::fit(&data, &labels, 2, &cfg).unwrap();
-        let b = MultinomialLogistic::fit(&data, &labels, 2, &cfg).unwrap();
+        let a = MultinomialLogistic::fit(&data, &labels, 2).unwrap();
+        let b = MultinomialLogistic::fit(&data, &labels, 2).unwrap();
         assert_eq!(a.weights(), b.weights());
     }
 
     #[test]
     fn weight_round_trip_preserves_predictions() {
         let (data, labels) = two_blobs();
-        let model =
-            MultinomialLogistic::fit(&data, &labels, 2, &LogisticConfig::default()).unwrap();
+        let model = MultinomialLogistic::fit(&data, &labels, 2).unwrap();
         let restored = MultinomialLogistic::from_weights(model.weights().to_vec()).unwrap();
         for x in &data {
             assert_eq!(model.predict(x).unwrap(), restored.predict(x).unwrap());
@@ -295,8 +271,7 @@ mod tests {
                 labels.push(c);
             }
         }
-        let model =
-            MultinomialLogistic::fit(&data, &labels, 4, &LogisticConfig::default()).unwrap();
+        let model = MultinomialLogistic::fit(&data, &labels, 4).unwrap();
         let pred: Vec<usize> = data.iter().map(|x| model.predict(x).unwrap()).collect();
         let correct = pred.iter().zip(&labels).filter(|(p, l)| p == l).count();
         assert!(
@@ -308,18 +283,13 @@ mod tests {
 
     #[test]
     fn validation_errors() {
-        assert!(MultinomialLogistic::fit(&[], &[], 2, &LogisticConfig::default()).is_err());
+        assert!(MultinomialLogistic::fit(&[], &[], 2).is_err());
         let data = vec![vec![1.0]];
-        assert!(MultinomialLogistic::fit(&data, &[0, 1], 2, &LogisticConfig::default()).is_err());
-        assert!(MultinomialLogistic::fit(&data, &[0], 0, &LogisticConfig::default()).is_err());
-        assert!(MultinomialLogistic::fit(&data, &[5], 2, &LogisticConfig::default()).is_err());
+        assert!(MultinomialLogistic::fit(&data, &[0, 1], 2).is_err());
+        assert!(MultinomialLogistic::fit(&data, &[0], 0).is_err());
+        assert!(MultinomialLogistic::fit(&data, &[5], 2).is_err());
         let ragged = vec![vec![1.0], vec![1.0, 2.0]];
-        assert!(MultinomialLogistic::fit(&ragged, &[0, 1], 2, &LogisticConfig::default()).is_err());
-        let bad_cfg = LogisticConfig {
-            iters: 0,
-            ..Default::default()
-        };
-        assert!(MultinomialLogistic::fit(&data, &[0], 2, &bad_cfg).is_err());
+        assert!(MultinomialLogistic::fit(&ragged, &[0, 1], 2).is_err());
         assert!(MultinomialLogistic::from_weights(vec![]).is_err());
         assert!(MultinomialLogistic::from_weights(vec![vec![1.0]]).is_err());
         let model =

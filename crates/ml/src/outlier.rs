@@ -11,6 +11,17 @@ use crate::distance::euclidean;
 use crate::error::MlError;
 use crate::kmeans::{KMeans, KMeansConfig};
 
+/// A point is flagged in a loop when its distance to its cluster centre
+/// exceeds the mean within-cluster distance by this many standard
+/// deviations (the paper's 3σ).
+pub const THRESHOLD_SIGMA: f64 = 3.0;
+
+/// Independent clusterings a point must be flagged in before it is
+/// confirmed as an outlier.
+pub const LOOPS: usize = 3;
+
+const _: () = assert!(THRESHOLD_SIGMA > 0.0 && LOOPS > 0);
+
 /// Result of an outlier-removal pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutlierReport {
@@ -23,36 +34,18 @@ pub struct OutlierReport {
 /// Distance-based outlier detection (paper strategy 1).
 ///
 /// A point is flagged when its distance to its cluster centre exceeds
-/// `threshold_sigma` standard deviations above the mean within-cluster
-/// distance, consistently over `loops` independent clusterings (different
-/// seeds) — the paper's "monitor these outliers in multiple clustering
-/// loops" safeguard against accidental deletion.
+/// [`THRESHOLD_SIGMA`] standard deviations above the mean within-cluster
+/// distance, consistently over [`LOOPS`] independent clusterings
+/// (different seeds) — the paper's "monitor these outliers in multiple
+/// clustering loops" safeguard against accidental deletion.
 ///
 /// # Errors
 ///
-/// Returns [`MlError::InvalidParameter`] if `loops == 0` or
-/// `threshold_sigma <= 0`, plus any k-means fitting error.
-pub fn detect_outliers(
-    data: &[Vec<f64>],
-    config: &KMeansConfig,
-    threshold_sigma: f64,
-    loops: usize,
-) -> Result<OutlierReport, MlError> {
-    if loops == 0 {
-        return Err(MlError::InvalidParameter {
-            name: "loops",
-            constraint: "must run at least one clustering loop",
-        });
-    }
-    if !(threshold_sigma > 0.0) {
-        return Err(MlError::InvalidParameter {
-            name: "threshold_sigma",
-            constraint: "must be positive",
-        });
-    }
+/// Any k-means fitting error.
+pub fn detect_outliers(data: &[Vec<f64>], config: &KMeansConfig) -> Result<OutlierReport, MlError> {
     let n = data.len();
     let mut flag_counts = vec![0usize; n];
-    for pass in 0..loops {
+    for pass in 0..LOOPS {
         let cfg = KMeansConfig {
             seed: config.seed.wrapping_add(0x9E37_79B9 * (pass as u64 + 1)),
             ..config.clone()
@@ -65,7 +58,7 @@ pub fn detect_outliers(
             .collect();
         let mean = dists.iter().sum::<f64>() / n as f64;
         let var = dists.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n as f64;
-        let cut = mean + threshold_sigma * var.sqrt();
+        let cut = mean + THRESHOLD_SIGMA * var.sqrt();
         for (count, d) in flag_counts.iter_mut().zip(&dists) {
             if *d > cut {
                 *count += 1;
@@ -76,7 +69,7 @@ pub fn detect_outliers(
     let mut outliers = Vec::new();
     for (i, &c) in flag_counts.iter().enumerate() {
         // Flagged in every loop → confirmed outlier.
-        if c == loops {
+        if c == LOOPS {
             outliers.push(i);
         } else {
             inliers.push(i);
@@ -112,7 +105,7 @@ mod tests {
             k: 2,
             ..Default::default()
         };
-        let report = detect_outliers(&data, &cfg, 2.5, 3).unwrap();
+        let report = detect_outliers(&data, &cfg).unwrap();
         assert!(report.outliers.contains(&24), "{:?}", report.outliers);
         assert!(report.inliers.len() >= 22);
     }
@@ -126,18 +119,7 @@ mod tests {
             k: 2,
             ..Default::default()
         };
-        let report = detect_outliers(&data, &cfg, 4.0, 3).unwrap();
+        let report = detect_outliers(&data, &cfg).unwrap();
         assert!(report.outliers.is_empty(), "{:?}", report.outliers);
-    }
-
-    #[test]
-    fn parameter_validation() {
-        let data = blobs_with_outlier();
-        let cfg = KMeansConfig {
-            k: 2,
-            ..Default::default()
-        };
-        assert!(detect_outliers(&data, &cfg, 2.0, 0).is_err());
-        assert!(detect_outliers(&data, &cfg, 0.0, 3).is_err());
     }
 }

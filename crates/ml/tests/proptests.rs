@@ -59,7 +59,6 @@ fn kmeans_labels_are_consistent_with_centroids() {
                 k: 3.min(n),
                 n_init: 3,
                 seed,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -82,7 +81,6 @@ fn kmeans_inertia_not_increased_by_more_clusters() {
                     k,
                     n_init: 8,
                     seed: 1,
-                    ..Default::default()
                 },
             )
             .unwrap()

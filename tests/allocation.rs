@@ -212,9 +212,10 @@ fn push_path_calls_do_not_grow_with_chirp_count() {
 }
 
 /// Finalize's allocation calls per capture, whatever its length: the
-/// averaged IR, segmentation, the alignment kernel, the averaged spectrum
-/// and the feature vector, among others.
-const FINALIZE_FIXED: usize = 29;
+/// averaged IR, segmentation's peak and candidate lists (its
+/// auto-convolution runs on the caller's scratch), the alignment kernel,
+/// the averaged spectrum and the feature vector, among others.
+const FINALIZE_FIXED: usize = 23;
 /// Finalize's allocation calls per used chirp: the echo spectrum's
 /// window, its frequencies, its resampled profile and the chirp's MFCC
 /// vector.
