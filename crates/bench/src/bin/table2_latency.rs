@@ -5,7 +5,9 @@
 //! trained system's screening on the host CPU in the same three rows.
 //! "Feature Extract" is every front-end stage after the band-pass lumped
 //! together, so its lead over the band-pass row comes from the grouping:
-//! the table does not test the paper's ordering of stages.
+//! the table does not test the paper's ordering of stages. The band-pass
+//! row times one whole-recording filter call, not the pipeline's
+//! per-window filtering (see `measure_stage_latency`).
 
 use earsonar::report::{num, Table};
 use earsonar::{EarSonar, EarSonarConfig};
@@ -45,7 +47,12 @@ fn main() {
          deconvolution, segmentation, spectra, features) lumped together,\n\
          so its lead over the band-pass row comes from the grouping, not\n\
          from a per-stage measurement: this is no check of the paper's\n\
-         ordering. Absolute numbers differ (host CPU vs phone SoC).",
+         ordering. The band-pass row filters the whole recording in one\n\
+         call; the pipeline filters each chirp window with 72 samples of\n\
+         context and 72-sample pads (768 filter steps per window, four\n\
+         windows per pass), so the row is not the pipeline's band-pass\n\
+         cost and the feature row absorbs the difference. Absolute\n\
+         numbers differ (host CPU vs phone SoC).",
         num(latency.total_ms(), 2),
         recording.duration_s() * 1e3
     );

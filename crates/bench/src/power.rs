@@ -40,6 +40,17 @@ impl StageLatency {
 /// Measures the latency of each stage of `system` screening `recording`,
 /// averaging over `repeats` runs.
 ///
+/// The band-pass row times one [`Preprocessor::run`] over the whole
+/// recording, a call the screening pipeline never makes. The front end
+/// filters each 240-sample chirp window with 72 samples of left context
+/// and 72-sample reflected pads: a 456-step forward pass and a 312-step
+/// backward pass, 768 filter steps per window, four windows per
+/// lane-interleaved pass. One whole-recording pass over 24 chirps takes
+/// about 11.7k steps where the pipeline takes about 18.4k in groups of
+/// four, so the row is not the pipeline's band-pass cost, and
+/// `feature_extract_ms`, the remainder of a full front-end run, absorbs
+/// the difference.
+///
 /// # Errors
 ///
 /// Propagates any pipeline error from the measured stages.

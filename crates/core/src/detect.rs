@@ -75,7 +75,7 @@ impl EarSonarDetector {
             if config.remove_outliers && projected.len() > 4 * MeeState::COUNT {
                 let report = outlier::detect_outliers(&projected, &km_config)?;
                 if report.outliers.is_empty() {
-                    (projected.clone(), labels.to_vec())
+                    (projected, labels.to_vec())
                 } else {
                     (
                         report
@@ -87,7 +87,7 @@ impl EarSonarDetector {
                     )
                 }
             } else {
-                (projected.clone(), labels.to_vec())
+                (projected, labels.to_vec())
             };
 
         let (kmeans, labeling) = fit_state_kmeans(&train_set, &train_labels)?;

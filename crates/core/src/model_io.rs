@@ -11,7 +11,11 @@
 //! space-separated and matrices as one line per row. Integer fields must
 //! be written as integers that fit their type. The configuration takes six
 //! lines, one per [`EarSonarConfig`] field (`chirp:` holds `chirp_len`
-//! and `chirp_hop`, `quality_gate:` the gate's six values). The
+//! and `chirp_hop`). `quality_gate:` holds the gate's on/off switch and
+//! then its five thresholds, which are constants of [`crate::quality`]:
+//! the line loads only when each parses equal to its constant, and is
+//! otherwise refused with [`EarSonarError::BadConfig`] naming
+//! `quality_gate`. The
 //! classifier's lines follow, in one layout per [`Classifier`] variant:
 //! every backend starts with `scaler_means:` and `scaler_stds:`, then
 //!
@@ -57,6 +61,10 @@ use crate::error::EarSonarError;
 use crate::event::EVENT_WINDOW;
 use crate::pipeline::{EarSonar, FrontEnd};
 use crate::preprocess::{NOISE_FILTER_ORDER, PROBE_BAND_HZ};
+use crate::quality::{
+    QualityGateConfig, MAX_CLIP_FRACTION, MAX_DC_FRACTION, MAX_DROPOUT_FRACTION, MIN_CORRELATION,
+    MIN_SNR_DB,
+};
 use crate::segment::{EARDRUM_DISTANCE_RANGE_M, MIN_SYMMETRY_SUPPORT, PARITY_ENERGY_THRESHOLD};
 use earsonar_ml::kmeans::KMeans;
 use earsonar_ml::knn::KnnClassifier;
@@ -70,6 +78,16 @@ use std::path::Path;
 
 const MAGIC_V1: &str = "earsonar-model v1";
 const MAGIC_V2: &str = "earsonar-model v2";
+
+/// The quality gate's thresholds in the order the `quality_gate:` line
+/// carries them, after its on/off switch.
+const GATE_THRESHOLDS: [f64; 5] = [
+    MAX_CLIP_FRACTION,
+    MAX_DROPOUT_FRACTION,
+    MIN_SNR_DB,
+    MIN_CORRELATION,
+    MAX_DC_FRACTION,
+];
 
 fn bad(constraint: &'static str) -> EarSonarError {
     EarSonarError::BadRecording { reason: constraint }
@@ -296,16 +314,11 @@ pub fn model_to_string(system: &EarSonar) -> String {
     let _ = writeln!(out, "ir_taps: {}", cfg.ir_taps);
     let _ = writeln!(out, "top_features: {}", cfg.top_features);
     let _ = writeln!(out, "remove_outliers: {}", cfg.remove_outliers);
-    let _ = writeln!(
-        out,
-        "quality_gate: {} {} {} {} {} {}",
-        cfg.quality.enabled,
-        cfg.quality.max_clip_fraction,
-        cfg.quality.max_dropout_fraction,
-        cfg.quality.min_snr_db,
-        cfg.quality.min_correlation,
-        cfg.quality.max_dc_fraction
-    );
+    let _ = write!(out, "quality_gate: {}", cfg.quality.enabled);
+    for threshold in GATE_THRESHOLDS {
+        let _ = write!(out, " {threshold}");
+    }
+    let _ = writeln!(out);
 
     write_classifier(&mut out, classifier);
     out
@@ -369,10 +382,10 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
             _ => return Err(bad("bad boolean in model file")),
         },
         // Absent in models saved before the quality gate existed; those
-        // load with the default thresholds (gate on), matching how an
-        // updated device would treat an old factory model.
+        // load with the gate on, matching how an updated device would
+        // treat an old factory model.
         quality: match get("quality_gate") {
-            Err(_) => crate::quality::QualityGateConfig::default(),
+            Err(_) => QualityGateConfig::default(),
             Ok(line) => {
                 let mut parts = line.split_whitespace();
                 let enabled = match parts.next() {
@@ -380,20 +393,19 @@ pub fn model_from_string(text: &str) -> Result<EarSonar, EarSonarError> {
                     Some("false") => false,
                     _ => return Err(bad("bad boolean in model file")),
                 };
-                let rest: Vec<f64> = parts
+                let thresholds: Vec<f64> = parts
                     .map(|t| t.parse::<f64>().map_err(|_| bad("bad float in model file")))
                     .collect::<Result<_, _>>()?;
-                if rest.len() != 5 {
+                if thresholds.len() != GATE_THRESHOLDS.len() {
                     return Err(bad("expected five quality-gate thresholds"));
                 }
-                crate::quality::QualityGateConfig {
-                    enabled,
-                    max_clip_fraction: rest[0],
-                    max_dropout_fraction: rest[1],
-                    min_snr_db: rest[2],
-                    min_correlation: rest[3],
-                    max_dc_fraction: rest[4],
+                if thresholds != GATE_THRESHOLDS {
+                    return Err(EarSonarError::BadConfig {
+                        name: "quality_gate",
+                        constraint: "the gate's thresholds must equal this build's constants",
+                    });
                 }
+                QualityGateConfig { enabled }
             }
         },
     };
@@ -529,9 +541,9 @@ mod tests {
     fn quality_gate_survives_round_trip_and_defaults_when_absent() {
         let (system, _) = trained();
         let text = model_to_string(&system);
-        assert!(text.contains("quality_gate: true"));
+        assert!(text.contains("\nquality_gate: true 0.04 0.35 -8 -0.99 0.97\n"));
         // A pre-gate model file (no quality_gate line) loads with the
-        // default thresholds instead of failing.
+        // gate on instead of failing.
         let legacy: String = text
             .lines()
             .filter(|l| !l.starts_with("quality_gate:"))
@@ -540,24 +552,52 @@ mod tests {
         let restored = model_from_string(&legacy).expect("legacy parse");
         assert_eq!(
             restored.front_end().config().quality,
-            crate::quality::QualityGateConfig::default()
+            QualityGateConfig::default()
         );
-        // A malformed gate line is rejected.
-        let broken = text.replace("quality_gate: true", "quality_gate: maybe");
-        assert!(model_from_string(&broken).is_err());
-        let short = text.replace("quality_gate: true ", "quality_gate: true 0.5 ");
-        let short: String = short
-            .lines()
-            .map(|l| {
-                if l.starts_with("quality_gate:") {
-                    "quality_gate: true 0.5"
-                } else {
-                    l
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(model_from_string(&short).is_err());
+        // A malformed gate line is a format violation.
+        for malformed in [
+            "quality_gate: maybe 0.04 0.35 -8 -0.99 0.97",
+            "quality_gate: true 0.5",
+            "quality_gate: true 0.04 0.35 -8 -0.99 0.97 0.5",
+            "quality_gate: true 0.04 0.35 -8 x 0.97",
+        ] {
+            let broken = text.replace("quality_gate: true 0.04 0.35 -8 -0.99 0.97", malformed);
+            match model_from_string(&broken) {
+                Err(EarSonarError::BadRecording { .. }) => {}
+                other => panic!("{malformed}: expected BadRecording, got {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn gate_thresholds_must_equal_the_constants() {
+        let fixture =
+            include_str!("../tests/fixtures/absorbance-logistic-6-patients-seed-2023.model");
+        let line = "quality_gate: true 0.04 0.35 -8 -0.99 0.97";
+        assert!(fixture.contains(line));
+        let with = |new: &str| fixture.replace(line, new);
+        let loaded = model_from_string(fixture).expect("fixture parse");
+        assert!(loaded.front_end().config().quality.enabled);
+        // Equal values written another way still load.
+        assert!(model_from_string(&with("quality_gate: true 4e-2 0.350 -8.0 -0.99 0.97")).is_ok());
+        let off = model_from_string(&with("quality_gate: false 0.04 0.35 -8 -0.99 0.97"))
+            .expect("gate-off parse");
+        assert!(!off.front_end().config().quality.enabled);
+        // Each threshold in turn set to another value is refused: these
+        // are constants of the pipeline now.
+        for changed in [
+            "quality_gate: true 0.05 0.35 -8 -0.99 0.97",
+            "quality_gate: true 0.04 0.36 -8 -0.99 0.97",
+            "quality_gate: true 0.04 0.35 -9 -0.99 0.97",
+            "quality_gate: true 0.04 0.35 -8 -0.98 0.97",
+            "quality_gate: true 0.04 0.35 -8 -0.99 0.96",
+            "quality_gate: false 0.04 0.35 -8 -0.99 NaN",
+        ] {
+            match model_from_string(&with(changed)) {
+                Err(EarSonarError::BadConfig { name, .. }) => assert_eq!(name, "quality_gate"),
+                other => panic!("{changed}: expected BadConfig, got {:?}", other.err()),
+            }
+        }
     }
 
     #[test]

@@ -146,35 +146,6 @@ pub fn butter_lowpass(order: usize, cutoff_hz: f64, fs: f64) -> Result<BiquadCas
     Ok(BiquadCascade::new(sections))
 }
 
-/// Designs a Butterworth high-pass filter.
-///
-/// # Errors
-///
-/// Same conditions as [`butter_lowpass`].
-pub fn butter_highpass(order: usize, cutoff_hz: f64, fs: f64) -> Result<BiquadCascade, DspError> {
-    validate_order(order)?;
-    validate_cutoff(cutoff_hz, fs)?;
-    let wc = prewarp(cutoff_hz, fs);
-    // LP -> HP: s -> wc / s, so each prototype pole p maps to wc / p.
-    let z_poles: Vec<Complex64> = prototype_poles(order)
-        .into_iter()
-        .map(|p| bilinear(Complex64::from_real(wc) / p, fs))
-        .collect();
-    let mut sections: Vec<Biquad> = pole_sections(&z_poles)
-        .into_iter()
-        .map(|(a1, a2)| {
-            if a2 == 0.0 {
-                // First-order section: single zero at z = +1.
-                Biquad::new(1.0, -1.0, 0.0, a1, 0.0)
-            } else {
-                Biquad::new(1.0, -2.0, 1.0, a1, a2)
-            }
-        })
-        .collect();
-    normalize_sections(&mut sections, PI);
-    Ok(BiquadCascade::new(sections))
-}
-
 /// Designs a Butterworth band-pass filter with edges `(low_hz, high_hz)`.
 ///
 /// The resulting digital filter has order `2 * order` (each prototype pole
@@ -302,19 +273,6 @@ mod tests {
         assert_eq!(f.len(), 3); // two biquads + one first-order section
         let g_c = f.magnitude_at(3_000.0, 48_000.0);
         assert!((g_c - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.01);
-    }
-
-    #[test]
-    fn highpass_gain_profile() {
-        let f = butter_highpass(4, 10_000.0, 48_000.0).unwrap();
-        assert!(f.is_stable());
-        assert!((f.magnitude_at(23_999.0, 48_000.0) - 1.0).abs() < 1e-3);
-        let g_c = f.magnitude_at(10_000.0, 48_000.0);
-        assert!(
-            (g_c - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.01,
-            "{g_c}"
-        );
-        assert!(f.magnitude_at(1_000.0, 48_000.0) < 1e-3);
     }
 
     #[test]

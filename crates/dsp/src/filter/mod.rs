@@ -4,7 +4,7 @@
 //! restricted to the chirp band (paper §IV-B-1). The module provides:
 //!
 //! * [`biquad`] — second-order IIR sections and cascades thereof,
-//! * [`butterworth`] — Butterworth low-/high-/band-pass design via the
+//! * [`butterworth`] — Butterworth low-/band-pass design via the
 //!   bilinear transform,
 //! * [`zero_phase`] — forward–backward (filtfilt-style) filtering.
 
@@ -13,5 +13,5 @@ pub mod butterworth;
 pub mod zero_phase;
 
 pub use biquad::{Biquad, BiquadCascade};
-pub use butterworth::{butter_bandpass, butter_highpass, butter_lowpass};
+pub use butterworth::{butter_bandpass, butter_lowpass};
 pub use zero_phase::{filtfilt, filtfilt_lanes, filtfilt_with};
