@@ -57,11 +57,6 @@ impl AbsorptionDip {
         let x = (f_hz - self.center_hz) / w;
         (1.0 - self.depth * (-0.5 * x * x).exp()).clamp(0.0, 1.0)
     }
-
-    /// Fraction of incident *amplitude* absorbed at `f_hz`.
-    pub fn absorbed(&self, f_hz: f64) -> f64 {
-        1.0 - self.gain(f_hz)
-    }
 }
 
 /// Frequency response of the eardrum reflection for a given effusion
@@ -179,7 +174,6 @@ mod tests {
     fn none_dip_is_identity() {
         let dip = AbsorptionDip::none();
         assert_eq!(dip.gain(18_000.0), 1.0);
-        assert_eq!(dip.absorbed(18_000.0), 0.0);
     }
 
     #[test]

@@ -29,10 +29,6 @@ pub const EARSONAR_CHIRP_DURATION: f64 = 0.5e-3;
 /// Interval between adjacent chirps, seconds (paper §IV-A: 5 ms).
 pub const EARSONAR_CHIRP_INTERVAL: f64 = 5.0e-3;
 
-/// Typical adult/child ear-canal length range, metres (paper §IV-A cites
-/// 2 cm–3.5 cm).
-pub const EAR_CANAL_LENGTH_RANGE: (f64, f64) = (0.02, 0.035);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,12 +45,6 @@ mod tests {
         // with generous margin.
         let round_trip_10cm = 2.0 * 0.10 / SPEED_OF_SOUND_AIR;
         assert!(EARSONAR_CHIRP_INTERVAL > round_trip_10cm);
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn ear_canal_range_is_ordered() {
-        assert!(EAR_CANAL_LENGTH_RANGE.0 < EAR_CANAL_LENGTH_RANGE.1);
     }
 
     #[test]

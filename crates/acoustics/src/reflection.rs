@@ -3,8 +3,7 @@
 //! The paper's Eq. 1 gives the pressure reflectance at normal incidence,
 //! `R = P_r / P_i = (Z_fluid − Z_air) / (Z_fluid + Z_air)` (the printed
 //! equation has a typo — a minus in the denominator — which would make
-//! `R ≡ 1`; we implement the standard form it clearly intends). The energy
-//! reflectance follows as `R²`.
+//! `R ≡ 1`; we implement the standard form it clearly intends).
 
 /// Pressure reflectance at normal incidence from a medium of impedance
 /// `z_from` onto a medium of impedance `z_to` (paper Eq. 1).
@@ -25,12 +24,6 @@ pub fn pressure_reflectance(z_from: f64, z_to: f64) -> f64 {
     (z_to - z_from) / (z_to + z_from)
 }
 
-/// Fraction of incident **energy** reflected: `R²`.
-pub fn energy_reflectance(z_from: f64, z_to: f64) -> f64 {
-    let r = pressure_reflectance(z_from, z_to);
-    r * r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,19 +33,12 @@ mod tests {
     #[test]
     fn matched_impedance_reflects_nothing() {
         assert_eq!(pressure_reflectance(1000.0, 1000.0), 0.0);
-        assert_eq!(energy_reflectance(1000.0, 1000.0), 0.0);
     }
 
     #[test]
     fn rigid_wall_limit() {
         let r = pressure_reflectance(413.0, 1e12);
         assert!((r - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn energy_reflectance_is_direction_symmetric() {
-        let (z1, z2) = (413.0, 1.5e6);
-        assert!((energy_reflectance(z1, z2) - energy_reflectance(z2, z1)).abs() < 1e-12);
     }
 
     #[test]

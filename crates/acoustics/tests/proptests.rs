@@ -11,7 +11,7 @@ use earsonar_acoustics::propagation::{
     delay_fractional_allpass_with, delay_phase_multiplier, round_trip_delay_samples,
     SpectralDelayLine,
 };
-use earsonar_acoustics::reflection::{energy_reflectance, pressure_reflectance};
+use earsonar_acoustics::reflection::pressure_reflectance;
 use earsonar_dsp::complex::Complex64;
 use earsonar_dsp::fft::next_pow2;
 use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
@@ -27,8 +27,6 @@ fn reflectance_is_bounded() {
         let z2 = rng.uniform(1.0, 1e8);
         let r = pressure_reflectance(z1, z2);
         assert!((-1.0..=1.0).contains(&r), "seed {seed}");
-        let er = energy_reflectance(z1, z2);
-        assert!((0.0..=1.0).contains(&er), "seed {seed}");
     }
 }
 
@@ -72,10 +70,6 @@ fn dip_gain_is_always_a_valid_multiplier() {
         let dip = AbsorptionDip::new(center, depth, width);
         let g = dip.gain(probe);
         assert!((0.0..=1.0).contains(&g), "seed {seed}");
-        assert!(
-            (dip.gain(probe) + dip.absorbed(probe) - 1.0).abs() < 1e-12,
-            "seed {seed}"
-        );
     }
 }
 

@@ -30,10 +30,9 @@ use earsonar_dsp::filter::{
 use earsonar_dsp::mel::MelFilterBank;
 use earsonar_dsp::mfcc::MfccExtractor;
 use earsonar_dsp::plan::{DspScratch, FftPlan, RealFftPlan};
-use earsonar_dsp::psd::periodogram;
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::wav::{parse_wav, parse_wav_f32_into, write_wav, WavAudio, WavFormat};
-use earsonar_dsp::window::{apply_precomputed, Window};
+use earsonar_dsp::window::{apply_precomputed, hann_in_place, hann_into};
 use std::hint::black_box;
 
 fn signal(n: usize) -> Vec<f64> {
@@ -75,14 +74,13 @@ fn kernel_pairs(b: &Bencher) {
 
     let mfcc = mfcc_config(cfg.sample_rate);
     let n = mfcc.n_fft; // the MFCC frame size
-    let win = Window::Hann;
     let x = random_signal(n, 102);
     let mut taps = Vec::new();
-    win.coefficients_into(n, &mut taps);
+    hann_into(n, &mut taps);
     let mut buf = x.clone();
     b.report(&format!("window_multiply/scalar/{n}"), || {
         buf.copy_from_slice(&x);
-        win.apply_in_place(&mut buf);
+        hann_in_place(&mut buf);
         black_box(buf[0])
     });
     b.report(&format!("window_multiply/vectorized/{n}"), || {
@@ -244,7 +242,7 @@ fn lane_kernels(b: &Bencher) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let b = Bencher::from_env(&args);
+    let b = Bencher::from_args(&args);
 
     let cfg = EarSonarConfig::default();
     let f = band_pass(&cfg);
@@ -258,19 +256,18 @@ fn main() {
 
     let ex = MfccExtractor::new(mfcc_config(cfg.sample_rate)).unwrap();
     let x = signal(256);
-    b.report("mfcc_extract_frame", || ex.extract(&x).unwrap());
+    let mut scratch = DspScratch::new();
+    let mut coeffs = Vec::new();
+    b.report("mfcc_extract_frame", || {
+        ex.extract_into(&mut scratch, &x, &mut coeffs).unwrap();
+        black_box(coeffs[0])
+    });
 
     let x = signal(96);
-    let mut scratch = DspScratch::new();
     let mut ac = Vec::new();
     b.report("autoconvolve_ir", || {
         autoconvolve_with(&mut scratch, &x, &mut ac);
         black_box(ac[0])
-    });
-
-    let x = signal(4096);
-    b.report("periodogram_4096", || {
-        periodogram(&x, 48_000.0, Window::Hann).unwrap()
     });
 
     println!("\n== scalar vs vectorized kernels ==");

@@ -55,11 +55,10 @@ impl Bencher {
         }
     }
 
-    /// Picks the runner from the environment: smoke when
-    /// `EARSONAR_BENCH_SMOKE` is set or `--smoke` appears in `args`.
-    pub fn from_env(args: &[String]) -> Self {
-        if std::env::var_os("EARSONAR_BENCH_SMOKE").is_some() || args.iter().any(|a| a == "--smoke")
-        {
+    /// Picks the runner from the command line: smoke when `--smoke`
+    /// appears in `args`.
+    pub fn from_args(args: &[String]) -> Self {
+        if args.iter().any(|a| a == "--smoke") {
             Bencher::smoke()
         } else {
             Bencher::new()
@@ -126,11 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn from_env_smoke_flag() {
-        let b = Bencher::from_env(&["--smoke".to_string()]);
+    fn from_args_smoke_flag() {
+        let b = Bencher::from_args(&["--smoke".to_string()]);
         assert_eq!(b.target_ms, 5);
-        let b = Bencher::from_env(&[]);
-        // Either default or smoke if the env var leaks in; both valid.
-        assert!(b.target_ms == 60 || b.target_ms == 5);
+        let b = Bencher::from_args(&[]);
+        assert_eq!(b.target_ms, 60);
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! The A/B harness ([`ab_compare`]) runs any set of registered
 //! [`crate::backend`]s through the *same* LOOCV folds on the *same*
-//! sessions and reports per-class precision deltas against the reference
-//! MFCC+k-means baseline.
+//! sessions and reports each one's classification report next to the
+//! reference MFCC+k-means baseline's.
 
 use crate::backend::{self, BackendSpec};
 use crate::baseline;
@@ -333,20 +333,6 @@ pub struct AbComparison {
     pub candidates: Vec<BackendScore>,
 }
 
-impl AbComparison {
-    /// Per-class precision delta of a candidate against the baseline
-    /// (positive = candidate more precise on that class).
-    pub fn precision_delta(&self, candidate: &BackendScore) -> Vec<f64> {
-        candidate
-            .report
-            .precision
-            .iter()
-            .zip(&self.baseline.report.precision)
-            .map(|(c, b)| c - b)
-            .collect()
-    }
-}
-
 /// Leave-one-participant-out cross-validation with a specific backend's
 /// classifier, also averaging the classifier's native confidence over
 /// the held-out predictions.
@@ -501,9 +487,6 @@ mod tests {
             assert_eq!(c.report.precision.len(), MeeState::COUNT);
             assert!((0.0..=1.0).contains(&c.report.accuracy));
             assert!((0.0..=1.0).contains(&c.mean_confidence));
-            let delta = cmp.precision_delta(c);
-            assert_eq!(delta.len(), MeeState::COUNT);
-            assert!(delta.iter().all(|d| (-1.0..=1.0).contains(d)));
         }
         // The baseline path must agree with the plain reference LOOCV on
         // the same extracted features: identical folds, identical model.

@@ -21,7 +21,6 @@ use crate::segment::EardrumEcho;
 use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
 use earsonar_dsp::plan::DspScratch;
 use earsonar_dsp::stats::{self, Summary};
-use earsonar_dsp::window::Window;
 
 /// Total feature-vector length, matching the paper.
 pub const FEATURE_COUNT: usize = 105;
@@ -32,7 +31,7 @@ const _: () = assert!(2 * N_MFCC + PROFILE_BINS + 21 == FEATURE_COUNT);
 
 /// The pipeline's MFCC settings at `sample_rate`: 26 mel filters over the
 /// probe band and one cepstral coefficient per filter, read from the echo
-/// spectrum's transform length with a Hann taper.
+/// spectrum's transform length (each frame Hann-tapered by the extractor).
 pub fn mfcc_config(sample_rate: f64) -> MfccConfig {
     MfccConfig {
         sample_rate,
@@ -41,7 +40,6 @@ pub fn mfcc_config(sample_rate: f64) -> MfccConfig {
         n_coeffs: N_MFCC,
         f_min: PROBE_BAND_HZ.0,
         f_max: PROBE_BAND_HZ.1,
-        window: Window::Hann,
     }
 }
 
@@ -68,28 +66,14 @@ impl FeatureExtractor {
     }
 
     /// Extracts the feature vector for one recording from its per-chirp
-    /// spectra, the recording-averaged spectrum, and the segmented echoes.
+    /// spectra, the recording-averaged spectrum, and the segmented echoes,
+    /// with DSP intermediates (the per-chirp MFCC frame, spectrum, and
+    /// filterbank buffers) drawn from `scratch`.
     ///
     /// # Errors
     ///
     /// Returns [`EarSonarError::NoEchoDetected`] if no chirp produced a
     /// spectrum, and propagates MFCC errors.
-    pub fn extract(
-        &self,
-        per_chirp: &[EchoSpectrum],
-        averaged: &EchoSpectrum,
-        echoes: &[EardrumEcho],
-    ) -> Result<Vec<f64>, EarSonarError> {
-        let mut scratch = DspScratch::new();
-        self.extract_with(&mut scratch, per_chirp, averaged, echoes)
-    }
-
-    /// [`FeatureExtractor::extract`] with DSP intermediates (the per-chirp
-    /// MFCC frame, spectrum, and filterbank buffers) drawn from `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FeatureExtractor::extract`].
     pub fn extract_with(
         &self,
         scratch: &mut DspScratch,
@@ -215,14 +199,22 @@ mod tests {
         EarSonarConfig::default()
     }
 
+    /// One extraction on a fresh scratch.
+    fn extract(
+        ex: &FeatureExtractor,
+        per_chirp: &[EchoSpectrum],
+        averaged: &EchoSpectrum,
+        echoes: &[EardrumEcho],
+    ) -> Result<Vec<f64>, EarSonarError> {
+        ex.extract_with(&mut DspScratch::new(), per_chirp, averaged, echoes)
+    }
+
     #[test]
     fn feature_vector_has_105_elements() {
         let cfg = config();
         let ex = FeatureExtractor::new(&cfg).unwrap();
         let (spec, echo) = notched_ir_spectrum(0.3, &cfg);
-        let f = ex
-            .extract(&[spec.clone(), spec.clone()], &spec, &[echo])
-            .unwrap();
+        let f = extract(&ex, &[spec.clone(), spec.clone()], &spec, &[echo]).unwrap();
         assert_eq!(f.len(), FEATURE_COUNT);
         assert!(f.iter().all(|v| v.is_finite()), "non-finite feature");
     }
@@ -234,9 +226,7 @@ mod tests {
         let mut powers = Vec::new();
         for d in [0.05, 0.65] {
             let (spec, echo) = notched_ir_spectrum(d, &cfg);
-            let f = ex
-                .extract(std::slice::from_ref(&spec), &spec, &[echo])
-                .unwrap();
+            let f = extract(&ex, std::slice::from_ref(&spec), &spec, &[echo]).unwrap();
             powers.push(f[103]); // shape_log_band_power
         }
         assert!(powers[1] < powers[0], "log band power: {powers:?}");
@@ -247,9 +237,13 @@ mod tests {
         let cfg = config();
         let ex = FeatureExtractor::new(&cfg).unwrap();
         let (spec, echo) = notched_ir_spectrum(0.2, &cfg);
-        let f = ex
-            .extract(&[spec.clone(), spec.clone(), spec.clone()], &spec, &[echo])
-            .unwrap();
+        let f = extract(
+            &ex,
+            &[spec.clone(), spec.clone(), spec.clone()],
+            &spec,
+            &[echo],
+        )
+        .unwrap();
         for (i, v) in f.iter().enumerate().take(52).skip(26) {
             assert!(v.abs() < 1e-12, "mfcc std {i} = {v}");
         }
@@ -261,7 +255,7 @@ mod tests {
         let ex = FeatureExtractor::new(&cfg).unwrap();
         let (spec, _) = notched_ir_spectrum(0.2, &cfg);
         assert!(matches!(
-            ex.extract(&[], &spec, &[]),
+            extract(&ex, &[], &spec, &[]),
             Err(EarSonarError::NoEchoDetected)
         ));
     }
@@ -271,9 +265,7 @@ mod tests {
         let cfg = config();
         let ex = FeatureExtractor::new(&cfg).unwrap();
         let (spec, echo) = notched_ir_spectrum(0.4, &cfg);
-        let f = ex
-            .extract(std::slice::from_ref(&spec), &spec, &[echo])
-            .unwrap();
+        let f = extract(&ex, std::slice::from_ref(&spec), &spec, &[echo]).unwrap();
         for (i, &p) in spec.profile.iter().enumerate() {
             assert_eq!(f[52 + i], p);
         }

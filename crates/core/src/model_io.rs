@@ -266,7 +266,7 @@ fn retired_lines(sample_rate: f64) -> [(&'static str, String); 17] {
                 mfcc.sample_rate, mfcc.n_fft, mfcc.n_filters, mfcc.n_coeffs, mfcc.f_min, mfcc.f_max
             ),
         ),
-        ("mfcc_window", format!("{:?}", mfcc.window).to_lowercase()),
+        ("mfcc_window", "hann".to_string()),
         ("k_clusters", MeeState::COUNT.to_string()),
         ("laplacian_neighbors", LAPLACIAN_NEIGHBORS.to_string()),
         ("kmeans_restarts", KMEANS_RESTARTS.to_string()),

@@ -38,11 +38,6 @@ impl ScreeningVerdict {
             other => ScreeningVerdict::EffusionDetected { state: other },
         }
     }
-
-    /// Returns `true` if effusion was detected.
-    pub fn has_effusion(&self) -> bool {
-        matches!(self, ScreeningVerdict::EffusionDetected { .. })
-    }
 }
 
 /// Bounded re-measurement policy for quality-gated screening: how many
@@ -385,9 +380,12 @@ mod tests {
             ScreeningVerdict::from_state(MeeState::Clear),
             ScreeningVerdict::Clear
         );
-        let v = ScreeningVerdict::from_state(MeeState::Mucoid);
-        assert!(v.has_effusion());
-        assert!(!ScreeningVerdict::Clear.has_effusion());
+        assert_eq!(
+            ScreeningVerdict::from_state(MeeState::Mucoid),
+            ScreeningVerdict::EffusionDetected {
+                state: MeeState::Mucoid
+            }
+        );
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The parity-decomposition segmentation of EarSonar (paper §IV-B-3, Eq. 10)
 //! locates echo symmetry centres at the extrema of the signal's
 //! **auto-convolution** `(x * x)[m] = Σ_n x[n] x[m - n]` — note: convolution
-//! with itself, not autocorrelation. Both a direct `O(N·M)` routine and an
-//! FFT-based `O(N log N)` routine are provided; they agree to rounding.
+//! with itself, not autocorrelation. [`convolve`] is the direct `O(N·M)`
+//! routine; [`autoconvolve_with`] switches to the FFT for long inputs, and
+//! the two agree to rounding.
 
 use crate::fft::next_pow2;
 use crate::plan::{DspScratch, RealFftPlan};
@@ -12,7 +13,7 @@ use crate::plan::{DspScratch, RealFftPlan};
 /// Full linear convolution of two real sequences, computed directly.
 ///
 /// The output has length `a.len() + b.len() - 1` (empty if either input is
-/// empty). Prefer [`convolve_fft_with`] for long inputs.
+/// empty).
 ///
 /// # Example
 ///
@@ -36,68 +37,27 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Full linear convolution of two real sequences via the FFT, written into
-/// a caller-owned buffer with intermediates drawn from `scratch` —
-/// allocation-free once the workspace is warm for this problem size.
-///
-/// Matches [`convolve`] up to floating-point rounding but runs in
-/// `O(N log N)`. The FFT plan is sized from the input lengths and stays
-/// resident for the life of the process ([`RealFftPlan::shared`]).
-pub fn convolve_fft_with(scratch: &mut DspScratch, a: &[f64], b: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    let out_len = a.len() + b.len() - 1;
-    let n = next_pow2(out_len);
-    #[expect(
-        clippy::expect_used,
-        reason = "next_pow2 always yields a nonzero power of two, the only sizes a plan rejects"
-    )]
-    let plan = RealFftPlan::shared(n).expect("valid plan size");
-    let mut work = scratch.take_complex();
-    let mut fa = scratch.take_complex();
-    let mut fb = scratch.take_complex();
-    #[expect(
-        clippy::expect_used,
-        reason = "a.len() <= out_len <= n, so the input fits the padded plan"
-    )]
-    plan.forward_into(a, &mut work, &mut fa).expect("fits plan");
-    #[expect(
-        clippy::expect_used,
-        reason = "b.len() <= out_len <= n, same bound as the line above"
-    )]
-    plan.forward_into(b, &mut work, &mut fb).expect("fits plan");
-    for (x, &y) in fa.iter_mut().zip(fb.iter()) {
-        *x *= y;
-    }
-    #[expect(
-        clippy::expect_used,
-        reason = "forward_into sized fa to exactly the planned n"
-    )]
-    plan.inverse_into(&fa, &mut work, out)
-        .expect("planned size");
-    out.truncate(out_len);
-    scratch.put_complex(fb);
-    scratch.put_complex(fa);
-    scratch.put_complex(work);
-}
-
 /// Auto-convolution `(x * x)[m]`, the quantity maximized to find the parity
 /// symmetry centre in the paper's echo segmentation (Eq. 10), written into
 /// a caller-owned buffer via `scratch`.
 ///
 /// Output length is `2 * x.len() - 1`. Index `m` of the output corresponds
 /// to a candidate symmetry point at `m / 2` (half-sample resolution).
-/// Short inputs use the direct algorithm (still allocation-free: the output
-/// buffer is reused).
+/// Inputs shorter than 64 samples use the direct algorithm, the same sum
+/// in the same order as [`convolve`]`(x, x)`; longer ones transform `x`
+/// once, square its spectrum and transform back, matching [`convolve`] up
+/// to floating-point rounding in `O(N log N)`. Either way the call is
+/// allocation-free once `out` and the workspace are warm for this size.
+/// The FFT plan stays resident for the life of the process
+/// ([`RealFftPlan::shared`]).
 pub fn autoconvolve_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    if x.is_empty() {
+        return;
+    }
+    let out_len = 2 * x.len() - 1;
     if x.len() < 64 {
-        out.clear();
-        if x.is_empty() {
-            return;
-        }
-        out.resize(2 * x.len() - 1, 0.0);
+        out.resize(out_len, 0.0);
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
                 continue;
@@ -106,9 +66,35 @@ pub fn autoconvolve_with(scratch: &mut DspScratch, x: &[f64], out: &mut Vec<f64>
                 out[i + j] += xi * xj;
             }
         }
-    } else {
-        convolve_fft_with(scratch, x, x, out);
+        return;
     }
+    let n = next_pow2(out_len);
+    #[expect(
+        clippy::expect_used,
+        reason = "next_pow2 always yields a nonzero power of two, the only sizes a plan rejects"
+    )]
+    let plan = RealFftPlan::shared(n).expect("valid plan size");
+    let mut work = scratch.take_complex();
+    let mut spectrum = scratch.take_complex();
+    #[expect(
+        clippy::expect_used,
+        reason = "x.len() <= out_len <= n, so the input fits the padded plan"
+    )]
+    plan.forward_into(x, &mut work, &mut spectrum)
+        .expect("fits plan");
+    for z in spectrum.iter_mut() {
+        let w = *z;
+        *z *= w;
+    }
+    #[expect(
+        clippy::expect_used,
+        reason = "forward_into sized the spectrum to exactly the planned n"
+    )]
+    plan.inverse_into(&spectrum, &mut work, out)
+        .expect("planned size");
+    out.truncate(out_len);
+    scratch.put_complex(spectrum);
+    scratch.put_complex(work);
 }
 
 #[cfg(test)]
@@ -120,7 +106,7 @@ mod tests {
         assert!(convolve(&[], &[1.0]).is_empty());
         assert!(convolve(&[1.0], &[]).is_empty());
         let mut out = vec![1.0];
-        convolve_fft_with(&mut DspScratch::new(), &[], &[1.0], &mut out);
+        autoconvolve_with(&mut DspScratch::new(), &[], &mut out);
         assert!(out.is_empty());
     }
 
@@ -141,19 +127,6 @@ mod tests {
         let a = [1.0, -2.0, 0.5, 3.0];
         let b = [0.25, 4.0, -1.0];
         assert_eq!(convolve(&a, &b), convolve(&b, &a));
-    }
-
-    #[test]
-    fn fft_convolution_matches_direct() {
-        let a: Vec<f64> = (0..137).map(|i| ((i * 13 % 31) as f64) - 15.0).collect();
-        let b: Vec<f64> = (0..83).map(|i| ((i * 7 % 17) as f64) * 0.1).collect();
-        let direct = convolve(&a, &b);
-        let mut fast = Vec::new();
-        convolve_fft_with(&mut DspScratch::new(), &a, &b, &mut fast);
-        assert_eq!(direct.len(), fast.len());
-        for (d, f) in direct.iter().zip(&fast) {
-            assert!((d - f).abs() < 1e-8, "{d} vs {f}");
-        }
     }
 
     #[test]

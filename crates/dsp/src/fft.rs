@@ -4,7 +4,7 @@
 //! extraction, and fast auto-convolution in the segmentation stage. The
 //! transforms themselves are the planned ones in [`crate::plan`]; this
 //! module holds the helpers every caller shares: power-of-two padding and
-//! the bin ↔ frequency mapping.
+//! the frequency → bin mapping.
 
 /// Returns the smallest power of two that is `>= n` (and at least 1).
 ///
@@ -26,25 +26,6 @@ pub fn next_pow2(n: usize) -> usize {
 /// Returns `true` if `n` is a power of two (and non-zero).
 pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
-}
-
-/// Returns the frequency in hertz of FFT bin `k` for an `n`-point transform
-/// at sample rate `fs` (bins above Nyquist map to negative frequencies).
-///
-/// # Example
-///
-/// ```
-/// use earsonar_dsp::fft::bin_frequency;
-/// assert_eq!(bin_frequency(0, 1024, 48_000.0), 0.0);
-/// assert_eq!(bin_frequency(512, 1024, 48_000.0), -24_000.0);
-/// ```
-pub fn bin_frequency(k: usize, n: usize, fs: f64) -> f64 {
-    let k = k % n;
-    if k <= n / 2 && !(k == n / 2 && n.is_multiple_of(2)) {
-        k as f64 * fs / n as f64
-    } else {
-        (k as f64 - n as f64) * fs / n as f64
-    }
 }
 
 /// Returns the FFT bin index closest to frequency `f_hz` for an `n`-point
@@ -116,18 +97,12 @@ mod tests {
     }
 
     #[test]
-    fn bin_frequency_maps_both_halves() {
-        assert_close(bin_frequency(1, 1024, 48_000.0), 46.875, 1e-9);
-        assert_close(bin_frequency(1023, 1024, 48_000.0), -46.875, 1e-9);
-    }
-
-    #[test]
     fn frequency_bin_round_trips() {
         let n = 4096;
         let fs = 48_000.0;
         for f in [0.0, 1000.0, 16_000.0, 18_000.0, 20_000.0] {
             let k = frequency_bin(f, n, fs);
-            assert!((bin_frequency(k, n, fs) - f).abs() <= fs / n as f64 / 2.0 + 1e-9);
+            assert!((k as f64 * fs / n as f64 - f).abs() <= fs / n as f64 / 2.0 + 1e-9);
         }
     }
 }

@@ -9,17 +9,16 @@
 //! * [`plan`] — planned radix-2 FFTs (precomputed twiddles, real-input
 //!   halving), one shared plan per size for the whole process, and the
 //!   [`DspScratch`] buffer pool for allocation-free reuse,
-//! * [`fft`] — power-of-two sizing and bin ↔ frequency helpers,
+//! * [`fft`] — power-of-two sizing and the frequency → bin helper,
 //! * [`filter`] — biquad cascades and Butterworth band-pass design,
 //! * [`lanes`] — grouping a batch of signals into multi-lane kernel
 //!   passes,
-//! * [`window`] — Hann/Hamming/Blackman tapers,
-//! * [`psd`] — periodogram power-spectral-density estimates,
+//! * [`window`] — the Hann taper, per sample or from precomputed taps,
 //! * [`mfcc`] — mel-frequency cepstral coefficients,
 //! * [`convolution`] / [`correlation`] — including the auto-convolution used
 //!   by the paper's parity-decomposition echo segmentation,
 //! * [`simd`] — four-lane vectorized reduction kernels with pinned
-//!   scalar twins (the per-sample loops of the per-chirp stages),
+//!   scalar twins (the per-sample sums of the per-chirp stages),
 //! * [`stats`] — the statistical feature primitives (skewness, kurtosis, …),
 //! * [`fanout`] — the one scoped-thread, index-ordered parallel map the
 //!   simulator, the detection core and the engine share,
@@ -29,15 +28,15 @@
 //!
 //! ```
 //! use earsonar_dsp::plan::RealFftPlan;
-//! use earsonar_dsp::window::Window;
+//! use earsonar_dsp::window::hann_in_place;
 //!
 //! // A 1 kHz tone sampled at 48 kHz shows up in the right FFT bin.
 //! let fs = 48_000.0;
 //! let n = 1024;
-//! let tone: Vec<f64> = (0..n)
+//! let mut tapered: Vec<f64> = (0..n)
 //!     .map(|i| (2.0 * std::f64::consts::PI * 1_000.0 * i as f64 / fs).sin())
 //!     .collect();
-//! let tapered = Window::Hann.apply(&tone);
+//! hann_in_place(&mut tapered);
 //! let plan = RealFftPlan::shared(n).unwrap();
 //! let (mut work, mut spectrum) = (Vec::new(), Vec::new());
 //! plan.forward_into(&tapered, &mut work, &mut spectrum).unwrap();
@@ -84,7 +83,6 @@ pub mod mel;
 pub mod mfcc;
 pub mod peak;
 pub mod plan;
-pub mod psd;
 pub mod rng;
 pub mod simd;
 pub mod stats;

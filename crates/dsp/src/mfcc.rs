@@ -13,7 +13,7 @@ use crate::fft::next_pow2;
 use crate::goertzel::Goertzel;
 use crate::mel::MelFilterBank;
 use crate::plan::{DspScratch, RealFftPlan};
-use crate::window::Window;
+use crate::window::{apply_precomputed, hann_in_place, hann_into};
 use std::f64::consts::PI;
 
 /// Floor applied before the log to keep silent bands finite.
@@ -34,18 +34,17 @@ pub struct MfccConfig {
     pub f_min: f64,
     /// Upper edge of the analysis band in hertz.
     pub f_max: f64,
-    /// Taper applied to each frame before the FFT.
-    pub window: Window,
 }
 
-/// An MFCC extractor with a pre-built filterbank.
+/// An MFCC extractor with a pre-built filterbank. Each frame is
+/// Hann-tapered ([`crate::window`]) before its spectrum is taken.
 ///
 /// # Example
 ///
 /// ```
 /// # fn main() -> Result<(), earsonar_dsp::DspError> {
 /// use earsonar_dsp::mfcc::{MfccConfig, MfccExtractor};
-/// use earsonar_dsp::window::Window;
+/// use earsonar_dsp::plan::DspScratch;
 /// let extractor = MfccExtractor::new(MfccConfig {
 ///     sample_rate: 48_000.0,
 ///     n_fft: 512,
@@ -53,12 +52,12 @@ pub struct MfccConfig {
 ///     n_coeffs: 13,
 ///     f_min: 16_000.0,
 ///     f_max: 20_000.0,
-///     window: Window::Hann,
 /// })?;
 /// let frame: Vec<f64> = (0..512)
 ///     .map(|i| (2.0 * std::f64::consts::PI * 18_000.0 * i as f64 / 48_000.0).sin())
 ///     .collect();
-/// let coeffs = extractor.extract(&frame)?;
+/// let mut coeffs = Vec::new();
+/// extractor.extract_into(&mut DspScratch::new(), &frame, &mut coeffs)?;
 /// assert_eq!(coeffs.len(), 13);
 /// # Ok(())
 /// # }
@@ -72,7 +71,7 @@ pub struct MfccExtractor {
     /// `n_fft` frame unless [`MfccExtractor::with_frame_len`] chose
     /// another length), precomputed so the hot path multiplies instead of
     /// evaluating a cosine per sample. Frames of any other length fall back
-    /// to [`Window::apply_in_place`].
+    /// to [`hann_in_place`].
     window_taps: Vec<f64>,
     /// Orthonormal DCT-II cosines, row-major: row `k` holds
     /// `cos(PI/n_filters * (i + 0.5) * k)` for `i in 0..n_filters`.
@@ -108,7 +107,7 @@ impl MfccExtractor {
             config.f_max,
         )?;
         let mut window_taps = Vec::new();
-        config.window.coefficients_into(n_fft, &mut window_taps);
+        hann_into(n_fft, &mut window_taps);
         let nf = config.n_filters as f64;
         let dct_basis: Vec<f64> = (0..config.n_coeffs)
             .flat_map(|k| {
@@ -131,40 +130,15 @@ impl MfccExtractor {
     /// (capped at the FFT size, as frames are) instead of full `n_fft`
     /// frames — for a caller whose frames all have one known length
     /// shorter than the FFT. Results are unchanged: precomputed taps are
-    /// bit-identical to [`Window::apply_in_place`].
+    /// bit-identical to [`hann_in_place`].
     pub fn with_frame_len(mut self, frame_len: usize) -> Self {
-        let len = frame_len.min(self.n_fft);
-        self.config
-            .window
-            .coefficients_into(len, &mut self.window_taps);
+        hann_into(frame_len.min(self.n_fft), &mut self.window_taps);
         self
     }
 
-    /// The configuration this extractor was built with.
-    pub fn config(&self) -> &MfccConfig {
-        &self.config
-    }
-
-    /// The number of coefficients produced per frame.
-    pub fn n_coeffs(&self) -> usize {
-        self.config.n_coeffs
-    }
-
     /// Extracts MFCCs from one signal segment (windowed, zero-padded or
-    /// truncated to the FFT size).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if the segment is empty.
-    pub fn extract(&self, segment: &[f64]) -> Result<Vec<f64>, DspError> {
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::with_capacity(self.config.n_coeffs);
-        self.extract_into(&mut scratch, segment, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MfccExtractor::extract`] writing into a caller-owned buffer, with
-    /// every intermediate (windowed frame, band powers, power spectrum, mel
+    /// truncated to the FFT size) into a caller-owned buffer, with every
+    /// intermediate (windowed frame, band powers, power spectrum, mel
     /// energies) drawn from `scratch` — allocation-free once warm.
     ///
     /// Only the spectrum bins the mel filters read are computed, by one
@@ -174,7 +148,7 @@ impl MfccExtractor {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MfccExtractor::extract`].
+    /// Returns [`DspError::EmptyInput`] if the segment is empty.
     pub fn extract_into(
         &self,
         scratch: &mut DspScratch,
@@ -188,12 +162,12 @@ impl MfccExtractor {
         let mut frame = scratch.take_real();
         frame.extend_from_slice(&segment[..take]);
         if take == self.window_taps.len() {
-            // Precomputed taps: bit-identical to `apply_in_place`, no
+            // Precomputed taps: bit-identical to `hann_in_place`, no
             // per-sample cosine.
-            crate::window::apply_precomputed(&self.window_taps, &mut frame);
+            apply_precomputed(&self.window_taps, &mut frame);
         } else {
             // Taps depend on frame length.
-            self.config.window.apply_in_place(&mut frame);
+            hann_in_place(&mut frame);
         }
         let mut band = scratch.take_real();
         self.band.powers_into(&frame, &mut band);
@@ -256,7 +230,7 @@ impl MfccExtractor {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MfccExtractor::extract`].
+    /// Same conditions as [`MfccExtractor::extract_into`].
     pub fn extract_into_scalar(
         &self,
         scratch: &mut DspScratch,
@@ -269,7 +243,7 @@ impl MfccExtractor {
         let take = segment.len().min(self.n_fft);
         let mut frame = scratch.take_real();
         frame.extend_from_slice(&segment[..take]);
-        self.config.window.apply_in_place(&mut frame);
+        hann_in_place(&mut frame);
 
         let plan = RealFftPlan::shared(self.n_fft)?;
         let mut work = scratch.take_complex();
@@ -332,7 +306,6 @@ mod tests {
             n_coeffs: 13,
             f_min: 16_000.0,
             f_max: 20_000.0,
-            window: Window::Hann,
         }
     }
 
@@ -340,6 +313,13 @@ mod tests {
         (0..n)
             .map(|i| (2.0 * PI * f * i as f64 / fs).sin())
             .collect()
+    }
+
+    /// One extraction on a fresh scratch.
+    fn extract(ex: &MfccExtractor, segment: &[f64]) -> Result<Vec<f64>, DspError> {
+        let mut out = Vec::new();
+        ex.extract_into(&mut DspScratch::new(), segment, &mut out)?;
+        Ok(out)
     }
 
     #[test]
@@ -355,7 +335,7 @@ mod tests {
     #[test]
     fn extract_produces_requested_count() {
         let ex = MfccExtractor::new(config()).unwrap();
-        let c = ex.extract(&tone(18_000.0, 48_000.0, 512)).unwrap();
+        let c = extract(&ex, &tone(18_000.0, 48_000.0, 512)).unwrap();
         assert_eq!(c.len(), 13);
         assert!(c.iter().all(|v| v.is_finite()));
     }
@@ -403,14 +383,14 @@ mod tests {
     #[test]
     fn empty_segment_is_rejected() {
         let ex = MfccExtractor::new(config()).unwrap();
-        assert!(matches!(ex.extract(&[]), Err(DspError::EmptyInput)));
+        assert!(matches!(extract(&ex, &[]), Err(DspError::EmptyInput)));
     }
 
     #[test]
     fn different_tones_give_different_mfccs() {
         let ex = MfccExtractor::new(config()).unwrap();
-        let a = ex.extract(&tone(16_500.0, 48_000.0, 512)).unwrap();
-        let b = ex.extract(&tone(19_500.0, 48_000.0, 512)).unwrap();
+        let a = extract(&ex, &tone(16_500.0, 48_000.0, 512)).unwrap();
+        let b = extract(&ex, &tone(19_500.0, 48_000.0, 512)).unwrap();
         let dist: f64 = a
             .iter()
             .zip(&b)
@@ -428,8 +408,8 @@ mod tests {
         let ex = MfccExtractor::new(config()).unwrap();
         let x = tone(18_000.0, 48_000.0, 512);
         let x2: Vec<f64> = x.iter().map(|v| v * 2.0).collect();
-        let a = ex.extract(&x).unwrap();
-        let b = ex.extract(&x2).unwrap();
+        let a = extract(&ex, &x).unwrap();
+        let b = extract(&ex, &x2).unwrap();
         for k in 1..13 {
             assert!((a[k] - b[k]).abs() < 1e-6, "coeff {k} moved");
         }

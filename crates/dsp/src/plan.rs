@@ -593,7 +593,7 @@ pub fn split_frames_mut<const L: usize>(buf: &mut [f64]) -> &mut [SplitFrame<L>]
 
 /// A reusable DSP workspace: pools of intermediate buffers.
 ///
-/// The planned kernels (`convolve_fft_with`, `envelope_with`,
+/// The planned kernels (`autoconvolve_with`, `envelope_with`,
 /// `ChannelEstimator::estimate_with`, …) take their plans from the shared
 /// table ([`FftPlan::shared`]) and borrow every intermediate buffer from
 /// one of these, so a warm scratch makes them allocation-free. Create one per worker thread and keep it across

@@ -1,25 +1,25 @@
 //! Four-lane vectorized reduction kernels.
 //!
-//! The per-sample inner loops of the pipeline — window multiplies,
-//! correlation sums, the MFCC's DCT — spend their time in dependent
+//! The per-sample reductions of the pipeline — correlation sums, signal
+//! energies, the MFCC's DCT — spend their time in dependent
 //! floating-point adds: a single accumulator serializes on the FPU's add
 //! latency. Splitting the reduction across four independent accumulators
 //! (the classic `f64x4` layout, written in stable Rust with
 //! `chunks_exact(4)` so the compiler autovectorizes it — no `unsafe`, no
 //! nightly `std::simd`) breaks that chain and keeps the SIMD units busy.
 //!
-//! Every vectorized kernel here has a `*_scalar` twin implementing the
-//! plain sequential reduction. The twins are the pinned references of the
-//! equivalence suite (`tests/kernel_equivalence.rs`):
+//! Every kernel here ([`sum`], [`sum_sq`], [`dot`], [`centered_moments`])
+//! has a `*_scalar` twin implementing the plain sequential reduction, the
+//! pinned reference of the equivalence suite (`tests/kernel_equivalence.rs`).
+//! The kernels reassociate the sum into four partial sums folded as
+//! `(acc0 + acc1) + (acc2 + acc3) + tail`. Floating-point addition is not
+//! associative, so results differ from the scalar twin at the ulp level —
+//! the equivalence suite bounds the difference by `1e-12 × Σ|terms|`, the
+//! documented contract.
 //!
-//! * **Elementwise kernels** ([`mul_in_place`]) reorder nothing and are
-//!   **bit-identical** to their scalar twin.
-//! * **Reduction kernels** ([`sum`], [`sum_sq`], [`dot`],
-//!   [`centered_moments`]) reassociate the sum into four partial sums
-//!   folded as `(acc0 + acc1) + (acc2 + acc3) + tail`. Floating-point
-//!   addition is not associative, so results differ from the scalar twin
-//!   at the ulp level — the equivalence suite bounds the difference by
-//!   `1e-12 × Σ|terms|`, the documented contract.
+//! An elementwise multiply reorders nothing, so it needs no four-lane form
+//! and no twin: the window multiply is one plain loop
+//! ([`crate::window::apply_precomputed`]).
 //!
 //! Kernels whose four-lane form did not beat its scalar twin at the
 //! pipeline's sizes are not here: the quality gate's window scan and the
@@ -117,35 +117,6 @@ pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Elementwise `a[i] *= b[i]` over the common prefix.
-///
-/// **Bit-identical** to [`mul_in_place_scalar`]: multiplication order per
-/// element is unchanged, nothing is reassociated.
-#[inline]
-pub fn mul_in_place(a: &mut [f64], b: &[f64]) {
-    let n = a.len().min(b.len());
-    let split = n - n % 4;
-    for (x, y) in a[..split]
-        .chunks_exact_mut(4)
-        .zip(b[..split].chunks_exact(4))
-    {
-        x[0] *= y[0];
-        x[1] *= y[1];
-        x[2] *= y[2];
-        x[3] *= y[3];
-    }
-    for (x, &y) in a[split..n].iter_mut().zip(&b[split..n]) {
-        *x *= y;
-    }
-}
-
-/// The scalar reference for [`mul_in_place`].
-pub fn mul_in_place_scalar(a: &mut [f64], b: &[f64]) {
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x *= y;
-    }
-}
-
 /// Fused centered second moments of two equal-role sequences over their
 /// common prefix: `(Σ da·db, Σ da², Σ db²)` with `da = a[i] - mean_a`,
 /// `db = b[i] - mean_b` — the covariance/variance triple behind Pearson
@@ -235,18 +206,6 @@ mod tests {
         let scale: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
         assert!(close(dot(&a, &b), dot_scalar(&a, &b), scale));
         assert_eq!(dot(&a, &[]), 0.0);
-    }
-
-    #[test]
-    fn mul_in_place_is_bit_identical() {
-        for n in [1usize, 3, 4, 6, 128, 130] {
-            let b = noise(n, 20 + n as u64);
-            let mut v = noise(n, 40 + n as u64);
-            let mut s = v.clone();
-            mul_in_place(&mut v, &b);
-            mul_in_place_scalar(&mut s, &b);
-            assert_eq!(v, s, "n={n}");
-        }
     }
 
     #[test]

@@ -116,16 +116,6 @@ impl ClusterLabeling {
     pub fn n_classes(&self) -> usize {
         self.n_classes
     }
-
-    /// Returns `true` if every class is hit by at least one cluster —
-    /// a sanity signal that clustering found all states.
-    pub fn is_surjective(&self) -> bool {
-        let mut seen = vec![false; self.n_classes];
-        for &c in &self.mapping {
-            seen[c] = true;
-        }
-        seen.into_iter().all(|s| s)
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +147,6 @@ mod tests {
         assert_eq!(lab.map(&[0, 1, 0]), vec![3, 1, 3]);
         assert_eq!(lab.mapping(), &[3, 1]);
         assert_eq!(lab.n_classes(), 4);
-    }
-
-    #[test]
-    fn surjectivity_check() {
-        let perfect = ClusterLabeling::fit(&[0, 1, 2, 3], &[0, 1, 2, 3], 4, 4).unwrap();
-        assert!(perfect.is_surjective());
-        let collapsed = ClusterLabeling::fit(&[0, 1, 2, 3], &[0, 0, 2, 3], 4, 4).unwrap();
-        assert!(!collapsed.is_surjective());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use earsonar_dsp::rng::DetRng;
 use earsonar_ml::crossval::leave_one_group_out;
-use earsonar_ml::distance::{cosine, euclidean};
+use earsonar_ml::distance::{cosine_similarity, euclidean};
 use earsonar_ml::kmeans::{KMeans, KMeansConfig};
 use earsonar_ml::knn::KnnClassifier;
 use earsonar_ml::metrics::ConfusionMatrix;
@@ -42,8 +42,8 @@ fn distances_satisfy_metric_basics() {
             (euclidean(&a, &b) - euclidean(&b, &a)).abs() < 1e-12,
             "seed {seed}"
         );
-        let c = cosine(&a, &b);
-        assert!((0.0..=2.0 + 1e-12).contains(&c), "seed {seed}");
+        let c = cosine_similarity(&a, &b);
+        assert!((-1.0..=1.0).contains(&c), "seed {seed}");
     }
 }
 

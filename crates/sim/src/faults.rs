@@ -391,7 +391,7 @@ mod tests {
     use super::*;
     use crate::cohort::Cohort;
     use crate::session::{RecordSession, Session, SessionConfig};
-    use crate::source::SimulatedEar;
+    use earsonar_signal::source::QueueSource;
 
     fn clean() -> Recording {
         let cohort = Cohort::generate(1, 19);
@@ -495,9 +495,14 @@ mod tests {
     #[test]
     fn faulty_source_corrupts_then_recovers() {
         let cohort = Cohort::generate(1, 23);
-        let ear = SimulatedEar::new(cohort.patients()[0].clone(), SessionConfig::default());
+        let visits = (0..2)
+            .map(|visit| {
+                Session::record(&cohort.patients()[0], 0, &SessionConfig::default(), visit)
+                    .recording
+            })
+            .collect();
         let injector = FaultInjector::new(6).with(Fault::Dropout { severity: 1.0 });
-        let mut source = FaultySource::corrupt_first(ear, injector, 1);
+        let mut source = FaultySource::corrupt_first(QueueSource::new(visits), injector, 1);
         assert!(source.describe().contains("fault"));
         let first = source.capture().unwrap().unwrap();
         assert!(

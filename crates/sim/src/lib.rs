@@ -19,9 +19,6 @@
 //!   the spectrally shaped eardrum echo, plus calibrated ambient noise,
 //! * [`session`] / [`dataset`] — labelled recordings organized the way the
 //!   clinical study collected them,
-//! * [`source`] — the simulator exposed as an
-//!   [`earsonar_signal::source::SignalSource`], interchangeable with WAV
-//!   files or real capture hardware,
 //! * [`faults`] — deterministic, severity-parameterized corruption
 //!   primitives (clipping, dropouts, burst noise, DC bias, earbud removal,
 //!   truncation) applicable to any recording or wrapped around any source.
@@ -67,7 +64,6 @@ pub mod patient;
 pub mod recorder;
 pub mod rng;
 pub mod session;
-pub mod source;
 pub mod wearing;
 
 pub use effusion::{MeeAcoustics, MeeState};

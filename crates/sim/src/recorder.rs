@@ -360,6 +360,7 @@ pub fn synthesize_recording_time_domain(
 mod tests {
     use super::*;
     use crate::effusion::{MeeAcoustics, MeeState};
+    use crate::noise::band_energy;
 
     fn test_ear(seed: u64) -> EarCanal {
         let mut rng = SimRng::seed_from_u64(seed);
@@ -444,14 +445,8 @@ mod tests {
             &RecorderConfig::default(),
             &mut rng,
         );
-        let psd = earsonar_dsp::psd::periodogram(
-            &rec.samples,
-            rec.sample_rate,
-            earsonar_dsp::window::Window::Hann,
-        )
-        .unwrap();
-        let in_band = psd.band_power(15_500.0, 20_500.0);
-        let low_band = psd.band_power(500.0, 12_000.0);
+        let in_band = band_energy(&rec.samples, rec.sample_rate, 15_500.0, 20_500.0);
+        let low_band = band_energy(&rec.samples, rec.sample_rate, 500.0, 12_000.0);
         assert!(in_band > 10.0 * low_band, "in {in_band} low {low_band}");
     }
 
@@ -500,13 +495,7 @@ mod tests {
                 ..Default::default()
             };
             let rec = synthesize_recording(&ear, &EardrumResponse::clear(), &cfg, &mut rng);
-            let psd = earsonar_dsp::psd::periodogram(
-                &rec.samples,
-                rec.sample_rate,
-                earsonar_dsp::window::Window::Hann,
-            )
-            .unwrap();
-            psd.band_power(100.0, 8_000.0)
+            band_energy(&rec.samples, rec.sample_rate, 100.0, 8_000.0)
         };
         // The chirp's spectral sidelobes put a floor under the low band,
         // so the contrast is large but not the full 30 dB of SPL delta.

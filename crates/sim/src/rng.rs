@@ -2,7 +2,7 @@
 //!
 //! A thin wrapper over the workspace's deterministic generator
 //! ([`earsonar_dsp::rng::DetRng`]) adding the variate families the
-//! simulator needs (Gaussian via Box–Muller, lognormal, clamped jitters,
+//! simulator needs (Gaussian via Box–Muller, clamped jitters,
 //! and block-drawn polar-method pairs for the dense noise fills).
 //! External randomness crates are outside this project's dependency budget
 //! — the build must be hermetic — so the transforms are implemented here.
@@ -142,11 +142,6 @@ impl SimRng {
         self.gaussian(mean, std_dev).clamp(lo, hi)
     }
 
-    /// Lognormal sample: `exp(N(mu, sigma))`.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.gaussian(mu, sigma).exp()
-    }
-
     /// A multiplicative jitter factor `1 + N(0, rel_sigma)`, clamped to
     /// stay positive.
     pub fn jitter(&mut self, rel_sigma: f64) -> f64 {
@@ -240,14 +235,6 @@ mod tests {
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
         assert!(!rng.chance(-0.5));
-    }
-
-    #[test]
-    fn lognormal_is_positive() {
-        let mut rng = SimRng::seed_from_u64(8);
-        for _ in 0..100 {
-            assert!(rng.lognormal(0.0, 1.0) > 0.0);
-        }
     }
 
     #[test]

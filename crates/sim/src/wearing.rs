@@ -16,9 +16,6 @@ pub struct WearingAngle {
 }
 
 impl WearingAngle {
-    /// The angles tested in paper Table I.
-    pub const TABLE1: [f64; 5] = [0.0, 10.0, 20.0, 30.0, 40.0];
-
     /// Creates a wearing angle, clamped to `[0°, 90°]`.
     pub fn new(degrees: f64) -> Self {
         WearingAngle {
@@ -85,7 +82,8 @@ mod tests {
     #[test]
     fn gain_degrades_monotonically_with_angle() {
         let mut prev = f64::INFINITY;
-        for deg in WearingAngle::TABLE1 {
+        // The angles of paper Table I.
+        for deg in [0.0, 10.0, 20.0, 30.0, 40.0] {
             let g = WearingAngle::new(deg).eardrum_gain_factor();
             assert!(g < prev || deg == 0.0, "gain must fall with angle");
             prev = g;

@@ -5,7 +5,7 @@
 # output moved, when any differs.
 #
 # `table2_latency` and `table3_power` print wall-clock timings, so they
-# are left out. The twelve bins take about 4.5 minutes on a 2-vCPU host,
+# are left out. The twelve bins take about five minutes on a 2-vCPU host,
 # which is why this runs as its own CI job rather than inside check.sh.
 # Each bin's wall time and the total go to stderr, so the CI log shows
 # where the time goes; stdout stays the comparison.

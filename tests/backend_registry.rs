@@ -101,8 +101,10 @@ fn ab_harness_scores_candidates_against_the_reference() {
     assert_eq!(cmp.baseline.backend, REFERENCE_BACKEND);
     assert_eq!(cmp.candidates.len(), 2);
     for cand in &cmp.candidates {
-        let deltas = cmp.precision_delta(cand);
-        assert_eq!(deltas.len(), cmp.baseline.report.precision.len());
+        assert_eq!(
+            cand.report.precision.len(),
+            cmp.baseline.report.precision.len()
+        );
         assert!(cand.report.accuracy >= 0.0 && cand.report.accuracy <= 1.0);
     }
 }

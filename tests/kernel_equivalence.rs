@@ -1,14 +1,15 @@
 //! Scalar ≡ vectorized: every four-lane kernel introduced by the SIMD
 //! pass is pinned against its scalar reference here.
 //!
-//! Two contracts (documented in `earsonar_dsp::simd`):
+//! Two contracts:
 //!
 //! * **Bit-identical** — elementwise ops (window multiply, in-place IIR,
 //!   filtfilt buffers) perform the same floating-point operations in the
 //!   same per-element order, so `assert_eq!` holds exactly.
-//! * **Ulp-equal** — reassociated reductions (sums, dots, moments) fold
-//!   four partial accumulators; the difference from the strict-order
-//!   scalar reduction is bounded by `1e-12 × Σ|terms|`.
+//! * **Ulp-equal** — reassociated reductions (sums, dots, moments; see
+//!   `earsonar_dsp::simd`) fold four partial accumulators; the difference
+//!   from the strict-order scalar reduction is bounded by
+//!   `1e-12 × Σ|terms|`.
 //!
 //! The sweeps hit every remainder class (`len % 4` ∈ {0,1,2,3}), odd
 //! one-off lengths, subnormal inputs, and DetRng-randomized signals that
@@ -45,7 +46,7 @@ use earsonar_dsp::mfcc::MfccExtractor;
 use earsonar_dsp::plan::{split_frames, DspScratch, FftPlan, RealFftPlan};
 use earsonar_dsp::rng::DetRng;
 use earsonar_dsp::simd;
-use earsonar_dsp::window::{apply_precomputed, Window};
+use earsonar_dsp::window::{apply_precomputed, hann_in_place, hann_into};
 use earsonar_dsp::Complex64;
 
 /// Every remainder-tail class plus odd one-off and kernel-typical sizes.
@@ -96,35 +97,29 @@ fn reductions_track_scalar_over_all_remainder_classes() {
 
 #[test]
 fn exact_kernels_are_bit_identical() {
+    // The elementwise window multiply, on arbitrary taps, against the
+    // per-element products.
     for &n in LENGTHS {
         let a = noise(n, 3_000 + n as u64);
         let taps = noise(n, 4_000 + n as u64);
-        let mut fast = a.clone();
-        let mut slow = a.clone();
-        simd::mul_in_place(&mut fast, &taps);
-        simd::mul_in_place_scalar(&mut slow, &taps);
-        assert_eq!(fast, slow, "mul_in_place n={n}");
+        let expect: Vec<f64> = a.iter().zip(&taps).map(|(x, w)| x * w).collect();
+        let mut got = a;
+        apply_precomputed(&taps, &mut got);
+        assert_eq!(got, expect, "apply_precomputed n={n}");
     }
 }
 
 #[test]
 fn window_precomputed_multiply_is_bit_identical() {
     let mut taps = Vec::new();
-    for win in [
-        Window::Hann,
-        Window::Hamming,
-        Window::Blackman,
-        Window::Rectangular,
-    ] {
-        for &n in LENGTHS {
-            let x = noise(n, 5_000 + n as u64);
-            let mut expect = x.clone();
-            win.apply_in_place(&mut expect);
-            win.coefficients_into(n, &mut taps);
-            let mut got = x;
-            apply_precomputed(&taps, &mut got);
-            assert_eq!(got, expect, "{win:?} n={n}");
-        }
+    for &n in LENGTHS {
+        let x = noise(n, 5_000 + n as u64);
+        let mut expect = x.clone();
+        hann_in_place(&mut expect);
+        hann_into(n, &mut taps);
+        let mut got = x;
+        apply_precomputed(&taps, &mut got);
+        assert_eq!(got, expect, "n={n}");
     }
 }
 
