@@ -110,40 +110,7 @@ impl FmcwChirp {
             .collect()
     }
 
-    /// Synthesizes a train of `count` chirps spaced `interval` seconds
-    /// apart (start-to-start), zero-filled between chirps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `interval < duration` or
-    /// `count == 0`.
-    pub fn train(&self, count: usize, interval: f64) -> Result<Vec<f64>, DspError> {
-        if count == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "count",
-                constraint: "must emit at least one chirp",
-            });
-        }
-        if interval < self.duration {
-            return Err(DspError::InvalidParameter {
-                name: "interval",
-                constraint: "chirps must not overlap: interval >= duration",
-            });
-        }
-        let hop = (interval * self.sample_rate).round() as usize;
-        let one = self.samples();
-        let total = hop * (count - 1) + one.len();
-        let mut out = vec![0.0; total];
-        for c in 0..count {
-            let start = c * hop;
-            for (i, &s) in one.iter().enumerate() {
-                out[start + i] = s;
-            }
-        }
-        Ok(out)
-    }
-
-    /// The per-train chirp hop in samples for a given interval.
+    /// The chirp hop in samples for a given start-to-start interval.
     pub fn hop_samples(&self, interval: f64) -> usize {
         (interval * self.sample_rate).round() as usize
     }
@@ -161,6 +128,7 @@ mod tests {
         assert_eq!(c.bandwidth, 4_000.0);
         assert_eq!(c.len(), 24);
         assert_eq!(c.f0 + c.bandwidth, 20_000.0);
+        assert_eq!(c.hop_samples(5e-3), 240);
     }
 
     #[test]
@@ -185,29 +153,6 @@ mod tests {
         let in_band = goertzel_magnitude(&x, 18_000.0, 48_000.0).unwrap();
         let out_band = goertzel_magnitude(&x, 8_000.0, 48_000.0).unwrap();
         assert!(in_band > 10.0 * out_band, "in {in_band}, out {out_band}");
-    }
-
-    #[test]
-    fn train_layout() {
-        let c = FmcwChirp::earsonar();
-        let train = c.train(3, 5e-3).unwrap();
-        let hop = c.hop_samples(5e-3);
-        assert_eq!(hop, 240);
-        assert_eq!(train.len(), 2 * hop + 24);
-        // Chirp energy present at each start, silence in the gaps.
-        for start in [0, hop, 2 * hop] {
-            let e: f64 = train[start..start + 24].iter().map(|v| v * v).sum();
-            assert!(e > 1.0);
-        }
-        let gap: f64 = train[30..hop - 10].iter().map(|v| v * v).sum();
-        assert_eq!(gap, 0.0);
-    }
-
-    #[test]
-    fn train_validates_parameters() {
-        let c = FmcwChirp::earsonar();
-        assert!(c.train(0, 5e-3).is_err());
-        assert!(c.train(3, 1e-4).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   (paper Eq. 1),
 //! * [`absorption`] — the parametric frequency-dependent absorption-dip
 //!   model that produces the ~18 kHz "acoustic dip" of paper Fig. 2,
-//! * [`chirp`] — FMCW chirp and chirp-train synthesis (paper §IV-A),
+//! * [`chirp`] — FMCW chirp synthesis (paper §IV-A),
 //! * [`propagation`] — multipath delay/attenuation channel.
 //!
 //! # Example

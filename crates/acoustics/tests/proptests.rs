@@ -117,25 +117,6 @@ fn chirp_samples_are_bounded_and_start_at_zero() {
 }
 
 #[test]
-fn chirp_train_is_periodic() {
-    for seed in 0..CASES {
-        let mut rng = DetRng::seed_from_u64(seed);
-        let count = rng.range_usize(1, 6);
-        let interval = rng.range_usize(600, 4_000) as f64 * 1e-6;
-        let chirp = FmcwChirp::earsonar();
-        let train = chirp.train(count, interval).unwrap();
-        let hop = chirp.hop_samples(interval);
-        // Every chirp copy matches the first.
-        let one = chirp.samples();
-        for c in 0..count {
-            for (i, &v) in one.iter().enumerate() {
-                assert!((train[c * hop + i] - v).abs() < 1e-12, "seed {seed}");
-            }
-        }
-    }
-}
-
-#[test]
 fn allpass_delay_preserves_energy_circularly() {
     for seed in 0..CASES {
         let mut rng = DetRng::seed_from_u64(seed);

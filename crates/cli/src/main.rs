@@ -8,17 +8,19 @@
 //! ```
 //!
 //! `simulate` writes each session as a float32 WAV plus a `manifest.tsv`
-//! with ground truth; `screen` screens WAVs through the session engine.
+//! with ground truth; `screen` screens each WAV with the library's
+//! sequential call, one file at a time.
 
 use earsonar::diagnostics::CaptureDiagnostics;
 use earsonar::eval::{loocv, ExtractedDataset};
 use earsonar::model_io::{load_model, load_model_as, save_model};
 use earsonar::quality::SessionQuality;
 use earsonar::report::{pct, Table};
-use earsonar::screening::{InconclusiveReason, RetryPolicy, ScreeningOutcome, ScreeningVerdict};
+use earsonar::screening::{
+    screen_recording_quality, InconclusiveReason, RetryPolicy, ScreeningOutcome, ScreeningVerdict,
+};
 use earsonar::{EarSonar, EarSonarConfig, MeeState};
 use earsonar_dsp::wav::{write_wav, WavAudio, WavFormat};
-use earsonar_engine::{EngineConfig, ScreeningEngine, SessionId};
 use earsonar_signal::recording::Recording;
 use earsonar_signal::source::{SignalError, SignalSource};
 use earsonar_signal::wav::WavSignalSource;
@@ -38,18 +40,13 @@ USAGE:
       Train the pipeline on a simulated cohort and save the model. With
       --backend, train one of the registered feature/classifier backends
       instead of the reference pipeline.
-  earsonar screen   --model FILE [--backend NAME] [--quorum N] [--workers N] WAV [WAV...]
-      Screen a WAV queue through the multi-session engine with at most
-      N recordings open at once (default 1), drained by up to N worker
-      threads, then print a per-cause summary of skipped captures. The
-      drain never starts more threads than the host has cores, so an N
-      beyond the core count only raises how many files are open; verdict
-      lines and exit codes are identical at every N. Each file's
-      signal-quality summary goes to stderr. --quorum N sets how many
-      quality-accepted, echo-yielding chirps a recording needs for a
-      conclusive verdict. --backend NAME requires the model file to use
-      that backend and fails the run otherwise (a guard for scripted
-      deployments).
+  earsonar screen   --model FILE [--backend NAME] [--quorum N] WAV [WAV...]
+      Screen each WAV in turn, then print a per-cause summary of skipped
+      captures. Each file's signal-quality summary goes to stderr.
+      --quorum N sets how many quality-accepted, echo-yielding chirps a
+      recording needs for a conclusive verdict. --backend NAME requires
+      the model file to use that backend and fails the run otherwise (a
+      guard for scripted deployments).
   earsonar eval     [--patients N] [--seed S]
       Leave-one-participant-out evaluation on a simulated cohort.
   earsonar inspect  --model FILE [--backend NAME] WAV [WAV...]
@@ -60,7 +57,7 @@ loop and print one line per file, in file order. Each command takes only
 the flags shown for it, and only screen and inspect take files; anything
 else is refused.
 
-Defaults: --patients 16, --seed 7, --quorum 12, --workers 1.
+Defaults: --patients 16, --seed 7, --quorum 12.
 Backends: mfcc-kmeans (reference, default), absorbance-logistic,
 absorbance-knn.
 
@@ -75,18 +72,14 @@ struct Args {
     out: Option<PathBuf>,
     model: Option<PathBuf>,
     quorum: Option<usize>,
-    workers: usize,
     backend: Option<String>,
     files: Vec<PathBuf>,
 }
 
 impl Args {
-    /// The screening policy these arguments describe. `max_attempts` is 1:
-    /// a WAV queue holds distinct recordings, so "retry" would conflate
-    /// one file's verdict with the next file's samples.
+    /// The screening policy these arguments describe.
     fn policy(&self) -> RetryPolicy {
         RetryPolicy {
-            max_attempts: 1,
             min_accepted_chirps: self
                 .quorum
                 .unwrap_or(RetryPolicy::default().min_accepted_chirps),
@@ -111,7 +104,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
     let (flags, takes_files): (&[&str], bool) = match command.as_str() {
         "simulate" => (&["--patients", "--seed", "--out"], false),
         "train" => (&["--patients", "--seed", "--backend", "--model"], false),
-        "screen" => (&["--model", "--backend", "--quorum", "--workers"], true),
+        "screen" => (&["--model", "--backend", "--quorum"], true),
         "eval" => (&["--patients", "--seed"], false),
         "inspect" => (&["--model", "--backend"], true),
         "--help" | "-h" => return Err(USAGE.to_string()),
@@ -123,7 +116,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
         out: None,
         model: None,
         quorum: None,
-        workers: 1,
         backend: None,
         files: Vec::new(),
     };
@@ -148,12 +140,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(String, Args), 
             "--out" => args.out = Some(PathBuf::from(value.ok_or("--out needs a directory")?)),
             "--model" => args.model = Some(PathBuf::from(value.ok_or("--model needs a path")?)),
             "--quorum" => args.quorum = Some(number(value.as_ref(), "--quorum")?),
-            "--workers" => {
-                args.workers = number(value.as_ref(), "--workers")?;
-                if args.workers == 0 {
-                    return Err("--workers needs at least 1".into());
-                }
-            }
             // `--backend`, the one flag left.
             _ => args.backend = Some(value.ok_or("--backend needs a name")?),
         }
@@ -355,73 +341,20 @@ fn report_verdict(
     Ok(conclusive)
 }
 
-/// Resolves every session open in `engine` and prints the verdict lines of
-/// `batch` — the files read since the last drain, each with its capture
-/// error if it failed — in file order. Session ids are batch positions.
-fn drain_batch(
-    engine: &ScreeningEngine,
-    workers: usize,
-    batch: &mut Vec<(String, Option<String>)>,
-    out: &mut dyn Write,
-) -> Result<bool, String> {
-    engine.drain(workers);
-    // Sorted by session id, i.e. in batch order.
-    let mut completed = engine.take_completed().into_iter();
-    let mut all_conclusive = true;
-    for (i, (label, failure)) in batch.drain(..).enumerate() {
-        let result = match failure {
-            Some(e) => Err(e),
-            None => completed
-                .find(|done| done.id == SessionId(i as u64))
-                .ok_or_else(|| "engine session did not resolve".to_string())
-                .and_then(|done| done.outcome.map_err(|e| e.to_string())),
-        };
-        all_conclusive &= report_verdict(out, &label, result)?;
-    }
-    Ok(all_conclusive)
-}
-
-/// Screens the WAV queue through the multi-session engine: each recording
-/// is opened as a session and pushed as one chunk (chunking never changes
-/// a verdict), and once `workers` sessions are open they are drained by up
-/// to `workers` threads (capped at the host's cores) before the next file
-/// is read. The engine is bit-identical to sequential screening at every
-/// worker count, so the verdicts do not depend on `workers`.
+/// Screens each WAV with the library's sequential call and prints its
+/// verdict line before reading the next file.
 fn cmd_screen(args: &Args, out: &mut dyn Write) -> Result<bool, String> {
     let system = wav_command_model(args, "screen")?;
-    let workers = args.workers;
-    let engine = ScreeningEngine::new(
-        &system,
-        EngineConfig {
-            max_sessions: workers,
-            policy: args.policy(),
-            ..EngineConfig::default()
-        },
-    );
-    let mut batch: Vec<(String, Option<String>)> = Vec::new();
+    let policy = args.policy();
     let mut all_conclusive = true;
     let captures = for_each_capture(&system, &args.files, |label, capture| {
-        if engine.in_flight() == workers {
-            all_conclusive &= drain_batch(&engine, workers, &mut batch, out)?;
-        }
         eprintln!("screening {label}…");
-        let rec = match capture {
-            Ok(rec) => rec,
-            Err(e) => {
-                batch.push((label, Some(e.to_string())));
-                return Ok(());
-            }
-        };
-        let id = SessionId(batch.len() as u64);
-        engine
-            .open(id)
-            .and_then(|()| engine.push(id, &rec.samples))
-            .and_then(|()| engine.close(id))
-            .map_err(|e| format!("{label}: engine session: {e}"))?;
-        batch.push((label, None));
+        let result = capture.map_err(|e| e.to_string()).and_then(|rec| {
+            screen_recording_quality(&system, &rec, &policy).map_err(|e| e.to_string())
+        });
+        all_conclusive &= report_verdict(out, &label, result)?;
         Ok(())
     })?;
-    all_conclusive &= drain_batch(&engine, workers, &mut batch, out)?;
     writeln!(out, "captures: {}", captures.summary())
         .map_err(|e| format!("writing output: {e}"))?;
     Ok(all_conclusive)
@@ -508,7 +441,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use earsonar::screening::screen_recording_quality;
     use earsonar_sim::faults::Fault;
     use std::path::Path;
     use std::sync::OnceLock;
@@ -556,10 +488,10 @@ mod tests {
     fn screening_surfaces_print_the_same_verdicts_and_exit_status() {
         // One queue — clean, shorter than one chirp hop, clean, two-channel
         // float32, then session 0 under every standard fault — through
-        // `screen` and `screen --workers 2`: the same verdict lines in file
-        // order and the same nonzero exit status, since the short file gets
-        // no verdict. Every verdict is the library's sequential decision
-        // on the decoded file, and the fault suite exercises refusals.
+        // `screen`: one verdict line per file in file order and a nonzero
+        // exit status, since the short file gets no verdict. Every verdict
+        // is the library's sequential decision on the decoded file, and
+        // the fault suite exercises refusals.
         let (data, system) = fitted();
         let config = system.front_end().config();
         let rate = config.sample_rate as u32;
@@ -621,12 +553,8 @@ mod tests {
         assert!(screen.1[1].contains("\terror: "), "{}", screen.1[1]);
         assert!(!screen.1[3].contains("\terror: "), "{}", screen.1[3]);
         assert_eq!(screen.0, 2);
-        assert_eq!(run_cli("screen", &["--workers", "2"]), screen);
 
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        };
+        let policy = RetryPolicy::default();
         for (line, file) in screen.1.iter().zip(&files) {
             if line.contains("\terror: ") {
                 continue;
@@ -666,6 +594,7 @@ mod tests {
                 "earsonar screen --model m --min-chirps 8 a.wav",
                 "--min-chirps",
             ),
+            ("earsonar screen --model m --workers 2 a.wav", "--workers"),
         ] {
             let command = argv.split_whitespace().nth(1).unwrap_or_default();
             match parse(argv) {
@@ -679,13 +608,10 @@ mod tests {
                 Ok(_) => panic!("{argv}: accepted"),
             }
         }
-        let (command, args) = parse("earsonar screen --model m --quorum 5 --workers 2 a.wav b.wav")
-            .expect("screen flags");
+        let (command, args) =
+            parse("earsonar screen --model m --quorum 5 a.wav b.wav").expect("screen flags");
         assert_eq!(command, "screen");
-        assert_eq!(
-            (args.quorum, args.workers, args.files.len()),
-            (Some(5), 2, 2)
-        );
+        assert_eq!((args.quorum, args.files.len()), (Some(5), 2));
         assert!(parse("earsonar inspect --model m --backend absorbance-knn a.wav").is_ok());
         assert!(parse("earsonar train --patients 6 --seed 1 --backend b --model m").is_ok());
     }

@@ -30,8 +30,6 @@ pub enum EarSonarError {
         /// The violated constraint.
         constraint: &'static str,
     },
-    /// The detector was asked to predict before being fitted.
-    NotFitted,
     /// A backend name was not found in the registry
     /// (see [`crate::backend::registry`]).
     UnknownBackend {
@@ -66,7 +64,6 @@ impl fmt::Display for EarSonarError {
             EarSonarError::BadConfig { name, constraint } => {
                 write!(f, "bad config `{name}`: {constraint}")
             }
-            EarSonarError::NotFitted => write!(f, "detector has not been fitted"),
             EarSonarError::UnknownBackend { name } => {
                 write!(f, "unknown backend `{name}`")
             }
@@ -126,7 +123,6 @@ mod tests {
         assert!(e.to_string().contains("dsp"));
         let e: EarSonarError = MlError::EmptyDataset.into();
         assert!(e.to_string().contains("learning"));
-        assert!(EarSonarError::NotFitted.to_string().contains("fitted"));
     }
 
     #[test]

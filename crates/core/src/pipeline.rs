@@ -31,8 +31,6 @@ use earsonar_signal::recording::Recording;
 use earsonar_signal::session::Session;
 use std::convert::Infallible;
 
-pub use crate::config::EarSonarConfig as Config;
-
 /// Per-recording products of the signal-processing front end.
 #[derive(Debug, Clone)]
 pub struct ProcessedRecording {

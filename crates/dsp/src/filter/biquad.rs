@@ -81,19 +81,6 @@ impl Biquad {
         signal.iter().map(|&x| self.process_sample(x)).collect()
     }
 
-    /// Filters `buf` in place from **zeroed** state, without touching
-    /// `self`'s delay line. The recurrence state lives in locals the whole
-    /// pass, so the compiler keeps it in registers instead of loading and
-    /// storing `self.s1`/`self.s2` every sample.
-    ///
-    /// Bit-identical to [`Biquad::process`] after a [`Biquad::reset`]:
-    /// per-sample operations and their order are unchanged. This is the
-    /// one-section, one-lane instance of [`BiquadCascade::run_lanes`].
-    #[inline]
-    pub fn run_in_place(&self, buf: &mut [f64]) {
-        run_sections(std::slice::from_ref(self), buf.as_chunks_mut::<1>().0);
-    }
-
     /// Evaluates the complex frequency response at normalized angular
     /// frequency `omega` (radians/sample, `pi` = Nyquist).
     pub fn response(&self, omega: f64) -> Complex64 {
@@ -168,40 +155,39 @@ impl BiquadCascade {
         signal.iter().map(|&x| self.process_sample(x)).collect()
     }
 
-    /// Filters `buf` in place from zeroed state, **sample-major** with
-    /// every section's recurrence state in a stack-local array: each
-    /// sample flows through all sections before the next sample starts,
-    /// so the sections' serial dependency chains overlap in the
-    /// out-of-order core (section-major sweeps serialize on one section's
-    /// chain per pass and measure ~2x slower).
+    /// Filters `L` independent signals at once, in place from zeroed
+    /// state: `frames[t][l]` is sample `t` of signal `l`, and a single
+    /// signal is the one-lane view `buf.as_chunks_mut::<1>().0`.
     ///
+    /// The pass is **sample-major** with every section's recurrence state
+    /// in a stack-local array: each sample flows through all sections
+    /// before the next sample starts, so the sections' serial dependency
+    /// chains overlap in the out-of-order core (section-major sweeps
+    /// serialize on one section's chain per pass and measure ~2x slower).
     /// Sample-major and section-major orders perform exactly the same
     /// floating-point operations on exactly the same values per section
     /// (section `k` consumes section `k-1`'s full output sequence either
-    /// way), so this is **bit-identical** to a reset
-    /// [`BiquadCascade::process`] — pinned by `cascade_in_place_is_bit_identical`
-    /// below and the kernel-equivalence suite. Unlike `process`, it needs
-    /// no `&mut self` and therefore no per-call cascade clone.
+    /// way), so each lane is **bit-identical** to a reset
+    /// [`BiquadCascade::process`] of that signal alone — pinned by
+    /// `cascade_in_place_is_bit_identical` below and the
+    /// kernel-equivalence suite. Unlike `process`, it needs no `&mut self`
+    /// and therefore no per-call cascade clone. The lanes' recurrences are
+    /// independent, so the core overlaps them (one cascade pass is a
+    /// latency-bound chain per lane).
     ///
-    /// This is the one-lane instance of [`BiquadCascade::run_lanes`].
-    #[inline]
-    pub fn run_in_place(&self, buf: &mut [f64]) {
-        self.run_lanes(buf.as_chunks_mut::<1>().0);
-    }
-
-    /// Filters `L` independent signals at once, in place from zeroed
-    /// state: `frames[t][l]` is sample `t` of signal `l`. Each lane runs
-    /// exactly [`BiquadCascade::run_in_place`]'s operation sequence on its
-    /// own values, so its output is bit-identical to filtering it alone;
-    /// the lanes' recurrences are independent, so the core overlaps them
-    /// (one cascade pass is a latency-bound chain per lane).
+    /// A cascade deeper than 8 sections runs in groups of 8, one after
+    /// another; each section still consumes its predecessor's full
+    /// output sequence, so grouping moves no bit.
     ///
     /// The lanes share a length. A caller with shorter signals can place
     /// each at the start of its lane and pad after it: the filter is
     /// causal, so whatever follows a signal never reaches its samples.
     #[inline]
     pub fn run_lanes<const L: usize>(&self, frames: &mut [[f64; L]]) {
-        run_sections(&self.sections, frames);
+        const { assert!(L > 0) };
+        for group in self.sections.chunks(GROUP) {
+            run_group(group, frames);
+        }
     }
 
     /// Evaluates the cascade frequency response at normalized angular
@@ -220,19 +206,6 @@ impl BiquadCascade {
     /// Returns `true` if every section is stable.
     pub fn is_stable(&self) -> bool {
         self.sections.iter().all(Biquad::is_stable)
-    }
-}
-
-/// The one implementation of biquad filtering from zeroed state: `L`
-/// lane-interleaved signals through `sections`, sample-major over groups
-/// of up to [`GROUP`] sections whose state stays in a stack-local array.
-/// A deeper cascade runs group after group; each section still consumes
-/// its predecessor's full output sequence, so grouping moves no bit.
-#[inline]
-fn run_sections<const L: usize>(sections: &[Biquad], frames: &mut [[f64; L]]) {
-    const { assert!(L > 0) };
-    for group in sections.chunks(GROUP) {
-        run_group(group, frames);
     }
 }
 
@@ -258,7 +231,7 @@ fn run_group<const L: usize>(group: &[Biquad], frames: &mut [[f64; L]]) {
     }
 }
 
-/// Sections whose state [`run_sections`] keeps on the stack per pass:
+/// Sections whose state [`run_group`] keeps on the stack per pass:
 /// enough for a 16th-order filter; EarSonar's Butterworth designs use at
 /// most `order` sections.
 const GROUP: usize = 8;
@@ -350,13 +323,13 @@ mod tests {
     }
 
     #[test]
-    fn run_in_place_matches_reset_process_bitwise() {
+    fn one_section_run_matches_reset_process_bitwise() {
         let mut b = Biquad::new(0.3, 0.2, 0.1, -0.5, 0.25);
         let x: Vec<f64> = (0..257).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
         b.reset();
         let expect = b.process(&x);
         let mut buf = x.clone();
-        b.run_in_place(&mut buf);
+        BiquadCascade::new(vec![b]).run_lanes(buf.as_chunks_mut::<1>().0);
         assert_eq!(buf, expect);
     }
 
@@ -371,7 +344,7 @@ mod tests {
         c.reset();
         let expect = c.process(&x);
         let mut buf = x.clone();
-        c.run_in_place(&mut buf);
+        c.run_lanes(buf.as_chunks_mut::<1>().0);
         assert_eq!(buf, expect);
     }
 
@@ -384,14 +357,14 @@ mod tests {
         let a: Vec<f64> = (0..97).map(|i| ((i as f64) * 0.31).cos()).collect();
         let b: Vec<f64> = (0..97).map(|i| ((i as f64) * 1.7).sin() * 0.5).collect();
         let mut expect_a = a.clone();
-        for s in c.sections() {
-            s.run_in_place(&mut expect_a);
+        for &s in c.sections() {
+            BiquadCascade::new(vec![s]).run_lanes(expect_a.as_chunks_mut::<1>().0);
         }
         let mut got = a.clone();
-        c.run_in_place(&mut got);
+        c.run_lanes(got.as_chunks_mut::<1>().0);
         assert_eq!(got, expect_a);
         let mut expect_b = b.clone();
-        c.run_in_place(&mut expect_b);
+        c.run_lanes(expect_b.as_chunks_mut::<1>().0);
         let mut frames: Vec<[f64; 2]> = a.iter().zip(&b).map(|(&x, &y)| [x, y]).collect();
         c.run_lanes(&mut frames);
         assert!(frames.iter().zip(&expect_a).all(|(f, &e)| f[0] == e));

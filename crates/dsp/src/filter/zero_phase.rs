@@ -65,7 +65,7 @@ pub fn filtfilt(filter: &BiquadCascade, signal: &[f64], pad: usize) -> Result<Ve
 
 /// [`filtfilt`] into caller-owned buffers: `ext` holds the reflected
 /// extension and is filtered **in place** (sample-major, recurrence
-/// state in registers — [`BiquadCascade::run_in_place`]); `out` receives
+/// state in registers — [`BiquadCascade::run_lanes`]); `out` receives
 /// the `signal.len()` output samples. Allocation-free once both buffers
 /// have grown to size, and no per-call cascade clone.
 ///

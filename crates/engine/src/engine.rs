@@ -128,16 +128,6 @@ impl<'a> ScreeningEngine<'a> {
         }
     }
 
-    /// The (normalized) configuration the engine runs under.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The current logical-clock tick.
-    pub fn now(&self) -> u64 {
-        self.table.borrow().clock
-    }
-
     /// Sessions currently in flight.
     pub fn in_flight(&self) -> usize {
         self.table.borrow().sessions.len()

@@ -75,6 +75,33 @@ for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
+echo "==> CLI round trip: simulate, train, screen, inspect and eval in release"
+# No test runs the release binary itself, and simulate, train and eval
+# have no unit test; this runs each command once on a tiny cohort.
+cli=target/release/earsonar
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+"$cli" simulate --patients 2 --seed 7 --out "$tmp/sessions" >/dev/null
+"$cli" train --patients 6 --seed 7 --model "$tmp/earsonar.model" >/dev/null
+wavs=("$tmp"/sessions/*.wav)
+status=0
+"$cli" screen --model "$tmp/earsonar.model" "${wavs[@]}" >"$tmp/screen.txt" 2>"$tmp/screen.err" || status=$?
+if [ "$status" -ne 0 ] && [ "$status" -ne 2 ]; then
+    echo "screen exited with status $status:"
+    cat "$tmp/screen.err"
+    exit 1
+fi
+# One tab-separated verdict line per WAV, in file order, then the summary.
+if ! diff <(printf '%s\n' "${wavs[@]}") <(head -n -1 "$tmp/screen.txt" | grep $'\t' | cut -f1) >/dev/null ||
+    [ "$(wc -l <"$tmp/screen.txt")" -ne $((${#wavs[@]} + 1)) ] ||
+    ! tail -n 1 "$tmp/screen.txt" | grep -q '^captures: '; then
+    echo "screen printed something other than ${#wavs[@]} verdict lines and a captures: line:"
+    cat "$tmp/screen.txt"
+    exit 1
+fi
+"$cli" inspect --model "$tmp/earsonar.model" "${wavs[0]}" >/dev/null
+"$cli" eval --patients 4 >/dev/null
+
 echo "==> cargo doc --workspace (deny rustdoc warnings)"
 # Catches broken and private intra-doc links. The earsonar bin/lib
 # output-filename collision is a cargo warning and does not fail this step.

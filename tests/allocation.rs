@@ -322,9 +322,8 @@ fn warm_per_chirp_kernels_allocate_nothing() {
     });
     let filter = preprocessor.filter();
     let (mut buf, mut lane_frames) = (x.clone(), vec![[0.0; 4]; x.len()]);
-    assert_warm_call_allocates_nothing("Biquad and BiquadCascade runs", || {
-        filter.sections()[0].run_in_place(&mut buf);
-        filter.run_in_place(&mut buf);
+    assert_warm_call_allocates_nothing("BiquadCascade one-lane and four-lane runs", || {
+        filter.run_lanes(buf.as_chunks_mut::<1>().0);
         filter.run_lanes(&mut lane_frames);
     });
 
