@@ -184,8 +184,28 @@ impl AllpassDelay {
     /// Returns [`DspError::InvalidLength`] if `x` needs a different
     /// transform size than the one the delay was built for.
     pub fn apply(&self, x: &[f64], out_len: usize, out: &mut Vec<f64>) -> Result<(), DspError> {
+        self.apply_window(x, out_len, 0, out_len, out)
+    }
+
+    /// Writes samples `start..start + len` of [`AllpassDelay::apply`]'s
+    /// `out_len`-sample output to `out` (`len` samples): each is the same
+    /// ordered sum, so it equals that output bit for bit, and samples
+    /// outside `0..min(out_len, n)` are zero. A caller that reads only a
+    /// section of the delayed signal computes only that section.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`AllpassDelay::apply`].
+    pub fn apply_window(
+        &self,
+        x: &[f64],
+        out_len: usize,
+        start: isize,
+        len: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), DspError> {
         out.clear();
-        out.resize(out_len, 0.0);
+        out.resize(len, 0.0);
         if self.taps.is_empty() || x.is_empty() {
             return Ok(());
         }
@@ -196,11 +216,22 @@ impl AllpassDelay {
                 actual: x.len(),
             });
         }
+        // Sample t lands in out[t - start]. Only t in 0..min(out_len, n) is
+        // computed: `count` samples from t = `first`, at out[skip..].
+        let first = start.max(0).unsigned_abs();
+        let skip = start.min(0).unsigned_abs();
+        let count = out_len
+            .min(n)
+            .saturating_sub(first)
+            .min(len.saturating_sub(skip));
+        let Some(computed) = out.get_mut(skip..skip + count) else {
+            return Ok(());
+        };
         // y[t] = Σ_j x[j] h[(t - j) mod n], summed over j in order, for a
         // block of consecutive outputs at a time: the block's sums are
         // independent, so they stay in registers and run side by side.
-        for (b, ys) in out[..out_len.min(n)].chunks_mut(BLOCK).enumerate() {
-            let t0 = b * BLOCK;
+        for (b, ys) in computed.chunks_mut(BLOCK).enumerate() {
+            let t0 = first + b * BLOCK;
             let mut acc = [0.0; BLOCK];
             for (j, &v) in x.iter().enumerate() {
                 if let Some(h) = self.taps[n - j + t0..].first_chunk::<BLOCK>() {

@@ -130,9 +130,10 @@ impl ChannelEstimator {
     /// `L`-lane forward and inverse transform; `outs[l]` receives the IR of
     /// `windows[l]`, bit-identical to estimating it alone.
     ///
-    /// The Wiener product is formed only on bins `0..=n/2`: the real
-    /// inverse reads no others ([`RealFftPlan::inverse_into`]), so the
-    /// upper half would be computed for nothing.
+    /// The forward transform yields only bins `0..=n/2` and the Wiener
+    /// product is formed only on those: the real inverse reads no others
+    /// ([`RealFftPlan::inverse_lanes`]), so the upper half would be
+    /// computed for nothing.
     ///
     /// # Errors
     ///

@@ -8,6 +8,7 @@
 
 use crate::config::EarSonarConfig;
 use crate::error::EarSonarError;
+use std::ops::ControlFlow;
 
 /// Sliding-window length `W` of the power trackers (samples).
 pub const EVENT_WINDOW: usize = 24;
@@ -51,19 +52,36 @@ pub fn detect_events_with_floor(
     _config: &EarSonarConfig,
 ) -> Result<Vec<EventSpan>, EarSonarError> {
     let mut events = Vec::new();
-    detect_events_into(signal, global_mean, &mut events)?;
+    // Events separated by less than half a window merge (echo ripple).
+    scan(signal, global_mean, |e| {
+        push_merged(&mut events, e, EVENT_WINDOW / 2);
+        ControlFlow::Continue(())
+    })?;
     Ok(events)
 }
 
-/// [`detect_events_with_floor`] writing the spans into `events` (cleared
-/// and refilled), so a caller that keeps the buffer detects without
-/// allocating once it has grown.
-pub(crate) fn detect_events_into(
+/// Whether [`detect_events_with_floor`] finds any event: the scan stops
+/// at the first span, since whatever follows cannot empty the list.
+///
+/// # Errors
+///
+/// Same conditions as [`detect_events_with_floor`].
+pub(crate) fn has_event(signal: &[f64], global_mean: f64) -> Result<bool, EarSonarError> {
+    let mut found = false;
+    scan(signal, global_mean, |_| {
+        found = true;
+        ControlFlow::Break(())
+    })?;
+    Ok(found)
+}
+
+/// The detector itself: passes each span, unmerged and in order, to
+/// `on_span`, and stops early when it breaks.
+fn scan(
     signal: &[f64],
     global_mean: f64,
-    events: &mut Vec<EventSpan>,
+    mut on_span: impl FnMut(EventSpan) -> ControlFlow<()>,
 ) -> Result<(), EarSonarError> {
-    events.clear();
     let w = EVENT_WINDOW;
     if signal.len() < w {
         return Err(EarSonarError::BadRecording {
@@ -73,8 +91,6 @@ pub(crate) fn detect_events_into(
     let n = signal.len();
     // Instantaneous power x², squared where it is read.
     let power = |i: usize| signal[i] * signal[i];
-    // Events separated by less than half a window merge (echo ripple).
-    let gap = w / 2;
 
     // Eq. 7: windowed cumulative power A(i) and windowed deviation B(i).
     // Eq. 6: exponential updates of mu(i) and sigma(i) with factor 1/W.
@@ -106,14 +122,16 @@ pub(crate) fn detect_events_into(
             }
             Some(start) => {
                 if p_i < global_mean {
-                    push_merged(events, EventSpan { start, end: i }, gap);
+                    if on_span(EventSpan { start, end: i }).is_break() {
+                        return Ok(());
+                    }
                     open = None;
                 }
             }
         }
     }
     if let Some(start) = open {
-        push_merged(events, EventSpan { start, end: n }, gap);
+        let _ = on_span(EventSpan { start, end: n });
     }
     Ok(())
 }
@@ -208,6 +226,31 @@ mod tests {
         let events = detect(&x).unwrap();
         let windows: Vec<usize> = events.iter().map(|e| e.start / 240).collect();
         assert_eq!(windows, [0, 2], "{events:?}");
+    }
+
+    #[test]
+    fn has_event_agrees_with_the_full_scan() {
+        // A constant tail stays above the floor to the end, so its span
+        // closes only when the scan runs out of samples.
+        let mut open_at_end = vec![0.0; 200];
+        open_at_end.extend([1.0; 30]);
+        let signals = [
+            synthetic_train(6, 240, 40),
+            vec![0.0; 2048],
+            open_at_end,
+            vec![1.0; 4],
+        ];
+        for x in &signals {
+            for floor in [0.0, 1e-3, 0.1, 0.49, 2.0] {
+                let full = detect_events_with_floor(x, floor, &config());
+                assert_eq!(
+                    has_event(x, floor).ok(),
+                    full.ok().map(|e| !e.is_empty()),
+                    "len {} floor {floor}",
+                    x.len()
+                );
+            }
+        }
     }
 
     #[test]

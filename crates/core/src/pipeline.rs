@@ -12,14 +12,14 @@
 //! `fit_backend(REFERENCE_BACKEND)`, while [`EarSonar::fit_backend`]
 //! selects any registered backend by name.
 
-use crate::absorption::{average_spectra, EchoBand, EchoSpectrum};
+use crate::absorption::{average_spectra, EchoBand, EchoSpectrum, ECHO_IR_PRE, ECHO_IR_TAIL};
 use crate::backend::{self, BackendSpec, Classifier, Extractor};
 use crate::channel::{mean_rows, template_and_estimator, ChannelEstimator};
 use crate::config::EarSonarConfig;
 use crate::diagnostics::Diagnostics;
 use crate::error::EarSonarError;
 use crate::eval::ExtractedDataset;
-use crate::event::{detect_events_into, EventSpan};
+use crate::event::has_event;
 use crate::preprocess::Preprocessor;
 use crate::quality::{self, NoiseFloor, QualityCause, SessionQuality};
 use crate::segment::{segment_with_anchor_with, EardrumEcho};
@@ -100,9 +100,6 @@ pub(crate) struct ChirpAccumulator {
     /// their capacity).
     accepted: Vec<BatchChirp>,
     events: Vec<BatchChirp>,
-    /// The event detector's spans for the chirp being checked (refilled
-    /// per chirp, kept for its capacity).
-    spans: Vec<EventSpan>,
 }
 
 /// One window of a batch that passed the gate, on its way through the
@@ -421,13 +418,9 @@ impl FrontEnd {
             } else {
                 acc.power_sum / acc.power_len as f64
             };
-            let has_event = match detect_events_into(filtered, floor, &mut acc.spans) {
-                Ok(()) => !acc.spans.is_empty(),
-                // A window shorter than the detection window cannot hold
-                // an event (trailing partial chirp).
-                Err(_) => false,
-            };
-            if has_event {
+            // A window shorter than the detection window (a trailing
+            // partial chirp) is an error there, and cannot hold an event.
+            if has_event(filtered, floor).unwrap_or(false) {
                 acc.diagnostics.events_detected += 1;
                 events.push(chirp);
             } else {
@@ -537,20 +530,29 @@ impl FrontEnd {
 
         // Align each IR and take its echo spectrum; a chirp whose spectrum
         // fails is skipped. Every IR has the averaged IR's length, so one
-        // delay kernel serves the whole capture.
+        // delay kernel serves the whole capture. The spectrum reads only
+        // the echo section around the aligned centre, so only that section
+        // of the aligned IR is computed, with the centre at ECHO_IR_PRE.
         let delay = AllpassDelay::new(shift, avg_ir.len(), scratch)?;
-        let mut aligned = scratch.take_real();
+        let section_start = aligned_center as isize - ECHO_IR_PRE as isize;
+        let mut section = scratch.take_real();
         let mut spectra = Vec::with_capacity(acc.diagnostics.irs_estimated);
         for ir in acc.irs.chunks_exact(taps) {
-            delay.apply(ir, aligned_len, &mut aligned)?;
+            delay.apply_window(
+                ir,
+                aligned_len,
+                section_start,
+                ECHO_IR_PRE + ECHO_IR_TAIL,
+                &mut section,
+            )?;
             if let Ok(s) = self
                 .echo_band
-                .spectrum(scratch, &aligned, aligned_center, calibration)
+                .spectrum(scratch, &section, ECHO_IR_PRE, calibration)
             {
                 spectra.push(s);
             }
         }
-        scratch.put_real(aligned);
+        scratch.put_real(section);
         if spectra.is_empty() {
             return Err(EarSonarError::NoEchoDetected);
         }

@@ -341,7 +341,17 @@ pub fn measure_window(
         };
     }
     let nf = n as f64;
-    let mean = window.iter().sum::<f64>() / nf;
+    // The window's and the reference's ordered sums over the `m` samples
+    // both cover, in one pass (two independent chains, each from -0.0 as
+    // `Sum` starts), then the window's sum continued over its tail. When
+    // `m == n`, as for a session's equal-length windows after the first,
+    // the correlation's window mean is this mean, not a second pass.
+    let m = n.min(prev.len());
+    let (head_sum, prev_sum) = window[..m]
+        .iter()
+        .zip(&prev[..m])
+        .fold((-0.0, -0.0), |(s, t), (&a, &b)| (s + a, t + b));
+    let mean = window[m..].iter().fold(head_sum, |s, &a| s + a) / nf;
 
     // One pass: AC peak and energy, active/gap power split, longest
     // flat-line run (constant-value, so dropped buffers are caught even
@@ -404,12 +414,11 @@ pub fn measure_window(
         }
     };
 
-    let m = n.min(prev.len());
     let correlation = if m == 0 {
         1.0
     } else {
-        let ma = window[..m].iter().sum::<f64>() / m as f64;
-        let mb = prev[..m].iter().sum::<f64>() / m as f64;
+        let ma = head_sum / m as f64;
+        let mb = prev_sum / m as f64;
         let mut cov = 0.0f64;
         let mut va = 0.0f64;
         let mut vb = 0.0f64;

@@ -1,10 +1,9 @@
-//! FFT sizing and bin arithmetic.
+//! FFT sizing.
 //!
 //! EarSonar uses the FFT for echo power spectra (paper §IV-C-1), MFCC
 //! extraction, and fast auto-convolution in the segmentation stage. The
 //! transforms themselves are the planned ones in [`crate::plan`]; this
-//! module holds the helpers every caller shares: power-of-two padding and
-//! the frequency → bin mapping.
+//! module holds the power-of-two helpers every caller shares.
 
 /// Returns the smallest power of two that is `>= n` (and at least 1).
 ///
@@ -26,18 +25,6 @@ pub fn next_pow2(n: usize) -> usize {
 /// Returns `true` if `n` is a power of two (and non-zero).
 pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
-}
-
-/// Returns the FFT bin index closest to frequency `f_hz` for an `n`-point
-/// transform at sample rate `fs`.
-///
-/// # Panics
-///
-/// Panics in debug builds if `fs <= 0`.
-pub fn frequency_bin(f_hz: f64, n: usize, fs: f64) -> usize {
-    debug_assert!(fs > 0.0);
-    let k = (f_hz / fs * n as f64).round() as isize;
-    k.rem_euclid(n as isize) as usize
 }
 
 #[cfg(test)]
@@ -79,9 +66,9 @@ mod tests {
             .collect();
         let mut spec = Vec::new();
         FftPlan::shared(n).unwrap().forward_from_real(&x, &mut spec);
-        let k = frequency_bin(f, n, fs);
-        let mag_k = spec[k].norm();
-        // Energy concentrated at bin k: magnitude ~ n/2 for unit sine.
+        // 18 kHz at 48 kHz / 2048 points = 23.4375 Hz per bin: bin 768.
+        let mag_k = spec[768].norm();
+        // Energy concentrated at that bin: magnitude ~ n/2 for unit sine.
         assert!(mag_k > 0.9 * n as f64 / 2.0, "mag {mag_k}");
     }
 
@@ -94,15 +81,5 @@ mod tests {
         let time_energy: f64 = x.iter().map(|v| v * v).sum();
         let freq_energy: f64 = spec.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
         assert_close(time_energy, freq_energy, 1e-8);
-    }
-
-    #[test]
-    fn frequency_bin_round_trips() {
-        let n = 4096;
-        let fs = 48_000.0;
-        for f in [0.0, 1000.0, 16_000.0, 18_000.0, 20_000.0] {
-            let k = frequency_bin(f, n, fs);
-            assert!((k as f64 * fs / n as f64 - f).abs() <= fs / n as f64 / 2.0 + 1e-9);
-        }
     }
 }

@@ -107,7 +107,6 @@ pub fn goertzel_magnitude(signal: &[f64], f_hz: f64, fs: f64) -> Result<f64, Dsp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::frequency_bin;
     use crate::plan::FftPlan;
 
     #[test]
@@ -123,7 +122,7 @@ mod tests {
         let mut spec = Vec::new();
         FftPlan::shared(n).unwrap().forward_from_real(&x, &mut spec);
         for f in [3_000.0, 9_000.0] {
-            let k = frequency_bin(f, n, fs);
+            let k = (f / fs * n as f64).round() as usize;
             let g = goertzel_magnitude(&x, f, fs).unwrap();
             let reference = spec[k].norm();
             assert!(

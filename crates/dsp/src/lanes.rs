@@ -19,6 +19,9 @@
 /// `filtfilt_lanes/*` rows of `cargo bench -p earsonar-bench --bench
 /// dsp_kernels`: on a 2-vCPU Xeon VM, four lanes cost about 0.5 (filter)
 /// to 0.6 (real FFT) of one lane's time per signal, two lanes about 0.7.
+/// Under the release codegen (x86-64-v3, set in `.cargo/config.toml`) a
+/// four-lane `[f64; 4]` frame is one 256-bit register, and eight lanes
+/// were no faster than four.
 pub const LANES: usize = 4;
 
 /// A kernel that runs over items `first..first + L` of a batch it owns,

@@ -28,7 +28,9 @@
 //! alone; several lanes per pass only overlap their independent arithmetic
 //! and share the twiddle loads and loop overhead. The pipeline runs lanes
 //! only in the per-chirp Wiener deconvolution
-//! ([`RealFftPlan::forward_lanes`] / [`RealFftPlan::inverse_lanes`]); the
+//! ([`RealFftPlan::forward_lanes`] / [`RealFftPlan::inverse_lanes`]), which
+//! pass the half spectrum between them: bins `0..=n/2`, all a real inverse
+//! reads, so the conjugate upper half is never formed; the
 //! per-chirp echo spectra and MFCCs read their few band bins with
 //! [`crate::goertzel`] instead of transforming.
 //!
@@ -337,14 +339,21 @@ impl RealFftPlan {
             work.as_chunks_mut::<1>().0,
             out.as_chunks_mut::<1>().0,
         );
+        // The upper half mirrors the lower: X[n - k] = conj(X[k]).
+        let (lower, upper) = out.split_at_mut(self.n / 2 + 1);
+        for (hi, lo) in upper.iter_mut().rev().zip(&lower[1..]) {
+            *hi = lo.conj();
+        }
         Ok(())
     }
 
-    /// [`RealFftPlan::forward_into`] of `L` signals at once: `out` holds
-    /// their `n`-bin spectra in split frames ([`split_frames`]), `work` the
+    /// [`RealFftPlan::forward_into`] of `L` signals at once, but only
+    /// bins `0..=n/2` of each, the half spectrum that
+    /// [`RealFftPlan::inverse_lanes`] reads: `out` holds those `n/2 + 1`
+    /// bins of every lane in split frames ([`split_frames`]), `work` the
     /// intermediate ones. Inputs may differ in length; each is zero-padded
-    /// on its own, and each lane is bit-identical to its one-lane
-    /// transform.
+    /// on its own, and each lane's bins are bit-identical to the same bins
+    /// of its one-lane transform.
     ///
     /// # Errors
     ///
@@ -360,7 +369,7 @@ impl RealFftPlan {
         work.clear();
         work.resize(2 * L * (self.n / 2), 0.0);
         out.clear();
-        out.resize(2 * L * self.n, 0.0);
+        out.resize(2 * L * (self.n / 2 + 1), 0.0);
         self.forward_frames(
             inputs,
             split_frames_mut::<L>(work),
@@ -379,8 +388,8 @@ impl RealFftPlan {
         }
     }
 
-    /// The forward transform into zeroed frames: `n/2` of `work`, `n` of
-    /// `out`.
+    /// The forward transform into zeroed frames: `n/2` of `work`, and
+    /// bins `0..=n/2` into the first `n/2 + 1` of `out`.
     fn forward_frames<const L: usize, F: LaneFrame<L>>(
         &self,
         inputs: [&[f64]; L],
@@ -421,9 +430,7 @@ impl RealFftPlan {
                 let f1 = (a + b).scale(0.5);
                 let d = a - b;
                 let f2 = Complex64::new(d.im * 0.5, -d.re * 0.5); // -i * d / 2
-                let xk = f1 + tw * f2;
-                out[k].set_lane(l, xk);
-                out[self.n - k].set_lane(l, xk.conj());
+                out[k].set_lane(l, f1 + tw * f2);
             }
         }
     }
@@ -458,25 +465,25 @@ impl RealFftPlan {
         Ok(())
     }
 
-    /// [`RealFftPlan::inverse_into`] of `L` spectra in split frames
-    /// ([`split_frames`]): `out` receives their samples lane-interleaved
-    /// (`out[t * L + l]` is sample `t` of lane `l`). As in the one-lane
-    /// form, only bins `0..=n/2` of each lane are read, and each lane is
-    /// bit-identical to its one-lane inverse.
+    /// [`RealFftPlan::inverse_into`] of `L` half spectra in split frames
+    /// ([`split_frames`]), bins `0..=n/2` of each lane as
+    /// [`RealFftPlan::forward_lanes`] writes them: `out` receives their
+    /// samples lane-interleaved (`out[t * L + l]` is sample `t` of lane
+    /// `l`). Each lane is bit-identical to its one-lane inverse.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InvalidLength`] unless `spectrum` holds exactly
-    /// one split frame per planned point.
+    /// `n/2 + 1` split frames.
     pub fn inverse_lanes<const L: usize>(
         &self,
         spectrum: &[f64],
         work: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        if spectrum.len() != 2 * L * self.n {
+        if spectrum.len() != 2 * L * (self.n / 2 + 1) {
             return Err(DspError::InvalidLength {
-                expected: "exactly the planned size per lane",
+                expected: "bins 0..=n/2 of the planned size per lane",
                 actual: spectrum.len(),
             });
         }
@@ -500,8 +507,8 @@ impl RealFftPlan {
         Ok(())
     }
 
-    /// The inverse transform of `n` frames of `bins` through `n/2` frames
-    /// of `work`, samples lane-interleaved into `out`.
+    /// The inverse transform of frames `0..=n/2` of `bins` through `n/2`
+    /// frames of `work`, samples lane-interleaved into `out`.
     fn inverse_frames<const L: usize, F: LaneFrame<L>>(
         &self,
         bins: &[F],

@@ -121,4 +121,16 @@ echo "==> benchmark smoke run: four workloads, pinned input and outcome digests"
 # verdict fails here. Timings are printed, never asserted.
 cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
 
+echo "==> portable codegen: bit-identity suites and benchmark smoke under baseline x86-64"
+# .cargo/config.toml makes x86-64-v3 (AVX2, FMA) the release codegen.
+# Both codegens must give the same bits: the lane suites, the stage
+# sequence and the seed-7 digests in benchmark/pins.txt are re-checked on
+# a baseline x86-64 build. RUSTFLAGS replaces the config's flags; the
+# separate target directory keeps the two codegens from evicting each
+# other's build cache.
+export RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable
+cargo test -q --test kernel_equivalence --test stage_sequence
+cargo run --release --manifest-path benchmark/Cargo.toml -- --smoke
+unset RUSTFLAGS CARGO_TARGET_DIR
+
 echo "All checks passed."

@@ -373,6 +373,11 @@ fn warm_per_chirp_kernels_allocate_nothing() {
     assert_warm_call_allocates_nothing("AllpassDelay::apply", || {
         delay.apply(&y, y.len() + 3, &mut out).expect("delay")
     });
+    assert_warm_call_allocates_nothing("AllpassDelay::apply_window", || {
+        delay
+            .apply_window(&y, y.len() + 3, 30, 61, &mut out)
+            .expect("delay")
+    });
     assert_warm_call_allocates_nothing("envelope_with", || {
         envelope_with(&mut scratch, &y, &mut out)
     });

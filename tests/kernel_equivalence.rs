@@ -238,7 +238,7 @@ fn lane_fft_kernels<const L: usize>() {
                 .iter()
                 .map(|f| Complex64::new(f[0][l], f[1][l]))
                 .collect();
-            assert_eq!(lane, s1, "L={L} n={n} lane {l}: real forward");
+            assert_eq!(lane, s1[..=n / 2], "L={L} n={n} lane {l}: real forward");
             real.inverse_into(&s1, &mut w1, &mut t1).unwrap();
             let lane: Vec<f64> = time.chunks(L).map(|t| t[l]).collect();
             assert_eq!(lane, t1, "L={L} n={n} lane {l}: real inverse");
@@ -417,6 +417,60 @@ fn band_kernels_track_independent_references() {
     // silently wrapped.
     let delay = AllpassDelay::new(1.5, 96, &mut scratch).unwrap();
     assert!(delay.apply(&noise(300, 7), 99, &mut once).is_err());
+}
+
+/// `AllpassDelay::apply_window` is a slice of `apply`'s output, bit for
+/// bit: windows that start before 0, straddle `out_len` or the transform
+/// size `n`, lie wholly outside the output, or are empty.
+#[test]
+fn allpass_window_is_bit_identical_to_the_full_output() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut scratch = DspScratch::new();
+    let (mut full, mut window) = (Vec::new(), Vec::new());
+    for (i, len) in [1usize, 7, 61, 96, 99, 240].into_iter().enumerate() {
+        for (j, d) in [0.0, 0.37, 1.5, 31.9].into_iter().enumerate() {
+            let delay = AllpassDelay::new(d, len, &mut scratch).unwrap();
+            let n = next_pow2(len + d.ceil() as usize + 1);
+            let x = noise(len, 95_000 + (i * 10 + j) as u64);
+            // Output lengths shorter than, equal to and longer than n.
+            for out_len in [len + 3, n, 2 * n + 5] {
+                delay.apply(&x, out_len, &mut full).unwrap();
+                let (o, n) = (out_len as isize, n as isize);
+                let starts = [-500, -70, -3, 0, 5, n - 4, o - 4, o, o + 10];
+                for start in starts {
+                    for w in [0, 1, 7, 61, out_len + 20] {
+                        delay
+                            .apply_window(&x, out_len, start, w, &mut window)
+                            .unwrap();
+                        let expected: Vec<f64> = (start..start + w as isize)
+                            .map(|t| usize::try_from(t).ok().and_then(|t| full.get(t)))
+                            .map(|v| v.copied().unwrap_or(0.0))
+                            .collect();
+                        assert_eq!(
+                            bits(&window),
+                            bits(&expected),
+                            "len={len} d={d} out_len={out_len} window {start}+{w}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    // A negative delay gives silence; a NaN delay gives NaN, not silence.
+    let x = noise(61, 7);
+    let silent = AllpassDelay::new(-0.5, x.len(), &mut scratch).unwrap();
+    silent.apply_window(&x, 64, -3, 20, &mut window).unwrap();
+    assert_eq!(bits(&window), bits(&[0.0; 20]));
+    let nan = AllpassDelay::new(f64::NAN, x.len(), &mut scratch).unwrap();
+    nan.apply_window(&x, 64, 0, 20, &mut window).unwrap();
+    assert_eq!(window.len(), 20);
+    assert!(window.iter().all(|v| v.is_nan()));
+    // The window keeps `apply`'s refusal of an input of another size.
+    let delay = AllpassDelay::new(1.5, 96, &mut scratch).unwrap();
+    assert!(delay
+        .apply_window(&noise(300, 8), 99, 0, 8, &mut window)
+        .is_err());
 }
 
 /// A batch of signals band-passed through `for_lane_groups`, as the front
