@@ -77,6 +77,11 @@ pub(crate) fn has_event(signal: &[f64], global_mean: f64) -> Result<bool, EarSon
 
 /// The detector itself: passes each span, unmerged and in order, to
 /// `on_span`, and stops early when it breaks.
+///
+/// Kept out of line: inlined into [`detect_events_with_floor`], whose
+/// `Vec` growth call sits in the loop, LLVM kept the trackers in stack
+/// slots instead of registers, and a 240-sample window took ~40% longer.
+#[inline(never)]
 fn scan(
     signal: &[f64],
     global_mean: f64,

@@ -20,7 +20,11 @@ pub fn variance(x: &[f64]) -> f64 {
     if x.is_empty() {
         return 0.0;
     }
-    let m = mean(x);
+    variance_about(x, mean(x))
+}
+
+/// [`variance`] of non-empty `x` about its already computed mean `m`.
+fn variance_about(x: &[f64], m: f64) -> f64 {
     x.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / x.len() as f64
 }
 
@@ -42,29 +46,23 @@ pub fn max(x: &[f64]) -> Option<f64> {
 /// Sample skewness (third standardized moment, population convention).
 /// Returns `0.0` for degenerate inputs (length < 2 or zero variance).
 pub fn skewness(x: &[f64]) -> f64 {
-    if x.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(x);
-    let sd = std_dev(x);
-    if sd == 0.0 {
-        return 0.0;
-    }
-    x.iter().map(|&v| ((v - m) / sd).powi(3)).sum::<f64>() / x.len() as f64
+    standardized_moment::<3>(x, mean(x), std_dev(x)).unwrap_or(0.0)
 }
 
 /// Excess kurtosis (fourth standardized moment minus 3, population
 /// convention). A Gaussian scores `0.0`. Returns `0.0` for degenerate inputs.
 pub fn kurtosis(x: &[f64]) -> f64 {
-    if x.len() < 2 {
-        return 0.0;
+    standardized_moment::<4>(x, mean(x), std_dev(x)).map_or(0.0, |k| k - 3.0)
+}
+
+/// The `P`-th moment of `x` standardized by its mean `m` and standard
+/// deviation `sd`, or `None` where it is degenerate (length < 2 or zero
+/// deviation).
+fn standardized_moment<const P: i32>(x: &[f64], m: f64, sd: f64) -> Option<f64> {
+    if x.len() < 2 || sd == 0.0 {
+        return None;
     }
-    let m = mean(x);
-    let sd = std_dev(x);
-    if sd == 0.0 {
-        return 0.0;
-    }
-    x.iter().map(|&v| ((v - m) / sd).powi(4)).sum::<f64>() / x.len() as f64 - 3.0
+    Some(x.iter().map(|&v| ((v - m) / sd).powi(P)).sum::<f64>() / x.len() as f64)
 }
 
 /// Root-mean-square value. Returns `0.0` for an empty slice.
@@ -136,20 +134,24 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Computes all six statistics in one pass over the data.
+    /// Computes all six statistics, each equal bit for bit to its own
+    /// function, in six passes over the data: the mean and the standard
+    /// deviation are computed once and shared by the later moments.
     ///
     /// Returns the all-zero summary for an empty slice.
     pub fn of(x: &[f64]) -> Summary {
         if x.is_empty() {
             return Summary::default();
         }
+        let mean = mean(x);
+        let std_dev = variance_about(x, mean).sqrt();
         Summary {
-            mean: mean(x),
-            std_dev: std_dev(x),
+            mean,
+            std_dev,
             max: max(x).unwrap_or(0.0),
             min: min(x).unwrap_or(0.0),
-            skewness: skewness(x),
-            kurtosis: kurtosis(x),
+            skewness: standardized_moment::<3>(x, mean, std_dev).unwrap_or(0.0),
+            kurtosis: standardized_moment::<4>(x, mean, std_dev).map_or(0.0, |k| k - 3.0),
         }
     }
 
@@ -263,5 +265,29 @@ mod tests {
         let arr = s.to_array();
         assert_eq!(arr[0], s.mean);
         assert_eq!(arr[5], s.kurtosis);
+
+        // Bit for bit against each statistic's own function, degenerate
+        // and non-finite inputs included.
+        let ramp: Vec<f64> = (0..61).map(|i| (i as f64 * 0.37).sin() * 1e-3).collect();
+        let inputs: [&[f64]; 6] = [
+            &x,
+            &ramp,
+            &[4.5],
+            &[3.0; 5],
+            &[1.0, f64::NAN, 2.0],
+            &[-0.0, -0.0],
+        ];
+        for x in inputs {
+            let expected = [
+                mean(x),
+                std_dev(x),
+                max(x).unwrap_or(0.0),
+                min(x).unwrap_or(0.0),
+                skewness(x),
+                kurtosis(x),
+            ];
+            let bits = |a: [f64; 6]| a.map(f64::to_bits);
+            assert_eq!(bits(Summary::of(x).to_array()), bits(expected), "{x:?}");
+        }
     }
 }
